@@ -22,21 +22,10 @@ from .errors import ContractError, NumericalError, ShapeError
 Array = np.ndarray
 
 _grad_enabled: bool = True
-_finite_checks: bool = True
 _tape: list["_Node"] = []
 
 # how often clamped_log had to clamp; exposed for the cross-entropy flag
 clamp_events: int = 0
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle the NaN/Inf check run after every forward op."""
-    global _finite_checks
-    _finite_checks = bool(enabled)
-
-
-def finite_checks_enabled() -> bool:
-    return _finite_checks
 
 
 @contextmanager
@@ -175,7 +164,7 @@ class Tensor:
 
 
 def _finite(arr: Array, tag: str) -> None:
-    if _finite_checks and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise NumericalError(f"non-finite values produced by op '{tag}'")
 
 
@@ -485,28 +474,3 @@ def take_per_row(x: Tensor, ids) -> Tensor:
 
     return _out(x.data[rows, idx].copy(), (x,), bwd, "take_per_row")
 
-
-def gather1d(x: Tensor, ids) -> Tensor:
-    """Gather entries of a 1-d tensor (duplicates allowed)."""
-    idx = np.asarray(ids, dtype=np.intp)
-    if x.data.ndim != 1:
-        raise ShapeError(f"gather1d: need 1-d, got {x.shape}")
-
-    def bwd(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return _out(x.data[idx].copy(), (x,), bwd, "gather1d")
-
-
-def scatter_add1d(values: Tensor, ids, size: int) -> Tensor:
-    """out[ids[k]] += values[k] into a fresh zero vector of ``size``."""
-    idx = np.asarray(ids, dtype=np.intp)
-    if values.data.ndim != 1 or idx.shape != values.data.shape:
-        raise ShapeError(f"scatter_add1d: values {values.shape}, ids {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
-        raise ContractError("scatter_add1d: id out of range")
-    out = np.zeros(size, dtype=np.float64)
-    np.add.at(out, idx, values.data)
-    return _out(out, (values,), lambda g: (g[idx],), "scatter_add1d")

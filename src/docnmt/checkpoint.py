@@ -1,10 +1,11 @@
 """Versioned binary checkpoint container.
 
 Layout: 8-byte magic, uint32 format version, uint32 header length, UTF-8 JSON
-header (config, trained stage groups, embedding tying, parameter manifest with
-shapes), then the raw parameter arrays as little-endian float64 in manifest
-order.  Loading verifies the manifest against a store rebuilt from the config
-and fails loudly on any mismatch.
+header (config, trained stage groups, parameter manifest with shapes), then
+the raw parameter arrays as little-endian float64 in manifest order.  Loading
+verifies the manifest against a store rebuilt from the config and fails
+loudly on any mismatch; a header that lacks a field or holds an invalid
+config is a CheckpointError too.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ContractError
 from .model.config import ModelConfig
 from .model.params import ParamStore, build_params
 
@@ -28,7 +29,6 @@ def save_checkpoint(path, store: ParamStore, cfg: ModelConfig,
         "format_version": FORMAT_VERSION,
         "config": cfg.to_dict(),
         "trained_groups": sorted(trained_groups),
-        "tied_embeddings": cfg.tied_embeddings,
         "params": [{"name": n, "shape": list(shape), "group": g}
                    for n, shape, g in store.manifest()],
     }
@@ -57,11 +57,18 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, list[str]]:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from e
 
-    cfg = ModelConfig.from_dict(header["config"])
+    try:
+        cfg = ModelConfig.from_dict(header["config"])
+        declared = {p["name"]: (tuple(p["shape"]), p["group"])
+                    for p in header["params"]}
+        trained_groups = list(header["trained_groups"])
+    except KeyError as e:
+        raise CheckpointError(f"{path}: header lacks {e}") from e
+    except (ContractError, TypeError) as e:
+        raise CheckpointError(f"{path}: invalid header: {e}") from e
     # rebuild the expected parameter layout from the config and verify
     store = build_params(cfg, np.random.default_rng(0))
     expected = {n: (tuple(shape), g) for n, shape, g in store.manifest()}
-    declared = {p["name"]: (tuple(p["shape"]), p["group"]) for p in header["params"]}
     if set(expected) != set(declared):
         missing = sorted(set(expected) - set(declared))
         extra = sorted(set(declared) - set(expected))
@@ -86,4 +93,4 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, list[str]]:
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
 
-    return store, cfg, list(header["trained_groups"])
+    return store, cfg, trained_groups

@@ -276,16 +276,22 @@ def _report_divergence(out: Path, e: TrainingDiverged) -> None:
     (out / "diverged.note").write_text(str(e) + "\n", encoding="utf-8")
 
 
-def cmd_finetune(args) -> int:
-    out = _out_dir(args)
-    cfg = resolve_config(args)
-    corpus = load_corpus(args.src, args.tgt)
+def _load_model_inputs(args):
+    """Vocabulary pair and checkpoint, checked against each other."""
     sv, tv = load_vocab_pair(args.vocab)
     store, model_cfg, groups = load_checkpoint(args.checkpoint)
     if (len(sv), len(tv)) != (model_cfg.vocab_src, model_cfg.vocab_tgt):
         raise DataError(
             f"vocab sizes {len(sv)}/{len(tv)} do not match checkpoint "
             f"{model_cfg.vocab_src}/{model_cfg.vocab_tgt}")
+    return sv, tv, store, model_cfg, groups
+
+
+def cmd_finetune(args) -> int:
+    out = _out_dir(args)
+    cfg = resolve_config(args)
+    corpus = load_corpus(args.src, args.tgt)
+    sv, tv, store, model_cfg, groups = _load_model_inputs(args)
     tcfg = _train_config(cfg, args.stage, args.seed, epochs=args.epochs)
     log = out / "train.log"
     runner = finetune_copy if args.stage == "copy" else finetune_han
@@ -343,8 +349,7 @@ def _write_trace(path, doc_traces, tgt_vocab) -> None:
 def cmd_translate(args) -> int:
     out = _out_dir(args)
     cfg = resolve_config(args)
-    sv, tv = load_vocab_pair(args.vocab)
-    store, model_cfg, groups = load_checkpoint(args.checkpoint)
+    sv, tv, store, model_cfg, groups = _load_model_inputs(args)
     model = DocModel(model_cfg, store)
     variant = args.variant or _default_variant(groups)
     docs = load_documents(args.src)

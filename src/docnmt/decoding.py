@@ -54,8 +54,6 @@ class BeamHypothesis:
 class SearchConfig:
     width: int = 1
     length_penalty: float = 0.0
-    expand: int | None = None          # per-hypothesis top-k; defaults to width
-    max_len: int | None = None         # cap override (default 2*source+10)
     collect_traces: bool = False
 
     def __post_init__(self):
@@ -81,9 +79,9 @@ def _make_trace(result) -> StepTrace:
 
 
 def beam_step(hypotheses: list[BeamHypothesis], step_fn, width: int,
-              expand: int | None = None, length_penalty: float = 0.0,
+              length_penalty: float = 0.0,
               collect_traces: bool = False) -> list[BeamHypothesis]:
-    """One expansion round: top-``expand`` continuations per live hypothesis,
+    """One expansion round: top-``width`` continuations per live hypothesis,
     then the global top-``width`` by length-normalized score.  Finished
     hypotheses carry over unexpanded; ties break by (parent, token id), so
     the result is deterministic and width 1 reproduces greedy argmax.
@@ -92,7 +90,6 @@ def beam_step(hypotheses: list[BeamHypothesis], step_fn, width: int,
         raise ContractError("beam width must be >= 1")
     if all(h.finished for h in hypotheses):
         return list(hypotheses)
-    expand = expand or width
     ranked: list[tuple[tuple, BeamHypothesis]] = []
     for pi, hypo in enumerate(hypotheses):
         if hypo.finished:
@@ -103,7 +100,7 @@ def beam_step(hypotheses: list[BeamHypothesis], step_fn, width: int,
         logs = np.log(np.maximum(p_w, _LOG_FLOOR))
         traces = hypo.traces + [_make_trace(result)] if collect_traces \
             else hypo.traces
-        for tid in np.argsort(-p_w, kind="stable")[:expand]:
+        for tid in np.argsort(-p_w, kind="stable")[:width]:
             tid = int(tid)
             new = BeamHypothesis(tokens=hypo.tokens + [tid],
                                  log_prob=hypo.log_prob + float(logs[tid]),
@@ -140,7 +137,7 @@ def search(step_fn, max_steps: int, config: SearchConfig
     for _ in range(max_steps):
         if all(h.finished for h in hypos):
             break
-        hypos = beam_step(hypos, step_fn, config.width, config.expand,
+        hypos = beam_step(hypos, step_fn, config.width,
                           config.length_penalty, config.collect_traces)
     hypos = _force_finish(hypos, step_fn, config.collect_traces)
     order = sorted(range(len(hypos)),
@@ -183,7 +180,7 @@ def _strip(hypo: BeamHypothesis) -> list[int]:
 def translate_sentence(model: DocModel, encoded, context, variant: str,
                        config: SearchConfig
                        ) -> tuple[list[int], list[StepTrace]]:
-    max_steps = config.max_len or (2 * len(encoded.token_ids) + 10)
+    max_steps = 2 * len(encoded.token_ids) + 10
 
     def step_fn(prefix):
         return model.step_distribution(prefix, encoded, context, variant)

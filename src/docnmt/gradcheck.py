@@ -27,7 +27,7 @@ class GradCheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err <= self.tol
+        return bool(self.max_rel_err <= self.tol)  # numpy errors give np.bool_
 
     def summary(self) -> str:
         state = "PASS" if self.passed else "FAIL"

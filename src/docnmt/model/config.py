@@ -1,4 +1,4 @@
-"""Model hyperparameters and the two built-in profiles."""
+"""Model hyperparameters and the built-in toy profile."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ class ModelConfig:
     label_smoothing: float = 0.1
     n_context: int = 1
     max_len: int = 256
-    tied_embeddings: bool = False  # source/target tables are separate
 
     def __post_init__(self):
         if self.d_model % self.m_heads != 0:
@@ -33,8 +32,6 @@ class ModelConfig:
             raise ContractError("dropout outside [0, 1)")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ContractError("label_smoothing outside [0, 1)")
-        if self.tied_embeddings:
-            raise ContractError("tied embeddings are not supported")
 
     @property
     def d_head(self) -> int:
@@ -56,10 +53,3 @@ def toy_config(vocab_src: int, vocab_tgt: int, **over) -> ModelConfig:
     base.update(over)
     return ModelConfig(vocab_src=vocab_src, vocab_tgt=vocab_tgt, **base)
 
-
-def full_scale_config(vocab_src: int, vocab_tgt: int, **over) -> ModelConfig:
-    """Full-scale profile; expressible but far beyond desk-scale runtimes."""
-    base = dict(d_model=512, n_layers=6, m_heads=8, d_ff=2048,
-                dropout=0.1, label_smoothing=0.1, n_context=1, max_len=1024)
-    base.update(over)
-    return ModelConfig(vocab_src=vocab_src, vocab_tgt=vocab_tgt, **base)

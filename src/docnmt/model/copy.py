@@ -6,9 +6,14 @@ word-level context attention: for token i of cached sentence j,
 
     alpha_{j,i} = (1/m^2) * (sum_h a_j^h) * (sum_h a_{j,i}^h)
 
-scattered into vocabulary space by token id (duplicate ids accumulate; ids
-never cached get exactly 0).  The copy gate p_copy is a sigmoid over three
-scalar maps plus a bias; the final distribution is
+In the block layout of ``han`` (S_h [T, n*T], W_h [n*T, K], exact zeros
+where masked) every such product is one entry of a single matrix product,
+
+    alpha_tokens = (sum_h S_h) @ (sum_h W_h) / m^2,
+
+which is then scattered into vocabulary space by token id (duplicate ids
+accumulate; ids never cached get exactly 0).  The copy gate p_copy is a
+sigmoid over three scalar maps plus a bias; the final distribution is
 
     P_w = (1 - p_copy) * P_vocab + p_copy * alpha.
 """
@@ -73,14 +78,8 @@ def copy_attention_weights(trace: AttentionTrace, vocab_size: int,
     renormalized to sum 1; switch it off to keep the raw product weights.
     """
     m = trace.m
-    scale = 1.0 / (m * m)
-    parts = []
-    for j in range(trace.n_sents):
-        sent_sum = trace.sent[0] if m == 1 else _head_sum(trace.sent)
-        sent_col = ad.narrow(sent_sum, 1, j, 1)
-        word_sum = trace.word[j][0] if m == 1 else _head_sum(trace.word[j])
-        parts.append(ad.scale_rows(word_sum, sent_col) * scale)
-    alpha_tokens = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
+    alpha_tokens = (_head_sum(trace.sent) @ _head_sum(trace.word)) \
+        * (1.0 / (m * m))
 
     token_ids = [i for ids in trace.token_ids for i in ids]
     keep = np.ones(len(token_ids), dtype=bool)

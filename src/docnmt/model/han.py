@@ -2,6 +2,19 @@
 over cached previous-sentence states, merged into the current hidden state
 through a sigmoid gate.
 
+Both levels are single ``multi_head_attention`` calls over blocks.  With T
+query rows, n cached sentences and K cached tokens in all:
+
+* word level: the query rows ``h f`` are repeated once per sentence, so row
+  j*T+t is query t for sentence j; keys and values are the n cached state
+  matrices stacked into [K, d], and a mask lets row j*T+t see only the
+  columns of sentence j.  Row j*T+t of the output is summary s_j[t].
+* sentence level: the T rows ``h g`` attend over the [n*T, d] summaries; a
+  mask lets row t see only rows j*T+t, one per sentence.
+
+So the per-head weights are S_h [T, n*T] (sentence level) and W_h [n*T, K]
+(word level), with exact zeros where masked.
+
 Cached states are computed in eval mode and detached, so gradients reach the
 context parameters only through the queries and projections of the current
 sentence.
@@ -9,7 +22,6 @@ sentence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +72,15 @@ class ContextState:
 
 @dataclass
 class AttentionTrace:
-    """Post-softmax context attention weights for T query positions.
+    """Post-softmax context attention weights for T query positions, in the
+    block layout of the module docstring.
 
-    sent[h] is [T, n_sents]; word[j][h] is [T, len_j]; token_ids[j] lists the
-    cached token ids of sentence j.  Every weight row sums to 1.
+    sent[h] is [T, n*T] and word[h] is [n*T, K]; token_ids[j] lists the
+    cached token ids of sentence j (K in all).  Every weight row sums to 1.
     """
     token_ids: list[list[int]]
     sent: list[Tensor]
-    word: list[list[Tensor]]
+    word: list[Tensor]
 
     @property
     def m(self) -> int:
@@ -81,19 +94,9 @@ class AttentionTrace:
     def n_positions(self) -> int:
         return self.sent[0].data.shape[0]
 
-    def position(self, t: int) -> "AttentionTrace":
-        """View of a single query position (weights stay on the graph)."""
-        return AttentionTrace(
-            token_ids=self.token_ids,
-            sent=[ad.narrow(w, 0, t, 1) for w in self.sent],
-            word=[[ad.narrow(w, 0, t, 1) for w in heads] for heads in self.word])
-
     def assert_normalized(self, atol: float = 1e-12) -> None:
-        for w in self.sent:
+        for w in self.sent + self.word:
             np.testing.assert_allclose(w.data.sum(axis=1), 1.0, rtol=0, atol=atol)
-        for heads in self.word:
-            for w in heads:
-                np.testing.assert_allclose(w.data.sum(axis=1), 1.0, rtol=0, atol=atol)
 
 
 def _sub(p: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
@@ -102,60 +105,38 @@ def _sub(p: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
 
 
 def word_level_context(h: Tensor, entries: list[CacheEntry], p: dict[str, Tensor],
-                       m: int) -> tuple[list[Tensor], list[list[Tensor]]]:
-    """Per cached sentence j: attend the word-level query into its states.
+                       m: int) -> tuple[Tensor, list[Tensor]]:
+    """Attend the word-level query into every cached sentence at once.
 
-    Returns per-sentence summaries s_j [T, d] and per-(sentence, head)
-    weight matrices [T, len_j].
+    Returns the summaries [n*T, d] (row j*T+t is s_j[t]) and the per-head
+    weights [n*T, K].
     """
     from .transformer import multi_head_attention
 
+    n, t = len(entries), h.data.shape[0]
     qw = h @ p["f"]
-    wp = _sub(p, "word.")
-    summaries, weights = [], []
-    for entry in entries:
-        s_j, heads = multi_head_attention(qw, entry.states, entry.states, wp, m)
-        summaries.append(s_j)
-        weights.append(heads)
-    return summaries, weights
+    queries = qw if n == 1 else ad.concat([qw] * n, axis=0)
+    states = Tensor._wrap(np.concatenate([e.states.data for e in entries]))
+    lens = [len(e.token_ids) for e in entries]
+    mask = np.repeat(np.arange(n), t)[:, None] != np.repeat(np.arange(n), lens)
+    return multi_head_attention(queries, states, states, _sub(p, "word."), m,
+                                mask=mask)
 
 
-def sentence_level_context(h: Tensor, summaries: list[Tensor],
+def sentence_level_context(h: Tensor, summaries: Tensor,
                            p: dict[str, Tensor], m: int
                            ) -> tuple[Tensor, list[Tensor]]:
-    """Attend the sentence-level query over per-position summaries, then FFN.
+    """Attend the sentence-level query over the [n*T, d] summaries, then FFN.
 
-    Each query position t has its own key/value set (its summaries), so the
-    per-head attention is a row-wise dot product across sentences rather than
-    one big matmul.  Returns d_t rows [T, d] and per-head sentence weights
-    [T, n_sents].
+    Row t sees only summary rows j*T+t.  Returns d_t rows [T, d] and the
+    per-head sentence weights [T, n*T].
     """
-    from .transformer import positionwise_ffn
+    from .transformer import multi_head_attention, positionwise_ffn
 
-    d = h.data.shape[1]
-    dh = d // m
-    n = len(summaries)
-    qs = (h @ p["g"]) @ p["sent.wq"]
-    ks = [s @ p["sent.wk"] for s in summaries]
-    vs = [s @ p["sent.wv"] for s in summaries]
-    inv = 1.0 / math.sqrt(dh)
-    head_outs, sent_weights = [], []
-    for head in range(m):
-        q_h = ad.narrow(qs, 1, head * dh, dh)
-        cols = []
-        for j in range(n):
-            k_h = ad.narrow(ks[j], 1, head * dh, dh)
-            cols.append(ad.mul(q_h, k_h).sum(axis=1, keepdims=True) * inv)
-        w = ad.softmax_lastdim(ad.concat(cols, axis=1) if n > 1 else cols[0])
-        sent_weights.append(w)
-        out_h = None
-        for j in range(n):
-            v_h = ad.narrow(vs[j], 1, head * dh, dh)
-            term = ad.scale_rows(v_h, ad.narrow(w, 1, j, 1))
-            out_h = term if out_h is None else ad.add(out_h, term)
-        head_outs.append(out_h)
-    merged = head_outs[0] if m == 1 else ad.concat(head_outs, axis=1)
-    attended = merged @ p["sent.wo"]
+    t = h.data.shape[0]
+    mask = np.arange(t)[:, None] != np.arange(summaries.data.shape[0]) % t
+    attended, sent_weights = multi_head_attention(
+        h @ p["g"], summaries, summaries, _sub(p, "sent."), m, mask=mask)
     return positionwise_ffn(attended, _sub(p, "ffn.")), sent_weights
 
 

@@ -15,7 +15,7 @@ reduce to the plain model bitwise at document starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class EncodedSentence:
     """Final encoder states for one source sentence."""
     token_ids: list[int]
     states: Tensor               # [len, d]
-    pad_mask: np.ndarray         # [len] bool; all False (no intra-batch padding)
 
 
 @dataclass
@@ -51,7 +50,6 @@ class DecodeOut:
     h_tilde: Tensor              # integrated rows (== h on the skip path)
     d_rows: Tensor | None        # context summary rows, None on skip path
     trace: AttentionTrace | None
-    cross_weights: list[list[Tensor]] = field(default_factory=list)
 
 
 @dataclass
@@ -128,36 +126,32 @@ class DocModel:
                                                self.params.view("ctx.enc."),
                                                self.cfg.m_heads)
         return EncodedSentence(token_ids=self.clip_ids(token_ids, "src"),
-                               states=h,
-                               pad_mask=np.zeros(len(token_ids), dtype=bool)), trace
+                               states=h), trace
 
     # -- decoder --------------------------------------------------------------
 
     def decode_states(self, prefix_ids: list[int], encoded: EncodedSentence,
                       train: bool = False,
                       rng: np.random.Generator | None = None
-                      ) -> tuple[Tensor, list[list[Tensor]]]:
-        """Causally masked decoder stack -> rows [len(prefix), d] and
-        per-layer cross-attention head weights."""
+                      ) -> Tensor:
+        """Causally masked decoder stack -> rows [len(prefix), d]."""
         if not prefix_ids:
             raise ContractError("decode of an empty prefix")
         ids = self.clip_ids(prefix_ids, "tgt")
         p = self.params
         x = self._embed("emb.tgt", ids, train, rng)
         cmask = causal_mask(len(ids))
-        cross_all = []
         for i in range(self.cfg.n_layers):
             att, _ = multi_head_attention(x, x, x, p.view(f"dec.{i}.self."),
                                           self.cfg.m_heads, mask=cmask)
             x = self._sublayer(x, att, p.view(f"dec.{i}.ln1."), train, rng)
-            cross, cw = multi_head_attention(x, encoded.states, encoded.states,
-                                             p.view(f"dec.{i}.cross."),
-                                             self.cfg.m_heads)
-            cross_all.append(cw)
+            cross, _ = multi_head_attention(x, encoded.states, encoded.states,
+                                            p.view(f"dec.{i}.cross."),
+                                            self.cfg.m_heads)
             x = self._sublayer(x, cross, p.view(f"dec.{i}.ln2."), train, rng)
             ffn = positionwise_ffn(x, p.view(f"dec.{i}.ffn."))
             x = self._sublayer(x, ffn, p.view(f"dec.{i}.ln3."), train, rng)
-        return x, cross_all
+        return x
 
     def contextual_decode(self, prefix_ids: list[int], encoded: EncodedSentence,
                           context: ContextState | None = None,
@@ -172,7 +166,7 @@ class DocModel:
         check_variant(variant)
         if positions not in ("all", "last"):
             raise ContractError(f"positions='{positions}'")
-        h_full, cross = self.decode_states(prefix_ids, encoded, train, rng)
+        h_full = self.decode_states(prefix_ids, encoded, train, rng)
         h = h_full if positions == "all" else \
             ad.narrow(h_full, 0, h_full.data.shape[0] - 1, 1)
         if variant in DECODER_CTX and context is not None and context.target:
@@ -180,8 +174,7 @@ class DocModel:
                 h, context.target, self.params.view("ctx.dec."), self.cfg.m_heads)
         else:
             h_tilde, d_rows, trace = h, None, None
-        return DecodeOut(h=h, h_tilde=h_tilde, d_rows=d_rows, trace=trace,
-                         cross_weights=cross)
+        return DecodeOut(h=h, h_tilde=h_tilde, d_rows=d_rows, trace=trace)
 
     # -- output ---------------------------------------------------------------
 

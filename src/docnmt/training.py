@@ -12,11 +12,10 @@ han-joint    han-encoder ckpt       ctx_dec                     document
 copy         han-encoder ckpt       ctx_dec + copy              document
 ===========  =====================  ==========================  ===========
 
-Everything outside the stage's groups stays frozen (``full_finetune``
-additionally unfreezes the inherited groups).  Fine-tuning stages teacher-
-force *gold* previous sentences into the context caches by default; set
-``teacher_context="model"`` to decode and cache the model's own outputs
-instead (slower, matches inference conditions).
+Everything outside the stage's groups stays frozen.  Fine-tuning stages
+teacher-force *gold* previous sentences into the context caches, through
+the same ``decoding.update_context`` that pushes the model's own outputs at
+decode time.
 
 The model with the lowest validation loss across epochs is returned;
 epoch 0 is the pre-training validation pass, so a zero-epoch run returns
@@ -32,11 +31,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import DocumentCorpus, Vocabulary, make_batches
-from .decoding import SearchConfig, translate_sentence
+from .decoding import update_context
 from .errors import ContractError, DataError, NumericalError, TrainingDiverged
 from .model import DocModel, ModelConfig, ParamStore
 from .model.han import ContextState
-from .model.model import DECODER_CTX, ENCODER_CTX
 
 STAGES = ("base", "han-encoder", "han-decoder", "han-joint", "copy")
 
@@ -76,14 +74,10 @@ class TrainConfig:
     lr_scale: float = 1.0
     seed: int = 0
     val_fraction: float = 0.1
-    teacher_context: str = "gold"  # or "model"
-    full_finetune: bool = False
 
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ContractError(f"unknown stage {self.stage!r} (expected {STAGES})")
-        if self.teacher_context not in ("gold", "model"):
-            raise ContractError("teacher_context must be 'gold' or 'model'")
         if self.epochs < 0 or not 0.0 <= self.val_fraction < 1.0:
             raise ContractError("bad epochs or val_fraction")
 
@@ -177,64 +171,37 @@ def _encode_corpus(corpus: DocumentCorpus, src_vocab: Vocabulary,
             for doc in corpus.documents]
 
 
-class _DocContext:
-    """Rolling caches during a teacher-forced pass over document items."""
-
-    def __init__(self, model: DocModel, variant: str, mode: str,
-                 n_context: int):
-        self.model = model
-        self.variant = variant
-        self.mode = mode
-        self.state = ContextState(n_context)
-
-    def reset(self):
-        self.state.clear()
-
-    def context_for_loss(self) -> ContextState | None:
-        return self.state if self.variant != "sentence" else None
-
-    def push(self, src_ids: list[int], tgt_ids: list[int]) -> None:
-        if self.variant == "sentence":
-            return
-        with ad.no_grad():
-            encoded, _ = self.model.contextual_encode(
-                src_ids, self.state, self.variant, train=False)
-            if self.mode == "model":
-                out_tokens, _ = translate_sentence(
-                    self.model, encoded, self.state, self.variant,
-                    SearchConfig())
-            else:
-                out_tokens = tgt_ids
-            entry = None
-            if self.variant in DECODER_CTX:
-                entry = self.model.target_cache_entry(
-                    out_tokens, encoded, self.state, self.variant)
-            if self.variant in ENCODER_CTX:
-                self.state.push_source(self.model.source_cache_entry(encoded))
-            if entry is not None:
-                self.state.push_target(entry)
+def _push_gold(model: DocModel, context: ContextState, src_ids: list[int],
+               tgt_ids: list[int], variant: str) -> None:
+    """Cache a finished gold pair the way decoding caches its own output."""
+    if variant == "sentence":
+        return
+    with ad.no_grad():
+        encoded, _ = model.contextual_encode(src_ids, context, variant,
+                                             train=False)
+    update_context(model, context, encoded, tgt_ids, variant)
 
 
-def _evaluate(model: DocModel, docs, variant: str, n_context: int,
-              teacher_context: str) -> tuple[float, float | None]:
+def _evaluate(model: DocModel, docs, variant: str,
+              n_context: int) -> tuple[float, float | None]:
     """Validation loss (and mean p_copy) under teacher-forced context."""
-    roll = _DocContext(model, variant, teacher_context, n_context)
+    context = ContextState(n_context)
     total = 0.0
     n_tokens = 0
     pc_sum = 0.0
     pc_tokens = 0
     with ad.no_grad():
         for doc in docs:
-            roll.reset()
+            context.clear()
             for src_ids, tgt_ids in doc:
                 loss, n, mean_pc = model.sentence_loss(
-                    src_ids, tgt_ids, roll.context_for_loss(), variant)
+                    src_ids, tgt_ids, context, variant)
                 total += float(loss.data) * n
                 n_tokens += n
                 if mean_pc is not None:
                     pc_sum += mean_pc * n
                     pc_tokens += n
-                roll.push(src_ids, tgt_ids)
+                _push_gold(model, context, src_ids, tgt_ids, variant)
     mean_pc = pc_sum / pc_tokens if pc_tokens else None
     return total / max(n_tokens, 1), mean_pc
 
@@ -246,8 +213,6 @@ def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
     stage = tcfg.stage
     variant = _STAGE_VARIANT[stage]
     groups = set(_STAGE_GROUPS[stage])
-    if tcfg.full_finetune:
-        groups |= inherited_groups
     missing = _STAGE_REQUIRES[stage] - inherited_groups
     if missing:
         raise DataError(
@@ -274,8 +239,7 @@ def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
             with open(log_path, "a", encoding="utf-8") as fh:
                 fh.write(rec.line() + "\n")
 
-    val0, pc0 = _evaluate(model, val_docs, variant, n_context,
-                          tcfg.teacher_context)
+    val0, pc0 = _evaluate(model, val_docs, variant, n_context)
     log(EpochRecord(stage, 0, None, val0, pc0))
     best = (val0, 0, store.snapshot())
 
@@ -286,7 +250,7 @@ def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
                                   seed=int(np.random.default_rng(
                                       [tcfg.seed, epoch]).integers(2**31)))
         drop_rng = np.random.default_rng([tcfg.seed, 1_000_000 + epoch])
-        roll = _DocContext(model, variant, tcfg.teacher_context, n_context)
+        context = ContextState(n_context)
         epoch_loss = 0.0
         epoch_tokens = 0
         try:
@@ -295,10 +259,10 @@ def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
                 batch_tokens = 0
                 for item in batch:
                     if batch_mode == "document" and item.doc_start:
-                        roll.reset()
+                        context.clear()
                     loss, n, _ = model.sentence_loss(
-                        item.src_ids, item.tgt_ids, roll.context_for_loss(),
-                        variant, train=True, rng=drop_rng)
+                        item.src_ids, item.tgt_ids, context, variant,
+                        train=True, rng=drop_rng)
                     value = float(loss.data)
                     if not math.isfinite(value):
                         raise NumericalError(
@@ -308,7 +272,8 @@ def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
                     epoch_tokens += n
                     batch_tokens += n
                     if batch_mode == "document":
-                        roll.push(item.src_ids, item.tgt_ids)
+                        _push_gold(model, context, item.src_ids,
+                                   item.tgt_ids, variant)
                 inv = 1.0 / max(batch_tokens, 1)
                 for _, p in store.trainable():
                     if p.grad is not None:
@@ -320,7 +285,7 @@ def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
 
             train_loss = epoch_loss / max(epoch_tokens, 1)
             val_loss, mean_pc = _evaluate(model, val_docs, variant,
-                                          n_context, tcfg.teacher_context)
+                                          n_context)
             if not math.isfinite(val_loss):
                 raise NumericalError(f"non-finite val loss at epoch {epoch}")
         except NumericalError as e:

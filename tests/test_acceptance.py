@@ -30,6 +30,8 @@ from docnmt.model.copy import copy_attention_weights
 from docnmt.model.han import AttentionTrace, CacheEntry, ContextState
 from docnmt.tokens import BOS_ID, EOS_ID
 
+from han_reference import block_trace
+
 # ---------------------------------------------------------------------------
 # shared model helpers
 
@@ -113,28 +115,32 @@ def _random_trace(rng, m: int, vocab: int) -> AttentionTrace:
     def softmax_rows(cols):
         x = rng.standard_normal((n_pos, cols))
         e = np.exp(x - x.max(axis=1, keepdims=True))
-        return Tensor._wrap(e / e.sum(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
 
     lens = [int(rng.integers(1, 6)) for _ in range(n_sents)]
     token_ids = [[int(i) for i in rng.integers(0, vocab, size=n)]
                  for n in lens]
     sent = [softmax_rows(n_sents) for _ in range(m)]
     word = [[softmax_rows(n) for _ in range(m)] for n in lens]
-    return AttentionTrace(token_ids=token_ids, sent=sent, word=word)
+    return block_trace(sent, word, token_ids)
 
 
 def _naive_alpha(trace: AttentionTrace, vocab: int):
     """Reference implementation: explicit loops over positions, sentences,
-    tokens, and heads."""
+    tokens, and heads, reading the block layout (query t's weights on
+    sentence j sit in row j*T+t of the word blocks, column j*T+t of the
+    sentence blocks)."""
     m = trace.m
+    T = trace.n_positions
     flat_ids = [i for ids in trace.token_ids for i in ids]
     alpha_tokens = np.zeros((trace.n_positions, len(flat_ids)))
     for t in range(trace.n_positions):
         k = 0
         for j in range(trace.n_sents):
-            sent_sum = sum(trace.sent[h].data[t, j] for h in range(m))
+            sent_sum = sum(trace.sent[h].data[t, j * T + t] for h in range(m))
             for i in range(len(trace.token_ids[j])):
-                word_sum = sum(trace.word[j][h].data[t, i] for h in range(m))
+                word_sum = sum(trace.word[h].data[j * T + t, k]
+                               for h in range(m))
                 alpha_tokens[t, k] = sent_sum * word_sum / (m * m)
                 k += 1
     alpha_vocab = np.zeros((trace.n_positions, vocab))

@@ -262,13 +262,6 @@ class TestOpGradients:
                [("table", table)])
         x = self.leaf(4, 6)
         _check(lambda: ad.take_per_row(x, [5, 0, 2, 2]).sum(), [("x", x)])
-        v = self.leaf(6)
-        rv = self.mixer(8)
-        _check(lambda: ad.mul(ad.scatter_add1d(v, [1, 4, 1, 7, 0, 4], 8), rv).sum(),
-               [("v", v)])
-        w = self.leaf(7)
-        rg = self.mixer(4)
-        _check(lambda: ad.mul(ad.gather1d(w, [6, 2, 2, 0]), rg).sum(), [("w", w)])
 
 
 class TestGradCheckHarness:

@@ -3,6 +3,7 @@ layout, manifest contents, config precedence, and reproducibility."""
 
 import json
 
+import numpy as np
 import pytest
 
 import docnmt.cli as cli
@@ -10,6 +11,8 @@ from docnmt.cli import build_parser, resolve_config, run
 from docnmt.corpus import load_corpus, load_documents, load_vocab_pair
 from docnmt.gradcheck import GradCheckReport
 from docnmt.metrics import bleu4
+
+from test_transformer import rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +225,43 @@ def test_translate_two_to_two_needs_sep_vocab(tmp_path, workdir, base_ckpt):
     assert code == 2
 
 
+
+def _translate(tmp_path, workdir, ckpt, vocab=None):
+    return run(["translate", "--checkpoint", str(ckpt),
+                "--vocab", str(vocab or workdir / "vocab/vocab.json"),
+                "--src", str(workdir / "data/synth.src.txt"),
+                "--out", str(tmp_path / "trans")])
+
+
+def test_translate_header_without_params_is_data_error(tmp_path, workdir,
+                                                       base_ckpt):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(base_ckpt.read_bytes())
+    rewrite_header(ckpt, lambda h: h.pop("params"))
+    assert _translate(tmp_path, workdir, ckpt) == 2
+
+
+def test_translate_invalid_header_config_is_data_error(tmp_path, workdir,
+                                                       base_ckpt):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(base_ckpt.read_bytes())
+    rewrite_header(ckpt, lambda h: h["config"].update(m_heads=3))
+    assert _translate(tmp_path, workdir, ckpt) == 2
+
+
+def test_translate_rejects_wrong_vocab(tmp_path, workdir, base_ckpt):
+    other = tmp_path / "other"
+    assert run(["gen-synth", "--out", str(other), "--n-docs", "6",
+                "--doc-len", "3", "--n-concepts", "2", "--seed", "4"]) == 0
+    assert run(["build-vocab", "--src", str(other / "synth.src.txt"),
+                "--tgt", str(other / "synth.tgt.txt"),
+                "--out", str(other)]) == 0
+    _, small_tv = load_vocab_pair(other / "vocab.json")
+    _, tv = load_vocab_pair(workdir / "vocab/vocab.json")
+    assert len(small_tv) < len(tv)
+    assert _translate(tmp_path, workdir, base_ckpt,
+                      vocab=other / "vocab.json") == 2
+
 def test_evaluate_identity_scores_100(tmp_path, workdir):
     out = tmp_path / "eval"
     ref = workdir / "data/synth.tgt.txt"
@@ -263,7 +303,8 @@ def test_train_divergence_exits_3(tmp_path, workdir):
 
 
 def _fake_report(passed):
-    err = 1e-9 if passed else 0.5
+    # numpy floats, as the real check computes them
+    err = np.float64(1e-9 if passed else 0.5)
     return GradCheckReport(max_rel_err=err, worst_param="w", worst_index=0,
                            worst_ad=1.0, worst_fd=1.0, n_checked=10, tol=1e-4)
 

@@ -7,19 +7,19 @@ from docnmt.autodiff import Tensor
 from docnmt.gradcheck import grad_check
 from docnmt.model.copy import (copy_attention_weights, copy_gate,
                                mix_distributions)
-from docnmt.model.han import AttentionTrace, ContextState
+from docnmt.model.han import ContextState
 
+from han_reference import block_trace
 from test_han import make_context
 from test_transformer import tiny_model
 
 
 def trace_from_arrays(sent_per_head, word_per_sent_head, token_ids):
     """Build an AttentionTrace for one query position from plain lists."""
-    sent = [Tensor(np.asarray(s, dtype=float).reshape(1, -1))
-            for s in sent_per_head]
-    word = [[Tensor(np.asarray(w, dtype=float).reshape(1, -1)) for w in heads]
+    sent = [np.asarray(s, dtype=float).reshape(1, -1) for s in sent_per_head]
+    word = [[np.asarray(w, dtype=float).reshape(1, -1) for w in heads]
             for heads in word_per_sent_head]
-    return AttentionTrace(token_ids=token_ids, sent=sent, word=word)
+    return block_trace(sent, word, token_ids)
 
 
 def random_trace(rng, m, lens, n_positions=1, vocab=30, low_id=4):
@@ -29,15 +29,18 @@ def random_trace(rng, m, lens, n_positions=1, vocab=30, low_id=4):
         return raw / raw.sum(axis=-1, keepdims=True)
 
     n = len(lens)
-    sent = [Tensor(norm((n_positions, n))) for _ in range(m)]
-    word = [[Tensor(norm((n_positions, L))) for _ in range(m)] for L in lens]
+    sent = [norm((n_positions, n)) for _ in range(m)]
+    word = [[norm((n_positions, L)) for _ in range(m)] for L in lens]
     ids = [list(rng.integers(low_id, vocab, size=L)) for L in lens]
-    return AttentionTrace(token_ids=[list(map(int, i)) for i in ids],
-                          sent=sent, word=word)
+    return block_trace(sent, word, [list(map(int, i)) for i in ids])
 
 
 def naive_alpha(trace, vocab, exclude_special=True, specials=(0, 1, 2, 3)):
-    """Reference triple loop over sentences, heads and tokens."""
+    """Reference triple loop over sentences, heads and tokens.
+
+    Block layout: query t's weight on sentence j is sent[h][t, j*T+t], and
+    on cached token k of sentence j it is word[h][j*T+t, k].
+    """
     m = trace.m
     T = trace.n_positions
     tok = np.zeros((T, sum(len(i) for i in trace.token_ids)))
@@ -47,11 +50,11 @@ def naive_alpha(trace, vocab, exclude_special=True, specials=(0, 1, 2, 3)):
         for j, ids in enumerate(trace.token_ids):
             sent_sum = 0.0
             for h in range(m):
-                sent_sum += trace.sent[h].data[t, j]
+                sent_sum += trace.sent[h].data[t, j * T + t]
             for i, tid in enumerate(ids):
                 word_sum = 0.0
                 for h in range(m):
-                    word_sum += trace.word[j][h].data[t, i]
+                    word_sum += trace.word[h].data[j * T + t, k]
                 a = sent_sum * word_sum / (m * m)
                 tok[t, k] = a
                 if not (exclude_special and tid in specials):

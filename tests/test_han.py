@@ -7,9 +7,13 @@ from docnmt.autodiff import Tensor
 from docnmt.errors import ContractError
 from docnmt.gradcheck import grad_check
 from docnmt.model import build_params, toy_config
+from docnmt import autodiff as ad
+from docnmt.model.copy import copy_attention_weights
 from docnmt.model.han import (CacheEntry, ContextState,
                               gate_integrate, hierarchical_context)
 
+from han_reference import (block_trace, copy_weights_loop, hierarchical_loop,
+                           per_sentence)
 from test_transformer import tiny_model
 
 
@@ -71,8 +75,9 @@ class TestHierarchicalContext:
         _, _, trace = hierarchical_context(h, ctx.source,
                                            model.params.view("ctx.enc."),
                                            model.cfg.m_heads)
+        # row t sees only summary row t; masked weights are exact zeros
         for w in trace.sent:
-            np.testing.assert_array_equal(w.data, 1.0)
+            np.testing.assert_array_equal(w.data, np.eye(2))
 
     def test_integration_changes_states(self):
         model = tiny_model()
@@ -89,18 +94,20 @@ class TestHierarchicalContext:
         eb, _ = model.contextual_encode([5, 6, 7], b, "han-encoder")
         assert not np.array_equal(ea.states.data, eb.states.data)
 
-    def test_position_view_slices_trace(self):
+    def test_trace_blocks_are_zero_outside_their_sentence(self):
         model = tiny_model()
         ctx = make_context(model, [[4, 5, 6], [7, 8]])
         h = model.encode([5, 6, 7])
         _, _, trace = hierarchical_context(h, ctx.source,
                                            model.params.view("ctx.enc."),
                                            model.cfg.m_heads)
-        view = trace.position(1)
-        assert view.n_positions == 1
-        np.testing.assert_array_equal(view.sent[0].data, trace.sent[0].data[1:2])
-        np.testing.assert_array_equal(view.word[1][0].data,
-                                      trace.word[1][0].data[1:2])
+        sent, word = per_sentence(trace)
+        rebuilt = block_trace(sent, word, trace.token_ids)
+        for got, want in zip(trace.sent + trace.word,
+                             rebuilt.sent + rebuilt.word):
+            np.testing.assert_array_equal(got.data, want.data)
+        assert [w.data.shape for w in trace.word] == [(6, 5)] * 2
+        assert [w.data.shape for w in trace.sent] == [(3, 6)] * 2
 
     def test_empty_cache_is_contract_error(self):
         model = tiny_model()
@@ -191,3 +198,108 @@ class TestHanGradients:
 
         report = grad_check(f, subset, h=1e-5, tol=1e-4)
         assert report.passed, report.summary()
+
+
+class TestBlockPathMatchesLoopReference:
+    """The block-layout attention against the per-sentence loops it
+    replaced; summation order differs, so the tolerance is 1e-12."""
+
+    VOCAB = 13
+
+    def _case(self, rng, m, n, t):
+        model = tiny_model(seed=int(rng.integers(1000)))
+        model.params.set_trainable({"ctx_dec"})
+        d = model.cfg.d_model
+        entries = []
+        for _ in range(n):
+            length = int(rng.integers(1, 7))
+            ids = [int(i) for i in rng.integers(0, self.VOCAB, size=length)]
+            entries.append(CacheEntry(ids, Tensor._wrap(
+                rng.standard_normal((length, d)))))
+        h = Tensor(rng.standard_normal((t, d)), requires_grad=True)
+        k = sum(len(e.token_ids) for e in entries)
+        probes = [rng.standard_normal(shape) for shape in
+                  ((t, d), (t, d), (t, k), (t, self.VOCAB))]
+        return model, entries, h, probes
+
+    def _grads(self, model, h, outputs, probes):
+        model.params.zero_grad()
+        h.grad = None
+        loss = None
+        for out, probe in zip(outputs, probes):
+            term = ad.mul(out, Tensor._wrap(probe)).sum()
+            loss = term if loss is None else ad.add(loss, term)
+        ad.backward(loss)
+        grads = {n: p.grad for n, p in model.params.items()
+                 if p.grad is not None}
+        grads["h"] = h.grad
+        return grads
+
+    def test_outputs_weights_and_gradients_match(self):
+        rng = np.random.default_rng(2024)
+        cases = 0
+        for m in (1, 2, 4):
+            for n in (1, 2, 3):
+                for t in range(1, 6):
+                    model, entries, h, probes = self._case(rng, m, n, t)
+                    p = model.params.view("ctx.dec.")
+                    ids = [e.token_ids for e in entries]
+
+                    mixed, d_rows, trace = hierarchical_context(h, entries, p, m)
+                    weights = copy_attention_weights(trace, self.VOCAB)
+                    got = self._grads(model, h, [mixed, d_rows,
+                                                 weights.alpha_tokens,
+                                                 weights.alpha_vocab], probes)
+
+                    r_mixed, r_d, r_sent, r_word = hierarchical_loop(
+                        h, entries, p, m)
+                    r_tok, r_voc = copy_weights_loop(ids, r_sent, r_word,
+                                                     self.VOCAB)
+                    want = self._grads(model, h, [r_mixed, r_d, r_tok, r_voc],
+                                       probes)
+
+                    close = dict(rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(mixed.data, r_mixed.data, **close)
+                    np.testing.assert_allclose(d_rows.data, r_d.data, **close)
+                    sent, word = per_sentence(trace)
+                    for hh in range(m):
+                        np.testing.assert_allclose(sent[hh], r_sent[hh].data,
+                                                   **close)
+                        for j in range(n):
+                            np.testing.assert_allclose(
+                                word[j][hh], r_word[j][hh].data, **close)
+                    np.testing.assert_allclose(weights.alpha_tokens.data,
+                                               r_tok.data, **close)
+                    np.testing.assert_allclose(weights.alpha_vocab.data,
+                                               r_voc.data, **close)
+                    assert set(got) == set(want)
+                    for name in want:
+                        np.testing.assert_allclose(got[name], want[name],
+                                                   err_msg=name, **close)
+                    cases += 1
+        assert cases == 45
+
+    def test_copy_weights_of_a_block_trace_match_loop(self):
+        rng = np.random.default_rng(77)
+        for m in (1, 2, 4):
+            for n in (1, 2, 3):
+                t = int(rng.integers(1, 6))
+                lens = [int(rng.integers(1, 7)) for _ in range(n)]
+                ids = [[int(i) for i in rng.integers(0, self.VOCAB, size=L)]
+                       for L in lens]
+
+                def norm(shape):
+                    raw = rng.random(shape) + 1e-3
+                    return raw / raw.sum(axis=1, keepdims=True)
+
+                sent = [norm((t, n)) for _ in range(m)]
+                word = [[norm((t, L)) for _ in range(m)] for L in lens]
+                got = copy_attention_weights(block_trace(sent, word, ids),
+                                             self.VOCAB)
+                tok, voc = copy_weights_loop(
+                    ids, [Tensor(s) for s in sent],
+                    [[Tensor(w) for w in heads] for heads in word], self.VOCAB)
+                # one nonzero product per entry: bitwise equal
+                np.testing.assert_array_equal(got.alpha_tokens.data, tok.data)
+                np.testing.assert_allclose(got.alpha_vocab.data, voc.data,
+                                           rtol=0, atol=1e-12)

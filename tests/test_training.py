@@ -271,8 +271,6 @@ def test_stage_function_guards():
                       TrainConfig(stage="han-joint"))
     with pytest.raises(ContractError):
         TrainConfig(stage="nonsense")
-    with pytest.raises(ContractError):
-        TrainConfig(teacher_context="oracle")
 
 
 def test_finetune_best_no_worse_than_start():
@@ -300,21 +298,3 @@ def test_copy_stage_reports_mean_p_copy_and_wc_gradient():
     # W_c moved, so its gradient was nonzero somewhere
     assert not np.array_equal(wc_before, result.store["copy.wc"].data)
 
-
-def test_full_finetune_switch_touches_base_too():
-    corpus, _, sv, tv, cfg = small_setup(n_docs=3, doc_len=2)
-    ckpt = base_checkpoint(corpus, sv, tv, cfg, epochs=0)
-    snap = ckpt[0].snapshot()
-    result = finetune_han((ckpt[0], ckpt[1], set(ckpt[2])), corpus, sv, tv,
-                          TrainConfig(stage="han-encoder", epochs=1,
-                                      lr=1e-3, full_finetune=True))
-    assert diff_groups(snap, result.store) == {"base", "ctx_enc"}
-
-
-def test_model_teacher_context_mode_runs():
-    corpus, _, sv, tv, cfg = small_setup(n_docs=2, doc_len=2)
-    ckpt = base_checkpoint(corpus, sv, tv, cfg, epochs=0)
-    result = finetune_han((ckpt[0], ckpt[1], set(ckpt[2])), corpus, sv, tv,
-                          TrainConfig(stage="han-encoder", epochs=1,
-                                      lr=1e-3, teacher_context="model"))
-    assert len(result.history) == 2
