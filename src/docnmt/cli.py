@@ -346,6 +346,26 @@ def _write_trace(path, doc_traces, tgt_vocab) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _check_source_lengths(docs: list[list[list[int]]], max_len: int,
+                          joined: bool) -> None:
+    """Every encoder input must fit the checkpoint's max_len.  With
+    ``joined`` (two-to-two mode) the input of each sentence after a
+    document's first is "previous <sep> current".  Errors name the 1-based
+    line of the source file, whose documents are separated by one blank
+    line."""
+    line = 1
+    for doc in docs:
+        for i, sent in enumerate(doc):
+            n = len(sent) + (len(doc[i - 1]) + 1 if joined and i else 0)
+            if n > max_len:
+                what = "joined previous <sep> current input" \
+                    if joined and i else "sentence"
+                raise DataError(f"line {line}: {what} has {n} tokens, more "
+                                f"than the checkpoint's max_len {max_len}")
+            line += 1
+        line += 1
+
+
 def cmd_translate(args) -> int:
     out = _out_dir(args)
     cfg = resolve_config(args)
@@ -355,6 +375,8 @@ def cmd_translate(args) -> int:
     docs = load_documents(args.src)
     encoded = [[sv.encode(s) for s in doc] for doc in docs]
     search = _search_config(cfg, collect_traces=args.trace)
+    _check_source_lengths(encoded, model_cfg.max_len,
+                          joined=args.mode == "two-to-two")
     if args.mode == "two-to-two":
         if SEP not in sv or SEP not in tv:
             raise DataError("two-to-two translation needs vocabularies "

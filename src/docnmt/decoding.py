@@ -1,12 +1,19 @@
 """Greedy and beam search over documents with cross-sentence caches.
 
-Sentences are decoded in order; after each one the source encoding and a
-teacher-forced recomputation of the decoder states for the *model's own
-output* are pushed into the context caches, so later sentences can attend
-to (and copy from) what the model actually produced.  Caches reset at
-document boundaries.  Beam search shares one cache per document: by the
-time a cache entry exists its sentence is finished, so hypotheses never
-see divergent context.
+Decoding is incremental and beam-batched.  Per sentence the model builds
+one ``DecoderMemory`` (the projections of the source encoding and of the
+cached context); each hypothesis carries a ``DecoderState`` of its rows so
+far, and one ``step_distribution`` call per search round computes one new
+row for every live hypothesis at once.
+
+Sentences are decoded in order; after each one the source encoding and the
+decoder rows of the *model's own output* are pushed into the context
+caches, so later sentences can attend to (and copy from) what the model
+actually produced.  Those rows are the chosen hypothesis's h~ rows, kept by
+the search; nothing is decoded a second time.  Caches reset at document
+boundaries.  Beam search shares one cache per document: by the time a
+cache entry exists its sentence is finished, so hypotheses never see
+divergent context.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import Tensor
 from .errors import ContractError, DataError
-from .model.han import ContextState
+from .model.han import CacheEntry, ContextState
 from .model.model import DECODER_CTX, ENCODER_CTX, DocModel, check_variant
 from .tokens import BOS_ID, EOS_ID
 
@@ -37,6 +45,7 @@ class BeamHypothesis:
     tokens: list[int]                      # BOS-prefixed
     log_prob: float = 0.0
     traces: list[StepTrace] = field(default_factory=list)
+    state: object = None                   # the step function's, opaque here
 
     @property
     def finished(self) -> bool:
@@ -85,17 +94,22 @@ def beam_step(hypotheses: list[BeamHypothesis], step_fn, width: int,
     then the global top-``width`` by length-normalized score.  Finished
     hypotheses carry over unexpanded; ties break by (parent, token id), so
     the result is deterministic and width 1 reproduces greedy argmax.
+
+    ``step_fn`` takes the list of live hypotheses and returns one result
+    (``p_w``, ``copy``, ``state``) per hypothesis, in order.
     """
     if width < 1:
         raise ContractError("beam width must be >= 1")
-    if all(h.finished for h in hypotheses):
+    live = [h for h in hypotheses if not h.finished]
+    if not live:
         return list(hypotheses)
+    results = iter(step_fn(live))
     ranked: list[tuple[tuple, BeamHypothesis]] = []
     for pi, hypo in enumerate(hypotheses):
         if hypo.finished:
             ranked.append(((-hypo.score(length_penalty), pi, -1), hypo))
             continue
-        result = step_fn(hypo.tokens)
+        result = next(results)
         p_w = result.p_w
         logs = np.log(np.maximum(p_w, _LOG_FLOOR))
         traces = hypo.traces + [_make_trace(result)] if collect_traces \
@@ -104,7 +118,7 @@ def beam_step(hypotheses: list[BeamHypothesis], step_fn, width: int,
             tid = int(tid)
             new = BeamHypothesis(tokens=hypo.tokens + [tid],
                                  log_prob=hypo.log_prob + float(logs[tid]),
-                                 traces=traces)
+                                 traces=traces, state=result.state)
             ranked.append(((-new.score(length_penalty), pi, tid), new))
     ranked.sort(key=lambda kv: kv[0])
     return [h for _, h in ranked[:width]]
@@ -114,18 +128,20 @@ def _force_finish(hypotheses: list[BeamHypothesis], step_fn,
                   collect_traces: bool) -> list[BeamHypothesis]:
     """Length cap reached: close every live hypothesis with EOS at its real
     probability, keeping the score = sum of chosen log-probs invariant."""
+    live = [h for h in hypotheses if not h.finished]
+    results = iter(step_fn(live) if live else [])
     out = []
     for hypo in hypotheses:
         if hypo.finished:
             out.append(hypo)
             continue
-        result = step_fn(hypo.tokens)
+        result = next(results)
         logs = np.log(np.maximum(result.p_w, _LOG_FLOOR))
         traces = hypo.traces + [_make_trace(result)] if collect_traces \
             else hypo.traces
         out.append(BeamHypothesis(tokens=hypo.tokens + [EOS_ID],
                                   log_prob=hypo.log_prob + float(logs[EOS_ID]),
-                                  traces=traces))
+                                  traces=traces, state=result.state))
     return out
 
 
@@ -149,25 +165,20 @@ def greedy_search(step_fn, max_steps: int,
                   collect_traces: bool = False) -> BeamHypothesis:
     """Plain argmax decoding, written independently of the beam machinery
     (it doubles as the oracle for the width-1 equivalence)."""
-    tokens = [BOS_ID]
-    log_prob = 0.0
-    traces: list[StepTrace] = []
-    for _ in range(max_steps):
-        result = step_fn(tokens)
-        tid = int(np.argmax(result.p_w))
-        log_prob += float(np.log(max(result.p_w[tid], _LOG_FLOOR)))
-        if collect_traces:
-            traces.append(_make_trace(result))
-        tokens.append(tid)
+    hypo = BeamHypothesis(tokens=[BOS_ID])
+    for step in range(max_steps + 1):
+        result = step_fn([hypo])[0]
+        tid = int(np.argmax(result.p_w)) if step < max_steps else EOS_ID
+        traces = hypo.traces + [_make_trace(result)] if collect_traces \
+            else hypo.traces
+        hypo = BeamHypothesis(
+            tokens=hypo.tokens + [tid],
+            log_prob=hypo.log_prob + float(np.log(max(result.p_w[tid],
+                                                      _LOG_FLOOR))),
+            traces=traces, state=result.state)
         if tid == EOS_ID:
-            return BeamHypothesis(tokens=tokens, log_prob=log_prob,
-                                  traces=traces)
-    result = step_fn(tokens)
-    log_prob += float(np.log(max(result.p_w[EOS_ID], _LOG_FLOOR)))
-    if collect_traces:
-        traces.append(_make_trace(result))
-    return BeamHypothesis(tokens=tokens + [EOS_ID], log_prob=log_prob,
-                          traces=traces)
+            break
+    return hypo
 
 
 def _strip(hypo: BeamHypothesis) -> list[int]:
@@ -179,25 +190,41 @@ def _strip(hypo: BeamHypothesis) -> list[int]:
 
 def translate_sentence(model: DocModel, encoded, context, variant: str,
                        config: SearchConfig
-                       ) -> tuple[list[int], list[StepTrace]]:
-    max_steps = 2 * len(encoded.token_ids) + 10
+                       ) -> tuple[list[int], list[StepTrace], np.ndarray]:
+    """Search one sentence; returns its tokens, its step traces and the h~
+    rows [len(tokens), d] the search computed for them.
 
-    def step_fn(prefix):
-        return model.step_distribution(prefix, encoded, context, variant)
+    The length cap keeps the forced-EOS step's prefix within ``max_len``.
+    """
+    max_steps = min(2 * len(encoded.token_ids) + 10, model.cfg.max_len - 1)
+    memory = model.decoder_memory(encoded, context, variant)
+
+    def step_fn(hypos):
+        return model.step_distribution([h.tokens for h in hypos], memory,
+                                       [h.state for h in hypos])
 
     best = search(step_fn, max_steps, config)[0]
-    return _strip(best), best.traces
+    tokens = _strip(best)
+    return tokens, best.traces, best.state.h_tilde[1:1 + len(tokens)]
 
 
 def update_context(model: DocModel, context: ContextState, encoded,
-                   out_tokens: list[int], variant: str) -> None:
+                   out_tokens: list[int], variant: str,
+                   rows: np.ndarray | None = None) -> None:
     """Push the finished sentence into the caches the variant consumes.
-    Decoder states are recomputed by one teacher-forced eval pass *before*
-    anything is pushed, so the recomputation sees exactly the context the
-    search saw."""
+
+    ``rows`` are the decoder rows the search computed for ``out_tokens``;
+    without them (gold sentences in training) one teacher-forced eval pass
+    computes them *before* anything is pushed, so it sees exactly the
+    context the sentence was decoded with."""
     entry = None
-    if variant in DECODER_CTX:
-        entry = model.target_cache_entry(out_tokens, encoded, context, variant)
+    if variant in DECODER_CTX and out_tokens:
+        if rows is None:
+            entry = model.target_cache_entry(out_tokens, encoded, context,
+                                             variant)
+        else:
+            entry = CacheEntry(token_ids=list(out_tokens),
+                               states=Tensor._wrap(rows))
     if variant in ENCODER_CTX:
         context.push_source(model.source_cache_entry(encoded))
     if entry is not None:
@@ -223,9 +250,9 @@ def translate_document(model: DocModel, src_sentences: list[list[int]],
             raise DataError("cannot translate an empty source sentence")
         encoded, _ = model.contextual_encode(src, context, variant,
                                              train=False)
-        out_tokens, traces = translate_sentence(model, encoded, context,
-                                                variant, config)
-        update_context(model, context, encoded, out_tokens, variant)
+        out_tokens, traces, rows = translate_sentence(model, encoded, context,
+                                                      variant, config)
+        update_context(model, context, encoded, out_tokens, variant, rows)
         outputs.append(out_tokens)
         all_traces.append(traces)
     return outputs, all_traces
@@ -263,8 +290,8 @@ def translate_document_two_to_two(model: DocModel,
         joined = src if prev is None else prev + [sep_src_id] + src
         encoded, _ = model.contextual_encode(joined, None, "sentence",
                                              train=False)
-        out_tokens, _ = translate_sentence(model, encoded, None, "sentence",
-                                           config)
+        out_tokens, _, _ = translate_sentence(model, encoded, None,
+                                              "sentence", config)
         if prev is not None:
             if sep_tgt_id in out_tokens:
                 out_tokens = out_tokens[out_tokens.index(sep_tgt_id) + 1:]

@@ -17,7 +17,6 @@ from .gradcheck import GradCheckReport, grad_check
 from .model import DocModel, build_params, toy_config
 from .model.han import ContextState
 from .model.transformer import cross_entropy
-from .tokens import BOS_ID
 
 
 def full_copy_gradcheck(seed: int = 0, h: float = 1e-5,
@@ -41,16 +40,13 @@ def full_copy_gradcheck(seed: int = 0, h: float = 1e-5,
             context.push_target(entry)
 
     src = [int(t) for t in rng.integers(4, cfg.vocab_src, size=5)]
-    prefix = [BOS_ID] + [int(t) for t in rng.integers(4, cfg.vocab_tgt, size=2)]
+    prefix = [int(t) for t in rng.integers(4, cfg.vocab_tgt, size=2)]
     gold = int(rng.integers(4, cfg.vocab_tgt))
 
     def f():
-        encoded, _ = model.contextual_encode(src, context, "copy",
-                                             train=False)
-        out = model.contextual_decode(prefix, encoded, context, "copy",
-                                      positions="last")
-        p_vocab = model.output_distribution(out.h_tilde)
-        p_w, _, _ = model.copy_mixture(out, encoded, p_vocab)
+        # teacher-forced rows after BOS + prefix; the last is the decode step
+        p_rows, _ = model.sequence_distributions(src, prefix, context, "copy")
+        p_w = ad.narrow(p_rows, 0, len(prefix), 1)
         return cross_entropy(p_w, [gold], cfg.label_smoothing)
 
     return grad_check(f, store.trainable(), h=h, tol=tol)

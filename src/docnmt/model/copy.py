@@ -29,6 +29,7 @@ from ..autodiff import Tensor
 from ..errors import ContractError
 from ..tokens import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 from .han import AttentionTrace, _sub
+from .transformer import HeadKV, attend
 
 SPECIAL_IDS = (PAD_ID, UNK_ID, BOS_ID, EOS_ID)  # never copy targets
 
@@ -51,14 +52,12 @@ class CopyDistribution:
     p_w: np.ndarray
 
 
-def encoder_context_attention(h_tilde: Tensor, enc_states: Tensor,
-                              p: dict[str, Tensor], m: int) -> Tensor:
+def encoder_context_attention(h_tilde: Tensor, enc_kv: HeadKV,
+                              p: dict[str, Tensor]) -> Tensor:
     """c_t: multi-head attention of the integrated state over the current
-    source encoding, with the copy mechanism's own projections."""
-    from .transformer import multi_head_attention
-
-    c_rows, _ = multi_head_attention(h_tilde, enc_states, enc_states,
-                                     _sub(p, "att."), m)
+    source encoding (``enc_kv``, projected once per sentence through the
+    copy mechanism's own ``att.wk`` / ``att.wv``)."""
+    c_rows, _ = attend(h_tilde @ p["att.wq"], enc_kv, _sub(p, "att."))
     return c_rows
 
 

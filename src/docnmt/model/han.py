@@ -2,13 +2,15 @@
 over cached previous-sentence states, merged into the current hidden state
 through a sigmoid gate.
 
-Both levels are single ``multi_head_attention`` calls over blocks.  With T
-query rows, n cached sentences and K cached tokens in all:
+Both levels are single multi-head attentions over blocks.  With T query
+rows, n cached sentences and K cached tokens in all:
 
 * word level: the query rows ``h f`` are repeated once per sentence, so row
   j*T+t is query t for sentence j; keys and values are the n cached state
   matrices stacked into [K, d], and a mask lets row j*T+t see only the
-  columns of sentence j.  Row j*T+t of the output is summary s_j[t].
+  columns of sentence j.  Row j*T+t of the output is summary s_j[t].  The
+  keys and values depend only on the cache, so a ``ContextMemory`` projects
+  them once and every query of a sentence reuses them.
 * sentence level: the T rows ``h g`` attend over the [n*T, d] summaries; a
   mask lets row t see only rows j*T+t, one per sentence.
 
@@ -104,23 +106,45 @@ def _sub(p: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
     return {k[plen:]: v for k, v in p.items() if k.startswith(prefix)}
 
 
-def word_level_context(h: Tensor, entries: list[CacheEntry], p: dict[str, Tensor],
-                       m: int) -> tuple[Tensor, list[Tensor]]:
+class ContextMemory:
+    """The cached sentences of one side, prepared once for many queries:
+    their token ids, the word-level attention's parameters, and its keys and
+    values: the stacked states [K, d] through ``word.wk`` / ``word.wv``.
+
+    ``len()`` is the number of cached sentences.
+    """
+
+    def __init__(self, entries: list[CacheEntry], p: dict[str, Tensor], m: int):
+        from .transformer import project_kv
+
+        if not entries:
+            raise ContractError("context memory of an empty cache")
+        self.token_ids = [list(e.token_ids) for e in entries]
+        self.lens = [len(ids) for ids in self.token_ids]
+        self.word_p = _sub(p, "word.")
+        states = Tensor._wrap(np.concatenate([e.states.data for e in entries]))
+        self.word_kv = project_kv(states, states, self.word_p, m)
+
+    def __len__(self) -> int:
+        return len(self.token_ids)
+
+
+def word_level_context(h: Tensor, memory: ContextMemory, p: dict[str, Tensor]
+                       ) -> tuple[Tensor, list[Tensor]]:
     """Attend the word-level query into every cached sentence at once.
 
     Returns the summaries [n*T, d] (row j*T+t is s_j[t]) and the per-head
     weights [n*T, K].
     """
-    from .transformer import multi_head_attention
+    from .transformer import attend
 
-    n, t = len(entries), h.data.shape[0]
+    n, t = len(memory), h.data.shape[0]
     qw = h @ p["f"]
     queries = qw if n == 1 else ad.concat([qw] * n, axis=0)
-    states = Tensor._wrap(np.concatenate([e.states.data for e in entries]))
-    lens = [len(e.token_ids) for e in entries]
-    mask = np.repeat(np.arange(n), t)[:, None] != np.repeat(np.arange(n), lens)
-    return multi_head_attention(queries, states, states, _sub(p, "word."), m,
-                                mask=mask)
+    mask = np.repeat(np.arange(n), t)[:, None] \
+        != np.repeat(np.arange(n), memory.lens)
+    return attend(queries @ memory.word_p["wq"], memory.word_kv,
+                  memory.word_p, mask=mask)
 
 
 def sentence_level_context(h: Tensor, summaries: Tensor,
@@ -147,19 +171,17 @@ def gate_integrate(h: Tensor, d_rows: Tensor, p: dict[str, Tensor]) -> tuple[Ten
     return mixed, lam
 
 
-def hierarchical_context(h: Tensor, entries: list[CacheEntry],
+def hierarchical_context(h: Tensor, memory: ContextMemory,
                          p: dict[str, Tensor], m: int
                          ) -> tuple[Tensor, Tensor, AttentionTrace]:
-    """Full context pass for non-empty caches.
+    """Full context pass over a prepared, non-empty cache memory.
 
     Returns (integrated rows h~ [T, d], context rows d_t [T, d], trace).
     Callers must take the skip path when the cache is empty.
     """
-    if not entries:
-        raise ContractError("hierarchical_context with empty cache")
-    summaries, word_w = word_level_context(h, entries, p, m)
+    summaries, word_w = word_level_context(h, memory, p)
     d_rows, sent_w = sentence_level_context(h, summaries, p, m)
     mixed, _ = gate_integrate(h, d_rows, p)
-    trace = AttentionTrace(token_ids=[list(e.token_ids) for e in entries],
-                           sent=sent_w, word=word_w)
+    trace = AttentionTrace(token_ids=memory.token_ids, sent=sent_w,
+                           word=word_w)
     return mixed, d_rows, trace

@@ -10,6 +10,13 @@ Variants share one parameter store; which paths run is decided per call:
 
 An empty cache takes the exact sentence-level code path, so context variants
 reduce to the plain model bitwise at document starts.
+
+There is one decoder stack, ``decode_states``.  What a sentence's passes
+share (cross-attention, context and copy keys and values, parameter views)
+is built once into a ``DecoderMemory``.  Teacher forcing runs the stack over
+a whole prefix under the causal mask; search runs it over one new row per
+hypothesis, each row attending over its own ``DecoderState`` (the key and
+value rows of the tokens before it).
 """
 
 from __future__ import annotations
@@ -26,10 +33,12 @@ from ..tokens import BOS_ID, EOS_ID, UNK_ID
 from .config import ModelConfig
 from .copy import (CopyDistribution, copy_attention_weights, copy_gate,
                    encoder_context_attention, mix_distributions)
-from .han import AttentionTrace, CacheEntry, ContextState, hierarchical_context
+from .han import (AttentionTrace, CacheEntry, ContextMemory, ContextState,
+                  _sub, hierarchical_context)
 from .params import ParamStore
-from .transformer import (causal_mask, cross_entropy, multi_head_attention,
-                          positionwise_ffn, sinusoidal_positions)
+from .transformer import (HeadKV, attend, causal_mask, cross_entropy,
+                          multi_head_attention, positionwise_ffn, project_kv,
+                          sinusoidal_positions, split_heads)
 
 VARIANTS = ("sentence", "han-encoder", "han-decoder", "han-joint", "copy")
 ENCODER_CTX = frozenset({"han-encoder", "han-joint", "copy"})
@@ -46,17 +55,100 @@ class EncodedSentence:
 @dataclass
 class DecodeOut:
     """States of one (possibly context-integrated) decoder pass."""
-    h: Tensor                    # base final-layer rows for queried positions
+    h: Tensor                    # base final-layer rows
     h_tilde: Tensor              # integrated rows (== h on the skip path)
     d_rows: Tensor | None        # context summary rows, None on skip path
     trace: AttentionTrace | None
+    kv: list[tuple[Tensor, Tensor]]  # per layer: self-attention K, V rows
+
+
+@dataclass(frozen=True)
+class DecoderState:
+    """One hypothesis's decoder rows, one per prefix token consumed so far:
+    each layer's self-attention key and value rows [L, d] and the integrated
+    rows h~ [L, d].  A step returns a longer copy; a state never changes."""
+    keys: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
+    h_tilde: np.ndarray
+
+    def __len__(self) -> int:
+        return self.h_tilde.shape[0]
+
+    @classmethod
+    def empty(cls, n_layers: int, d: int) -> "DecoderState":
+        rows = np.empty((0, d))
+        return cls(keys=(rows,) * n_layers, values=(rows,) * n_layers,
+                   h_tilde=rows)
+
+    def grow(self, out: DecodeOut, row: int) -> "DecoderState":
+        """This state plus row ``row`` of a decoder pass."""
+        def add(old: np.ndarray, new: Tensor) -> np.ndarray:
+            return np.concatenate([old, new.data[row:row + 1]])
+        return DecoderState(keys=tuple(add(o, k) for o, (k, _) in
+                                       zip(self.keys, out.kv)),
+                            values=tuple(add(o, v) for o, (_, v) in
+                                         zip(self.values, out.kv)),
+                            h_tilde=add(self.h_tilde, out.h_tilde))
 
 
 @dataclass
 class StepResult:
-    """Output distribution for the last prefix position at decode time."""
+    """Output distribution for the last position of one prefix."""
     p_w: np.ndarray              # [V] final distribution
     copy: CopyDistribution | None
+    state: DecoderState          # the prefix's rows, its last token included
+
+
+@dataclass
+class _DecoderLayer:
+    self_p: dict[str, Tensor]
+    ln1: dict[str, Tensor]
+    cross_p: dict[str, Tensor]
+    cross_kv: HeadKV             # source encoding through cross wk / wv
+    ln2: dict[str, Tensor]
+    ffn: dict[str, Tensor]
+    ln3: dict[str, Tensor]
+
+
+class DecoderMemory:
+    """Everything the decoder passes over one sentence share, built once per
+    sentence: each layer's parameter views and cross-attention K/V of the
+    source encoding, the target-side ``ContextMemory`` (None on the skip
+    path), and the copy attention's K/V of the source encoding, projected on
+    first use (after the decoder stack, as the copy mixture needs them).
+    """
+
+    def __init__(self, model: "DocModel", encoded: EncodedSentence,
+                 context: ContextState | None, variant: str):
+        check_variant(variant)
+        p, m = model.params, model.cfg.m_heads
+        self.encoded = encoded
+        self.variant = variant
+        self.m = m
+        self.layers = []
+        for i in range(model.cfg.n_layers):
+            cross_p = p.view(f"dec.{i}.cross.")
+            self.layers.append(_DecoderLayer(
+                self_p=p.view(f"dec.{i}.self."), ln1=p.view(f"dec.{i}.ln1."),
+                cross_p=cross_p,
+                cross_kv=project_kv(encoded.states, encoded.states, cross_p, m),
+                ln2=p.view(f"dec.{i}.ln2."), ffn=p.view(f"dec.{i}.ffn."),
+                ln3=p.view(f"dec.{i}.ln3.")))
+        self.context: ContextMemory | None = None
+        if variant in DECODER_CTX and context is not None and context.target:
+            self.ctx_p = p.view("ctx.dec.")
+            self.context = ContextMemory(context.target, self.ctx_p, m)
+        self._params = p
+        self._copy: tuple[HeadKV, dict[str, Tensor]] | None = None
+
+    def copy(self) -> tuple[HeadKV, dict[str, Tensor]]:
+        """The copy attention's K/V of the source encoding and the copy
+        parameter views, built on the first call."""
+        if self._copy is None:
+            p = self._params.view("copy.")
+            states = self.encoded.states
+            self._copy = project_kv(states, states, _sub(p, "att."), self.m), p
+        return self._copy
 
 
 def check_variant(variant: str) -> str:
@@ -73,13 +165,14 @@ class DocModel:
 
     # -- embeddings ---------------------------------------------------------
 
-    def _embed(self, table: str, ids: list[int], train: bool,
-               rng: np.random.Generator | None) -> Tensor:
-        if len(ids) > self.cfg.max_len:
+    def _embed(self, table: str, ids: list[int], positions: np.ndarray,
+               train: bool, rng: np.random.Generator | None) -> Tensor:
+        length = int(positions.max()) + 1
+        if length > self.cfg.max_len:
             raise ContractError(
-                f"sequence length {len(ids)} exceeds max_len {self.cfg.max_len}")
+                f"sequence length {length} exceeds max_len {self.cfg.max_len}")
         x = ad.embedding_lookup(self.params[table], ids) * math.sqrt(self.cfg.d_model)
-        x = ad.add(x, Tensor._wrap(self._pos[:len(ids)]))
+        x = ad.add(x, Tensor._wrap(self._pos[positions]))
         if train and self.cfg.dropout > 0.0:
             x = ad.dropout(x, self.cfg.dropout, rng)
         return x
@@ -104,7 +197,7 @@ class DocModel:
             raise ContractError("encode of an empty sentence")
         ids = self.clip_ids(token_ids, "src")
         p = self.params
-        x = self._embed("emb.src", ids, train, rng)
+        x = self._embed("emb.src", ids, np.arange(len(ids)), train, rng)
         for i in range(self.cfg.n_layers):
             att, _ = multi_head_attention(x, x, x, p.view(f"enc.{i}.att."),
                                           self.cfg.m_heads)
@@ -122,59 +215,89 @@ class DocModel:
         h = self.encode(token_ids, train, rng)
         trace = None
         if variant in ENCODER_CTX and context is not None and context.source:
-            h, _, trace = hierarchical_context(h, context.source,
-                                               self.params.view("ctx.enc."),
-                                               self.cfg.m_heads)
+            p, m = self.params.view("ctx.enc."), self.cfg.m_heads
+            h, _, trace = hierarchical_context(
+                h, ContextMemory(context.source, p, m), p, m)
         return EncodedSentence(token_ids=self.clip_ids(token_ids, "src"),
                                states=h), trace
 
     # -- decoder --------------------------------------------------------------
 
-    def decode_states(self, prefix_ids: list[int], encoded: EncodedSentence,
+    def decoder_memory(self, encoded: EncodedSentence,
+                       context: ContextState | None = None,
+                       variant: str = "sentence") -> DecoderMemory:
+        return DecoderMemory(self, encoded, context, variant)
+
+    def decode_states(self, ids: list[int], memory: DecoderMemory,
+                      past: list[DecoderState] | None = None,
                       train: bool = False,
                       rng: np.random.Generator | None = None
-                      ) -> Tensor:
-        """Causally masked decoder stack -> rows [len(prefix), d]."""
-        if not prefix_ids:
+                      ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
+        """The decoder stack over new rows -> (final-layer rows, per layer
+        the self-attention K and V of those rows).
+
+        Without ``past`` the rows are one prefix from position 0 under the
+        causal mask (teacher forcing).  With it, ``ids`` holds the next token
+        of each of len(past) hypotheses whose states have equal lengths; row
+        i attends over hypothesis i's past rows and itself only.
+        """
+        if not ids:
             raise ContractError("decode of an empty prefix")
-        ids = self.clip_ids(prefix_ids, "tgt")
-        p = self.params
-        x = self._embed("emb.tgt", ids, train, rng)
-        cmask = causal_mask(len(ids))
-        for i in range(self.cfg.n_layers):
-            att, _ = multi_head_attention(x, x, x, p.view(f"dec.{i}.self."),
-                                          self.cfg.m_heads, mask=cmask)
-            x = self._sublayer(x, att, p.view(f"dec.{i}.ln1."), train, rng)
-            cross, _ = multi_head_attention(x, encoded.states, encoded.states,
-                                            p.view(f"dec.{i}.cross."),
-                                            self.cfg.m_heads)
-            x = self._sublayer(x, cross, p.view(f"dec.{i}.ln2."), train, rng)
-            ffn = positionwise_ffn(x, p.view(f"dec.{i}.ffn."))
-            x = self._sublayer(x, ffn, p.view(f"dec.{i}.ln3."), train, rng)
-        return x
+        ids = self.clip_ids(ids, "tgt")
+        if past is None:
+            n_past, positions, mask = 0, np.arange(len(ids)), causal_mask(len(ids))
+        else:
+            k = len(past)
+            if len(ids) != k or len({len(s) for s in past}) != 1:
+                raise ContractError(
+                    f"{len(ids)} new rows for hypotheses of lengths "
+                    f"{[len(s) for s in past]}")
+            n_past = len(past[0])
+            positions = np.full(k, n_past)
+            other = ~np.eye(k, dtype=bool)  # keys: all past rows, then new
+            mask = np.concatenate(
+                [np.repeat(other, n_past, axis=1), other], axis=1)
+        x = self._embed("emb.tgt", ids, positions, train, rng)
+        kv_rows = []
+        for i, layer in enumerate(memory.layers):
+            q = x @ layer.self_p["wq"]
+            keys, values = x @ layer.self_p["wk"], x @ layer.self_p["wv"]
+            kv_rows.append((keys, values))
+            if n_past:
+                keys = ad.concat([Tensor._wrap(np.concatenate(
+                    [s.keys[i] for s in past])), keys])
+                values = ad.concat([Tensor._wrap(np.concatenate(
+                    [s.values[i] for s in past])), values])
+            att, _ = attend(q, split_heads(keys, values, memory.m),
+                            layer.self_p, mask)
+            x = self._sublayer(x, att, layer.ln1, train, rng)
+            cross, _ = attend(x @ layer.cross_p["wq"], layer.cross_kv,
+                              layer.cross_p)
+            x = self._sublayer(x, cross, layer.ln2, train, rng)
+            ffn = positionwise_ffn(x, layer.ffn)
+            x = self._sublayer(x, ffn, layer.ln3, train, rng)
+        return x, kv_rows
+
+    def decode(self, ids: list[int], memory: DecoderMemory,
+               past: list[DecoderState] | None = None, train: bool = False,
+               rng: np.random.Generator | None = None) -> DecodeOut:
+        """``decode_states``, then target-side context integration."""
+        h, kv = self.decode_states(ids, memory, past, train, rng)
+        if memory.context is None:
+            return DecodeOut(h=h, h_tilde=h, d_rows=None, trace=None, kv=kv)
+        h_tilde, d_rows, trace = hierarchical_context(
+            h, memory.context, memory.ctx_p, self.cfg.m_heads)
+        return DecodeOut(h=h, h_tilde=h_tilde, d_rows=d_rows, trace=trace,
+                         kv=kv)
 
     def contextual_decode(self, prefix_ids: list[int], encoded: EncodedSentence,
                           context: ContextState | None = None,
                           variant: str = "sentence", train: bool = False,
-                          rng: np.random.Generator | None = None,
-                          positions: str = "all") -> DecodeOut:
-        """Decoder pass; target-side context integration on the final layer.
-
-        ``positions`` is "all" (teacher forcing) or "last" (stepwise search);
-        context attention runs only for the queried positions.
-        """
-        check_variant(variant)
-        if positions not in ("all", "last"):
-            raise ContractError(f"positions='{positions}'")
-        h_full = self.decode_states(prefix_ids, encoded, train, rng)
-        h = h_full if positions == "all" else \
-            ad.narrow(h_full, 0, h_full.data.shape[0] - 1, 1)
-        if variant in DECODER_CTX and context is not None and context.target:
-            h_tilde, d_rows, trace = hierarchical_context(
-                h, context.target, self.params.view("ctx.dec."), self.cfg.m_heads)
-        else:
-            h_tilde, d_rows, trace = h, None, None
-        return DecodeOut(h=h, h_tilde=h_tilde, d_rows=d_rows, trace=trace)
+                          rng: np.random.Generator | None = None) -> DecodeOut:
+        """Teacher-forced decoder pass over a whole prefix."""
+        return self.decode(prefix_ids,
+                           self.decoder_memory(encoded, context, variant),
+                           None, train, rng)
 
     # -- output ---------------------------------------------------------------
 
@@ -183,7 +306,7 @@ class DocModel:
         logits = ad.add_bias(rows @ self.params["out.w"], self.params["out.b"])
         return ad.softmax_lastdim(logits)
 
-    def copy_mixture(self, out: DecodeOut, encoded: EncodedSentence,
+    def copy_mixture(self, out: DecodeOut, memory: DecoderMemory,
                      p_vocab: Tensor) -> tuple[Tensor, Tensor | None, "object"]:
         """P_w for the copy variant; falls back to P_vocab (p_copy forced 0)
         when nothing in the cache may be copied.
@@ -195,10 +318,9 @@ class DocModel:
         weights = copy_attention_weights(out.trace, self.cfg.vocab_tgt)
         if not weights.copyable:
             return p_vocab, None, None
-        pview = self.params.view("copy.")
-        c_rows = encoder_context_attention(out.h_tilde, encoded.states,
-                                           pview, self.cfg.m_heads)
-        p_copy = copy_gate(out.h_tilde, c_rows, out.d_rows, pview)
+        copy_kv, copy_p = memory.copy()
+        c_rows = encoder_context_attention(out.h_tilde, copy_kv, copy_p)
+        p_copy = copy_gate(out.h_tilde, c_rows, out.d_rows, copy_p)
         return mix_distributions(p_vocab, weights.alpha_vocab, p_copy), \
             p_copy, weights
 
@@ -211,12 +333,11 @@ class DocModel:
                                ) -> tuple[Tensor, Tensor | None]:
         """Teacher-forced P rows [len(tgt)+1, V] and p_copy column (or None)."""
         encoded, _ = self.contextual_encode(src_ids, context, variant, train, rng)
-        prefix = [BOS_ID] + self.clip_ids(tgt_ids, "tgt")
-        out = self.contextual_decode(prefix, encoded, context, variant,
-                                     train, rng, positions="all")
+        memory = self.decoder_memory(encoded, context, variant)
+        out = self.decode([BOS_ID] + tgt_ids, memory, None, train, rng)
         p_vocab = self.output_distribution(out.h_tilde)
         if variant == "copy":
-            p_w, p_copy, _ = self.copy_mixture(out, encoded, p_vocab)
+            p_w, p_copy, _ = self.copy_mixture(out, memory, p_vocab)
             return p_w, p_copy
         return p_vocab, None
 
@@ -236,24 +357,42 @@ class DocModel:
         mean_pc = float(p_copy.data.mean()) if p_copy is not None else None
         return loss, len(gold), mean_pc
 
-    def step_distribution(self, prefix_ids: list[int], encoded: EncodedSentence,
-                          context: ContextState | None,
-                          variant: str) -> StepResult:
-        """Evaluation-mode P_w over the next token (last prefix position)."""
+    def step_distribution(self, prefixes: list[list[int]],
+                          memory: DecoderMemory,
+                          states: list[DecoderState | None]
+                          ) -> list[StepResult]:
+        """Evaluation-mode P_w over the next token of every prefix, in one
+        pass over stacked rows.
+
+        The prefixes have one length; ``states[i]`` holds the rows of all
+        but the last token of ``prefixes[i]`` (None for a bare BOS prefix),
+        so one row per prefix is computed.  Each result carries the state
+        grown by that row.
+        """
+        past = [DecoderState.empty(self.cfg.n_layers, self.cfg.d_model)
+                if s is None else s for s in states]
+        if len(prefixes) != len(past) or any(
+                len(p) != len(s) + 1 for p, s in zip(prefixes, past)):
+            raise ContractError("each state must cover its prefix but the "
+                                "last token")
         with ad.no_grad():
-            out = self.contextual_decode(prefix_ids, encoded, context, variant,
-                                         positions="last")
+            out = self.decode([p[-1] for p in prefixes], memory, past)
             p_vocab = self.output_distribution(out.h_tilde)
-            if variant == "copy":
-                p_w, p_copy, weights = self.copy_mixture(out, encoded, p_vocab)
-                if p_copy is not None:
-                    dist = CopyDistribution(
-                        p_copy=float(p_copy.data[0, 0]),
-                        p_vocab=p_vocab.data[0].copy(),
-                        alpha_vocab=weights.alpha_vocab.data[0].copy(),
-                        p_w=p_w.data[0].copy())
-                    return StepResult(p_w=p_w.data[0], copy=dist)
-            return StepResult(p_w=p_vocab.data[0], copy=None)
+            p_w, p_copy, weights = p_vocab, None, None
+            if memory.variant == "copy":
+                p_w, p_copy, weights = self.copy_mixture(out, memory, p_vocab)
+        results = []
+        for i, state in enumerate(past):
+            dist = None
+            if p_copy is not None:
+                dist = CopyDistribution(
+                    p_copy=float(p_copy.data[i, 0]),
+                    p_vocab=p_vocab.data[i].copy(),
+                    alpha_vocab=weights.alpha_vocab.data[i].copy(),
+                    p_w=p_w.data[i].copy())
+            results.append(StepResult(p_w=p_w.data[i], copy=dist,
+                                      state=state.grow(out, i)))
+        return results
 
     # -- cache construction ------------------------------------------------------
 
@@ -266,9 +405,8 @@ class DocModel:
         if not out_tokens:
             return None
         with ad.no_grad():
-            out = self.contextual_decode([BOS_ID] + self.clip_ids(out_tokens, "tgt"),
-                                         encoded, context, variant,
-                                         positions="all")
+            out = self.contextual_decode([BOS_ID] + out_tokens, encoded,
+                                         context, variant)
             states = ad.narrow(out.h_tilde, 0, 1, len(out_tokens))
         return CacheEntry(token_ids=self.clip_ids(out_tokens, "tgt"),
                           states=states.detach())

@@ -7,12 +7,23 @@ plain boolean numpy arrays (True = blocked).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..errors import ContractError, ShapeError
+
+
+@dataclass
+class HeadKV:
+    """Keys and values of one attention memory, split per head.
+
+    keys_t[h] is Kᵀ [d_head, b] and values[h] is V [b, d_head] for b key rows.
+    """
+    keys_t: list[Tensor]
+    values: list[Tensor]
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
@@ -27,16 +38,70 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
     if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
         raise ShapeError(
             f"scaled_dot_attention: q {q.shape}, k {k.shape}, v {v.shape}")
-    r = q.data.shape[1]
-    logits = (q @ k.T) * (1.0 / math.sqrt(r))
+    mask = _checked_mask(mask, (q.data.shape[0], k.data.shape[0]))
+    return _head_attention(q, k.T, v, mask)
+
+
+def _checked_mask(mask: np.ndarray | None,
+                  shape: tuple[int, int]) -> np.ndarray | None:
+    """The mask for logits of ``shape``, or None when it blocks nothing."""
+    if mask is None:
+        return None
+    if mask.shape != shape:
+        raise ShapeError(f"mask {mask.shape} vs logits {shape}")
+    if mask.all(axis=1).any():
+        raise ContractError("attention row is fully masked")
+    return mask if mask.any() else None
+
+
+def _head_attention(q: Tensor, k_t: Tensor, v: Tensor,
+                    mask: np.ndarray | None) -> tuple[Tensor, Tensor]:
+    logits = (q @ k_t) * (1.0 / math.sqrt(q.data.shape[1]))
     if mask is not None:
-        if mask.shape != logits.data.shape:
-            raise ShapeError(f"mask {mask.shape} vs logits {logits.shape}")
-        if mask.all(axis=1).any():
-            raise ContractError("attention row is fully masked")
         logits = ad.masked_fill(logits, mask, -np.inf)
     weights = ad.softmax_lastdim(logits)
     return weights @ v, weights
+
+
+def split_heads(k: Tensor, v: Tensor, m: int) -> HeadKV:
+    """Per-head Kᵀ and V of projected key and value rows [b, d]."""
+    d = k.data.shape[1]
+    if d % m != 0:
+        raise ShapeError(f"d_model {d} not divisible by heads {m}")
+    dh = d // m
+    return HeadKV(keys_t=[ad.narrow(k, 1, h * dh, dh).T for h in range(m)],
+                  values=[ad.narrow(v, 1, h * dh, dh) for h in range(m)])
+
+
+def project_kv(k_rows: Tensor, v_rows: Tensor, p: dict[str, Tensor],
+               m: int) -> HeadKV:
+    """Project a memory through wk and wv once, split per head."""
+    return split_heads(k_rows @ p["wk"], v_rows @ p["wv"], m)
+
+
+def attend(q: Tensor, kv: HeadKV, p: dict[str, Tensor],
+           mask: np.ndarray | None = None) -> tuple[Tensor, list[Tensor]]:
+    """Multi-head attention of the wq-projected query rows ``q`` over a
+    projected memory, re-projected through wo.
+
+    Returns the output rows and the per-head post-softmax weights.  The
+    query is projected by the caller so that, where query and memory rows
+    are one tensor, the wq product comes first on the tape; backward then
+    sums that tensor's gradient parts in one fixed order.
+    """
+    m = len(kv.values)
+    dh = kv.values[0].data.shape[1]
+    if q.data.shape[1] != m * dh:
+        raise ShapeError(f"query width {q.data.shape[1]} vs {m} heads of {dh}")
+    mask = _checked_mask(mask, (q.data.shape[0], kv.values[0].data.shape[0]))
+    outs, head_weights = [], []
+    for h in range(m):
+        out_h, w_h = _head_attention(ad.narrow(q, 1, h * dh, dh),
+                                     kv.keys_t[h], kv.values[h], mask)
+        outs.append(out_h)
+        head_weights.append(w_h)
+    merged = outs[0] if m == 1 else ad.concat(outs, axis=1)
+    return merged @ p["wo"], head_weights
 
 
 def multi_head_attention(q_rows: Tensor, k_rows: Tensor, v_rows: Tensor,
@@ -48,25 +113,8 @@ def multi_head_attention(q_rows: Tensor, k_rows: Tensor, v_rows: Tensor,
     ``p`` holds the square projections wq, wk, wv, wo.  Returns the output
     rows and the per-head post-softmax weight matrices.
     """
-    d = q_rows.data.shape[1]
-    if d % m != 0:
-        raise ShapeError(f"d_model {d} not divisible by heads {m}")
-    dh = d // m
     q = q_rows @ p["wq"]
-    k = k_rows @ p["wk"]
-    v = v_rows @ p["wv"]
-    outs, head_weights = [], []
-    for h in range(m):
-        sl = slice(h * dh, (h + 1) * dh)
-        out_h, w_h = scaled_dot_attention(
-            ad.narrow(q, 1, h * dh, dh),
-            ad.narrow(k, 1, h * dh, dh),
-            ad.narrow(v, 1, h * dh, dh),
-            mask)
-        outs.append(out_h)
-        head_weights.append(w_h)
-    merged = outs[0] if m == 1 else ad.concat(outs, axis=1)
-    return merged @ p["wo"], head_weights
+    return attend(q, project_kv(k_rows, v_rows, p, m), p, mask)
 
 
 def positionwise_ffn(x: Tensor, p: dict[str, Tensor]) -> Tensor:

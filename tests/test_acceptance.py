@@ -30,6 +30,7 @@ from docnmt.model.copy import copy_attention_weights
 from docnmt.model.han import AttentionTrace, CacheEntry, ContextState
 from docnmt.tokens import BOS_ID, EOS_ID
 
+from decode_reference import incremental_step
 from han_reference import block_trace
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,7 @@ def test_copy_distribution_soundness():
         model, cfg = _tiny_model(model_seed)
         for _ in range(40):
             context, encoded, prefix = _random_state(model, cfg, rng)
-            result = model.step_distribution(prefix, encoded, context, "copy")
+            result = incremental_step(model, prefix, encoded, context, "copy")
             p_w = result.p_w
             assert result.copy is not None, "cache was non-empty"
             assert (p_w >= 0.0).all()
@@ -96,8 +97,8 @@ def test_copy_distribution_soundness():
         src = [4, 5, 6]
         encoded, _ = model.contextual_encode(src, empty, "copy", train=False)
         for prefix in ([BOS_ID], [BOS_ID, 7], [BOS_ID, 8, 9]):
-            stepped = model.step_distribution(prefix, encoded, empty, "copy")
-            plain = model.step_distribution(prefix, encoded, empty, "sentence")
+            stepped = incremental_step(model, prefix, encoded, empty, "copy")
+            plain = incremental_step(model, prefix, encoded, empty, "sentence")
             assert stepped.copy is None
             np.testing.assert_array_equal(stepped.p_w, plain.p_w)
 
@@ -193,8 +194,8 @@ def test_copy_gate_forced_zero_equals_context_model():
     for trial in range(50):
         model, cfg = _tiny_model(trial % 7)
         context, encoded, prefix = _random_state(model, cfg, rng)
-        joint = model.step_distribution(prefix, encoded, context, "han-joint")
-        copied = model.step_distribution(prefix, encoded, context, "copy")
+        joint = incremental_step(model, prefix, encoded, context, "han-joint")
+        copied = incremental_step(model, prefix, encoded, context, "copy")
         assert copied.copy is not None
         forced = (1.0 - 0.0) * copied.copy.p_vocab \
             + 0.0 * copied.copy.alpha_vocab
@@ -211,12 +212,12 @@ def test_empty_cache_variants_equal_sentence_model():
                              rng.integers(4, cfg.vocab_tgt, size=2)]
         base_enc, _ = model.contextual_encode(src, empty, "sentence",
                                               train=False)
-        want = model.step_distribution(prefix, base_enc, empty, "sentence")
+        want = incremental_step(model, prefix, base_enc, empty, "sentence")
         for variant in ("han-encoder", "han-decoder", "han-joint", "copy"):
             enc, _ = model.contextual_encode(src, empty, variant, train=False)
             np.testing.assert_array_equal(enc.states.data,
                                           base_enc.states.data)
-            got = model.step_distribution(prefix, enc, empty, variant)
+            got = incremental_step(model, prefix, enc, empty, variant)
             np.testing.assert_array_equal(got.p_w, want.p_w)
 
 
@@ -311,6 +312,8 @@ class _TableMachine:
     """Next-token distributions keyed by the generated prefix."""
 
     class Result:
+        state = None
+
         def __init__(self, p):
             self.p_w = p
             self.copy = None
@@ -322,6 +325,10 @@ class _TableMachine:
     def __call__(self, tokens: list[int]):
         rng = np.random.default_rng([self.seed, *tokens])
         return self.Result(rng.dirichlet(np.ones(self.vocab)))
+
+    def step(self, hypos):
+        """The search steps a list of hypotheses."""
+        return [self(h.tokens) for h in hypos]
 
 
 def _brute_force_beam(step_fn, width: int, max_steps: int):
@@ -387,7 +394,7 @@ def test_beam_matches_pruned_enumeration():
     vocab = EOS_ID + 1
     for seed in range(50):
         machine = _TableMachine(seed, vocab)
-        got = search(machine, 2, SearchConfig(width=2))
+        got = search(machine.step, 2, SearchConfig(width=2))
         want = _brute_force_beam(machine, 2, 2)
         assert len(got) == len(want)
         for hypo, (toks, lp) in zip(got, want):
@@ -401,7 +408,7 @@ def test_wide_beam_matches_global_argmax():
     vocab = EOS_ID + 1
     for seed in range(30):
         machine = _TableMachine(1000 + seed, vocab)
-        got = search(machine, 2, SearchConfig(width=16))
+        got = search(machine.step, 2, SearchConfig(width=16))
         toks, lp = _exhaustive_best(machine, 2, vocab)
         assert got[0].tokens == [BOS_ID] + toks
         np.testing.assert_allclose(got[0].log_prob, lp, rtol=1e-12)
@@ -410,8 +417,8 @@ def test_wide_beam_matches_global_argmax():
 def test_beam_width_one_is_greedy():
     for seed in range(100):
         machine = _TableMachine(7000 + seed, 6)
-        beam = search(machine, 5, SearchConfig(width=1))[0]
-        greedy = greedy_search(machine, 5)
+        beam = search(machine.step, 5, SearchConfig(width=1))[0]
+        greedy = greedy_search(machine.step, 5)
         assert beam.tokens == greedy.tokens
         np.testing.assert_allclose(beam.log_prob, greedy.log_prob, rtol=1e-12)
 

@@ -9,6 +9,7 @@ import pytest
 import docnmt.cli as cli
 from docnmt.cli import build_parser, resolve_config, run
 from docnmt.corpus import load_corpus, load_documents, load_vocab_pair
+from docnmt.errors import DataError
 from docnmt.gradcheck import GradCheckReport
 from docnmt.metrics import bleu4
 
@@ -224,6 +225,29 @@ def test_translate_two_to_two_needs_sep_vocab(tmp_path, workdir, base_ckpt):
                 "--out", str(tmp_path / "t22"), "--mode", "two-to-two"])
     assert code == 2
 
+
+
+def test_translate_too_long_source_names_its_line(tmp_path, workdir,
+                                                  base_ckpt, capsys):
+    words = load_documents(workdir / "data/synth.src.txt")[0][0]
+    long_line = " ".join((words * 70)[:70])
+    src = tmp_path / "long.src.txt"
+    src.write_text(f"{' '.join(words)}\n{' '.join(words)}\n\n"
+                   f"{' '.join(words)}\n{long_line}\n")
+    code = run(["translate", "--checkpoint", str(base_ckpt),
+                "--vocab", str(workdir / "vocab/vocab.json"),
+                "--src", str(src), "--out", str(tmp_path / "trans")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 5:" in err and "70 tokens" in err and "max_len 64" in err
+
+
+def test_two_to_two_length_check_counts_the_joined_input():
+    doc = [[5] * 30, [6] * 33, [7] * 40]
+    cli._check_source_lengths([doc], 64, joined=False)
+    cli._check_source_lengths([[[5] * 30, [6] * 33]], 64, joined=True)
+    with pytest.raises(DataError, match="line 3: joined"):
+        cli._check_source_lengths([doc], 64, joined=True)
 
 
 def _translate(tmp_path, workdir, ckpt, vocab=None):

@@ -9,6 +9,7 @@ from docnmt.model.copy import (copy_attention_weights, copy_gate,
                                mix_distributions)
 from docnmt.model.han import ContextState
 
+from decode_reference import incremental_step
 from han_reference import block_trace
 from test_han import make_context
 from test_transformer import tiny_model
@@ -176,10 +177,9 @@ class TestModelCopyPath:
         model = tiny_model()
         empty = ContextState(2)
         enc, _ = model.contextual_encode([4, 5, 6], empty, "copy")
-        step = model.step_distribution([2, 7], enc, empty, "copy")
-        ref_out = model.contextual_decode([2, 7], enc)
+        step = incremental_step(model, [2, 7], enc, empty, "copy")
         ref = model.output_distribution(
-            ad.narrow(ref_out.h_tilde, 0, 1, 1))
+            Tensor._wrap(step.state.h_tilde[-1:]))
         assert step.copy is None
         np.testing.assert_array_equal(step.p_w, ref.data[0])
 
@@ -187,7 +187,7 @@ class TestModelCopyPath:
         model = tiny_model()
         ctx = make_context(model, [[4, 5, 6]], target_sentences=[[7, 8, 9]])
         enc, _ = model.contextual_encode([4, 5, 6], ctx, "copy")
-        step = model.step_distribution([2, 7], enc, ctx, "copy")
+        step = incremental_step(model, [2, 7], enc, ctx, "copy")
         assert step.copy is not None
         assert abs(step.p_w.sum() - 1.0) <= 1e-9
         assert np.all(step.p_w >= 0.0)

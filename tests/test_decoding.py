@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from docnmt import autodiff as ad
 from docnmt.decoding import (
     BeamHypothesis,
     SearchConfig,
@@ -14,17 +13,28 @@ from docnmt.decoding import (
     translate_document,
     translate_document_two_to_two,
     translate_sentence,
+    update_context,
 )
 from docnmt.errors import ContractError, DataError
 from docnmt.model import DocModel, build_params, toy_config
 from docnmt.model.han import ContextState
 from docnmt.tokens import BOS_ID, EOS_ID
 
+from decode_reference import incremental_step, reference_step
+
 
 class FakeResult:
+    state = None
+
     def __init__(self, p_w):
         self.p_w = np.asarray(p_w, dtype=np.float64)
         self.copy = None
+
+
+def batched(machine):
+    """The search steps a list of hypotheses; a fake machine scores one
+    prefix."""
+    return lambda hypos: [machine(h.tokens) for h in hypos]
 
 
 class TableMachine:
@@ -87,7 +97,7 @@ def test_finished_hypothesis_carries_over_and_competes():
     fin = BeamHypothesis([BOS_ID, 4, EOS_ID], log_prob=math.log(0.9) * 2)
     live = BeamHypothesis([BOS_ID, 5], log_prob=math.log(0.01))
     machine = TableMachine({(BOS_ID, 5): [0.25, 0.25, 0.25, 0.25]}, 4)
-    out = beam_step([fin, live], machine, width=2)
+    out = beam_step([fin, live], batched(machine), width=2)
     assert out[0] is fin
     assert len(out) == 2
 
@@ -97,7 +107,7 @@ def test_beam_step_invariant_logprob_is_sum_of_steps():
     machine = random_machine(rng, vocab=5)
     hypos = [BeamHypothesis([BOS_ID])]
     for _ in range(4):
-        hypos = beam_step(hypos, machine, width=3)
+        hypos = beam_step(hypos, batched(machine), width=3)
     for h in hypos:
         total = 0.0
         for i in range(1, len(h.tokens)):
@@ -138,8 +148,8 @@ def test_beam_matches_pruned_enumeration_two_steps():
         expect = [seq for _, _, _, seq in pairs[:2]]
 
         hypos = [BeamHypothesis([BOS_ID])]
-        hypos = beam_step(hypos, table, width=2)
-        hypos = beam_step(hypos, table, width=2)
+        hypos = beam_step(hypos, batched(table), width=2)
+        hypos = beam_step(hypos, batched(table), width=2)
         got = [tuple(h.tokens[1:]) for h in hypos]
         assert got == expect, f"trial {trial}"
 
@@ -156,8 +166,9 @@ def test_width_one_equals_greedy_on_fake_machines():
     rng = np.random.default_rng(3)
     for _ in range(30):
         machine = random_machine(rng, vocab=7)
-        beam = search(machine, max_steps=6, config=SearchConfig(width=1))[0]
-        greedy = greedy_search(machine, max_steps=6)
+        beam = search(batched(machine), max_steps=6,
+                      config=SearchConfig(width=1))[0]
+        greedy = greedy_search(batched(machine), max_steps=6)
         assert beam.tokens == greedy.tokens
         assert beam.log_prob == pytest.approx(greedy.log_prob, rel=1e-12)
 
@@ -171,7 +182,8 @@ def test_force_finish_appends_eos_with_real_probability():
         def __call__(self, tokens):
             return FakeResult(p)
 
-    best = search(Flat(), max_steps=4, config=SearchConfig(width=2))[0]
+    best = search(batched(Flat()), max_steps=4,
+                  config=SearchConfig(width=2))[0]
     assert best.finished
     assert best.tokens[-1] == EOS_ID
     assert len(best.tokens) == 1 + 4 + 1  # BOS + cap + forced EOS
@@ -189,8 +201,9 @@ def test_length_penalty_prefers_longer_hypothesis():
 def test_traces_collected_only_on_request():
     rng = np.random.default_rng(1)
     machine = random_machine(rng, vocab=6)
-    no_tr = search(machine, 3, SearchConfig(width=2))[0]
-    with_tr = search(machine, 3, SearchConfig(width=2, collect_traces=True))[0]
+    no_tr = search(batched(machine), 3, SearchConfig(width=2))[0]
+    with_tr = search(batched(machine), 3,
+                     SearchConfig(width=2, collect_traces=True))[0]
     assert no_tr.traces == []
     assert len(with_tr.traces) == with_tr.n_generated()
     t = with_tr.traces[0]
@@ -246,39 +259,43 @@ def test_context_eviction_respects_n_context():
 
 
 def test_cached_states_match_stepwise_decode_states():
-    """The teacher-forced recompute reproduces search-time decoder rows."""
+    """The rows the search keeps for the cache match a teacher-forced
+    recompute of the finished output.  The search computes them with [k, d]
+    matmuls and the recompute with [L, d] ones, which reorders summations by
+    a few ULPs, hence the 1e-12 tolerance."""
     model = tiny_model(seed=9)
-    ctx = ContextState(3)
-    doc = [[4, 5, 6], [7, 8, 9]]
-    # first sentence fills the caches
-    encoded0, _ = model.contextual_encode(doc[0], ctx, "copy", train=False)
-    out0, _ = translate_sentence(model, encoded0, ctx, "copy", SearchConfig())
-    from docnmt.decoding import update_context
-    update_context(model, ctx, encoded0, out0, "copy")
-    # decode the second sentence greedily, recording stepwise h_tilde rows
-    encoded1, _ = model.contextual_encode(doc[1], ctx, "copy", train=False)
-    out1, _ = translate_sentence(model, encoded1, ctx, "copy", SearchConfig())
-    step_rows = []
-    prefix = [BOS_ID]
-    for tok in out1:
-        prefix.append(tok)
-        with ad.no_grad():
-            dec = model.contextual_decode(prefix, encoded1, ctx, "copy",
-                                          positions="last")
-        # last row = decoder state of the token just appended, which is
-        # exactly what the cache stores for that position
-        step_rows.append(dec.h_tilde.data[0].copy())
-    entry = model.target_cache_entry(out1, encoded1, ctx, "copy")
-    # the cache recompute equals a full-length teacher-forced pass bitwise;
-    # the stepwise pass uses [1,d] matmuls (different BLAS kernel), which
-    # reorders summations by a few ULPs, hence the 1e-12 tolerance
-    np.testing.assert_allclose(entry.states.data, np.array(step_rows),
-                               rtol=0.0, atol=1e-12)
-    assert entry.token_ids == out1
-    with ad.no_grad():
-        full = model.contextual_decode([BOS_ID] + out1, encoded1, ctx,
-                                       "copy", positions="all")
-    np.testing.assert_array_equal(entry.states.data, full.h_tilde.data[1:])
+    doc = [[4, 5, 6], [7, 8, 9], [10, 4, 5]]
+    harvested = 0
+    for width in (1, 2):
+        ctx = ContextState(3)
+        for src in doc:
+            encoded, _ = model.contextual_encode(src, ctx, "copy", train=False)
+            out, _, rows = translate_sentence(model, encoded, ctx, "copy",
+                                              SearchConfig(width=width))
+            assert rows.shape == (len(out), model.cfg.d_model)
+            if out:
+                entry = model.target_cache_entry(out, encoded, ctx, "copy")
+                assert entry.token_ids == out
+                np.testing.assert_allclose(rows, entry.states.data,
+                                           rtol=0.0, atol=1e-12)
+                harvested += 1
+            update_context(model, ctx, encoded, out, "copy", rows)
+            if out:
+                np.testing.assert_array_equal(ctx.target[-1].states.data, rows)
+    assert harvested >= 4
+
+
+@pytest.mark.parametrize("variant", ["sentence", "copy"])
+@pytest.mark.parametrize("width", [1, 2])
+def test_search_is_capped_within_max_len(variant, width):
+    """A model that never emits EOS: the search stops at max_len - 1 tokens,
+    so the forced-EOS step's prefix (BOS + tokens) still fits max_len."""
+    model = tiny_model(seed=14, max_len=20)
+    model.params["out.b"].data[EOS_ID] = -50.0
+    doc = [[4, 5, 6, 7, 8, 9, 10]] * 2
+    outs, _ = translate_document(model, doc, variant,
+                                 SearchConfig(width=width))
+    assert [len(o) for o in outs] == [19, 19]
 
 
 def test_empty_source_sentence_rejected():
@@ -308,7 +325,7 @@ def test_beam_width_two_runs_and_scores_at_least_greedy():
         prefix = [BOS_ID]
         total = 0.0
         for tok in tokens + [EOS_ID]:
-            res = model.step_distribution(prefix, encoded, ctx, "copy")
+            res = incremental_step(model, prefix, encoded, ctx, "copy")
             total += math.log(max(res.p_w[tok], 1e-300))
             prefix.append(tok)
         return total
@@ -335,11 +352,105 @@ def test_two_to_two_keeps_text_after_separator():
     outs, missing = translate_document_two_to_two(model, doc, 4, 4)
     joined = doc[0] + [4] + doc[1]
     encoded, _ = model.contextual_encode(joined, None, "sentence", False)
-    raw, _ = translate_sentence(model, encoded, None, "sentence",
-                                SearchConfig())
+    raw, _, _ = translate_sentence(model, encoded, None, "sentence",
+                                   SearchConfig())
     if 4 in raw:
         assert missing == 0
         assert outs[1] == raw[raw.index(4) + 1:]
     else:
         assert missing == 1
         assert outs[1] == raw
+
+
+# ---------------------------------------------------------------------------
+# incremental, beam-batched steps against the full-recompute reference
+
+
+def _filled_context(model, rng, n_sents):
+    """Caches holding n_sents real (source encoding, teacher-forced target
+    rows) pairs, as training fills them."""
+    ctx = ContextState(model.cfg.n_context)
+    for _ in range(n_sents):
+        src = [int(i) for i in rng.integers(4, model.cfg.vocab_src, size=3)]
+        tgt = [int(i) for i in rng.integers(4, model.cfg.vocab_tgt,
+                                            size=int(rng.integers(1, 5)))]
+        encoded, _ = model.contextual_encode(src, ctx, "copy", train=False)
+        update_context(model, ctx, encoded, tgt, "copy")
+    return ctx
+
+
+VARIANTS = ("sentence", "han-encoder", "han-decoder", "han-joint", "copy")
+
+
+def test_batched_steps_match_full_recompute():
+    """p_w of every stacked hypothesis equals the full-recompute step within
+    1e-12 (the stacked [k, d] products sum in another order than the [L, d]
+    ones), for every variant, empty and filled caches, 1-4 hypotheses and
+    prefix lengths 1-8.  The states are grown by the same batched steps."""
+    rng = np.random.default_rng(303)
+    model = tiny_model(seed=15)
+    cases = copied = 0
+    for n_cached in (0, 2):
+        ctx = _filled_context(model, rng, n_cached)
+        src = [int(i) for i in rng.integers(4, model.cfg.vocab_src, size=4)]
+        for variant in VARIANTS:
+            encoded, _ = model.contextual_encode(src, ctx, variant,
+                                                 train=False)
+            memory = model.decoder_memory(encoded, ctx, variant)
+            for length in range(1, 9):
+                for k in range(1, 5):
+                    prefixes = [[BOS_ID] + [int(i) for i in rng.integers(
+                        4, model.cfg.vocab_tgt, size=length - 1)]
+                        for _ in range(k)]
+                    states = [None] * k
+                    for t in range(1, length + 1):
+                        results = model.step_distribution(
+                            [p[:t] for p in prefixes], memory, states)
+                        states = [r.state for r in results]
+                    for prefix, result in zip(prefixes, results):
+                        want, p_copy = reference_step(model, prefix, encoded,
+                                                      ctx, variant)
+                        np.testing.assert_allclose(result.p_w, want,
+                                                   rtol=0, atol=1e-12)
+                        assert (result.copy is None) == (p_copy is None)
+                        if p_copy is not None:
+                            assert abs(result.copy.p_copy - p_copy) <= 1e-12
+                            copied += 1
+                        assert len(result.state) == length
+                    cases += 1
+    assert cases == 2 * len(VARIANTS) * 8 * 4
+    assert copied == 8 * (1 + 2 + 3 + 4)
+
+
+def test_empty_cache_copy_step_is_sentence_step_bitwise():
+    rng = np.random.default_rng(304)
+    model = tiny_model(seed=16)
+    empty = ContextState(3)
+    encoded, _ = model.contextual_encode([4, 5, 6, 7], empty, "copy",
+                                         train=False)
+    memories = {v: model.decoder_memory(encoded, empty, v)
+                for v in ("copy", "sentence")}
+    prefixes = [[BOS_ID] + [int(i) for i in rng.integers(4, 13, size=4)]
+                for _ in range(3)]
+    states = {v: [None] * 3 for v in memories}
+    for t in range(1, 6):
+        got = {v: model.step_distribution([p[:t] for p in prefixes], mem,
+                                          states[v])
+               for v, mem in memories.items()}
+        for a, b in zip(got["copy"], got["sentence"]):
+            assert a.copy is None
+            np.testing.assert_array_equal(a.p_w, b.p_w)
+            np.testing.assert_array_equal(a.state.h_tilde, b.state.h_tilde)
+        states = {v: [r.state for r in rs] for v, rs in got.items()}
+
+
+def test_step_rejects_a_state_that_does_not_fit_its_prefix():
+    model = tiny_model(seed=17)
+    encoded, _ = model.contextual_encode([4, 5])
+    memory = model.decoder_memory(encoded)
+    first = model.step_distribution([[BOS_ID]], memory, [None])[0]
+    with pytest.raises(ContractError):
+        model.step_distribution([[BOS_ID]], memory, [first.state])
+    with pytest.raises(ContractError):
+        model.step_distribution([[BOS_ID, 5], [BOS_ID]], memory,
+                                [first.state, None])

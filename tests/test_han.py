@@ -9,7 +9,7 @@ from docnmt.gradcheck import grad_check
 from docnmt.model import build_params, toy_config
 from docnmt import autodiff as ad
 from docnmt.model.copy import copy_attention_weights
-from docnmt.model.han import (CacheEntry, ContextState,
+from docnmt.model.han import (CacheEntry, ContextMemory, ContextState,
                               gate_integrate, hierarchical_context)
 
 from han_reference import (block_trace, copy_weights_loop, hierarchical_loop,
@@ -60,9 +60,9 @@ class TestHierarchicalContext:
         model = tiny_model()
         ctx = make_context(model, [[4, 5, 6], [7, 8], [9, 10, 4, 5]])
         h = model.encode([5, 6, 7])
-        _, _, trace = hierarchical_context(h, ctx.source,
-                                           model.params.view("ctx.enc."),
-                                           model.cfg.m_heads)
+        p, m = model.params.view("ctx.enc."), model.cfg.m_heads
+        _, _, trace = hierarchical_context(h, ContextMemory(ctx.source, p, m),
+                                           p, m)
         trace.assert_normalized(atol=1e-12)
         assert trace.n_sents == 3
         assert trace.m == model.cfg.m_heads
@@ -72,9 +72,9 @@ class TestHierarchicalContext:
         model = tiny_model()
         ctx = make_context(model, [[4, 5, 6]])
         h = model.encode([5, 6])
-        _, _, trace = hierarchical_context(h, ctx.source,
-                                           model.params.view("ctx.enc."),
-                                           model.cfg.m_heads)
+        p, m = model.params.view("ctx.enc."), model.cfg.m_heads
+        _, _, trace = hierarchical_context(h, ContextMemory(ctx.source, p, m),
+                                           p, m)
         # row t sees only summary row t; masked weights are exact zeros
         for w in trace.sent:
             np.testing.assert_array_equal(w.data, np.eye(2))
@@ -98,9 +98,9 @@ class TestHierarchicalContext:
         model = tiny_model()
         ctx = make_context(model, [[4, 5, 6], [7, 8]])
         h = model.encode([5, 6, 7])
-        _, _, trace = hierarchical_context(h, ctx.source,
-                                           model.params.view("ctx.enc."),
-                                           model.cfg.m_heads)
+        p, m = model.params.view("ctx.enc."), model.cfg.m_heads
+        _, _, trace = hierarchical_context(h, ContextMemory(ctx.source, p, m),
+                                           p, m)
         sent, word = per_sentence(trace)
         rebuilt = block_trace(sent, word, trace.token_ids)
         for got, want in zip(trace.sent + trace.word,
@@ -113,7 +113,8 @@ class TestHierarchicalContext:
         model = tiny_model()
         h = model.encode([5, 6])
         with pytest.raises(ContractError):
-            hierarchical_context(h, [], model.params.view("ctx.enc."), 2)
+            p = model.params.view("ctx.enc.")
+            hierarchical_context(h, ContextMemory([], p, 2), p, 2)
 
 
 class TestGate:
@@ -245,7 +246,8 @@ class TestBlockPathMatchesLoopReference:
                     p = model.params.view("ctx.dec.")
                     ids = [e.token_ids for e in entries]
 
-                    mixed, d_rows, trace = hierarchical_context(h, entries, p, m)
+                    mixed, d_rows, trace = hierarchical_context(
+                        h, ContextMemory(entries, p, m), p, m)
                     weights = copy_attention_weights(trace, self.VOCAB)
                     got = self._grads(model, h, [mixed, d_rows,
                                                  weights.alpha_tokens,

@@ -63,6 +63,22 @@ class TestAttention:
         with pytest.raises(ContractError):
             scaled_dot_attention(q, k, q, mask)
 
+    def test_all_false_mask_is_no_op(self):
+        rng = np.random.default_rng(8)
+        q, k, v = (Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+                   for _ in range(3))
+        tape = []
+        outs = []
+        for mask in (None, np.zeros((3, 3), dtype=bool), causal_mask(3)):
+            ad.clear_tape()
+            outs.append(scaled_dot_attention(q, k, v, mask)[0].data)
+            tape.append(ad.tape_size())
+        ad.clear_tape()
+        np.testing.assert_array_equal(outs[1], outs[0])
+        # a mask that blocks nothing records no masked_fill node; one that
+        # blocks something records exactly one
+        assert tape[1] == tape[0] and tape[2] == tape[0] + 1
+
     def test_single_head_identity_projections_reduce_to_scaled_dot(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(3, 4)))
@@ -161,8 +177,9 @@ class TestEncodeDecode:
     def test_decode_prefix_extension_is_causal_bitwise(self):
         model = tiny_model()
         enc, _ = model.contextual_encode([4, 5, 6])
-        short = model.decode_states([2, 7, 8], enc)
-        longer = model.decode_states([2, 7, 8, 9], enc)
+        memory = model.decoder_memory(enc)
+        short, _ = model.decode_states([2, 7, 8], memory)
+        longer, _ = model.decode_states([2, 7, 8, 9], memory)
         np.testing.assert_array_equal(short.data, longer.data[:3])
 
     def test_output_distribution_zero_weights_is_uniform(self):
