@@ -9,10 +9,16 @@ backward call; evaluation code should run under ``no_grad()``.
 Shapes are explicit.  The only implicit broadcasting is scalar-times-tensor
 (one operand with a single element); everything else must match exactly or go
 through a dedicated op such as ``add_bias`` / ``scale_rows``.
+
+Activations are 2-d [rows, features].  The one 3-d layout is the per-head
+attention weights [m, a, b] of ``attention_weights``: head h's [a, b]
+post-softmax matrix is entry h, and ``attention_mix`` merges the heads back
+into [a, d] rows.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -164,7 +170,7 @@ class Tensor:
 
 
 def _finite(arr: Array, tag: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericalError(f"non-finite values produced by op '{tag}'")
 
 
@@ -391,7 +397,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     if d.size == 0 or d.shape[-1] == 0:
         raise ContractError("softmax_lastdim on empty tensor")
     m = np.max(d, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ContractError("softmax_lastdim: a row is fully masked (-inf)")
     e = np.exp(d - m)
     out = e / e.sum(axis=-1, keepdims=True)
@@ -441,6 +447,80 @@ def masked_fill(x: Tensor, mask: Array, value: float) -> Tensor:
     keep = ~mask
     return _out(np.where(mask, value, x.data), (x,),
                 lambda g: (g * keep,), "masked_fill", check=False)
+
+
+def _heads(x: Array, m: int) -> Array:
+    """Rows [n, m*dh] as contiguous per-head blocks [m, n, dh].
+
+    Contiguous blocks make each head's batched product the same BLAS call as
+    a 2-d product of that head's columns, so results match it bitwise.
+    """
+    n, d = x.shape
+    return np.ascontiguousarray(x.reshape(n, m, d // m).transpose(1, 0, 2))
+
+
+def _merge(x: Array) -> Array:
+    """Per-head blocks [m, n, dh] back to C-contiguous rows [n, m*dh].
+
+    Contiguity matters: a later product of these rows is then the same BLAS
+    call as with rows merged by ``concat``.
+    """
+    m, n, dh = x.shape
+    return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(n, m * dh)
+
+
+def attention_weights(q: Tensor, k: Tensor, m: int,
+                      mask: Array | None = None) -> Tensor:
+    """Per-head softmax(q_h k_hᵀ / sqrt(d_h)) as one [m, a, b] tensor.
+
+    q [a, d] and k [b, d] hold m heads of d_h = d / m columns each (head h
+    is columns h*d_h onwards).  ``mask`` [a, b] (True = blocked) applies to
+    every head; blocked weights are exact zeros.  The scaled logits are
+    checked before masking, the weights after the softmax.
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or q.data.shape[1] != k.data.shape[1]:
+        raise ShapeError(f"attention_weights: q {q.shape}, k {k.shape}")
+    (a, d), b = q.data.shape, k.data.shape[0]
+    if m < 1 or d % m:
+        raise ShapeError(f"attention_weights: width {d} vs {m} heads")
+    if mask is not None and mask.shape != (a, b):
+        raise ShapeError(f"attention_weights: mask {mask.shape} vs logits {(a, b)}")
+    dh = d // m
+    scale = 1.0 / math.sqrt(dh)
+    qh = _heads(q.data, m)                            # [m, a, dh]
+    kt = np.ascontiguousarray(k.data.reshape(b, m, dh).transpose(1, 2, 0))
+    logits = scale * np.matmul(qh, kt)
+    _finite(logits, "attention_weights")
+    if mask is not None:
+        logits = np.where(mask, -np.inf, logits)
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gl = scale * (w * (g - np.sum(g * w, axis=-1, keepdims=True)))
+        gk = np.matmul(qh.transpose(0, 2, 1), gl)     # [m, dh, b]
+        return (_merge(np.matmul(gl, kt.transpose(0, 2, 1))),
+                _merge(gk.transpose(0, 2, 1)))
+
+    return _out(w, (q, k), bwd, "attention_weights")
+
+
+def attention_mix(w: Tensor, v: Tensor) -> Tensor:
+    """Per-head products w_h v_h of [m, a, b] weights and [b, d] values,
+    heads merged into [a, d] rows (head h fills columns h*d_h onwards)."""
+    if w.data.ndim != 3 or v.data.ndim != 2 or v.data.shape[0] != w.data.shape[2] \
+            or v.data.shape[1] % w.data.shape[0]:
+        raise ShapeError(f"attention_mix: weights {w.shape}, values {v.shape}")
+    m, a, _ = w.data.shape
+    vh = _heads(v.data, m)                            # [m, b, dh]
+
+    def bwd(g):
+        # per-head column views of g, strided like the parts of a concat
+        gh = g.reshape(a, m, -1).transpose(1, 0, 2)
+        return (np.matmul(gh, vh.transpose(0, 2, 1)),
+                _merge(np.matmul(w.data.transpose(0, 2, 1), gh)))
+
+    return _out(_merge(np.matmul(w.data, vh)), (w, v), bwd, "attention_mix")
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:

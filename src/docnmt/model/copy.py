@@ -6,7 +6,7 @@ word-level context attention: for token i of cached sentence j,
 
     alpha_{j,i} = (1/m^2) * (sum_h a_j^h) * (sum_h a_{j,i}^h)
 
-In the block layout of ``han`` (S_h [T, n*T], W_h [n*T, K], exact zeros
+In the block layout of ``han`` (S [m, T, n*T], W [m, n*T, K], exact zeros
 where masked) every such product is one entry of a single matrix product,
 
     alpha_tokens = (sum_h S_h) @ (sum_h W_h) / m^2,
@@ -77,7 +77,7 @@ def copy_attention_weights(trace: AttentionTrace, vocab_size: int,
     renormalized to sum 1; switch it off to keep the raw product weights.
     """
     m = trace.m
-    alpha_tokens = (_head_sum(trace.sent) @ _head_sum(trace.word)) \
+    alpha_tokens = (trace.sent.sum(axis=0) @ trace.word.sum(axis=0)) \
         * (1.0 / (m * m))
 
     token_ids = [i for ids in trace.token_ids for i in ids]
@@ -101,13 +101,6 @@ def copy_attention_weights(trace: AttentionTrace, vocab_size: int,
 
     return CopyWeights(alpha_tokens=alpha_tokens, alpha_vocab=alpha_vocab,
                        token_ids=token_ids, copyable=copyable)
-
-
-def _head_sum(tensors: list[Tensor]) -> Tensor:
-    acc = tensors[0]
-    for t in tensors[1:]:
-        acc = ad.add(acc, t)
-    return acc
 
 
 def mix_distributions(p_vocab: Tensor, alpha_vocab: Tensor,

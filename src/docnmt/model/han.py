@@ -14,8 +14,8 @@ rows, n cached sentences and K cached tokens in all:
 * sentence level: the T rows ``h g`` attend over the [n*T, d] summaries; a
   mask lets row t see only rows j*T+t, one per sentence.
 
-So the per-head weights are S_h [T, n*T] (sentence level) and W_h [n*T, K]
-(word level), with exact zeros where masked.
+So the weights are S [m, T, n*T] (sentence level) and W [m, n*T, K] (word
+level), one [rows, cols] block per head, with exact zeros where masked.
 
 Cached states are computed in eval mode and detached, so gradients reach the
 context parameters only through the queries and projections of the current
@@ -77,16 +77,16 @@ class AttentionTrace:
     """Post-softmax context attention weights for T query positions, in the
     block layout of the module docstring.
 
-    sent[h] is [T, n*T] and word[h] is [n*T, K]; token_ids[j] lists the
+    sent is [m, T, n*T] and word is [m, n*T, K]; token_ids[j] lists the
     cached token ids of sentence j (K in all).  Every weight row sums to 1.
     """
     token_ids: list[list[int]]
-    sent: list[Tensor]
-    word: list[Tensor]
+    sent: Tensor
+    word: Tensor
 
     @property
     def m(self) -> int:
-        return len(self.sent)
+        return self.sent.data.shape[0]
 
     @property
     def n_sents(self) -> int:
@@ -94,11 +94,12 @@ class AttentionTrace:
 
     @property
     def n_positions(self) -> int:
-        return self.sent[0].data.shape[0]
+        return self.sent.data.shape[1]
 
     def assert_normalized(self, atol: float = 1e-12) -> None:
-        for w in self.sent + self.word:
-            np.testing.assert_allclose(w.data.sum(axis=1), 1.0, rtol=0, atol=atol)
+        for w in (self.sent, self.word):
+            np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, rtol=0,
+                                       atol=atol)
 
 
 def _sub(p: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
@@ -130,11 +131,11 @@ class ContextMemory:
 
 
 def word_level_context(h: Tensor, memory: ContextMemory, p: dict[str, Tensor]
-                       ) -> tuple[Tensor, list[Tensor]]:
+                       ) -> tuple[Tensor, Tensor]:
     """Attend the word-level query into every cached sentence at once.
 
-    Returns the summaries [n*T, d] (row j*T+t is s_j[t]) and the per-head
-    weights [n*T, K].
+    Returns the summaries [n*T, d] (row j*T+t is s_j[t]) and the weights
+    [m, n*T, K].
     """
     from .transformer import attend
 
@@ -149,11 +150,11 @@ def word_level_context(h: Tensor, memory: ContextMemory, p: dict[str, Tensor]
 
 def sentence_level_context(h: Tensor, summaries: Tensor,
                            p: dict[str, Tensor], m: int
-                           ) -> tuple[Tensor, list[Tensor]]:
+                           ) -> tuple[Tensor, Tensor]:
     """Attend the sentence-level query over the [n*T, d] summaries, then FFN.
 
     Row t sees only summary rows j*T+t.  Returns d_t rows [T, d] and the
-    per-head sentence weights [T, n*T].
+    sentence weights [m, T, n*T].
     """
     from .transformer import multi_head_attention, positionwise_ffn
 

@@ -38,7 +38,7 @@ from .han import (AttentionTrace, CacheEntry, ContextMemory, ContextState,
 from .params import ParamStore
 from .transformer import (HeadKV, attend, causal_mask, cross_entropy,
                           multi_head_attention, positionwise_ffn, project_kv,
-                          sinusoidal_positions, split_heads)
+                          sinusoidal_positions)
 
 VARIANTS = ("sentence", "han-encoder", "han-decoder", "han-joint", "copy")
 ENCODER_CTX = frozenset({"han-encoder", "han-joint", "copy"})
@@ -268,8 +268,8 @@ class DocModel:
                     [s.keys[i] for s in past])), keys])
                 values = ad.concat([Tensor._wrap(np.concatenate(
                     [s.values[i] for s in past])), values])
-            att, _ = attend(q, split_heads(keys, values, memory.m),
-                            layer.self_p, mask)
+            att, _ = attend(q, HeadKV(keys, values, memory.m), layer.self_p,
+                            mask)
             x = self._sublayer(x, att, layer.ln1, train, rng)
             cross, _ = attend(x @ layer.cross_p["wq"], layer.cross_kv,
                               layer.cross_p)

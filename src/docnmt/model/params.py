@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
+
 import numpy as np
 
 from ..autodiff import Tensor
@@ -25,6 +28,7 @@ class ParamStore:
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._groups: dict[str, str] = {}
+        self._views: dict[str, Mapping[str, Tensor]] = {}
 
     def add(self, name: str, array, group: str) -> Tensor:
         if name in self._params:
@@ -33,6 +37,7 @@ class ParamStore:
             raise ContractError(f"unknown group '{group}'")
         t = Tensor(array)
         self._params[name] = t
+        self._views.clear()
         self._groups[name] = group
         return t
 
@@ -54,10 +59,20 @@ class ParamStore:
     def group_of(self, name: str) -> str:
         return self._groups[name]
 
-    def view(self, prefix: str) -> dict[str, Tensor]:
-        """Sub-mapping of params under a dotted prefix, short keys."""
-        plen = len(prefix)
-        return {n[plen:]: t for n, t in self._params.items() if n.startswith(prefix)}
+    def view(self, prefix: str) -> Mapping[str, Tensor]:
+        """Read-only sub-mapping of params under a dotted prefix, short keys.
+
+        Built on the first call per prefix and shared by later calls.  It
+        holds the store's own tensors, so values loaded into them show
+        through.
+        """
+        view = self._views.get(prefix)
+        if view is None:
+            plen = len(prefix)
+            view = self._views[prefix] = MappingProxyType({
+                n[plen:]: t for n, t in self._params.items()
+                if n.startswith(prefix)})
+        return view
 
     def set_trainable(self, groups: set[str] | frozenset[str]) -> None:
         """Only listed groups get gradients; everything else is frozen."""

@@ -1,12 +1,12 @@
 """Transformer building blocks on the autodiff core.
 
 All activations are 2-d [positions, features] tensors; attention masks are
-plain boolean numpy arrays (True = blocked).
+plain boolean numpy arrays (True = blocked).  Multi-head attention is two
+fused autodiff ops, so its per-head weights come as one [m, a, b] tensor.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,28 +18,11 @@ from ..errors import ContractError, ShapeError
 
 @dataclass
 class HeadKV:
-    """Keys and values of one attention memory, split per head.
-
-    keys_t[h] is Kᵀ [d_head, b] and values[h] is V [b, d_head] for b key rows.
-    """
-    keys_t: list[Tensor]
-    values: list[Tensor]
-
-
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
-                         mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """softmax(q kᵀ / sqrt(r)) v for q [a, r], k [b, r], v [b, w].
-
-    Returns (output [a, w], weights [a, b]); each weight row sums to 1.
-    A fully masked row is a caller bug and raises ContractError.
-    """
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError("scaled_dot_attention needs 2-d operands")
-    if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
-        raise ShapeError(
-            f"scaled_dot_attention: q {q.shape}, k {k.shape}, v {v.shape}")
-    mask = _checked_mask(mask, (q.data.shape[0], k.data.shape[0]))
-    return _head_attention(q, k.T, v, mask)
+    """Projected keys and values [b, d] of one attention memory, split into
+    m heads by the attention ops."""
+    keys: Tensor
+    values: Tensor
+    m: int
 
 
 def _checked_mask(mask: np.ndarray | None,
@@ -54,64 +37,35 @@ def _checked_mask(mask: np.ndarray | None,
     return mask if mask.any() else None
 
 
-def _head_attention(q: Tensor, k_t: Tensor, v: Tensor,
-                    mask: np.ndarray | None) -> tuple[Tensor, Tensor]:
-    logits = (q @ k_t) * (1.0 / math.sqrt(q.data.shape[1]))
-    if mask is not None:
-        logits = ad.masked_fill(logits, mask, -np.inf)
-    weights = ad.softmax_lastdim(logits)
-    return weights @ v, weights
-
-
-def split_heads(k: Tensor, v: Tensor, m: int) -> HeadKV:
-    """Per-head Kᵀ and V of projected key and value rows [b, d]."""
-    d = k.data.shape[1]
-    if d % m != 0:
-        raise ShapeError(f"d_model {d} not divisible by heads {m}")
-    dh = d // m
-    return HeadKV(keys_t=[ad.narrow(k, 1, h * dh, dh).T for h in range(m)],
-                  values=[ad.narrow(v, 1, h * dh, dh) for h in range(m)])
-
-
 def project_kv(k_rows: Tensor, v_rows: Tensor, p: dict[str, Tensor],
                m: int) -> HeadKV:
-    """Project a memory through wk and wv once, split per head."""
-    return split_heads(k_rows @ p["wk"], v_rows @ p["wv"], m)
+    """Project a memory through wk and wv once."""
+    return HeadKV(k_rows @ p["wk"], v_rows @ p["wv"], m)
 
 
 def attend(q: Tensor, kv: HeadKV, p: dict[str, Tensor],
-           mask: np.ndarray | None = None) -> tuple[Tensor, list[Tensor]]:
+           mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Multi-head attention of the wq-projected query rows ``q`` over a
     projected memory, re-projected through wo.
 
-    Returns the output rows and the per-head post-softmax weights.  The
+    Returns the output rows and the post-softmax weights [m, a, b].  The
     query is projected by the caller so that, where query and memory rows
     are one tensor, the wq product comes first on the tape; backward then
     sums that tensor's gradient parts in one fixed order.
     """
-    m = len(kv.values)
-    dh = kv.values[0].data.shape[1]
-    if q.data.shape[1] != m * dh:
-        raise ShapeError(f"query width {q.data.shape[1]} vs {m} heads of {dh}")
-    mask = _checked_mask(mask, (q.data.shape[0], kv.values[0].data.shape[0]))
-    outs, head_weights = [], []
-    for h in range(m):
-        out_h, w_h = _head_attention(ad.narrow(q, 1, h * dh, dh),
-                                     kv.keys_t[h], kv.values[h], mask)
-        outs.append(out_h)
-        head_weights.append(w_h)
-    merged = outs[0] if m == 1 else ad.concat(outs, axis=1)
-    return merged @ p["wo"], head_weights
+    mask = _checked_mask(mask, (q.data.shape[0], kv.keys.data.shape[0]))
+    weights = ad.attention_weights(q, kv.keys, kv.m, mask)
+    return ad.attention_mix(weights, kv.values) @ p["wo"], weights
 
 
 def multi_head_attention(q_rows: Tensor, k_rows: Tensor, v_rows: Tensor,
                          p: dict[str, Tensor], m: int,
                          mask: np.ndarray | None = None
-                         ) -> tuple[Tensor, list[Tensor]]:
-    """m parallel projected attentions, concatenated and re-projected.
+                         ) -> tuple[Tensor, Tensor]:
+    """m parallel projected attentions, merged and re-projected.
 
     ``p`` holds the square projections wq, wk, wv, wo.  Returns the output
-    rows and the per-head post-softmax weight matrices.
+    rows and the post-softmax weights [m, a, b].
     """
     q = q_rows @ p["wq"]
     return attend(q, project_kv(k_rows, v_rows, p, m), p, mask)

@@ -3,8 +3,9 @@
 This is the step that incremental decoding replaced: the whole decoder stack
 re-runs over the full prefix under the causal mask, and context integration,
 the output softmax and the copy mixture run for the last position only.  It
-uses the composed ``multi_head_attention`` and the per-sentence loops of
-``han_reference``, none of the per-sentence memories of ``docnmt.model``.
+uses the per-head ``multi_head_attention`` of ``attention_reference`` and the
+per-sentence loops of ``han_reference``, none of the per-sentence memories of
+``docnmt.model``.
 
 ``incremental_step`` drives the real path for one prefix, one token at a
 time, the way the search does.
@@ -17,9 +18,9 @@ from docnmt.autodiff import Tensor
 from docnmt.model.copy import SPECIAL_IDS, copy_gate, mix_distributions
 from docnmt.model.han import _sub
 from docnmt.model.model import DECODER_CTX
-from docnmt.model.transformer import (causal_mask, multi_head_attention,
-                                      positionwise_ffn)
+from docnmt.model.transformer import causal_mask, positionwise_ffn
 
+from attention_reference import multi_head_attention
 from han_reference import copy_weights_loop, hierarchical_loop
 
 

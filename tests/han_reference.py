@@ -6,9 +6,10 @@ per cached sentence at the word level, a row-wise attention per (head,
 sentence) at the sentence level, and one scaled product per sentence for
 the copy weights.
 
-Weights use the per-sentence layout: ``sent[h]`` is [T, n] and
-``word[j][h]`` is [T, len_j].  ``block_trace`` and ``per_sentence`` convert
-between that layout and the block layout of ``AttentionTrace``.
+Attention runs one head at a time (``attention_reference``), and weights
+use the per-sentence layout: ``sent[h]`` is [T, n] and ``word[j][h]`` is
+[T, len_j].  ``block_trace`` and ``per_sentence`` convert between that
+layout and the block layout of ``AttentionTrace``.
 """
 
 import math
@@ -20,7 +21,9 @@ from docnmt.autodiff import Tensor
 from docnmt.errors import ContractError
 from docnmt.model.copy import SPECIAL_IDS
 from docnmt.model.han import AttentionTrace, _sub, gate_integrate
-from docnmt.model.transformer import multi_head_attention, positionwise_ffn
+from docnmt.model.transformer import positionwise_ffn
+
+from attention_reference import multi_head_attention
 
 
 def word_level_loop(h, entries, p, m):
@@ -121,10 +124,11 @@ def block_trace(sent, word, token_ids):
         for j in range(n):
             sb[rows, j * t + rows] = s[:, j]
             wb[j * t:(j + 1) * t, offsets[j]:offsets[j + 1]] = word[j][h]
-        sent_blocks.append(Tensor._wrap(sb))
-        word_blocks.append(Tensor._wrap(wb))
+        sent_blocks.append(sb)
+        word_blocks.append(wb)
     return AttentionTrace(token_ids=[list(ids) for ids in token_ids],
-                          sent=sent_blocks, word=word_blocks)
+                          sent=Tensor._wrap(np.stack(sent_blocks)),
+                          word=Tensor._wrap(np.stack(word_blocks)))
 
 
 def per_sentence(trace):
@@ -133,8 +137,8 @@ def per_sentence(trace):
     lens = [len(ids) for ids in trace.token_ids]
     offsets = np.concatenate([[0], np.cumsum(lens)])
     rows = np.arange(t)
-    sent = [np.stack([s.data[rows, j * t + rows] for j in range(n)], axis=1)
-            for s in trace.sent]
-    word = [[w.data[j * t:(j + 1) * t, offsets[j]:offsets[j + 1]]
-             for w in trace.word] for j in range(n)]
+    sent = [np.stack([s[rows, j * t + rows] for j in range(n)], axis=1)
+            for s in trace.sent.data]
+    word = [[w[j * t:(j + 1) * t, offsets[j]:offsets[j + 1]]
+             for w in trace.word.data] for j in range(n)]
     return sent, word

@@ -138,9 +138,9 @@ def _naive_alpha(trace: AttentionTrace, vocab: int):
     for t in range(trace.n_positions):
         k = 0
         for j in range(trace.n_sents):
-            sent_sum = sum(trace.sent[h].data[t, j * T + t] for h in range(m))
+            sent_sum = sum(trace.sent.data[h, t, j * T + t] for h in range(m))
             for i in range(len(trace.token_ids[j])):
-                word_sum = sum(trace.word[h].data[j * T + t, k]
+                word_sum = sum(trace.word.data[h, j * T + t, k]
                                for h in range(m))
                 alpha_tokens[t, k] = sent_sum * word_sum / (m * m)
                 k += 1

@@ -72,6 +72,26 @@ class TestForwardValues:
             with pytest.raises(NumericalError):
                 ad.add(big, big)
 
+    def test_attention_names_itself_on_non_finite_keys(self):
+        q = Tensor(np.ones((2, 4)))
+        k = Tensor(np.ones((3, 4)))
+        k.data[1, 2] = np.nan
+        with pytest.raises(NumericalError, match="attention_weights"):
+            ad.attention_weights(q, k, 2)
+        k.data[1, 2] = 1e308  # overflows to inf in the logits
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalError, match="attention_weights"):
+            ad.attention_weights(Tensor(np.full((2, 4), 1e308)), k, 2)
+
+    def test_attention_weights_masked_entries_are_exact_zeros(self):
+        rng = np.random.default_rng(3)
+        mask = np.array([[False, True, False], [True, False, False]])
+        w = ad.attention_weights(Tensor(rng.normal(size=(2, 4))),
+                                 Tensor(rng.normal(size=(3, 4))), 2, mask)
+        assert w.shape == (2, 2, 3)
+        assert np.all(w.data[:, mask] == 0.0)
+        np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
     def test_no_implicit_broadcasting(self):
         with pytest.raises(ShapeError):
             ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
@@ -213,6 +233,23 @@ class TestOpGradients:
         r = self.mixer(4, 6)
         _check(lambda: ad.mul(ad.layer_norm(x, g, b), r).sum(),
                [("x", x), ("g", g), ("b", b)])
+
+    def test_attention_weights(self):
+        q, k = self.leaf(3, 4), self.leaf(5, 4)
+        mask = np.zeros((3, 5), dtype=bool)
+        mask[0, 2:] = True
+        mask[2, :3] = True
+        for m, msk in ((1, None), (2, None), (2, mask), (4, mask)):
+            r = self.mixer(m, 3, 5)
+            _check(lambda: ad.mul(ad.attention_weights(q, k, m, msk), r).sum(),
+                   [("q", q), ("k", k)])
+
+    def test_attention_mix(self):
+        w = Tensor(np.abs(self.rng.normal(size=(2, 3, 5))), requires_grad=True)
+        v = self.leaf(5, 6)
+        r = self.mixer(3, 6)
+        _check(lambda: ad.mul(ad.attention_mix(w, v), r).sum(),
+               [("w", w), ("v", v)])
 
     def test_masked_fill(self):
         x = self.leaf(3, 4)

@@ -39,8 +39,8 @@ def random_trace(rng, m, lens, n_positions=1, vocab=30, low_id=4):
 def naive_alpha(trace, vocab, exclude_special=True, specials=(0, 1, 2, 3)):
     """Reference triple loop over sentences, heads and tokens.
 
-    Block layout: query t's weight on sentence j is sent[h][t, j*T+t], and
-    on cached token k of sentence j it is word[h][j*T+t, k].
+    Block layout: query t's weight on sentence j is sent[h, t, j*T+t], and
+    on cached token k of sentence j it is word[h, j*T+t, k].
     """
     m = trace.m
     T = trace.n_positions
@@ -51,11 +51,11 @@ def naive_alpha(trace, vocab, exclude_special=True, specials=(0, 1, 2, 3)):
         for j, ids in enumerate(trace.token_ids):
             sent_sum = 0.0
             for h in range(m):
-                sent_sum += trace.sent[h].data[t, j * T + t]
+                sent_sum += trace.sent.data[h, t, j * T + t]
             for i, tid in enumerate(ids):
                 word_sum = 0.0
                 for h in range(m):
-                    word_sum += trace.word[h].data[j * T + t, k]
+                    word_sum += trace.word.data[h, j * T + t, k]
                 a = sent_sum * word_sum / (m * m)
                 tok[t, k] = a
                 if not (exclude_special and tid in specials):

@@ -76,8 +76,8 @@ class TestHierarchicalContext:
         _, _, trace = hierarchical_context(h, ContextMemory(ctx.source, p, m),
                                            p, m)
         # row t sees only summary row t; masked weights are exact zeros
-        for w in trace.sent:
-            np.testing.assert_array_equal(w.data, np.eye(2))
+        for w in trace.sent.data:
+            np.testing.assert_array_equal(w, np.eye(2))
 
     def test_integration_changes_states(self):
         model = tiny_model()
@@ -103,11 +103,10 @@ class TestHierarchicalContext:
                                            p, m)
         sent, word = per_sentence(trace)
         rebuilt = block_trace(sent, word, trace.token_ids)
-        for got, want in zip(trace.sent + trace.word,
-                             rebuilt.sent + rebuilt.word):
-            np.testing.assert_array_equal(got.data, want.data)
-        assert [w.data.shape for w in trace.word] == [(6, 5)] * 2
-        assert [w.data.shape for w in trace.sent] == [(3, 6)] * 2
+        np.testing.assert_array_equal(trace.sent.data, rebuilt.sent.data)
+        np.testing.assert_array_equal(trace.word.data, rebuilt.word.data)
+        assert trace.word.data.shape == (2, 6, 5)
+        assert trace.sent.data.shape == (2, 3, 6)
 
     def test_empty_cache_is_contract_error(self):
         model = tiny_model()

@@ -11,11 +11,13 @@ from docnmt.autodiff import Tensor
 from docnmt.checkpoint import load_checkpoint, save_checkpoint
 from docnmt.errors import CheckpointError, ContractError
 from docnmt.gradcheck import grad_check
-from docnmt.model import DocModel, build_params, toy_config
-from docnmt.model.transformer import (causal_mask, cross_entropy,
-                                      multi_head_attention, positionwise_ffn,
-                                      scaled_dot_attention,
-                                      sinusoidal_positions)
+from docnmt.model import DocModel, ParamStore, build_params, toy_config
+from docnmt.model.transformer import (HeadKV, attend, causal_mask,
+                                      cross_entropy, multi_head_attention,
+                                      positionwise_ffn, sinusoidal_positions)
+
+import attention_reference
+from attention_reference import scaled_dot_attention
 
 
 def tiny_model(seed=0, **over):
@@ -67,17 +69,12 @@ class TestAttention:
         rng = np.random.default_rng(8)
         q, k, v = (Tensor(rng.normal(size=(3, 4)), requires_grad=True)
                    for _ in range(3))
-        tape = []
-        outs = []
-        for mask in (None, np.zeros((3, 3), dtype=bool), causal_mask(3)):
-            ad.clear_tape()
-            outs.append(scaled_dot_attention(q, k, v, mask)[0].data)
-            tape.append(ad.tape_size())
+        p = {"wo": Tensor(rng.normal(size=(4, 4)))}
+        outs = [attend(q, HeadKV(k, v, 2), p, mask)
+                for mask in (None, np.zeros((3, 3), dtype=bool))]
         ad.clear_tape()
-        np.testing.assert_array_equal(outs[1], outs[0])
-        # a mask that blocks nothing records no masked_fill node; one that
-        # blocks something records exactly one
-        assert tape[1] == tape[0] and tape[2] == tape[0] + 1
+        np.testing.assert_array_equal(outs[1][0].data, outs[0][0].data)
+        np.testing.assert_array_equal(outs[1][1].data, outs[0][1].data)
 
     def test_single_head_identity_projections_reduce_to_scaled_dot(self):
         rng = np.random.default_rng(6)
@@ -88,17 +85,104 @@ class TestAttention:
         mha_out, heads = multi_head_attention(x, x, x, p, m=1)
         ref_out, ref_w = scaled_dot_attention(x, x, x)
         np.testing.assert_allclose(mha_out.data, ref_out.data, atol=1e-12)
-        np.testing.assert_allclose(heads[0].data, ref_w.data, atol=1e-12)
+        np.testing.assert_allclose(heads.data[0], ref_w.data, atol=1e-12)
 
     def test_per_head_weights_exposed_and_normalized(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(5, 8)))
         p = {k: Tensor(rng.normal(size=(8, 8))) for k in ("wq", "wk", "wv", "wo")}
         _, heads = multi_head_attention(x, x, x, p, m=4)
-        assert len(heads) == 4
-        for w in heads:
-            assert w.data.shape == (5, 5)
-            np.testing.assert_allclose(w.data.sum(axis=1), 1.0, atol=1e-12)
+        assert heads.data.shape == (4, 5, 5)
+        for w in heads.data:
+            np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_one_attention_records_six_tape_nodes(self):
+        # the wq, wk, wv products, the two fused attention ops and wo; a
+        # per-head chain of narrow / matmul / softmax nodes would add more
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+        p = {k: Tensor(rng.normal(size=(8, 8))) for k in ("wq", "wk", "wv", "wo")}
+        ad.clear_tape()
+        multi_head_attention(x, x, x, p, m=4, mask=causal_mask(5))
+        tags = [node.tag for node in ad._tape]
+        ad.clear_tape()
+        assert tags == ["matmul"] * 3 + ["attention_weights", "attention_mix",
+                                         "matmul"]
+
+
+def _masks(rng, a, b):
+    """No mask, causal, block diagonal and random; no row fully blocked."""
+    n_blocks = min(a, b)
+    block = (np.arange(a)[:, None] * n_blocks // a
+             != np.arange(b)[None, :] * n_blocks // b)
+    rand = rng.random((a, b)) < 0.5
+    rand[np.arange(a), rng.integers(0, b, size=a)] = False
+    return {"none": None, "causal": np.triu(np.ones((a, b), dtype=bool), k=1),
+            "block": block, "random": rand}
+
+
+class TestFusedAttentionMatchesPerHeadChain:
+    """The two fused attention ops against the per-head chain they replaced
+    (``attention_reference``): the products run on contiguous per-head
+    blocks and the merged gradients are C-contiguous like the chain's, so
+    values, weights and every gradient are bitwise equal.  d = 32 as in the
+    toy profile: at that width a product's result depends on its operands'
+    memory layout."""
+
+    def _run(self, mha, rows, p, m, mask, probes):
+        for t in (*rows, *p.values()):
+            t.grad = None
+        out, weights = mha(*rows, p, m, mask)
+        if isinstance(weights, list):  # per-head chain: one [a, b] per head
+            w_term = None
+            for w, probe in zip(weights, probes[1]):
+                term = ad.mul(w, Tensor._wrap(probe)).sum()
+                w_term = term if w_term is None else ad.add(w_term, term)
+            heads = np.stack([w.data for w in weights])
+        else:
+            w_term = ad.mul(weights, Tensor._wrap(probes[1])).sum()
+            heads = weights.data
+        ad.backward(ad.add(ad.mul(out, Tensor._wrap(probes[0])).sum(), w_term))
+        return [out.data, heads] + [t.grad for t in (*rows, *p.values())]
+
+    def test_outputs_weights_and_gradients_bitwise(self):
+        rng = np.random.default_rng(404)
+        names = ["out", "weights", "q", "k", "v", "wq", "wk", "wv", "wo"]
+        cases, d = 0, 32
+        for m in (1, 2, 4):
+            for a in range(1, 6):
+                for b in range(1, 7):
+                    for kind, mask in _masks(rng, a, b).items():
+                        rows = [Tensor(rng.normal(size=(n, d)), requires_grad=True)
+                                for n in (a, b, b)]
+                        p = {k: Tensor(rng.normal(size=(d, d)), requires_grad=True)
+                             for k in ("wq", "wk", "wv", "wo")}
+                        probes = (rng.normal(size=(a, d)),
+                                  rng.normal(size=(m, a, b)))
+                        got = self._run(multi_head_attention, rows, p, m, mask,
+                                        probes)
+                        want = self._run(attention_reference.multi_head_attention,
+                                         rows, p, m, mask, probes)
+                        for name, x, y in zip(names, got, want):
+                            np.testing.assert_array_equal(
+                                x, y, err_msg=f"{name}: m={m} a={a} b={b} {kind}")
+                        cases += 1
+        assert cases == 360
+
+    def test_self_attention_gradient_bitwise(self):
+        # one tensor as query, key and value rows: its three gradient parts
+        # are summed in the same order on both paths
+        rng = np.random.default_rng(405)
+        for m in (1, 2, 4):
+            x = Tensor(rng.normal(size=(7, 32)), requires_grad=True)
+            p = {k: Tensor(rng.normal(size=(32, 32)), requires_grad=True)
+                 for k in ("wq", "wk", "wv", "wo")}
+            probes = (rng.normal(size=(7, 32)), rng.normal(size=(m, 7, 7)))
+            got, want = (self._run(mha, [x, x, x], p, m, causal_mask(7), probes)
+                         for mha in (multi_head_attention,
+                                     attention_reference.multi_head_attention))
+            for x_got, x_want in zip(got, want):
+                np.testing.assert_array_equal(x_got, x_want)
 
 
 class TestFfnAndPositions:
@@ -214,6 +298,28 @@ class TestEncodeDecode:
 
         report = grad_check(f, subset, h=1e-5, tol=1e-4)
         assert report.passed, report.summary()
+
+
+class TestParamStoreView:
+    def test_view_sees_loaded_snapshot(self):
+        model = tiny_model()
+        store = model.params
+        view = store.view("dec.0.ffn.")
+        assert store.view("dec.0.ffn.") is view
+        snap = store.snapshot()
+        snap["dec.0.ffn.w1"] = snap["dec.0.ffn.w1"] + 1.0
+        store.load_snapshot(snap)
+        np.testing.assert_array_equal(view["w1"].data, snap["dec.0.ffn.w1"])
+        with pytest.raises(TypeError):  # shared between callers: read-only
+            view["w1"] = view["w2"]
+
+    def test_add_after_view_shows_in_next_view(self):
+        store = ParamStore()
+        store.add("a.x", np.zeros(2), "base")
+        assert set(store.view("a.")) == {"x"}
+        store.add("a.y", np.ones(2), "base")
+        assert set(store.view("a.")) == {"x", "y"}
+        assert store.view("a.")["y"] is store["a.y"]
 
 
 class TestCheckpoint:
