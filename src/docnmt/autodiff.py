@@ -46,10 +46,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 def tape_size() -> int:
     return len(_tape)
 
@@ -109,9 +105,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def numpy(self) -> Array:
-        return self.data
-
     # -- arithmetic sugar ---------------------------------------------------
 
     def __add__(self, other):
@@ -154,11 +147,6 @@ class Tensor:
 
     def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         return _reduce(self, axis, keepdims, np.mean, lambda n: 1.0 / n)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
     @property
     def T(self) -> "Tensor":
@@ -304,11 +292,14 @@ def log(x: Tensor) -> Tensor:
     return _out(np.log(x.data), (x,), lambda g: (g / x.data,), "log")
 
 
-def clamped_log(x: Tensor, floor: float = 1e-12) -> Tensor:
-    """log(max(x, floor)); counts clamp events and caps the gradient at 1/floor."""
+_LOG_FLOOR = 1e-12
+
+
+def clamped_log(x: Tensor) -> Tensor:
+    """log(max(x, 1e-12)); counts clamp events and caps the gradient at 1e12."""
     global clamp_events
-    clamped = np.maximum(x.data, floor)
-    n_clamped = int(np.count_nonzero(x.data < floor))
+    clamped = np.maximum(x.data, _LOG_FLOOR)
+    n_clamped = int(np.count_nonzero(x.data < _LOG_FLOOR))
     if n_clamped:
         clamp_events += n_clamped
     return _out(np.log(clamped), (x,), lambda g: (g / clamped,), "clamped_log")
@@ -330,12 +321,6 @@ def transpose(x: Tensor) -> Tensor:
         raise ShapeError(f"transpose: need 2-d, got {x.shape}")
     return _out(np.ascontiguousarray(x.data.T), (x,),
                 lambda g: (np.ascontiguousarray(g.T),), "transpose")
-
-
-def reshape(x: Tensor, shape: tuple) -> Tensor:
-    arr = x.data.reshape(shape)
-    return _out(np.ascontiguousarray(arr), (x,),
-                lambda g: (g.reshape(x.data.shape),), "reshape")
 
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
@@ -409,14 +394,14 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return _out(out, (x,), bwd, "softmax")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row of [n, d] to zero mean / unit variance, then affine."""
     if x.data.ndim != 2 or gain.data.shape != (x.data.shape[1],) \
             or bias.data.shape != (x.data.shape[1],):
         raise ShapeError(f"layer_norm: x {x.shape}, gain {gain.shape}, bias {bias.shape}")
     mu = x.data.mean(axis=1, keepdims=True)
     var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mu) * inv
     out = xhat * gain.data[None, :] + bias.data[None, :]
 

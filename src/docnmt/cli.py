@@ -72,13 +72,7 @@ PROFILE_TOY: dict[str, object] = {
     "length_penalty": 0.0,
 }
 
-_KEY_TYPES: dict[str, type] = {
-    "d_model": int, "n_layers": int, "m_heads": int, "d_ff": int,
-    "dropout": float, "label_smoothing": float, "n_context": int,
-    "max_len": int, "epochs": int, "ft_epochs": int, "max_tokens": int,
-    "lr": float, "warmup_steps": int, "lr_scale": float,
-    "val_fraction": float, "width": int, "length_penalty": float,
-}
+_KEY_TYPES: dict[str, type] = {k: type(v) for k, v in PROFILE_TOY.items()}
 
 
 class UsageError(DocnmtError):

@@ -58,6 +58,30 @@ def _read_lines(path) -> list[str]:
     return text.split("\n") if text else []
 
 
+def _split_documents(rows, path) -> list[list[tuple[Sentence, ...]]]:
+    """Split aligned rows (one line per side) into documents at blank rows;
+    errors name 1-based lines."""
+    documents: list[list[tuple[Sentence, ...]]] = []
+    current: list[tuple[Sentence, ...]] = []
+    for i, row in enumerate(rows, start=1):
+        blank = [not line.strip() for line in row]
+        if any(blank) != all(blank):
+            raise DataError(
+                f"line {i}: document boundary mismatch (one side blank)")
+        if blank[0]:
+            if not current:
+                raise DataError(f"line {i}: empty document (consecutive blank lines)")
+            documents.append(current)
+            current = []
+        else:
+            current.append(tuple(line.split() for line in row))
+    if current:
+        documents.append(current)
+    if not documents:
+        raise DataError(f"{path}: corpus is empty")
+    return documents
+
+
 def load_corpus(src_path, tgt_path) -> DocumentCorpus:
     """Parse an aligned pair of document files; errors name 1-based lines."""
     src_lines = _read_lines(src_path)
@@ -67,56 +91,20 @@ def load_corpus(src_path, tgt_path) -> DocumentCorpus:
             f"{src_path} has {len(src_lines)} lines but {tgt_path} has "
             f"{len(tgt_lines)}; first difference at line "
             f"{min(len(src_lines), len(tgt_lines)) + 1}")
-
-    documents: list[list[SentencePair]] = []
-    current: list[SentencePair] = []
-    for i, (s, t) in enumerate(zip(src_lines, tgt_lines), start=1):
-        s_blank = not s.strip()
-        t_blank = not t.strip()
-        if s_blank != t_blank:
-            raise DataError(
-                f"line {i}: document boundary mismatch (one side blank)")
-        if s_blank:
-            if not current:
-                raise DataError(f"line {i}: empty document (consecutive blank lines)")
-            documents.append(current)
-            current = []
-        else:
-            current.append((s.split(), t.split()))
-    if current:
-        documents.append(current)
-    if not documents:
-        raise DataError(f"{src_path}: corpus is empty")
+    documents = _split_documents(zip(src_lines, tgt_lines), src_path)
     ids = [f"doc{d:05d}" for d in range(len(documents))]
     return DocumentCorpus(documents=documents, doc_ids=ids)
 
 
 def save_corpus(corpus: DocumentCorpus, src_path, tgt_path) -> None:
-    for which, path in (("src", src_path), ("tgt", tgt_path)):
-        docs = corpus.side(which)
-        blocks = ["\n".join(" ".join(s) for s in doc) for doc in docs]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n\n".join(blocks) + "\n")
+    save_documents(corpus.side("src"), src_path)
+    save_documents(corpus.side("tgt"), tgt_path)
 
 
 def load_documents(path) -> list[list[Sentence]]:
     """Parse a single-sided document file (same format, one side only)."""
-    lines = _read_lines(path)
-    documents: list[list[Sentence]] = []
-    current: list[Sentence] = []
-    for i, line in enumerate(lines, start=1):
-        if not line.strip():
-            if not current:
-                raise DataError(f"line {i}: empty document (consecutive blank lines)")
-            documents.append(current)
-            current = []
-        else:
-            current.append(line.split())
-    if current:
-        documents.append(current)
-    if not documents:
-        raise DataError(f"{path}: corpus is empty")
-    return documents
+    return [[s for (s,) in doc]
+            for doc in _split_documents(zip(_read_lines(path)), path)]
 
 
 def save_documents(documents: list[list[Sentence]], path) -> None:

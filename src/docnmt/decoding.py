@@ -25,7 +25,8 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ContractError, DataError
 from .model.han import CacheEntry, ContextState
-from .model.model import DECODER_CTX, ENCODER_CTX, DocModel, check_variant
+from .model.model import (DECODER_CTX, ENCODER_CTX, DecoderMemory, DocModel,
+                          check_variant)
 from .tokens import BOS_ID, EOS_ID
 
 _LOG_FLOOR = 1e-300
@@ -82,7 +83,7 @@ def _make_trace(result) -> StepTrace:
         return StepTrace(p_copy=result.copy.p_copy,
                          top_vocab=_top5(result.copy.p_vocab),
                          top_alpha=_top5(result.copy.alpha_vocab),
-                         top_pw=_top5(result.copy.p_w))
+                         top_pw=_top5(result.p_w))
     return StepTrace(p_copy=None, top_vocab=_top5(result.p_w),
                      top_alpha=None, top_pw=_top5(result.p_w))
 
@@ -197,7 +198,7 @@ def translate_sentence(model: DocModel, encoded, context, variant: str,
     The length cap keeps the forced-EOS step's prefix within ``max_len``.
     """
     max_steps = min(2 * len(encoded.token_ids) + 10, model.cfg.max_len - 1)
-    memory = model.decoder_memory(encoded, context, variant)
+    memory = DecoderMemory(model, encoded, context, variant)
 
     def step_fn(hypos):
         return model.step_distribution([h.tokens for h in hypos], memory,
@@ -232,17 +233,12 @@ def update_context(model: DocModel, context: ContextState, encoded,
 
 
 def translate_document(model: DocModel, src_sentences: list[list[int]],
-                       variant: str, config: SearchConfig | None = None,
-                       n_context: int | None = None,
-                       context: ContextState | None = None
+                       variant: str, config: SearchConfig | None = None
                        ) -> tuple[list[list[int]], list[list[StepTrace]]]:
     """Translate one document sentence-by-sentence with fresh caches."""
     check_variant(variant)
     config = config or SearchConfig()
-    if context is None:
-        context = ContextState(n_context or model.cfg.n_context)
-    else:
-        context.clear()
+    context = ContextState(model.cfg.n_context)
     outputs: list[list[int]] = []
     all_traces: list[list[StepTrace]] = []
     for src in src_sentences:
@@ -259,13 +255,12 @@ def translate_document(model: DocModel, src_sentences: list[list[int]],
 
 
 def translate_corpus(model: DocModel, documents: list[list[list[int]]],
-                     variant: str, config: SearchConfig | None = None,
-                     n_context: int | None = None):
+                     variant: str, config: SearchConfig | None = None):
     """Documents are independent; caches reset at every boundary."""
     outs = []
     traces = []
     for doc in documents:
-        o, t = translate_document(model, doc, variant, config, n_context)
+        o, t = translate_document(model, doc, variant, config)
         outs.append(o)
         traces.append(t)
     return outs, traces

@@ -1,3 +1,3 @@
-from .config import ModelConfig, toy_config
+from .config import ModelConfig
 from .params import ParamStore, build_params, GROUPS
 from .model import DocModel, VARIANTS

@@ -1,4 +1,4 @@
-"""Model hyperparameters and the built-in toy profile."""
+"""Model hyperparameters."""
 
 from __future__ import annotations
 
@@ -44,12 +44,4 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         names = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in d.items() if k in names})
-
-
-def toy_config(vocab_src: int, vocab_tgt: int, **over) -> ModelConfig:
-    """Desk-scale profile used by tests and the synthetic experiment."""
-    base = dict(d_model=32, n_layers=2, m_heads=2, d_ff=64,
-                dropout=0.1, label_smoothing=0.1, n_context=1, max_len=256)
-    base.update(over)
-    return ModelConfig(vocab_src=vocab_src, vocab_tgt=vocab_tgt, **base)
 

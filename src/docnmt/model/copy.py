@@ -49,7 +49,6 @@ class CopyDistribution:
     p_copy: float
     p_vocab: np.ndarray
     alpha_vocab: np.ndarray
-    p_w: np.ndarray
 
 
 def encoder_context_attention(h_tilde: Tensor, enc_kv: HeadKV,
@@ -69,21 +68,16 @@ def copy_gate(h_tilde: Tensor, c_rows: Tensor, d_rows: Tensor,
     return ad.sigmoid(ad.add(logit, p["b"]))
 
 
-def copy_attention_weights(trace: AttentionTrace, vocab_size: int,
-                           exclude_special: bool = True) -> CopyWeights:
-    """Head-averaged copy weights from a context attention trace.
-
-    With ``exclude_special`` the reserved ids lose their mass and the rest is
-    renormalized to sum 1; switch it off to keep the raw product weights.
-    """
+def copy_attention_weights(trace: AttentionTrace,
+                           vocab_size: int) -> CopyWeights:
+    """Head-averaged copy weights from a context attention trace; the
+    reserved ids lose their mass and the rest is renormalized to sum 1."""
     m = trace.m
     alpha_tokens = (trace.sent.sum(axis=0) @ trace.word.sum(axis=0)) \
         * (1.0 / (m * m))
 
     token_ids = [i for ids in trace.token_ids for i in ids]
-    keep = np.ones(len(token_ids), dtype=bool)
-    if exclude_special:
-        keep = np.array([i not in SPECIAL_IDS for i in token_ids], dtype=bool)
+    keep = np.array([i not in SPECIAL_IDS for i in token_ids], dtype=bool)
     copyable = bool(keep.any())
 
     indicator = np.zeros((len(token_ids), vocab_size))
@@ -94,7 +88,7 @@ def copy_attention_weights(trace: AttentionTrace, vocab_size: int,
             indicator[k, tid] = 1.0
     alpha_vocab = alpha_tokens @ Tensor._wrap(indicator)
 
-    if exclude_special and copyable:
+    if copyable:
         mass = alpha_vocab.sum(axis=1, keepdims=True)
         ones = Tensor._wrap(np.ones_like(mass.data))
         alpha_vocab = ad.scale_rows(alpha_vocab, ad.div(ones, mass))

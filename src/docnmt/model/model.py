@@ -55,8 +55,7 @@ class EncodedSentence:
 @dataclass
 class DecodeOut:
     """States of one (possibly context-integrated) decoder pass."""
-    h: Tensor                    # base final-layer rows
-    h_tilde: Tensor              # integrated rows (== h on the skip path)
+    h_tilde: Tensor              # integrated rows (the stack's on the skip path)
     d_rows: Tensor | None        # context summary rows, None on skip path
     trace: AttentionTrace | None
     kv: list[tuple[Tensor, Tensor]]  # per layer: self-attention K, V rows
@@ -119,7 +118,8 @@ class DecoderMemory:
     """
 
     def __init__(self, model: "DocModel", encoded: EncodedSentence,
-                 context: ContextState | None, variant: str):
+                 context: ContextState | None = None,
+                 variant: str = "sentence"):
         check_variant(variant)
         p, m = model.params, model.cfg.m_heads
         self.encoded = encoded
@@ -223,11 +223,6 @@ class DocModel:
 
     # -- decoder --------------------------------------------------------------
 
-    def decoder_memory(self, encoded: EncodedSentence,
-                       context: ContextState | None = None,
-                       variant: str = "sentence") -> DecoderMemory:
-        return DecoderMemory(self, encoded, context, variant)
-
     def decode_states(self, ids: list[int], memory: DecoderMemory,
                       past: list[DecoderState] | None = None,
                       train: bool = False,
@@ -284,20 +279,10 @@ class DocModel:
         """``decode_states``, then target-side context integration."""
         h, kv = self.decode_states(ids, memory, past, train, rng)
         if memory.context is None:
-            return DecodeOut(h=h, h_tilde=h, d_rows=None, trace=None, kv=kv)
+            return DecodeOut(h_tilde=h, d_rows=None, trace=None, kv=kv)
         h_tilde, d_rows, trace = hierarchical_context(
             h, memory.context, memory.ctx_p, self.cfg.m_heads)
-        return DecodeOut(h=h, h_tilde=h_tilde, d_rows=d_rows, trace=trace,
-                         kv=kv)
-
-    def contextual_decode(self, prefix_ids: list[int], encoded: EncodedSentence,
-                          context: ContextState | None = None,
-                          variant: str = "sentence", train: bool = False,
-                          rng: np.random.Generator | None = None) -> DecodeOut:
-        """Teacher-forced decoder pass over a whole prefix."""
-        return self.decode(prefix_ids,
-                           self.decoder_memory(encoded, context, variant),
-                           None, train, rng)
+        return DecodeOut(h_tilde=h_tilde, d_rows=d_rows, trace=trace, kv=kv)
 
     # -- output ---------------------------------------------------------------
 
@@ -333,7 +318,7 @@ class DocModel:
                                ) -> tuple[Tensor, Tensor | None]:
         """Teacher-forced P rows [len(tgt)+1, V] and p_copy column (or None)."""
         encoded, _ = self.contextual_encode(src_ids, context, variant, train, rng)
-        memory = self.decoder_memory(encoded, context, variant)
+        memory = DecoderMemory(self, encoded, context, variant)
         out = self.decode([BOS_ID] + tgt_ids, memory, None, train, rng)
         p_vocab = self.output_distribution(out.h_tilde)
         if variant == "copy":
@@ -388,8 +373,7 @@ class DocModel:
                 dist = CopyDistribution(
                     p_copy=float(p_copy.data[i, 0]),
                     p_vocab=p_vocab.data[i].copy(),
-                    alpha_vocab=weights.alpha_vocab.data[i].copy(),
-                    p_w=p_w.data[i].copy())
+                    alpha_vocab=weights.alpha_vocab.data[i].copy())
             results.append(StepResult(p_w=p_w.data[i], copy=dist,
                                       state=state.grow(out, i)))
         return results
@@ -405,8 +389,8 @@ class DocModel:
         if not out_tokens:
             return None
         with ad.no_grad():
-            out = self.contextual_decode([BOS_ID] + out_tokens, encoded,
-                                         context, variant)
+            out = self.decode([BOS_ID] + out_tokens,
+                              DecoderMemory(self, encoded, context, variant))
             states = ad.narrow(out.h_tilde, 0, 1, len(out_tokens))
         return CacheEntry(token_ids=self.clip_ids(out_tokens, "tgt"),
                           states=states.detach())

@@ -50,9 +50,6 @@ class ParamStore:
     def __len__(self) -> int:
         return len(self._params)
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 
@@ -85,9 +82,6 @@ class ParamStore:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def n_entries(self) -> int:
-        return sum(t.size for t in self._params.values())
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self._params.items()}

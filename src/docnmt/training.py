@@ -110,19 +110,17 @@ class TrainResult:
 
 
 class Adam:
-    """Adam with bias correction; default hyperparameters."""
+    """Adam with bias correction, betas (0.9, 0.999) and eps 1e-8."""
 
-    def __init__(self, store: ParamStore, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store: ParamStore):
         self.store = store
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, p in self.store.items():
@@ -138,7 +136,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
 
 def inverse_sqrt_lr(step: int, d_model: int, warmup: int,
@@ -151,10 +149,11 @@ def inverse_sqrt_lr(step: int, d_model: int, warmup: int,
 
 def split_corpus(corpus: DocumentCorpus, val_fraction: float, seed: int
                  ) -> tuple[DocumentCorpus, DocumentCorpus]:
-    """Document-level split; a 1-document corpus validates on itself."""
+    """Document-level split that keeps at least one training document; a
+    1-document corpus validates on itself."""
     n = corpus.n_documents
-    n_val = int(round(n * val_fraction))
-    if n < 2 or n_val == 0:
+    n_val = min(int(round(n * val_fraction)), n - 1)
+    if n_val < 1:
         return corpus, corpus
     order = np.random.default_rng([seed, 7001]).permutation(n)
     val_idx = set(int(i) for i in order[:n_val])
@@ -166,9 +165,11 @@ def split_corpus(corpus: DocumentCorpus, val_fraction: float, seed: int
 
 
 def _encode_corpus(corpus: DocumentCorpus, src_vocab: Vocabulary,
-                   tgt_vocab: Vocabulary) -> list[list[tuple[list[int], list[int]]]]:
-    return [[(src_vocab.encode(s), tgt_vocab.encode(t)) for s, t in doc]
-            for doc in corpus.documents]
+                   tgt_vocab: Vocabulary, max_len: int
+                   ) -> list[list[tuple[list[int], list[int]]]]:
+    """Id sequences truncated to ``max_len``, as ``make_batches`` does."""
+    return [[(src_vocab.encode(s)[:max_len], tgt_vocab.encode(t)[:max_len])
+             for s, t in doc] for doc in corpus.documents]
 
 
 def _push_gold(model: DocModel, context: ContextState, src_ids: list[int],
@@ -225,11 +226,12 @@ def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
     optimizer = Adam(store)
     batch_mode = "sentence" if stage == "base" else "document"
     n_context = model_cfg.n_context
+    # the decoder reads BOS + target, one position more than the target
+    max_len = min(tcfg.max_len, model_cfg.max_len - 1)
 
     train_corpus, val_corpus = split_corpus(corpus, tcfg.val_fraction,
                                             tcfg.seed)
-    train_docs = _encode_corpus(train_corpus, src_vocab, tgt_vocab)
-    val_docs = _encode_corpus(val_corpus, src_vocab, tgt_vocab)
+    val_docs = _encode_corpus(val_corpus, src_vocab, tgt_vocab, max_len)
 
     history: list[EpochRecord] = []
 
@@ -246,7 +248,7 @@ def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
     step = 0
     for epoch in range(1, tcfg.epochs + 1):
         batches, _ = make_batches(train_corpus, src_vocab, tgt_vocab,
-                                  batch_mode, tcfg.max_tokens, tcfg.max_len,
+                                  batch_mode, tcfg.max_tokens, max_len,
                                   seed=int(np.random.default_rng(
                                       [tcfg.seed, epoch]).integers(2**31)))
         drop_rng = np.random.default_rng([tcfg.seed, 1_000_000 + epoch])

@@ -17,7 +17,7 @@ from docnmt import autodiff as ad
 from docnmt.autodiff import Tensor
 from docnmt.model.copy import SPECIAL_IDS, copy_gate, mix_distributions
 from docnmt.model.han import _sub
-from docnmt.model.model import DECODER_CTX
+from docnmt.model.model import DECODER_CTX, DecoderMemory
 from docnmt.model.transformer import causal_mask, positionwise_ffn
 
 from attention_reference import multi_head_attention
@@ -79,7 +79,7 @@ def reference_step(model, prefix, encoded, context, variant):
 def incremental_step(model, prefix, encoded, context, variant):
     """The search's path for one prefix: one step per token, each growing
     the state by one row; returns the last step's result."""
-    memory = model.decoder_memory(encoded, context, variant)
+    memory = DecoderMemory(model, encoded, context, variant)
     state = None
     for t in range(1, len(prefix) + 1):
         result = model.step_distribution([prefix[:t]], memory, [state])[0]

@@ -25,10 +25,10 @@ from docnmt.decoding import SearchConfig, greedy_search, search
 from docnmt.diagnostics import full_copy_gradcheck
 from docnmt.metrics import bleu4, lc_score
 from docnmt.model import DocModel, build_params
-from docnmt.model.config import toy_config
+from docnmt.model.config import ModelConfig
 from docnmt.model.copy import copy_attention_weights
 from docnmt.model.han import AttentionTrace, CacheEntry, ContextState
-from docnmt.tokens import BOS_ID, EOS_ID
+from docnmt.tokens import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 from decode_reference import incremental_step
 from han_reference import block_trace
@@ -38,8 +38,8 @@ from han_reference import block_trace
 
 
 def _tiny_model(seed: int, vocab_src: int = 11, vocab_tgt: int = 13):
-    cfg = toy_config(vocab_src, vocab_tgt, d_model=8, n_layers=1, m_heads=2,
-                     d_ff=16, dropout=0.0, n_context=3)
+    cfg = ModelConfig(vocab_src, vocab_tgt, d_model=8, n_layers=1, m_heads=2,
+                      d_ff=16, dropout=0.0, n_context=3)
     store = build_params(cfg, np.random.default_rng([seed, 0]))
     return DocModel(cfg, store), cfg
 
@@ -130,7 +130,8 @@ def _naive_alpha(trace: AttentionTrace, vocab: int):
     """Reference implementation: explicit loops over positions, sentences,
     tokens, and heads, reading the block layout (query t's weights on
     sentence j sit in row j*T+t of the word blocks, column j*T+t of the
-    sentence blocks)."""
+    sentence blocks).  Reserved ids get no vocabulary mass; the rest is
+    renormalized to sum 1."""
     m = trace.m
     T = trace.n_positions
     flat_ids = [i for ids in trace.token_ids for i in ids]
@@ -147,7 +148,11 @@ def _naive_alpha(trace: AttentionTrace, vocab: int):
     alpha_vocab = np.zeros((trace.n_positions, vocab))
     for t in range(trace.n_positions):
         for k, tid in enumerate(flat_ids):
-            alpha_vocab[t, tid] += alpha_tokens[t, k]
+            if tid not in (PAD_ID, UNK_ID, BOS_ID, EOS_ID):
+                alpha_vocab[t, tid] += alpha_tokens[t, k]
+        mass = alpha_vocab[t].sum()
+        if mass > 0:
+            alpha_vocab[t] /= mass
     return alpha_tokens, alpha_vocab
 
 
@@ -159,7 +164,7 @@ def test_copy_weights_match_naive_loop():
     for m in (1, 2, 4):
         for _ in range(34 if m == 1 else 33):
             trace = _random_trace(rng, m, vocab)
-            got = copy_attention_weights(trace, vocab, exclude_special=False)
+            got = copy_attention_weights(trace, vocab)
             want_tokens, want_vocab = _naive_alpha(trace, vocab)
             np.testing.assert_allclose(got.alpha_tokens.data, want_tokens,
                                        rtol=0, atol=1e-12)

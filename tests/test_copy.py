@@ -110,12 +110,6 @@ class TestSpecialTokenHandling:
                                    atol=1e-12)
         np.testing.assert_allclose(w.alpha_vocab.data.sum(), 1.0, atol=1e-12)
 
-    def test_exclusion_can_be_switched_off(self):
-        trace = trace_from_arrays([[1.0]], [[[0.5, 0.25, 0.25]]], [[3, 7, 8]])
-        w = copy_attention_weights(trace, vocab_size=10, exclude_special=False)
-        np.testing.assert_allclose(w.alpha_vocab.data[0, [3, 7, 8]],
-                                   [0.5, 0.25, 0.25], atol=1e-12)
-
     def test_all_special_cache_is_not_copyable(self):
         trace = trace_from_arrays([[1.0]], [[[0.6, 0.4]]], [[2, 3]])
         w = copy_attention_weights(trace, vocab_size=10)

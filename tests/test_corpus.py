@@ -7,6 +7,7 @@ from docnmt.corpus import (
     build_vocab,
     generate_synthetic_cohesion_corpus,
     load_corpus,
+    load_documents,
     load_vocab_pair,
     make_batches,
     save_corpus,
@@ -63,6 +64,26 @@ def test_load_corpus_rejects_empty_document(tmp_path):
     tgt = write(tmp_path / "t.txt", "A\n\n\nB\n")
     with pytest.raises(DataError, match="line 3"):
         load_corpus(src, tgt)
+
+
+def test_load_corpus_reports_the_first_error(tmp_path):
+    # empty document at line 3, one side blank at line 6
+    src = write(tmp_path / "s.txt", "a\n\n\nb\nc\n\nd\n")
+    tgt = write(tmp_path / "t.txt", "A\n\n\nB\nC\nX\nD\n")
+    with pytest.raises(DataError, match="line 3: empty document"):
+        load_corpus(src, tgt)
+
+
+def test_load_documents_rejects_consecutive_blank_lines(tmp_path):
+    path = write(tmp_path / "d.txt", "a b\nc\n\n\nd\n")
+    with pytest.raises(DataError, match="line 4: empty document"):
+        load_documents(path)
+
+
+def test_load_documents_rejects_an_empty_file(tmp_path):
+    path = write(tmp_path / "d.txt", "")
+    with pytest.raises(DataError, match="corpus is empty"):
+        load_documents(path)
 
 
 def test_save_load_round_trip_is_bitwise(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,8 +17,9 @@ from docnmt.decoding import (
     update_context,
 )
 from docnmt.errors import ContractError, DataError
-from docnmt.model import DocModel, build_params, toy_config
+from docnmt.model import DocModel, ModelConfig, build_params
 from docnmt.model.han import ContextState
+from docnmt.model.model import DecoderMemory
 from docnmt.tokens import BOS_ID, EOS_ID
 
 from decode_reference import incremental_step, reference_step
@@ -64,8 +66,8 @@ def random_machine(rng, vocab=6):
 
 
 def tiny_model(seed=0, variant_vocab=(11, 13), **over):
-    cfg = toy_config(*variant_vocab, d_model=8, n_layers=1, m_heads=2,
-                     d_ff=16, dropout=0.0, n_context=3, **over)
+    cfg = ModelConfig(*variant_vocab, d_model=8, n_layers=1, m_heads=2,
+                      d_ff=16, dropout=0.0, n_context=3, **over)
     params = build_params(cfg, np.random.default_rng(seed))
     params.set_trainable(set())
     return DocModel(cfg, params)
@@ -242,8 +244,9 @@ def test_single_sentence_doc_copy_equals_sentence_level():
     assert copy_out == sent_out
 
 
-def test_context_eviction_respects_n_context():
+def test_context_eviction_respects_n_context(monkeypatch):
     model = tiny_model(seed=8)
+    model = DocModel(dataclasses.replace(model.cfg, n_context=1), model.params)
     seen = []
 
     class SpyContext(ContextState):
@@ -251,9 +254,9 @@ def test_context_eviction_respects_n_context():
             super().push_source(entry)
             seen.append((len(self.source), len(self.target)))
 
-    ctx = SpyContext(1)
+    monkeypatch.setattr("docnmt.decoding.ContextState", SpyContext)
     doc = [[4, 5], [6, 7], [8, 9], [10, 4]]
-    translate_document(model, doc, "copy", context=ctx)
+    translate_document(model, doc, "copy")
     assert all(s <= 1 and t <= 1 for s, t in seen)
     assert len(seen) == 4
 
@@ -396,7 +399,7 @@ def test_batched_steps_match_full_recompute():
         for variant in VARIANTS:
             encoded, _ = model.contextual_encode(src, ctx, variant,
                                                  train=False)
-            memory = model.decoder_memory(encoded, ctx, variant)
+            memory = DecoderMemory(model, encoded, ctx, variant)
             for length in range(1, 9):
                 for k in range(1, 5):
                     prefixes = [[BOS_ID] + [int(i) for i in rng.integers(
@@ -428,7 +431,7 @@ def test_empty_cache_copy_step_is_sentence_step_bitwise():
     empty = ContextState(3)
     encoded, _ = model.contextual_encode([4, 5, 6, 7], empty, "copy",
                                          train=False)
-    memories = {v: model.decoder_memory(encoded, empty, v)
+    memories = {v: DecoderMemory(model, encoded, empty, v)
                 for v in ("copy", "sentence")}
     prefixes = [[BOS_ID] + [int(i) for i in rng.integers(4, 13, size=4)]
                 for _ in range(3)]
@@ -447,7 +450,7 @@ def test_empty_cache_copy_step_is_sentence_step_bitwise():
 def test_step_rejects_a_state_that_does_not_fit_its_prefix():
     model = tiny_model(seed=17)
     encoded, _ = model.contextual_encode([4, 5])
-    memory = model.decoder_memory(encoded)
+    memory = DecoderMemory(model, encoded)
     first = model.step_distribution([[BOS_ID]], memory, [None])[0]
     with pytest.raises(ContractError):
         model.step_distribution([[BOS_ID]], memory, [first.state])

@@ -6,7 +6,8 @@ import pytest
 from docnmt.autodiff import Tensor
 from docnmt.errors import ContractError
 from docnmt.gradcheck import grad_check
-from docnmt.model import build_params, toy_config
+from docnmt.model import build_params
+from docnmt.model.model import DecoderMemory
 from docnmt import autodiff as ad
 from docnmt.model.copy import copy_attention_weights
 from docnmt.model.han import (CacheEntry, ContextMemory, ContextState,
@@ -147,8 +148,9 @@ class TestSkipPaths:
         for variant in ("han-encoder", "han-decoder", "han-joint", "copy"):
             enc, _ = model.contextual_encode([4, 5, 6], empty, variant)
             np.testing.assert_array_equal(enc.states.data, enc_gold)
-            out = model.contextual_decode([2, 7, 8], enc, empty, variant)
-            ref = model.contextual_decode([2, 7, 8], base)
+            out = model.decode([2, 7, 8],
+                               DecoderMemory(model, enc, empty, variant))
+            ref = model.decode([2, 7, 8], DecoderMemory(model, base))
             np.testing.assert_array_equal(out.h_tilde.data, ref.h_tilde.data)
             assert out.trace is None
 
@@ -174,7 +176,7 @@ class TestCachedStates:
         tokens = [7, 8, 9]
         entry = model.target_cache_entry(tokens, enc, None, "sentence")
         assert entry.token_ids == tokens
-        out = model.contextual_decode([2] + tokens, enc)
+        out = model.decode([2] + tokens, DecoderMemory(model, enc))
         np.testing.assert_array_equal(entry.states.data, out.h_tilde.data[1:])
 
     def test_empty_translation_yields_no_entry(self):

@@ -5,7 +5,7 @@ import pytest
 
 from docnmt.corpus import build_vocab, generate_synthetic_cohesion_corpus
 from docnmt.errors import ContractError, DataError, TrainingDiverged
-from docnmt.model import ParamStore, build_params, toy_config
+from docnmt.model import ModelConfig, ParamStore, build_params
 from docnmt.training import (
     Adam,
     TrainConfig,
@@ -22,8 +22,8 @@ def small_setup(n_docs=6, doc_len=2, seed=0, **cfg_over):
         n_docs=n_docs, doc_len=doc_len, n_concepts=3, seed=seed)
     sv = build_vocab(corpus, "src")
     tv = build_vocab(corpus, "tgt")
-    cfg = toy_config(len(sv), len(tv), d_model=8, n_layers=1, m_heads=2,
-                     d_ff=16, dropout=0.0, n_context=3, **cfg_over)
+    cfg = ModelConfig(len(sv), len(tv), d_model=8, n_layers=1, m_heads=2,
+                      d_ff=16, dropout=0.0, n_context=3, **cfg_over)
     return corpus, lex, sv, tv, cfg
 
 
@@ -101,6 +101,14 @@ def test_split_single_document_validates_on_itself():
     assert tr.doc_ids == va.doc_ids == corpus.doc_ids
 
 
+@pytest.mark.parametrize("n_docs, fraction", [(2, 0.75), (10, 0.97)])
+def test_split_keeps_one_training_document(n_docs, fraction):
+    corpus, *_ = small_setup(n_docs=n_docs)
+    tr, va = split_corpus(corpus, fraction, seed=0)
+    assert tr.n_documents == 1 and va.n_documents == n_docs - 1
+    assert not set(va.doc_ids) & set(tr.doc_ids)
+
+
 # ---------------------------------------------------------------------------
 # base training
 
@@ -117,6 +125,24 @@ def test_zero_epoch_run_returns_initialization():
     after = result.store.snapshot()
     for name in before:
         np.testing.assert_array_equal(before[name], after[name])
+
+
+@pytest.mark.parametrize("long_in", [("train",), ("val",), ("train", "val")])
+def test_over_long_targets_are_truncated_to_fit_bos(long_in):
+    """A 64-token target needs 65 decoder positions with BOS; a 70-token
+    validation target is not batched at all.  Both are truncated to fit
+    the model's max_len."""
+    corpus, _, sv, tv, cfg = small_setup(max_len=64)
+    tcfg = TrainConfig(stage="base", epochs=1, seed=0)
+    train_part, val_part = split_corpus(corpus, tcfg.val_fraction, tcfg.seed)
+    for side, part, length in (("train", train_part, 64),
+                               ("val", val_part, 70)):
+        if side in long_in:
+            src, tgt = part.documents[0][0]
+            part.documents[0][0] = (src, (tgt * length)[:length])
+    result = train_base(corpus, cfg, sv, tv, tcfg)
+    assert len(result.history) == 2
+    assert math.isfinite(result.history[-1].val_loss)
 
 
 def test_base_training_reproducible_and_seed_sensitive():

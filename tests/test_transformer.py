@@ -11,7 +11,8 @@ from docnmt.autodiff import Tensor
 from docnmt.checkpoint import load_checkpoint, save_checkpoint
 from docnmt.errors import CheckpointError, ContractError
 from docnmt.gradcheck import grad_check
-from docnmt.model import DocModel, ParamStore, build_params, toy_config
+from docnmt.model import DocModel, ModelConfig, ParamStore, build_params
+from docnmt.model.model import DecoderMemory
 from docnmt.model.transformer import (HeadKV, attend, causal_mask,
                                       cross_entropy, multi_head_attention,
                                       positionwise_ffn, sinusoidal_positions)
@@ -26,7 +27,7 @@ def tiny_model(seed=0, **over):
     over.setdefault("m_heads", 2)
     over.setdefault("d_ff", 16)
     over.setdefault("dropout", 0.0)
-    cfg = toy_config(11, 13, **over)
+    cfg = ModelConfig(11, 13, **over)
     store = build_params(cfg, np.random.default_rng(seed))
     store.set_trainable(set())
     return DocModel(cfg, store)
@@ -261,7 +262,7 @@ class TestEncodeDecode:
     def test_decode_prefix_extension_is_causal_bitwise(self):
         model = tiny_model()
         enc, _ = model.contextual_encode([4, 5, 6])
-        memory = model.decoder_memory(enc)
+        memory = DecoderMemory(model, enc)
         short, _ = model.decode_states([2, 7, 8], memory)
         longer, _ = model.decode_states([2, 7, 8, 9], memory)
         np.testing.assert_array_equal(short.data, longer.data[:3])
@@ -271,7 +272,7 @@ class TestEncodeDecode:
         model.params["out.w"].data[:] = 0.0
         model.params["out.b"].data[:] = 0.0
         enc, _ = model.contextual_encode([4, 5])
-        out = model.contextual_decode([2, 7], enc)
+        out = model.decode([2, 7], DecoderMemory(model, enc))
         p = model.output_distribution(out.h_tilde)
         np.testing.assert_allclose(p.data, 1.0 / 13, atol=1e-12)
 
@@ -324,7 +325,7 @@ class TestParamStoreView:
 
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, tmp_path):
-        cfg = toy_config(11, 13, d_model=8, n_layers=1, m_heads=2, d_ff=16)
+        cfg = ModelConfig(11, 13, d_model=8, n_layers=1, m_heads=2, d_ff=16)
         store = build_params(cfg, np.random.default_rng(4))
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, store, cfg, ["base", "ctx_enc"])
@@ -341,7 +342,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
-        cfg = toy_config(11, 13, d_model=8, n_layers=1, m_heads=2, d_ff=16)
+        cfg = ModelConfig(11, 13, d_model=8, n_layers=1, m_heads=2, d_ff=16)
         store = build_params(cfg, np.random.default_rng(4))
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, store, cfg, ["base"])
@@ -351,7 +352,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def _saved(self, tmp_path):
-        cfg = toy_config(11, 13, d_model=8, n_layers=1, m_heads=2, d_ff=16)
+        cfg = ModelConfig(11, 13, d_model=8, n_layers=1, m_heads=2, d_ff=16)
         store = build_params(cfg, np.random.default_rng(4))
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, store, cfg, ["base"])
