@@ -13,7 +13,8 @@ through a dedicated op such as ``add_bias`` / ``scale_rows``.
 Activations are 2-d [rows, features].  The one 3-d layout is the per-head
 attention weights [m, a, b] of ``attention_weights``: head h's [a, b]
 post-softmax matrix is entry h, and ``attention_mix`` merges the heads back
-into [a, d] rows.
+into [a, d] rows.  Given a [B, a, b] mask, both ops take B stacked
+sequences (B*a query rows, B*b key rows) and the weights are [B, m, a, b].
 """
 
 from __future__ import annotations
@@ -415,13 +416,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _out(out, (x, gain, bias), bwd, "layer_norm")
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate == 0.  Training-path only."""
+def keep_mask(shape: tuple, rate: float, rng: np.random.Generator) -> Array:
+    """Which entries inverted dropout keeps (boolean), drawn from ``rng``."""
+    return rng.random(shape) >= rate
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None,
+            keep: Array | None = None) -> Tensor:
+    """Inverted dropout; identity when rate == 0.  Training-path only.
+
+    The kept entries are drawn from ``rng``, or given as ``keep`` (a
+    ``keep_mask`` drawn earlier); they are scaled by 1 / (1 - rate)."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate {rate} outside [0, 1)")
     if rate == 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    if keep is None:
+        keep = keep_mask(x.data.shape, rate, rng)
+    elif keep.shape != x.data.shape:
+        raise ShapeError(f"dropout: keep mask {keep.shape} vs x {x.shape}")
+    mask = keep / (1.0 - rate)
     return _out(x.data * mask, (x,), lambda g: (g * mask,), "dropout")
 
 
@@ -434,22 +448,31 @@ def masked_fill(x: Tensor, mask: Array, value: float) -> Tensor:
                 lambda g: (g * keep,), "masked_fill", check=False)
 
 
-def _heads(x: Array, m: int) -> Array:
-    """Rows [n, m*dh] as contiguous per-head blocks [m, n, dh].
+def _heads(x: Array, m: int, lead: tuple = ()) -> Array:
+    """Rows [n, m*dh] as contiguous per-head blocks [m, n, dh]; with
+    ``lead`` = (B,), rows [B*n, m*dh] as blocks [B, m, n, dh].
 
     Contiguous blocks make each head's batched product the same BLAS call as
     a 2-d product of that head's columns, so results match it bitwise.
     """
     n, d = x.shape
+    if lead:
+        return np.ascontiguousarray(
+            x.reshape(lead[0], -1, m, d // m).transpose(0, 2, 1, 3))
     return np.ascontiguousarray(x.reshape(n, m, d // m).transpose(1, 0, 2))
 
 
 def _merge(x: Array) -> Array:
-    """Per-head blocks [m, n, dh] back to C-contiguous rows [n, m*dh].
+    """Per-head blocks [(B,) m, n, dh] back to C-contiguous rows
+    [(B*)n, m*dh].
 
     Contiguity matters: a later product of these rows is then the same BLAS
     call as with rows merged by ``concat``.
     """
+    if x.ndim == 4:
+        bs, m, n, dh = x.shape
+        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(
+            bs * n, m * dh)
     m, n, dh = x.shape
     return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(n, m * dh)
 
@@ -462,48 +485,62 @@ def attention_weights(q: Tensor, k: Tensor, m: int,
     is columns h*d_h onwards).  ``mask`` [a, b] (True = blocked) applies to
     every head; blocked weights are exact zeros.  The scaled logits are
     checked before masking, the weights after the softmax.
+
+    A [B, a, b] mask makes q [B*a, d] and k [B*b, d] B stacked sequences:
+    sequence i's queries attend only over its own keys, under mask[i], and
+    the weights are [B, m, a, b].
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or q.data.shape[1] != k.data.shape[1]:
         raise ShapeError(f"attention_weights: q {q.shape}, k {k.shape}")
-    (a, d), b = q.data.shape, k.data.shape[0]
+    (rows_q, d), rows_k = q.data.shape, k.data.shape[0]
     if m < 1 or d % m:
         raise ShapeError(f"attention_weights: width {d} vs {m} heads")
-    if mask is not None and mask.shape != (a, b):
-        raise ShapeError(f"attention_weights: mask {mask.shape} vs logits {(a, b)}")
+    lead = ()                                         # (B,) when stacked
+    if mask is not None and mask.shape != (rows_q, rows_k):
+        n, a, b = mask.shape if mask.ndim == 3 else (0, 0, 0)
+        if (n * a, n * b) != (rows_q, rows_k):
+            raise ShapeError(f"attention_weights: mask {mask.shape} vs q "
+                             f"{q.shape}, k {k.shape}")
+        lead = (n,)
     dh = d // m
     scale = 1.0 / math.sqrt(dh)
-    qh = _heads(q.data, m)                            # [m, a, dh]
-    kt = np.ascontiguousarray(k.data.reshape(b, m, dh).transpose(1, 2, 0))
-    logits = scale * np.matmul(qh, kt)
+    qh = _heads(q.data, m, lead)                      # [(B,) m, a, dh]
+    kt = np.ascontiguousarray(                        # [(B,) m, dh, b]
+        k.data.reshape(lead[0], -1, m, dh).transpose(0, 2, 3, 1) if lead
+        else k.data.reshape(rows_k, m, dh).transpose(1, 2, 0))
+    logits = scale * np.matmul(qh, kt)                # [(B,) m, a, b]
     _finite(logits, "attention_weights")
     if mask is not None:
-        logits = np.where(mask, -np.inf, logits)
+        logits = np.where(mask[:, None] if lead else mask, -np.inf, logits)
     e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
     w = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
         gl = scale * (w * (g - np.sum(g * w, axis=-1, keepdims=True)))
-        gk = np.matmul(qh.transpose(0, 2, 1), gl)     # [m, dh, b]
-        return (_merge(np.matmul(gl, kt.transpose(0, 2, 1))),
-                _merge(gk.transpose(0, 2, 1)))
+        gk = np.matmul(qh.swapaxes(-1, -2), gl)       # [(B,) m, dh, b]
+        return (_merge(np.matmul(gl, kt.swapaxes(-1, -2))),
+                _merge(gk.swapaxes(-1, -2)))
 
     return _out(w, (q, k), bwd, "attention_weights")
 
 
 def attention_mix(w: Tensor, v: Tensor) -> Tensor:
     """Per-head products w_h v_h of [m, a, b] weights and [b, d] values,
-    heads merged into [a, d] rows (head h fills columns h*d_h onwards)."""
-    if w.data.ndim != 3 or v.data.ndim != 2 or v.data.shape[0] != w.data.shape[2] \
-            or v.data.shape[1] % w.data.shape[0]:
+    heads merged into [a, d] rows (head h fills columns h*d_h onwards).
+    Stacked weights [B, m, a, b] take values [B*b, d] and give [B*a, d]."""
+    if w.data.ndim not in (3, 4) or v.data.ndim != 2:
         raise ShapeError(f"attention_mix: weights {w.shape}, values {v.shape}")
-    m, a, _ = w.data.shape
-    vh = _heads(v.data, m)                            # [m, b, dh]
+    lead = w.data.shape[:-3]
+    m, a, b = w.data.shape[-3:]
+    if v.data.shape[0] != (b * lead[0] if lead else b) or v.data.shape[1] % m:
+        raise ShapeError(f"attention_mix: weights {w.shape}, values {v.shape}")
+    vh = _heads(v.data, m, lead)                      # [(B,) m, b, dh]
 
     def bwd(g):
         # per-head column views of g, strided like the parts of a concat
-        gh = g.reshape(a, m, -1).transpose(1, 0, 2)
-        return (np.matmul(gh, vh.transpose(0, 2, 1)),
-                _merge(np.matmul(w.data.transpose(0, 2, 1), gh)))
+        gh = g.reshape(lead + (a, m, -1)).swapaxes(-3, -2)
+        return (np.matmul(gh, vh.swapaxes(-1, -2)),
+                _merge(np.matmul(w.data.swapaxes(-1, -2), gh)))
 
     return _out(_merge(np.matmul(w.data, vh)), (w, v), bwd, "attention_mix")
 

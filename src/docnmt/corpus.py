@@ -210,6 +210,7 @@ class BatchItem:
     src_ids: list[int]
     tgt_ids: list[int]
     doc_start: bool
+    doc_end: bool                # last sentence of its document (document mode)
     doc_id: str
 
 
@@ -227,7 +228,7 @@ def make_batches(corpus: DocumentCorpus, src_vocab: Vocabulary,
                         token on both sides; the first sentence of each
                         document stays unconcatenated; shuffled.
     * ``document``    — documents shuffled, sentences kept in order with
-                        ``doc_start`` marking boundaries.
+                        ``doc_start`` / ``doc_end`` marking boundaries.
 
     No batch exceeds ``max_tokens`` target tokens; sentences longer than
     ``max_len`` are truncated (counted in the second return value).
@@ -263,7 +264,8 @@ def make_batches(corpus: DocumentCorpus, src_vocab: Vocabulary,
                     tgt = prev[1] + [SEP] + tgt
                 items.append(BatchItem(src_ids=clip(src_vocab.encode(src)),
                                        tgt_ids=clip(tgt_vocab.encode(tgt)),
-                                       doc_start=False, doc_id=doc_id))
+                                       doc_start=False, doc_end=False,
+                                       doc_id=doc_id))
                 prev = pair
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(items))
@@ -277,6 +279,7 @@ def make_batches(corpus: DocumentCorpus, src_vocab: Vocabulary,
                 items.append(BatchItem(src_ids=clip(src_vocab.encode(pair[0])),
                                        tgt_ids=clip(tgt_vocab.encode(pair[1])),
                                        doc_start=(s == 0),
+                                       doc_end=(s == len(doc) - 1),
                                        doc_id=corpus.doc_ids[d]))
 
     batches: list[list[BatchItem]] = []

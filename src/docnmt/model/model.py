@@ -17,11 +17,19 @@ is built once into a ``DecoderMemory``.  Teacher forcing runs the stack over
 a whole prefix under the causal mask; search runs it over one new row per
 hypothesis, each row attending over its own ``DecoderState`` (the key and
 value rows of the tokens before it).
+
+The sentence variant also teacher-forces many pairs at once
+(``stacked_loss``): ``encode`` and ``decode_states`` take a ``Stack`` of
+sequences padded to one length, run as B*L rows with key-padding (and
+causal) masks [B, L, L], so one pass does the work of B ``sentence_loss``
+calls.  Dropout then applies keep masks drawn per pair beforehand
+(``dropout_masks``), the same draws the per-pair loop would make.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +37,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..errors import ContractError
-from ..tokens import BOS_ID, EOS_ID, UNK_ID
+from ..tokens import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 from .config import ModelConfig
 from .copy import (CopyDistribution, copy_attention_weights, copy_gate,
                    encoder_context_attention, mix_distributions)
@@ -44,11 +52,66 @@ VARIANTS = ("sentence", "han-encoder", "han-decoder", "han-joint", "copy")
 ENCODER_CTX = frozenset({"han-encoder", "han-joint", "copy"})
 DECODER_CTX = frozenset({"han-decoder", "han-joint", "copy"})
 
+# where dropout draws from: a generator, or (stacked passes) an iterator of
+# keep masks in the order the pass applies dropout
+DropoutSource = np.random.Generator | Iterator[np.ndarray] | None
+
+
+@dataclass(frozen=True)
+class Stack:
+    """B id sequences, each padded with PAD_ID to the longest one's
+    length L and laid out one after another as B*L rows."""
+    ids: list[int]               # B*L ids, row-major
+    lengths: tuple[int, ...]     # B true lengths
+
+    @classmethod
+    def of(cls, seqs: list[list[int]]) -> "Stack":
+        """Pad ``seqs`` with PAD_ID and stack them."""
+        if not seqs or not all(seqs):
+            raise ContractError("a stack needs one or more non-empty sequences")
+        width = max(map(len, seqs))
+        return cls([i for s in seqs for i in list(s) + [PAD_ID] * (width - len(s))],
+                   tuple(map(len, seqs)))
+
+    @property
+    def width(self) -> int:
+        return len(self.ids) // len(self.lengths)
+
+    def __len__(self) -> int:
+        """Rows, pads included."""
+        return len(self.ids)
+
+    def positions(self) -> np.ndarray:
+        return np.tile(np.arange(self.width), len(self.lengths))
+
+    def _pads(self) -> np.ndarray:
+        """[B, L]: True at pad positions."""
+        return np.arange(self.width)[None, :] >= np.array(self.lengths)[:, None]
+
+    def key_mask(self, n_queries: int) -> np.ndarray:
+        """[B, n_queries, L]: every query of sequence i blocked from i's pads."""
+        pads = self._pads()
+        return np.broadcast_to(pads[:, None, :],
+                               (len(self.lengths), n_queries, self.width))
+
+    def rows(self) -> np.ndarray:
+        """Indices of the non-pad rows, in sequence order."""
+        return np.flatnonzero(~self._pads())
+
+    def pad_rows(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Per-sequence [len_i, d] arrays as one [B*L, d] array, pads zero
+        (False)."""
+        out = np.zeros((len(self.lengths), self.width, parts[0].shape[1]),
+                       dtype=parts[0].dtype)
+        for row, part in zip(out, parts):
+            row[:len(part)] = part
+        return out.reshape(len(self.ids), -1)
+
 
 @dataclass
 class EncodedSentence:
-    """Final encoder states for one source sentence."""
-    token_ids: list[int]
+    """Final encoder states for one source sentence (or for a ``Stack``)."""
+    token_ids: list[int] | Stack
     states: Tensor               # [len, d]
 
 
@@ -165,8 +228,13 @@ class DocModel:
 
     # -- embeddings ---------------------------------------------------------
 
+    def _dropout(self, x: Tensor, rng: DropoutSource) -> Tensor:
+        if isinstance(rng, Iterator):
+            return ad.dropout(x, self.cfg.dropout, keep=next(rng))
+        return ad.dropout(x, self.cfg.dropout, rng)
+
     def _embed(self, table: str, ids: list[int], positions: np.ndarray,
-               train: bool, rng: np.random.Generator | None) -> Tensor:
+               train: bool, rng: DropoutSource) -> Tensor:
         length = int(positions.max()) + 1
         if length > self.cfg.max_len:
             raise ContractError(
@@ -174,13 +242,13 @@ class DocModel:
         x = ad.embedding_lookup(self.params[table], ids) * math.sqrt(self.cfg.d_model)
         x = ad.add(x, Tensor._wrap(self._pos[positions]))
         if train and self.cfg.dropout > 0.0:
-            x = ad.dropout(x, self.cfg.dropout, rng)
+            x = self._dropout(x, rng)
         return x
 
     def _sublayer(self, x: Tensor, sub_out: Tensor, ln: dict[str, Tensor],
-                  train: bool, rng) -> Tensor:
+                  train: bool, rng: DropoutSource) -> Tensor:
         if train and self.cfg.dropout > 0.0:
-            sub_out = ad.dropout(sub_out, self.cfg.dropout, rng)
+            sub_out = self._dropout(sub_out, rng)
         return ad.layer_norm(ad.add(x, sub_out), ln["g"], ln["b"])
 
     def clip_ids(self, ids, side: str) -> list[int]:
@@ -188,19 +256,51 @@ class DocModel:
         vocab = self.cfg.vocab_src if side == "src" else self.cfg.vocab_tgt
         return [i if 0 <= i < vocab else UNK_ID for i in ids]
 
+    def dropout_masks(self, src_len: int, tgt_len: int,
+                      rng: np.random.Generator
+                      ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The keep masks ``sentence_loss(train=True)`` of the sentence
+        variant draws for one pair, drawn from ``rng`` in its order, as
+        (encoder masks, decoder masks).  The encoder applies dropout to the
+        embedding, then to each layer's attention and FFN; the decoder to
+        the embedding (BOS + target rows), then to each layer's
+        self-attention, cross-attention and FFN.  Both lists are empty at
+        dropout 0, which draws nothing."""
+        rate, n, d = self.cfg.dropout, self.cfg.n_layers, self.cfg.d_model
+        if rate == 0.0:
+            return [], []
+        src = [ad.keep_mask((src_len, d), rate, rng) for _ in range(1 + 2 * n)]
+        tgt = [ad.keep_mask((tgt_len + 1, d), rate, rng)
+               for _ in range(1 + 3 * n)]
+        return src, tgt
+
     # -- encoder --------------------------------------------------------------
 
-    def encode(self, token_ids: list[int], train: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
-        """Base encoder stack -> final-layer rows [len, d]."""
+    def _layout(self, tokens: list[int] | Stack, side: str, causal: bool
+                ) -> tuple[list[int], np.ndarray, np.ndarray | None]:
+        """Clipped ids, positions and self-attention mask of one sequence
+        or of a ``Stack``."""
+        if isinstance(tokens, Stack):
+            mask = tokens.key_mask(tokens.width)
+            if causal:
+                mask = mask | causal_mask(tokens.width)
+            return self.clip_ids(tokens.ids, side), tokens.positions(), mask
+        n = len(tokens)
+        return (self.clip_ids(tokens, side), np.arange(n),
+                causal_mask(n) if causal else None)
+
+    def encode(self, token_ids: list[int] | Stack, train: bool = False,
+               rng: DropoutSource = None) -> Tensor:
+        """Base encoder stack -> final-layer rows [len, d] (one row per
+        ``Stack`` row)."""
         if not token_ids:
             raise ContractError("encode of an empty sentence")
-        ids = self.clip_ids(token_ids, "src")
+        ids, positions, mask = self._layout(token_ids, "src", causal=False)
         p = self.params
-        x = self._embed("emb.src", ids, np.arange(len(ids)), train, rng)
+        x = self._embed("emb.src", ids, positions, train, rng)
         for i in range(self.cfg.n_layers):
             att, _ = multi_head_attention(x, x, x, p.view(f"enc.{i}.att."),
-                                          self.cfg.m_heads)
+                                          self.cfg.m_heads, mask)
             x = self._sublayer(x, att, p.view(f"enc.{i}.ln1."), train, rng)
             ffn = positionwise_ffn(x, p.view(f"enc.{i}.ffn."))
             x = self._sublayer(x, ffn, p.view(f"enc.{i}.ln2."), train, rng)
@@ -223,25 +323,35 @@ class DocModel:
 
     # -- decoder --------------------------------------------------------------
 
-    def decode_states(self, ids: list[int], memory: DecoderMemory,
+    def decode_states(self, ids: list[int] | Stack, memory: DecoderMemory,
                       past: list[DecoderState] | None = None,
-                      train: bool = False,
-                      rng: np.random.Generator | None = None
+                      train: bool = False, rng: DropoutSource = None
                       ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
         """The decoder stack over new rows -> (final-layer rows, per layer
         the self-attention K and V of those rows).
 
         Without ``past`` the rows are one prefix from position 0 under the
-        causal mask (teacher forcing).  With it, ``ids`` holds the next token
-        of each of len(past) hypotheses whose states have equal lengths; row
-        i attends over hypothesis i's past rows and itself only.
+        causal mask (teacher forcing), or a ``Stack`` of such prefixes, one
+        per sentence of the ``Stack`` that ``memory`` encodes.  With
+        ``past``, ``ids`` holds the next token of each of len(past)
+        hypotheses whose states have equal lengths; row i attends over
+        hypothesis i's past rows and itself only.
         """
         if not ids:
             raise ContractError("decode of an empty prefix")
-        ids = self.clip_ids(ids, "tgt")
+        src = memory.encoded.token_ids
+        cross_mask = None
+        if isinstance(ids, Stack):
+            if past is not None or not isinstance(src, Stack) \
+                    or len(src.lengths) != len(ids.lengths):
+                raise ContractError("stacked prefixes are teacher-forced over "
+                                    "as many stacked sources")
+            cross_mask = src.key_mask(ids.width)
         if past is None:
-            n_past, positions, mask = 0, np.arange(len(ids)), causal_mask(len(ids))
+            n_past = 0
+            ids, positions, mask = self._layout(ids, "tgt", causal=True)
         else:
+            ids = self.clip_ids(ids, "tgt")
             k = len(past)
             if len(ids) != k or len({len(s) for s in past}) != 1:
                 raise ContractError(
@@ -267,7 +377,7 @@ class DocModel:
                             mask)
             x = self._sublayer(x, att, layer.ln1, train, rng)
             cross, _ = attend(x @ layer.cross_p["wq"], layer.cross_kv,
-                              layer.cross_p)
+                              layer.cross_p, cross_mask)
             x = self._sublayer(x, cross, layer.ln2, train, rng)
             ffn = positionwise_ffn(x, layer.ffn)
             x = self._sublayer(x, ffn, layer.ln3, train, rng)
@@ -341,6 +451,38 @@ class DocModel:
         loss = cross_entropy(p_rows, gold, self.cfg.label_smoothing)
         mean_pc = float(p_copy.data.mean()) if p_copy is not None else None
         return loss, len(gold), mean_pc
+
+    def stacked_loss(self, pairs: list[tuple[list[int], list[int]]],
+                     keep: list[tuple[list[np.ndarray], list[np.ndarray]]]
+                     | None = None) -> tuple[Tensor, int]:
+        """Summed label-smoothed cross-entropy of the sentence variant over
+        (source, target) pairs, as one pass over their padded rows.
+
+        Returns (loss, n_positions); the loss equals the sum over the pairs
+        of ``sentence_loss`` times its n_positions, up to summation order.
+        ``keep`` holds each pair's ``dropout_masks`` and selects training
+        mode; without it the pass runs in evaluation mode.  No result
+        depends on the ids in pad positions.
+        """
+        src = Stack.of([s for s, _ in pairs])
+        tgt = Stack.of([[BOS_ID] + t for _, t in pairs])
+        train = keep is not None
+        src_feed = tgt_feed = None
+        if train:
+            # site k of each side: every pair's k-th mask, padded as its rows
+            src_feed = iter([src.pad_rows(list(site))
+                             for site in zip(*(s for s, _ in keep))])
+            tgt_feed = iter([tgt.pad_rows(list(site))
+                             for site in zip(*(t for _, t in keep))])
+        encoded = EncodedSentence(token_ids=src,
+                                  states=self.encode(src, train, src_feed))
+        h, _ = self.decode_states(tgt, DecoderMemory(self, encoded), None,
+                                  train, tgt_feed)
+        # the real rows only; the embedding gather serves for any rows
+        p_rows = self.output_distribution(ad.embedding_lookup(h, tgt.rows()))
+        gold = [g for _, t in pairs for g in self.clip_ids(t, "tgt") + [EOS_ID]]
+        loss = cross_entropy(p_rows, gold, self.cfg.label_smoothing)
+        return loss * float(len(gold)), len(gold)
 
     def step_distribution(self, prefixes: list[list[int]],
                           memory: DecoderMemory,

@@ -3,6 +3,8 @@
 All activations are 2-d [positions, features] tensors; attention masks are
 plain boolean numpy arrays (True = blocked).  Multi-head attention is two
 fused autodiff ops, so its per-head weights come as one [m, a, b] tensor.
+A [B, a, b] mask runs B stacked sequences of a query and b key rows each
+through the same ops (weights [B, m, a, b]).
 """
 
 from __future__ import annotations
@@ -26,15 +28,19 @@ class HeadKV:
 
 
 def _checked_mask(mask: np.ndarray | None,
-                  shape: tuple[int, int]) -> np.ndarray | None:
-    """The mask for logits of ``shape``, or None when it blocks nothing."""
+                  rows: tuple[int, int]) -> np.ndarray | None:
+    """The mask for ``rows`` query and key rows, or None when it blocks
+    nothing.  A [B, a, b] mask stacks B sequences and is always kept: it
+    carries B."""
     if mask is None:
         return None
-    if mask.shape != shape:
-        raise ShapeError(f"mask {mask.shape} vs logits {shape}")
-    if mask.all(axis=1).any():
+    if mask.shape != rows:
+        n, a, b = mask.shape if mask.ndim == 3 else (0, 0, 0)
+        if (n * a, n * b) != rows:
+            raise ShapeError(f"mask {mask.shape} vs {rows} query/key rows")
+    if mask.all(axis=-1).any():
         raise ContractError("attention row is fully masked")
-    return mask if mask.any() else None
+    return mask if mask.ndim == 3 or mask.any() else None
 
 
 def project_kv(k_rows: Tensor, v_rows: Tensor, p: dict[str, Tensor],

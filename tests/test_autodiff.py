@@ -92,6 +92,41 @@ class TestForwardValues:
         assert np.all(w.data[:, mask] == 0.0)
         np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
+    def test_stacked_attention_matches_per_sequence_calls(self):
+        """A [B, a, b] mask runs B sequences through one call; each block
+        equals that sequence's own 2-d call bitwise, forward and backward."""
+        rng = np.random.default_rng(4)
+        n_seq, a, b, d, m = 3, 4, 5, 32, 2
+        q, k, v = (Tensor(rng.normal(size=(n_seq * n, d)), requires_grad=True)
+                   for n in (a, b, b))
+        mask = rng.random((n_seq, a, b)) < 0.4
+        mask[:, :, 0] = False
+        r = rng.normal(size=(n_seq * a, d))
+
+        w = ad.attention_weights(q, k, m, mask)
+        assert w.shape == (n_seq, m, a, b)
+        ad.backward(ad.mul(ad.attention_mix(w, v), Tensor(r)).sum())
+        stacked = [t.grad for t in (q, k, v)]
+        for t in (q, k, v):
+            t.zero_grad()
+        for i in range(n_seq):
+            rows = [ad.narrow(t, 0, i * n, n) for t, n in ((q, a), (k, b), (v, b))]
+            wi = ad.attention_weights(rows[0], rows[1], m, mask[i])
+            np.testing.assert_array_equal(wi.data, w.data[i])
+            out = ad.attention_mix(wi, rows[2])
+            ad.backward(ad.mul(out, Tensor(r[i * a:(i + 1) * a])).sum())
+        for got, t in zip(stacked, (q, k, v)):
+            np.testing.assert_array_equal(got, t.grad)
+
+    def test_dropout_keep_mask_equals_drawn_mask(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4) + 1.0)
+        drawn = ad.dropout(x, 0.3, np.random.default_rng(2))
+        keep = ad.keep_mask((3, 4), 0.3, np.random.default_rng(2))
+        np.testing.assert_array_equal(ad.dropout(x, 0.3, keep=keep).data,
+                                      drawn.data)
+        with pytest.raises(ShapeError):
+            ad.dropout(x, 0.3, keep=keep[:2])
+
     def test_no_implicit_broadcasting(self):
         with pytest.raises(ShapeError):
             ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
@@ -244,12 +279,23 @@ class TestOpGradients:
             _check(lambda: ad.mul(ad.attention_weights(q, k, m, msk), r).sum(),
                    [("q", q), ("k", k)])
 
+        q2, k2 = self.leaf(6, 4), self.leaf(10, 4)  # two stacked sequences
+        stacked = np.stack([mask, mask[::-1]])
+        r = self.mixer(2, 2, 3, 5)
+        _check(lambda: ad.mul(ad.attention_weights(q2, k2, 2, stacked), r).sum(),
+               [("q", q2), ("k", k2)])
+
     def test_attention_mix(self):
         w = Tensor(np.abs(self.rng.normal(size=(2, 3, 5))), requires_grad=True)
         v = self.leaf(5, 6)
         r = self.mixer(3, 6)
         _check(lambda: ad.mul(ad.attention_mix(w, v), r).sum(),
                [("w", w), ("v", v)])
+        w2 = Tensor(np.abs(self.rng.normal(size=(2, 2, 3, 5))), requires_grad=True)
+        v2 = self.leaf(10, 6)
+        r2 = self.mixer(6, 6)
+        _check(lambda: ad.mul(ad.attention_mix(w2, v2), r2).sum(),
+               [("w", w2), ("v", v2)])
 
     def test_masked_fill(self):
         x = self.leaf(3, 4)

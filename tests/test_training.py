@@ -3,16 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from docnmt.corpus import build_vocab, generate_synthetic_cohesion_corpus
+from docnmt import autodiff as ad
+from docnmt import training
+from docnmt.corpus import (BatchItem, build_vocab,
+                           generate_synthetic_cohesion_corpus)
 from docnmt.errors import ContractError, DataError, TrainingDiverged
-from docnmt.model import ModelConfig, ParamStore, build_params
+from docnmt.model import DocModel, ModelConfig, ParamStore, build_params
+from docnmt.model import model as model_module
+from docnmt.model.model import Stack
+from docnmt.tokens import PAD_ID
 from docnmt.training import (
+    MAX_STACK_ROWS,
     Adam,
     TrainConfig,
     finetune_copy,
     finetune_han,
     inverse_sqrt_lr,
     split_corpus,
+    stack_groups,
     train_base,
 )
 
@@ -218,6 +226,198 @@ def test_divergence_raises_with_last_finite_snapshot():
         np.testing.assert_array_equal(arr, before[name])  # best was epoch 0
     # the store was rolled back to that snapshot
     np.testing.assert_array_equal(init["out.w"].data, snap["out.w"])
+
+
+def test_nan_in_base_parameter_diverges_naming_the_op(monkeypatch):
+    corpus, _, sv, tv, cfg = small_setup()
+    step = Adam.step
+
+    def step_then_plant(self, lr):
+        step(self, lr)
+        self.store["enc.0.ffn.w1"].data[0, 0] = np.nan
+
+    monkeypatch.setattr(Adam, "step", step_then_plant)
+    with pytest.raises(TrainingDiverged, match="op 'matmul'") as exc:
+        train_base(corpus, cfg, sv, tv,
+                   TrainConfig(stage="base", epochs=1, seed=0, max_tokens=64))
+    assert all(np.isfinite(a).all() for a in exc.value.snapshot.values())
+
+
+# ---------------------------------------------------------------------------
+# stacked teacher forcing (base stage) against the per-sentence loop
+
+
+def stacked_model(dropout):
+    cfg = ModelConfig(vocab_src=30, vocab_tgt=31, d_model=32, n_layers=2,
+                      m_heads=2, d_ff=64, dropout=dropout, max_len=64)
+    store = build_params(cfg, np.random.default_rng([3, 11]))
+    store.set_trainable({"base"})
+    return DocModel(cfg, store)
+
+
+def random_pairs(rng, n, lo=1, hi=9):
+    return [([int(i) for i in rng.integers(4, 30, rng.integers(lo, hi))],
+             [int(i) for i in rng.integers(4, 31, rng.integers(lo, hi))])
+            for _ in range(n)]
+
+
+def loop_reference(model, pairs, rng):
+    """The per-sentence loop the stacked passes replace."""
+    model.params.zero_grad()
+    total = 0.0
+    for src, tgt in pairs:
+        loss, n, _ = model.sentence_loss(src, tgt, None, "sentence",
+                                         train=True, rng=rng)
+        ad.backward(loss * float(n))
+        total += float(loss.data) * n
+    return total, {k: p.grad for k, p in model.params.items()
+                   if p.grad is not None}
+
+
+def stacked_run(model, pairs, rng):
+    model.params.zero_grad()
+    batch = [BatchItem(s, t, False, False, "d") for s, t in pairs]
+    total = 0.0
+    for loss, _ in training._stacked_passes(model, batch, rng):
+        ad.backward(loss)
+        total += float(loss.data)
+    return total, {k: p.grad for k, p in model.params.items()
+                   if p.grad is not None}
+
+
+def stacked_cases():
+    rng = np.random.default_rng(8)
+    equal = [([5 + i, 6, 7], [8, 9 + i, 10, 11]) for i in range(5)]
+    oov = [([4, 99, -3, 7], [200, 5, 6]), ([1000], [-1]), ([5, 6], [7, 31])]
+    return {
+        "length-1 and max_len-1 targets": [([4, 5], [6]), ([7] * 9, [8] * 63),
+                                           ([9, 10, 11], [12, 13])],
+        "one pair": [([4, 5, 6], [7, 8])],
+        "equal lengths": equal,
+        "several groups": random_pairs(rng, 24),
+        "out-of-range ids": oov,
+    }
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("case", sorted(stacked_cases()))
+def test_stacked_passes_match_per_sentence_loop(case, dropout):
+    """Loss and every gradient within 1e-12 relative (summation order
+    differs), the same dropout draws, the generator left where the loop
+    leaves it."""
+    pairs = stacked_cases()[case]
+    model = stacked_model(dropout)
+    rng_loop, rng_stack = np.random.default_rng(21), np.random.default_rng(21)
+    want, want_g = loop_reference(model, pairs, rng_loop)
+    got, got_g = stacked_run(model, pairs, rng_stack)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert set(got_g) == set(want_g)
+    for name, g in want_g.items():
+        assert np.abs(got_g[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+    assert rng_stack.random() == rng_loop.random()
+    if case == "several groups":
+        assert len(stack_groups(pairs)) >= 3
+
+
+def test_stack_groups_respect_the_row_cap():
+    """On both sides: a long source with a short target runs alone too."""
+    long_tgt, long_src = ([4], [5] * 60), ([4] * 60, [5])
+    pairs = random_pairs(np.random.default_rng(2), 40) + [long_tgt, long_src]
+    groups = stack_groups(pairs)
+    assert sorted(i for g in groups for i in g) == list(range(len(pairs)))
+    for g in groups:
+        src_width = max(len(pairs[i][0]) for i in g)
+        tgt_width = max(len(pairs[i][1]) for i in g) + 1
+        assert len(g) == 1 or len(g) * max(src_width, tgt_width) <= MAX_STACK_ROWS
+    assert [40] in groups and [41] in groups   # the long pairs run alone
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_stacked_loss_ignores_pad_ids(dropout, monkeypatch):
+    model = stacked_model(dropout)
+    pairs = random_pairs(np.random.default_rng(5), 6)
+    results = []
+    for fill in (PAD_ID, 17, 10**6):
+        monkeypatch.setattr(model_module, "PAD_ID", fill)
+        keep = None
+        if dropout:
+            rng = np.random.default_rng(4)
+            keep = [model.dropout_masks(len(s), len(t), rng) for s, t in pairs]
+        model.params.zero_grad()
+        loss, n = model.stacked_loss(pairs, keep)
+        assert fill in Stack.of([s for s, _ in pairs]).ids
+        ad.backward(loss)
+        results.append((loss.data.copy(), {k: p.grad for k, p in
+                                           model.params.items()
+                                           if p.grad is not None}))
+    (loss0, g0), *others = results
+    for loss, g in others:
+        np.testing.assert_array_equal(loss, loss0)
+        assert set(g) == set(g0)
+        for name in g0:
+            np.testing.assert_array_equal(g[name], g0[name])
+
+
+def test_one_adam_step_per_batch(monkeypatch):
+    corpus, _, sv, tv, cfg = small_setup(n_docs=12, doc_len=3)
+    n_batches, n_steps = [], []
+    make_batches, step = training.make_batches, Adam.step
+
+    def counted_batches(*args, **kwargs):
+        batches, truncated = make_batches(*args, **kwargs)
+        n_batches.append(len(batches))
+        return batches, truncated
+
+    def counted_step(self, lr):
+        n_steps.append(lr)
+        step(self, lr)
+
+    monkeypatch.setattr(training, "make_batches", counted_batches)
+    monkeypatch.setattr(Adam, "step", counted_step)
+    train_base(corpus, cfg, sv, tv,
+               TrainConfig(stage="base", epochs=2, seed=0, max_tokens=64))
+    assert len(n_batches) == 2 and min(n_batches) > 1
+    assert len(n_steps) == sum(n_batches)
+
+
+# ---------------------------------------------------------------------------
+# gold cache pushes
+
+
+def count_cache_entries(monkeypatch):
+    calls = []
+    entry = DocModel.target_cache_entry
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return entry(self, *args, **kwargs)
+
+    monkeypatch.setattr(DocModel, "target_cache_entry", counted)
+    return calls
+
+
+@pytest.mark.parametrize("doc_len", [1, 3])
+def test_gold_pushes_skip_each_documents_last_sentence(monkeypatch, doc_len):
+    """The next document clears the caches, so nothing caches its last
+    sentence: n_sentences - n_documents cache entries per pass."""
+    corpus, _, sv, tv, cfg = small_setup(n_docs=6, doc_len=doc_len)
+    store = build_params(cfg, np.random.default_rng(0))
+    model = DocModel(cfg, store)
+    docs = training._encode_corpus(corpus, sv, tv, 40)
+    calls = count_cache_entries(monkeypatch)
+    training._evaluate(model, docs, "han-decoder", cfg.n_context)
+    assert len(calls) == corpus.n_sentences - corpus.n_documents
+
+    calls.clear()
+    store.set_trainable({"ctx_dec"})
+    tcfg = TrainConfig(stage="han-decoder", epochs=1, seed=0)
+    train_part, val_part = split_corpus(corpus, tcfg.val_fraction, tcfg.seed)
+    training._run_stage(store, cfg, corpus, sv, tv, tcfg, {"base"})
+    per_pass = [part.n_sentences - part.n_documents
+                for part in (val_part, train_part, val_part)]
+    assert len(calls) == sum(per_pass)
+    if doc_len == 1:
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
