@@ -163,13 +163,11 @@ def _ngrams(tokens: Sentence, n: int) -> Counter:
 
 
 def bleu4(candidate_documents: list[Document],
-          reference_documents: list[Document],
-          smooth: bool = False) -> float:
+          reference_documents: list[Document]) -> float:
     """Corpus BLEU-4 on pre-tokenized text: geometric mean of modified
     1–4-gram precisions times the brevity penalty.
 
-    No smoothing by default (any zero precision gives 0).  ``smooth=True``
-    applies add-one to numerator and denominator for orders 2–4.
+    No smoothing: any zero precision gives 0.
     """
     cand = [s for doc in candidate_documents for s in doc]
     ref = [s for doc in reference_documents for s in doc]
@@ -198,8 +196,6 @@ def bleu4(candidate_documents: list[Document],
     log_sum = 0.0
     for n in range(4):
         num, den = matches[n], totals[n]
-        if smooth and n >= 1:
-            num, den = num + 1, den + 1
         if num == 0 or den == 0:
             return 0.0
         log_sum += math.log(num / den)

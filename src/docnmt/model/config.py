@@ -33,10 +33,6 @@ class ModelConfig:
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ContractError("label_smoothing outside [0, 1)")
 
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.m_heads
-
     def to_dict(self) -> dict:
         return asdict(self)
 

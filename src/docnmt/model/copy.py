@@ -16,6 +16,14 @@ accumulate; ids never cached get exactly 0).  The copy gate p_copy is a
 sigmoid over three scalar maps plus a bias; the final distribution is
 
     P_w = (1 - p_copy) * P_vocab + p_copy * alpha.
+
+A stacked trace (B documents, see ``han``) gives each document's rows the
+same products, computed per document block and in the other order,
+
+    alpha_vocab = (sum_h S_h) @ ((sum_h W_h) @ indicator) / m^2,
+
+so the per-document scatter is a block product too; the c_t attention then
+masks each document's padded source rows.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ SPECIAL_IDS = (PAD_ID, UNK_ID, BOS_ID, EOS_ID)  # never copy targets
 @dataclass
 class CopyWeights:
     """Copy distribution pieces for T query positions."""
-    alpha_tokens: Tensor       # [T, K] over concatenated cached tokens
+    alpha_tokens: Tensor | None  # [T, K] over concatenated cached tokens
     alpha_vocab: Tensor        # [T, V]; zero at ids absent from the cache
     token_ids: list[int]       # the K cached ids, cache order
     copyable: bool             # False when no cached token may be copied
@@ -52,11 +60,13 @@ class CopyDistribution:
 
 
 def encoder_context_attention(h_tilde: Tensor, enc_kv: HeadKV,
-                              p: dict[str, Tensor]) -> Tensor:
+                              p: dict[str, Tensor],
+                              mask: np.ndarray | None = None) -> Tensor:
     """c_t: multi-head attention of the integrated state over the current
     source encoding (``enc_kv``, projected once per sentence through the
-    copy mechanism's own ``att.wk`` / ``att.wv``)."""
-    c_rows, _ = attend(h_tilde @ p["att.wq"], enc_kv, _sub(p, "att."))
+    copy mechanism's own ``att.wk`` / ``att.wv``); a stacked pass gives the
+    [B, T, L] key mask of its padded sources."""
+    c_rows, _ = attend(h_tilde @ p["att.wq"], enc_kv, _sub(p, "att."), mask)
     return c_rows
 
 
@@ -68,25 +78,61 @@ def copy_gate(h_tilde: Tensor, c_rows: Tensor, d_rows: Tensor,
     return ad.sigmoid(ad.add(logit, p["b"]))
 
 
+def copyable(entries) -> bool:
+    """Whether any token of the cache entries may be copied."""
+    return any(i not in SPECIAL_IDS for e in entries for i in e.token_ids)
+
+
+def copy_indicator(token_ids: list[int], vocab_size: int) -> np.ndarray:
+    """[K, V] one-hot rows of cached token ids; a reserved id gets a zero
+    row, an id outside the vocabulary is a ContractError.
+
+    The ones are set by one fancy-index assignment; their indices are
+    gathered in plain Python, which at a few hundred ids costs less than
+    the numpy calls that would find them."""
+    rows, cols = [], []
+    for k, tid in enumerate(token_ids):
+        if tid not in SPECIAL_IDS:
+            if not 0 <= tid < vocab_size:
+                raise ContractError(f"cached token id {tid} outside vocab")
+            rows.append(k)
+            cols.append(tid)
+    indicator = np.zeros((len(token_ids), vocab_size))
+    indicator[rows, cols] = 1.0
+    return indicator
+
+
 def copy_attention_weights(trace: AttentionTrace,
                            vocab_size: int) -> CopyWeights:
     """Head-averaged copy weights from a context attention trace; the
-    reserved ids lose their mass and the rest is renormalized to sum 1."""
+    reserved ids lose their mass and the rest is renormalized to sum 1.
+
+    For a stacked trace the documents' padded ids are listed one after
+    another, no ``alpha_tokens`` are formed, and the documents must agree
+    on whether anything may be copied."""
     m = trace.m
-    alpha_tokens = (trace.sent.sum(axis=0) @ trace.word.sum(axis=0)) \
-        * (1.0 / (m * m))
-
-    token_ids = [i for ids in trace.token_ids for i in ids]
-    keep = np.array([i not in SPECIAL_IDS for i in token_ids], dtype=bool)
-    copyable = bool(keep.any())
-
-    indicator = np.zeros((len(token_ids), vocab_size))
-    for k, tid in enumerate(token_ids):
-        if keep[k]:
-            if not 0 <= tid < vocab_size:
-                raise ContractError(f"cached token id {tid} outside vocab")
-            indicator[k, tid] = 1.0
-    alpha_vocab = alpha_tokens @ Tensor._wrap(indicator)
+    if trace.word.data.ndim == 4:
+        width = trace.word.data.shape[-1]
+        token_ids = []
+        for doc in trace.token_ids:
+            flat = [i for ids in doc for i in ids]
+            token_ids += flat + [PAD_ID] * (width - len(flat))
+        indicator = copy_indicator(token_ids, vocab_size)
+        per_doc = indicator.reshape(len(trace.token_ids), -1).any(axis=1)
+        if per_doc.any() != per_doc.all():
+            raise ContractError("stacked caches differ in what may be copied")
+        word_vocab = ad.attention_mix(trace.word.sum(axis=1, keepdims=True),
+                                      Tensor._wrap(indicator))
+        alpha_tokens = None
+        alpha_vocab = ad.attention_mix(trace.sent.sum(axis=1, keepdims=True),
+                                       word_vocab) * (1.0 / (m * m))
+    else:
+        alpha_tokens = (trace.sent.sum(axis=0) @ trace.word.sum(axis=0)) \
+            * (1.0 / (m * m))
+        token_ids = [i for ids in trace.token_ids for i in ids]
+        indicator = copy_indicator(token_ids, vocab_size)
+        alpha_vocab = alpha_tokens @ Tensor._wrap(indicator)
+    copyable = bool(indicator.any())
 
     if copyable:
         mass = alpha_vocab.sum(axis=1, keepdims=True)

@@ -5,17 +5,25 @@ through a sigmoid gate.
 Both levels are single multi-head attentions over blocks.  With T query
 rows, n cached sentences and K cached tokens in all:
 
-* word level: the query rows ``h f`` are repeated once per sentence, so row
-  j*T+t is query t for sentence j; keys and values are the n cached state
-  matrices stacked into [K, d], and a mask lets row j*T+t see only the
-  columns of sentence j.  Row j*T+t of the output is summary s_j[t].  The
-  keys and values depend only on the cache, so a ``ContextMemory`` projects
-  them once and every query of a sentence reuses them.
+* word level: the query rows ``h f`` are projected through ``word.wq`` and
+  repeated once per sentence, so row j*T+t is query t for sentence j; keys
+  and values are the n cached state matrices stacked into [K, d], and a
+  mask lets row j*T+t see only the columns of sentence j.  Row j*T+t of the
+  output is summary s_j[t].  The keys and values depend only on the cache,
+  so a ``ContextMemory`` projects them once and every query of a sentence
+  reuses them.
 * sentence level: the T rows ``h g`` attend over the [n*T, d] summaries; a
   mask lets row t see only rows j*T+t, one per sentence.
 
 So the weights are S [m, T, n*T] (sentence level) and W [m, n*T, K] (word
 level), one [rows, cols] block per head, with exact zeros where masked.
+
+Stacked passes add a document axis: B documents with the same n, each with
+T query rows (a ``Stack``), read a ``ContextMemory`` of B caches whose
+tokens are padded to the longest cache's K.  Every block above then exists
+once per document, the masks are [B, rows, cols] (padded cache columns
+masked out as well), and the weights are S [B, m, T, n*T] and
+W [B, m, n*T, K].
 
 Cached states are computed in eval mode and detached, so gradients reach the
 context parameters only through the queries and projections of the current
@@ -72,6 +80,17 @@ class ContextState:
         self.target.clear()
 
 
+def cached(context: ContextState | list[ContextState] | None, side: str
+           ) -> list[CacheEntry] | list[list[CacheEntry]]:
+    """The ``side`` ("source" or "target") entries of a cache, or of one
+    cache per document of a stacked pass (one list each); empty when
+    nothing is cached."""
+    if context is None or isinstance(context, ContextState):
+        return [] if context is None else getattr(context, side)
+    docs = [getattr(c, side) for c in context]
+    return docs if any(docs) else []
+
+
 @dataclass
 class AttentionTrace:
     """Post-softmax context attention weights for T query positions, in the
@@ -79,6 +98,8 @@ class AttentionTrace:
 
     sent is [m, T, n*T] and word is [m, n*T, K]; token_ids[j] lists the
     cached token ids of sentence j (K in all).  Every weight row sums to 1.
+    A stacked trace has the weights of B documents, [B, m, T, n*T] and
+    [B, m, n*T, K], and token_ids[b] is document b's list.
     """
     token_ids: list[list[int]]
     sent: Tensor
@@ -86,20 +107,15 @@ class AttentionTrace:
 
     @property
     def m(self) -> int:
-        return self.sent.data.shape[0]
+        return self.sent.data.shape[-3]
 
     @property
     def n_sents(self) -> int:
-        return len(self.token_ids)
+        return self.sent.data.shape[-1] // self.n_positions
 
     @property
     def n_positions(self) -> int:
-        return self.sent.data.shape[1]
-
-    def assert_normalized(self, atol: float = 1e-12) -> None:
-        for w in (self.sent, self.word):
-            np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, rtol=0,
-                                       atol=atol)
+        return self.sent.data.shape[-2]
 
 
 def _sub(p: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
@@ -112,22 +128,45 @@ class ContextMemory:
     their token ids, the word-level attention's parameters, and its keys and
     values: the stacked states [K, d] through ``word.wk`` / ``word.wv``.
 
+    Given one entry list per document (a stacked pass; every document with
+    the same number of sentences), block b of the [B*K, d] keys and values
+    holds document b's cached rows, zero-padded to the longest cache's K.
+    ``columns`` gives the cached sentence of each key column, -1 at pads.
+
     ``len()`` is the number of cached sentences.
     """
 
-    def __init__(self, entries: list[CacheEntry], p: dict[str, Tensor], m: int):
+    def __init__(self, entries: list[CacheEntry] | list[list[CacheEntry]],
+                 p: dict[str, Tensor], m: int):
         from .transformer import project_kv
 
-        if not entries:
-            raise ContractError("context memory of an empty cache")
-        self.token_ids = [list(e.token_ids) for e in entries]
-        self.lens = [len(ids) for ids in self.token_ids]
+        self.stacked = bool(entries) and not isinstance(entries[0], CacheEntry)
+        docs = entries if self.stacked else [entries]
+        self.n = len(docs[0]) if docs else 0
+        if not self.n or any(len(doc) != self.n for doc in docs):
+            raise ContractError("context memory needs the same non-zero "
+                                "number of cached sentences per document")
+        token_ids = [[list(e.token_ids) for e in doc] for doc in docs]
+        lens = [[len(ids) for ids in doc] for doc in token_ids]
+        width = max(map(sum, lens))
+        columns = np.full((len(docs), width), -1)
+        rows = np.zeros((len(docs), width, docs[0][0].states.data.shape[1]))
+        for b, doc in enumerate(docs):
+            k = sum(lens[b])
+            columns[b, :k] = np.repeat(np.arange(self.n), lens[b])
+            rows[b, :k] = np.concatenate([e.states.data for e in doc])
+        self.token_ids = token_ids if self.stacked else token_ids[0]
+        self.columns = columns if self.stacked else columns[0]
         self.word_p = _sub(p, "word.")
-        states = Tensor._wrap(np.concatenate([e.states.data for e in entries]))
+        states = Tensor._wrap(rows.reshape(-1, rows.shape[-1]))
         self.word_kv = project_kv(states, states, self.word_p, m)
 
     def __len__(self) -> int:
-        return len(self.token_ids)
+        return self.n
+
+    @property
+    def n_docs(self) -> int:
+        return self.columns.shape[0] if self.stacked else 1
 
 
 def word_level_context(h: Tensor, memory: ContextMemory, p: dict[str, Tensor]
@@ -135,31 +174,38 @@ def word_level_context(h: Tensor, memory: ContextMemory, p: dict[str, Tensor]
     """Attend the word-level query into every cached sentence at once.
 
     Returns the summaries [n*T, d] (row j*T+t is s_j[t]) and the weights
-    [m, n*T, K].
+    [m, n*T, K]; stacked, [B*n*T, d] (document b's rows in block b) and
+    [B, m, n*T, K].
     """
     from .transformer import attend
 
-    n, t = len(memory), h.data.shape[0]
-    qw = h @ p["f"]
-    queries = qw if n == 1 else ad.concat([qw] * n, axis=0)
-    mask = np.repeat(np.arange(n), t)[:, None] \
-        != np.repeat(np.arange(n), memory.lens)
-    return attend(queries @ memory.word_p["wq"], memory.word_kv,
-                  memory.word_p, mask=mask)
+    n, t = len(memory), h.data.shape[0] // memory.n_docs
+    queries = (h @ p["f"]) @ memory.word_p["wq"]     # projected once
+    if n > 1 and memory.stacked:     # row (b, j, t) is query row b*t + t
+        rows = np.arange(memory.n_docs)[:, None, None] * t + np.arange(t)
+        queries = ad.embedding_lookup(
+            queries, np.broadcast_to(rows, (memory.n_docs, n, t)).ravel())
+    elif n > 1:
+        queries = ad.concat([queries] * n, axis=0)
+    mask = np.repeat(np.arange(n), t)[:, None] != memory.columns[..., None, :]
+    return attend(queries, memory.word_kv, memory.word_p, mask=mask)
 
 
-def sentence_level_context(h: Tensor, summaries: Tensor,
+def sentence_level_context(h: Tensor, summaries: Tensor, memory: ContextMemory,
                            p: dict[str, Tensor], m: int
                            ) -> tuple[Tensor, Tensor]:
     """Attend the sentence-level query over the [n*T, d] summaries, then FFN.
 
-    Row t sees only summary rows j*T+t.  Returns d_t rows [T, d] and the
-    sentence weights [m, T, n*T].
+    Row t sees only summary rows j*T+t (of its own document, stacked).
+    Returns d_t rows [T, d] and the sentence weights [m, T, n*T] (stacked,
+    [B*T, d] and [B, m, T, n*T]).
     """
     from .transformer import multi_head_attention, positionwise_ffn
 
-    t = h.data.shape[0]
-    mask = np.arange(t)[:, None] != np.arange(summaries.data.shape[0]) % t
+    t = h.data.shape[0] // memory.n_docs
+    mask = np.arange(t)[:, None] != np.arange(len(memory) * t) % t
+    if memory.stacked:
+        mask = np.broadcast_to(mask, (memory.n_docs,) + mask.shape)
     attended, sent_weights = multi_head_attention(
         h @ p["g"], summaries, summaries, _sub(p, "sent."), m, mask=mask)
     return positionwise_ffn(attended, _sub(p, "ffn.")), sent_weights
@@ -177,11 +223,12 @@ def hierarchical_context(h: Tensor, memory: ContextMemory,
                          ) -> tuple[Tensor, Tensor, AttentionTrace]:
     """Full context pass over a prepared, non-empty cache memory.
 
-    Returns (integrated rows h~ [T, d], context rows d_t [T, d], trace).
-    Callers must take the skip path when the cache is empty.
+    Returns (integrated rows h~ [T, d], context rows d_t [T, d], trace);
+    stacked, h holds B documents' T rows each, as do h~ and d_t.  Callers
+    must take the skip path when the cache is empty.
     """
     summaries, word_w = word_level_context(h, memory, p)
-    d_rows, sent_w = sentence_level_context(h, summaries, p, m)
+    d_rows, sent_w = sentence_level_context(h, summaries, memory, p, m)
     mixed, _ = gate_integrate(h, d_rows, p)
     trace = AttentionTrace(token_ids=memory.token_ids, sent=sent_w,
                            word=word_w)

@@ -18,12 +18,15 @@ a whole prefix under the causal mask; search runs it over one new row per
 hypothesis, each row attending over its own ``DecoderState`` (the key and
 value rows of the tokens before it).
 
-The sentence variant also teacher-forces many pairs at once
-(``stacked_loss``): ``encode`` and ``decode_states`` take a ``Stack`` of
-sequences padded to one length, run as B*L rows with key-padding (and
-causal) masks [B, L, L], so one pass does the work of B ``sentence_loss``
-calls.  Dropout then applies keep masks drawn per pair beforehand
-(``dropout_masks``), the same draws the per-pair loop would make.
+Training teacher-forces many pairs at once (``teacher_force``):
+``encode`` and ``decode_states`` take a ``Stack`` of sequences padded to one
+length, run as B*L rows with key-padding (and causal) masks [B, L, L], so
+one pass does the work of B ``sentence_loss`` calls.  In the context
+variants the B pairs come from B documents, each with its own caches (one
+``ContextState`` per pair, with equal numbers of cached sentences); the
+context and copy layers then take the same document axis (see ``han``).
+Dropout applies keep masks drawn per pair beforehand (``dropout_masks``),
+the same draws the per-pair loop would make.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .config import ModelConfig
 from .copy import (CopyDistribution, copy_attention_weights, copy_gate,
                    encoder_context_attention, mix_distributions)
 from .han import (AttentionTrace, CacheEntry, ContextMemory, ContextState,
-                  _sub, hierarchical_context)
+                  _sub, cached, hierarchical_context)
 from .params import ParamStore
 from .transformer import (HeadKV, attend, causal_mask, cross_entropy,
                           multi_head_attention, positionwise_ffn, project_kv,
@@ -55,6 +58,8 @@ DECODER_CTX = frozenset({"han-decoder", "han-joint", "copy"})
 # where dropout draws from: a generator, or (stacked passes) an iterator of
 # keep masks in the order the pass applies dropout
 DropoutSource = np.random.Generator | Iterator[np.ndarray] | None
+# the caches of one sentence, or of each pair of a stacked pass
+Contexts = ContextState | list[ContextState] | None
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,15 @@ class DecodeOut:
     kv: list[tuple[Tensor, Tensor]]  # per layer: self-attention K, V rows
 
 
+@dataclass
+class Forced:
+    """One teacher-forced pass over stacked (source, target) pairs."""
+    pairs: list[tuple[list[int], list[int]]]
+    tgt: Stack                   # BOS + targets
+    memory: DecoderMemory        # its ``encoded`` holds the source Stack
+    out: DecodeOut
+
+
 @dataclass(frozen=True)
 class DecoderState:
     """One hypothesis's decoder rows, one per prefix token consumed so far:
@@ -178,11 +192,11 @@ class DecoderMemory:
     source encoding, the target-side ``ContextMemory`` (None on the skip
     path), and the copy attention's K/V of the source encoding, projected on
     first use (after the decoder stack, as the copy mixture needs them).
+    A stacked encoding comes with one cache per sentence.
     """
 
     def __init__(self, model: "DocModel", encoded: EncodedSentence,
-                 context: ContextState | None = None,
-                 variant: str = "sentence"):
+                 context: Contexts = None, variant: str = "sentence"):
         check_variant(variant)
         p, m = model.params, model.cfg.m_heads
         self.encoded = encoded
@@ -198,9 +212,10 @@ class DecoderMemory:
                 ln2=p.view(f"dec.{i}.ln2."), ffn=p.view(f"dec.{i}.ffn."),
                 ln3=p.view(f"dec.{i}.ln3.")))
         self.context: ContextMemory | None = None
-        if variant in DECODER_CTX and context is not None and context.target:
+        entries = cached(context, "target")
+        if variant in DECODER_CTX and entries:
             self.ctx_p = p.view("ctx.dec.")
-            self.context = ContextMemory(context.target, self.ctx_p, m)
+            self.context = ContextMemory(entries, self.ctx_p, m)
         self._params = p
         self._copy: tuple[HeadKV, dict[str, Tensor]] | None = None
 
@@ -306,20 +321,24 @@ class DocModel:
             x = self._sublayer(x, ffn, p.view(f"enc.{i}.ln2."), train, rng)
         return x
 
-    def contextual_encode(self, token_ids: list[int],
-                          context: ContextState | None = None,
+    def contextual_encode(self, token_ids: list[int] | Stack,
+                          context: Contexts = None,
                           variant: str = "sentence", train: bool = False,
-                          rng: np.random.Generator | None = None
+                          rng: DropoutSource = None
                           ) -> tuple[EncodedSentence, AttentionTrace | None]:
+        """``encode``, then source-side context integration; a ``Stack``
+        comes with one cache per sentence."""
         check_variant(variant)
         h = self.encode(token_ids, train, rng)
         trace = None
-        if variant in ENCODER_CTX and context is not None and context.source:
+        entries = cached(context, "source")
+        if variant in ENCODER_CTX and entries:
             p, m = self.params.view("ctx.enc."), self.cfg.m_heads
             h, _, trace = hierarchical_context(
-                h, ContextMemory(context.source, p, m), p, m)
-        return EncodedSentence(token_ids=self.clip_ids(token_ids, "src"),
-                               states=h), trace
+                h, ContextMemory(entries, p, m), p, m)
+        if not isinstance(token_ids, Stack):
+            token_ids = self.clip_ids(token_ids, "src")
+        return EncodedSentence(token_ids=token_ids, states=h), trace
 
     # -- decoder --------------------------------------------------------------
 
@@ -414,7 +433,10 @@ class DocModel:
         if not weights.copyable:
             return p_vocab, None, None
         copy_kv, copy_p = memory.copy()
-        c_rows = encoder_context_attention(out.h_tilde, copy_kv, copy_p)
+        src, mask = memory.encoded.token_ids, None
+        if isinstance(src, Stack):
+            mask = src.key_mask(out.h_tilde.data.shape[0] // len(src.lengths))
+        c_rows = encoder_context_attention(out.h_tilde, copy_kv, copy_p, mask)
         p_copy = copy_gate(out.h_tilde, c_rows, out.d_rows, copy_p)
         return mix_distributions(p_vocab, weights.alpha_vocab, p_copy), \
             p_copy, weights
@@ -452,17 +474,18 @@ class DocModel:
         mean_pc = float(p_copy.data.mean()) if p_copy is not None else None
         return loss, len(gold), mean_pc
 
-    def stacked_loss(self, pairs: list[tuple[list[int], list[int]]],
-                     keep: list[tuple[list[np.ndarray], list[np.ndarray]]]
-                     | None = None) -> tuple[Tensor, int]:
-        """Summed label-smoothed cross-entropy of the sentence variant over
-        (source, target) pairs, as one pass over their padded rows.
+    def teacher_force(self, pairs: list[tuple[list[int], list[int]]],
+                      keep: list[tuple[list[np.ndarray], list[np.ndarray]]]
+                      | None = None, contexts: list[ContextState] | None = None,
+                      variant: str = "sentence") -> Forced:
+        """One pass of encoder and decoder over (source, target) pairs, as
+        their padded rows.
 
-        Returns (loss, n_positions); the loss equals the sum over the pairs
-        of ``sentence_loss`` times its n_positions, up to summation order.
         ``keep`` holds each pair's ``dropout_masks`` and selects training
-        mode; without it the pass runs in evaluation mode.  No result
-        depends on the ids in pad positions.
+        mode; without it the pass runs in evaluation mode.  ``contexts``
+        holds the caches of each pair's document, every one with the same
+        numbers of cached sentences.  No result depends on the ids in pad
+        positions.
         """
         src = Stack.of([s for s, _ in pairs])
         tgt = Stack.of([[BOS_ID] + t for _, t in pairs])
@@ -474,15 +497,42 @@ class DocModel:
                              for site in zip(*(s for s, _ in keep))])
             tgt_feed = iter([tgt.pad_rows(list(site))
                              for site in zip(*(t for _, t in keep))])
-        encoded = EncodedSentence(token_ids=src,
-                                  states=self.encode(src, train, src_feed))
-        h, _ = self.decode_states(tgt, DecoderMemory(self, encoded), None,
-                                  train, tgt_feed)
-        # the real rows only; the embedding gather serves for any rows
-        p_rows = self.output_distribution(ad.embedding_lookup(h, tgt.rows()))
-        gold = [g for _, t in pairs for g in self.clip_ids(t, "tgt") + [EOS_ID]]
+        encoded, _ = self.contextual_encode(src, contexts, variant, train,
+                                            src_feed)
+        memory = DecoderMemory(self, encoded, contexts, variant)
+        return Forced(pairs, tgt, memory,
+                      self.decode(tgt, memory, None, train, tgt_feed))
+
+    def forced_loss(self, forced: Forced
+                    ) -> tuple[Tensor, int, np.ndarray | None]:
+        """Summed label-smoothed cross-entropy of a teacher-forced pass over
+        the real rows: (loss, n_positions, each row's p_copy or None).
+
+        The loss equals the sum over the pairs of ``sentence_loss`` times
+        its n_positions, up to summation order.
+        """
+        rows, out = forced.tgt.rows(), forced.out
+        p_copy = None
+        if forced.memory.variant == "copy":
+            p_w, p_copy, _ = self.copy_mixture(
+                out, forced.memory, self.output_distribution(out.h_tilde))
+            p_rows = ad.embedding_lookup(p_w, rows)
+        else:   # the real rows only; the embedding gather serves for any rows
+            p_rows = self.output_distribution(
+                ad.embedding_lookup(out.h_tilde, rows))
+        gold = [g for _, t in forced.pairs
+                for g in self.clip_ids(t, "tgt") + [EOS_ID]]
         loss = cross_entropy(p_rows, gold, self.cfg.label_smoothing)
-        return loss * float(len(gold)), len(gold)
+        return loss * float(len(gold)), len(gold), \
+            None if p_copy is None else p_copy.data[rows, 0]
+
+    def stacked_loss(self, pairs: list[tuple[list[int], list[int]]],
+                     keep: list[tuple[list[np.ndarray], list[np.ndarray]]]
+                     | None = None) -> tuple[Tensor, int]:
+        """Summed loss and n_positions of the sentence variant over
+        (source, target) pairs, as one ``teacher_force`` pass."""
+        loss, n, _ = self.forced_loss(self.teacher_force(pairs, keep))
+        return loss, n
 
     def step_distribution(self, prefixes: list[list[int]],
                           memory: DecoderMemory,

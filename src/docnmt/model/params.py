@@ -53,9 +53,6 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def group_of(self, name: str) -> str:
-        return self._groups[name]
-
     def view(self, prefix: str) -> Mapping[str, Tensor]:
         """Read-only sub-mapping of params under a dotted prefix, short keys.
 

@@ -2,15 +2,15 @@
 
 Stages and the parameter groups they unfreeze:
 
-===========  =================  ==============  ========  ================
+===========  =================  ==============  ========  ==================
 stage        starts from        trains          batches   a batch runs as
-===========  =================  ==============  ========  ================
+===========  =================  ==============  ========  ==================
 base         initialization     base            sentence  stacked passes
-han-encoder  base checkpoint    ctx_enc         document  one per sentence
-han-decoder  base checkpoint    ctx_dec         document  one per sentence
-han-joint    han-encoder ckpt   ctx_dec         document  one per sentence
-copy         han-encoder ckpt   ctx_dec + copy  document  one per sentence
-===========  =================  ==============  ========  ================
+han-encoder  base checkpoint    ctx_enc         document  document wavefront
+han-decoder  base checkpoint    ctx_dec         document  document wavefront
+han-joint    han-encoder ckpt   ctx_dec         document  document wavefront
+copy         han-encoder ckpt   ctx_dec + copy  document  document wavefront
+===========  =================  ==============  ========  ==================
 
 Everything outside the stage's groups stays frozen.  Each batch from
 ``make_batches`` is one Adam step on the gradient of its summed token loss,
@@ -24,11 +24,22 @@ drawn from the epoch's generator before the batch runs, pair by pair in
 batch order, so they are the masks a per-pair loop would draw.  Validation
 of the sentence variant runs the same stacked passes without gradients.
 
-Fine-tuning stages run one pass per sentence, documents in order, and
-teacher-force *gold* previous sentences into the context caches, through
-the same ``decoding.update_context`` that pushes the model's own outputs at
-decode time.  A document's last sentence is not pushed: the next document
-clears the caches before anything reads it.
+Fine-tuning stages teacher-force *gold* previous sentences into the
+context caches and run a batch as a document wavefront: position s runs
+sentence s of every document of the batch that has one, as stacked passes
+grouped by the documents' numbers of cached sentences (the block layout of
+the context attention needs one n per pass) and cut by ``stack_groups``.
+Each document keeps its own ``ContextState``; one that continues into the
+next batch carries it there.  A group is one forward and backward, then
+one stacked evaluation pass that computes its gold cache entries, pushed
+through the same ``decoding.update_context`` that pushes the model's own
+outputs at decode time.  Masks are drawn for the whole batch first, as in
+the base stage; parameters change only between batches, so the wavefront
+computes what a sentence-by-sentence loop over the documents would, up to
+summation order.  A document's last sentence is not pushed: nothing reads
+it.  Validation of a context variant runs the same wavefront without
+gradients, one evaluation pass per group serving both the loss and the
+cache entries.
 
 The model with the lowest validation loss across epochs is returned;
 epoch 0 is the pre-training validation pass, so a zero-epoch run returns
@@ -43,11 +54,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import DocumentCorpus, Vocabulary, make_batches
+from .autodiff import Tensor
+from .corpus import BatchItem, DocumentCorpus, Vocabulary, make_batches
 from .decoding import update_context
 from .errors import ContractError, DataError, NumericalError, TrainingDiverged
 from .model import DocModel, ModelConfig, ParamStore
+from .model.copy import copyable
 from .model.han import ContextState
+from .model.model import DECODER_CTX, EncodedSentence, Stack
 
 STAGES = ("base", "han-encoder", "han-decoder", "han-joint", "copy")
 
@@ -214,13 +228,92 @@ def stack_groups(pairs: list[tuple[list[int], list[int]]]) -> list[list[int]]:
     return groups
 
 
-def _push_gold(model: DocModel, context: ContextState, src_ids: list[int],
-               tgt_ids: list[int], variant: str) -> None:
-    """Cache a finished gold pair the way decoding caches its own output."""
+@dataclass
+class _Doc:
+    """Consecutive sentences of one document and the caches they read."""
+    context: ContextState
+    pairs: list[tuple[list[int], list[int]]] = field(default_factory=list)
+    ends: bool = True            # its last pair is the document's last
+
+    def pushes(self, s: int) -> bool:
+        """Whether a later sentence reads sentence s's cache entry."""
+        return s + 1 < len(self.pairs) or not self.ends
+
+
+def _batch_documents(batch: list[BatchItem], carried: _Doc | None,
+                     n_context: int) -> list[_Doc]:
+    """A document batch as its documents' runs of sentences, in batch
+    order; a run that continues ``carried`` (the previous batch's last
+    document) reads and extends its caches."""
+    docs: list[_Doc] = []
+    for item in batch:
+        if item.doc_start or not docs:
+            continues = carried is not None and not item.doc_start
+            docs.append(_Doc(carried.context if continues
+                             else ContextState(n_context)))
+        docs[-1].pairs.append((item.src_ids, item.tgt_ids))
+        docs[-1].ends = item.doc_end
+    return docs
+
+
+def _wavefront(docs: list[_Doc]):
+    """Yield (s, indices of ``docs``) for each stacked pass over sentence
+    s of the documents that have one: grouped by their numbers of cached
+    sentences (and, for the copy mixture, whether anything cached may be
+    copied), then cut by ``stack_groups``.  The caches are read when s
+    starts, so the passes of s may push entries that s + 1 reads."""
+    for s in range(max((len(d.pairs) for d in docs), default=0)):
+        by_cache: dict[tuple, list[int]] = {}
+        for i, d in enumerate(docs):
+            if s < len(d.pairs):
+                c = d.context
+                key = (len(c.source), len(c.target), copyable(c.target))
+                by_cache.setdefault(key, []).append(i)
+        for group in by_cache.values():
+            for part in stack_groups([docs[i].pairs[s] for i in group]):
+                yield s, [group[k] for k in part]
+
+
+def _push_gold(model: DocModel, docs: list[_Doc], s: int, variant: str,
+               encoded: EncodedSentence, h_tilde: Tensor | None) -> None:
+    """Cache gold sentence s of each document that a later sentence reads,
+    the way decoding caches its own output: from the evaluation-mode rows
+    of a stacked pass over ``docs`` (encoder rows and, when the variant
+    caches targets, the decoder's h~ rows)."""
+    src_width = encoded.token_ids.width
+    for b, d in enumerate(docs):
+        if not d.pushes(s):
+            continue
+        src_ids, tgt_ids = d.pairs[s]
+        at = b * src_width
+        states = Tensor._wrap(encoded.states.data[at:at + len(src_ids)])
+        rows = None
+        if h_tilde is not None:     # rows of BOS + target; BOS dropped
+            at = b * (h_tilde.data.shape[0] // len(docs)) + 1
+            rows = h_tilde.data[at:at + len(tgt_ids)]
+        update_context(model, d.context,
+                       EncodedSentence(model.clip_ids(src_ids, "src"), states),
+                       model.clip_ids(tgt_ids, "tgt"), variant, rows)
+
+
+def _gold_pass(model: DocModel, docs: list[_Doc], s: int,
+               variant: str) -> None:
+    """One stacked evaluation pass over sentence s of the documents whose
+    entry a later sentence reads, then ``_push_gold``; variants without
+    target caches run the encoder only."""
+    docs = [d for d in docs if d.pushes(s)]
+    if not docs:
+        return
+    pairs, contexts = [d.pairs[s] for d in docs], [d.context for d in docs]
     with ad.no_grad():
-        encoded, _ = model.contextual_encode(src_ids, context, variant,
-                                             train=False)
-    update_context(model, context, encoded, tgt_ids, variant)
+        if variant in DECODER_CTX:
+            forced = model.teacher_force(pairs, None, contexts, variant)
+            encoded, h_tilde = forced.memory.encoded, forced.out.h_tilde
+        else:
+            encoded, _ = model.contextual_encode(
+                Stack.of([src for src, _ in pairs]), contexts, variant)
+            h_tilde = None
+    _push_gold(model, docs, s, variant, encoded, h_tilde)
 
 
 def _evaluate(model: DocModel, docs, variant: str,
@@ -236,22 +329,23 @@ def _evaluate(model: DocModel, docs, variant: str,
                 total += float(loss.data)
                 n_tokens += n
         return total / max(n_tokens, 1), None
-    context = ContextState(n_context)
+    wave = [_Doc(ContextState(n_context), list(doc)) for doc in docs]
     pc_sum = 0.0
     pc_tokens = 0
-    with ad.no_grad():
-        for doc in docs:
-            context.clear()
-            for s, (src_ids, tgt_ids) in enumerate(doc):
-                loss, n, mean_pc = model.sentence_loss(
-                    src_ids, tgt_ids, context, variant)
-                total += float(loss.data) * n
-                n_tokens += n
-                if mean_pc is not None:
-                    pc_sum += mean_pc * n
-                    pc_tokens += n
-                if s + 1 < len(doc):
-                    _push_gold(model, context, src_ids, tgt_ids, variant)
+    for s, group in _wavefront(wave):
+        group_docs = [wave[i] for i in group]
+        with ad.no_grad():
+            forced = model.teacher_force(
+                [d.pairs[s] for d in group_docs], None,
+                [d.context for d in group_docs], variant)
+            loss, n, p_copy = model.forced_loss(forced)
+        total += float(loss.data)
+        n_tokens += n
+        if p_copy is not None:
+            pc_sum += float(p_copy.sum())
+            pc_tokens += n
+        _push_gold(model, group_docs, s, variant, forced.memory.encoded,
+                   forced.out.h_tilde)
     mean_pc = pc_sum / pc_tokens if pc_tokens else None
     return total / max(n_tokens, 1), mean_pc
 
@@ -266,18 +360,66 @@ def _stacked_passes(model: DocModel, batch, rng: np.random.Generator):
                                  [keep[i] for i in group])
 
 
-def _document_passes(model: DocModel, batch, context: ContextState,
-                     variant: str, rng: np.random.Generator):
-    """Yield (summed loss, n_positions) of each sentence of a document
-    batch, pushing each gold pair into the caches after its pass."""
-    for item in batch:
-        if item.doc_start:
-            context.clear()
-        loss, n, _ = model.sentence_loss(item.src_ids, item.tgt_ids, context,
-                                         variant, train=True, rng=rng)
-        yield loss * float(n), n
-        if not item.doc_end:
-            _push_gold(model, context, item.src_ids, item.tgt_ids, variant)
+def _document_passes(model: DocModel, docs: list[_Doc], variant: str,
+                     rng: np.random.Generator):
+    """Yield (summed loss, n_positions) of each stacked pass of a document
+    batch's wavefront, then push the group's gold entries; the dropout
+    masks of all its sentences are drawn first, in batch order."""
+    keep = [[model.dropout_masks(len(src), len(tgt), rng)
+             for src, tgt in d.pairs] for d in docs]
+    for s, group in _wavefront(docs):
+        group_docs = [docs[i] for i in group]
+        forced = model.teacher_force(
+            [d.pairs[s] for d in group_docs], [keep[i][s] for i in group],
+            [d.context for d in group_docs], variant)
+        loss, n, _ = model.forced_loss(forced)
+        yield loss, n
+        _gold_pass(model, group_docs, s, variant)
+
+
+def _train_epoch(model: DocModel, optimizer: Adam, corpus: DocumentCorpus,
+                 src_vocab: Vocabulary, tgt_vocab: Vocabulary,
+                 tcfg: TrainConfig, epoch: int, step: int, max_len: int
+                 ) -> tuple[float, int]:
+    """One epoch of Adam steps, one per batch; returns (mean train loss,
+    the step count after it)."""
+    stage, store = tcfg.stage, model.params
+    batch_mode = "sentence" if stage == "base" else "document"
+    batches, _ = make_batches(corpus, src_vocab, tgt_vocab, batch_mode,
+                              tcfg.max_tokens, max_len,
+                              seed=int(np.random.default_rng(
+                                  [tcfg.seed, epoch]).integers(2**31)))
+    drop_rng = np.random.default_rng([tcfg.seed, 1_000_000 + epoch])
+    docs: list[_Doc] = []
+    epoch_loss = 0.0
+    epoch_tokens = 0
+    for batch in batches:
+        store.zero_grad()
+        batch_tokens = 0
+        if batch_mode == "sentence":
+            passes = _stacked_passes(model, batch, drop_rng)
+        else:
+            docs = _batch_documents(batch, docs[-1] if docs else None,
+                                    model.cfg.n_context)
+            passes = _document_passes(model, docs, _STAGE_VARIANT[stage],
+                                      drop_rng)
+        for loss, n in passes:
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise NumericalError(f"non-finite loss at epoch {epoch}")
+            ad.backward(loss)
+            epoch_loss += value
+            epoch_tokens += n
+            batch_tokens += n
+        inv = 1.0 / max(batch_tokens, 1)
+        for _, p in store.trainable():
+            if p.grad is not None:
+                p.grad *= inv
+        step += 1
+        lr = tcfg.lr if stage != "base" else inverse_sqrt_lr(
+            step, model.cfg.d_model, tcfg.warmup_steps, tcfg.lr_scale)
+        optimizer.step(lr)
+    return epoch_loss / max(epoch_tokens, 1), step
 
 
 def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
@@ -297,7 +439,6 @@ def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
     store.set_trainable(groups)
     model = DocModel(model_cfg, store)
     optimizer = Adam(store)
-    batch_mode = "sentence" if stage == "base" else "document"
     n_context = model_cfg.n_context
     # the decoder reads BOS + target, one position more than the target
     max_len = min(tcfg.max_len, model_cfg.max_len - 1)
@@ -314,46 +455,15 @@ def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
             with open(log_path, "a", encoding="utf-8") as fh:
                 fh.write(rec.line() + "\n")
 
-    val0, pc0 = _evaluate(model, val_docs, variant, n_context)
-    log(EpochRecord(stage, 0, None, val0, pc0))
-    best = (val0, 0, store.snapshot())
-
+    best = (math.inf, 0, store.snapshot())
     step = 0
-    for epoch in range(1, tcfg.epochs + 1):
-        batches, _ = make_batches(train_corpus, src_vocab, tgt_vocab,
-                                  batch_mode, tcfg.max_tokens, max_len,
-                                  seed=int(np.random.default_rng(
-                                      [tcfg.seed, epoch]).integers(2**31)))
-        drop_rng = np.random.default_rng([tcfg.seed, 1_000_000 + epoch])
-        context = ContextState(n_context)
-        epoch_loss = 0.0
-        epoch_tokens = 0
+    for epoch in range(tcfg.epochs + 1):
+        train_loss = None       # epoch 0 validates the starting parameters
         try:
-            for batch in batches:
-                store.zero_grad()
-                batch_tokens = 0
-                passes = _stacked_passes(model, batch, drop_rng) \
-                    if batch_mode == "sentence" else _document_passes(
-                        model, batch, context, variant, drop_rng)
-                for loss, n in passes:
-                    value = float(loss.data)
-                    if not math.isfinite(value):
-                        raise NumericalError(
-                            f"non-finite loss at epoch {epoch}")
-                    ad.backward(loss)
-                    epoch_loss += value
-                    epoch_tokens += n
-                    batch_tokens += n
-                inv = 1.0 / max(batch_tokens, 1)
-                for _, p in store.trainable():
-                    if p.grad is not None:
-                        p.grad *= inv
-                step += 1
-                lr = tcfg.lr if stage != "base" else inverse_sqrt_lr(
-                    step, model_cfg.d_model, tcfg.warmup_steps, tcfg.lr_scale)
-                optimizer.step(lr)
-
-            train_loss = epoch_loss / max(epoch_tokens, 1)
+            if epoch:
+                train_loss, step = _train_epoch(
+                    model, optimizer, train_corpus, src_vocab, tgt_vocab,
+                    tcfg, epoch, step, max_len)
             val_loss, mean_pc = _evaluate(model, val_docs, variant,
                                           n_context)
             if not math.isfinite(val_loss):

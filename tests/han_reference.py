@@ -78,6 +78,12 @@ def hierarchical_loop(h, entries, p, m):
     return mixed, d_rows, sent, word
 
 
+def assert_normalized(trace, atol=1e-12):
+    """Every weight row of a trace sums to 1 within ``atol``."""
+    for w in (trace.sent, trace.word):
+        np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, rtol=0, atol=atol)
+
+
 def _head_sum(tensors):
     acc = tensors[0]
     for t in tensors[1:]:
@@ -96,18 +102,26 @@ def copy_weights_loop(token_ids, sent, word, vocab_size, exclude_special=True):
     alpha_tokens = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
 
     flat = [i for ids in token_ids for i in ids]
-    indicator = np.zeros((len(flat), vocab_size))
-    for k, tid in enumerate(flat):
-        if not (exclude_special and tid in SPECIAL_IDS):
-            if not 0 <= tid < vocab_size:
-                raise ContractError(f"cached token id {tid} outside vocab")
-            indicator[k, tid] = 1.0
+    indicator = copy_indicator_loop(flat, vocab_size,
+                                    SPECIAL_IDS if exclude_special else ())
     alpha_vocab = alpha_tokens @ Tensor._wrap(indicator)
     if exclude_special and indicator.any():
         mass = alpha_vocab.sum(axis=1, keepdims=True)
         ones = Tensor._wrap(np.ones_like(mass.data))
         alpha_vocab = ad.scale_rows(alpha_vocab, ad.div(ones, mass))
     return alpha_tokens, alpha_vocab
+
+
+def copy_indicator_loop(flat_ids, vocab_size, excluded=SPECIAL_IDS):
+    """[K, V] one-hot rows of the cached ids, zero for ``excluded`` ids, one
+    token at a time (the loop ``copy.copy_indicator`` replaced)."""
+    indicator = np.zeros((len(flat_ids), vocab_size))
+    for k, tid in enumerate(flat_ids):
+        if tid not in excluded:
+            if not 0 <= tid < vocab_size:
+                raise ContractError(f"cached token id {tid} outside vocab")
+            indicator[k, tid] = 1.0
+    return indicator
 
 
 def block_trace(sent, word, token_ids):

@@ -196,7 +196,7 @@ class TestBackward:
 
 def _check(fn, tensors, seed_note=""):
     """Run grad_check on a scalar closure over named leaf tensors."""
-    report = grad_check(fn, tensors, h=1e-5, tol=1e-4)
+    report = grad_check(fn, tensors)
     assert report.passed, report.summary()
 
 
@@ -364,11 +364,6 @@ class TestGradCheckHarness:
 
         with pytest.raises(ContractError):
             grad_check(f, [("w", w)])
-
-    def test_step_size_domain(self):
-        w = Tensor([1.0], requires_grad=True)
-        with pytest.raises(ContractError):
-            grad_check(lambda: (w * w).sum(), [("w", w)], h=1e-2)
 
     def test_broken_gradient_is_caught(self):
         # sabotage: gradient of x -> 2x claimed where true backward is cos

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import docnmt.cli as cli
+import docnmt.model as model_package
 from docnmt.cli import build_parser, resolve_config, run
 from docnmt.corpus import load_corpus, load_documents, load_vocab_pair
 from docnmt.errors import DataError
@@ -319,6 +320,27 @@ def test_train_divergence_exits_3(tmp_path, workdir):
                 "--dropout", "0.0", "--lr-scale", "1e100"])
     assert code == 3
     assert (out / "diverged.note").exists()
+
+
+def test_train_nan_in_starting_parameters_exits_3(tmp_path, workdir,
+                                                  monkeypatch):
+    build = model_package.build_params
+
+    def planted(cfg, rng):
+        store = build(cfg, rng)
+        store["enc.0.ffn.w1"].data[0, 0] = np.nan
+        return store
+
+    monkeypatch.setattr(model_package, "build_params", planted)
+    out = tmp_path / "nan"
+    code = run(["train", "--src", str(workdir / "data/synth.src.txt"),
+                "--tgt", str(workdir / "data/synth.tgt.txt"),
+                "--vocab", str(workdir / "vocab/vocab.json"),
+                "--out", str(out), "--epochs", "1",
+                "--d-model", "16", "--n-layers", "1", "--d-ff", "32"])
+    assert code == 3
+    assert "epoch 0" in (out / "diverged.note").read_text()
+    assert "op 'matmul'" in (out / "diverged.note").read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ import numpy as np
 from docnmt import autodiff as ad
 from docnmt.autodiff import Tensor
 from docnmt.gradcheck import grad_check
+import pytest
+
+from docnmt.errors import ContractError
 from docnmt.model.copy import (copy_attention_weights, copy_gate,
-                               mix_distributions)
+                               copy_indicator, mix_distributions)
 from docnmt.model.han import ContextState
 
 from decode_reference import incremental_step
-from han_reference import block_trace
+from han_reference import block_trace, copy_indicator_loop
 from test_han import make_context
 from test_transformer import tiny_model
 
@@ -200,7 +203,8 @@ class TestModelCopyPath:
         ad.backward(loss)
         touched = {n for n, t in model.params.items()
                    if t.grad is not None and np.any(t.grad != 0.0)}
-        groups = {model.params.group_of(n) for n in touched}
+        group_of = {n: g for n, _, g in model.params.manifest()}
+        groups = {group_of[n] for n in touched}
         assert groups == {"ctx_dec", "copy"}
         assert "copy.wh" in touched and "copy.b" in touched
         assert "copy.wc" in touched  # gradient reaches the c_t map
@@ -217,5 +221,24 @@ class TestModelCopyPath:
             loss, _, _ = model.sentence_loss([4, 5, 6], [7, 8], ctx, "copy")
             return loss
 
-        report = grad_check(f, subset, h=1e-5, tol=1e-4)
+        report = grad_check(f, subset)
         assert report.passed, report.summary()
+
+
+class TestCopyIndicator:
+    def test_matches_the_per_token_loop_bitwise(self):
+        rng = np.random.default_rng(31)
+        for k in (1, 2, 7, 40):
+            ids = [int(i) for i in rng.integers(0, 9, size=k)]  # specials too
+            np.testing.assert_array_equal(copy_indicator(ids, 9),
+                                          copy_indicator_loop(ids, 9))
+        np.testing.assert_array_equal(copy_indicator([0, 1, 2, 3], 5),
+                                      np.zeros((4, 5)))
+
+    @pytest.mark.parametrize("ids", [[4, 9, 5], [5, -1, 12], [2, 30]])
+    def test_out_of_vocab_id_is_the_loops_contract_error(self, ids):
+        with pytest.raises(ContractError) as loop_error:
+            copy_indicator_loop(ids, 9)
+        with pytest.raises(ContractError) as error:
+            copy_indicator(ids, 9)
+        assert str(error.value) == str(loop_error.value)

@@ -5,13 +5,16 @@ import pytest
 
 from docnmt import autodiff as ad
 from docnmt import training
+from docnmt.autodiff import Tensor
 from docnmt.corpus import (BatchItem, build_vocab,
-                           generate_synthetic_cohesion_corpus)
+                           generate_synthetic_cohesion_corpus, make_batches)
+from docnmt.decoding import update_context
 from docnmt.errors import ContractError, DataError, TrainingDiverged
 from docnmt.model import DocModel, ModelConfig, ParamStore, build_params
 from docnmt.model import model as model_module
+from docnmt.model.han import CacheEntry, ContextState
 from docnmt.model.model import Stack
-from docnmt.tokens import PAD_ID
+from docnmt.tokens import PAD_ID, UNK_ID
 from docnmt.training import (
     MAX_STACK_ROWS,
     Adam,
@@ -243,6 +246,20 @@ def test_nan_in_base_parameter_diverges_naming_the_op(monkeypatch):
     assert all(np.isfinite(a).all() for a in exc.value.snapshot.values())
 
 
+def test_nan_in_starting_parameters_diverges_in_epoch_0():
+    """The epoch-0 validation runs inside the divergence guard: a NaN in
+    the starting parameters names the op and keeps the initial snapshot."""
+    corpus, _, sv, tv, cfg = small_setup()
+    init = build_params(cfg, np.random.default_rng([0, 11]))
+    init["enc.0.ffn.w1"].data[0, 0] = np.nan
+    with pytest.raises(TrainingDiverged, match="op 'matmul'") as exc:
+        train_base(corpus, cfg, sv, tv,
+                   TrainConfig(stage="base", epochs=1, seed=0),
+                   init_store=init)
+    assert "epoch 0" in str(exc.value)
+    assert np.isnan(exc.value.snapshot["enc.0.ffn.w1"][0, 0])
+
+
 # ---------------------------------------------------------------------------
 # stacked teacher forcing (base stage) against the per-sentence loop
 
@@ -384,27 +401,27 @@ def test_one_adam_step_per_batch(monkeypatch):
 # gold cache pushes
 
 
-def count_cache_entries(monkeypatch):
+def count_gold_pushes(monkeypatch):
     calls = []
-    entry = DocModel.target_cache_entry
+    push = training.update_context
 
-    def counted(self, *args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return entry(self, *args, **kwargs)
+        return push(*args, **kwargs)
 
-    monkeypatch.setattr(DocModel, "target_cache_entry", counted)
+    monkeypatch.setattr(training, "update_context", counted)
     return calls
 
 
 @pytest.mark.parametrize("doc_len", [1, 3])
 def test_gold_pushes_skip_each_documents_last_sentence(monkeypatch, doc_len):
-    """The next document clears the caches, so nothing caches its last
-    sentence: n_sentences - n_documents cache entries per pass."""
+    """Nothing reads the cache entry of a document's last sentence, so it
+    is not pushed: n_sentences - n_documents pushes per pass."""
     corpus, _, sv, tv, cfg = small_setup(n_docs=6, doc_len=doc_len)
     store = build_params(cfg, np.random.default_rng(0))
     model = DocModel(cfg, store)
     docs = training._encode_corpus(corpus, sv, tv, 40)
-    calls = count_cache_entries(monkeypatch)
+    calls = count_gold_pushes(monkeypatch)
     training._evaluate(model, docs, "han-decoder", cfg.n_context)
     assert len(calls) == corpus.n_sentences - corpus.n_documents
 
@@ -421,6 +438,233 @@ def test_gold_pushes_skip_each_documents_last_sentence(monkeypatch, doc_len):
 
 
 # ---------------------------------------------------------------------------
+# document wavefront (context stages) against the per-sentence loop
+
+CONTEXT_STAGES = ("han-encoder", "han-decoder", "han-joint", "copy")
+
+
+def context_model(stage, dropout, n_context=2):
+    cfg = ModelConfig(vocab_src=30, vocab_tgt=31, d_model=16, n_layers=1,
+                      m_heads=2, d_ff=32, dropout=dropout, max_len=64,
+                      n_context=n_context)
+    store = build_params(cfg, np.random.default_rng([4, 11]))
+    store.set_trainable(training._STAGE_GROUPS[stage])
+    return DocModel(cfg, store)
+
+
+def record_pushes(entries, push):
+    """``update_context`` that also keeps the entries each push caches,
+    keyed by the sentence pair (the cases below repeat no pair)."""
+    def recorded(model, context, encoded, out_tokens, variant, rows=None):
+        push(model, context, encoded, out_tokens, variant, rows)
+        key = (tuple(encoded.token_ids), tuple(out_tokens))
+        assert key not in entries
+        entries[key] = [side[-1] for side, on in
+                        ((context.source, variant in model_module.ENCODER_CTX),
+                         (context.target, variant in model_module.DECODER_CTX))
+                        if on]
+    return recorded
+
+
+def document_loop(model, batches, variant, rng, entries):
+    """The per-sentence loop the wavefront replaces, over document batches:
+    per batch the summed loss and the gradients.  Each gold push is an
+    eval encode, then ``update_context`` decodes the target once more; the
+    caches carry over batch boundaries."""
+    push = record_pushes(entries, update_context)
+    context = ContextState(model.cfg.n_context)
+    results = []
+    for batch in batches:
+        model.params.zero_grad()
+        total = 0.0
+        for item in batch:
+            if item.doc_start:
+                context.clear()
+            loss, n, _ = model.sentence_loss(item.src_ids, item.tgt_ids,
+                                             context, variant, train=True,
+                                             rng=rng)
+            ad.backward(loss * float(n))
+            total += float(loss.data) * n
+            if not item.doc_end:
+                with ad.no_grad():
+                    encoded, _ = model.contextual_encode(
+                        item.src_ids, context, variant)
+                push(model, context, encoded, item.tgt_ids, variant)
+        results.append((total, grads_of(model)))
+    return results
+
+
+def grads_of(model):
+    return {k: p.grad for k, p in model.params.items() if p.grad is not None}
+
+
+def wavefront_run(model, batches, variant, rng, entries, monkeypatch):
+    monkeypatch.setattr(training, "update_context",
+                        record_pushes(entries, update_context))
+    docs, results = [], []
+    for batch in batches:
+        model.params.zero_grad()
+        docs = training._batch_documents(batch, docs[-1] if docs else None,
+                                         model.cfg.n_context)
+        total = 0.0
+        for loss, _ in training._document_passes(model, docs, variant, rng):
+            ad.backward(loss)
+            total += float(loss.data)
+        results.append((total, grads_of(model)))
+    return results
+
+
+def document_batches(rng, lengths, cut, special_doc=None):
+    """Documents of the given lengths with random, distinct sentences, as
+    two batches split after item ``cut``; document ``special_doc`` has a
+    first target of reserved ids only (nothing in it may be copied)."""
+    items = []
+    for d, n in enumerate(lengths):
+        for s in range(n):
+            src = [int(i) for i in rng.integers(4, 30, rng.integers(1, 9))]
+            tgt = [int(i) for i in rng.integers(4, 31, rng.integers(1, 9))]
+            if d == special_doc and s == 0:
+                tgt = [UNK_ID] * (d + 1)
+            items.append(BatchItem(src, tgt, s == 0, s == n - 1, f"d{d}"))
+    return [items[:cut], items[cut:]]
+
+
+def assert_entries_match(got, want, tol):
+    assert got.keys() == want.keys()
+    for key, pushed in want.items():
+        assert len(got[key]) == len(pushed)
+        for a, b in zip(got[key], pushed):
+            assert a.token_ids == b.token_ids
+            np.testing.assert_allclose(a.states.data, b.states.data,
+                                       rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("stage", CONTEXT_STAGES)
+def test_wavefront_matches_per_sentence_loop(stage, dropout, monkeypatch):
+    """Two batches of documents of one to six sentences (0 to n_context
+    cached, one document split across the batches, one whose cache has
+    nothing to copy): per batch the loss and every gradient within 1e-12
+    relative, every gold cache entry within 1e-12, the same dropout draws,
+    and the generator left where the loop leaves it."""
+    variant = training._STAGE_VARIANT[stage]
+    model = context_model(stage, dropout)
+    batches = document_batches(np.random.default_rng(6), [1, 6, 1, 3, 2, 4],
+                               cut=5, special_doc=3)
+    assert not batches[1][0].doc_start            # document 1 is split
+    want_entries, got_entries = {}, {}
+    rng_loop, rng_wave = np.random.default_rng(21), np.random.default_rng(21)
+    want = document_loop(model, batches, variant, rng_loop, want_entries)
+    got = wavefront_run(model, batches, variant, rng_wave, got_entries,
+                        monkeypatch)
+    for (got_loss, got_g), (want_loss, want_g) in zip(got, want):
+        assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert set(got_g) == set(want_g) != set()
+        for name, g in want_g.items():
+            assert np.abs(got_g[name] - g).max() <= 1e-12 * np.abs(g).max(), \
+                name
+    assert_entries_match(got_entries, want_entries, 1e-12)
+    assert len(want_entries) == 17 - 6
+    assert rng_wave.random() == rng_loop.random()
+
+
+def test_wavefront_groups_by_cache_size_and_copyability():
+    """One pass per (position, numbers of cached sentences, copyable)
+    group; positions in order, each document once per position."""
+    docs = [training._Doc(ContextState(2), [([4], [5])] * n)
+            for n in (3, 1, 2, 3)]
+    docs[3].context.push_target(CacheEntry([UNK_ID], Tensor(np.zeros((1, 4)))))
+    passes = list(training._wavefront(docs))
+    assert passes == [(0, [0, 1, 2]), (0, [3]), (1, [0, 2]), (1, [3]),
+                      (2, [0]), (2, [3])]
+
+
+@pytest.mark.parametrize("stage", CONTEXT_STAGES)
+def test_carried_caches_cross_batch_boundaries(stage, monkeypatch):
+    """make_batches splits documents across batches; the wavefront carries
+    their caches over exactly as the loop does: the same gold pushes, each
+    entry within 1e-12."""
+    variant = training._STAGE_VARIANT[stage]
+    corpus, _, sv, tv, _ = small_setup(n_docs=8, doc_len=4)
+    model = context_model(stage, 0.1, n_context=3)
+    batches, _ = make_batches(corpus, sv, tv, "document", 40, 40, seed=3)
+    assert sum(not b[0].doc_start for b in batches) >= 2
+    # the synthetic sentences repeat: mark each pair to key its entries
+    marks = iter(range(26 * 26))
+    batches = [[BatchItem(i.src_ids + [4 + k // 26, 4 + k % 26], i.tgt_ids,
+                          i.doc_start, i.doc_end, i.doc_id)
+                for i, k in zip(batch, marks)] for batch in batches]
+    want_entries, got_entries = {}, {}
+    rng_loop, rng_wave = np.random.default_rng(2), np.random.default_rng(2)
+    document_loop(model, batches, variant, rng_loop, want_entries)
+    wavefront_run(model, batches, variant, rng_wave, got_entries, monkeypatch)
+    # one recorded entry per push, no pair pushed twice
+    assert len(got_entries) == len(want_entries) == \
+        corpus.n_sentences - corpus.n_documents
+    assert_entries_match(got_entries, want_entries, 1e-12)
+
+
+@pytest.mark.parametrize("stage", CONTEXT_STAGES)
+def test_validation_wavefront_matches_loop(stage, monkeypatch):
+    """Validation: loss and mean p_copy as the per-sentence loop's, within
+    1e-12, and cache entries within 1e-12 of ``target_cache_entry``'s."""
+    variant = training._STAGE_VARIANT[stage]
+    model = context_model(stage, 0.1, n_context=3)
+    rng = np.random.default_rng(9)
+    docs = [[([int(i) for i in rng.integers(4, 30, rng.integers(1, 9))],
+              [int(i) for i in rng.integers(4, 31, rng.integers(1, 9))])
+             for _ in range(n)] for n in (1, 5, 2, 4, 3)]
+    want_entries, got_entries = {}, {}
+    push = record_pushes(want_entries, update_context)
+    total, n_tokens, pc_sum = 0.0, 0, 0.0
+    with ad.no_grad():
+        for doc in docs:
+            context = ContextState(3)
+            for s, (src, tgt) in enumerate(doc):
+                loss, n, mean_pc = model.sentence_loss(src, tgt, context,
+                                                       variant)
+                total += float(loss.data) * n
+                n_tokens += n
+                pc_sum += (mean_pc or 0.0) * n
+                if s + 1 < len(doc):
+                    encoded, _ = model.contextual_encode(src, context, variant)
+                    push(model, context, encoded, tgt, variant)
+    monkeypatch.setattr(training, "update_context",
+                        record_pushes(got_entries, update_context))
+    loss, mean_pc = training._evaluate(model, docs, variant, 3)
+    assert abs(loss - total / n_tokens) <= 1e-12 * loss
+    if variant == "copy":   # every sentence after the first may copy
+        pc_tokens = sum(len(t) + 1 for doc in docs for _, t in doc[1:])
+        assert abs(mean_pc - pc_sum / pc_tokens) <= 1e-12
+        assert 0.0 < mean_pc < 1.0
+    else:
+        assert mean_pc is None
+    assert_entries_match(got_entries, want_entries, 1e-12)
+
+
+def test_validation_entries_are_the_evaluation_pass_rows(monkeypatch):
+    """Validation caches the rows of the pass that gave its loss; a
+    separate evaluation pass over the same documents (as training runs for
+    its gold entries) gives the same entries, bitwise."""
+    model = context_model("copy", 0.1, n_context=2)
+    rng = np.random.default_rng(10)
+    docs = [[([int(i) for i in rng.integers(4, 30, 5)],
+              [int(i) for i in rng.integers(4, 31, rng.integers(2, 7))])
+             for _ in range(4)] for _ in range(3)]
+    got_entries, want_entries = {}, {}
+    monkeypatch.setattr(training, "update_context",
+                        record_pushes(got_entries, update_context))
+    training._evaluate(model, docs, "copy", 2)
+    monkeypatch.setattr(training, "update_context",
+                        record_pushes(want_entries, update_context))
+    wave = [training._Doc(ContextState(2), list(doc)) for doc in docs]
+    for s, group in training._wavefront(wave):
+        training._gold_pass(model, [wave[i] for i in group], s, "copy")
+    assert len(got_entries) == 9
+    assert_entries_match(got_entries, want_entries, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # staged fine-tuning
 
 
@@ -431,10 +675,11 @@ def base_checkpoint(corpus, sv, tv, cfg, epochs=1, seed=0):
 
 
 def diff_groups(before, store):
+    group_of = {n: g for n, _, g in store.manifest()}
     touched = set()
     for name, tensor in store.items():
         if not np.array_equal(before[name], tensor.data):
-            touched.add(store.group_of(name))
+            touched.add(group_of[name])
     return touched
 
 

@@ -297,7 +297,7 @@ class TestEncodeDecode:
             loss, _, _ = model.sentence_loss([4, 5, 6], [7, 8], None, "sentence")
             return loss
 
-        report = grad_check(f, subset, h=1e-5, tol=1e-4)
+        report = grad_check(f, subset)
         assert report.passed, report.summary()
 
 
