@@ -34,12 +34,11 @@ from .corpus import (
     save_vocab_pair,
     write_manifest,
 )
-from .decoding import SearchConfig, translate_corpus, translate_document_two_to_two
+from .decoding import SearchConfig, translate_corpus
 from .diagnostics import full_copy_gradcheck
 from .errors import DataError, DocnmtError, NumericalError, TrainingDiverged
 from .metrics import bleu4, consistency_report, lc_score, stopword_hash
 from .model import DocModel, ModelConfig
-from .tokens import SEP
 from .training import (
     TrainConfig,
     TrainResult,
@@ -214,15 +213,14 @@ def cmd_build_vocab(args) -> int:
     out = _out_dir(args)
     corpus = load_corpus(args.src, args.tgt)
     sv = build_vocab(corpus, "src", max_size=args.max_size,
-                     min_freq=args.min_freq, include_sep=args.include_sep)
+                     min_freq=args.min_freq)
     tv = build_vocab(corpus, "tgt", max_size=args.max_size,
-                     min_freq=args.min_freq, include_sep=args.include_sep)
+                     min_freq=args.min_freq)
     path = out / "vocab.json"
     save_vocab_pair(path, sv, tv)
     _write_run_manifest(
         out, "build-vocab", args.seed,
-        config={"max_size": args.max_size, "min_freq": args.min_freq,
-                "include_sep": args.include_sep},
+        config={"max_size": args.max_size, "min_freq": args.min_freq},
         inputs={"src": args.src, "tgt": args.tgt},
         outputs={"vocab": path},
         metrics={"vocab_src": len(sv), "vocab_tgt": len(tv)})
@@ -340,22 +338,17 @@ def _write_trace(path, doc_traces, tgt_vocab) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _check_source_lengths(docs: list[list[list[int]]], max_len: int,
-                          joined: bool) -> None:
-    """Every encoder input must fit the checkpoint's max_len.  With
-    ``joined`` (two-to-two mode) the input of each sentence after a
-    document's first is "previous <sep> current".  Errors name the 1-based
-    line of the source file, whose documents are separated by one blank
-    line."""
+def _check_source_lengths(docs: list[list[list[int]]], max_len: int) -> None:
+    """Every source sentence must fit the checkpoint's max_len.  Errors
+    name the 1-based line of the source file, whose documents are
+    separated by one blank line."""
     line = 1
     for doc in docs:
-        for i, sent in enumerate(doc):
-            n = len(sent) + (len(doc[i - 1]) + 1 if joined and i else 0)
-            if n > max_len:
-                what = "joined previous <sep> current input" \
-                    if joined and i else "sentence"
-                raise DataError(f"line {line}: {what} has {n} tokens, more "
-                                f"than the checkpoint's max_len {max_len}")
+        for sent in doc:
+            if len(sent) > max_len:
+                raise DataError(f"line {line}: sentence has {len(sent)} "
+                                f"tokens, more than the checkpoint's max_len "
+                                f"{max_len}")
             line += 1
         line += 1
 
@@ -369,40 +362,23 @@ def cmd_translate(args) -> int:
     docs = load_documents(args.src)
     encoded = [[sv.encode(s) for s in doc] for doc in docs]
     search = _search_config(cfg, collect_traces=args.trace)
-    _check_source_lengths(encoded, model_cfg.max_len,
-                          joined=args.mode == "two-to-two")
-    if args.mode == "two-to-two":
-        if SEP not in sv or SEP not in tv:
-            raise DataError("two-to-two translation needs vocabularies "
-                            "built with --include-sep")
-        outs = []
-        missing = 0
-        for doc in encoded:
-            o, miss = translate_document_two_to_two(
-                model, doc, sv.token_to_id[SEP], tv.token_to_id[SEP], search)
-            outs.append(o)
-            missing += miss
-        traces = None
-        extra = {"missing_separator": missing}
-    else:
-        outs, traces = translate_corpus(model, encoded, variant, search)
-        extra = {}
+    _check_source_lengths(encoded, model_cfg.max_len)
+    outs, traces = translate_corpus(model, encoded, variant, search)
     decoded = [[tv.decode(s) for s in doc] for doc in outs]
     out_path = out / "output.tgt.txt"
     save_documents(decoded, out_path)
     outputs = {"translation": out_path}
-    if args.trace and traces is not None:
+    if args.trace:
         trace_path = out / "trace.txt"
         _write_trace(trace_path, traces, tv)
         outputs["trace"] = trace_path
     _write_run_manifest(
         out, "translate", args.seed,
-        config={**cfg, "variant": variant, "mode": args.mode},
+        config={**cfg, "variant": variant},
         inputs={"src": args.src, "vocab": args.vocab,
                 "checkpoint": args.checkpoint},
         outputs=outputs,
-        checkpoints={"model": sha256_file(args.checkpoint)},
-        metrics=extra)
+        checkpoints={"model": sha256_file(args.checkpoint)})
     print(f"translated {len(docs)} documents ({variant}) -> {out_path}")
     return 0
 
@@ -640,7 +616,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--max-size", type=int, default=50000)
     p.add_argument("--min-freq", type=int, default=1)
-    p.add_argument("--include-sep", action="store_true")
     p.set_defaults(func=cmd_build_vocab)
 
     p = add("train", "train the sentence-level base model")
@@ -669,8 +644,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--variant", choices=("sentence", "han-encoder",
                                          "han-decoder", "han-joint", "copy"))
-    p.add_argument("--mode", choices=("document", "two-to-two"),
-                   default="document")
     p.add_argument("--trace", action="store_true",
                    help="write per-step distribution dumps")
     _add_config_flags(p)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DataError
-from .tokens import RESERVED, SEP, UNK_ID
+from .tokens import RESERVED, UNK_ID
 
 Sentence = list[str]
 SentencePair = tuple[Sentence, Sentence]
@@ -155,12 +155,9 @@ class Vocabulary:
 
 
 def build_vocab(corpus: DocumentCorpus, side: str, max_size: int = 50000,
-                min_freq: int = 1, include_sep: bool = False) -> Vocabulary:
-    """Frequency-ordered vocabulary, ties broken lexicographically.
-
-    Ids 0..3 are reserved (pad, unk, bos, eos); with ``include_sep`` the
-    sentence separator takes id 4 before corpus tokens.
-    """
+                min_freq: int = 1) -> Vocabulary:
+    """Frequency-ordered vocabulary, ties broken lexicographically, after
+    the reserved ids 0..3 (pad, unk, bos, eos)."""
     if side not in ("src", "tgt"):
         raise ContractError(f"side must be src or tgt, got {side!r}")
     if max_size < 5:
@@ -171,12 +168,10 @@ def build_vocab(corpus: DocumentCorpus, side: str, max_size: int = 50000,
             for tok in sent:
                 counts[tok] = counts.get(tok, 0) + 1
     for tok in counts:
-        if tok in RESERVED or tok == SEP:
+        if tok in RESERVED:
             raise DataError(f"corpus contains reserved token {tok!r}")
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     tokens = list(RESERVED)
-    if include_sep:
-        tokens.append(SEP)
     for tok, cnt in ordered:
         if cnt < min_freq or len(tokens) >= max_size:
             break
@@ -210,11 +205,11 @@ class BatchItem:
     src_ids: list[int]
     tgt_ids: list[int]
     doc_start: bool
-    doc_end: bool                # last sentence of its document (document mode)
+    doc_end: bool                # last sentence of its document
     doc_id: str
 
 
-BATCH_MODES = ("sentence", "two-to-two", "document")
+BATCH_MODES = ("sentence", "document")
 
 
 def make_batches(corpus: DocumentCorpus, src_vocab: Vocabulary,
@@ -223,12 +218,10 @@ def make_batches(corpus: DocumentCorpus, src_vocab: Vocabulary,
                  ) -> tuple[list[list[BatchItem]], int]:
     """Token-budgeted batches; returns (batches, truncated sentence count).
 
-    * ``sentence``    — shuffled independent pairs.
-    * ``two-to-two``  — previous and current sentence joined by the separator
-                        token on both sides; the first sentence of each
-                        document stays unconcatenated; shuffled.
-    * ``document``    — documents shuffled, sentences kept in order with
-                        ``doc_start`` / ``doc_end`` marking boundaries.
+    * ``sentence``  — shuffled independent pairs, each marked as a
+                      one-sentence document (``doc_start`` and ``doc_end``).
+    * ``document``  — documents shuffled, sentences kept in order with
+                      ``doc_start`` / ``doc_end`` marking boundaries.
 
     No batch exceeds ``max_tokens`` target tokens; sentences longer than
     ``max_len`` are truncated (counted in the second return value).
@@ -249,24 +242,13 @@ def make_batches(corpus: DocumentCorpus, src_vocab: Vocabulary,
         return ids
 
     items: list[BatchItem] = []
-    if mode in ("sentence", "two-to-two"):
-        sep_needed = mode == "two-to-two"
-        if sep_needed and (SEP not in src_vocab or SEP not in tgt_vocab):
-            raise DataError(
-                "two-to-two mode needs the separator token in both "
-                "vocabularies (build them with include_sep)")
+    if mode == "sentence":
         for doc_id, doc in zip(corpus.doc_ids, corpus.documents):
-            prev: SentencePair | None = None
-            for pair in doc:
-                src, tgt = pair
-                if sep_needed and prev is not None:
-                    src = prev[0] + [SEP] + src
-                    tgt = prev[1] + [SEP] + tgt
+            for src, tgt in doc:
                 items.append(BatchItem(src_ids=clip(src_vocab.encode(src)),
                                        tgt_ids=clip(tgt_vocab.encode(tgt)),
-                                       doc_start=False, doc_end=False,
+                                       doc_start=True, doc_end=True,
                                        doc_id=doc_id))
-                prev = pair
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(items))
         items = [items[i] for i in order]

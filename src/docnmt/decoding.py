@@ -211,25 +211,19 @@ def translate_sentence(model: DocModel, encoded, context, variant: str,
 
 def update_context(model: DocModel, context: ContextState, encoded,
                    out_tokens: list[int], variant: str,
-                   rows: np.ndarray | None = None) -> None:
+                   rows: np.ndarray | None) -> None:
     """Push the finished sentence into the caches the variant consumes.
 
-    ``rows`` are the decoder rows the search computed for ``out_tokens``;
-    without them (gold sentences in training) one teacher-forced eval pass
-    computes them *before* anything is pushed, so it sees exactly the
-    context the sentence was decoded with."""
-    entry = None
-    if variant in DECODER_CTX and out_tokens:
-        if rows is None:
-            entry = model.target_cache_entry(out_tokens, encoded, context,
-                                             variant)
-        else:
-            entry = CacheEntry(token_ids=list(out_tokens),
-                               states=Tensor._wrap(rows))
+    ``rows`` are the evaluation-mode decoder rows [len(out_tokens), d] of
+    ``out_tokens``, computed under the context the sentence was decoded
+    with: the search's for the model's own output, a teacher-forced pass's
+    for a gold sentence in training.  Variants without target caches do
+    not read them."""
     if variant in ENCODER_CTX:
         context.push_source(model.source_cache_entry(encoded))
-    if entry is not None:
-        context.push_target(entry)
+    if variant in DECODER_CTX and out_tokens:
+        context.push_target(CacheEntry(token_ids=list(out_tokens),
+                                       states=Tensor._wrap(rows)))
 
 
 def translate_document(model: DocModel, src_sentences: list[list[int]],
@@ -264,34 +258,3 @@ def translate_corpus(model: DocModel, documents: list[list[list[int]]],
         outs.append(o)
         traces.append(t)
     return outs, traces
-
-
-def translate_document_two_to_two(model: DocModel,
-                                  src_sentences: list[list[int]],
-                                  sep_src_id: int, sep_tgt_id: int,
-                                  config: SearchConfig | None = None
-                                  ) -> tuple[list[list[int]], int]:
-    """Concatenation baseline: sentence i >= 2 is translated as
-    "previous <sep> current" and the output after the separator is kept.
-    Returns the translations plus a count of outputs where the model failed
-    to emit the separator (the full output is kept for those)."""
-    config = config or SearchConfig()
-    outputs: list[list[int]] = []
-    missing_sep = 0
-    prev: list[int] | None = None
-    for src in src_sentences:
-        if not src:
-            raise DataError("cannot translate an empty source sentence")
-        joined = src if prev is None else prev + [sep_src_id] + src
-        encoded, _ = model.contextual_encode(joined, None, "sentence",
-                                             train=False)
-        out_tokens, _, _ = translate_sentence(model, encoded, None,
-                                              "sentence", config)
-        if prev is not None:
-            if sep_tgt_id in out_tokens:
-                out_tokens = out_tokens[out_tokens.index(sep_tgt_id) + 1:]
-            else:
-                missing_sep += 1
-        outputs.append(out_tokens)
-        prev = src
-    return outputs, missing_sep

@@ -402,9 +402,9 @@ class DocModel:
             x = self._sublayer(x, ffn, layer.ln3, train, rng)
         return x, kv_rows
 
-    def decode(self, ids: list[int], memory: DecoderMemory,
+    def decode(self, ids: list[int] | Stack, memory: DecoderMemory,
                past: list[DecoderState] | None = None, train: bool = False,
-               rng: np.random.Generator | None = None) -> DecodeOut:
+               rng: DropoutSource = None) -> DecodeOut:
         """``decode_states``, then target-side context integration."""
         h, kv = self.decode_states(ids, memory, past, train, rng)
         if memory.context is None:
@@ -525,14 +525,6 @@ class DocModel:
         loss = cross_entropy(p_rows, gold, self.cfg.label_smoothing)
         return loss * float(len(gold)), len(gold), \
             None if p_copy is None else p_copy.data[rows, 0]
-
-    def stacked_loss(self, pairs: list[tuple[list[int], list[int]]],
-                     keep: list[tuple[list[np.ndarray], list[np.ndarray]]]
-                     | None = None) -> tuple[Tensor, int]:
-        """Summed loss and n_positions of the sentence variant over
-        (source, target) pairs, as one ``teacher_force`` pass."""
-        loss, n, _ = self.forced_loss(self.teacher_force(pairs, keep))
-        return loss, n
 
     def step_distribution(self, prefixes: list[list[int]],
                           memory: DecoderMemory,

@@ -7,5 +7,3 @@ EOS_ID = 3
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<bos>", "<eos>"
 RESERVED = (PAD, UNK, BOS, EOS)
-
-SEP = "<sep>"  # sentence separator for concatenated two-sentence mode

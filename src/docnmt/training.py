@@ -2,44 +2,39 @@
 
 Stages and the parameter groups they unfreeze:
 
-===========  =================  ==============  ========  ==================
-stage        starts from        trains          batches   a batch runs as
-===========  =================  ==============  ========  ==================
-base         initialization     base            sentence  stacked passes
-han-encoder  base checkpoint    ctx_enc         document  document wavefront
-han-decoder  base checkpoint    ctx_dec         document  document wavefront
-han-joint    han-encoder ckpt   ctx_dec         document  document wavefront
-copy         han-encoder ckpt   ctx_dec + copy  document  document wavefront
-===========  =================  ==============  ========  ==================
+===========  =================  ==============  ========
+stage        starts from        trains          batches
+===========  =================  ==============  ========
+base         initialization     base            sentence
+han-encoder  base checkpoint    ctx_enc         document
+han-decoder  base checkpoint    ctx_dec         document
+han-joint    han-encoder ckpt   ctx_dec         document
+copy         han-encoder ckpt   ctx_dec + copy  document
+===========  =================  ==============  ========
 
 Everything outside the stage's groups stays frozen.  Each batch from
 ``make_batches`` is one Adam step on the gradient of its summed token loss,
 divided by its token count.
 
-The base stage runs a batch as stacked passes (``DocModel.stacked_loss``):
-its pairs are sorted by length and cut into groups of at most
-``MAX_STACK_ROWS`` padded rows on each side, and each group is one forward
-and one backward over its padded rows.  The dropout keep masks of every pair are
-drawn from the epoch's generator before the batch runs, pair by pair in
-batch order, so they are the masks a per-pair loop would draw.  Validation
-of the sentence variant runs the same stacked passes without gradients.
-
-Fine-tuning stages teacher-force *gold* previous sentences into the
-context caches and run a batch as a document wavefront: position s runs
-sentence s of every document of the batch that has one, as stacked passes
-grouped by the documents' numbers of cached sentences (the block layout of
-the context attention needs one n per pass) and cut by ``stack_groups``.
-Each document keeps its own ``ContextState``; one that continues into the
-next batch carries it there.  A group is one forward and backward, then
-one stacked evaluation pass that computes its gold cache entries, pushed
-through the same ``decoding.update_context`` that pushes the model's own
-outputs at decode time.  Masks are drawn for the whole batch first, as in
-the base stage; parameters change only between batches, so the wavefront
-computes what a sentence-by-sentence loop over the documents would, up to
-summation order.  A document's last sentence is not pushed: nothing reads
-it.  Validation of a context variant runs the same wavefront without
+Every stage runs a batch as a document wavefront; a sentence batch is a
+list of one-sentence documents.  Position s runs sentence s of every
+document of the batch that has one, as stacked passes grouped by the
+documents' numbers of cached sentences (the block layout of the context
+attention needs one n per pass) and cut by ``stack_groups`` into groups of
+at most ``MAX_STACK_ROWS`` padded rows on each side.  Each document keeps
+its own ``ContextState``; one that continues into the next batch carries
+it there.  A group is one forward and backward.  Then the documents whose
+sentence s a later sentence reads get its *gold* cache entries from one
+stacked evaluation pass, pushed through the same ``decoding.update_context``
+that pushes the model's own outputs at decode time.  A document's last
+sentence is not pushed, as nothing reads it, so the base stage runs no such
+pass.  The dropout keep masks of every sentence are drawn from the epoch's
+generator before the batch runs, in batch order, so they are the masks a
+per-sentence loop would draw; parameters change only between batches, so
+the wavefront computes what a sentence-by-sentence loop over the documents
+would, up to summation order.  Validation runs the same wavefront without
 gradients, one evaluation pass per group serving both the loss and the
-cache entries.
+cache entries; the sentence variant validates on one-sentence documents.
 
 The model with the lowest validation loss across epochs is returned;
 epoch 0 is the pre-training validation pass, so a zero-epoch run returns
@@ -298,12 +293,9 @@ def _push_gold(model: DocModel, docs: list[_Doc], s: int, variant: str,
 
 def _gold_pass(model: DocModel, docs: list[_Doc], s: int,
                variant: str) -> None:
-    """One stacked evaluation pass over sentence s of the documents whose
-    entry a later sentence reads, then ``_push_gold``; variants without
+    """One stacked evaluation pass over sentence s of ``docs``, whose
+    entries a later sentence reads, then ``_push_gold``; variants without
     target caches run the encoder only."""
-    docs = [d for d in docs if d.pushes(s)]
-    if not docs:
-        return
     pairs, contexts = [d.pairs[s] for d in docs], [d.context for d in docs]
     with ad.no_grad():
         if variant in DECODER_CTX:
@@ -319,17 +311,9 @@ def _gold_pass(model: DocModel, docs: list[_Doc], s: int,
 def _evaluate(model: DocModel, docs, variant: str,
               n_context: int) -> tuple[float, float | None]:
     """Validation loss (and mean p_copy) under teacher-forced context."""
+    wave = [_Doc(ContextState(n_context), list(doc)) for doc in docs]
     total = 0.0
     n_tokens = 0
-    if variant == "sentence":
-        pairs = [pair for doc in docs for pair in doc]
-        with ad.no_grad():
-            for group in stack_groups(pairs):
-                loss, n = model.stacked_loss([pairs[i] for i in group])
-                total += float(loss.data)
-                n_tokens += n
-        return total / max(n_tokens, 1), None
-    wave = [_Doc(ContextState(n_context), list(doc)) for doc in docs]
     pc_sum = 0.0
     pc_tokens = 0
     for s, group in _wavefront(wave):
@@ -350,16 +334,6 @@ def _evaluate(model: DocModel, docs, variant: str,
     return total / max(n_tokens, 1), mean_pc
 
 
-def _stacked_passes(model: DocModel, batch, rng: np.random.Generator):
-    """Yield (summed loss, n_positions) of each stacked pass over a
-    sentence batch, the dropout masks of all its pairs drawn first."""
-    pairs = [(item.src_ids, item.tgt_ids) for item in batch]
-    keep = [model.dropout_masks(len(s), len(t), rng) for s, t in pairs]
-    for group in stack_groups(pairs):
-        yield model.stacked_loss([pairs[i] for i in group],
-                                 [keep[i] for i in group])
-
-
 def _document_passes(model: DocModel, docs: list[_Doc], variant: str,
                      rng: np.random.Generator):
     """Yield (summed loss, n_positions) of each stacked pass of a document
@@ -374,7 +348,9 @@ def _document_passes(model: DocModel, docs: list[_Doc], variant: str,
             [d.context for d in group_docs], variant)
         loss, n, _ = model.forced_loss(forced)
         yield loss, n
-        _gold_pass(model, group_docs, s, variant)
+        pushing = [d for d in group_docs if d.pushes(s)]
+        if pushing:
+            _gold_pass(model, pushing, s, variant)
 
 
 def _train_epoch(model: DocModel, optimizer: Adam, corpus: DocumentCorpus,
@@ -384,7 +360,8 @@ def _train_epoch(model: DocModel, optimizer: Adam, corpus: DocumentCorpus,
     """One epoch of Adam steps, one per batch; returns (mean train loss,
     the step count after it)."""
     stage, store = tcfg.stage, model.params
-    batch_mode = "sentence" if stage == "base" else "document"
+    variant = _STAGE_VARIANT[stage]
+    batch_mode = "sentence" if variant == "sentence" else "document"
     batches, _ = make_batches(corpus, src_vocab, tgt_vocab, batch_mode,
                               tcfg.max_tokens, max_len,
                               seed=int(np.random.default_rng(
@@ -396,14 +373,9 @@ def _train_epoch(model: DocModel, optimizer: Adam, corpus: DocumentCorpus,
     for batch in batches:
         store.zero_grad()
         batch_tokens = 0
-        if batch_mode == "sentence":
-            passes = _stacked_passes(model, batch, drop_rng)
-        else:
-            docs = _batch_documents(batch, docs[-1] if docs else None,
-                                    model.cfg.n_context)
-            passes = _document_passes(model, docs, _STAGE_VARIANT[stage],
-                                      drop_rng)
-        for loss, n in passes:
+        docs = _batch_documents(batch, docs[-1] if docs else None,
+                                model.cfg.n_context)
+        for loss, n in _document_passes(model, docs, variant, drop_rng):
             value = float(loss.data)
             if not math.isfinite(value):
                 raise NumericalError(f"non-finite loss at epoch {epoch}")
@@ -446,6 +418,8 @@ def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
     train_corpus, val_corpus = split_corpus(corpus, tcfg.val_fraction,
                                             tcfg.seed)
     val_docs = _encode_corpus(val_corpus, src_vocab, tgt_vocab, max_len)
+    if variant == "sentence":     # it trains on one-sentence documents too
+        val_docs = [[pair] for doc in val_docs for pair in doc]
 
     history: list[EpochRecord] = []
 

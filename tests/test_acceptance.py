@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from docnmt.autodiff import Tensor
 from docnmt.cli import run
@@ -240,6 +241,7 @@ def _read_metrics_table(path) -> dict[str, dict[str, float]]:
     return table
 
 
+@pytest.mark.slow
 def test_synthetic_cohesion_experiment(tmp_path):
     start = time.time()
     out = tmp_path / "exp"
@@ -439,6 +441,7 @@ _SMALL_EXPERIMENT = ["--quiet", "--n-train", "16", "--n-test", "6",
                      "--dropout", "0.0", "--warmup-steps", "20"]
 
 
+@pytest.mark.slow
 def test_experiment_seed_reproducibility(tmp_path):
     outs = []
     for name in ("a", "b"):

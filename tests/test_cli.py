@@ -9,8 +9,8 @@ import pytest
 import docnmt.cli as cli
 import docnmt.model as model_package
 from docnmt.cli import build_parser, resolve_config, run
-from docnmt.corpus import load_corpus, load_documents, load_vocab_pair
-from docnmt.errors import DataError
+from docnmt.corpus import (Vocabulary, load_corpus, load_documents,
+                           load_vocab_pair, save_vocab_pair)
 from docnmt.gradcheck import GradCheckReport
 from docnmt.metrics import bleu4
 
@@ -219,15 +219,6 @@ def test_translate_trace_file(tmp_path, workdir, base_ckpt):
     assert all(l.split("\t")[1] == "-" for l in body)
 
 
-def test_translate_two_to_two_needs_sep_vocab(tmp_path, workdir, base_ckpt):
-    code = run(["translate", "--checkpoint", str(base_ckpt),
-                "--vocab", str(workdir / "vocab/vocab.json"),
-                "--src", str(workdir / "data/synth.src.txt"),
-                "--out", str(tmp_path / "t22"), "--mode", "two-to-two"])
-    assert code == 2
-
-
-
 def test_translate_too_long_source_names_its_line(tmp_path, workdir,
                                                   base_ckpt, capsys):
     words = load_documents(workdir / "data/synth.src.txt")[0][0]
@@ -241,14 +232,6 @@ def test_translate_too_long_source_names_its_line(tmp_path, workdir,
     assert code == 2
     err = capsys.readouterr().err
     assert "line 5:" in err and "70 tokens" in err and "max_len 64" in err
-
-
-def test_two_to_two_length_check_counts_the_joined_input():
-    doc = [[5] * 30, [6] * 33, [7] * 40]
-    cli._check_source_lengths([doc], 64, joined=False)
-    cli._check_source_lengths([[[5] * 30, [6] * 33]], 64, joined=True)
-    with pytest.raises(DataError, match="line 3: joined"):
-        cli._check_source_lengths([doc], 64, joined=True)
 
 
 def _translate(tmp_path, workdir, ckpt, vocab=None):
@@ -286,6 +269,29 @@ def test_translate_rejects_wrong_vocab(tmp_path, workdir, base_ckpt):
     assert len(small_tv) < len(tv)
     assert _translate(tmp_path, workdir, base_ckpt,
                       vocab=other / "vocab.json") == 2
+
+
+def test_vocab_with_a_sep_entry_still_translates(tmp_path, workdir):
+    """A vocab.json built with the separator token has ``<sep>`` at id 4 on
+    both sides; it loads as an ordinary token and translates with a
+    checkpoint of its size."""
+    old = tmp_path / "vocab.json"
+    save_vocab_pair(old, *(Vocabulary(id_to_token=v.id_to_token[:4] + ["<sep>"]
+                                      + v.id_to_token[4:])
+                           for v in load_vocab_pair(workdir / "vocab/vocab.json")))
+    sv, tv = load_vocab_pair(old)
+    assert sv.token_to_id["<sep>"] == tv.token_to_id["<sep>"] == 4
+    assert run(["train", "--src", str(workdir / "data/synth.src.txt"),
+                "--tgt", str(workdir / "data/synth.tgt.txt"),
+                "--vocab", str(old), "--out", str(tmp_path / "base"),
+                "--epochs", "0", "--d-model", "16", "--n-layers", "1",
+                "--d-ff", "32"]) == 0
+    assert _translate(tmp_path, workdir, tmp_path / "base/base.ckpt",
+                      vocab=old) == 0
+    docs = load_documents(tmp_path / "trans/output.tgt.txt")
+    src = load_documents(workdir / "data/synth.src.txt")
+    assert [len(d) for d in docs] == [len(d) for d in src]
+
 
 def test_evaluate_identity_scores_100(tmp_path, workdir):
     out = tmp_path / "eval"

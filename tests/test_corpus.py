@@ -15,7 +15,7 @@ from docnmt.corpus import (
     write_manifest,
 )
 from docnmt.errors import DataError
-from docnmt.tokens import BOS_ID, EOS_ID, PAD_ID, SEP, UNK_ID
+from docnmt.tokens import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 
 def write(path, text):
@@ -141,17 +141,17 @@ def test_vocab_min_freq_and_max_size():
     assert len(build_vocab(corpus, "src", max_size=5)) == 5
 
 
-def test_vocab_include_sep_takes_id_4():
-    corpus = corpus_from_tokens(["a b"])
-    vocab = build_vocab(corpus, "src", include_sep=True)
-    assert vocab.token_to_id[SEP] == 4
-    assert vocab.token_to_id["a"] == 5
-
-
 def test_vocab_rejects_reserved_tokens_in_corpus():
     corpus = corpus_from_tokens(["a <pad> b"])
     with pytest.raises(DataError, match="<pad>"):
         build_vocab(corpus, "src")
+
+
+def test_vocab_takes_a_literal_sep_as_an_ordinary_token():
+    corpus = corpus_from_tokens(["a <sep> b <sep>"])
+    vocab = build_vocab(corpus, "src")
+    assert vocab.id_to_token[4:] == ["<sep>", "a", "b"]
+    assert vocab.encode(["b", "<sep>"]) == [6, 4]
 
 
 def test_encode_maps_oov_to_unk_and_decode_inverts():
@@ -165,7 +165,7 @@ def test_encode_maps_oov_to_unk_and_decode_inverts():
 def test_vocab_pair_save_load(tmp_path):
     corpus = corpus_from_tokens(["a b c"])
     sv = build_vocab(corpus, "src")
-    tv = build_vocab(corpus, "tgt", include_sep=True)
+    tv = build_vocab(corpus, "tgt")
     path = tmp_path / "vocab.json"
     save_vocab_pair(path, sv, tv)
     sv2, tv2 = load_vocab_pair(path)
@@ -184,9 +184,8 @@ def synth(n_docs=10, doc_len=4, seed=3):
         n_docs=n_docs, doc_len=doc_len, n_concepts=3, seed=seed)[0]
 
 
-def vocabs(corpus, include_sep=False):
-    return (build_vocab(corpus, "src", include_sep=include_sep),
-            build_vocab(corpus, "tgt", include_sep=include_sep))
+def vocabs(corpus):
+    return build_vocab(corpus, "src"), build_vocab(corpus, "tgt")
 
 
 def test_sentence_batches_respect_token_budget():
@@ -198,6 +197,8 @@ def test_sentence_batches_respect_token_budget():
     assert sum(len(b) for b in batches) == corpus.n_sentences
     for b in batches:
         assert sum(len(it.tgt_ids) for it in b) <= 40
+    # each pair is a one-sentence document
+    assert all(it.doc_start and it.doc_end for b in batches for it in b)
 
 
 def test_sentence_batches_shuffle_depends_on_seed_only():
@@ -209,32 +210,6 @@ def test_sentence_batches_shuffle_depends_on_seed_only():
     flat = lambda bs: [(it.src_ids, it.tgt_ids) for batch in bs for it in batch]
     assert flat(a) == flat(b)
     assert flat(a) != flat(c)
-
-
-def test_two_to_two_concatenates_with_separator():
-    corpus = synth(n_docs=2, doc_len=3)
-    sv, tv = vocabs(corpus, include_sep=True)
-    batches, _ = make_batches(corpus, sv, tv, "two-to-two",
-                              max_tokens=200, max_len=60, seed=0)
-    items = [it for b in batches for it in b]
-    assert len(items) == corpus.n_sentences
-    sep_src, sep_tgt = sv.token_to_id[SEP], tv.token_to_id[SEP]
-    with_sep = [it for it in items if sep_src in it.src_ids]
-    without = [it for it in items if sep_src not in it.src_ids]
-    assert len(without) == 2  # one unconcatenated first sentence per document
-    for it in with_sep:
-        assert it.src_ids.count(sep_src) == 1
-        assert it.tgt_ids.count(sep_tgt) == 1
-        # separator splits the pair back into the two original sentences
-        cut = it.src_ids.index(sep_src)
-        assert cut > 0 and cut < len(it.src_ids) - 1
-
-
-def test_two_to_two_requires_separator_in_vocab():
-    corpus = synth(n_docs=2, doc_len=2)
-    sv, tv = vocabs(corpus, include_sep=False)
-    with pytest.raises(DataError, match="separator"):
-        make_batches(corpus, sv, tv, "two-to-two", 100, 30)
 
 
 def test_document_mode_preserves_order_and_marks_starts():

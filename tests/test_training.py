@@ -292,10 +292,12 @@ def loop_reference(model, pairs, rng):
 
 
 def stacked_run(model, pairs, rng):
+    """A sentence batch through the wavefront, as one-sentence documents."""
     model.params.zero_grad()
-    batch = [BatchItem(s, t, False, False, "d") for s, t in pairs]
+    batch = [BatchItem(s, t, True, True, "d") for s, t in pairs]
+    docs = training._batch_documents(batch, None, model.cfg.n_context)
     total = 0.0
-    for loss, _ in training._stacked_passes(model, batch, rng):
+    for loss, _ in training._document_passes(model, docs, "sentence", rng):
         ad.backward(loss)
         total += float(loss.data)
     return total, {k: p.grad for k, p in model.params.items()
@@ -361,7 +363,7 @@ def test_stacked_loss_ignores_pad_ids(dropout, monkeypatch):
             rng = np.random.default_rng(4)
             keep = [model.dropout_masks(len(s), len(t), rng) for s, t in pairs]
         model.params.zero_grad()
-        loss, n = model.stacked_loss(pairs, keep)
+        loss, n, _ = model.forced_loss(model.teacher_force(pairs, keep))
         assert fill in Stack.of([s for s, _ in pairs]).ids
         ad.backward(loss)
         results.append((loss.data.copy(), {k: p.grad for k, p in
@@ -395,6 +397,49 @@ def test_one_adam_step_per_batch(monkeypatch):
                TrainConfig(stage="base", epochs=2, seed=0, max_tokens=64))
     assert len(n_batches) == 2 and min(n_batches) > 1
     assert len(n_steps) == sum(n_batches)
+
+
+def test_base_epoch_runs_one_teacher_force_per_stacked_group(monkeypatch):
+    """The base stage's wavefront over one-sentence documents is the
+    stacked passes of ``stack_groups``: one training pass per group of each
+    batch, one validation pass per group of the validation sentences
+    (epochs 0 and 1), and no gold pass or cache push."""
+    corpus, _, sv, tv, cfg = small_setup(n_docs=12, doc_len=3)
+    tcfg = TrainConfig(stage="base", epochs=1, seed=0, max_tokens=64,
+                       val_fraction=0.3)
+    batches, passes, pushes, gold = [], [], [], []
+    make_batches, force = training.make_batches, DocModel.teacher_force
+
+    def kept_batches(*args, **kwargs):
+        out = make_batches(*args, **kwargs)
+        batches.extend(out[0])
+        return out
+
+    def recorded_force(self, pairs, keep=None, *args):
+        passes.append((pairs, keep is not None))
+        return force(self, pairs, keep, *args)
+
+    monkeypatch.setattr(training, "make_batches", kept_batches)
+    monkeypatch.setattr(DocModel, "teacher_force", recorded_force)
+    monkeypatch.setattr(training, "update_context",
+                        lambda *args: pushes.append(args))
+    monkeypatch.setattr(training, "_gold_pass",
+                        lambda *args: gold.append(args))
+    train_base(corpus, cfg, sv, tv, tcfg)
+
+    def grouped(pairs):
+        return [[pairs[i] for i in g] for g in stack_groups(pairs)]
+
+    want_train = [g for batch in batches
+                  for g in grouped([(it.src_ids, it.tgt_ids) for it in batch])]
+    val_docs = training._encode_corpus(
+        split_corpus(corpus, tcfg.val_fraction, tcfg.seed)[1], sv, tv,
+        min(tcfg.max_len, cfg.max_len - 1))
+    want_val = grouped([pair for doc in val_docs for pair in doc])
+    assert len(want_train) > len(batches) > 1 and len(want_val) > 1
+    assert [p for p, train in passes if train] == want_train
+    assert [p for p, train in passes if not train] == want_val * 2
+    assert pushes == [] and gold == []
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +500,7 @@ def context_model(stage, dropout, n_context=2):
 def record_pushes(entries, push):
     """``update_context`` that also keeps the entries each push caches,
     keyed by the sentence pair (the cases below repeat no pair)."""
-    def recorded(model, context, encoded, out_tokens, variant, rows=None):
+    def recorded(model, context, encoded, out_tokens, variant, rows):
         push(model, context, encoded, out_tokens, variant, rows)
         key = (tuple(encoded.token_ids), tuple(out_tokens))
         assert key not in entries
@@ -466,11 +511,20 @@ def record_pushes(entries, push):
     return recorded
 
 
+def push_gold(push, model, context, src, tgt, variant):
+    """The per-sentence gold push: an eval encode, then one teacher-forced
+    eval pass over the target for its rows, both before anything is
+    pushed."""
+    with ad.no_grad():
+        encoded, _ = model.contextual_encode(src, context, variant)
+    entry = model.target_cache_entry(tgt, encoded, context, variant)
+    push(model, context, encoded, tgt, variant, entry.states.data)
+
+
 def document_loop(model, batches, variant, rng, entries):
     """The per-sentence loop the wavefront replaces, over document batches:
-    per batch the summed loss and the gradients.  Each gold push is an
-    eval encode, then ``update_context`` decodes the target once more; the
-    caches carry over batch boundaries."""
+    per batch the summed loss and the gradients.  Each gold push is
+    ``push_gold``; the caches carry over batch boundaries."""
     push = record_pushes(entries, update_context)
     context = ContextState(model.cfg.n_context)
     results = []
@@ -486,10 +540,8 @@ def document_loop(model, batches, variant, rng, entries):
             ad.backward(loss * float(n))
             total += float(loss.data) * n
             if not item.doc_end:
-                with ad.no_grad():
-                    encoded, _ = model.contextual_encode(
-                        item.src_ids, context, variant)
-                push(model, context, encoded, item.tgt_ids, variant)
+                push_gold(push, model, context, item.src_ids, item.tgt_ids,
+                          variant)
         results.append((total, grads_of(model)))
     return results
 
@@ -627,8 +679,7 @@ def test_validation_wavefront_matches_loop(stage, monkeypatch):
                 n_tokens += n
                 pc_sum += (mean_pc or 0.0) * n
                 if s + 1 < len(doc):
-                    encoded, _ = model.contextual_encode(src, context, variant)
-                    push(model, context, encoded, tgt, variant)
+                    push_gold(push, model, context, src, tgt, variant)
     monkeypatch.setattr(training, "update_context",
                         record_pushes(got_entries, update_context))
     loss, mean_pc = training._evaluate(model, docs, variant, 3)
@@ -659,7 +710,9 @@ def test_validation_entries_are_the_evaluation_pass_rows(monkeypatch):
                         record_pushes(want_entries, update_context))
     wave = [training._Doc(ContextState(2), list(doc)) for doc in docs]
     for s, group in training._wavefront(wave):
-        training._gold_pass(model, [wave[i] for i in group], s, "copy")
+        pushing = [wave[i] for i in group if wave[i].pushes(s)]
+        if pushing:
+            training._gold_pass(model, pushing, s, "copy")
     assert len(got_entries) == 9
     assert_entries_match(got_entries, want_entries, 0.0)
 
