@@ -15,6 +15,19 @@ attention weights [m, a, b] of ``attention_weights``: head h's [a, b]
 post-softmax matrix is entry h, and ``attention_mix`` merges the heads back
 into [a, d] rows.  Given a [B, a, b] mask, both ops take B stacked
 sequences (B*a query rows, B*b key rows) and the weights are [B, m, a, b].
+
+Every op checks that its output is finite and raises ``NumericalError``
+naming itself otherwise; training, validation, gradient checks and direct
+model calls all run so.  ``unchecked()`` turns the per-op check off.  Only
+the search enters it (see ``decoding``): it checks each step's distribution
+and state rows instead and replays a failing sentence with the per-op
+checks on, so the error still names the op.  Two checks stay on even
+there: ``attention_weights`` checks its logits before masking (a masked
+non-finite key would vanish), and ``softmax_lastdim`` tells non-finite
+logits from a fully masked row.  Apart from masking and row selection no op
+turns a NaN into a finite value (``relu`` keeps it), so a NaN reaches the
+search's checks.  An inf can saturate (a sigmoid of inf is exactly 1); see
+``decoding`` for how the search deals with that.
 """
 
 from __future__ import annotations
@@ -29,6 +42,7 @@ from .errors import ContractError, NumericalError, ShapeError
 Array = np.ndarray
 
 _grad_enabled: bool = True
+_check_finite: bool = True
 _tape: list["_Node"] = []
 
 # how often clamped_log had to clamp; exposed for the cross-entropy flag
@@ -45,6 +59,18 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+@contextmanager
+def unchecked():
+    """Skip the per-op finite check (the search's sentence unit only)."""
+    global _check_finite
+    prev = _check_finite
+    _check_finite = False
+    try:
+        yield
+    finally:
+        _check_finite = prev
 
 
 def tape_size() -> int:
@@ -164,7 +190,7 @@ def _finite(arr: Array, tag: str) -> None:
 
 
 def _out(arr: Array, inputs: tuple, bwd, tag: str, check: bool = True) -> Tensor:
-    if check:
+    if check and _check_finite:
         _finite(arr, tag)
     t = Tensor._wrap(arr)
     if _grad_enabled and any(i.requires_grad for i in inputs):
@@ -285,8 +311,9 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0); a NaN stays NaN."""
     mask = x.data > 0
-    return _out(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,), "relu")
+    return _out(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,), "relu")
 
 
 def log(x: Tensor) -> Tensor:
@@ -377,14 +404,18 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     """Numerically stable softmax over the last axis (max subtraction).
 
     Rows that are entirely -inf are a caller bug (fully masked attention row)
-    and raise ContractError.
+    and raise ContractError; a row whose maximum is NaN or +inf raises
+    NumericalError.
     """
     d = x.data
     if d.size == 0 or d.shape[-1] == 0:
         raise ContractError("softmax_lastdim on empty tensor")
     m = np.max(d, axis=-1, keepdims=True)
     if not np.isfinite(m).all():
-        raise ContractError("softmax_lastdim: a row is fully masked (-inf)")
+        if (m == -np.inf).any():
+            raise ContractError(
+                "softmax_lastdim: a row is fully masked (-inf)")
+        _finite(m, "softmax")
     e = np.exp(d - m)
     out = e / e.sum(axis=-1, keepdims=True)
 
@@ -400,16 +431,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if x.data.ndim != 2 or gain.data.shape != (x.data.shape[1],) \
             or bias.data.shape != (x.data.shape[1],):
         raise ShapeError(f"layer_norm: x {x.shape}, gain {gain.shape}, bias {bias.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
+    # add.reduce / n is bitwise what .mean() computes, without its wrapper
+    n = x.data.shape[1]
+    c = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / n
+    var = np.add.reduce(c * c, axis=1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x.data - mu) * inv
+    xhat = c * inv
     out = xhat * gain.data[None, :] + bias.data[None, :]
 
     def bwd(g):
         gy = g * gain.data[None, :]
-        m1 = gy.mean(axis=1, keepdims=True)
-        m2 = (gy * xhat).mean(axis=1, keepdims=True)
+        m1 = np.add.reduce(gy, axis=1, keepdims=True) / n
+        m2 = np.add.reduce(gy * xhat, axis=1, keepdims=True) / n
         dx = (gy - m1 - xhat * m2) * inv
         return (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
 

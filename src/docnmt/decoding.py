@@ -14,6 +14,22 @@ the search; nothing is decoded a second time.  Caches reset at document
 boundaries.  Beam search shares one cache per document: by the time a
 cache entry exists its sentence is finished, so hypotheses never see
 divergent context.
+
+One translated sentence is the unit of numerical checking: its encoding
+under the caches, its ``DecoderMemory`` and its whole search run without a
+tape and with the per-op finite checks off (``autodiff.unchecked``).  Each
+search step checks instead that its distributions and the state rows it
+adds are finite (``DocModel.step_distribution``).  When that check, or any
+other, raises ``NumericalError``, the sentence runs once more from its
+encoding with the per-op checks on.  The replay is exact: decoding is
+deterministic and the caches change only after a sentence finishes.  So
+the error names the op that first made a non-finite value, as a fully
+checked run would; should the replay pass, the first error (which names
+the step) is raised.  A document whose parameters are not all finite is
+decoded with the per-op checks on throughout: a saturating op (a sigmoid
+of inf is 1) could hide such a value from the step check.  With finite
+parameters an inf needs an overflow, which the layer norms bound unless
+weights reach about 1e150.
 """
 
 from __future__ import annotations
@@ -22,8 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, NumericalError
 from .model.han import CacheEntry, ContextState
 from .model.model import (DECODER_CTX, ENCODER_CTX, DecoderMemory, DocModel,
                           check_variant)
@@ -226,6 +243,20 @@ def update_context(model: DocModel, context: ContextState, encoded,
                                        states=Tensor._wrap(rows)))
 
 
+def _checked_unit(unit, unchecked: bool):
+    """``unit()``, without the per-op finite checks if ``unchecked``; a
+    ``NumericalError`` then replays it with them on (see the module
+    docstring)."""
+    if not unchecked:
+        return unit()
+    try:
+        with ad.unchecked():
+            return unit()
+    except NumericalError as err:
+        unit()      # raises the error of the op that made the value
+        raise err
+
+
 def translate_document(model: DocModel, src_sentences: list[list[int]],
                        variant: str, config: SearchConfig | None = None
                        ) -> tuple[list[list[int]], list[list[StepTrace]]]:
@@ -233,15 +264,23 @@ def translate_document(model: DocModel, src_sentences: list[list[int]],
     check_variant(variant)
     config = config or SearchConfig()
     context = ContextState(model.cfg.n_context)
+    params_finite = all(np.isfinite(t.data).all()
+                        for _, t in model.params.items())
     outputs: list[list[int]] = []
     all_traces: list[list[StepTrace]] = []
+
+    def sentence(src):
+        encoded, _ = model.contextual_encode(src, context, variant,
+                                             train=False)
+        return (encoded,) + translate_sentence(model, encoded, context,
+                                               variant, config)
+
     for src in src_sentences:
         if not src:
             raise DataError("cannot translate an empty source sentence")
-        encoded, _ = model.contextual_encode(src, context, variant,
-                                             train=False)
-        out_tokens, traces, rows = translate_sentence(model, encoded, context,
-                                                      variant, config)
+        with ad.no_grad():
+            encoded, out_tokens, traces, rows = _checked_unit(
+                lambda: sentence(src), params_finite)
         update_context(model, context, encoded, out_tokens, variant, rows)
         outputs.append(out_tokens)
         all_traces.append(traces)

@@ -36,7 +36,7 @@ from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..errors import ContractError
 from ..tokens import BOS_ID, EOS_ID, PAD_ID, UNK_ID
-from .han import AttentionTrace, _sub
+from .han import AttentionTrace
 from .transformer import HeadKV, attend
 
 SPECIAL_IDS = (PAD_ID, UNK_ID, BOS_ID, EOS_ID)  # never copy targets
@@ -60,13 +60,14 @@ class CopyDistribution:
 
 
 def encoder_context_attention(h_tilde: Tensor, enc_kv: HeadKV,
-                              p: dict[str, Tensor],
+                              att_p: dict[str, Tensor],
                               mask: np.ndarray | None = None) -> Tensor:
     """c_t: multi-head attention of the integrated state over the current
     source encoding (``enc_kv``, projected once per sentence through the
-    copy mechanism's own ``att.wk`` / ``att.wv``); a stacked pass gives the
+    copy mechanism's own ``att.wk`` / ``att.wv``; ``att_p`` holds the
+    ``att.`` parameters, prefix stripped); a stacked pass gives the
     [B, T, L] key mask of its padded sources."""
-    c_rows, _ = attend(h_tilde @ p["att.wq"], enc_kv, _sub(p, "att."), mask)
+    c_rows, _ = attend(h_tilde @ att_p["wq"], enc_kv, att_p, mask)
     return c_rows
 
 
@@ -102,25 +103,45 @@ def copy_indicator(token_ids: list[int], vocab_size: int) -> np.ndarray:
     return indicator
 
 
-def copy_attention_weights(trace: AttentionTrace,
-                           vocab_size: int) -> CopyWeights:
+def cache_indicator(token_ids: list[list[int]] | list[list[list[int]]],
+                    vocab_size: int, width: int | None
+                    ) -> tuple[list[int], np.ndarray]:
+    """The cached ids in key-column order and their ``copy_indicator``.
+
+    ``token_ids`` lists the ids of each cached sentence (``width`` None),
+    or, stacked, each document's lists; then ``width`` is the key columns
+    per document, the documents' ids are padded with PAD_ID to it one after
+    another, and the documents must agree on whether anything may be
+    copied."""
+    if width is None:
+        flat = [i for ids in token_ids for i in ids]
+        return flat, copy_indicator(flat, vocab_size)
+    flat = []
+    for doc in token_ids:
+        ids = [i for sent in doc for i in sent]
+        flat += ids + [PAD_ID] * (width - len(ids))
+    indicator = copy_indicator(flat, vocab_size)
+    per_doc = indicator.reshape(len(token_ids), -1).any(axis=1)
+    if per_doc.any() != per_doc.all():
+        raise ContractError("stacked caches differ in what may be copied")
+    return flat, indicator
+
+
+def copy_attention_weights(trace: AttentionTrace, vocab_size: int,
+                           cached: tuple[list[int], np.ndarray] | None = None
+                           ) -> CopyWeights:
     """Head-averaged copy weights from a context attention trace; the
     reserved ids lose their mass and the rest is renormalized to sum 1.
 
-    For a stacked trace the documents' padded ids are listed one after
-    another, no ``alpha_tokens`` are formed, and the documents must agree
-    on whether anything may be copied."""
+    ``cached`` is the trace's ``cache_indicator`` when the caller holds it
+    already (a ``DecoderMemory`` builds it once for all its steps).  For a
+    stacked trace no ``alpha_tokens`` are formed."""
     m = trace.m
-    if trace.word.data.ndim == 4:
-        width = trace.word.data.shape[-1]
-        token_ids = []
-        for doc in trace.token_ids:
-            flat = [i for ids in doc for i in ids]
-            token_ids += flat + [PAD_ID] * (width - len(flat))
-        indicator = copy_indicator(token_ids, vocab_size)
-        per_doc = indicator.reshape(len(trace.token_ids), -1).any(axis=1)
-        if per_doc.any() != per_doc.all():
-            raise ContractError("stacked caches differ in what may be copied")
+    stacked = trace.word.data.ndim == 4
+    token_ids, indicator = cached or cache_indicator(
+        trace.token_ids, vocab_size,
+        trace.word.data.shape[-1] if stacked else None)
+    if stacked:
         word_vocab = ad.attention_mix(trace.word.sum(axis=1, keepdims=True),
                                       Tensor._wrap(indicator))
         alpha_tokens = None
@@ -129,8 +150,6 @@ def copy_attention_weights(trace: AttentionTrace,
     else:
         alpha_tokens = (trace.sent.sum(axis=0) @ trace.word.sum(axis=0)) \
             * (1.0 / (m * m))
-        token_ids = [i for ids in trace.token_ids for i in ids]
-        indicator = copy_indicator(token_ids, vocab_size)
         alpha_vocab = alpha_tokens @ Tensor._wrap(indicator)
     copyable = bool(indicator.any())
 

@@ -125,8 +125,9 @@ def _sub(p: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
 
 class ContextMemory:
     """The cached sentences of one side, prepared once for many queries:
-    their token ids, the word-level attention's parameters, and its keys and
-    values: the stacked states [K, d] through ``word.wk`` / ``word.wv``.
+    their token ids, the word-level, sentence-level and FFN parameters
+    (prefixes stripped), and the word-level keys and values: the stacked
+    states [K, d] through ``word.wk`` / ``word.wv``.
 
     Given one entry list per document (a stacked pass; every document with
     the same number of sentences), block b of the [B*K, d] keys and values
@@ -158,6 +159,7 @@ class ContextMemory:
         self.token_ids = token_ids if self.stacked else token_ids[0]
         self.columns = columns if self.stacked else columns[0]
         self.word_p = _sub(p, "word.")
+        self.sent_p, self.ffn_p = _sub(p, "sent."), _sub(p, "ffn.")
         states = Tensor._wrap(rows.reshape(-1, rows.shape[-1]))
         self.word_kv = project_kv(states, states, self.word_p, m)
 
@@ -207,8 +209,8 @@ def sentence_level_context(h: Tensor, summaries: Tensor, memory: ContextMemory,
     if memory.stacked:
         mask = np.broadcast_to(mask, (memory.n_docs,) + mask.shape)
     attended, sent_weights = multi_head_attention(
-        h @ p["g"], summaries, summaries, _sub(p, "sent."), m, mask=mask)
-    return positionwise_ffn(attended, _sub(p, "ffn.")), sent_weights
+        h @ p["g"], summaries, summaries, memory.sent_p, m, mask=mask)
+    return positionwise_ffn(attended, memory.ffn_p), sent_weights
 
 
 def gate_integrate(h: Tensor, d_rows: Tensor, p: dict[str, Tensor]) -> tuple[Tensor, Tensor]:

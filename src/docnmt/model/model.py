@@ -39,13 +39,13 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from ..errors import ContractError
+from ..errors import ContractError, NumericalError
 from ..tokens import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 from .config import ModelConfig
-from .copy import (CopyDistribution, copy_attention_weights, copy_gate,
-                   encoder_context_attention, mix_distributions)
+from .copy import (CopyDistribution, cache_indicator, copy_attention_weights,
+                   copy_gate, encoder_context_attention, mix_distributions)
 from .han import (AttentionTrace, CacheEntry, ContextMemory, ContextState,
-                  _sub, cached, hierarchical_context)
+                  cached, hierarchical_context)
 from .params import ParamStore
 from .transformer import (HeadKV, attend, causal_mask, cross_entropy,
                           multi_head_attention, positionwise_ffn, project_kv,
@@ -190,8 +190,9 @@ class DecoderMemory:
     """Everything the decoder passes over one sentence share, built once per
     sentence: each layer's parameter views and cross-attention K/V of the
     source encoding, the target-side ``ContextMemory`` (None on the skip
-    path), and the copy attention's K/V of the source encoding, projected on
-    first use (after the decoder stack, as the copy mixture needs them).
+    path), and, built on first use (after the decoder stack, as the copy
+    mixture needs them), the copy indicator of the cached target ids and
+    the copy attention's K/V of the source encoding.
     A stacked encoding comes with one cache per sentence.
     """
 
@@ -217,15 +218,27 @@ class DecoderMemory:
             self.ctx_p = p.view("ctx.dec.")
             self.context = ContextMemory(entries, self.ctx_p, m)
         self._params = p
+        self._vocab = model.cfg.vocab_tgt
+        self._cached: tuple[list[int], np.ndarray] | None = None
         self._copy: tuple[HeadKV, dict[str, Tensor]] | None = None
 
+    def cache_indicator(self) -> tuple[list[int], np.ndarray]:
+        """The ``cache_indicator`` of the target cache, built on the first
+        call."""
+        if self._cached is None:
+            ctx = self.context
+            self._cached = cache_indicator(
+                ctx.token_ids, self._vocab,
+                ctx.columns.shape[-1] if ctx.stacked else None)
+        return self._cached
+
     def copy(self) -> tuple[HeadKV, dict[str, Tensor]]:
-        """The copy attention's K/V of the source encoding and the copy
-        parameter views, built on the first call."""
+        """The copy attention's K/V of the source encoding and its parameter
+        views (``copy.att.``, prefix stripped), built on the first call."""
         if self._copy is None:
-            p = self._params.view("copy.")
+            p = self._params.view("copy.att.")
             states = self.encoded.states
-            self._copy = project_kv(states, states, _sub(p, "att."), self.m), p
+            self._copy = project_kv(states, states, p, self.m), p
         return self._copy
 
 
@@ -429,15 +442,17 @@ class DocModel:
         """
         if out.trace is None:
             return p_vocab, None, None
-        weights = copy_attention_weights(out.trace, self.cfg.vocab_tgt)
+        weights = copy_attention_weights(out.trace, self.cfg.vocab_tgt,
+                                         memory.cache_indicator())
         if not weights.copyable:
             return p_vocab, None, None
-        copy_kv, copy_p = memory.copy()
+        copy_kv, att_p = memory.copy()
         src, mask = memory.encoded.token_ids, None
         if isinstance(src, Stack):
             mask = src.key_mask(out.h_tilde.data.shape[0] // len(src.lengths))
-        c_rows = encoder_context_attention(out.h_tilde, copy_kv, copy_p, mask)
-        p_copy = copy_gate(out.h_tilde, c_rows, out.d_rows, copy_p)
+        c_rows = encoder_context_attention(out.h_tilde, copy_kv, att_p, mask)
+        p_copy = copy_gate(out.h_tilde, c_rows, out.d_rows,
+                           self.params.view("copy."))
         return mix_distributions(p_vocab, weights.alpha_vocab, p_copy), \
             p_copy, weights
 
@@ -536,7 +551,9 @@ class DocModel:
         The prefixes have one length; ``states[i]`` holds the rows of all
         but the last token of ``prefixes[i]`` (None for a bare BOS prefix),
         so one row per prefix is computed.  Each result carries the state
-        grown by that row.
+        grown by that row.  The distributions and the new rows are checked
+        to be finite (the search runs its ops unchecked, see ``decoding``);
+        a non-finite value raises ``NumericalError`` naming the step.
         """
         past = [DecoderState.empty(self.cfg.n_layers, self.cfg.d_model)
                 if s is None else s for s in states]
@@ -550,6 +567,10 @@ class DocModel:
             p_w, p_copy, weights = p_vocab, None, None
             if memory.variant == "copy":
                 p_w, p_copy, weights = self.copy_mixture(out, memory, p_vocab)
+        step = [p_w, out.h_tilde] + [t for kv in out.kv for t in kv]
+        if not all(np.isfinite(t.data).all() for t in step):
+            raise NumericalError("non-finite values in the distribution or "
+                                 f"state rows of decode step {len(past[0])}")
         results = []
         for i, state in enumerate(past):
             dist = None

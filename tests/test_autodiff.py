@@ -374,3 +374,63 @@ class TestGradCheckHarness:
 
         report = grad_check(lambda: bad_sin(w).sum(), [("w", w)])
         assert not report.passed
+
+
+class TestUncheckedOps:
+    """With the per-op checks off (``unchecked``), no op may turn a
+    non-finite value into a finite one that the search's checks miss."""
+
+    def test_relu_keeps_nan_and_its_gradient(self):
+        x = Tensor([[np.nan, -1.0, 2.0]], requires_grad=True)
+        with ad.unchecked():
+            y = ad.relu(x)
+            ad.backward(y.sum())
+        np.testing.assert_array_equal(y.data, [[np.nan, 0.0, 2.0]])
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
+        with pytest.raises(NumericalError, match="op 'relu'"):
+            ad.relu(Tensor([[np.nan]]))
+
+    def test_softmax_of_nan_logits_is_numerical_not_contract(self):
+        with ad.unchecked():
+            with pytest.raises(NumericalError, match="op 'softmax'"):
+                ad.softmax_lastdim(Tensor([[0.0, np.nan], [1.0, 2.0]]))
+            with pytest.raises(ContractError, match="fully masked"):
+                ad.softmax_lastdim(Tensor([[-np.inf, -np.inf]]))
+
+    def test_masked_non_finite_key_still_raises(self):
+        k = Tensor(np.ones((3, 4)))
+        k.data[1, 2] = np.nan
+        mask = np.array([[False, True, False], [False, True, False]])
+        with ad.unchecked(), \
+                pytest.raises(NumericalError, match="attention_weights"):
+            ad.attention_weights(Tensor(np.ones((2, 4))), k, 2, mask)
+
+
+def _layer_norm_by_mean(x, gain, bias, g):
+    """The forward and backward ``layer_norm`` had with ``.mean()``."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mu) * inv
+    out = xhat * gain[None, :] + bias[None, :]
+    gy = g * gain[None, :]
+    m1 = gy.mean(axis=1, keepdims=True)
+    m2 = (gy * xhat).mean(axis=1, keepdims=True)
+    dx = (gy - m1 - xhat * m2) * inv
+    return out, dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+def test_layer_norm_equals_the_mean_formula_bitwise():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        x = Tensor(rng.normal(size=(n, 32)) * rng.uniform(0.1, 10),
+                   requires_grad=True)
+        gain = Tensor(rng.normal(size=32), requires_grad=True)
+        bias = Tensor(rng.normal(size=32), requires_grad=True)
+        g = rng.normal(size=(n, 32))
+        out = ad.layer_norm(x, gain, bias)
+        ad.backward(ad.mul(out, Tensor(g)).sum())
+        want = _layer_norm_by_mean(x.data, gain.data, bias.data, g)
+        for got, ref in zip((out.data, x.grad, gain.grad, bias.grad), want):
+            np.testing.assert_array_equal(got, ref)

@@ -8,6 +8,7 @@ import pytest
 
 import docnmt.cli as cli
 import docnmt.model as model_package
+from docnmt.checkpoint import load_checkpoint, save_checkpoint
 from docnmt.cli import build_parser, resolve_config, run
 from docnmt.corpus import (Vocabulary, load_corpus, load_documents,
                            load_vocab_pair, save_vocab_pair)
@@ -326,6 +327,17 @@ def test_train_divergence_exits_3(tmp_path, workdir):
                 "--dropout", "0.0", "--lr-scale", "1e100"])
     assert code == 3
     assert (out / "diverged.note").exists()
+
+
+def test_translate_nan_in_a_decoder_weight_exits_3_naming_the_op(
+        tmp_path, workdir, base_ckpt, capsys):
+    store, cfg, groups = load_checkpoint(base_ckpt)
+    store["dec.0.ffn.w1"].data[0, 0] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(ckpt, store, cfg, groups)
+    assert _translate(tmp_path, workdir, ckpt) == 3
+    assert "non-finite values produced by op 'matmul'" in \
+        capsys.readouterr().err
 
 
 def test_train_nan_in_starting_parameters_exits_3(tmp_path, workdir,

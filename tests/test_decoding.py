@@ -243,6 +243,26 @@ def test_single_sentence_doc_copy_equals_sentence_level():
     assert copy_out == sent_out
 
 
+def test_copy_indicator_is_built_once_per_sentence(monkeypatch):
+    """Every step of a sentence reuses its ``DecoderMemory``'s indicator of
+    the cached target ids."""
+    import docnmt.model.copy as copy_module
+
+    model = tiny_model(seed=9)
+    built, build = [], copy_module.copy_indicator
+
+    def counting(token_ids, vocab_size):
+        built.append(list(token_ids))
+        return build(token_ids, vocab_size)
+
+    monkeypatch.setattr(copy_module, "copy_indicator", counting)
+    doc = [[4, 5, 6], [6, 7, 8], [8, 9, 4], [10, 4, 5]]
+    outputs, traces = translate_document(
+        model, doc, "copy", SearchConfig(width=2, collect_traces=True))
+    with_cache = sum(1 for i in range(1, len(doc)) if any(outputs[:i]))
+    assert 0 < len(built) == with_cache < sum(map(len, traces[1:]))
+
+
 def test_context_eviction_respects_n_context(monkeypatch):
     model = tiny_model(seed=8)
     model = DocModel(dataclasses.replace(model.cfg, n_context=1), model.params)
