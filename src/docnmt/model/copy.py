@@ -127,21 +127,18 @@ def cache_indicator(token_ids: list[list[int]] | list[list[list[int]]],
     return flat, indicator
 
 
-def copy_attention_weights(trace: AttentionTrace, vocab_size: int,
-                           cached: tuple[list[int], np.ndarray] | None = None
+def copy_attention_weights(trace: AttentionTrace,
+                           cached: tuple[list[int], np.ndarray]
                            ) -> CopyWeights:
     """Head-averaged copy weights from a context attention trace; the
     reserved ids lose their mass and the rest is renormalized to sum 1.
 
-    ``cached`` is the trace's ``cache_indicator`` when the caller holds it
-    already (a ``DecoderMemory`` builds it once for all its steps).  For a
-    stacked trace no ``alpha_tokens`` are formed."""
+    ``cached`` is the ``cache_indicator`` of the trace's cached ids (a
+    ``DecoderMemory`` builds it once for all its steps).  For a stacked
+    trace no ``alpha_tokens`` are formed."""
     m = trace.m
-    stacked = trace.word.data.ndim == 4
-    token_ids, indicator = cached or cache_indicator(
-        trace.token_ids, vocab_size,
-        trace.word.data.shape[-1] if stacked else None)
-    if stacked:
+    token_ids, indicator = cached
+    if trace.word.data.ndim == 4:
         word_vocab = ad.attention_mix(trace.word.sum(axis=1, keepdims=True),
                                       Tensor._wrap(indicator))
         alpha_tokens = None

@@ -442,8 +442,7 @@ class DocModel:
         """
         if out.trace is None:
             return p_vocab, None, None
-        weights = copy_attention_weights(out.trace, self.cfg.vocab_tgt,
-                                         memory.cache_indicator())
+        weights = copy_attention_weights(out.trace, memory.cache_indicator())
         if not weights.copyable:
             return p_vocab, None, None
         copy_kv, att_p = memory.copy()

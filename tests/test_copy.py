@@ -8,12 +8,12 @@ from docnmt.gradcheck import grad_check
 import pytest
 
 from docnmt.errors import ContractError
-from docnmt.model.copy import (copy_attention_weights, copy_gate,
-                               copy_indicator, mix_distributions)
+from docnmt.model.copy import copy_gate, copy_indicator, mix_distributions
 from docnmt.model.han import ContextState
 
 from decode_reference import incremental_step
-from han_reference import block_trace, copy_indicator_loop
+from han_reference import (block_trace, copy_indicator_loop,
+                           trace_copy_weights)
 from test_han import make_context
 from test_transformer import tiny_model
 
@@ -76,7 +76,7 @@ class TestAlphaHandCases:
         # one head; sentence weights .4/.6; word weights [1] and [.5,.5]
         trace = trace_from_arrays([[0.4, 0.6]], [[[1.0]], [[0.5, 0.5]]],
                                   [[7], [8, 9]])
-        w = copy_attention_weights(trace, vocab_size=12)
+        w = trace_copy_weights(trace, 12)
         np.testing.assert_allclose(w.alpha_tokens.data, [[0.4, 0.3, 0.3]],
                                    atol=1e-12)
         np.testing.assert_allclose(w.alpha_vocab.data[0, [7, 8, 9]],
@@ -85,13 +85,13 @@ class TestAlphaHandCases:
     def test_repeated_token_mass_accumulates(self):
         # "watch the watch" with weights .5/.2/.3 -> watch .8, the .2
         trace = trace_from_arrays([[1.0]], [[[0.5, 0.2, 0.3]]], [[5, 6, 5]])
-        w = copy_attention_weights(trace, vocab_size=8)
+        w = trace_copy_weights(trace, 8)
         np.testing.assert_allclose(w.alpha_vocab.data[0, 5], 0.8, atol=1e-12)
         np.testing.assert_allclose(w.alpha_vocab.data[0, 6], 0.2, atol=1e-12)
 
     def test_absent_ids_are_exactly_zero(self):
         trace = trace_from_arrays([[1.0]], [[[0.7, 0.3]]], [[4, 6]])
-        w = copy_attention_weights(trace, vocab_size=9)
+        w = trace_copy_weights(trace, 9)
         absent = [i for i in range(9) if i not in (4, 6)]
         assert np.all(w.alpha_vocab.data[0, absent] == 0.0)
 
@@ -99,7 +99,7 @@ class TestAlphaHandCases:
         rng = np.random.default_rng(3)
         for m in (1, 2, 4):
             trace = random_trace(rng, m, [3, 2, 4])
-            w = copy_attention_weights(trace, vocab_size=30)
+            w = trace_copy_weights(trace, 30)
             np.testing.assert_allclose(w.alpha_tokens.data.sum(), 1.0, atol=1e-12)
             np.testing.assert_allclose(w.alpha_vocab.data.sum(), 1.0, atol=1e-12)
 
@@ -107,7 +107,7 @@ class TestAlphaHandCases:
 class TestSpecialTokenHandling:
     def test_specials_excluded_and_renormalized(self):
         trace = trace_from_arrays([[1.0]], [[[0.5, 0.25, 0.25]]], [[3, 7, 8]])
-        w = copy_attention_weights(trace, vocab_size=10)
+        w = trace_copy_weights(trace, 10)
         assert w.alpha_vocab.data[0, 3] == 0.0
         np.testing.assert_allclose(w.alpha_vocab.data[0, [7, 8]], [0.5, 0.5],
                                    atol=1e-12)
@@ -115,7 +115,7 @@ class TestSpecialTokenHandling:
 
     def test_all_special_cache_is_not_copyable(self):
         trace = trace_from_arrays([[1.0]], [[[0.6, 0.4]]], [[2, 3]])
-        w = copy_attention_weights(trace, vocab_size=10)
+        w = trace_copy_weights(trace, 10)
         assert not w.copyable
         assert np.all(w.alpha_vocab.data == 0.0)
 
@@ -128,7 +128,7 @@ class TestNaiveOracle:
             n_sents = int(rng.integers(1, 4))
             lens = [int(rng.integers(1, 6)) for _ in range(n_sents)]
             trace = random_trace(rng, m, lens, vocab=20)
-            w = copy_attention_weights(trace, vocab_size=20)
+            w = trace_copy_weights(trace, 20)
             tok_ref, voc_ref = naive_alpha(trace, 20)
             np.testing.assert_allclose(w.alpha_tokens.data, tok_ref, atol=1e-12)
             np.testing.assert_allclose(w.alpha_vocab.data, voc_ref, atol=1e-12)

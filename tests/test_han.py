@@ -9,12 +9,12 @@ from docnmt.gradcheck import grad_check
 from docnmt.model import build_params
 from docnmt.model.model import DecoderMemory
 from docnmt import autodiff as ad
-from docnmt.model.copy import copy_attention_weights
 from docnmt.model.han import (CacheEntry, ContextMemory, ContextState,
                               gate_integrate, hierarchical_context)
 
 from han_reference import (assert_normalized, block_trace, copy_weights_loop,
-                           hierarchical_loop, per_sentence)
+                           hierarchical_loop, per_sentence,
+                           trace_copy_weights)
 from test_transformer import tiny_model
 
 
@@ -249,7 +249,7 @@ class TestBlockPathMatchesLoopReference:
 
                     mixed, d_rows, trace = hierarchical_context(
                         h, ContextMemory(entries, p, m), p, m)
-                    weights = copy_attention_weights(trace, self.VOCAB)
+                    weights = trace_copy_weights(trace, self.VOCAB)
                     got = self._grads(model, h, [mixed, d_rows,
                                                  weights.alpha_tokens,
                                                  weights.alpha_vocab], probes)
@@ -297,7 +297,7 @@ class TestBlockPathMatchesLoopReference:
 
                 sent = [norm((t, n)) for _ in range(m)]
                 word = [[norm((t, L)) for _ in range(m)] for L in lens]
-                got = copy_attention_weights(block_trace(sent, word, ids),
+                got = trace_copy_weights(block_trace(sent, word, ids),
                                              self.VOCAB)
                 tok, voc = copy_weights_loop(
                     ids, [Tensor(s) for s in sent],
@@ -353,7 +353,7 @@ class TestDocumentAxis:
         memory = ContextMemory(docs, p, m)
         assert len(memory) == n and memory.n_docs == b
         mixed, d_rows, trace = hierarchical_context(h, memory, p, m)
-        alpha = copy_attention_weights(trace, self.VOCAB).alpha_vocab
+        alpha = trace_copy_weights(trace, self.VOCAB).alpha_vocab
         got = self._grads(model, h, [mixed, d_rows, alpha], probes)
 
         h_doc = Tensor(h_rows, requires_grad=True)
@@ -362,7 +362,7 @@ class TestDocumentAxis:
             rows = ad.narrow(h_doc, 0, i * t, t)
             w_mixed, w_d, w_trace = hierarchical_context(
                 rows, ContextMemory(entries, p, m), p, m)
-            w_alpha = copy_attention_weights(w_trace, self.VOCAB).alpha_vocab
+            w_alpha = trace_copy_weights(w_trace, self.VOCAB).alpha_vocab
             for out, w in zip(want_rows, (w_mixed, w_d, w_alpha)):
                 out.append(w)
             k = w_trace.word.data.shape[-1]
@@ -389,4 +389,4 @@ class TestDocumentAxis:
         _, _, trace = hierarchical_context(
             Tensor(np.ones((2, d))), ContextMemory(docs, p, 2), p, 2)
         with pytest.raises(ContractError, match="copied"):
-            copy_attention_weights(trace, 13)
+            trace_copy_weights(trace, 13)
