@@ -454,19 +454,16 @@ def keep_mask(shape: tuple, rate: float, rng: np.random.Generator) -> Array:
     return rng.random(shape) >= rate
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None,
-            keep: Array | None = None) -> Tensor:
+def dropout(x: Tensor, rate: float, keep: Array) -> Tensor:
     """Inverted dropout; identity when rate == 0.  Training-path only.
 
-    The kept entries are drawn from ``rng``, or given as ``keep`` (a
-    ``keep_mask`` drawn earlier); they are scaled by 1 / (1 - rate)."""
+    ``keep`` (a ``keep_mask``) marks the kept entries; they are scaled by
+    1 / (1 - rate)."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate {rate} outside [0, 1)")
     if rate == 0.0:
         return x
-    if keep is None:
-        keep = keep_mask(x.data.shape, rate, rng)
-    elif keep.shape != x.data.shape:
+    if keep.shape != x.data.shape:
         raise ShapeError(f"dropout: keep mask {keep.shape} vs x {x.shape}")
     mask = keep / (1.0 - rate)
     return _out(x.data * mask, (x,), lambda g: (g * mask,), "dropout")
@@ -544,8 +541,8 @@ def attention_weights(q: Tensor, k: Tensor, m: int,
     logits = scale * np.matmul(qh, kt)                # [(B,) m, a, b]
     _finite(logits, "attention_weights")
     if mask is not None:
-        logits = np.where(mask[:, None] if lead else mask, -np.inf, logits)
-    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+        np.copyto(logits, -np.inf, where=mask[:, None] if lead else mask)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     w = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):

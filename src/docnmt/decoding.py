@@ -43,7 +43,7 @@ from .autodiff import Tensor
 from .errors import ContractError, DataError, NumericalError
 from .model.han import CacheEntry, ContextState
 from .model.model import (DECODER_CTX, ENCODER_CTX, DecoderMemory, DocModel,
-                          check_variant)
+                          Stack, check_variant)
 from .tokens import BOS_ID, EOS_ID
 
 _LOG_FLOOR = 1e-300
@@ -206,16 +206,17 @@ def _strip(hypo: BeamHypothesis) -> list[int]:
     return toks
 
 
-def translate_sentence(model: DocModel, encoded, context, variant: str,
-                       config: SearchConfig
+def translate_sentence(model: DocModel, encoded, context: ContextState,
+                       variant: str, config: SearchConfig
                        ) -> tuple[list[int], list[StepTrace], np.ndarray]:
-    """Search one sentence; returns its tokens, its step traces and the h~
-    rows [len(tokens), d] the search computed for them.
+    """Search one encoded sentence under its document's caches; returns its
+    tokens, its step traces and the h~ rows [len(tokens), d] the search
+    computed for them.
 
     The length cap keeps the forced-EOS step's prefix within ``max_len``.
     """
     max_steps = min(2 * len(encoded.token_ids) + 10, model.cfg.max_len - 1)
-    memory = DecoderMemory(model, encoded, context, variant)
+    memory = DecoderMemory(model, encoded, [context], variant)
 
     def step_fn(hypos):
         return model.step_distribution([h.tokens for h in hypos], memory,
@@ -229,7 +230,8 @@ def translate_sentence(model: DocModel, encoded, context, variant: str,
 def update_context(model: DocModel, context: ContextState, encoded,
                    out_tokens: list[int], variant: str,
                    rows: np.ndarray | None) -> None:
-    """Push the finished sentence into the caches the variant consumes.
+    """Push a finished sentence (``encoded`` holds its source alone) into
+    the caches the variant consumes.
 
     ``rows`` are the evaluation-mode decoder rows [len(out_tokens), d] of
     ``out_tokens``, computed under the context the sentence was decoded
@@ -270,8 +272,8 @@ def translate_document(model: DocModel, src_sentences: list[list[int]],
     all_traces: list[list[StepTrace]] = []
 
     def sentence(src):
-        encoded, _ = model.contextual_encode(src, context, variant,
-                                             train=False)
+        encoded, _ = model.contextual_encode(Stack.of([src]), [context],
+                                             variant)
         return (encoded,) + translate_sentence(model, encoded, context,
                                                variant, config)
 

@@ -1,8 +1,9 @@
 """End-to-end gradient check of one copy-model decode step.
 
 Builds a toy copy model (all four parameter groups trainable), fills the
-context caches with two sentences, then checks the autodiff gradient of a
-label-smoothed step loss against central finite differences for every
+context caches with two sentences through ``decoding.update_context`` (the
+push that training and decoding share), then checks the autodiff gradient
+of a label-smoothed step loss against central finite differences for every
 trainable parameter entry.  Cache states are built once and held fixed:
 they are detached constants in the forward pass, and the finite-difference
 oracle must see the same constants the tape saw.
@@ -13,9 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from .decoding import update_context
 from .gradcheck import GradCheckReport, grad_check
 from .model import DocModel, ModelConfig, build_params
 from .model.han import ContextState
+from .model.model import Stack
 from .model.transformer import cross_entropy
 
 
@@ -32,11 +35,11 @@ def full_copy_gradcheck(seed: int = 0) -> GradCheckReport:
         for _ in range(2):
             src = [int(t) for t in rng.integers(4, cfg.vocab_src, size=4)]
             tgt = [int(t) for t in rng.integers(4, cfg.vocab_tgt, size=4)]
-            encoded, _ = model.contextual_encode(src, context, "copy",
-                                                 train=False)
+            encoded, _ = model.contextual_encode(Stack.of([src]), [context],
+                                                 "copy")
             entry = model.target_cache_entry(tgt, encoded, context, "copy")
-            context.push_source(model.source_cache_entry(encoded))
-            context.push_target(entry)
+            update_context(model, context, encoded, tgt, "copy",
+                           entry.states.data)
 
     src = [int(t) for t in rng.integers(4, cfg.vocab_src, size=5)]
     prefix = [int(t) for t in rng.integers(4, cfg.vocab_tgt, size=2)]

@@ -6,24 +6,18 @@ word-level context attention: for token i of cached sentence j,
 
     alpha_{j,i} = (1/m^2) * (sum_h a_j^h) * (sum_h a_{j,i}^h)
 
-In the block layout of ``han`` (S [m, T, n*T], W [m, n*T, K], exact zeros
-where masked) every such product is one entry of a single matrix product,
+scattered into vocabulary space by token id (duplicate ids accumulate; ids
+never cached get exactly 0).  In the block layout of ``han`` (per document
+b, S_b [m, T, n*T] and W_b [m, n*T, K], exact zeros where masked), with
+the [K, V] one-hot rows of b's cached ids (zero rows at pads and reserved
+ids), that is one product per document,
 
-    alpha_tokens = (sum_h S_h) @ (sum_h W_h) / m^2,
+    alpha_b = (sum_h S_bh) @ ((sum_h W_bh) @ indicator_b) / m^2,
 
-which is then scattered into vocabulary space by token id (duplicate ids
-accumulate; ids never cached get exactly 0).  The copy gate p_copy is a
-sigmoid over three scalar maps plus a bias; the final distribution is
+then renormalized over the ids that may be copied.  The copy gate p_copy
+is a sigmoid over three scalar maps plus a bias; the final distribution is
 
     P_w = (1 - p_copy) * P_vocab + p_copy * alpha.
-
-A stacked trace (B documents, see ``han``) gives each document's rows the
-same products, computed per document block and in the other order,
-
-    alpha_vocab = (sum_h S_h) @ ((sum_h W_h) @ indicator) / m^2,
-
-so the per-document scatter is a block product too; the c_t attention then
-masks each document's padded source rows.
 """
 
 from __future__ import annotations
@@ -44,10 +38,8 @@ SPECIAL_IDS = (PAD_ID, UNK_ID, BOS_ID, EOS_ID)  # never copy targets
 
 @dataclass
 class CopyWeights:
-    """Copy distribution pieces for T query positions."""
-    alpha_tokens: Tensor | None  # [T, K] over concatenated cached tokens
-    alpha_vocab: Tensor        # [T, V]; zero at ids absent from the cache
-    token_ids: list[int]       # the K cached ids, cache order
+    """Copy distribution pieces for B documents' T query positions."""
+    alpha_vocab: Tensor        # [B*T, V]; zero at ids absent from the cache
     copyable: bool             # False when no cached token may be copied
 
 
@@ -61,12 +53,12 @@ class CopyDistribution:
 
 def encoder_context_attention(h_tilde: Tensor, enc_kv: HeadKV,
                               att_p: dict[str, Tensor],
-                              mask: np.ndarray | None = None) -> Tensor:
+                              mask: np.ndarray | None) -> Tensor:
     """c_t: multi-head attention of the integrated state over the current
     source encoding (``enc_kv``, projected once per sentence through the
     copy mechanism's own ``att.wk`` / ``att.wv``; ``att_p`` holds the
-    ``att.`` parameters, prefix stripped); a stacked pass gives the
-    [B, T, L] key mask of its padded sources."""
+    ``att.`` parameters, prefix stripped), under the sources' key mask
+    (``Stack.key_mask``)."""
     c_rows, _ = attend(h_tilde @ att_p["wq"], enc_kv, att_p, mask)
     return c_rows
 
@@ -103,19 +95,14 @@ def copy_indicator(token_ids: list[int], vocab_size: int) -> np.ndarray:
     return indicator
 
 
-def cache_indicator(token_ids: list[list[int]] | list[list[list[int]]],
-                    vocab_size: int, width: int | None
-                    ) -> tuple[list[int], np.ndarray]:
-    """The cached ids in key-column order and their ``copy_indicator``.
+def cache_indicator(token_ids: list[list[list[int]]], vocab_size: int,
+                    width: int) -> np.ndarray:
+    """The ``copy_indicator`` of the cached ids in key-column order.
 
-    ``token_ids`` lists the ids of each cached sentence (``width`` None),
-    or, stacked, each document's lists; then ``width`` is the key columns
-    per document, the documents' ids are padded with PAD_ID to it one after
-    another, and the documents must agree on whether anything may be
+    ``token_ids`` lists each document's cached sentences' ids; ``width`` is
+    the key columns per document, and each document's ids are padded with
+    PAD_ID to it.  The documents must agree on whether anything may be
     copied."""
-    if width is None:
-        flat = [i for ids in token_ids for i in ids]
-        return flat, copy_indicator(flat, vocab_size)
     flat = []
     for doc in token_ids:
         ids = [i for sent in doc for i in sent]
@@ -124,30 +111,21 @@ def cache_indicator(token_ids: list[list[int]] | list[list[list[int]]],
     per_doc = indicator.reshape(len(token_ids), -1).any(axis=1)
     if per_doc.any() != per_doc.all():
         raise ContractError("stacked caches differ in what may be copied")
-    return flat, indicator
+    return indicator
 
 
-def copy_attention_weights(trace: AttentionTrace,
-                           cached: tuple[list[int], np.ndarray]
+def copy_attention_weights(trace: AttentionTrace, indicator: np.ndarray
                            ) -> CopyWeights:
     """Head-averaged copy weights from a context attention trace; the
     reserved ids lose their mass and the rest is renormalized to sum 1.
 
-    ``cached`` is the ``cache_indicator`` of the trace's cached ids (a
-    ``DecoderMemory`` builds it once for all its steps).  For a stacked
-    trace no ``alpha_tokens`` are formed."""
+    ``indicator`` is the ``cache_indicator`` of the trace's cached ids (a
+    ``DecoderMemory`` builds it once for all its steps)."""
     m = trace.m
-    token_ids, indicator = cached
-    if trace.word.data.ndim == 4:
-        word_vocab = ad.attention_mix(trace.word.sum(axis=1, keepdims=True),
-                                      Tensor._wrap(indicator))
-        alpha_tokens = None
-        alpha_vocab = ad.attention_mix(trace.sent.sum(axis=1, keepdims=True),
-                                       word_vocab) * (1.0 / (m * m))
-    else:
-        alpha_tokens = (trace.sent.sum(axis=0) @ trace.word.sum(axis=0)) \
-            * (1.0 / (m * m))
-        alpha_vocab = alpha_tokens @ Tensor._wrap(indicator)
+    word_vocab = ad.attention_mix(trace.word.sum(axis=1, keepdims=True),
+                                  Tensor._wrap(indicator))
+    alpha_vocab = ad.attention_mix(trace.sent.sum(axis=1, keepdims=True),
+                                   word_vocab) * (1.0 / (m * m))
     copyable = bool(indicator.any())
 
     if copyable:
@@ -155,8 +133,7 @@ def copy_attention_weights(trace: AttentionTrace,
         ones = Tensor._wrap(np.ones_like(mass.data))
         alpha_vocab = ad.scale_rows(alpha_vocab, ad.div(ones, mass))
 
-    return CopyWeights(alpha_tokens=alpha_tokens, alpha_vocab=alpha_vocab,
-                       token_ids=token_ids, copyable=copyable)
+    return CopyWeights(alpha_vocab=alpha_vocab, copyable=copyable)
 
 
 def mix_distributions(p_vocab: Tensor, alpha_vocab: Tensor,

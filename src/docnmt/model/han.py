@@ -2,28 +2,25 @@
 over cached previous-sentence states, merged into the current hidden state
 through a sigmoid gate.
 
-Both levels are single multi-head attentions over blocks.  With T query
-rows, n cached sentences and K cached tokens in all:
+A pass reads B documents (one when decoding), each with T query rows and n
+cached sentences of K_b tokens in all; the caches are padded to the longest
+one's K.  Both levels are single multi-head attentions over blocks, one
+block per document:
 
 * word level: the query rows ``h f`` are projected through ``word.wq`` and
-  repeated once per sentence, so row j*T+t is query t for sentence j; keys
-  and values are the n cached state matrices stacked into [K, d], and a
-  mask lets row j*T+t see only the columns of sentence j.  Row j*T+t of the
-  output is summary s_j[t].  The keys and values depend only on the cache,
-  so a ``ContextMemory`` projects them once and every query of a sentence
-  reuses them.
+  repeated once per sentence, so row j*T+t of a document is its query t
+  for sentence j; keys and values are the document's n cached state
+  matrices stacked into [K, d], and a mask lets row j*T+t see only the
+  columns of sentence j (never a pad).  Row j*T+t of the output is summary
+  s_j[t].  The keys and values depend only on the caches, so a
+  ``ContextMemory`` projects them once and every query of a sentence reuses
+  them.
 * sentence level: the T rows ``h g`` attend over the [n*T, d] summaries; a
   mask lets row t see only rows j*T+t, one per sentence.
 
-So the weights are S [m, T, n*T] (sentence level) and W [m, n*T, K] (word
-level), one [rows, cols] block per head, with exact zeros where masked.
-
-Stacked passes add a document axis: B documents with the same n, each with
-T query rows (a ``Stack``), read a ``ContextMemory`` of B caches whose
-tokens are padded to the longest cache's K.  Every block above then exists
-once per document, the masks are [B, rows, cols] (padded cache columns
-masked out as well), and the weights are S [B, m, T, n*T] and
-W [B, m, n*T, K].
+So the weights are S [B, m, T, n*T] (sentence level) and W [B, m, n*T, K]
+(word level), one [rows, cols] block per document and head, with exact
+zeros where masked.
 
 Cached states are computed in eval mode and detached, so gradients reach the
 context parameters only through the queries and projections of the current
@@ -80,28 +77,24 @@ class ContextState:
         self.target.clear()
 
 
-def cached(context: ContextState | list[ContextState] | None, side: str
-           ) -> list[CacheEntry] | list[list[CacheEntry]]:
-    """The ``side`` ("source" or "target") entries of a cache, or of one
-    cache per document of a stacked pass (one list each); empty when
-    nothing is cached."""
-    if context is None or isinstance(context, ContextState):
-        return [] if context is None else getattr(context, side)
-    docs = [getattr(c, side) for c in context]
+def cached(contexts: list[ContextState] | None, side: str
+           ) -> list[list[CacheEntry]]:
+    """The ``side`` ("source" or "target") entries of each document's
+    cache, one list per document; empty when nothing is cached."""
+    docs = [getattr(c, side) for c in contexts or ()]
     return docs if any(docs) else []
 
 
 @dataclass
 class AttentionTrace:
-    """Post-softmax context attention weights for T query positions, in the
-    block layout of the module docstring.
+    """Post-softmax context attention weights of B documents' T query
+    positions, in the block layout of the module docstring.
 
-    sent is [m, T, n*T] and word is [m, n*T, K]; token_ids[j] lists the
-    cached token ids of sentence j (K in all).  Every weight row sums to 1.
-    A stacked trace has the weights of B documents, [B, m, T, n*T] and
-    [B, m, n*T, K], and token_ids[b] is document b's list.
+    sent is [B, m, T, n*T] and word is [B, m, n*T, K]; token_ids[b][j]
+    lists the cached token ids of document b's sentence j.  Every weight
+    row sums to 1.
     """
-    token_ids: list[list[int]]
+    token_ids: list[list[list[int]]]
     sent: Tensor
     word: Tensor
 
@@ -127,37 +120,34 @@ class ContextMemory:
     """The cached sentences of one side, prepared once for many queries:
     their token ids, the word-level, sentence-level and FFN parameters
     (prefixes stripped), and the word-level keys and values: the stacked
-    states [K, d] through ``word.wk`` / ``word.wv``.
+    states through ``word.wk`` / ``word.wv``.
 
-    Given one entry list per document (a stacked pass; every document with
-    the same number of sentences), block b of the [B*K, d] keys and values
-    holds document b's cached rows, zero-padded to the longest cache's K.
-    ``columns`` gives the cached sentence of each key column, -1 at pads.
+    It takes one entry list per document, every document with the same
+    number of sentences.  Block b of the [B*K, d] keys and values holds
+    document b's cached rows, zero-padded to the longest cache's K.
+    ``columns`` [B, K] gives the cached sentence of each key column, -1 at
+    pads.
 
     ``len()`` is the number of cached sentences.
     """
 
-    def __init__(self, entries: list[CacheEntry] | list[list[CacheEntry]],
-                 p: dict[str, Tensor], m: int):
+    def __init__(self, docs: list[list[CacheEntry]], p: dict[str, Tensor],
+                 m: int):
         from .transformer import project_kv
 
-        self.stacked = bool(entries) and not isinstance(entries[0], CacheEntry)
-        docs = entries if self.stacked else [entries]
         self.n = len(docs[0]) if docs else 0
         if not self.n or any(len(doc) != self.n for doc in docs):
             raise ContractError("context memory needs the same non-zero "
                                 "number of cached sentences per document")
-        token_ids = [[list(e.token_ids) for e in doc] for doc in docs]
-        lens = [[len(ids) for ids in doc] for doc in token_ids]
+        self.token_ids = [[list(e.token_ids) for e in doc] for doc in docs]
+        lens = [[len(ids) for ids in doc] for doc in self.token_ids]
         width = max(map(sum, lens))
-        columns = np.full((len(docs), width), -1)
+        self.columns = columns = np.full((len(docs), width), -1)
         rows = np.zeros((len(docs), width, docs[0][0].states.data.shape[1]))
         for b, doc in enumerate(docs):
             k = sum(lens[b])
             columns[b, :k] = np.repeat(np.arange(self.n), lens[b])
             rows[b, :k] = np.concatenate([e.states.data for e in doc])
-        self.token_ids = token_ids if self.stacked else token_ids[0]
-        self.columns = columns if self.stacked else columns[0]
         self.word_p = _sub(p, "word.")
         self.sent_p, self.ffn_p = _sub(p, "sent."), _sub(p, "ffn.")
         states = Tensor._wrap(rows.reshape(-1, rows.shape[-1]))
@@ -168,27 +158,24 @@ class ContextMemory:
 
     @property
     def n_docs(self) -> int:
-        return self.columns.shape[0] if self.stacked else 1
+        return self.columns.shape[0]
 
 
 def word_level_context(h: Tensor, memory: ContextMemory, p: dict[str, Tensor]
                        ) -> tuple[Tensor, Tensor]:
     """Attend the word-level query into every cached sentence at once.
 
-    Returns the summaries [n*T, d] (row j*T+t is s_j[t]) and the weights
-    [m, n*T, K]; stacked, [B*n*T, d] (document b's rows in block b) and
-    [B, m, n*T, K].
+    Returns the summaries [B*n*T, d] (row j*T+t of block b is document b's
+    s_j[t]) and the weights [B, m, n*T, K].
     """
     from .transformer import attend
 
-    n, t = len(memory), h.data.shape[0] // memory.n_docs
+    n, b = len(memory), memory.n_docs
+    t = h.data.shape[0] // b
     queries = (h @ p["f"]) @ memory.word_p["wq"]     # projected once
-    if n > 1 and memory.stacked:     # row (b, j, t) is query row b*t + t
-        rows = np.arange(memory.n_docs)[:, None, None] * t + np.arange(t)
-        queries = ad.embedding_lookup(
-            queries, np.broadcast_to(rows, (memory.n_docs, n, t)).ravel())
-    elif n > 1:
-        queries = ad.concat([queries] * n, axis=0)
+    if n > 1:                        # row (b, j, t) is query row b*T + t
+        rows = np.arange(b)[:, None, None] * t + np.arange(t)
+        queries = ad.embedding_lookup(queries, rows.repeat(n, axis=1).ravel())
     mask = np.repeat(np.arange(n), t)[:, None] != memory.columns[..., None, :]
     return attend(queries, memory.word_kv, memory.word_p, mask=mask)
 
@@ -196,18 +183,16 @@ def word_level_context(h: Tensor, memory: ContextMemory, p: dict[str, Tensor]
 def sentence_level_context(h: Tensor, summaries: Tensor, memory: ContextMemory,
                            p: dict[str, Tensor], m: int
                            ) -> tuple[Tensor, Tensor]:
-    """Attend the sentence-level query over the [n*T, d] summaries, then FFN.
+    """Attend the sentence-level query over the summaries, then FFN.
 
-    Row t sees only summary rows j*T+t (of its own document, stacked).
-    Returns d_t rows [T, d] and the sentence weights [m, T, n*T] (stacked,
-    [B*T, d] and [B, m, T, n*T]).
+    Row t sees only its own document's summary rows j*T+t.  Returns d_t
+    rows [B*T, d] and the sentence weights [B, m, T, n*T].
     """
     from .transformer import multi_head_attention, positionwise_ffn
 
     t = h.data.shape[0] // memory.n_docs
-    mask = np.arange(t)[:, None] != np.arange(len(memory) * t) % t
-    if memory.stacked:
-        mask = np.broadcast_to(mask, (memory.n_docs,) + mask.shape)
+    mask = (np.arange(t)[:, None] != np.arange(len(memory) * t) % t)[None]
+    mask = mask.repeat(memory.n_docs, axis=0)
     attended, sent_weights = multi_head_attention(
         h @ p["g"], summaries, summaries, memory.sent_p, m, mask=mask)
     return positionwise_ffn(attended, memory.ffn_p), sent_weights
@@ -225,9 +210,9 @@ def hierarchical_context(h: Tensor, memory: ContextMemory,
                          ) -> tuple[Tensor, Tensor, AttentionTrace]:
     """Full context pass over a prepared, non-empty cache memory.
 
-    Returns (integrated rows h~ [T, d], context rows d_t [T, d], trace);
-    stacked, h holds B documents' T rows each, as do h~ and d_t.  Callers
-    must take the skip path when the cache is empty.
+    h holds B documents' T rows each, as do the integrated rows h~ and the
+    context rows d_t; returns (h~, d_t, trace).  Callers must take the skip
+    path when the cache is empty.
     """
     summaries, word_w = word_level_context(h, memory, p)
     d_rows, sent_w = sentence_level_context(h, summaries, memory, p, m)

@@ -11,22 +11,24 @@ Variants share one parameter store; which paths run is decided per call:
 An empty cache takes the exact sentence-level code path, so context variants
 reduce to the plain model bitwise at document starts.
 
+Sequences are laid out one way: a ``Stack`` of B sequences padded to one
+length L, run as B*L rows under key-padding (and causal) masks [B, L, L]
+(a single sequence needs no key mask).  Each sequence comes from its own document, with its own caches (one
+``ContextState`` each, with equal numbers of cached sentences), and the
+context and copy layers take the same document axis (see ``han``).
+Training teacher-forces many pairs at once (``teacher_force``); the
+per-sentence passes (``sentence_loss``, ``target_cache_entry``) and
+decoding are the same path at B = 1.
+
 There is one decoder stack, ``decode_states``.  What a sentence's passes
 share (cross-attention, context and copy keys and values, parameter views)
 is built once into a ``DecoderMemory``.  Teacher forcing runs the stack over
-a whole prefix under the causal mask; search runs it over one new row per
-hypothesis, each row attending over its own ``DecoderState`` (the key and
-value rows of the tokens before it).
+whole prefixes under the causal mask; search runs it over one new row per
+hypothesis of one source sentence, each row attending over its own
+``DecoderState`` (the key and value rows of the tokens before it).
 
-Training teacher-forces many pairs at once (``teacher_force``):
-``encode`` and ``decode_states`` take a ``Stack`` of sequences padded to one
-length, run as B*L rows with key-padding (and causal) masks [B, L, L], so
-one pass does the work of B ``sentence_loss`` calls.  In the context
-variants the B pairs come from B documents, each with its own caches (one
-``ContextState`` per pair, with equal numbers of cached sentences); the
-context and copy layers then take the same document axis (see ``han``).
-Dropout applies keep masks drawn per pair beforehand (``dropout_masks``),
-the same draws the per-pair loop would make.
+Dropout applies keep masks drawn per pair beforehand (``dropout_masks``)
+and handed to a pass in the order it applies them.
 """
 
 from __future__ import annotations
@@ -54,12 +56,6 @@ from .transformer import (HeadKV, attend, causal_mask, cross_entropy,
 VARIANTS = ("sentence", "han-encoder", "han-decoder", "han-joint", "copy")
 ENCODER_CTX = frozenset({"han-encoder", "han-joint", "copy"})
 DECODER_CTX = frozenset({"han-decoder", "han-joint", "copy"})
-
-# where dropout draws from: a generator, or (stacked passes) an iterator of
-# keep masks in the order the pass applies dropout
-DropoutSource = np.random.Generator | Iterator[np.ndarray] | None
-# the caches of one sentence, or of each pair of a stacked pass
-Contexts = ContextState | list[ContextState] | None
 
 
 @dataclass(frozen=True)
@@ -93,11 +89,13 @@ class Stack:
         """[B, L]: True at pad positions."""
         return np.arange(self.width)[None, :] >= np.array(self.lengths)[:, None]
 
-    def key_mask(self, n_queries: int) -> np.ndarray:
-        """[B, n_queries, L]: every query of sequence i blocked from i's pads."""
-        pads = self._pads()
-        return np.broadcast_to(pads[:, None, :],
-                               (len(self.lengths), n_queries, self.width))
+    def key_mask(self, n_queries: int) -> np.ndarray | None:
+        """[B, n_queries, L]: every query of sequence i blocked from i's
+        pads.  None for one sequence, which has no pads and no other
+        sequence to be kept apart from."""
+        if len(self.lengths) == 1:
+            return None
+        return self._pads()[:, None, :].repeat(n_queries, axis=1)
 
     def rows(self) -> np.ndarray:
         """Indices of the non-pad rows, in sequence order."""
@@ -115,9 +113,10 @@ class Stack:
 
 @dataclass
 class EncodedSentence:
-    """Final encoder states for one source sentence (or for a ``Stack``)."""
-    token_ids: list[int] | Stack
-    states: Tensor               # [len, d]
+    """Final encoder states of stacked source sentences, one row per
+    ``Stack`` row."""
+    token_ids: Stack             # clipped ids
+    states: Tensor               # [B*L, d]
 
 
 @dataclass
@@ -192,12 +191,13 @@ class DecoderMemory:
     source encoding, the target-side ``ContextMemory`` (None on the skip
     path), and, built on first use (after the decoder stack, as the copy
     mixture needs them), the copy indicator of the cached target ids and
-    the copy attention's K/V of the source encoding.
-    A stacked encoding comes with one cache per sentence.
+    the copy attention's K/V of the source encoding.  ``contexts`` holds
+    one cache per sentence of the encoding.
     """
 
     def __init__(self, model: "DocModel", encoded: EncodedSentence,
-                 context: Contexts = None, variant: str = "sentence"):
+                 contexts: list[ContextState] | None = None,
+                 variant: str = "sentence"):
         check_variant(variant)
         p, m = model.params, model.cfg.m_heads
         self.encoded = encoded
@@ -213,24 +213,23 @@ class DecoderMemory:
                 ln2=p.view(f"dec.{i}.ln2."), ffn=p.view(f"dec.{i}.ffn."),
                 ln3=p.view(f"dec.{i}.ln3.")))
         self.context: ContextMemory | None = None
-        entries = cached(context, "target")
+        entries = cached(contexts, "target")
         if variant in DECODER_CTX and entries:
             self.ctx_p = p.view("ctx.dec.")
             self.context = ContextMemory(entries, self.ctx_p, m)
         self._params = p
         self._vocab = model.cfg.vocab_tgt
-        self._cached: tuple[list[int], np.ndarray] | None = None
+        self._indicator: np.ndarray | None = None
         self._copy: tuple[HeadKV, dict[str, Tensor]] | None = None
 
-    def cache_indicator(self) -> tuple[list[int], np.ndarray]:
-        """The ``cache_indicator`` of the target cache, built on the first
+    def cache_indicator(self) -> np.ndarray:
+        """The ``cache_indicator`` of the target caches, built on the first
         call."""
-        if self._cached is None:
+        if self._indicator is None:
             ctx = self.context
-            self._cached = cache_indicator(
-                ctx.token_ids, self._vocab,
-                ctx.columns.shape[-1] if ctx.stacked else None)
-        return self._cached
+            self._indicator = cache_indicator(ctx.token_ids, self._vocab,
+                                              ctx.columns.shape[1])
+        return self._indicator
 
     def copy(self) -> tuple[HeadKV, dict[str, Tensor]]:
         """The copy attention's K/V of the source encoding and its parameter
@@ -256,27 +255,27 @@ class DocModel:
 
     # -- embeddings ---------------------------------------------------------
 
-    def _dropout(self, x: Tensor, rng: DropoutSource) -> Tensor:
-        if isinstance(rng, Iterator):
-            return ad.dropout(x, self.cfg.dropout, keep=next(rng))
-        return ad.dropout(x, self.cfg.dropout, rng)
+    def _dropout(self, x: Tensor, keep: Iterator[np.ndarray] | None) -> Tensor:
+        """Dropout with the next of a pass's keep masks (the passes take
+        them in the order they apply dropout); None runs in evaluation
+        mode."""
+        if keep is None or self.cfg.dropout == 0.0:
+            return x
+        return ad.dropout(x, self.cfg.dropout, next(keep))
 
     def _embed(self, table: str, ids: list[int], positions: np.ndarray,
-               train: bool, rng: DropoutSource) -> Tensor:
+               keep: Iterator[np.ndarray] | None) -> Tensor:
         length = int(positions.max()) + 1
         if length > self.cfg.max_len:
             raise ContractError(
                 f"sequence length {length} exceeds max_len {self.cfg.max_len}")
         x = ad.embedding_lookup(self.params[table], ids) * math.sqrt(self.cfg.d_model)
-        x = ad.add(x, Tensor._wrap(self._pos[positions]))
-        if train and self.cfg.dropout > 0.0:
-            x = self._dropout(x, rng)
-        return x
+        return self._dropout(ad.add(x, Tensor._wrap(self._pos[positions])),
+                             keep)
 
     def _sublayer(self, x: Tensor, sub_out: Tensor, ln: dict[str, Tensor],
-                  train: bool, rng: DropoutSource) -> Tensor:
-        if train and self.cfg.dropout > 0.0:
-            sub_out = self._dropout(sub_out, rng)
+                  keep: Iterator[np.ndarray] | None) -> Tensor:
+        sub_out = self._dropout(sub_out, keep)
         return ad.layer_norm(ad.add(x, sub_out), ln["g"], ln["b"])
 
     def clip_ids(self, ids, side: str) -> list[int]:
@@ -287,9 +286,9 @@ class DocModel:
     def dropout_masks(self, src_len: int, tgt_len: int,
                       rng: np.random.Generator
                       ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The keep masks ``sentence_loss(train=True)`` of the sentence
-        variant draws for one pair, drawn from ``rng`` in its order, as
-        (encoder masks, decoder masks).  The encoder applies dropout to the
+        """The dropout keep masks of one pair's teacher-forced pass, drawn
+        from ``rng`` in the order the pass applies them, as (encoder masks,
+        decoder masks).  The encoder applies dropout to the
         embedding, then to each layer's attention and FFN; the decoder to
         the embedding (BOS + target rows), then to each layer's
         self-attention, cross-attention and FFN.  Both lists are empty at
@@ -304,85 +303,78 @@ class DocModel:
 
     # -- encoder --------------------------------------------------------------
 
-    def _layout(self, tokens: list[int] | Stack, side: str, causal: bool
+    def _layout(self, tokens: Stack, side: str, causal: bool
                 ) -> tuple[list[int], np.ndarray, np.ndarray | None]:
-        """Clipped ids, positions and self-attention mask of one sequence
-        or of a ``Stack``."""
-        if isinstance(tokens, Stack):
-            mask = tokens.key_mask(tokens.width)
-            if causal:
-                mask = mask | causal_mask(tokens.width)
-            return self.clip_ids(tokens.ids, side), tokens.positions(), mask
-        n = len(tokens)
-        return (self.clip_ids(tokens, side), np.arange(n),
-                causal_mask(n) if causal else None)
+        """Clipped ids, positions and self-attention mask of a ``Stack``."""
+        mask = tokens.key_mask(tokens.width)
+        if causal:
+            future = causal_mask(tokens.width)
+            mask = future if mask is None else mask | future
+        return self.clip_ids(tokens.ids, side), tokens.positions(), mask
 
-    def encode(self, token_ids: list[int] | Stack, train: bool = False,
-               rng: DropoutSource = None) -> Tensor:
-        """Base encoder stack -> final-layer rows [len, d] (one row per
-        ``Stack`` row)."""
-        if not token_ids:
-            raise ContractError("encode of an empty sentence")
+    def encode(self, token_ids: Stack,
+               keep: Iterator[np.ndarray] | None = None) -> Tensor:
+        """Base encoder stack -> final-layer rows [B*L, d], one per
+        ``Stack`` row; dropout applies the ``keep`` masks."""
         ids, positions, mask = self._layout(token_ids, "src", causal=False)
         p = self.params
-        x = self._embed("emb.src", ids, positions, train, rng)
+        x = self._embed("emb.src", ids, positions, keep)
         for i in range(self.cfg.n_layers):
             att, _ = multi_head_attention(x, x, x, p.view(f"enc.{i}.att."),
                                           self.cfg.m_heads, mask)
-            x = self._sublayer(x, att, p.view(f"enc.{i}.ln1."), train, rng)
+            x = self._sublayer(x, att, p.view(f"enc.{i}.ln1."), keep)
             ffn = positionwise_ffn(x, p.view(f"enc.{i}.ffn."))
-            x = self._sublayer(x, ffn, p.view(f"enc.{i}.ln2."), train, rng)
+            x = self._sublayer(x, ffn, p.view(f"enc.{i}.ln2."), keep)
         return x
 
-    def contextual_encode(self, token_ids: list[int] | Stack,
-                          context: Contexts = None,
-                          variant: str = "sentence", train: bool = False,
-                          rng: DropoutSource = None
+    def contextual_encode(self, token_ids: Stack,
+                          contexts: list[ContextState] | None = None,
+                          variant: str = "sentence",
+                          keep: Iterator[np.ndarray] | None = None
                           ) -> tuple[EncodedSentence, AttentionTrace | None]:
-        """``encode``, then source-side context integration; a ``Stack``
-        comes with one cache per sentence."""
+        """``encode``, then source-side context integration under one cache
+        per sentence."""
         check_variant(variant)
-        h = self.encode(token_ids, train, rng)
+        h = self.encode(token_ids, keep)
         trace = None
-        entries = cached(context, "source")
+        entries = cached(contexts, "source")
         if variant in ENCODER_CTX and entries:
             p, m = self.params.view("ctx.enc."), self.cfg.m_heads
             h, _, trace = hierarchical_context(
                 h, ContextMemory(entries, p, m), p, m)
-        if not isinstance(token_ids, Stack):
-            token_ids = self.clip_ids(token_ids, "src")
-        return EncodedSentence(token_ids=token_ids, states=h), trace
+        clipped = Stack(self.clip_ids(token_ids.ids, "src"), token_ids.lengths)
+        return EncodedSentence(token_ids=clipped, states=h), trace
 
     # -- decoder --------------------------------------------------------------
 
-    def decode_states(self, ids: list[int] | Stack, memory: DecoderMemory,
+    def decode_states(self, ids: Stack | list[int], memory: DecoderMemory,
                       past: list[DecoderState] | None = None,
-                      train: bool = False, rng: DropoutSource = None
+                      keep: Iterator[np.ndarray] | None = None
                       ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
         """The decoder stack over new rows -> (final-layer rows, per layer
         the self-attention K and V of those rows).
 
-        Without ``past`` the rows are one prefix from position 0 under the
-        causal mask (teacher forcing), or a ``Stack`` of such prefixes, one
-        per sentence of the ``Stack`` that ``memory`` encodes.  With
-        ``past``, ``ids`` holds the next token of each of len(past)
+        Without ``past``, ``ids`` is a ``Stack`` of prefixes from position
+        0, one per sentence that ``memory`` encodes, under the causal mask
+        (teacher forcing).  With ``past`` (search over one encoded
+        sentence), ``ids`` lists the next token of each of len(past)
         hypotheses whose states have equal lengths; row i attends over
         hypothesis i's past rows and itself only.
         """
         if not ids:
             raise ContractError("decode of an empty prefix")
         src = memory.encoded.token_ids
-        cross_mask = None
-        if isinstance(ids, Stack):
-            if past is not None or not isinstance(src, Stack) \
-                    or len(src.lengths) != len(ids.lengths):
-                raise ContractError("stacked prefixes are teacher-forced over "
-                                    "as many stacked sources")
-            cross_mask = src.key_mask(ids.width)
         if past is None:
+            if len(ids.lengths) != len(src.lengths):
+                raise ContractError("teacher forcing needs one prefix per "
+                                    "encoded sentence")
             n_past = 0
+            cross_mask = src.key_mask(ids.width)
             ids, positions, mask = self._layout(ids, "tgt", causal=True)
         else:
+            if len(src.lengths) != 1:
+                raise ContractError("search steps decode one sentence")
+            cross_mask = None
             ids = self.clip_ids(ids, "tgt")
             k = len(past)
             if len(ids) != k or len({len(s) for s in past}) != 1:
@@ -394,7 +386,7 @@ class DocModel:
             other = ~np.eye(k, dtype=bool)  # keys: all past rows, then new
             mask = np.concatenate(
                 [np.repeat(other, n_past, axis=1), other], axis=1)
-        x = self._embed("emb.tgt", ids, positions, train, rng)
+        x = self._embed("emb.tgt", ids, positions, keep)
         kv_rows = []
         for i, layer in enumerate(memory.layers):
             q = x @ layer.self_p["wq"]
@@ -407,19 +399,19 @@ class DocModel:
                     [s.values[i] for s in past])), values])
             att, _ = attend(q, HeadKV(keys, values, memory.m), layer.self_p,
                             mask)
-            x = self._sublayer(x, att, layer.ln1, train, rng)
+            x = self._sublayer(x, att, layer.ln1, keep)
             cross, _ = attend(x @ layer.cross_p["wq"], layer.cross_kv,
                               layer.cross_p, cross_mask)
-            x = self._sublayer(x, cross, layer.ln2, train, rng)
+            x = self._sublayer(x, cross, layer.ln2, keep)
             ffn = positionwise_ffn(x, layer.ffn)
-            x = self._sublayer(x, ffn, layer.ln3, train, rng)
+            x = self._sublayer(x, ffn, layer.ln3, keep)
         return x, kv_rows
 
-    def decode(self, ids: list[int] | Stack, memory: DecoderMemory,
-               past: list[DecoderState] | None = None, train: bool = False,
-               rng: DropoutSource = None) -> DecodeOut:
+    def decode(self, ids: Stack | list[int], memory: DecoderMemory,
+               past: list[DecoderState] | None = None,
+               keep: Iterator[np.ndarray] | None = None) -> DecodeOut:
         """``decode_states``, then target-side context integration."""
-        h, kv = self.decode_states(ids, memory, past, train, rng)
+        h, kv = self.decode_states(ids, memory, past, keep)
         if memory.context is None:
             return DecodeOut(h_tilde=h, d_rows=None, trace=None, kv=kv)
         h_tilde, d_rows, trace = hierarchical_context(
@@ -446,9 +438,8 @@ class DocModel:
         if not weights.copyable:
             return p_vocab, None, None
         copy_kv, att_p = memory.copy()
-        src, mask = memory.encoded.token_ids, None
-        if isinstance(src, Stack):
-            mask = src.key_mask(out.h_tilde.data.shape[0] // len(src.lengths))
+        src = memory.encoded.token_ids
+        mask = src.key_mask(out.h_tilde.data.shape[0] // len(src.lengths))
         c_rows = encoder_context_attention(out.h_tilde, copy_kv, att_p, mask)
         p_copy = copy_gate(out.h_tilde, c_rows, out.d_rows,
                            self.params.view("copy."))
@@ -462,15 +453,15 @@ class DocModel:
                                train: bool = False,
                                rng: np.random.Generator | None = None
                                ) -> tuple[Tensor, Tensor | None]:
-        """Teacher-forced P rows [len(tgt)+1, V] and p_copy column (or None)."""
-        encoded, _ = self.contextual_encode(src_ids, context, variant, train, rng)
-        memory = DecoderMemory(self, encoded, context, variant)
-        out = self.decode([BOS_ID] + tgt_ids, memory, None, train, rng)
-        p_vocab = self.output_distribution(out.h_tilde)
-        if variant == "copy":
-            p_w, p_copy, _ = self.copy_mixture(out, memory, p_vocab)
-            return p_w, p_copy
-        return p_vocab, None
+        """Teacher-forced P rows [len(tgt)+1, V] and p_copy column (or None)
+        of one pair: a one-pair ``teacher_force``, with dropout masks drawn
+        from ``rng`` when ``train``."""
+        keep = [self.dropout_masks(len(src_ids), len(tgt_ids), rng)] \
+            if train else None
+        forced = self.teacher_force([(src_ids, tgt_ids)], keep,
+                                    None if context is None else [context],
+                                    variant)
+        return self._forced_distributions(forced)
 
     def sentence_loss(self, src_ids: list[int], tgt_ids: list[int],
                       context: ContextState | None, variant: str,
@@ -503,19 +494,17 @@ class DocModel:
         """
         src = Stack.of([s for s, _ in pairs])
         tgt = Stack.of([[BOS_ID] + t for _, t in pairs])
-        train = keep is not None
         src_feed = tgt_feed = None
-        if train:
+        if keep is not None:
             # site k of each side: every pair's k-th mask, padded as its rows
             src_feed = iter([src.pad_rows(list(site))
                              for site in zip(*(s for s, _ in keep))])
             tgt_feed = iter([tgt.pad_rows(list(site))
                              for site in zip(*(t for _, t in keep))])
-        encoded, _ = self.contextual_encode(src, contexts, variant, train,
-                                            src_feed)
+        encoded, _ = self.contextual_encode(src, contexts, variant, src_feed)
         memory = DecoderMemory(self, encoded, contexts, variant)
         return Forced(pairs, tgt, memory,
-                      self.decode(tgt, memory, None, train, tgt_feed))
+                      self.decode(tgt, memory, None, tgt_feed))
 
     def forced_loss(self, forced: Forced
                     ) -> tuple[Tensor, int, np.ndarray | None]:
@@ -525,20 +514,25 @@ class DocModel:
         The loss equals the sum over the pairs of ``sentence_loss`` times
         its n_positions, up to summation order.
         """
-        rows, out = forced.tgt.rows(), forced.out
-        p_copy = None
-        if forced.memory.variant == "copy":
-            p_w, p_copy, _ = self.copy_mixture(
-                out, forced.memory, self.output_distribution(out.h_tilde))
-            p_rows = ad.embedding_lookup(p_w, rows)
-        else:   # the real rows only; the embedding gather serves for any rows
-            p_rows = self.output_distribution(
-                ad.embedding_lookup(out.h_tilde, rows))
+        p_rows, p_copy = self._forced_distributions(forced)
         gold = [g for _, t in forced.pairs
                 for g in self.clip_ids(t, "tgt") + [EOS_ID]]
         loss = cross_entropy(p_rows, gold, self.cfg.label_smoothing)
         return loss * float(len(gold)), len(gold), \
-            None if p_copy is None else p_copy.data[rows, 0]
+            None if p_copy is None else p_copy.data[forced.tgt.rows(), 0]
+
+    def _forced_distributions(self, forced: Forced
+                              ) -> tuple[Tensor, Tensor | None]:
+        """P rows of a teacher-forced pass's real (non-pad) rows, and the
+        p_copy column of all its rows (None unless the copy mixture ran)."""
+        rows, out = forced.tgt.rows(), forced.out
+        if forced.memory.variant != "copy":
+            # the real rows only; the embedding gather serves for any rows
+            return self.output_distribution(
+                ad.embedding_lookup(out.h_tilde, rows)), None
+        p_w, p_copy, _ = self.copy_mixture(
+            out, forced.memory, self.output_distribution(out.h_tilde))
+        return ad.embedding_lookup(p_w, rows), p_copy
 
     def step_distribution(self, prefixes: list[list[int]],
                           memory: DecoderMemory,
@@ -588,17 +582,20 @@ class DocModel:
                            context: ContextState | None,
                            variant: str) -> CacheEntry | None:
         """Teacher-forced eval pass over a finished translation (or gold
-        sentence); rows for the tokens themselves, BOS dropped, detached.
-        Returns None for an empty sentence (nothing to cache)."""
+        sentence) of one encoded sentence; rows for the tokens themselves,
+        BOS dropped, detached.  Returns None for an empty sentence (nothing
+        to cache)."""
         if not out_tokens:
             return None
         with ad.no_grad():
-            out = self.decode([BOS_ID] + out_tokens,
-                              DecoderMemory(self, encoded, context, variant))
+            memory = DecoderMemory(
+                self, encoded, None if context is None else [context], variant)
+            out = self.decode(Stack.of([[BOS_ID] + out_tokens]), memory)
             states = ad.narrow(out.h_tilde, 0, 1, len(out_tokens))
         return CacheEntry(token_ids=self.clip_ids(out_tokens, "tgt"),
                           states=states.detach())
 
     def source_cache_entry(self, encoded: EncodedSentence) -> CacheEntry:
-        return CacheEntry(token_ids=list(encoded.token_ids),
+        """The cache entry of one encoded sentence."""
+        return CacheEntry(token_ids=list(encoded.token_ids.ids),
                           states=encoded.states.detach())

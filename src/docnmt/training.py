@@ -68,14 +68,6 @@ _STAGE_GROUPS = {
     "copy": {"ctx_dec", "copy"},
 }
 
-_STAGE_VARIANT = {
-    "base": "sentence",
-    "han-encoder": "han-encoder",
-    "han-decoder": "han-decoder",
-    "han-joint": "han-joint",
-    "copy": "copy",
-}
-
 _STAGE_REQUIRES = {
     "base": set(),
     "han-encoder": {"base"},
@@ -280,14 +272,14 @@ def _push_gold(model: DocModel, docs: list[_Doc], s: int, variant: str,
         if not d.pushes(s):
             continue
         src_ids, tgt_ids = d.pairs[s]
-        at = b * src_width
-        states = Tensor._wrap(encoded.states.data[at:at + len(src_ids)])
+        at, end = b * src_width, b * src_width + len(src_ids)
+        source = EncodedSentence(Stack.of([encoded.token_ids.ids[at:end]]),
+                                 Tensor._wrap(encoded.states.data[at:end]))
         rows = None
         if h_tilde is not None:     # rows of BOS + target; BOS dropped
             at = b * (h_tilde.data.shape[0] // len(docs)) + 1
             rows = h_tilde.data[at:at + len(tgt_ids)]
-        update_context(model, d.context,
-                       EncodedSentence(model.clip_ids(src_ids, "src"), states),
+        update_context(model, d.context, source,
                        model.clip_ids(tgt_ids, "tgt"), variant, rows)
 
 
@@ -360,7 +352,7 @@ def _train_epoch(model: DocModel, optimizer: Adam, corpus: DocumentCorpus,
     """One epoch of Adam steps, one per batch; returns (mean train loss,
     the step count after it)."""
     stage, store = tcfg.stage, model.params
-    variant = _STAGE_VARIANT[stage]
+    variant = "sentence" if stage == "base" else stage
     batch_mode = "sentence" if variant == "sentence" else "document"
     batches, _ = make_batches(corpus, src_vocab, tgt_vocab, batch_mode,
                               tcfg.max_tokens, max_len,
@@ -399,7 +391,7 @@ def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
                tgt_vocab: Vocabulary, tcfg: TrainConfig,
                inherited_groups: set[str], log_path=None) -> TrainResult:
     stage = tcfg.stage
-    variant = _STAGE_VARIANT[stage]
+    variant = "sentence" if stage == "base" else stage
     groups = set(_STAGE_GROUPS[stage])
     missing = _STAGE_REQUIRES[stage] - inherited_groups
     if missing:

@@ -79,7 +79,7 @@ def reference_step(model, prefix, encoded, context, variant):
 def incremental_step(model, prefix, encoded, context, variant):
     """The search's path for one prefix: one step per token, each growing
     the state by one row; returns the last step's result."""
-    memory = DecoderMemory(model, encoded, context, variant)
+    memory = DecoderMemory(model, encoded, [context], variant)
     state = None
     for t in range(1, len(prefix) + 1):
         result = model.step_distribution([prefix[:t]], memory, [state])[0]

@@ -9,7 +9,7 @@ the copy weights.
 Attention runs one head at a time (``attention_reference``), and weights
 use the per-sentence layout: ``sent[h]`` is [T, n] and ``word[j][h]`` is
 [T, len_j].  ``block_trace`` and ``per_sentence`` convert between that
-layout and the block layout of ``AttentionTrace``.
+layout and the block layout of a one-document ``AttentionTrace``.
 """
 
 import math
@@ -128,13 +128,25 @@ def copy_indicator_loop(flat_ids, vocab_size, excluded=SPECIAL_IDS):
 def trace_copy_weights(trace, vocab_size):
     """``copy_attention_weights`` of a trace with the cache indicator built
     from the trace's own ids (as ``DecoderMemory.cache_indicator`` does)."""
-    width = trace.word.data.shape[-1] if trace.word.data.ndim == 4 else None
     return copy_attention_weights(
-        trace, cache_indicator(trace.token_ids, vocab_size, width))
+        trace, cache_indicator(trace.token_ids, vocab_size,
+                               trace.word.data.shape[-1]))
+
+
+def with_distinct_ids(trace):
+    """A one-document trace with its cached ids replaced by 4, 5, ... in
+    cache order: distinct and never reserved, so the copy weight of cached
+    token k is entry 4 + k of ``alpha_vocab``."""
+    ids, first = [], 4
+    for sent in trace.token_ids[0]:
+        ids.append(list(range(first, first + len(sent))))
+        first += len(sent)
+    return AttentionTrace(token_ids=[ids], sent=trace.sent, word=trace.word)
 
 
 def block_trace(sent, word, token_ids):
-    """AttentionTrace in the block layout from per-sentence numpy weights."""
+    """A one-document AttentionTrace in the block layout from per-sentence
+    numpy weights."""
     sent = [np.asarray(s, dtype=float) for s in sent]
     t, n = sent[0].shape
     lens = [len(ids) for ids in token_ids]
@@ -149,19 +161,20 @@ def block_trace(sent, word, token_ids):
             wb[j * t:(j + 1) * t, offsets[j]:offsets[j + 1]] = word[j][h]
         sent_blocks.append(sb)
         word_blocks.append(wb)
-    return AttentionTrace(token_ids=[list(ids) for ids in token_ids],
-                          sent=Tensor._wrap(np.stack(sent_blocks)),
-                          word=Tensor._wrap(np.stack(word_blocks)))
+    return AttentionTrace(token_ids=[[list(ids) for ids in token_ids]],
+                          sent=Tensor._wrap(np.stack(sent_blocks)[None]),
+                          word=Tensor._wrap(np.stack(word_blocks)[None]))
 
 
 def per_sentence(trace):
-    """(sent[h] [T, n], word[j][h] [T, len_j]) numpy views of a block trace."""
+    """(sent[h] [T, n], word[j][h] [T, len_j]) numpy views of a one-document
+    block trace."""
     t, n = trace.n_positions, trace.n_sents
-    lens = [len(ids) for ids in trace.token_ids]
+    lens = [len(ids) for ids in trace.token_ids[0]]
     offsets = np.concatenate([[0], np.cumsum(lens)])
     rows = np.arange(t)
     sent = [np.stack([s[rows, j * t + rows] for j in range(n)], axis=1)
-            for s in trace.sent.data]
+            for s in trace.sent.data[0]]
     word = [[w[j * t:(j + 1) * t, offsets[j]:offsets[j + 1]]
-             for w in trace.word.data] for j in range(n)]
+             for w in trace.word.data[0]] for j in range(n)]
     return sent, word

@@ -31,7 +31,8 @@ from docnmt.model.han import AttentionTrace, CacheEntry, ContextState
 from docnmt.tokens import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 from decode_reference import incremental_step
-from han_reference import block_trace, trace_copy_weights
+from han_reference import block_trace, trace_copy_weights, with_distinct_ids
+from test_transformer import encode
 
 # ---------------------------------------------------------------------------
 # shared model helpers
@@ -62,7 +63,7 @@ def _random_state(model, cfg, rng, with_source_cache: bool = True):
             _random_cache_entry(rng, cfg.d_model, cfg.vocab_tgt))
     src = [int(i) for i in rng.integers(4, cfg.vocab_src,
                                         size=int(rng.integers(2, 6)))]
-    encoded, _ = model.contextual_encode(src, context, "sentence", train=False)
+    encoded = encode(model, src, context, "sentence")
     prefix = [BOS_ID] + [int(i) for i in
                          rng.integers(4, cfg.vocab_tgt,
                                       size=int(rng.integers(0, 4)))]
@@ -95,7 +96,7 @@ def test_copy_distribution_soundness():
         model, cfg = _tiny_model(model_seed)
         empty = ContextState(cfg.n_context)
         src = [4, 5, 6]
-        encoded, _ = model.contextual_encode(src, empty, "copy", train=False)
+        encoded = encode(model, src, empty, "copy")
         for prefix in ([BOS_ID], [BOS_ID, 7], [BOS_ID, 8, 9]):
             stepped = incremental_step(model, prefix, encoded, empty, "copy")
             plain = incremental_step(model, prefix, encoded, empty, "sentence")
@@ -128,21 +129,22 @@ def _random_trace(rng, m: int, vocab: int) -> AttentionTrace:
 
 def _naive_alpha(trace: AttentionTrace, vocab: int):
     """Reference implementation: explicit loops over positions, sentences,
-    tokens, and heads, reading the block layout (query t's weights on
-    sentence j sit in row j*T+t of the word blocks, column j*T+t of the
-    sentence blocks).  Reserved ids get no vocabulary mass; the rest is
-    renormalized to sum 1."""
+    tokens, and heads, reading the block layout of a one-document trace
+    (query t's weights on sentence j sit in row j*T+t of the word blocks,
+    column j*T+t of the sentence blocks).  Reserved ids get no vocabulary
+    mass; the rest is renormalized to sum 1."""
     m = trace.m
     T = trace.n_positions
-    flat_ids = [i for ids in trace.token_ids for i in ids]
+    sent, word, token_ids = trace.sent.data[0], trace.word.data[0], \
+        trace.token_ids[0]
+    flat_ids = [i for ids in token_ids for i in ids]
     alpha_tokens = np.zeros((trace.n_positions, len(flat_ids)))
     for t in range(trace.n_positions):
         k = 0
         for j in range(trace.n_sents):
-            sent_sum = sum(trace.sent.data[h, t, j * T + t] for h in range(m))
-            for i in range(len(trace.token_ids[j])):
-                word_sum = sum(trace.word.data[h, j * T + t, k]
-                               for h in range(m))
+            sent_sum = sum(sent[h, t, j * T + t] for h in range(m))
+            for i in range(len(token_ids[j])):
+                word_sum = sum(word[h, j * T + t, k] for h in range(m))
                 alpha_tokens[t, k] = sent_sum * word_sum / (m * m)
                 k += 1
     alpha_vocab = np.zeros((trace.n_positions, vocab))
@@ -166,10 +168,13 @@ def test_copy_weights_match_naive_loop():
             trace = _random_trace(rng, m, vocab)
             got = trace_copy_weights(trace, vocab)
             want_tokens, want_vocab = _naive_alpha(trace, vocab)
-            np.testing.assert_allclose(got.alpha_tokens.data, want_tokens,
-                                       rtol=0, atol=1e-12)
             np.testing.assert_allclose(got.alpha_vocab.data, want_vocab,
                                        rtol=0, atol=1e-12)
+            # distinct ids: token k's weight is alpha_vocab at id 4 + k
+            n_tokens = want_tokens.shape[1]
+            got = trace_copy_weights(with_distinct_ids(trace), 4 + n_tokens)
+            np.testing.assert_allclose(got.alpha_vocab.data[:, 4:],
+                                       want_tokens, rtol=0, atol=1e-12)
             n_traces += 1
     assert n_traces == 100
     assert time.time() - start <= 60.0
@@ -215,11 +220,10 @@ def test_empty_cache_variants_equal_sentence_model():
         src = [int(i) for i in rng.integers(4, cfg.vocab_src, size=4)]
         prefix = [BOS_ID] + [int(i) for i in
                              rng.integers(4, cfg.vocab_tgt, size=2)]
-        base_enc, _ = model.contextual_encode(src, empty, "sentence",
-                                              train=False)
+        base_enc = encode(model, src, empty, "sentence")
         want = incremental_step(model, prefix, base_enc, empty, "sentence")
         for variant in ("han-encoder", "han-decoder", "han-joint", "copy"):
-            enc, _ = model.contextual_encode(src, empty, variant, train=False)
+            enc = encode(model, src, empty, variant)
             np.testing.assert_array_equal(enc.states.data,
                                           base_enc.states.data)
             got = incremental_step(model, prefix, enc, empty, variant)

@@ -120,12 +120,11 @@ class TestForwardValues:
 
     def test_dropout_keep_mask_equals_drawn_mask(self):
         x = Tensor(np.arange(12.0).reshape(3, 4) + 1.0)
-        drawn = ad.dropout(x, 0.3, np.random.default_rng(2))
         keep = ad.keep_mask((3, 4), 0.3, np.random.default_rng(2))
-        np.testing.assert_array_equal(ad.dropout(x, 0.3, keep=keep).data,
-                                      drawn.data)
+        np.testing.assert_array_equal(ad.dropout(x, 0.3, keep).data,
+                                      np.where(keep, x.data / 0.7, 0.0))
         with pytest.raises(ShapeError):
-            ad.dropout(x, 0.3, keep=keep[:2])
+            ad.dropout(x, 0.3, keep[:2])
 
     def test_no_implicit_broadcasting(self):
         with pytest.raises(ShapeError):
@@ -145,15 +144,17 @@ class TestForwardValues:
         x = Tensor(np.ones((50, 20)))
         assert ad.dropout(x, 0.0, None) is x
         rng = np.random.default_rng(3)
-        y = ad.dropout(x, 0.25, rng)
+        y = ad.dropout(x, 0.25, ad.keep_mask((50, 20), 0.25, rng))
         kept = y.data != 0.0
         np.testing.assert_allclose(y.data[kept], 1.0 / 0.75)
         assert 0.6 < kept.mean() < 0.9
 
     def test_dropout_is_seed_reproducible(self):
         x = Tensor(np.ones((8, 8)))
-        a = ad.dropout(x, 0.5, np.random.default_rng(9)).data
-        b = ad.dropout(x, 0.5, np.random.default_rng(9)).data
+        a = ad.dropout(x, 0.5, ad.keep_mask((8, 8), 0.5,
+                                            np.random.default_rng(9))).data
+        b = ad.dropout(x, 0.5, ad.keep_mask((8, 8), 0.5,
+                                            np.random.default_rng(9))).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -306,8 +307,8 @@ class TestOpGradients:
     def test_dropout_fixed_seed(self):
         x = self.leaf(4, 4)
         r = self.mixer(4, 4)
-        _check(lambda: ad.mul(ad.dropout(x, 0.5, np.random.default_rng(7)), r).sum(),
-               [("x", x)])
+        keep = ad.keep_mask((4, 4), 0.5, np.random.default_rng(7))
+        _check(lambda: ad.mul(ad.dropout(x, 0.5, keep), r).sum(), [("x", x)])
 
     def test_reductions(self):
         x = self.leaf(3, 5)

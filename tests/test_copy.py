@@ -13,9 +13,9 @@ from docnmt.model.han import ContextState
 
 from decode_reference import incremental_step
 from han_reference import (block_trace, copy_indicator_loop,
-                           trace_copy_weights)
+                           trace_copy_weights, with_distinct_ids)
 from test_han import make_context
-from test_transformer import tiny_model
+from test_transformer import encode, tiny_model
 
 
 def trace_from_arrays(sent_per_head, word_per_sent_head, token_ids):
@@ -40,25 +40,27 @@ def random_trace(rng, m, lens, n_positions=1, vocab=30, low_id=4):
 
 
 def naive_alpha(trace, vocab, exclude_special=True, specials=(0, 1, 2, 3)):
-    """Reference triple loop over sentences, heads and tokens.
+    """Reference triple loop over sentences, heads and tokens of a
+    one-document trace.
 
-    Block layout: query t's weight on sentence j is sent[h, t, j*T+t], and
-    on cached token k of sentence j it is word[h, j*T+t, k].
+    Block layout: query t's weight on sentence j is sent[0, h, t, j*T+t],
+    and on cached token k of sentence j it is word[0, h, j*T+t, k].
     """
     m = trace.m
     T = trace.n_positions
-    tok = np.zeros((T, sum(len(i) for i in trace.token_ids)))
+    token_ids = trace.token_ids[0]
+    tok = np.zeros((T, sum(len(i) for i in token_ids)))
     voc = np.zeros((T, vocab))
     for t in range(T):
         k = 0
-        for j, ids in enumerate(trace.token_ids):
+        for j, ids in enumerate(token_ids):
             sent_sum = 0.0
             for h in range(m):
-                sent_sum += trace.sent.data[h, t, j * T + t]
+                sent_sum += trace.sent.data[0, h, t, j * T + t]
             for i, tid in enumerate(ids):
                 word_sum = 0.0
                 for h in range(m):
-                    word_sum += trace.word.data[h, j * T + t, k]
+                    word_sum += trace.word.data[0, h, j * T + t, k]
                 a = sent_sum * word_sum / (m * m)
                 tok[t, k] = a
                 if not (exclude_special and tid in specials):
@@ -77,8 +79,6 @@ class TestAlphaHandCases:
         trace = trace_from_arrays([[0.4, 0.6]], [[[1.0]], [[0.5, 0.5]]],
                                   [[7], [8, 9]])
         w = trace_copy_weights(trace, 12)
-        np.testing.assert_allclose(w.alpha_tokens.data, [[0.4, 0.3, 0.3]],
-                                   atol=1e-12)
         np.testing.assert_allclose(w.alpha_vocab.data[0, [7, 8, 9]],
                                    [0.4, 0.3, 0.3], atol=1e-12)
 
@@ -100,8 +100,13 @@ class TestAlphaHandCases:
         for m in (1, 2, 4):
             trace = random_trace(rng, m, [3, 2, 4])
             w = trace_copy_weights(trace, 30)
-            np.testing.assert_allclose(w.alpha_tokens.data.sum(), 1.0, atol=1e-12)
             np.testing.assert_allclose(w.alpha_vocab.data.sum(), 1.0, atol=1e-12)
+            # distinct ids: the per-token weights, before renormalization
+            tok, _ = naive_alpha(trace, 30)
+            np.testing.assert_allclose(tok.sum(), 1.0, atol=1e-12)
+            w = trace_copy_weights(with_distinct_ids(trace), 13)
+            np.testing.assert_allclose(w.alpha_vocab.data[:, 4:], tok,
+                                       atol=1e-12)
 
 
 class TestSpecialTokenHandling:
@@ -130,8 +135,11 @@ class TestNaiveOracle:
             trace = random_trace(rng, m, lens, vocab=20)
             w = trace_copy_weights(trace, 20)
             tok_ref, voc_ref = naive_alpha(trace, 20)
-            np.testing.assert_allclose(w.alpha_tokens.data, tok_ref, atol=1e-12)
             np.testing.assert_allclose(w.alpha_vocab.data, voc_ref, atol=1e-12)
+            # distinct ids: token k's weight is alpha_vocab at id 4 + k
+            w = trace_copy_weights(with_distinct_ids(trace), 4 + sum(lens))
+            np.testing.assert_allclose(w.alpha_vocab.data[:, 4:], tok_ref,
+                                       atol=1e-12)
 
 
 class TestGateAndMixture:
@@ -173,7 +181,7 @@ class TestModelCopyPath:
     def test_empty_cache_forces_vocab_distribution_bitwise(self):
         model = tiny_model()
         empty = ContextState(2)
-        enc, _ = model.contextual_encode([4, 5, 6], empty, "copy")
+        enc = encode(model, [4, 5, 6], empty, "copy")
         step = incremental_step(model, [2, 7], enc, empty, "copy")
         ref = model.output_distribution(
             Tensor._wrap(step.state.h_tilde[-1:]))
@@ -183,7 +191,7 @@ class TestModelCopyPath:
     def test_copy_step_distribution_is_normalized(self):
         model = tiny_model()
         ctx = make_context(model, [[4, 5, 6]], target_sentences=[[7, 8, 9]])
-        enc, _ = model.contextual_encode([4, 5, 6], ctx, "copy")
+        enc = encode(model, [4, 5, 6], ctx, "copy")
         step = incremental_step(model, [2, 7], enc, ctx, "copy")
         assert step.copy is not None
         assert abs(step.p_w.sum() - 1.0) <= 1e-9

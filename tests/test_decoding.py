@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from docnmt.decoding import (
     translate_sentence,
     update_context,
 )
+from docnmt.checkpoint import load_checkpoint
+from docnmt.corpus import load_vocab_pair
 from docnmt.errors import ContractError, DataError
 from docnmt.model import DocModel, ModelConfig, build_params
 from docnmt.model.han import ContextState
@@ -22,6 +26,7 @@ from docnmt.model.model import DecoderMemory
 from docnmt.tokens import BOS_ID, EOS_ID
 
 from decode_reference import incremental_step, reference_step
+from test_transformer import encode
 
 
 class FakeResult:
@@ -291,7 +296,7 @@ def test_cached_states_match_stepwise_decode_states():
     for width in (1, 2):
         ctx = ContextState(3)
         for src in doc:
-            encoded, _ = model.contextual_encode(src, ctx, "copy", train=False)
+            encoded = encode(model, src, ctx, "copy")
             out, _, rows = translate_sentence(model, encoded, ctx, "copy",
                                               SearchConfig(width=width))
             assert rows.shape == (len(out), model.cfg.d_model)
@@ -343,7 +348,7 @@ def test_beam_width_two_runs_and_scores_at_least_greedy():
 
     def seq_logprob(tokens):
         ctx = ContextState(3)
-        encoded, _ = model.contextual_encode(doc[0], ctx, "copy", train=False)
+        encoded = encode(model, doc[0], ctx, "copy")
         prefix = [BOS_ID]
         total = 0.0
         for tok in tokens + [EOS_ID]:
@@ -367,7 +372,7 @@ def _filled_context(model, rng, n_sents):
         src = [int(i) for i in rng.integers(4, model.cfg.vocab_src, size=3)]
         tgt = [int(i) for i in rng.integers(4, model.cfg.vocab_tgt,
                                             size=int(rng.integers(1, 5)))]
-        encoded, _ = model.contextual_encode(src, ctx, "copy", train=False)
+        encoded = encode(model, src, ctx, "copy")
         entry = model.target_cache_entry(tgt, encoded, ctx, "copy")
         update_context(model, ctx, encoded, tgt, "copy", entry.states.data)
     return ctx
@@ -388,9 +393,8 @@ def test_batched_steps_match_full_recompute():
         ctx = _filled_context(model, rng, n_cached)
         src = [int(i) for i in rng.integers(4, model.cfg.vocab_src, size=4)]
         for variant in VARIANTS:
-            encoded, _ = model.contextual_encode(src, ctx, variant,
-                                                 train=False)
-            memory = DecoderMemory(model, encoded, ctx, variant)
+            encoded = encode(model, src, ctx, variant)
+            memory = DecoderMemory(model, encoded, [ctx], variant)
             for length in range(1, 9):
                 for k in range(1, 5):
                     prefixes = [[BOS_ID] + [int(i) for i in rng.integers(
@@ -420,9 +424,8 @@ def test_empty_cache_copy_step_is_sentence_step_bitwise():
     rng = np.random.default_rng(304)
     model = tiny_model(seed=16)
     empty = ContextState(3)
-    encoded, _ = model.contextual_encode([4, 5, 6, 7], empty, "copy",
-                                         train=False)
-    memories = {v: DecoderMemory(model, encoded, empty, v)
+    encoded = encode(model, [4, 5, 6, 7], empty, "copy")
+    memories = {v: DecoderMemory(model, encoded, [empty], v)
                 for v in ("copy", "sentence")}
     prefixes = [[BOS_ID] + [int(i) for i in rng.integers(4, 13, size=4)]
                 for _ in range(3)]
@@ -440,11 +443,33 @@ def test_empty_cache_copy_step_is_sentence_step_bitwise():
 
 def test_step_rejects_a_state_that_does_not_fit_its_prefix():
     model = tiny_model(seed=17)
-    encoded, _ = model.contextual_encode([4, 5])
-    memory = DecoderMemory(model, encoded)
+    memory = DecoderMemory(model, encode(model, [4, 5]))
     first = model.step_distribution([[BOS_ID]], memory, [None])[0]
     with pytest.raises(ContractError):
         model.step_distribution([[BOS_ID]], memory, [first.state])
     with pytest.raises(ContractError):
         model.step_distribution([[BOS_ID, 5], [BOS_ID]], memory,
                                 [first.state, None])
+
+
+# ---------------------------------------------------------------------------
+# stored translations of the trained copy model
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+@pytest.mark.parametrize("mode,width", [("greedy", 1), ("beam4", 4)])
+def test_pool_translations_match_stored_outputs(mode, width):
+    """The first ten documents of the benchmark's pool, translated with its
+    trained copy checkpoint (caches holding the model's own copyable
+    output), give the outputs stored with the pool, word for word."""
+    sv, tv = load_vocab_pair(FIXTURES / "vocab.json")
+    store, cfg, _ = load_checkpoint(FIXTURES / "copy.ckpt")
+    model = DocModel(cfg, store)
+    pool = json.loads((FIXTURES / "pool.json").read_text(encoding="utf-8"))
+    for d in range(10):
+        doc = [sv.encode(s.split()) for s in pool["source"][d]]
+        outs, _ = translate_document(model, doc, "copy",
+                                     SearchConfig(width=width))
+        assert [tv.decode(o) for o in outs] == \
+            [s.split() for s in pool[mode][d]]

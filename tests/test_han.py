@@ -7,24 +7,24 @@ from docnmt.autodiff import Tensor
 from docnmt.errors import ContractError
 from docnmt.gradcheck import grad_check
 from docnmt.model import build_params
-from docnmt.model.model import DecoderMemory
+from docnmt.model.model import DecoderMemory, Stack
 from docnmt import autodiff as ad
 from docnmt.model.han import (CacheEntry, ContextMemory, ContextState,
                               gate_integrate, hierarchical_context)
 
 from han_reference import (assert_normalized, block_trace, copy_weights_loop,
                            hierarchical_loop, per_sentence,
-                           trace_copy_weights)
-from test_transformer import tiny_model
+                           trace_copy_weights, with_distinct_ids)
+from test_transformer import encode, tiny_model
 
 
 def make_context(model, sentences, n=3, target_sentences=None):
     ctx = ContextState(n)
     for sent in sentences:
-        enc, _ = model.contextual_encode(sent)
+        enc = encode(model, sent)
         ctx.push_source(model.source_cache_entry(enc))
     for sent in (target_sentences or []):
-        enc, _ = model.contextual_encode(sent)
+        enc = encode(model, sent)
         entry = model.target_cache_entry(sent, enc, ctx, "sentence")
         ctx.push_target(entry)
     return ctx
@@ -60,10 +60,10 @@ class TestHierarchicalContext:
     def test_trace_weights_normalized(self):
         model = tiny_model()
         ctx = make_context(model, [[4, 5, 6], [7, 8], [9, 10, 4, 5]])
-        h = model.encode([5, 6, 7])
+        h = model.encode(Stack.of([[5, 6, 7]]))
         p, m = model.params.view("ctx.enc."), model.cfg.m_heads
-        _, _, trace = hierarchical_context(h, ContextMemory(ctx.source, p, m),
-                                           p, m)
+        _, _, trace = hierarchical_context(
+            h, ContextMemory([ctx.source], p, m), p, m)
         assert_normalized(trace, atol=1e-12)
         assert trace.n_sents == 3
         assert trace.m == model.cfg.m_heads
@@ -72,46 +72,46 @@ class TestHierarchicalContext:
     def test_single_cached_sentence_gets_full_sentence_weight(self):
         model = tiny_model()
         ctx = make_context(model, [[4, 5, 6]])
-        h = model.encode([5, 6])
+        h = model.encode(Stack.of([[5, 6]]))
         p, m = model.params.view("ctx.enc."), model.cfg.m_heads
-        _, _, trace = hierarchical_context(h, ContextMemory(ctx.source, p, m),
-                                           p, m)
+        _, _, trace = hierarchical_context(
+            h, ContextMemory([ctx.source], p, m), p, m)
         # row t sees only summary row t; masked weights are exact zeros
-        for w in trace.sent.data:
+        for w in trace.sent.data[0]:
             np.testing.assert_array_equal(w, np.eye(2))
 
     def test_integration_changes_states(self):
         model = tiny_model()
         ctx = make_context(model, [[4, 5, 6]])
-        plain, _ = model.contextual_encode([5, 6, 7])
-        mixed, _ = model.contextual_encode([5, 6, 7], ctx, "han-encoder")
+        plain = encode(model, [5, 6, 7])
+        mixed = encode(model, [5, 6, 7], ctx, "han-encoder")
         assert not np.array_equal(plain.states.data, mixed.states.data)
 
     def test_context_content_matters(self):
         model = tiny_model()
         a = make_context(model, [[4, 5, 6]])
         b = make_context(model, [[9, 10, 8]])
-        ea, _ = model.contextual_encode([5, 6, 7], a, "han-encoder")
-        eb, _ = model.contextual_encode([5, 6, 7], b, "han-encoder")
+        ea = encode(model, [5, 6, 7], a, "han-encoder")
+        eb = encode(model, [5, 6, 7], b, "han-encoder")
         assert not np.array_equal(ea.states.data, eb.states.data)
 
     def test_trace_blocks_are_zero_outside_their_sentence(self):
         model = tiny_model()
         ctx = make_context(model, [[4, 5, 6], [7, 8]])
-        h = model.encode([5, 6, 7])
+        h = model.encode(Stack.of([[5, 6, 7]]))
         p, m = model.params.view("ctx.enc."), model.cfg.m_heads
-        _, _, trace = hierarchical_context(h, ContextMemory(ctx.source, p, m),
-                                           p, m)
+        _, _, trace = hierarchical_context(
+            h, ContextMemory([ctx.source], p, m), p, m)
         sent, word = per_sentence(trace)
-        rebuilt = block_trace(sent, word, trace.token_ids)
+        rebuilt = block_trace(sent, word, trace.token_ids[0])
         np.testing.assert_array_equal(trace.sent.data, rebuilt.sent.data)
         np.testing.assert_array_equal(trace.word.data, rebuilt.word.data)
-        assert trace.word.data.shape == (2, 6, 5)
-        assert trace.sent.data.shape == (2, 3, 6)
+        assert trace.word.data.shape == (1, 2, 6, 5)
+        assert trace.sent.data.shape == (1, 2, 3, 6)
 
     def test_empty_cache_is_contract_error(self):
         model = tiny_model()
-        h = model.encode([5, 6])
+        h = model.encode(Stack.of([[5, 6]]))
         with pytest.raises(ContractError):
             p = model.params.view("ctx.enc.")
             hierarchical_context(h, ContextMemory([], p, 2), p, 2)
@@ -134,7 +134,7 @@ class TestGate:
     def test_gate_stays_in_unit_interval(self):
         model = tiny_model()
         ctx = make_context(model, [[4, 5, 6]])
-        h = model.encode([5, 6, 7])
+        h = model.encode(Stack.of([[5, 6, 7]]))
         _, lam = gate_integrate(h, h, model.params.view("ctx.enc."))
         assert np.all(lam.data > 0.0) and np.all(lam.data < 1.0)
 
@@ -143,22 +143,23 @@ class TestSkipPaths:
     def test_all_variants_reduce_to_sentence_with_empty_caches(self):
         model = tiny_model()
         empty = ContextState(2)
-        base, _ = model.contextual_encode([4, 5, 6])
+        base = encode(model, [4, 5, 6])
         enc_gold = base.states.data
+        prefix = Stack.of([[2, 7, 8]])
         for variant in ("han-encoder", "han-decoder", "han-joint", "copy"):
-            enc, _ = model.contextual_encode([4, 5, 6], empty, variant)
+            enc = encode(model, [4, 5, 6], empty, variant)
             np.testing.assert_array_equal(enc.states.data, enc_gold)
-            out = model.decode([2, 7, 8],
-                               DecoderMemory(model, enc, empty, variant))
-            ref = model.decode([2, 7, 8], DecoderMemory(model, base))
+            out = model.decode(prefix,
+                               DecoderMemory(model, enc, [empty], variant))
+            ref = model.decode(prefix, DecoderMemory(model, base))
             np.testing.assert_array_equal(out.h_tilde.data, ref.h_tilde.data)
             assert out.trace is None
 
     def test_sentence_variant_ignores_populated_caches(self):
         model = tiny_model()
         ctx = make_context(model, [[4, 5, 6]], target_sentences=[[7, 8]])
-        with_ctx, _ = model.contextual_encode([4, 5], ctx, "sentence")
-        without, _ = model.contextual_encode([4, 5])
+        with_ctx = encode(model, [4, 5], ctx, "sentence")
+        without = encode(model, [4, 5])
         np.testing.assert_array_equal(with_ctx.states.data, without.states.data)
 
 
@@ -172,16 +173,16 @@ class TestCachedStates:
 
     def test_target_cache_entry_matches_decode_rows(self):
         model = tiny_model()
-        enc, _ = model.contextual_encode([4, 5, 6])
+        enc = encode(model, [4, 5, 6])
         tokens = [7, 8, 9]
         entry = model.target_cache_entry(tokens, enc, None, "sentence")
         assert entry.token_ids == tokens
-        out = model.decode([2] + tokens, DecoderMemory(model, enc))
+        out = model.decode(Stack.of([[2] + tokens]), DecoderMemory(model, enc))
         np.testing.assert_array_equal(entry.states.data, out.h_tilde.data[1:])
 
     def test_empty_translation_yields_no_entry(self):
         model = tiny_model()
-        enc, _ = model.contextual_encode([4, 5])
+        enc = encode(model, [4, 5])
         assert model.target_cache_entry([], enc, None, "sentence") is None
 
 
@@ -246,18 +247,26 @@ class TestBlockPathMatchesLoopReference:
                     model, entries, h, probes = self._case(rng, m, n, t)
                     p = model.params.view("ctx.dec.")
                     ids = [e.token_ids for e in entries]
+                    k = sum(map(len, ids))
 
                     mixed, d_rows, trace = hierarchical_context(
-                        h, ContextMemory(entries, p, m), p, m)
+                        h, ContextMemory([entries], p, m), p, m)
                     weights = trace_copy_weights(trace, self.VOCAB)
-                    got = self._grads(model, h, [mixed, d_rows,
-                                                 weights.alpha_tokens,
+                    # distinct ids: token k's weight is alpha_vocab at 4 + k
+                    distinct = with_distinct_ids(trace)
+                    tokens = ad.narrow(
+                        trace_copy_weights(distinct, 4 + k).alpha_vocab,
+                        1, 4, k)
+                    got = self._grads(model, h, [mixed, d_rows, tokens,
                                                  weights.alpha_vocab], probes)
 
                     r_mixed, r_d, r_sent, r_word = hierarchical_loop(
                         h, entries, p, m)
-                    r_tok, r_voc = copy_weights_loop(ids, r_sent, r_word,
-                                                     self.VOCAB)
+                    _, r_voc = copy_weights_loop(ids, r_sent, r_word,
+                                                 self.VOCAB)
+                    _, r_distinct = copy_weights_loop(
+                        distinct.token_ids[0], r_sent, r_word, 4 + k)
+                    r_tok = ad.narrow(r_distinct, 1, 4, k)
                     want = self._grads(model, h, [r_mixed, r_d, r_tok, r_voc],
                                        probes)
 
@@ -271,8 +280,8 @@ class TestBlockPathMatchesLoopReference:
                         for j in range(n):
                             np.testing.assert_allclose(
                                 word[j][hh], r_word[j][hh].data, **close)
-                    np.testing.assert_allclose(weights.alpha_tokens.data,
-                                               r_tok.data, **close)
+                    np.testing.assert_allclose(tokens.data, r_tok.data,
+                                               **close)
                     np.testing.assert_allclose(weights.alpha_vocab.data,
                                                r_voc.data, **close)
                     assert set(got) == set(want)
@@ -297,15 +306,20 @@ class TestBlockPathMatchesLoopReference:
 
                 sent = [norm((t, n)) for _ in range(m)]
                 word = [[norm((t, L)) for _ in range(m)] for L in lens]
-                got = trace_copy_weights(block_trace(sent, word, ids),
-                                             self.VOCAB)
-                tok, voc = copy_weights_loop(
-                    ids, [Tensor(s) for s in sent],
-                    [[Tensor(w) for w in heads] for heads in word], self.VOCAB)
-                # one nonzero product per entry: bitwise equal
-                np.testing.assert_array_equal(got.alpha_tokens.data, tok.data)
+                trace = block_trace(sent, word, ids)
+                got = trace_copy_weights(trace, self.VOCAB)
+                sent_t = [Tensor(s) for s in sent]
+                word_t = [[Tensor(w) for w in heads] for heads in word]
+                _, voc = copy_weights_loop(ids, sent_t, word_t, self.VOCAB)
                 np.testing.assert_allclose(got.alpha_vocab.data, voc.data,
                                            rtol=0, atol=1e-12)
+                # distinct ids: one nonzero product per entry, bitwise equal
+                distinct = with_distinct_ids(trace)
+                vocab = 4 + sum(lens)
+                got = trace_copy_weights(distinct, vocab)
+                _, tok = copy_weights_loop(distinct.token_ids[0], sent_t,
+                                           word_t, vocab)
+                np.testing.assert_array_equal(got.alpha_vocab.data, tok.data)
 
 
 class TestDocumentAxis:
@@ -361,15 +375,17 @@ class TestDocumentAxis:
         for i, entries in enumerate(docs):
             rows = ad.narrow(h_doc, 0, i * t, t)
             w_mixed, w_d, w_trace = hierarchical_context(
-                rows, ContextMemory(entries, p, m), p, m)
+                rows, ContextMemory([entries], p, m), p, m)
             w_alpha = trace_copy_weights(w_trace, self.VOCAB).alpha_vocab
             for out, w in zip(want_rows, (w_mixed, w_d, w_alpha)):
                 out.append(w)
             k = w_trace.word.data.shape[-1]
-            np.testing.assert_allclose(trace.sent.data[i], w_trace.sent.data,
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(trace.sent.data[i],
+                                       w_trace.sent.data[0], rtol=0,
+                                       atol=1e-12)
             np.testing.assert_allclose(trace.word.data[i, ..., :k],
-                                       w_trace.word.data, rtol=0, atol=1e-12)
+                                       w_trace.word.data[0], rtol=0,
+                                       atol=1e-12)
             assert not trace.word.data[i, ..., k:].any()
         want_outs = [ad.concat(parts, axis=0) for parts in want_rows]
         for got_out, want_out in zip((mixed, d_rows, alpha), want_outs):

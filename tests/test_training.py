@@ -27,6 +27,8 @@ from docnmt.training import (
     train_base,
 )
 
+from test_transformer import encode
+
 
 def small_setup(n_docs=6, doc_len=2, seed=0, **cfg_over):
     corpus, lex = generate_synthetic_cohesion_corpus(
@@ -502,7 +504,7 @@ def record_pushes(entries, push):
     keyed by the sentence pair (the cases below repeat no pair)."""
     def recorded(model, context, encoded, out_tokens, variant, rows):
         push(model, context, encoded, out_tokens, variant, rows)
-        key = (tuple(encoded.token_ids), tuple(out_tokens))
+        key = (tuple(encoded.token_ids.ids), tuple(out_tokens))
         assert key not in entries
         entries[key] = [side[-1] for side, on in
                         ((context.source, variant in model_module.ENCODER_CTX),
@@ -516,7 +518,7 @@ def push_gold(push, model, context, src, tgt, variant):
     eval pass over the target for its rows, both before anything is
     pushed."""
     with ad.no_grad():
-        encoded, _ = model.contextual_encode(src, context, variant)
+        encoded = encode(model, src, context, variant)
     entry = model.target_cache_entry(tgt, encoded, context, variant)
     push(model, context, encoded, tgt, variant, entry.states.data)
 
@@ -599,7 +601,7 @@ def test_wavefront_matches_per_sentence_loop(stage, dropout, monkeypatch):
     nothing to copy): per batch the loss and every gradient within 1e-12
     relative, every gold cache entry within 1e-12, the same dropout draws,
     and the generator left where the loop leaves it."""
-    variant = training._STAGE_VARIANT[stage]
+    variant = stage
     model = context_model(stage, dropout)
     batches = document_batches(np.random.default_rng(6), [1, 6, 1, 3, 2, 4],
                                cut=5, special_doc=3)
@@ -636,7 +638,7 @@ def test_carried_caches_cross_batch_boundaries(stage, monkeypatch):
     """make_batches splits documents across batches; the wavefront carries
     their caches over exactly as the loop does: the same gold pushes, each
     entry within 1e-12."""
-    variant = training._STAGE_VARIANT[stage]
+    variant = stage
     corpus, _, sv, tv, _ = small_setup(n_docs=8, doc_len=4)
     model = context_model(stage, 0.1, n_context=3)
     batches, _ = make_batches(corpus, sv, tv, "document", 40, 40, seed=3)
@@ -660,7 +662,7 @@ def test_carried_caches_cross_batch_boundaries(stage, monkeypatch):
 def test_validation_wavefront_matches_loop(stage, monkeypatch):
     """Validation: loss and mean p_copy as the per-sentence loop's, within
     1e-12, and cache entries within 1e-12 of ``target_cache_entry``'s."""
-    variant = training._STAGE_VARIANT[stage]
+    variant = stage
     model = context_model(stage, 0.1, n_context=3)
     rng = np.random.default_rng(9)
     docs = [[([int(i) for i in rng.integers(4, 30, rng.integers(1, 9))],

@@ -12,7 +12,7 @@ from docnmt.checkpoint import load_checkpoint, save_checkpoint
 from docnmt.errors import CheckpointError, ContractError
 from docnmt.gradcheck import grad_check
 from docnmt.model import DocModel, ModelConfig, ParamStore, build_params
-from docnmt.model.model import DecoderMemory
+from docnmt.model.model import DecoderMemory, Stack
 from docnmt.model.transformer import (HeadKV, attend, causal_mask,
                                       cross_entropy, multi_head_attention,
                                       positionwise_ffn, sinusoidal_positions)
@@ -31,6 +31,14 @@ def tiny_model(seed=0, **over):
     store = build_params(cfg, np.random.default_rng(seed))
     store.set_trainable(set())
     return DocModel(cfg, store)
+
+
+def encode(model, src, context=None, variant="sentence"):
+    """``contextual_encode`` of one source sentence under its document's
+    caches."""
+    encoded, _ = model.contextual_encode(
+        Stack.of([src]), None if context is None else [context], variant)
+    return encoded
 
 
 def rewrite_header(path, change) -> None:
@@ -248,42 +256,41 @@ class TestCrossEntropy:
 class TestEncodeDecode:
     def test_shapes_and_determinism(self):
         model = tiny_model()
-        enc, _ = model.contextual_encode([4, 5, 6, 7])
+        enc = encode(model, [4, 5, 6, 7])
         assert enc.states.data.shape == (4, 8)
-        again, _ = model.contextual_encode([4, 5, 6, 7])
+        again = encode(model, [4, 5, 6, 7])
         np.testing.assert_array_equal(enc.states.data, again.states.data)
 
     def test_unknown_source_id_maps_to_unk(self):
         model = tiny_model()
-        a, _ = model.contextual_encode([4, 99, 6])
-        b, _ = model.contextual_encode([4, 1, 6])
+        a = encode(model, [4, 99, 6])
+        b = encode(model, [4, 1, 6])
         np.testing.assert_array_equal(a.states.data, b.states.data)
 
     def test_decode_prefix_extension_is_causal_bitwise(self):
         model = tiny_model()
-        enc, _ = model.contextual_encode([4, 5, 6])
-        memory = DecoderMemory(model, enc)
-        short, _ = model.decode_states([2, 7, 8], memory)
-        longer, _ = model.decode_states([2, 7, 8, 9], memory)
+        memory = DecoderMemory(model, encode(model, [4, 5, 6]))
+        short, _ = model.decode_states(Stack.of([[2, 7, 8]]), memory)
+        longer, _ = model.decode_states(Stack.of([[2, 7, 8, 9]]), memory)
         np.testing.assert_array_equal(short.data, longer.data[:3])
 
     def test_output_distribution_zero_weights_is_uniform(self):
         model = tiny_model()
         model.params["out.w"].data[:] = 0.0
         model.params["out.b"].data[:] = 0.0
-        enc, _ = model.contextual_encode([4, 5])
-        out = model.decode([2, 7], DecoderMemory(model, enc))
+        out = model.decode(Stack.of([[2, 7]]),
+                           DecoderMemory(model, encode(model, [4, 5])))
         p = model.output_distribution(out.h_tilde)
         np.testing.assert_allclose(p.data, 1.0 / 13, atol=1e-12)
 
     def test_dropout_only_in_training_mode(self):
         model = tiny_model(dropout=0.3)
-        rng = np.random.default_rng(0)
-        eval_a, _ = model.contextual_encode([4, 5, 6])
-        eval_b, _ = model.contextual_encode([4, 5, 6])
+        eval_a = encode(model, [4, 5, 6])
+        eval_b = encode(model, [4, 5, 6])
         np.testing.assert_array_equal(eval_a.states.data, eval_b.states.data)
-        train_a, _ = model.contextual_encode([4, 5, 6], train=True,
-                                             rng=np.random.default_rng(1))
+        keep, _ = model.dropout_masks(3, 1, np.random.default_rng(1))
+        train_a, _ = model.contextual_encode(Stack.of([[4, 5, 6]]),
+                                             keep=iter(keep))
         assert not np.array_equal(train_a.states.data, eval_a.states.data)
 
     def test_base_gradients_match_finite_differences(self):
