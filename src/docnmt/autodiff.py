@@ -10,11 +10,13 @@ Shapes are explicit.  The only implicit broadcasting is scalar-times-tensor
 (one operand with a single element); everything else must match exactly or go
 through a dedicated op such as ``add_bias`` / ``scale_rows``.
 
-Activations are 2-d [rows, features].  The one 3-d layout is the per-head
-attention weights [m, a, b] of ``attention_weights``: head h's [a, b]
-post-softmax matrix is entry h, and ``attention_mix`` merges the heads back
-into [a, d] rows.  Given a [B, a, b] mask, both ops take B stacked
-sequences (B*a query rows, B*b key rows) and the weights are [B, m, a, b].
+Activations are 2-d [rows, features].  The one other layout is the
+attention weights [B, m, a, b] of ``attention_weights``: B stacked
+sequences of a query and b key rows each (B*a and B*b rows), with head h's
+[a, b] post-softmax matrix of sequence i at entry (i, h); ``attention_mix``
+merges the heads back into [B*a, d] rows.  An attention mask is [B, a, b],
+None being one sequence with nothing blocked, and ``attention_weights`` is
+the one op that reads it.
 
 Every op checks that its output is finite and raises ``NumericalError``
 naming itself otherwise; training, validation, gradient checks and direct
@@ -23,10 +25,10 @@ the search enters it (see ``decoding``): it checks each step's distribution
 and state rows instead and replays a failing sentence with the per-op
 checks on, so the error still names the op.  Two checks stay on even
 there: ``attention_weights`` checks its logits before masking (a masked
-non-finite key would vanish), and ``softmax_lastdim`` tells non-finite
-logits from a fully masked row.  Apart from masking and row selection no op
-turns a NaN into a finite value (``relu`` keeps it), so a NaN reaches the
-search's checks.  An inf can saturate (a sigmoid of inf is exactly 1); see
+non-finite key would vanish), and it and ``softmax_lastdim`` tell a fully
+masked row from non-finite logits.  Apart from masking and row selection
+no op turns a NaN into a finite value (``relu`` keeps it), so a NaN reaches
+the search's checks.  An inf can saturate (a sigmoid of inf is exactly 1); see
 ``decoding`` for how the search deals with that.
 """
 
@@ -478,76 +480,70 @@ def masked_fill(x: Tensor, mask: Array, value: float) -> Tensor:
                 lambda g: (g * keep,), "masked_fill", check=False)
 
 
-def _heads(x: Array, m: int, lead: tuple = ()) -> Array:
-    """Rows [n, m*dh] as contiguous per-head blocks [m, n, dh]; with
-    ``lead`` = (B,), rows [B*n, m*dh] as blocks [B, m, n, dh].
+def _heads(x: Array, bs: int, m: int) -> Array:
+    """Rows [B*n, m*dh] of B stacked sequences as contiguous per-head
+    blocks [B, m, n, dh].
 
     Contiguous blocks make each head's batched product the same BLAS call as
     a 2-d product of that head's columns, so results match it bitwise.
     """
-    n, d = x.shape
-    if lead:
-        return np.ascontiguousarray(
-            x.reshape(lead[0], -1, m, d // m).transpose(0, 2, 1, 3))
-    return np.ascontiguousarray(x.reshape(n, m, d // m).transpose(1, 0, 2))
+    d = x.shape[1]
+    return np.ascontiguousarray(
+        x.reshape(bs, -1, m, d // m).transpose(0, 2, 1, 3))
 
 
 def _merge(x: Array) -> Array:
-    """Per-head blocks [(B,) m, n, dh] back to C-contiguous rows
-    [(B*)n, m*dh].
+    """Per-head blocks [B, m, n, dh] back to C-contiguous rows [B*n, m*dh].
 
     Contiguity matters: a later product of these rows is then the same BLAS
     call as with rows merged by ``concat``.
     """
-    if x.ndim == 4:
-        bs, m, n, dh = x.shape
-        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(
-            bs * n, m * dh)
-    m, n, dh = x.shape
-    return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(n, m * dh)
+    bs, m, n, dh = x.shape
+    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(
+        bs * n, m * dh)
 
 
 def attention_weights(q: Tensor, k: Tensor, m: int,
                       mask: Array | None = None) -> Tensor:
-    """Per-head softmax(q_h k_hᵀ / sqrt(d_h)) as one [m, a, b] tensor.
+    """Per-head softmax(q_h k_hᵀ / sqrt(d_h)) of B stacked sequences as one
+    [B, m, a, b] tensor.
 
-    q [a, d] and k [b, d] hold m heads of d_h = d / m columns each (head h
-    is columns h*d_h onwards).  ``mask`` [a, b] (True = blocked) applies to
-    every head; blocked weights are exact zeros.  The scaled logits are
-    checked before masking, the weights after the softmax.
-
-    A [B, a, b] mask makes q [B*a, d] and k [B*b, d] B stacked sequences:
-    sequence i's queries attend only over its own keys, under mask[i], and
-    the weights are [B, m, a, b].
+    q [B*a, d] and k [B*b, d] hold m heads of d_h = d / m columns each (head
+    h is columns h*d_h onwards); sequence i's a queries attend only over its
+    own b keys.  ``mask`` [B, a, b] (True = blocked) gives B and applies
+    mask[i] to every head of sequence i; blocked weights are exact zeros.
+    None is one sequence with nothing blocked.  The scaled logits are
+    checked before masking, the weights after the softmax; a fully masked
+    row is a ContractError, also under ``unchecked()``.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or q.data.shape[1] != k.data.shape[1]:
         raise ShapeError(f"attention_weights: q {q.shape}, k {k.shape}")
     (rows_q, d), rows_k = q.data.shape, k.data.shape[0]
     if m < 1 or d % m:
         raise ShapeError(f"attention_weights: width {d} vs {m} heads")
-    lead = ()                                         # (B,) when stacked
-    if mask is not None and mask.shape != (rows_q, rows_k):
-        n, a, b = mask.shape if mask.ndim == 3 else (0, 0, 0)
-        if (n * a, n * b) != (rows_q, rows_k):
-            raise ShapeError(f"attention_weights: mask {mask.shape} vs q "
-                             f"{q.shape}, k {k.shape}")
-        lead = (n,)
-    dh = d // m
+    shape = (1, rows_q, rows_k) if mask is None else mask.shape
+    if len(shape) != 3 or (shape[0] * shape[1], shape[0] * shape[2]) \
+            != (rows_q, rows_k):
+        raise ShapeError(f"attention_weights: mask {shape} vs q {q.shape}, "
+                         f"k {k.shape}")
+    bs, dh = shape[0], d // m
     scale = 1.0 / math.sqrt(dh)
-    qh = _heads(q.data, m, lead)                      # [(B,) m, a, dh]
-    kt = np.ascontiguousarray(                        # [(B,) m, dh, b]
-        k.data.reshape(lead[0], -1, m, dh).transpose(0, 2, 3, 1) if lead
-        else k.data.reshape(rows_k, m, dh).transpose(1, 2, 0))
-    logits = scale * np.matmul(qh, kt)                # [(B,) m, a, b]
+    qh = _heads(q.data, bs, m)                        # [B, m, a, dh]
+    kt = np.ascontiguousarray(                        # [B, m, dh, b]
+        k.data.reshape(bs, -1, m, dh).transpose(0, 2, 3, 1))
+    logits = scale * np.matmul(qh, kt)                # [B, m, a, b]
     _finite(logits, "attention_weights")
     if mask is not None:
-        np.copyto(logits, -np.inf, where=mask[:, None] if lead else mask)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        np.copyto(logits, -np.inf, where=mask[:, None])
+    top = logits.max(axis=-1, keepdims=True)
+    if mask is not None and top.min() == -np.inf:     # finite logits: masked
+        raise ContractError("attention_weights: a row is fully masked")
+    e = np.exp(logits - top)
     w = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
         gl = scale * (w * (g - np.sum(g * w, axis=-1, keepdims=True)))
-        gk = np.matmul(qh.swapaxes(-1, -2), gl)       # [(B,) m, dh, b]
+        gk = np.matmul(qh.swapaxes(-1, -2), gl)       # [B, m, dh, b]
         return (_merge(np.matmul(gl, kt.swapaxes(-1, -2))),
                 _merge(gk.swapaxes(-1, -2)))
 
@@ -555,20 +551,19 @@ def attention_weights(q: Tensor, k: Tensor, m: int,
 
 
 def attention_mix(w: Tensor, v: Tensor) -> Tensor:
-    """Per-head products w_h v_h of [m, a, b] weights and [b, d] values,
-    heads merged into [a, d] rows (head h fills columns h*d_h onwards).
-    Stacked weights [B, m, a, b] take values [B*b, d] and give [B*a, d]."""
-    if w.data.ndim not in (3, 4) or v.data.ndim != 2:
+    """Per-head products w_h v_h of B stacked sequences' weights
+    [B, m, a, b] and values [B*b, d], heads merged into [B*a, d] rows (head
+    h fills columns h*d_h onwards)."""
+    if w.data.ndim != 4 or v.data.ndim != 2:
         raise ShapeError(f"attention_mix: weights {w.shape}, values {v.shape}")
-    lead = w.data.shape[:-3]
-    m, a, b = w.data.shape[-3:]
-    if v.data.shape[0] != (b * lead[0] if lead else b) or v.data.shape[1] % m:
+    bs, m, a, b = w.data.shape
+    if v.data.shape[0] != bs * b or v.data.shape[1] % m:
         raise ShapeError(f"attention_mix: weights {w.shape}, values {v.shape}")
-    vh = _heads(v.data, m, lead)                      # [(B,) m, b, dh]
+    vh = _heads(v.data, bs, m)                        # [B, m, b, dh]
 
     def bwd(g):
         # per-head column views of g, strided like the parts of a concat
-        gh = g.reshape(lead + (a, m, -1)).swapaxes(-3, -2)
+        gh = g.reshape(bs, a, m, -1).swapaxes(-3, -2)
         return (np.matmul(gh, vh.swapaxes(-1, -2)),
                 _merge(np.matmul(w.data.swapaxes(-1, -2), gh)))
 

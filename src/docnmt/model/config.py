@@ -21,13 +21,16 @@ class ModelConfig:
     max_len: int = 256
 
     def __post_init__(self):
+        for name in ("vocab_src", "vocab_tgt", "d_model", "n_layers",
+                     "m_heads", "d_ff", "n_context", "max_len"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ContractError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ContractError(f"{name} must be >= 1")
         if self.d_model % self.m_heads != 0:
             raise ContractError(
                 f"d_model={self.d_model} not divisible by m_heads={self.m_heads}")
-        for name in ("vocab_src", "vocab_tgt", "d_model", "n_layers",
-                     "m_heads", "d_ff", "n_context", "max_len"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError("dropout outside [0, 1)")
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -38,6 +41,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        if not isinstance(d, dict):
+            raise ContractError(f"config is not an object: {d!r}")
         names = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in d.items() if k in names})
 

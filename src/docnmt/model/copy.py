@@ -31,7 +31,6 @@ from ..autodiff import Tensor
 from ..errors import ContractError
 from ..tokens import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 from .han import AttentionTrace
-from .transformer import HeadKV, attend
 
 SPECIAL_IDS = (PAD_ID, UNK_ID, BOS_ID, EOS_ID)  # never copy targets
 
@@ -49,18 +48,6 @@ class CopyDistribution:
     p_copy: float
     p_vocab: np.ndarray
     alpha_vocab: np.ndarray
-
-
-def encoder_context_attention(h_tilde: Tensor, enc_kv: HeadKV,
-                              att_p: dict[str, Tensor],
-                              mask: np.ndarray | None) -> Tensor:
-    """c_t: multi-head attention of the integrated state over the current
-    source encoding (``enc_kv``, projected once per sentence through the
-    copy mechanism's own ``att.wk`` / ``att.wv``; ``att_p`` holds the
-    ``att.`` parameters, prefix stripped), under the sources' key mask
-    (``Stack.key_mask``)."""
-    c_rows, _ = attend(h_tilde @ att_p["wq"], enc_kv, att_p, mask)
-    return c_rows
 
 
 def copy_gate(h_tilde: Tensor, c_rows: Tensor, d_rows: Tensor,

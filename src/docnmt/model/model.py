@@ -13,9 +13,10 @@ reduce to the plain model bitwise at document starts.
 
 Sequences are laid out one way: a ``Stack`` of B sequences padded to one
 length L, run as B*L rows under key-padding (and causal) masks [B, L, L]
-(a single sequence needs no key mask).  Each sequence comes from its own document, with its own caches (one
-``ContextState`` each, with equal numbers of cached sentences), and the
-context and copy layers take the same document axis (see ``han``).
+(a single sequence needs no key mask).  Each sequence comes from its own
+document, with its own caches (one ``ContextState`` each, with equal
+numbers of cached sentences), and the context and copy layers take the
+same document axis (see ``han``).
 Training teacher-forces many pairs at once (``teacher_force``); the
 per-sentence passes (``sentence_loss``, ``target_cache_entry``) and
 decoding are the same path at B = 1.
@@ -44,8 +45,8 @@ from ..autodiff import Tensor
 from ..errors import ContractError, NumericalError
 from ..tokens import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 from .config import ModelConfig
-from .copy import (CopyDistribution, cache_indicator, copy_attention_weights,
-                   copy_gate, encoder_context_attention, mix_distributions)
+from .copy import (CopyDistribution, CopyWeights, cache_indicator,
+                   copy_attention_weights, copy_gate, mix_distributions)
 from .han import (AttentionTrace, CacheEntry, ContextMemory, ContextState,
                   cached, hierarchical_context)
 from .params import ParamStore
@@ -309,7 +310,7 @@ class DocModel:
         mask = tokens.key_mask(tokens.width)
         if causal:
             future = causal_mask(tokens.width)
-            mask = future if mask is None else mask | future
+            mask = future[None] if mask is None else mask | future
         return self.clip_ids(tokens.ids, side), tokens.positions(), mask
 
     def encode(self, token_ids: Stack,
@@ -385,7 +386,7 @@ class DocModel:
             positions = np.full(k, n_past)
             other = ~np.eye(k, dtype=bool)  # keys: all past rows, then new
             mask = np.concatenate(
-                [np.repeat(other, n_past, axis=1), other], axis=1)
+                [np.repeat(other, n_past, axis=1), other], axis=1)[None]
         x = self._embed("emb.tgt", ids, positions, keep)
         kv_rows = []
         for i, layer in enumerate(memory.layers):
@@ -426,7 +427,8 @@ class DocModel:
         return ad.softmax_lastdim(logits)
 
     def copy_mixture(self, out: DecodeOut, memory: DecoderMemory,
-                     p_vocab: Tensor) -> tuple[Tensor, Tensor | None, "object"]:
+                     p_vocab: Tensor
+                     ) -> tuple[Tensor, Tensor | None, CopyWeights | None]:
         """P_w for the copy variant; falls back to P_vocab (p_copy forced 0)
         when nothing in the cache may be copied.
 
@@ -437,10 +439,11 @@ class DocModel:
         weights = copy_attention_weights(out.trace, memory.cache_indicator())
         if not weights.copyable:
             return p_vocab, None, None
+        # c_t: the integrated rows attend over their own source encoding
         copy_kv, att_p = memory.copy()
         src = memory.encoded.token_ids
         mask = src.key_mask(out.h_tilde.data.shape[0] // len(src.lengths))
-        c_rows = encoder_context_attention(out.h_tilde, copy_kv, att_p, mask)
+        c_rows, _ = attend(out.h_tilde @ att_p["wq"], copy_kv, att_p, mask)
         p_copy = copy_gate(out.h_tilde, c_rows, out.d_rows,
                            self.params.view("copy."))
         return mix_distributions(p_vocab, weights.alpha_vocab, p_copy), \

@@ -1,10 +1,11 @@
 """Transformer building blocks on the autodiff core.
 
-All activations are 2-d [positions, features] tensors; attention masks are
-plain boolean numpy arrays (True = blocked).  Multi-head attention is two
-fused autodiff ops, so its per-head weights come as one [m, a, b] tensor.
-A [B, a, b] mask runs B stacked sequences of a query and b key rows each
-through the same ops (weights [B, m, a, b]).
+All activations are 2-d [positions, features] tensors.  Multi-head
+attention is two fused autodiff ops over B stacked sequences of a query and
+b key rows each: the per-head weights come as one [B, m, a, b] tensor, and
+a mask is a plain boolean [B, a, b] numpy array (True = blocked), or None
+for one sequence with nothing blocked; only ``autodiff.attention_weights``
+reads and checks it.
 """
 
 from __future__ import annotations
@@ -15,32 +16,16 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from ..errors import ContractError, ShapeError
+from ..errors import ContractError
 
 
 @dataclass
 class HeadKV:
-    """Projected keys and values [b, d] of one attention memory, split into
-    m heads by the attention ops."""
+    """Projected keys and values [B*b, d] of B stacked attention memories,
+    split into m heads by the attention ops."""
     keys: Tensor
     values: Tensor
     m: int
-
-
-def _checked_mask(mask: np.ndarray | None,
-                  rows: tuple[int, int]) -> np.ndarray | None:
-    """The mask for ``rows`` query and key rows, or None when it blocks
-    nothing.  A [B, a, b] mask stacks B sequences and is always kept: it
-    carries B."""
-    if mask is None:
-        return None
-    if mask.shape != rows:
-        n, a, b = mask.shape if mask.ndim == 3 else (0, 0, 0)
-        if (n * a, n * b) != rows:
-            raise ShapeError(f"mask {mask.shape} vs {rows} query/key rows")
-    if mask.all(axis=-1).any():
-        raise ContractError("attention row is fully masked")
-    return mask if mask.ndim == 3 or mask.any() else None
 
 
 def project_kv(k_rows: Tensor, v_rows: Tensor, p: dict[str, Tensor],
@@ -52,14 +37,14 @@ def project_kv(k_rows: Tensor, v_rows: Tensor, p: dict[str, Tensor],
 def attend(q: Tensor, kv: HeadKV, p: dict[str, Tensor],
            mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Multi-head attention of the wq-projected query rows ``q`` over a
-    projected memory, re-projected through wo.
+    projected memory, re-projected through wo, for B stacked sequences
+    under a [B, a, b] mask (None: one sequence, nothing blocked).
 
-    Returns the output rows and the post-softmax weights [m, a, b].  The
+    Returns the output rows and the post-softmax weights [B, m, a, b].  The
     query is projected by the caller so that, where query and memory rows
     are one tensor, the wq product comes first on the tape; backward then
     sums that tensor's gradient parts in one fixed order.
     """
-    mask = _checked_mask(mask, (q.data.shape[0], kv.keys.data.shape[0]))
     weights = ad.attention_weights(q, kv.keys, kv.m, mask)
     return ad.attention_mix(weights, kv.values) @ p["wo"], weights
 
@@ -70,8 +55,9 @@ def multi_head_attention(q_rows: Tensor, k_rows: Tensor, v_rows: Tensor,
                          ) -> tuple[Tensor, Tensor]:
     """m parallel projected attentions, merged and re-projected.
 
-    ``p`` holds the square projections wq, wk, wv, wo.  Returns the output
-    rows and the post-softmax weights [m, a, b].
+    ``p`` holds the square projections wq, wk, wv, wo; ``mask`` is as for
+    ``attend``.  Returns the output rows and the post-softmax weights
+    [B, m, a, b].
     """
     q = q_rows @ p["wq"]
     return attend(q, project_kv(k_rows, v_rows, p, m), p, mask)

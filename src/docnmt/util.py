@@ -8,18 +8,13 @@ import zlib
 import numpy as np
 
 
-def sub_seed(master: int, name: str) -> list[int]:
-    """Derive a named sub-seed so one CLI seed drives independent RNG streams."""
-    return [int(master) & 0xFFFFFFFF, zlib.crc32(name.encode("utf-8"))]
-
-
-def seeded_rng(master: int, name: str) -> np.random.Generator:
-    return np.random.default_rng(sub_seed(master, name))
-
-
 def derive_seed(master: int, name: str) -> int:
-    """Collapse a named sub-seed into one int for APIs that take a seed."""
-    return int(seeded_rng(master, name).integers(2**31))
+    """A named seed derived from ``master``, so one CLI seed drives
+    independent RNG streams: the first draw below 2**31 of a generator
+    seeded with (master mod 2**32, crc32 of the name)."""
+    rng = np.random.default_rng([int(master) & 0xFFFFFFFF,
+                                 zlib.crc32(name.encode("utf-8"))])
+    return int(rng.integers(2**31))
 
 
 def sha256_file(path) -> str:

@@ -4,14 +4,14 @@ This is the chain that ``autodiff.attention_weights`` and
 ``autodiff.attention_mix`` compute in two tape nodes: per head, ``narrow``
 the query, key and value columns, transpose the keys, then ``matmul``,
 scale, ``masked_fill``, ``softmax``, ``matmul``, and ``concat`` the heads.
-It returns the per-head weights as a list of [a, b] tensors.
+It runs one sequence, takes its mask as [a, b] or [1, a, b] and returns
+the per-head weights as a list of [a, b] tensors.
 """
 
 import math
 
 from docnmt import autodiff as ad
 from docnmt.errors import ShapeError
-from docnmt.model.transformer import _checked_mask
 
 
 def scaled_dot_attention(q, k, v, mask=None):
@@ -24,8 +24,18 @@ def scaled_dot_attention(q, k, v, mask=None):
     if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
         raise ShapeError(
             f"scaled_dot_attention: q {q.shape}, k {k.shape}, v {v.shape}")
-    mask = _checked_mask(mask, (q.data.shape[0], k.data.shape[0]))
-    return _head_attention(q, k.T, v, mask)
+    return _head_attention(q, k.T, v, _mask(mask, q, k))
+
+
+def _mask(mask, q, k):
+    """A one-sequence mask as [a, b] for a query and b key rows; None when
+    it blocks nothing (no ``masked_fill`` then)."""
+    rows = (q.data.shape[0], k.data.shape[0])
+    if mask is None:
+        return None
+    if mask.shape not in (rows, (1, *rows)):
+        raise ShapeError(f"mask {mask.shape} vs {rows} query/key rows")
+    return mask.reshape(rows) if mask.any() else None
 
 
 def _head_attention(q, k_t, v, mask):
@@ -48,7 +58,7 @@ def attend(q, k, v, p, m, mask=None):
     one head at a time, re-projected through wo -> (rows, per-head weights)."""
     keys_t, values = split_heads(k, v, m)
     dh = values[0].data.shape[1]
-    mask = _checked_mask(mask, (q.data.shape[0], values[0].data.shape[0]))
+    mask = _mask(mask, q, k)
     outs, head_weights = [], []
     for h in range(m):
         out_h, w_h = _head_attention(ad.narrow(q, 1, h * dh, dh),

@@ -1,5 +1,7 @@
 """Tensor core: frozen forward values plus per-op gradients vs central differences."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -85,16 +87,36 @@ class TestForwardValues:
 
     def test_attention_weights_masked_entries_are_exact_zeros(self):
         rng = np.random.default_rng(3)
-        mask = np.array([[False, True, False], [True, False, False]])
+        mask = np.array([[[False, True, False], [True, False, False]]])
         w = ad.attention_weights(Tensor(rng.normal(size=(2, 4))),
                                  Tensor(rng.normal(size=(3, 4))), 2, mask)
-        assert w.shape == (2, 2, 3)
-        assert np.all(w.data[:, mask] == 0.0)
+        assert w.shape == (1, 2, 2, 3)
+        assert np.all(w.data[0][:, mask[0]] == 0.0)
         np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+    def test_attention_mask_has_one_layout(self):
+        """A mask is [B, a, b]; a 2-d one is a ShapeError, not a second
+        layout, and so is a stack that does not fit the rows."""
+        q, k = Tensor(np.ones((2, 4))), Tensor(np.ones((6, 4)))
+        for shape in ((2, 6), (1, 2, 3), (2, 2, 3), (1, 1, 2, 6)):
+            with pytest.raises(ShapeError, match="mask"):
+                ad.attention_weights(q, k, 2, np.zeros(shape, dtype=bool))
+        assert ad.attention_weights(q, k, 2, np.zeros((2, 1, 3), dtype=bool)
+                                    ).shape == (2, 2, 1, 3)
+
+    @pytest.mark.parametrize("checked", [True, False])
+    def test_attention_fully_masked_row_is_contract_error(self, checked):
+        # sequence 1's only query is fully masked; unchecked() would
+        # otherwise let its NaN weights through
+        q, k = Tensor(np.ones((2, 4))), Tensor(np.ones((6, 4)))
+        mask = np.array([[[False, True, False]], [[True, True, True]]])
+        guard = contextlib.nullcontext() if checked else ad.unchecked()
+        with guard, pytest.raises(ContractError, match="fully masked"):
+            ad.attention_weights(q, k, 2, mask)
 
     def test_stacked_attention_matches_per_sequence_calls(self):
         """A [B, a, b] mask runs B sequences through one call; each block
-        equals that sequence's own 2-d call bitwise, forward and backward."""
+        equals that sequence's own call bitwise, forward and backward."""
         rng = np.random.default_rng(4)
         n_seq, a, b, d, m = 3, 4, 5, 32, 2
         q, k, v = (Tensor(rng.normal(size=(n_seq * n, d)), requires_grad=True)
@@ -111,8 +133,8 @@ class TestForwardValues:
             t.zero_grad()
         for i in range(n_seq):
             rows = [ad.narrow(t, 0, i * n, n) for t, n in ((q, a), (k, b), (v, b))]
-            wi = ad.attention_weights(rows[0], rows[1], m, mask[i])
-            np.testing.assert_array_equal(wi.data, w.data[i])
+            wi = ad.attention_weights(rows[0], rows[1], m, mask[i:i + 1])
+            np.testing.assert_array_equal(wi.data[0], w.data[i])
             out = ad.attention_mix(wi, rows[2])
             ad.backward(ad.mul(out, Tensor(r[i * a:(i + 1) * a])).sum())
         for got, t in zip(stacked, (q, k, v)):
@@ -275,8 +297,8 @@ class TestOpGradients:
         mask = np.zeros((3, 5), dtype=bool)
         mask[0, 2:] = True
         mask[2, :3] = True
-        for m, msk in ((1, None), (2, None), (2, mask), (4, mask)):
-            r = self.mixer(m, 3, 5)
+        for m, msk in ((1, None), (2, None), (2, mask[None]), (4, mask[None])):
+            r = self.mixer(1, m, 3, 5)
             _check(lambda: ad.mul(ad.attention_weights(q, k, m, msk), r).sum(),
                    [("q", q), ("k", k)])
 
@@ -287,7 +309,7 @@ class TestOpGradients:
                [("q", q2), ("k", k2)])
 
     def test_attention_mix(self):
-        w = Tensor(np.abs(self.rng.normal(size=(2, 3, 5))), requires_grad=True)
+        w = Tensor(np.abs(self.rng.normal(size=(1, 2, 3, 5))), requires_grad=True)
         v = self.leaf(5, 6)
         r = self.mixer(3, 6)
         _check(lambda: ad.mul(ad.attention_mix(w, v), r).sum(),
@@ -401,7 +423,7 @@ class TestUncheckedOps:
     def test_masked_non_finite_key_still_raises(self):
         k = Tensor(np.ones((3, 4)))
         k.data[1, 2] = np.nan
-        mask = np.array([[False, True, False], [False, True, False]])
+        mask = np.array([[[False, True, False], [False, True, False]]])
         with ad.unchecked(), \
                 pytest.raises(NumericalError, match="attention_weights"):
             ad.attention_weights(Tensor(np.ones((2, 4))), k, 2, mask)

@@ -15,7 +15,7 @@ from docnmt.corpus import (Vocabulary, load_corpus, load_documents,
 from docnmt.gradcheck import GradCheckReport
 from docnmt.metrics import bleu4
 
-from test_transformer import rewrite_header
+from test_transformer import INVALID_CONFIGS, rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -253,9 +253,10 @@ def test_translate_header_without_params_is_data_error(tmp_path, workdir,
 def test_translate_invalid_header_config_is_data_error(tmp_path, workdir,
                                                        base_ckpt):
     ckpt = tmp_path / "bad.ckpt"
-    ckpt.write_bytes(base_ckpt.read_bytes())
-    rewrite_header(ckpt, lambda h: h["config"].update(m_heads=3))
-    assert _translate(tmp_path, workdir, ckpt) == 2
+    for change, _ in INVALID_CONFIGS:
+        ckpt.write_bytes(base_ckpt.read_bytes())
+        rewrite_header(ckpt, change)
+        assert _translate(tmp_path, workdir, ckpt) == 2
 
 
 def test_translate_rejects_wrong_vocab(tmp_path, workdir, base_ckpt):

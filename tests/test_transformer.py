@@ -52,6 +52,16 @@ def rewrite_header(path, change) -> None:
                      + raw[16 + hlen:])
 
 
+# header changes that make the config invalid, with what the error names
+INVALID_CONFIGS = [
+    (lambda h: h["config"].update(m_heads=3), "not divisible"),
+    (lambda h: h["config"].update(d_model=8.0), "d_model must be an integer"),
+    (lambda h: h["config"].update(n_layers=1.0), "n_layers must be an integer"),
+    (lambda h: h["config"].update(max_len="64"), "max_len must be an integer"),
+    (lambda h: h.update(config=[11, 13]), "config is not an object"),
+]
+
+
 class TestAttention:
     def test_equal_logits_give_uniform_weights(self):
         q = Tensor([[1.0, 0.0], [0.0, 2.0]])
@@ -68,11 +78,11 @@ class TestAttention:
         np.testing.assert_allclose(w.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_fully_masked_row_rejected(self):
-        q = Tensor(np.zeros((2, 3)))
-        k = Tensor(np.zeros((2, 3)))
-        mask = np.array([[True, True], [False, False]])
-        with pytest.raises(ContractError):
-            scaled_dot_attention(q, k, q, mask)
+        q = Tensor(np.zeros((2, 4)))
+        k = Tensor(np.zeros((2, 4)))
+        mask = np.array([[[True, True], [False, False]]])
+        with pytest.raises(ContractError, match="fully masked"):
+            attend(q, HeadKV(k, k, 2), {"wo": Tensor(np.eye(4))}, mask)
 
     def test_all_false_mask_is_no_op(self):
         rng = np.random.default_rng(8)
@@ -80,7 +90,7 @@ class TestAttention:
                    for _ in range(3))
         p = {"wo": Tensor(rng.normal(size=(4, 4)))}
         outs = [attend(q, HeadKV(k, v, 2), p, mask)
-                for mask in (None, np.zeros((3, 3), dtype=bool))]
+                for mask in (None, np.zeros((1, 3, 3), dtype=bool))]
         ad.clear_tape()
         np.testing.assert_array_equal(outs[1][0].data, outs[0][0].data)
         np.testing.assert_array_equal(outs[1][1].data, outs[0][1].data)
@@ -94,15 +104,15 @@ class TestAttention:
         mha_out, heads = multi_head_attention(x, x, x, p, m=1)
         ref_out, ref_w = scaled_dot_attention(x, x, x)
         np.testing.assert_allclose(mha_out.data, ref_out.data, atol=1e-12)
-        np.testing.assert_allclose(heads.data[0], ref_w.data, atol=1e-12)
+        np.testing.assert_allclose(heads.data[0, 0], ref_w.data, atol=1e-12)
 
     def test_per_head_weights_exposed_and_normalized(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(5, 8)))
         p = {k: Tensor(rng.normal(size=(8, 8))) for k in ("wq", "wk", "wv", "wo")}
         _, heads = multi_head_attention(x, x, x, p, m=4)
-        assert heads.data.shape == (4, 5, 5)
-        for w in heads.data:
+        assert heads.data.shape == (1, 4, 5, 5)
+        for w in heads.data[0]:
             np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
     def test_one_attention_records_six_tape_nodes(self):
@@ -112,7 +122,7 @@ class TestAttention:
         x = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
         p = {k: Tensor(rng.normal(size=(8, 8))) for k in ("wq", "wk", "wv", "wo")}
         ad.clear_tape()
-        multi_head_attention(x, x, x, p, m=4, mask=causal_mask(5))
+        multi_head_attention(x, x, x, p, m=4, mask=causal_mask(5)[None])
         tags = [node.tag for node in ad._tape]
         ad.clear_tape()
         assert tags == ["matmul"] * 3 + ["attention_weights", "attention_mix",
@@ -120,14 +130,16 @@ class TestAttention:
 
 
 def _masks(rng, a, b):
-    """No mask, causal, block diagonal and random; no row fully blocked."""
+    """No mask, causal, block diagonal and random, as one-sequence [1, a, b]
+    masks; no row fully blocked."""
     n_blocks = min(a, b)
     block = (np.arange(a)[:, None] * n_blocks // a
              != np.arange(b)[None, :] * n_blocks // b)
     rand = rng.random((a, b)) < 0.5
     rand[np.arange(a), rng.integers(0, b, size=a)] = False
-    return {"none": None, "causal": np.triu(np.ones((a, b), dtype=bool), k=1),
-            "block": block, "random": rand}
+    masks = {"causal": np.triu(np.ones((a, b), dtype=bool), k=1),
+             "block": block, "random": rand}
+    return {"none": None, **{kind: x[None] for kind, x in masks.items()}}
 
 
 class TestFusedAttentionMatchesPerHeadChain:
@@ -144,10 +156,10 @@ class TestFusedAttentionMatchesPerHeadChain:
         out, weights = mha(*rows, p, m, mask)
         if isinstance(weights, list):  # per-head chain: one [a, b] per head
             w_term = None
-            for w, probe in zip(weights, probes[1]):
+            for w, probe in zip(weights, probes[1][0]):
                 term = ad.mul(w, Tensor._wrap(probe)).sum()
                 w_term = term if w_term is None else ad.add(w_term, term)
-            heads = np.stack([w.data for w in weights])
+            heads = np.stack([w.data for w in weights])[None]
         else:
             w_term = ad.mul(weights, Tensor._wrap(probes[1])).sum()
             heads = weights.data
@@ -167,7 +179,7 @@ class TestFusedAttentionMatchesPerHeadChain:
                         p = {k: Tensor(rng.normal(size=(d, d)), requires_grad=True)
                              for k in ("wq", "wk", "wv", "wo")}
                         probes = (rng.normal(size=(a, d)),
-                                  rng.normal(size=(m, a, b)))
+                                  rng.normal(size=(1, m, a, b)))
                         got = self._run(multi_head_attention, rows, p, m, mask,
                                         probes)
                         want = self._run(attention_reference.multi_head_attention,
@@ -186,8 +198,9 @@ class TestFusedAttentionMatchesPerHeadChain:
             x = Tensor(rng.normal(size=(7, 32)), requires_grad=True)
             p = {k: Tensor(rng.normal(size=(32, 32)), requires_grad=True)
                  for k in ("wq", "wk", "wv", "wo")}
-            probes = (rng.normal(size=(7, 32)), rng.normal(size=(m, 7, 7)))
-            got, want = (self._run(mha, [x, x, x], p, m, causal_mask(7), probes)
+            probes = (rng.normal(size=(7, 32)), rng.normal(size=(1, m, 7, 7)))
+            got, want = (self._run(mha, [x, x, x], p, m, causal_mask(7)[None],
+                                   probes)
                          for mha in (multi_head_attention,
                                      attention_reference.multi_head_attention))
             for x_got, x_want in zip(got, want):
@@ -379,10 +392,11 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_invalid_config_is_checkpoint_error(self, tmp_path):
-        path, _ = self._saved(tmp_path)
-        rewrite_header(path, lambda h: h["config"].update(m_heads=3))
-        with pytest.raises(CheckpointError, match="not divisible"):
-            load_checkpoint(path)
+        for change, match in INVALID_CONFIGS:
+            path, _ = self._saved(tmp_path)
+            rewrite_header(path, change)
+            with pytest.raises(CheckpointError, match=match):
+                load_checkpoint(path)
 
     def test_legacy_tied_embeddings_fields_are_ignored(self, tmp_path):
         path, cfg = self._saved(tmp_path)
