@@ -36,12 +36,15 @@ from .corpus import (
 )
 from .decoding import SearchConfig, translate_corpus
 from .diagnostics import full_copy_gradcheck
-from .errors import DataError, DocnmtError, NumericalError, TrainingDiverged
+from .errors import (ContractError, DataError, DocnmtError, NumericalError,
+                     TrainingDiverged)
 from .metrics import bleu4, consistency_report, lc_score, stopword_hash
-from .model import DocModel, ModelConfig
+from .model import VARIANTS, DocModel, ModelConfig
 from .training import (
+    STAGES,
     TrainConfig,
     TrainResult,
+    checkpoint_variant,
     finetune_copy,
     finetune_han,
     train_base,
@@ -119,8 +122,17 @@ def resolve_config(args: argparse.Namespace) -> dict[str, object]:
     return cfg
 
 
+def _configured(cls, **values):
+    """``cls(**values)``, a value the class rejects being a data error."""
+    try:
+        return cls(**values)
+    except ContractError as e:
+        raise DataError(f"bad configuration value: {e}") from e
+
+
 def _model_config(cfg: dict, vocab_src: int, vocab_tgt: int) -> ModelConfig:
-    return ModelConfig(
+    return _configured(
+        ModelConfig,
         vocab_src=vocab_src, vocab_tgt=vocab_tgt,
         d_model=int(cfg["d_model"]), n_layers=int(cfg["n_layers"]),
         m_heads=int(cfg["m_heads"]), d_ff=int(cfg["d_ff"]),
@@ -133,8 +145,9 @@ def _train_config(cfg: dict, stage: str, seed: int,
                   epochs: int | None = None) -> TrainConfig:
     if epochs is None:
         epochs = int(cfg["epochs"] if stage == "base" else cfg["ft_epochs"])
-    return TrainConfig(
-        stage=stage, epochs=epochs, max_tokens=int(cfg["max_tokens"]),
+    return _configured(
+        TrainConfig, stage=stage, epochs=epochs,
+        max_tokens=int(cfg["max_tokens"]),
         max_len=int(cfg["max_len"]), lr=float(cfg["lr"]),
         warmup_steps=int(cfg["warmup_steps"]),
         lr_scale=float(cfg["lr_scale"]),
@@ -143,9 +156,9 @@ def _train_config(cfg: dict, stage: str, seed: int,
 
 
 def _search_config(cfg: dict, collect_traces: bool = False) -> SearchConfig:
-    return SearchConfig(width=int(cfg["width"]),
-                        length_penalty=float(cfg["length_penalty"]),
-                        collect_traces=collect_traces)
+    return _configured(SearchConfig, width=int(cfg["width"]),
+                       length_penalty=float(cfg["length_penalty"]),
+                       collect_traces=collect_traces)
 
 
 def _out_dir(args) -> Path:
@@ -228,6 +241,18 @@ def cmd_build_vocab(args) -> int:
     return 0
 
 
+def _train_stage(tcfg: TrainConfig, corpus: DocumentCorpus, sv, tv,
+                 model_cfg: ModelConfig, parent, log_path: Path
+                 ) -> TrainResult:
+    """Train ``tcfg.stage`` from the loaded checkpoint ``parent`` (store,
+    config, groups), or the base stage from initialization if it is None."""
+    if parent is None:
+        return train_base(corpus, model_cfg, sv, tv, tcfg, log_path=log_path)
+    copies = STAGES[tcfg.stage].variant == "copy"
+    runner = finetune_copy if copies else finetune_han
+    return runner(parent, corpus, sv, tv, tcfg, log_path=log_path)
+
+
 def _save_stage(out: Path, name: str, result: TrainResult) -> Path:
     path = out / f"{name}.ckpt"
     save_checkpoint(path, result.store, result.model_cfg,
@@ -235,36 +260,10 @@ def _save_stage(out: Path, name: str, result: TrainResult) -> Path:
     return path
 
 
-def cmd_train(args) -> int:
-    out = _out_dir(args)
-    cfg = resolve_config(args)
-    corpus = load_corpus(args.src, args.tgt)
-    sv, tv = load_vocab_pair(args.vocab)
-    model_cfg = _model_config(cfg, len(sv), len(tv))
-    tcfg = _train_config(cfg, "base", args.seed, epochs=args.epochs)
-    log = out / "train.log"
-    try:
-        result = train_base(corpus, model_cfg, sv, tv, tcfg, log_path=log)
-    except TrainingDiverged as e:
-        _report_divergence(out, e)
-        raise
-    ckpt = _save_stage(out, "base", result)
-    _write_run_manifest(
-        out, "train", args.seed, config=cfg,
-        inputs={"src": args.src, "tgt": args.tgt, "vocab": args.vocab},
-        outputs={"checkpoint": ckpt, "log": log},
-        checkpoints={"base": sha256_file(ckpt)},
-        metrics={"best_epoch": result.best_epoch,
-                 "best_val_loss": result.best_val_loss})
-    print(f"base: best epoch {result.best_epoch} "
-          f"val loss {result.best_val_loss:.6f} -> {ckpt}")
-    return 0
-
-
 def _report_divergence(out: Path, e: TrainingDiverged) -> None:
     print(f"training diverged: {e}", file=sys.stderr)
-    print(f"last finite parameters kept in memory were written to "
-          f"{out / 'diverged.note'}", file=sys.stderr)
+    print(f"the message above was written to {out / 'diverged.note'}; no "
+          f"checkpoint was saved", file=sys.stderr)
     (out / "diverged.note").write_text(str(e) + "\n", encoding="utf-8")
 
 
@@ -279,45 +278,39 @@ def _load_model_inputs(args):
     return sv, tv, store, model_cfg, groups
 
 
-def cmd_finetune(args) -> int:
+def cmd_train(args) -> int:
+    """``train`` (the base stage) and ``finetune`` (``--stage`` from
+    ``--checkpoint``)."""
     out = _out_dir(args)
     cfg = resolve_config(args)
     corpus = load_corpus(args.src, args.tgt)
-    sv, tv, store, model_cfg, groups = _load_model_inputs(args)
+    inputs = {"src": args.src, "tgt": args.tgt, "vocab": args.vocab}
+    checkpoints = {}
+    if args.checkpoint is None:
+        sv, tv = load_vocab_pair(args.vocab)
+        model_cfg, parent = _model_config(cfg, len(sv), len(tv)), None
+    else:
+        sv, tv, store, model_cfg, groups = _load_model_inputs(args)
+        parent = (store, model_cfg, groups)
+        inputs["checkpoint"] = args.checkpoint
+        checkpoints["input"] = sha256_file(args.checkpoint)
     tcfg = _train_config(cfg, args.stage, args.seed, epochs=args.epochs)
     log = out / "train.log"
-    runner = finetune_copy if args.stage == "copy" else finetune_han
     try:
-        result = runner((store, model_cfg, groups), corpus, sv, tv, tcfg,
-                        log_path=log)
+        result = _train_stage(tcfg, corpus, sv, tv, model_cfg, parent, log)
     except TrainingDiverged as e:
         _report_divergence(out, e)
         raise
     ckpt = _save_stage(out, args.stage, result)
+    checkpoints[args.stage] = sha256_file(ckpt)
     _write_run_manifest(
-        out, "finetune", args.seed, config=cfg,
-        inputs={"src": args.src, "tgt": args.tgt, "vocab": args.vocab,
-                "checkpoint": args.checkpoint},
-        outputs={"checkpoint": ckpt, "log": log},
-        checkpoints={"input": sha256_file(args.checkpoint),
-                     args.stage: sha256_file(ckpt)},
+        out, args.command, args.seed, config=cfg, inputs=inputs,
+        outputs={"checkpoint": ckpt, "log": log}, checkpoints=checkpoints,
         metrics={"best_epoch": result.best_epoch,
                  "best_val_loss": result.best_val_loss})
     print(f"{args.stage}: best epoch {result.best_epoch} "
           f"val loss {result.best_val_loss:.6f} -> {ckpt}")
     return 0
-
-
-def _default_variant(groups: set[str]) -> str:
-    if "copy" in groups:
-        return "copy"
-    if "ctx_dec" in groups and "ctx_enc" in groups:
-        return "han-joint"
-    if "ctx_dec" in groups:
-        return "han-decoder"
-    if "ctx_enc" in groups:
-        return "han-encoder"
-    return "sentence"
 
 
 def _format_top(entries, vocab) -> str:
@@ -358,7 +351,8 @@ def cmd_translate(args) -> int:
     cfg = resolve_config(args)
     sv, tv, store, model_cfg, groups = _load_model_inputs(args)
     model = DocModel(model_cfg, store)
-    variant = args.variant or _default_variant(groups)
+    default = checkpoint_variant(groups)   # rejects groups no stage makes
+    variant = args.variant or default
     docs = load_documents(args.src)
     encoded = [[sv.encode(s) for s in doc] for doc in docs]
     search = _search_config(cfg, collect_traces=args.trace)
@@ -460,7 +454,10 @@ def cmd_gradcheck(args) -> int:
 # experiment pipeline
 
 
-_EXPERIMENT_SYSTEMS = ("sentence", "han-joint", "copy")
+# (stage, the stage whose checkpoint it starts from), in training order
+_EXPERIMENT_STAGES = (("base", None), ("han-encoder", "base"),
+                      ("han-joint", "han-encoder"), ("copy", "han-encoder"))
+_EXPERIMENT_SYSTEMS = ("sentence", "han-joint", "copy")     # variants
 
 
 def run_experiment(out: Path, seed: int, cfg: dict, n_train: int = 200,
@@ -497,32 +494,15 @@ def run_experiment(out: Path, seed: int, cfg: dict, n_train: int = 200,
     save_vocab_pair(data_dir / "vocab.json", sv, tv)
     model_cfg = _model_config(cfg, len(sv), len(tv))
 
-    say(f"training base model ({cfg['epochs']} epochs)")
-    base = train_base(train, model_cfg, sv, tv,
-                      _train_config(cfg, "base", seed),
-                      log_path=out / "train.log")
-    base_path = _save_stage(ckpt_dir, "base", base)
-
-    say(f"fine-tuning han-encoder ({cfg['ft_epochs']} epochs)")
-    enc = finetune_han(load_checkpoint(base_path), train, sv, tv,
-                       _train_config(cfg, "han-encoder", seed),
-                       log_path=out / "train.log")
-    enc_path = _save_stage(ckpt_dir, "han-encoder", enc)
-
-    say(f"fine-tuning han-joint ({cfg['ft_epochs']} epochs)")
-    joint = finetune_han(load_checkpoint(enc_path), train, sv, tv,
-                         _train_config(cfg, "han-joint", seed),
-                         log_path=out / "train.log")
-    joint_path = _save_stage(ckpt_dir, "han-joint", joint)
-
-    say(f"fine-tuning copy ({cfg['ft_epochs']} epochs)")
-    copy = finetune_copy(load_checkpoint(enc_path), train, sv, tv,
-                         _train_config(cfg, "copy", seed),
-                         log_path=out / "train.log")
-    copy_path = _save_stage(ckpt_dir, "copy", copy)
-
-    ckpt_for = {"sentence": base_path, "han-joint": joint_path,
-                "copy": copy_path}
+    paths: dict[str, Path] = {}
+    for stage, parent in _EXPERIMENT_STAGES:
+        tcfg = _train_config(cfg, stage, seed)
+        say(f"training {stage} ({tcfg.epochs} epochs)")
+        start = None if parent is None else load_checkpoint(paths[parent])
+        result = _train_stage(tcfg, train, sv, tv, model_cfg, start,
+                              out / "train.log")
+        paths[stage] = _save_stage(ckpt_dir, stage, result)
+    ckpt_for = {STAGES[stage].variant: path for stage, path in paths.items()}
     search = _search_config(cfg)
     test_src = [[sv.encode(s) for s, _ in doc] for doc in test.documents]
     ref_docs = test.side("tgt")
@@ -548,8 +528,8 @@ def run_experiment(out: Path, seed: int, cfg: dict, n_train: int = 200,
         outputs={"metrics": out / "metrics.tsv",
                  "data": data_dir, "checkpoints": ckpt_dir,
                  "translations": trans_dir},
-        checkpoints={name: sha256_file(path)
-                     for name, path in ckpt_for.items()},
+        checkpoints={system: sha256_file(ckpt_for[system])
+                     for system in _EXPERIMENT_SYSTEMS},
         metrics={system: {k: v for k, v in scores.items()
                           if isinstance(v, (int, float))}
                  for system, scores in results.items()})
@@ -618,32 +598,26 @@ def build_parser() -> _Parser:
     p.add_argument("--min-freq", type=int, default=1)
     p.set_defaults(func=cmd_build_vocab)
 
-    p = add("train", "train the sentence-level base model")
-    p.add_argument("--src", required=True)
-    p.add_argument("--tgt", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = add("finetune", "fine-tune a context stage")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--stage", required=True,
-                   choices=("han-encoder", "han-decoder", "han-joint", "copy"))
-    p.add_argument("--src", required=True)
-    p.add_argument("--tgt", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_finetune)
+    train = add("train", "train the sentence-level base model")
+    train.set_defaults(stage="base", checkpoint=None)
+    finetune = add("finetune", "fine-tune a context stage")
+    finetune.add_argument("--checkpoint", required=True)
+    finetune.add_argument("--stage", required=True,
+                          choices=[s for s in STAGES if STAGES[s].requires])
+    for p in (train, finetune):
+        p.add_argument("--src", required=True)
+        p.add_argument("--tgt", required=True)
+        p.add_argument("--vocab", required=True)
+        p.add_argument("--out", required=True)
+        _add_config_flags(p)
+        p.set_defaults(func=cmd_train)
 
     p = add("translate", "translate documents")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--src", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=("sentence", "han-encoder",
-                                         "han-decoder", "han-joint", "copy"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--trace", action="store_true",
                    help="write per-step distribution dumps")
     _add_config_flags(p)
@@ -693,3 +667,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

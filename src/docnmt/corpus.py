@@ -45,6 +45,13 @@ class DocumentCorpus:
         idx = 0 if which == "src" else 1
         return [[pair[idx] for pair in doc] for doc in self.documents]
 
+    def one_sentence_documents(self) -> "DocumentCorpus":
+        """Each sentence pair as a document of its own, in corpus order,
+        keeping the id of the document it came from."""
+        return DocumentCorpus(
+            [[pair] for doc in self.documents for pair in doc],
+            [i for i, doc in zip(self.doc_ids, self.documents) for _ in doc])
+
 
 def _read_lines(path) -> list[str]:
     try:
@@ -209,60 +216,35 @@ class BatchItem:
     doc_id: str
 
 
-BATCH_MODES = ("sentence", "document")
-
-
 def make_batches(corpus: DocumentCorpus, src_vocab: Vocabulary,
-                 tgt_vocab: Vocabulary, mode: str, max_tokens: int,
-                 max_len: int, seed: int = 0
-                 ) -> tuple[list[list[BatchItem]], int]:
+                 tgt_vocab: Vocabulary, max_tokens: int, max_len: int,
+                 seed: int = 0) -> tuple[list[list[BatchItem]], int]:
     """Token-budgeted batches; returns (batches, truncated sentence count).
 
-    * ``sentence``  — shuffled independent pairs, each marked as a
-                      one-sentence document (``doc_start`` and ``doc_end``).
-    * ``document``  — documents shuffled, sentences kept in order with
-                      ``doc_start`` / ``doc_end`` marking boundaries.
+    The documents are shuffled and their sentences kept in order, with
+    ``doc_start`` / ``doc_end`` marking boundaries; a batch may end inside
+    a document, which the next batch continues.  To batch independent
+    sentences, pass ``corpus.one_sentence_documents()``: every item is then
+    a document of its own.
 
     No batch exceeds ``max_tokens`` target tokens; sentences longer than
     ``max_len`` are truncated (counted in the second return value).
     """
-    if mode not in BATCH_MODES:
-        raise DataError(f"unknown batch mode {mode!r} (expected {BATCH_MODES})")
     if max_len < 1 or max_tokens < max_len:
         raise DataError(
             f"need max_tokens >= max_len >= 1, got {max_tokens}/{max_len}")
 
-    truncated = 0
-
-    def clip(ids: list[int]) -> list[int]:
-        nonlocal truncated
-        if len(ids) > max_len:
-            truncated += 1
-            return ids[:max_len]
-        return ids
-
     items: list[BatchItem] = []
-    if mode == "sentence":
-        for doc_id, doc in zip(corpus.doc_ids, corpus.documents):
-            for src, tgt in doc:
-                items.append(BatchItem(src_ids=clip(src_vocab.encode(src)),
-                                       tgt_ids=clip(tgt_vocab.encode(tgt)),
-                                       doc_start=True, doc_end=True,
-                                       doc_id=doc_id))
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(items))
-        items = [items[i] for i in order]
-    else:
-        rng = np.random.default_rng(seed)
-        doc_order = rng.permutation(corpus.n_documents)
-        for d in doc_order:
-            doc = corpus.documents[d]
-            for s, pair in enumerate(doc):
-                items.append(BatchItem(src_ids=clip(src_vocab.encode(pair[0])),
-                                       tgt_ids=clip(tgt_vocab.encode(pair[1])),
-                                       doc_start=(s == 0),
-                                       doc_end=(s == len(doc) - 1),
-                                       doc_id=corpus.doc_ids[d]))
+    truncated = 0
+    for d in np.random.default_rng(seed).permutation(corpus.n_documents):
+        doc = corpus.documents[d]
+        for s, (src, tgt) in enumerate(doc):
+            src_ids, tgt_ids = src_vocab.encode(src), tgt_vocab.encode(tgt)
+            truncated += (len(src_ids) > max_len) + (len(tgt_ids) > max_len)
+            items.append(BatchItem(src_ids[:max_len], tgt_ids[:max_len],
+                                   doc_start=(s == 0),
+                                   doc_end=(s == len(doc) - 1),
+                                   doc_id=corpus.doc_ids[d]))
 
     batches: list[list[BatchItem]] = []
     cur: list[BatchItem] = []

@@ -87,7 +87,8 @@ class SearchConfig:
         if self.width < 1:
             raise ContractError(f"beam width must be >= 1, got {self.width}")
         if self.length_penalty < 0:
-            raise ContractError("length penalty must be non-negative")
+            raise ContractError(f"length_penalty must be >= 0, got "
+                                f"{self.length_penalty}")
 
 
 def _top5(vec: np.ndarray) -> list[tuple[int, float]]:
@@ -177,26 +178,6 @@ def search(step_fn, max_steps: int, config: SearchConfig
     order = sorted(range(len(hypos)),
                    key=lambda i: (-hypos[i].score(config.length_penalty), i))
     return [hypos[i] for i in order]
-
-
-def greedy_search(step_fn, max_steps: int,
-                  collect_traces: bool = False) -> BeamHypothesis:
-    """Plain argmax decoding, written independently of the beam machinery
-    (it doubles as the oracle for the width-1 equivalence)."""
-    hypo = BeamHypothesis(tokens=[BOS_ID])
-    for step in range(max_steps + 1):
-        result = step_fn([hypo])[0]
-        tid = int(np.argmax(result.p_w)) if step < max_steps else EOS_ID
-        traces = hypo.traces + [_make_trace(result)] if collect_traces \
-            else hypo.traces
-        hypo = BeamHypothesis(
-            tokens=hypo.tokens + [tid],
-            log_prob=hypo.log_prob + float(np.log(max(result.p_w[tid],
-                                                      _LOG_FLOOR))),
-            traces=traces, state=result.state)
-        if tid == EOS_ID:
-            break
-    return hypo
 
 
 def _strip(hypo: BeamHypothesis) -> list[int]:

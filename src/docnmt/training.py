@@ -1,29 +1,20 @@
 """Staged training: sentence-level base, then context fine-tuning stages.
 
-Stages and the parameter groups they unfreeze:
-
-===========  =================  ==============  ========
-stage        starts from        trains          batches
-===========  =================  ==============  ========
-base         initialization     base            sentence
-han-encoder  base checkpoint    ctx_enc         document
-han-decoder  base checkpoint    ctx_dec         document
-han-joint    han-encoder ckpt   ctx_dec         document
-copy         han-encoder ckpt   ctx_dec + copy  document
-===========  =================  ==============  ========
-
+The stages are the rows of ``STAGES``: the variant each trains, the
+parameter groups it unfreezes and those its starting checkpoint must hold.
+The base stage starts from initialization and trains on one-sentence
+documents, the others start from a checkpoint and train on documents.
 Everything outside the stage's groups stays frozen.  Each batch from
 ``make_batches`` is one Adam step on the gradient of its summed token loss,
 divided by its token count.
 
-Every stage runs a batch as a document wavefront; a sentence batch is a
-list of one-sentence documents.  Position s runs sentence s of every
-document of the batch that has one, as stacked passes grouped by the
-documents' numbers of cached sentences (the block layout of the context
-attention needs one n per pass) and cut by ``stack_groups`` into groups of
-at most ``MAX_STACK_ROWS`` padded rows on each side.  Each document keeps
-its own ``ContextState``; one that continues into the next batch carries
-it there.  A group is one forward and backward.  Then the documents whose
+Every stage runs a batch as a document wavefront.  Position s runs
+sentence s of every document of the batch that has one, as stacked passes
+grouped by the documents' numbers of cached sentences (the block layout of
+the context attention needs one n per pass) and cut by ``stack_groups``
+into groups of at most ``MAX_STACK_ROWS`` padded rows on each side.  Each
+document keeps its own ``ContextState``; one that continues into the next
+batch carries it there.  A group is one forward and backward.  Then the documents whose
 sentence s a later sentence reads get its *gold* cache entries from one
 stacked evaluation pass, pushed through the same ``decoding.update_context``
 that pushes the model's own outputs at decode time.  A document's last
@@ -34,7 +25,7 @@ per-sentence loop would draw; parameters change only between batches, so
 the wavefront computes what a sentence-by-sentence loop over the documents
 would, up to summation order.  Validation runs the same wavefront without
 gradients, one evaluation pass per group serving both the loss and the
-cache entries; the sentence variant validates on one-sentence documents.
+cache entries.
 
 The model with the lowest validation loss across epochs is returned;
 epoch 0 is the pre-training validation pass, so a zero-epoch run returns
@@ -45,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,23 +50,34 @@ from .model.copy import copyable
 from .model.han import ContextState
 from .model.model import DECODER_CTX, EncodedSentence, Stack
 
-STAGES = ("base", "han-encoder", "han-decoder", "han-joint", "copy")
 
-_STAGE_GROUPS = {
-    "base": {"base"},
-    "han-encoder": {"ctx_enc"},
-    "han-decoder": {"ctx_dec"},
-    "han-joint": {"ctx_dec"},
-    "copy": {"ctx_dec", "copy"},
-}
+class Stage(NamedTuple):
+    variant: str                 # the model variant the stage trains
+    trains: frozenset[str]       # parameter groups it unfreezes
+    requires: frozenset[str]     # groups its starting checkpoint holds
 
-_STAGE_REQUIRES = {
-    "base": set(),
-    "han-encoder": {"base"},
-    "han-decoder": {"base"},
-    "han-joint": {"base", "ctx_enc"},
-    "copy": {"base", "ctx_enc"},
-}
+
+STAGES: dict[str, Stage] = {
+    name: Stage(variant, frozenset(trains.split()),
+                frozenset(requires.split()))
+    for name, variant, trains, requires in (
+        ("base", "sentence", "base", ""),
+        ("han-encoder", "han-encoder", "ctx_enc", "base"),
+        ("han-decoder", "han-decoder", "ctx_dec", "base"),
+        ("han-joint", "han-joint", "ctx_dec", "base ctx_enc"),
+        ("copy", "copy", "ctx_dec copy", "base ctx_enc"),
+    )}
+
+
+def checkpoint_variant(groups) -> str:
+    """The variant of the stage whose checkpoints hold exactly ``groups``
+    (its trained plus its required groups)."""
+    for stage in STAGES.values():
+        if stage.trains | stage.requires == set(groups):
+            return stage.variant
+    raise DataError(f"no training stage produces a checkpoint with trained "
+                    f"groups {sorted(groups)}")
+
 
 # Padded rows per side (sentences x the group's longest source, or BOS +
 # target) of one stacked pass: enough to spread each op's interpreter cost
@@ -99,9 +102,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.stage not in STAGES:
-            raise ContractError(f"unknown stage {self.stage!r} (expected {STAGES})")
-        if self.epochs < 0 or not 0.0 <= self.val_fraction < 1.0:
-            raise ContractError("bad epochs or val_fraction")
+            raise ContractError(
+                f"unknown stage {self.stage!r} (expected {tuple(STAGES)})")
+        if self.epochs < 0 or self.warmup_steps < 1:
+            raise ContractError(f"need epochs >= 0 and warmup_steps >= 1, got "
+                                f"{self.epochs} and {self.warmup_steps}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ContractError("val_fraction outside [0, 1)")
 
 
 @dataclass
@@ -346,15 +353,13 @@ def _document_passes(model: DocModel, docs: list[_Doc], variant: str,
 
 
 def _train_epoch(model: DocModel, optimizer: Adam, corpus: DocumentCorpus,
-                 src_vocab: Vocabulary, tgt_vocab: Vocabulary,
+                 src_vocab: Vocabulary, tgt_vocab: Vocabulary, variant: str,
                  tcfg: TrainConfig, epoch: int, step: int, max_len: int
                  ) -> tuple[float, int]:
     """One epoch of Adam steps, one per batch; returns (mean train loss,
     the step count after it)."""
-    stage, store = tcfg.stage, model.params
-    variant = "sentence" if stage == "base" else stage
-    batch_mode = "sentence" if variant == "sentence" else "document"
-    batches, _ = make_batches(corpus, src_vocab, tgt_vocab, batch_mode,
+    store = model.params
+    batches, _ = make_batches(corpus, src_vocab, tgt_vocab,
                               tcfg.max_tokens, max_len,
                               seed=int(np.random.default_rng(
                                   [tcfg.seed, epoch]).integers(2**31)))
@@ -380,47 +385,39 @@ def _train_epoch(model: DocModel, optimizer: Adam, corpus: DocumentCorpus,
             if p.grad is not None:
                 p.grad *= inv
         step += 1
-        lr = tcfg.lr if stage != "base" else inverse_sqrt_lr(
+        lr = tcfg.lr if tcfg.stage != "base" else inverse_sqrt_lr(
             step, model.cfg.d_model, tcfg.warmup_steps, tcfg.lr_scale)
         optimizer.step(lr)
     return epoch_loss / max(epoch_tokens, 1), step
 
 
-def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
+def _run_stage(start: tuple[ParamStore, ModelConfig, set[str]],
                corpus: DocumentCorpus, src_vocab: Vocabulary,
                tgt_vocab: Vocabulary, tcfg: TrainConfig,
-               inherited_groups: set[str], log_path=None) -> TrainResult:
-    stage = tcfg.stage
-    variant = "sentence" if stage == "base" else stage
-    groups = set(_STAGE_GROUPS[stage])
-    missing = _STAGE_REQUIRES[stage] - inherited_groups
+               log_path=None) -> TrainResult:
+    """Train ``tcfg.stage`` from ``start``: parameters, their config and
+    the groups they hold trained."""
+    store, model_cfg, inherited_groups = start
+    stage, (variant, groups, required) = tcfg.stage, STAGES[tcfg.stage]
+    missing = required - set(inherited_groups)
     if missing:
         raise DataError(
             f"stage '{stage}' needs a checkpoint with trained groups "
             f"{sorted(missing)}; got {sorted(inherited_groups)}")
 
-    store = init_store
     store.set_trainable(groups)
     model = DocModel(model_cfg, store)
     optimizer = Adam(store)
-    n_context = model_cfg.n_context
     # the decoder reads BOS + target, one position more than the target
     max_len = min(tcfg.max_len, model_cfg.max_len - 1)
 
-    train_corpus, val_corpus = split_corpus(corpus, tcfg.val_fraction,
-                                            tcfg.seed)
+    parts = split_corpus(corpus, tcfg.val_fraction, tcfg.seed)
+    if variant == "sentence":
+        parts = tuple(part.one_sentence_documents() for part in parts)
+    train_corpus, val_corpus = parts
     val_docs = _encode_corpus(val_corpus, src_vocab, tgt_vocab, max_len)
-    if variant == "sentence":     # it trains on one-sentence documents too
-        val_docs = [[pair] for doc in val_docs for pair in doc]
 
     history: list[EpochRecord] = []
-
-    def log(rec: EpochRecord):
-        history.append(rec)
-        if log_path is not None:
-            with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write(rec.line() + "\n")
-
     best = (math.inf, 0, store.snapshot())
     step = 0
     for epoch in range(tcfg.epochs + 1):
@@ -429,9 +426,9 @@ def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
             if epoch:
                 train_loss, step = _train_epoch(
                     model, optimizer, train_corpus, src_vocab, tgt_vocab,
-                    tcfg, epoch, step, max_len)
+                    variant, tcfg, epoch, step, max_len)
             val_loss, mean_pc = _evaluate(model, val_docs, variant,
-                                          n_context)
+                                          model_cfg.n_context)
             if not math.isfinite(val_loss):
                 raise NumericalError(f"non-finite val loss at epoch {epoch}")
         except NumericalError as e:
@@ -439,13 +436,17 @@ def _run_stage(init_store: ParamStore, model_cfg: ModelConfig,
             raise TrainingDiverged(
                 f"{stage} diverged in epoch {epoch}: {e}",
                 snapshot=best[2]) from e
-        log(EpochRecord(stage, epoch, train_loss, val_loss, mean_pc))
+        history.append(EpochRecord(stage, epoch, train_loss, val_loss,
+                                   mean_pc))
+        if log_path is not None:
+            with open(log_path, "a", encoding="utf-8") as fh:
+                fh.write(history[-1].line() + "\n")
         if val_loss < best[0]:
             best = (val_loss, epoch, store.snapshot())
 
     store.load_snapshot(best[2])
     return TrainResult(store=store, model_cfg=model_cfg,
-                       trained_groups=inherited_groups | groups,
+                       trained_groups=set(inherited_groups) | groups,
                        history=history, best_epoch=best[1])
 
 
@@ -460,29 +461,27 @@ def train_base(corpus: DocumentCorpus, model_cfg: ModelConfig,
         from .model import build_params
         init_store = build_params(model_cfg,
                                   np.random.default_rng([tcfg.seed, 11]))
-    return _run_stage(init_store, model_cfg, corpus, src_vocab, tgt_vocab,
-                      tcfg, inherited_groups=set(), log_path=log_path)
+    return _run_stage((init_store, model_cfg, set()), corpus, src_vocab,
+                      tgt_vocab, tcfg, log_path)
 
 
 def finetune_han(checkpoint: tuple[ParamStore, ModelConfig, set[str]],
                  corpus: DocumentCorpus, src_vocab: Vocabulary,
                  tgt_vocab: Vocabulary, tcfg: TrainConfig,
                  log_path=None) -> TrainResult:
-    """Context fine-tuning; ``tcfg.stage`` picks encoder/decoder/joint."""
-    if tcfg.stage not in ("han-encoder", "han-decoder", "han-joint"):
+    """Context fine-tuning of a stage that trains a han-* variant."""
+    if not STAGES[tcfg.stage].variant.startswith("han-"):
         raise ContractError(f"finetune_han got stage {tcfg.stage!r}")
-    store, model_cfg, groups = checkpoint
-    return _run_stage(store, model_cfg, corpus, src_vocab, tgt_vocab, tcfg,
-                      inherited_groups=set(groups), log_path=log_path)
+    return _run_stage(checkpoint, corpus, src_vocab, tgt_vocab, tcfg,
+                      log_path)
 
 
 def finetune_copy(checkpoint: tuple[ParamStore, ModelConfig, set[str]],
                   corpus: DocumentCorpus, src_vocab: Vocabulary,
                   tgt_vocab: Vocabulary, tcfg: TrainConfig,
                   log_path=None) -> TrainResult:
-    """Copy-gate fine-tuning on top of a han-encoder checkpoint."""
-    if tcfg.stage != "copy":
+    """Fine-tuning of a stage that trains the copy variant."""
+    if STAGES[tcfg.stage].variant != "copy":
         raise ContractError(f"finetune_copy got stage {tcfg.stage!r}")
-    store, model_cfg, groups = checkpoint
-    return _run_stage(store, model_cfg, corpus, src_vocab, tgt_vocab, tcfg,
-                      inherited_groups=set(groups), log_path=log_path)
+    return _run_stage(checkpoint, corpus, src_vocab, tgt_vocab, tcfg,
+                      log_path)

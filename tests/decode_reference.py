@@ -8,17 +8,22 @@ per-sentence loops of ``han_reference``, none of the per-sentence memories of
 ``docnmt.model``.
 
 ``incremental_step`` drives the real path for one prefix, one token at a
-time, the way the search does.
+time, the way the search does, and ``greedy_search`` is plain argmax
+decoding, the oracle for beam search at width 1.
 """
 
 import math
 
+import numpy as np
+
 from docnmt import autodiff as ad
 from docnmt.autodiff import Tensor
+from docnmt.decoding import _LOG_FLOOR, BeamHypothesis
 from docnmt.model.copy import SPECIAL_IDS, copy_gate, mix_distributions
 from docnmt.model.han import _sub
 from docnmt.model.model import DECODER_CTX, DecoderMemory
 from docnmt.model.transformer import causal_mask, positionwise_ffn
+from docnmt.tokens import BOS_ID, EOS_ID
 
 from attention_reference import multi_head_attention
 from han_reference import copy_weights_loop, hierarchical_loop
@@ -85,3 +90,20 @@ def incremental_step(model, prefix, encoded, context, variant):
         result = model.step_distribution([prefix[:t]], memory, [state])[0]
         state = result.state
     return result
+
+
+def greedy_search(step_fn, max_steps: int) -> BeamHypothesis:
+    """Plain argmax decoding, written independently of the beam machinery;
+    the last step forces EOS, as the search's length cap does."""
+    hypo = BeamHypothesis(tokens=[BOS_ID])
+    for step in range(max_steps + 1):
+        result = step_fn([hypo])[0]
+        tid = int(np.argmax(result.p_w)) if step < max_steps else EOS_ID
+        hypo = BeamHypothesis(
+            tokens=hypo.tokens + [tid],
+            log_prob=hypo.log_prob + float(np.log(max(result.p_w[tid],
+                                                      _LOG_FLOOR))),
+            state=result.state)
+        if tid == EOS_ID:
+            break
+    return hypo

@@ -22,7 +22,7 @@ from docnmt.corpus import (
     load_corpus,
     save_corpus,
 )
-from docnmt.decoding import SearchConfig, greedy_search, search
+from docnmt.decoding import SearchConfig, search
 from docnmt.diagnostics import full_copy_gradcheck
 from docnmt.metrics import bleu4, lc_score
 from docnmt.model import DocModel, build_params
@@ -30,7 +30,7 @@ from docnmt.model.config import ModelConfig
 from docnmt.model.han import AttentionTrace, CacheEntry, ContextState
 from docnmt.tokens import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
-from decode_reference import incremental_step
+from decode_reference import greedy_search, incremental_step
 from han_reference import block_trace, trace_copy_weights, with_distinct_ids
 from test_transformer import encode
 

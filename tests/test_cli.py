@@ -2,10 +2,15 @@
 layout, manifest contents, config precedence, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import docnmt
 import docnmt.cli as cli
 import docnmt.model as model_package
 from docnmt.checkpoint import load_checkpoint, save_checkpoint
@@ -81,13 +86,43 @@ def test_bad_config_key_is_data_error(tmp_path, workdir):
                 "--out", str(tmp_path / "t"), "--config", str(cfg)]) == 2
 
 
-def test_bad_config_value_is_data_error(tmp_path, workdir):
+# (command, config file text, flags, the value the error must name)
+BAD_CONFIG_VALUES = [
+    ("train", "epochs = banana\n", [], "epochs"),
+    ("train", "dropout = 1.5\n", [], "dropout"),
+    ("train", "", ["--m-heads", "3"], "m_heads"),
+    ("train", "", ["--epochs", "-1"], "epochs"),
+    ("train", "", ["--warmup-steps", "0"], "warmup_steps"),
+    ("translate", "", ["--width", "0"], "width"),
+    ("translate", "", ["--length-penalty", "-1"], "length_penalty"),
+]
+
+
+def test_bad_config_value_is_data_error(tmp_path, workdir, base_ckpt, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("epochs = banana\n")
-    assert run(["train", "--src", str(workdir / "data/synth.src.txt"),
-                "--tgt", str(workdir / "data/synth.tgt.txt"),
-                "--vocab", str(workdir / "vocab/vocab.json"),
-                "--out", str(tmp_path / "t"), "--config", str(cfg)]) == 2
+    for command, text, flags, named in BAD_CONFIG_VALUES:
+        cfg.write_text(text)
+        inputs = (["--tgt", str(workdir / "data/synth.tgt.txt")]
+                  if command == "train" else ["--checkpoint", str(base_ckpt)])
+        assert run([command, "--src", str(workdir / "data/synth.src.txt"),
+                    "--vocab", str(workdir / "vocab/vocab.json"),
+                    "--out", str(tmp_path / "t"), "--config", str(cfg),
+                    *inputs, *flags]) == 2, (command, text, flags)
+        assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, stream", [
+    (["--help"], 0, "stdout"), ([], 1, "stderr")])
+def test_module_runs_as_a_script(argv, code, stream):
+    """``python -m docnmt.cli`` runs the command line."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(docnmt.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "docnmt.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == code
+    assert "usage: docnmt" in getattr(proc, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +294,16 @@ def test_translate_invalid_header_config_is_data_error(tmp_path, workdir,
         assert _translate(tmp_path, workdir, ckpt) == 2
 
 
+@pytest.mark.parametrize("groups", [["base", "copy"], ["base", "nonsense"]])
+def test_translate_groups_no_stage_produces_is_data_error(
+        tmp_path, workdir, base_ckpt, capsys, groups):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(base_ckpt.read_bytes())
+    rewrite_header(ckpt, lambda h: h.update(trained_groups=groups))
+    assert _translate(tmp_path, workdir, ckpt) == 2
+    assert "no training stage produces" in capsys.readouterr().err
+
+
 def test_translate_rejects_wrong_vocab(tmp_path, workdir, base_ckpt):
     other = tmp_path / "other"
     assert run(["gen-synth", "--out", str(other), "--n-docs", "6",
@@ -318,7 +363,7 @@ def test_evaluate_misaligned_is_data_error(tmp_path, workdir):
                 "--out", str(tmp_path / "e")]) == 2
 
 
-def test_train_divergence_exits_3(tmp_path, workdir):
+def test_train_divergence_exits_3(tmp_path, workdir, capsys):
     out = tmp_path / "boom"
     code = run(["train", "--src", str(workdir / "data/synth.src.txt"),
                 "--tgt", str(workdir / "data/synth.tgt.txt"),
@@ -327,7 +372,11 @@ def test_train_divergence_exits_3(tmp_path, workdir):
                 "--d-model", "16", "--n-layers", "1", "--d-ff", "32",
                 "--dropout", "0.0", "--lr-scale", "1e100"])
     assert code == 3
-    assert (out / "diverged.note").exists()
+    note = out / "diverged.note"
+    err = capsys.readouterr().err
+    assert f"the message above was written to {note}; no checkpoint" in err
+    assert note.read_text() in err
+    assert not (out / "base.ckpt").exists()
 
 
 def test_translate_nan_in_a_decoder_weight_exits_3_naming_the_op(

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from docnmt.corpus import (
@@ -191,7 +192,7 @@ def vocabs(corpus):
 def test_sentence_batches_respect_token_budget():
     corpus = synth()
     sv, tv = vocabs(corpus)
-    batches, n_trunc = make_batches(corpus, sv, tv, "sentence",
+    batches, n_trunc = make_batches(corpus.one_sentence_documents(), sv, tv,
                                     max_tokens=40, max_len=30, seed=0)
     assert n_trunc == 0
     assert sum(len(b) for b in batches) == corpus.n_sentences
@@ -204,9 +205,10 @@ def test_sentence_batches_respect_token_budget():
 def test_sentence_batches_shuffle_depends_on_seed_only():
     corpus = synth()
     sv, tv = vocabs(corpus)
-    a, _ = make_batches(corpus, sv, tv, "sentence", 64, 30, seed=1)
-    b, _ = make_batches(corpus, sv, tv, "sentence", 64, 30, seed=1)
-    c, _ = make_batches(corpus, sv, tv, "sentence", 64, 30, seed=2)
+    corpus = corpus.one_sentence_documents()
+    a, _ = make_batches(corpus, sv, tv, 64, 30, seed=1)
+    b, _ = make_batches(corpus, sv, tv, 64, 30, seed=1)
+    c, _ = make_batches(corpus, sv, tv, 64, 30, seed=2)
     flat = lambda bs: [(it.src_ids, it.tgt_ids) for batch in bs for it in batch]
     assert flat(a) == flat(b)
     assert flat(a) != flat(c)
@@ -215,8 +217,8 @@ def test_sentence_batches_shuffle_depends_on_seed_only():
 def test_document_mode_preserves_order_and_marks_starts():
     corpus = synth(n_docs=5, doc_len=3)
     sv, tv = vocabs(corpus)
-    batches, _ = make_batches(corpus, sv, tv, "document",
-                              max_tokens=30, max_len=30, seed=4)
+    batches, _ = make_batches(corpus, sv, tv, max_tokens=30, max_len=30,
+                              seed=4)
     items = [it for b in batches for it in b]
     starts = [it.doc_start for it in items]
     assert sum(starts) == 5
@@ -235,7 +237,7 @@ def test_document_mode_preserves_order_and_marks_starts():
 def test_truncation_is_counted_and_enforced():
     corpus = synth(n_docs=4, doc_len=2)
     sv, tv = vocabs(corpus)
-    batches, n_trunc = make_batches(corpus, sv, tv, "sentence",
+    batches, n_trunc = make_batches(corpus.one_sentence_documents(), sv, tv,
                                     max_tokens=8, max_len=4, seed=0)
     assert n_trunc > 0
     for b in batches:
@@ -247,9 +249,52 @@ def test_batch_budget_validation():
     corpus = synth(n_docs=2, doc_len=2)
     sv, tv = vocabs(corpus)
     with pytest.raises(DataError):
-        make_batches(corpus, sv, tv, "sentence", max_tokens=3, max_len=10)
+        make_batches(corpus, sv, tv, max_tokens=3, max_len=10)
     with pytest.raises(DataError):
-        make_batches(corpus, sv, tv, "nonsense", 100, 10)
+        make_batches(corpus, sv, tv, max_tokens=10, max_len=0)
+
+
+def sentence_mode_batches(corpus, src_vocab, tgt_vocab, max_tokens, max_len,
+                          seed):
+    """The former ``sentence`` batching mode, written out: every pair an
+    independent item marked as a one-sentence document, the items shuffled
+    by one permutation from ``seed``, then cut by the token budget."""
+    truncated = 0
+
+    def clip(ids):
+        nonlocal truncated
+        truncated += len(ids) > max_len
+        return ids[:max_len]
+
+    items = [BatchItem(clip(src_vocab.encode(src)), clip(tgt_vocab.encode(tgt)),
+                       True, True, doc_id)
+             for doc_id, doc in zip(corpus.doc_ids, corpus.documents)
+             for src, tgt in doc]
+    order = np.random.default_rng(seed).permutation(len(items))
+    batches, cur, budget = [], [], 0
+    for item in (items[i] for i in order):
+        if cur and budget + len(item.tgt_ids) > max_tokens:
+            batches.append(cur)
+            cur, budget = [], 0
+        cur.append(item)
+        budget += len(item.tgt_ids)
+    return batches + [cur], truncated
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_one_sentence_documents_batch_as_the_sentence_mode(seed):
+    """Batching ``one_sentence_documents()`` gives the items, order, flags,
+    document ids, batch cuts and truncation count of the independent
+    sentence batching it replaced."""
+    corpus = synth(n_docs=9, doc_len=3, seed=seed)
+    sv, tv = vocabs(corpus)
+    for max_tokens, max_len in ((40, 30), (8, 4)):
+        want = sentence_mode_batches(corpus, sv, tv, max_tokens, max_len,
+                                     seed)
+        got = make_batches(corpus.one_sentence_documents(), sv, tv,
+                           max_tokens, max_len, seed=seed)
+        assert got == want
+    assert want[1] > 0 and len(want[0]) > 1
 
 
 # ---------------------------------------------------------------------------

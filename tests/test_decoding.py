@@ -10,7 +10,6 @@ from docnmt.decoding import (
     BeamHypothesis,
     SearchConfig,
     beam_step,
-    greedy_search,
     search,
     translate_corpus,
     translate_document,
@@ -25,7 +24,8 @@ from docnmt.model.han import ContextState
 from docnmt.model.model import DecoderMemory
 from docnmt.tokens import BOS_ID, EOS_ID
 
-from decode_reference import incremental_step, reference_step
+from decode_reference import (greedy_search, incremental_step,
+                              reference_step)
 from test_transformer import encode
 
 

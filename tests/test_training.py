@@ -17,8 +17,10 @@ from docnmt.model.model import Stack
 from docnmt.tokens import PAD_ID, UNK_ID
 from docnmt.training import (
     MAX_STACK_ROWS,
+    STAGES,
     Adam,
     TrainConfig,
+    checkpoint_variant,
     finetune_copy,
     finetune_han,
     inverse_sqrt_lr,
@@ -476,7 +478,7 @@ def test_gold_pushes_skip_each_documents_last_sentence(monkeypatch, doc_len):
     store.set_trainable({"ctx_dec"})
     tcfg = TrainConfig(stage="han-decoder", epochs=1, seed=0)
     train_part, val_part = split_corpus(corpus, tcfg.val_fraction, tcfg.seed)
-    training._run_stage(store, cfg, corpus, sv, tv, tcfg, {"base"})
+    training._run_stage((store, cfg, {"base"}), corpus, sv, tv, tcfg)
     per_pass = [part.n_sentences - part.n_documents
                 for part in (val_part, train_part, val_part)]
     assert len(calls) == sum(per_pass)
@@ -495,7 +497,7 @@ def context_model(stage, dropout, n_context=2):
                       m_heads=2, d_ff=32, dropout=dropout, max_len=64,
                       n_context=n_context)
     store = build_params(cfg, np.random.default_rng([4, 11]))
-    store.set_trainable(training._STAGE_GROUPS[stage])
+    store.set_trainable(training.STAGES[stage].trains)
     return DocModel(cfg, store)
 
 
@@ -641,7 +643,7 @@ def test_carried_caches_cross_batch_boundaries(stage, monkeypatch):
     variant = stage
     corpus, _, sv, tv, _ = small_setup(n_docs=8, doc_len=4)
     model = context_model(stage, 0.1, n_context=3)
-    batches, _ = make_batches(corpus, sv, tv, "document", 40, 40, seed=3)
+    batches, _ = make_batches(corpus, sv, tv, 40, 40, seed=3)
     assert sum(not b[0].doc_start for b in batches) >= 2
     # the synthetic sentences repeat: mark each pair to key its entries
     marks = iter(range(26 * 26))
@@ -797,6 +799,20 @@ def test_stage_function_guards():
                       TrainConfig(stage="han-joint"))
     with pytest.raises(ContractError):
         TrainConfig(stage="nonsense")
+    with pytest.raises(ContractError, match="warmup_steps"):
+        TrainConfig(warmup_steps=0)
+
+
+def test_checkpoint_variant_reads_each_stage_row():
+    """A checkpoint holds its stage's trained plus required groups, and
+    those name the stage's variant (stages that end in the same groups
+    train the same variant); no other set of groups names one."""
+    for stage in STAGES.values():
+        groups = stage.trains | stage.requires
+        assert checkpoint_variant(sorted(groups)) == stage.variant
+    for groups in (["base", "copy"], ["ctx_enc"], ["base", "nonsense"], []):
+        with pytest.raises(DataError, match="no training stage"):
+            checkpoint_variant(groups)
 
 
 def test_finetune_best_no_worse_than_start():
