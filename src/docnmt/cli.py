@@ -141,12 +141,11 @@ def _model_config(cfg: dict, vocab_src: int, vocab_tgt: int) -> ModelConfig:
         n_context=int(cfg["n_context"]), max_len=int(cfg["max_len"]))
 
 
-def _train_config(cfg: dict, stage: str, seed: int,
-                  epochs: int | None = None) -> TrainConfig:
-    if epochs is None:
-        epochs = int(cfg["epochs"] if stage == "base" else cfg["ft_epochs"])
+def _train_config(cfg: dict, stage: str, seed: int) -> TrainConfig:
+    """The base stage trains ``epochs`` epochs, the others ``ft_epochs``."""
     return _configured(
-        TrainConfig, stage=stage, epochs=epochs,
+        TrainConfig, stage=stage,
+        epochs=int(cfg["epochs" if stage == "base" else "ft_epochs"]),
         max_tokens=int(cfg["max_tokens"]),
         max_len=int(cfg["max_len"]), lr=float(cfg["lr"]),
         warmup_steps=int(cfg["warmup_steps"]),
@@ -281,6 +280,11 @@ def _load_model_inputs(args):
 def cmd_train(args) -> int:
     """``train`` (the base stage) and ``finetune`` (``--stage`` from
     ``--checkpoint``)."""
+    right, wrong = ("epochs", "ft-epochs") if args.checkpoint is None \
+        else ("ft-epochs", "epochs")
+    if getattr(args, wrong.replace("-", "_")) is not None:
+        raise UsageError(f"{args.command} sets its epoch count with "
+                         f"--{right}, not --{wrong}")
     out = _out_dir(args)
     cfg = resolve_config(args)
     corpus = load_corpus(args.src, args.tgt)
@@ -294,7 +298,7 @@ def cmd_train(args) -> int:
         parent = (store, model_cfg, groups)
         inputs["checkpoint"] = args.checkpoint
         checkpoints["input"] = sha256_file(args.checkpoint)
-    tcfg = _train_config(cfg, args.stage, args.seed, epochs=args.epochs)
+    tcfg = _train_config(cfg, args.stage, args.seed)
     log = out / "train.log"
     try:
         result = _train_stage(tcfg, corpus, sv, tv, model_cfg, parent, log)

@@ -157,9 +157,6 @@ class Vocabulary:
     def decode(self, ids) -> Sentence:
         return [self.id_to_token[i] for i in ids]
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
 
 def build_vocab(corpus: DocumentCorpus, side: str, max_size: int = 50000,
                 min_freq: int = 1) -> Vocabulary:
@@ -213,7 +210,6 @@ class BatchItem:
     tgt_ids: list[int]
     doc_start: bool
     doc_end: bool                # last sentence of its document
-    doc_id: str
 
 
 def make_batches(corpus: DocumentCorpus, src_vocab: Vocabulary,
@@ -243,8 +239,7 @@ def make_batches(corpus: DocumentCorpus, src_vocab: Vocabulary,
             truncated += (len(src_ids) > max_len) + (len(tgt_ids) > max_len)
             items.append(BatchItem(src_ids[:max_len], tgt_ids[:max_len],
                                    doc_start=(s == 0),
-                                   doc_end=(s == len(doc) - 1),
-                                   doc_id=corpus.doc_ids[d]))
+                                   doc_end=(s == len(doc) - 1)))
 
     batches: list[list[BatchItem]] = []
     cur: list[BatchItem] = []

@@ -208,19 +208,19 @@ def translate_sentence(model: DocModel, encoded, context: ContextState,
     return tokens, best.traces, best.state.h_tilde[1:1 + len(tokens)]
 
 
-def update_context(model: DocModel, context: ContextState, encoded,
-                   out_tokens: list[int], variant: str,
+def update_context(context: ContextState, variant: str, src_ids: list[int],
+                   src_rows: np.ndarray, out_tokens: list[int],
                    rows: np.ndarray | None) -> None:
-    """Push a finished sentence (``encoded`` holds its source alone) into
-    the caches the variant consumes.
-
-    ``rows`` are the evaluation-mode decoder rows [len(out_tokens), d] of
-    ``out_tokens``, computed under the context the sentence was decoded
-    with: the search's for the model's own output, a teacher-forced pass's
-    for a gold sentence in training.  Variants without target caches do
-    not read them."""
+    """Push a finished sentence into the caches the variant consumes: its
+    source ids with a copy of their encoder rows [len(src_ids), d], and its
+    output tokens with their decoder h~ rows [len(out_tokens), d] as given.
+    Both are evaluation-mode rows computed under the context the sentence
+    was decoded with: the search's for the model's own output, a stacked
+    teacher-forced pass's for a gold sentence in training and validation.
+    Variants without target caches do not read ``rows``."""
     if variant in ENCODER_CTX:
-        context.push_source(model.source_cache_entry(encoded))
+        context.push_source(CacheEntry(token_ids=list(src_ids),
+                                       states=Tensor._wrap(src_rows.copy())))
     if variant in DECODER_CTX and out_tokens:
         context.push_target(CacheEntry(token_ids=list(out_tokens),
                                        states=Tensor._wrap(rows)))
@@ -264,7 +264,8 @@ def translate_document(model: DocModel, src_sentences: list[list[int]],
         with ad.no_grad():
             encoded, out_tokens, traces, rows = _checked_unit(
                 lambda: sentence(src), params_finite)
-        update_context(model, context, encoded, out_tokens, variant, rows)
+        update_context(context, variant, src, encoded.states.data,
+                       out_tokens, rows)
         outputs.append(out_tokens)
         all_traces.append(traces)
     return outputs, all_traces

@@ -17,9 +17,12 @@ length L, run as B*L rows under key-padding (and causal) masks [B, L, L]
 document, with its own caches (one ``ContextState`` each, with equal
 numbers of cached sentences), and the context and copy layers take the
 same document axis (see ``han``).
-Training teacher-forces many pairs at once (``teacher_force``); the
-per-sentence passes (``sentence_loss``, ``target_cache_entry``) and
-decoding are the same path at B = 1.
+Every teacher-forced pass is ``teacher_force`` over stacked pairs (losses,
+gold cache rows, and the gradient check at B = 1); decoding is the same
+layout at B = 1.  The one-pair ``sentence_loss`` and ``target_cache_entry``
+are only the tests' references.  An out-of-range id is a ``ContractError``
+where it is embedded (``autodiff.embedding_lookup``), before it is scored
+or cached.
 
 There is one decoder stack, ``decode_states``.  What a sentence's passes
 share (cross-attention, context and copy keys and values, parameter views)
@@ -43,7 +46,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..errors import ContractError, NumericalError
-from ..tokens import BOS_ID, EOS_ID, PAD_ID, UNK_ID
+from ..tokens import BOS_ID, EOS_ID, PAD_ID
 from .config import ModelConfig
 from .copy import (CopyDistribution, CopyWeights, cache_indicator,
                    copy_attention_weights, copy_gate, mix_distributions)
@@ -116,7 +119,7 @@ class Stack:
 class EncodedSentence:
     """Final encoder states of stacked source sentences, one row per
     ``Stack`` row."""
-    token_ids: Stack             # clipped ids
+    token_ids: Stack
     states: Tensor               # [B*L, d]
 
 
@@ -279,11 +282,6 @@ class DocModel:
         sub_out = self._dropout(sub_out, keep)
         return ad.layer_norm(ad.add(x, sub_out), ln["g"], ln["b"])
 
-    def clip_ids(self, ids, side: str) -> list[int]:
-        """Out-of-range ids fold to UNK instead of failing."""
-        vocab = self.cfg.vocab_src if side == "src" else self.cfg.vocab_tgt
-        return [i if 0 <= i < vocab else UNK_ID for i in ids]
-
     def dropout_masks(self, src_len: int, tgt_len: int,
                       rng: np.random.Generator
                       ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -304,20 +302,20 @@ class DocModel:
 
     # -- encoder --------------------------------------------------------------
 
-    def _layout(self, tokens: Stack, side: str, causal: bool
+    def _layout(self, tokens: Stack, causal: bool
                 ) -> tuple[list[int], np.ndarray, np.ndarray | None]:
-        """Clipped ids, positions and self-attention mask of a ``Stack``."""
+        """Ids, positions and self-attention mask of a ``Stack``."""
         mask = tokens.key_mask(tokens.width)
         if causal:
             future = causal_mask(tokens.width)
             mask = future[None] if mask is None else mask | future
-        return self.clip_ids(tokens.ids, side), tokens.positions(), mask
+        return tokens.ids, tokens.positions(), mask
 
     def encode(self, token_ids: Stack,
                keep: Iterator[np.ndarray] | None = None) -> Tensor:
         """Base encoder stack -> final-layer rows [B*L, d], one per
         ``Stack`` row; dropout applies the ``keep`` masks."""
-        ids, positions, mask = self._layout(token_ids, "src", causal=False)
+        ids, positions, mask = self._layout(token_ids, causal=False)
         p = self.params
         x = self._embed("emb.src", ids, positions, keep)
         for i in range(self.cfg.n_layers):
@@ -343,8 +341,7 @@ class DocModel:
             p, m = self.params.view("ctx.enc."), self.cfg.m_heads
             h, _, trace = hierarchical_context(
                 h, ContextMemory(entries, p, m), p, m)
-        clipped = Stack(self.clip_ids(token_ids.ids, "src"), token_ids.lengths)
-        return EncodedSentence(token_ids=clipped, states=h), trace
+        return EncodedSentence(token_ids=token_ids, states=h), trace
 
     # -- decoder --------------------------------------------------------------
 
@@ -371,12 +368,11 @@ class DocModel:
                                     "encoded sentence")
             n_past = 0
             cross_mask = src.key_mask(ids.width)
-            ids, positions, mask = self._layout(ids, "tgt", causal=True)
+            ids, positions, mask = self._layout(ids, causal=True)
         else:
             if len(src.lengths) != 1:
                 raise ContractError("search steps decode one sentence")
             cross_mask = None
-            ids = self.clip_ids(ids, "tgt")
             k = len(past)
             if len(ids) != k or len({len(s) for s in past}) != 1:
                 raise ContractError(
@@ -449,38 +445,7 @@ class DocModel:
         return mix_distributions(p_vocab, weights.alpha_vocab, p_copy), \
             p_copy, weights
 
-    # -- sequence-level passes -------------------------------------------------
-
-    def sequence_distributions(self, src_ids: list[int], tgt_ids: list[int],
-                               context: ContextState | None, variant: str,
-                               train: bool = False,
-                               rng: np.random.Generator | None = None
-                               ) -> tuple[Tensor, Tensor | None]:
-        """Teacher-forced P rows [len(tgt)+1, V] and p_copy column (or None)
-        of one pair: a one-pair ``teacher_force``, with dropout masks drawn
-        from ``rng`` when ``train``."""
-        keep = [self.dropout_masks(len(src_ids), len(tgt_ids), rng)] \
-            if train else None
-        forced = self.teacher_force([(src_ids, tgt_ids)], keep,
-                                    None if context is None else [context],
-                                    variant)
-        return self._forced_distributions(forced)
-
-    def sentence_loss(self, src_ids: list[int], tgt_ids: list[int],
-                      context: ContextState | None, variant: str,
-                      train: bool = False,
-                      rng: np.random.Generator | None = None
-                      ) -> tuple[Tensor, int, float | None]:
-        """Mean label-smoothed cross-entropy for one pair.
-
-        Returns (loss, n_positions, mean p_copy over positions or None).
-        """
-        p_rows, p_copy = self.sequence_distributions(
-            src_ids, tgt_ids, context, variant, train, rng)
-        gold = self.clip_ids(tgt_ids, "tgt") + [EOS_ID]
-        loss = cross_entropy(p_rows, gold, self.cfg.label_smoothing)
-        mean_pc = float(p_copy.data.mean()) if p_copy is not None else None
-        return loss, len(gold), mean_pc
+    # -- teacher forcing -----------------------------------------------------
 
     def teacher_force(self, pairs: list[tuple[list[int], list[int]]],
                       keep: list[tuple[list[np.ndarray], list[np.ndarray]]]
@@ -517,15 +482,14 @@ class DocModel:
         The loss equals the sum over the pairs of ``sentence_loss`` times
         its n_positions, up to summation order.
         """
-        p_rows, p_copy = self._forced_distributions(forced)
-        gold = [g for _, t in forced.pairs
-                for g in self.clip_ids(t, "tgt") + [EOS_ID]]
+        p_rows, p_copy = self.forced_distributions(forced)
+        gold = [g for _, t in forced.pairs for g in t + [EOS_ID]]
         loss = cross_entropy(p_rows, gold, self.cfg.label_smoothing)
         return loss * float(len(gold)), len(gold), \
             None if p_copy is None else p_copy.data[forced.tgt.rows(), 0]
 
-    def _forced_distributions(self, forced: Forced
-                              ) -> tuple[Tensor, Tensor | None]:
+    def forced_distributions(self, forced: Forced
+                             ) -> tuple[Tensor, Tensor | None]:
         """P rows of a teacher-forced pass's real (non-pad) rows, and the
         p_copy column of all its rows (None unless the copy mixture ran)."""
         rows, out = forced.tgt.rows(), forced.out
@@ -579,7 +543,29 @@ class DocModel:
                                       state=state.grow(out, i)))
         return results
 
-    # -- cache construction ------------------------------------------------------
+    # -- per-sentence references ---------------------------------------------
+
+    def sentence_loss(self, src_ids: list[int], tgt_ids: list[int],
+                      context: ContextState | None, variant: str,
+                      train: bool = False,
+                      rng: np.random.Generator | None = None
+                      ) -> tuple[Tensor, int, float | None]:
+        """Mean label-smoothed cross-entropy of one pair, from a one-pair
+        ``teacher_force`` (dropout masks drawn from ``rng`` when ``train``):
+        (loss, n_positions, mean p_copy over positions or None).
+
+        No package code calls it: it is the tests' reference for the stacked
+        losses, and the benchmark's layer trace hooks it by name."""
+        keep = [self.dropout_masks(len(src_ids), len(tgt_ids), rng)] \
+            if train else None
+        forced = self.teacher_force([(src_ids, tgt_ids)], keep,
+                                    None if context is None else [context],
+                                    variant)
+        p_rows, p_copy = self.forced_distributions(forced)
+        gold = tgt_ids + [EOS_ID]
+        loss = cross_entropy(p_rows, gold, self.cfg.label_smoothing)
+        mean_pc = float(p_copy.data.mean()) if p_copy is not None else None
+        return loss, len(gold), mean_pc
 
     def target_cache_entry(self, out_tokens: list[int], encoded: EncodedSentence,
                            context: ContextState | None,
@@ -587,7 +573,10 @@ class DocModel:
         """Teacher-forced eval pass over a finished translation (or gold
         sentence) of one encoded sentence; rows for the tokens themselves,
         BOS dropped, detached.  Returns None for an empty sentence (nothing
-        to cache)."""
+        to cache).
+
+        No package code calls it: it is the tests' reference for the cached
+        rows, and the benchmark's layer trace hooks it by name."""
         if not out_tokens:
             return None
         with ad.no_grad():
@@ -595,10 +584,4 @@ class DocModel:
                 self, encoded, None if context is None else [context], variant)
             out = self.decode(Stack.of([[BOS_ID] + out_tokens]), memory)
             states = ad.narrow(out.h_tilde, 0, 1, len(out_tokens))
-        return CacheEntry(token_ids=self.clip_ids(out_tokens, "tgt"),
-                          states=states.detach())
-
-    def source_cache_entry(self, encoded: EncodedSentence) -> CacheEntry:
-        """The cache entry of one encoded sentence."""
-        return CacheEntry(token_ids=list(encoded.token_ids.ids),
-                          states=encoded.states.detach())
+        return CacheEntry(token_ids=list(out_tokens), states=states.detach())

@@ -8,24 +8,24 @@ Everything outside the stage's groups stays frozen.  Each batch from
 ``make_batches`` is one Adam step on the gradient of its summed token loss,
 divided by its token count.
 
-Every stage runs a batch as a document wavefront.  Position s runs
-sentence s of every document of the batch that has one, as stacked passes
-grouped by the documents' numbers of cached sentences (the block layout of
-the context attention needs one n per pass) and cut by ``stack_groups``
-into groups of at most ``MAX_STACK_ROWS`` padded rows on each side.  Each
-document keeps its own ``ContextState``; one that continues into the next
-batch carries it there.  A group is one forward and backward.  Then the documents whose
-sentence s a later sentence reads get its *gold* cache entries from one
-stacked evaluation pass, pushed through the same ``decoding.update_context``
-that pushes the model's own outputs at decode time.  A document's last
-sentence is not pushed, as nothing reads it, so the base stage runs no such
-pass.  The dropout keep masks of every sentence are drawn from the epoch's
-generator before the batch runs, in batch order, so they are the masks a
-per-sentence loop would draw; parameters change only between batches, so
-the wavefront computes what a sentence-by-sentence loop over the documents
-would, up to summation order.  Validation runs the same wavefront without
-gradients, one evaluation pass per group serving both the loss and the
-cache entries.
+Every stage runs a batch as a document wavefront, through the one runner
+``_wavefront_passes`` that validation runs too.  Position s runs sentence s
+of every document of the batch that has one, as stacked ``teacher_force``
+passes grouped by the documents' numbers of cached sentences (the block
+layout of the context attention needs one n per pass) and cut by
+``stack_groups`` into groups of at most ``MAX_STACK_ROWS`` padded rows on
+each side.  Each document keeps its own ``ContextState``; one that
+continues into the next batch carries it there.  After each pass, the
+documents whose sentence s a later sentence reads get its *gold* ids and
+rows pushed through ``decoding.update_context``, the push decoding makes
+of its own outputs (so the base stage, whose documents are one sentence
+long, pushes nothing).  In training a group is one forward and backward,
+and the rows come from one evaluation pass over the pushing documents.
+The dropout keep masks of every sentence are drawn before the batch runs,
+in batch order, as a per-sentence loop would draw them; parameters change
+only between batches, so the wavefront computes what a sentence-by-sentence
+loop would, up to summation order.  Validation runs without gradients, its
+passes serving both the loss and the pushed rows.
 
 The model with the lowest validation loss across epochs is returned;
 epoch 0 is the pre-training validation pass, so a zero-epoch run returns
@@ -41,14 +41,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .corpus import BatchItem, DocumentCorpus, Vocabulary, make_batches
 from .decoding import update_context
 from .errors import ContractError, DataError, NumericalError, TrainingDiverged
 from .model import DocModel, ModelConfig, ParamStore
 from .model.copy import copyable
 from .model.han import ContextState
-from .model.model import DECODER_CTX, EncodedSentence, Stack
+from .model.model import DECODER_CTX, Stack
 
 
 class Stage(NamedTuple):
@@ -268,43 +267,61 @@ def _wavefront(docs: list[_Doc]):
                 yield s, [group[k] for k in part]
 
 
-def _push_gold(model: DocModel, docs: list[_Doc], s: int, variant: str,
-               encoded: EncodedSentence, h_tilde: Tensor | None) -> None:
+def _push_gold(docs: list[_Doc], s: int, variant: str, src_rows: np.ndarray,
+               tgt_rows: np.ndarray | None) -> None:
     """Cache gold sentence s of each document that a later sentence reads,
-    the way decoding caches its own output: from the evaluation-mode rows
-    of a stacked pass over ``docs`` (encoder rows and, when the variant
-    caches targets, the decoder's h~ rows)."""
-    src_width = encoded.token_ids.width
+    the way decoding caches its own output: its ids and its block of the
+    rows of a stacked evaluation pass over ``docs`` (encoder rows and, when
+    the variant caches targets, the decoder's h~ rows of BOS + target)."""
+    src_width = len(src_rows) // len(docs)
+    tgt_width = 0 if tgt_rows is None else len(tgt_rows) // len(docs)
     for b, d in enumerate(docs):
-        if not d.pushes(s):
-            continue
-        src_ids, tgt_ids = d.pairs[s]
-        at, end = b * src_width, b * src_width + len(src_ids)
-        source = EncodedSentence(Stack.of([encoded.token_ids.ids[at:end]]),
-                                 Tensor._wrap(encoded.states.data[at:end]))
-        rows = None
-        if h_tilde is not None:     # rows of BOS + target; BOS dropped
-            at = b * (h_tilde.data.shape[0] // len(docs)) + 1
-            rows = h_tilde.data[at:at + len(tgt_ids)]
-        update_context(model, d.context, source,
-                       model.clip_ids(tgt_ids, "tgt"), variant, rows)
+        if d.pushes(s):
+            src, tgt = d.pairs[s]
+            at, at_tgt = b * src_width, b * tgt_width + 1   # BOS dropped
+            update_context(d.context, variant, src, src_rows[at:at + len(src)],
+                           tgt, None if tgt_rows is None
+                           else tgt_rows[at_tgt:at_tgt + len(tgt)])
 
 
-def _gold_pass(model: DocModel, docs: list[_Doc], s: int,
-               variant: str) -> None:
-    """One stacked evaluation pass over sentence s of ``docs``, whose
-    entries a later sentence reads, then ``_push_gold``; variants without
-    target caches run the encoder only."""
-    pairs, contexts = [d.pairs[s] for d in docs], [d.context for d in docs]
-    with ad.no_grad():
-        if variant in DECODER_CTX:
-            forced = model.teacher_force(pairs, None, contexts, variant)
-            encoded, h_tilde = forced.memory.encoded, forced.out.h_tilde
-        else:
-            encoded, _ = model.contextual_encode(
-                Stack.of([src for src, _ in pairs]), contexts, variant)
-            h_tilde = None
-    _push_gold(model, docs, s, variant, encoded, h_tilde)
+def _wavefront_passes(model: DocModel, docs: list[_Doc], variant: str,
+                      rng: np.random.Generator | None):
+    """Yield ``forced_loss`` of each stacked pass of the wavefront over
+    ``docs``, then push its group's gold entries.  With ``rng`` the passes
+    train, on dropout masks drawn first for every sentence in batch order,
+    and the entries come from an evaluation pass over the pushing
+    documents; without it they run under the caller's ``no_grad`` and the
+    entries are their own rows."""
+    keep = None if rng is None else [
+        [model.dropout_masks(len(src), len(tgt), rng) for src, tgt in d.pairs]
+        for d in docs]
+    for s, group in _wavefront(docs):
+        group_docs = [docs[i] for i in group]
+        forced = model.teacher_force(
+            [d.pairs[s] for d in group_docs],
+            None if keep is None else [keep[i][s] for i in group],
+            [d.context for d in group_docs], variant)
+        yield model.forced_loss(forced)
+        src_rows, tgt_rows = forced.memory.encoded.states, forced.out.h_tilde
+        if keep is not None:
+            group_docs = [d for d in group_docs if d.pushes(s)]
+            if not group_docs:
+                continue
+            pairs = [d.pairs[s] for d in group_docs]
+            contexts = [d.context for d in group_docs]
+            with ad.no_grad():
+                if variant in DECODER_CTX:
+                    forced = model.teacher_force(pairs, None, contexts,
+                                                 variant)
+                    src_rows = forced.memory.encoded.states
+                    tgt_rows = forced.out.h_tilde
+                else:               # nothing reads h~: the encoder only
+                    src_rows = model.contextual_encode(
+                        Stack.of([src for src, _ in pairs]), contexts,
+                        variant)[0].states
+                    tgt_rows = None
+        _push_gold(group_docs, s, variant, src_rows.data,
+                   None if tgt_rows is None else tgt_rows.data)
 
 
 def _evaluate(model: DocModel, docs, variant: str,
@@ -315,41 +332,15 @@ def _evaluate(model: DocModel, docs, variant: str,
     n_tokens = 0
     pc_sum = 0.0
     pc_tokens = 0
-    for s, group in _wavefront(wave):
-        group_docs = [wave[i] for i in group]
-        with ad.no_grad():
-            forced = model.teacher_force(
-                [d.pairs[s] for d in group_docs], None,
-                [d.context for d in group_docs], variant)
-            loss, n, p_copy = model.forced_loss(forced)
-        total += float(loss.data)
-        n_tokens += n
-        if p_copy is not None:
-            pc_sum += float(p_copy.sum())
-            pc_tokens += n
-        _push_gold(model, group_docs, s, variant, forced.memory.encoded,
-                   forced.out.h_tilde)
+    with ad.no_grad():
+        for loss, n, p_copy in _wavefront_passes(model, wave, variant, None):
+            total += float(loss.data)
+            n_tokens += n
+            if p_copy is not None:
+                pc_sum += float(p_copy.sum())
+                pc_tokens += n
     mean_pc = pc_sum / pc_tokens if pc_tokens else None
     return total / max(n_tokens, 1), mean_pc
-
-
-def _document_passes(model: DocModel, docs: list[_Doc], variant: str,
-                     rng: np.random.Generator):
-    """Yield (summed loss, n_positions) of each stacked pass of a document
-    batch's wavefront, then push the group's gold entries; the dropout
-    masks of all its sentences are drawn first, in batch order."""
-    keep = [[model.dropout_masks(len(src), len(tgt), rng)
-             for src, tgt in d.pairs] for d in docs]
-    for s, group in _wavefront(docs):
-        group_docs = [docs[i] for i in group]
-        forced = model.teacher_force(
-            [d.pairs[s] for d in group_docs], [keep[i][s] for i in group],
-            [d.context for d in group_docs], variant)
-        loss, n, _ = model.forced_loss(forced)
-        yield loss, n
-        pushing = [d for d in group_docs if d.pushes(s)]
-        if pushing:
-            _gold_pass(model, pushing, s, variant)
 
 
 def _train_epoch(model: DocModel, optimizer: Adam, corpus: DocumentCorpus,
@@ -372,7 +363,7 @@ def _train_epoch(model: DocModel, optimizer: Adam, corpus: DocumentCorpus,
         batch_tokens = 0
         docs = _batch_documents(batch, docs[-1] if docs else None,
                                 model.cfg.n_context)
-        for loss, n in _document_passes(model, docs, variant, drop_rng):
+        for loss, n, _ in _wavefront_passes(model, docs, variant, drop_rng):
             value = float(loss.data)
             if not math.isfinite(value):
                 raise NumericalError(f"non-finite loss at epoch {epoch}")

@@ -31,11 +31,10 @@ from han_reference import copy_weights_loop, hierarchical_loop
 
 def reference_decode_states(model, prefix, encoded):
     """Causally masked decoder stack over the whole prefix -> rows [L, d]."""
-    ids = model.clip_ids(prefix, "tgt")
     p, m, cfg = model.params, model.cfg.m_heads, model.cfg
-    x = ad.embedding_lookup(p["emb.tgt"], ids) * math.sqrt(cfg.d_model)
-    x = ad.add(x, Tensor._wrap(model._pos[:len(ids)]))
-    cmask = causal_mask(len(ids))
+    x = ad.embedding_lookup(p["emb.tgt"], prefix) * math.sqrt(cfg.d_model)
+    x = ad.add(x, Tensor._wrap(model._pos[:len(prefix)]))
+    cmask = causal_mask(len(prefix))
 
     def sublayer(x, out, ln):
         ln = p.view(ln)

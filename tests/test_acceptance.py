@@ -18,17 +18,19 @@ import pytest
 from docnmt.autodiff import Tensor
 from docnmt.cli import run
 from docnmt.corpus import (
+    build_vocab,
     generate_synthetic_cohesion_corpus,
     load_corpus,
     save_corpus,
 )
-from docnmt.decoding import SearchConfig, search
+from docnmt.decoding import SearchConfig, search, translate_document
 from docnmt.diagnostics import full_copy_gradcheck
 from docnmt.metrics import bleu4, lc_score
 from docnmt.model import DocModel, build_params
 from docnmt.model.config import ModelConfig
 from docnmt.model.han import AttentionTrace, CacheEntry, ContextState
 from docnmt.tokens import BOS_ID, EOS_ID, PAD_ID, UNK_ID
+from docnmt.training import TrainConfig, finetune_copy
 
 from decode_reference import greedy_search, incremental_step
 from han_reference import block_trace, trace_copy_weights, with_distinct_ids
@@ -184,7 +186,17 @@ def test_copy_weights_match_naive_loop():
 # 3. gradient fidelity of the full copy model
 
 
-def test_full_model_gradient_fidelity():
+def forbid_per_sentence_passes(monkeypatch):
+    """Patch the one-pair reference passes to raise, so that a run under
+    the patch shows the package never calls them."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("package code called a per-sentence pass")
+    for name in ("sentence_loss", "target_cache_entry"):
+        monkeypatch.setattr(DocModel, name, forbidden)
+
+
+def test_full_model_gradient_fidelity(monkeypatch):
+    forbid_per_sentence_passes(monkeypatch)
     start = time.time()
     report = full_copy_gradcheck(seed=0)
     assert report.passed, report.summary()
@@ -193,6 +205,27 @@ def test_full_model_gradient_fidelity():
     prefixes = {name.split(".")[0] for name in report.per_param}
     assert {"emb", "enc", "dec", "out", "ctx", "copy"} <= prefixes
     assert time.time() - start <= 120.0
+
+
+def test_package_calls_no_per_sentence_pass(monkeypatch):
+    """Training with gold cache pushes, validation and decoding (greedy and
+    beam 2) of the copy variant run on the stacked passes alone."""
+    forbid_per_sentence_passes(monkeypatch)
+    corpus, _ = generate_synthetic_cohesion_corpus(n_docs=6, doc_len=3,
+                                                   n_concepts=3, seed=0)
+    sv, tv = build_vocab(corpus, "src"), build_vocab(corpus, "tgt")
+    cfg = ModelConfig(len(sv), len(tv), d_model=8, n_layers=1, m_heads=2,
+                      d_ff=16, dropout=0.1, n_context=3)
+    store = build_params(cfg, np.random.default_rng(0))
+    result = finetune_copy((store, cfg, {"base", "ctx_enc"}), corpus, sv, tv,
+                           TrainConfig(stage="copy", epochs=1))
+    assert [r.epoch for r in result.history] == [0, 1]
+    model = DocModel(cfg, result.store)
+    doc = [sv.encode(s) for s, _ in corpus.documents[0]]
+    for width in (1, 2):
+        outs, _ = translate_document(model, doc, "copy",
+                                     SearchConfig(width=width))
+        assert len(outs) == len(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,38 @@ def test_finetune_rejects_wrong_vocab(tmp_path, workdir, base_ckpt):
     assert code == 2
 
 
+def test_epoch_counts_follow_the_precedence_per_command(tmp_path, workdir,
+                                                      base_ckpt, capsys):
+    """``finetune`` reads ``ft_epochs`` and ``train`` reads ``epochs``, each
+    by flags > config file > profile; the other command's flag is a usage
+    error naming the right one."""
+    config = tmp_path / "c.cfg"
+    config.write_text("epochs = 1\nft_epochs = 2\n")
+    finetune = ["finetune", "--checkpoint", str(base_ckpt),
+                "--stage", "han-encoder",
+                "--src", str(workdir / "data/synth.src.txt"),
+                "--tgt", str(workdir / "data/synth.tgt.txt"),
+                "--vocab", str(workdir / "vocab/vocab.json"),
+                "--config", str(config)]
+    for extra, n_epochs in (([], 2), (["--ft-epochs", "1"], 1)):
+        out = tmp_path / f"ft{n_epochs}"
+        assert run(finetune + ["--out", str(out)] + extra) == 0
+        log = (out / "train.log").read_text().splitlines()
+        assert len(log) == n_epochs + 1
+    assert run(finetune + ["--out", str(tmp_path / "bad"),
+                           "--epochs", "1"]) == 1
+    assert "finetune sets its epoch count with --ft-epochs, not --epochs" \
+        in capsys.readouterr().err
+    train = ["train", "--src", str(workdir / "data/synth.src.txt"),
+             "--tgt", str(workdir / "data/synth.tgt.txt"),
+             "--vocab", str(workdir / "vocab/vocab.json"),
+             "--out", str(tmp_path / "bad"), "--ft-epochs", "1"]
+    assert run(train) == 1
+    assert "train sets its epoch count with --epochs, not --ft-epochs" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_translate_output_aligns_with_input(tmp_path, workdir, base_ckpt):
     out = tmp_path / "trans"
     assert run(["translate", "--checkpoint", str(base_ckpt),

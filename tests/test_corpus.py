@@ -222,16 +222,16 @@ def test_document_mode_preserves_order_and_marks_starts():
     items = [it for b in batches for it in b]
     starts = [it.doc_start for it in items]
     assert sum(starts) == 5
-    # within one document, the sentences appear contiguously and in order
-    by_doc: dict[str, list[BatchItem]] = {}
+    # each document's sentences appear contiguously and in order, the
+    # documents in the order of the seed's permutation
+    runs: list[list[list[int]]] = []
     for it in items:
-        by_doc.setdefault(it.doc_id, []).append(it)
-    for doc_id, doc_items in by_doc.items():
-        assert doc_items[0].doc_start and not any(
-            it.doc_start for it in doc_items[1:])
-        d = corpus.doc_ids.index(doc_id)
-        expect = [sv.encode(p[0]) for p in corpus.documents[d]]
-        assert [it.src_ids for it in doc_items] == expect
+        if it.doc_start:
+            runs.append([])
+        runs[-1].append(it.src_ids)
+    order = np.random.default_rng(4).permutation(corpus.n_documents)
+    assert runs == [[sv.encode(s) for s, _ in corpus.documents[d]]
+                    for d in order]
 
 
 def test_truncation_is_counted_and_enforced():
@@ -267,9 +267,8 @@ def sentence_mode_batches(corpus, src_vocab, tgt_vocab, max_tokens, max_len,
         return ids[:max_len]
 
     items = [BatchItem(clip(src_vocab.encode(src)), clip(tgt_vocab.encode(tgt)),
-                       True, True, doc_id)
-             for doc_id, doc in zip(corpus.doc_ids, corpus.documents)
-             for src, tgt in doc]
+                       True, True)
+             for doc in corpus.documents for src, tgt in doc]
     order = np.random.default_rng(seed).permutation(len(items))
     batches, cur, budget = [], [], 0
     for item in (items[i] for i in order):
@@ -284,8 +283,8 @@ def sentence_mode_batches(corpus, src_vocab, tgt_vocab, max_tokens, max_len,
 @pytest.mark.parametrize("seed", [0, 7])
 def test_one_sentence_documents_batch_as_the_sentence_mode(seed):
     """Batching ``one_sentence_documents()`` gives the items, order, flags,
-    document ids, batch cuts and truncation count of the independent
-    sentence batching it replaced."""
+    batch cuts and truncation count of the independent sentence batching it
+    replaced."""
     corpus = synth(n_docs=9, doc_len=3, seed=seed)
     sv, tv = vocabs(corpus)
     for max_tokens, max_len in ((40, 30), (8, 4)):

@@ -306,7 +306,7 @@ def test_cached_states_match_stepwise_decode_states():
                 np.testing.assert_allclose(rows, entry.states.data,
                                            rtol=0.0, atol=1e-12)
                 harvested += 1
-            update_context(model, ctx, encoded, out, "copy", rows)
+            update_context(ctx, "copy", src, encoded.states.data, out, rows)
             if out:
                 np.testing.assert_array_equal(ctx.target[-1].states.data, rows)
     assert harvested >= 4
@@ -374,7 +374,8 @@ def _filled_context(model, rng, n_sents):
                                             size=int(rng.integers(1, 5)))]
         encoded = encode(model, src, ctx, "copy")
         entry = model.target_cache_entry(tgt, encoded, ctx, "copy")
-        update_context(model, ctx, encoded, tgt, "copy", entry.states.data)
+        update_context(ctx, "copy", src, encoded.states.data, tgt,
+                       entry.states.data)
     return ctx
 
 

@@ -22,7 +22,7 @@ def make_context(model, sentences, n=3, target_sentences=None):
     ctx = ContextState(n)
     for sent in sentences:
         enc = encode(model, sent)
-        ctx.push_source(model.source_cache_entry(enc))
+        ctx.push_source(CacheEntry(list(sent), enc.states.detach()))
     for sent in (target_sentences or []):
         enc = encode(model, sent)
         entry = model.target_cache_entry(sent, enc, ctx, "sentence")

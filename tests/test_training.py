@@ -298,10 +298,11 @@ def loop_reference(model, pairs, rng):
 def stacked_run(model, pairs, rng):
     """A sentence batch through the wavefront, as one-sentence documents."""
     model.params.zero_grad()
-    batch = [BatchItem(s, t, True, True, "d") for s, t in pairs]
+    batch = [BatchItem(s, t, True, True) for s, t in pairs]
     docs = training._batch_documents(batch, None, model.cfg.n_context)
     total = 0.0
-    for loss, _ in training._document_passes(model, docs, "sentence", rng):
+    for loss, _, _ in training._wavefront_passes(model, docs, "sentence",
+                                                 rng):
         ad.backward(loss)
         total += float(loss.data)
     return total, {k: p.grad for k, p in model.params.items()
@@ -327,10 +328,17 @@ def stacked_cases():
 def test_stacked_passes_match_per_sentence_loop(case, dropout):
     """Loss and every gradient within 1e-12 relative (summation order
     differs), the same dropout draws, the generator left where the loop
-    leaves it."""
+    leaves it.  Out-of-range ids are a ContractError on both paths."""
     pairs = stacked_cases()[case]
     model = stacked_model(dropout)
     rng_loop, rng_stack = np.random.default_rng(21), np.random.default_rng(21)
+    if case == "out-of-range ids":
+        for run, rng in ((loop_reference, rng_loop),
+                         (stacked_run, rng_stack)):
+            for pair in pairs:
+                with pytest.raises(ContractError, match="out of range"):
+                    run(model, [pair], rng)
+        return
     want, want_g = loop_reference(model, pairs, rng_loop)
     got, got_g = stacked_run(model, pairs, rng_stack)
     assert abs(got - want) <= 1e-12 * abs(want)
@@ -357,10 +365,15 @@ def test_stack_groups_respect_the_row_cap():
 
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
 def test_stacked_loss_ignores_pad_ids(dropout, monkeypatch):
+    """Any in-range pad id gives the same loss and gradients, bitwise; an
+    out-of-range one is rejected like any other id."""
     model = stacked_model(dropout)
     pairs = random_pairs(np.random.default_rng(5), 6)
+    monkeypatch.setattr(model_module, "PAD_ID", 10**6)
+    with pytest.raises(ContractError, match="out of range"):
+        model.teacher_force(pairs)
     results = []
-    for fill in (PAD_ID, 17, 10**6):
+    for fill in (PAD_ID, 17, 29):
         monkeypatch.setattr(model_module, "PAD_ID", fill)
         keep = None
         if dropout:
@@ -411,7 +424,7 @@ def test_base_epoch_runs_one_teacher_force_per_stacked_group(monkeypatch):
     corpus, _, sv, tv, cfg = small_setup(n_docs=12, doc_len=3)
     tcfg = TrainConfig(stage="base", epochs=1, seed=0, max_tokens=64,
                        val_fraction=0.3)
-    batches, passes, pushes, gold = [], [], [], []
+    batches, passes, pushes, encodes = [], [], [], []
     make_batches, force = training.make_batches, DocModel.teacher_force
 
     def kept_batches(*args, **kwargs):
@@ -427,8 +440,8 @@ def test_base_epoch_runs_one_teacher_force_per_stacked_group(monkeypatch):
     monkeypatch.setattr(DocModel, "teacher_force", recorded_force)
     monkeypatch.setattr(training, "update_context",
                         lambda *args: pushes.append(args))
-    monkeypatch.setattr(training, "_gold_pass",
-                        lambda *args: gold.append(args))
+    monkeypatch.setattr(DocModel, "contextual_encode",
+                        counted(encodes, DocModel.contextual_encode))
     train_base(corpus, cfg, sv, tv, tcfg)
 
     def grouped(pairs):
@@ -443,22 +456,25 @@ def test_base_epoch_runs_one_teacher_force_per_stacked_group(monkeypatch):
     assert len(want_train) > len(batches) > 1 and len(want_val) > 1
     assert [p for p, train in passes if train] == want_train
     assert [p for p, train in passes if not train] == want_val * 2
-    assert pushes == [] and gold == []
+    assert pushes == [] and len(encodes) == len(passes)   # no gold pass
 
 
 # ---------------------------------------------------------------------------
 # gold cache pushes
 
 
+def counted(calls, fn):
+    """``fn`` that appends to ``calls`` on each call."""
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 def count_gold_pushes(monkeypatch):
     calls = []
-    push = training.update_context
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return push(*args, **kwargs)
-
-    monkeypatch.setattr(training, "update_context", counted)
+    monkeypatch.setattr(training, "update_context",
+                        counted(calls, training.update_context))
     return calls
 
 
@@ -504,9 +520,9 @@ def context_model(stage, dropout, n_context=2):
 def record_pushes(entries, push):
     """``update_context`` that also keeps the entries each push caches,
     keyed by the sentence pair (the cases below repeat no pair)."""
-    def recorded(model, context, encoded, out_tokens, variant, rows):
-        push(model, context, encoded, out_tokens, variant, rows)
-        key = (tuple(encoded.token_ids.ids), tuple(out_tokens))
+    def recorded(context, variant, src_ids, src_rows, out_tokens, rows):
+        push(context, variant, src_ids, src_rows, out_tokens, rows)
+        key = (tuple(src_ids), tuple(out_tokens))
         assert key not in entries
         entries[key] = [side[-1] for side, on in
                         ((context.source, variant in model_module.ENCODER_CTX),
@@ -522,7 +538,7 @@ def push_gold(push, model, context, src, tgt, variant):
     with ad.no_grad():
         encoded = encode(model, src, context, variant)
     entry = model.target_cache_entry(tgt, encoded, context, variant)
-    push(model, context, encoded, tgt, variant, entry.states.data)
+    push(context, variant, src, encoded.states.data, tgt, entry.states.data)
 
 
 def document_loop(model, batches, variant, rng, entries):
@@ -563,7 +579,8 @@ def wavefront_run(model, batches, variant, rng, entries, monkeypatch):
         docs = training._batch_documents(batch, docs[-1] if docs else None,
                                          model.cfg.n_context)
         total = 0.0
-        for loss, _ in training._document_passes(model, docs, variant, rng):
+        for loss, _, _ in training._wavefront_passes(model, docs, variant,
+                                                     rng):
             ad.backward(loss)
             total += float(loss.data)
         results.append((total, grads_of(model)))
@@ -581,7 +598,7 @@ def document_batches(rng, lengths, cut, special_doc=None):
             tgt = [int(i) for i in rng.integers(4, 31, rng.integers(1, 9))]
             if d == special_doc and s == 0:
                 tgt = [UNK_ID] * (d + 1)
-            items.append(BatchItem(src, tgt, s == 0, s == n - 1, f"d{d}"))
+            items.append(BatchItem(src, tgt, s == 0, s == n - 1))
     return [items[:cut], items[cut:]]
 
 
@@ -648,7 +665,7 @@ def test_carried_caches_cross_batch_boundaries(stage, monkeypatch):
     # the synthetic sentences repeat: mark each pair to key its entries
     marks = iter(range(26 * 26))
     batches = [[BatchItem(i.src_ids + [4 + k // 26, 4 + k % 26], i.tgt_ids,
-                          i.doc_start, i.doc_end, i.doc_id)
+                          i.doc_start, i.doc_end)
                 for i, k in zip(batch, marks)] for batch in batches]
     want_entries, got_entries = {}, {}
     rng_loop, rng_wave = np.random.default_rng(2), np.random.default_rng(2)
@@ -698,9 +715,9 @@ def test_validation_wavefront_matches_loop(stage, monkeypatch):
 
 
 def test_validation_entries_are_the_evaluation_pass_rows(monkeypatch):
-    """Validation caches the rows of the pass that gave its loss; a
-    separate evaluation pass over the same documents (as training runs for
-    its gold entries) gives the same entries, bitwise."""
+    """Validation caches the rows of the pass that gave its loss; the
+    separate evaluation passes that training runs over the same documents
+    for its gold entries give the same entries, bitwise."""
     model = context_model("copy", 0.1, n_context=2)
     rng = np.random.default_rng(10)
     docs = [[([int(i) for i in rng.integers(4, 30, 5)],
@@ -713,10 +730,10 @@ def test_validation_entries_are_the_evaluation_pass_rows(monkeypatch):
     monkeypatch.setattr(training, "update_context",
                         record_pushes(want_entries, update_context))
     wave = [training._Doc(ContextState(2), list(doc)) for doc in docs]
-    for s, group in training._wavefront(wave):
-        pushing = [wave[i] for i in group if wave[i].pushes(s)]
-        if pushing:
-            training._gold_pass(model, pushing, s, "copy")
+    with ad.no_grad():
+        for _ in training._wavefront_passes(model, wave, "copy",
+                                            np.random.default_rng(0)):
+            pass
     assert len(got_entries) == 9
     assert_entries_match(got_entries, want_entries, 0.0)
 

@@ -274,11 +274,16 @@ class TestEncodeDecode:
         again = encode(model, [4, 5, 6, 7])
         np.testing.assert_array_equal(enc.states.data, again.states.data)
 
-    def test_unknown_source_id_maps_to_unk(self):
+    def test_out_of_range_id_is_a_contract_error(self):
+        """On either side, in the per-sentence and the stacked pass alike:
+        the embedding rejects it."""
         model = tiny_model()
-        a = encode(model, [4, 99, 6])
-        b = encode(model, [4, 1, 6])
-        np.testing.assert_array_equal(a.states.data, b.states.data)
+        for pair in (([4, 11, 6], [7, 8]), ([4, -1, 6], [7, 8]),
+                     ([4, 5, 6], [7, 13]), ([4, 5, 6], [-2])):
+            with pytest.raises(ContractError, match="out of range"):
+                model.sentence_loss(*pair, None, "sentence")
+            with pytest.raises(ContractError, match="out of range"):
+                model.forced_loss(model.teacher_force([([4, 5], [6]), pair]))
 
     def test_decode_prefix_extension_is_causal_bitwise(self):
         model = tiny_model()

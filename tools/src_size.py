@@ -1,8 +1,11 @@
-"""Print the size of the ``docnmt`` package: source lines and settable values.
+"""Print the size of the ``docnmt`` package: source lines, code lines and
+settable values.
 
-Settable values are the parameters with defaults (functions, methods and
-lambdas, keyword-only ones included) plus the dataclass fields with
-defaults.  Run from anywhere:
+Code lines are the lines that hold code: not blank, not comment-only and
+not inside a docstring (the first statement of a module, class or function
+when it is a string).  Settable values are the parameters with defaults
+(functions, methods and lambdas, keyword-only ones included) plus the
+dataclass fields with defaults.  Run from anywhere:
 
     python tools/src_size.py [package_dir]
 """
@@ -10,7 +13,9 @@ defaults.  Run from anywhere:
 from __future__ import annotations
 
 import ast
+import io
 import sys
+import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "docnmt"
@@ -39,14 +44,40 @@ def settable_values(tree: ast.AST) -> int:
     return count
 
 
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(text: str, tree: ast.AST) -> int:
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and \
+                    isinstance(first.value, ast.Constant) and \
+                    isinstance(first.value.value, str):
+                docstrings.add((first.lineno, first.col_offset))
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type in _NOT_CODE or (tok.type == tokenize.STRING
+                                     and tok.start in docstrings):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else PACKAGE
-    lines = values = 0
+    lines = code = values = 0
     for path in sorted(root.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text, filename=str(path))
         lines += len(text.splitlines())
-        values += settable_values(ast.parse(text, filename=str(path)))
+        code += code_lines(text, tree)
+        values += settable_values(tree)
     print(f"src_lines\t{lines}")
+    print(f"code_lines\t{code}")
     print(f"settable_values\t{values}")
     return 0
 
