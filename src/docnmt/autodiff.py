@@ -8,7 +8,16 @@ backward call; evaluation code should run under ``no_grad()``.
 
 Shapes are explicit.  The only implicit broadcasting is scalar-times-tensor
 (one operand with a single element); everything else must match exactly or go
-through a dedicated op such as ``add_bias`` / ``scale_rows``.
+through a dedicated op such as ``linear`` (x w + b, the bias added to every
+row) or ``scale_rows``.
+
+Two ops are fused chains, to keep the tape short: ``linear`` is a product
+plus a bias, and ``layer_norm`` with a ``sub`` operand is a Transformer
+sublayer's residual norm, layer_norm(x + dropout(sub)).  Each computes
+the chain's expressions in the chain's order, so outputs and gradients
+equal the chain's bitwise, and holds only what its backward reads: no
+intermediate rows, and dropout's boolean keep mask rather than a float
+copy.
 
 Activations are 2-d [rows, features].  The one other layout is the
 attention weights [B, m, a, b] of ``attention_weights``: B stacked
@@ -285,14 +294,6 @@ def affine(x: Tensor, m: float, c: float) -> Tensor:
     return _out(m * x.data + c, (x,), lambda g: (m * g,), "affine")
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-d vector to every row of an [n, d] matrix."""
-    if x.data.ndim != 2 or b.data.shape != (x.data.shape[1],):
-        raise ShapeError(f"add_bias: {x.shape} + {b.shape}")
-    return _out(x.data + b.data[None, :], (x, b),
-                lambda g: (g, g.sum(axis=0)), "add_bias")
-
-
 def scale_rows(x: Tensor, col: Tensor) -> Tensor:
     """Multiply row i of [n, d] ``x`` by ``col[i]`` (col shaped [n, 1])."""
     if x.data.ndim != 2 or col.data.shape != (x.data.shape[0], 1):
@@ -344,6 +345,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
     return _out(a.data @ b.data, (a, b),
                 lambda g: (g @ b.data.T, a.data.T @ g), "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x w + b for [n, k] rows x, a [k, d] matrix w and a length-d bias b
+    added to every row."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0] \
+            or b.data.shape != (w.data.shape[1],):
+        raise ShapeError(f"linear: {x.shape} @ {w.shape} + {b.shape}")
+    out = x.data @ w.data
+    out += b.data[None, :]
+    return _out(out, (x, w, b),
+                lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)), "linear")
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -428,14 +441,40 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return _out(out, (x,), bwd, "softmax")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize each row of [n, d] to zero mean / unit variance, then affine."""
+def _keep_scale(rate: float, keep: Array | None, shape: tuple) -> float | None:
+    """1 / (1 - rate), by which inverted dropout scales the entries it
+    keeps, or None at rate 0 (no dropout); checks ``keep`` against
+    ``shape`` otherwise."""
+    if not 0.0 <= rate < 1.0:
+        raise ContractError(f"dropout rate {rate} outside [0, 1)")
+    if rate == 0.0:
+        return None
+    if keep.shape != shape:
+        raise ShapeError(f"dropout: keep mask {keep.shape} vs x {shape}")
+    return 1.0 / (1.0 - rate)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, sub: Tensor | None = None,
+               rate: float = 0.0, keep: Array | None = None) -> Tensor:
+    """Normalize each row of [n, d] to zero mean / unit variance, then affine.
+
+    With ``sub`` it normalizes x + dropout(sub, rate, keep) instead: a
+    sublayer's residual connection and norm in one node, whose gradient
+    reaches x before sub, as through the chain of ``dropout``, ``add`` and
+    ``layer_norm``."""
     if x.data.ndim != 2 or gain.data.shape != (x.data.shape[1],) \
             or bias.data.shape != (x.data.shape[1],):
         raise ShapeError(f"layer_norm: x {x.shape}, gain {gain.shape}, bias {bias.shape}")
+    s, inputs, scale = x.data, (x, gain, bias), None
+    if sub is not None:
+        if sub.data.shape != x.data.shape:
+            raise ShapeError(f"layer_norm: x {x.shape} + sub {sub.shape}")
+        scale = _keep_scale(rate, keep, x.data.shape)
+        s = s + (sub.data if scale is None else sub.data * (keep * scale))
+        inputs += (sub,)
     # add.reduce / n is bitwise what .mean() computes, without its wrapper
-    n = x.data.shape[1]
-    c = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / n
+    n = s.shape[1]
+    c = s - np.add.reduce(s, axis=1, keepdims=True) / n
     var = np.add.reduce(c * c, axis=1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = c * inv
@@ -446,9 +485,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         m1 = np.add.reduce(gy, axis=1, keepdims=True) / n
         m2 = np.add.reduce(gy * xhat, axis=1, keepdims=True) / n
         dx = (gy - m1 - xhat * m2) * inv
-        return (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
+        grads = (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
+        if len(inputs) == 3:
+            return grads
+        return grads + (dx if scale is None else dx * (keep * scale),)
 
-    return _out(out, (x, gain, bias), bwd, "layer_norm")
+    return _out(out, inputs, bwd, "layer_norm")
 
 
 def keep_mask(shape: tuple, rate: float, rng: np.random.Generator) -> Array:
@@ -456,19 +498,16 @@ def keep_mask(shape: tuple, rate: float, rng: np.random.Generator) -> Array:
     return rng.random(shape) >= rate
 
 
-def dropout(x: Tensor, rate: float, keep: Array) -> Tensor:
+def dropout(x: Tensor, rate: float, keep: Array | None) -> Tensor:
     """Inverted dropout; identity when rate == 0.  Training-path only.
 
     ``keep`` (a ``keep_mask``) marks the kept entries; they are scaled by
-    1 / (1 - rate)."""
-    if not 0.0 <= rate < 1.0:
-        raise ContractError(f"dropout rate {rate} outside [0, 1)")
-    if rate == 0.0:
+    1 / (1 - rate), the others multiplied by 0."""
+    scale = _keep_scale(rate, keep, x.data.shape)
+    if scale is None:
         return x
-    if keep.shape != x.data.shape:
-        raise ShapeError(f"dropout: keep mask {keep.shape} vs x {x.shape}")
-    mask = keep / (1.0 - rate)
-    return _out(x.data * mask, (x,), lambda g: (g * mask,), "dropout")
+    return _out(x.data * (keep * scale), (x,),
+                lambda g: (g * (keep * scale),), "dropout")
 
 
 def masked_fill(x: Tensor, mask: Array, value: float) -> Tensor:

@@ -259,13 +259,14 @@ class DocModel:
 
     # -- embeddings ---------------------------------------------------------
 
-    def _dropout(self, x: Tensor, keep: Iterator[np.ndarray] | None) -> Tensor:
-        """Dropout with the next of a pass's keep masks (the passes take
-        them in the order they apply dropout); None runs in evaluation
+    def _next_keep(self, keep: Iterator[np.ndarray] | None
+                   ) -> tuple[float, np.ndarray | None]:
+        """The dropout rate and the next of a pass's keep masks (the passes
+        take them in the order they apply dropout); (0, None) in evaluation
         mode."""
         if keep is None or self.cfg.dropout == 0.0:
-            return x
-        return ad.dropout(x, self.cfg.dropout, next(keep))
+            return 0.0, None
+        return self.cfg.dropout, next(keep)
 
     def _embed(self, table: str, ids: list[int], positions: np.ndarray,
                keep: Iterator[np.ndarray] | None) -> Tensor:
@@ -274,13 +275,14 @@ class DocModel:
             raise ContractError(
                 f"sequence length {length} exceeds max_len {self.cfg.max_len}")
         x = ad.embedding_lookup(self.params[table], ids) * math.sqrt(self.cfg.d_model)
-        return self._dropout(ad.add(x, Tensor._wrap(self._pos[positions])),
-                             keep)
+        return ad.dropout(ad.add(x, Tensor._wrap(self._pos[positions])),
+                          *self._next_keep(keep))
 
     def _sublayer(self, x: Tensor, sub_out: Tensor, ln: dict[str, Tensor],
                   keep: Iterator[np.ndarray] | None) -> Tensor:
-        sub_out = self._dropout(sub_out, keep)
-        return ad.layer_norm(ad.add(x, sub_out), ln["g"], ln["b"])
+        """layer_norm(x + dropout(sub_out)), one tape node."""
+        return ad.layer_norm(x, ln["g"], ln["b"], sub_out,
+                             *self._next_keep(keep))
 
     def dropout_masks(self, src_len: int, tgt_len: int,
                       rng: np.random.Generator
@@ -419,8 +421,8 @@ class DocModel:
 
     def output_distribution(self, rows: Tensor) -> Tensor:
         """Vocabulary softmax over output rows -> [T, V]."""
-        logits = ad.add_bias(rows @ self.params["out.w"], self.params["out.b"])
-        return ad.softmax_lastdim(logits)
+        return ad.softmax_lastdim(
+            ad.linear(rows, self.params["out.w"], self.params["out.b"]))
 
     def copy_mixture(self, out: DecodeOut, memory: DecoderMemory,
                      p_vocab: Tensor

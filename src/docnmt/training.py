@@ -14,8 +14,8 @@ of every document of the batch that has one, as stacked ``teacher_force``
 passes grouped by the documents' numbers of cached sentences (the block
 layout of the context attention needs one n per pass) and cut by
 ``stack_groups`` into groups of at most ``MAX_STACK_ROWS`` padded rows on
-each side.  Each document keeps its own ``ContextState``; one that
-continues into the next batch carries it there.  After each pass, the
+each side, one cap for every stage.  Each document keeps its own
+``ContextState``; one that continues into the next batch carries it there.  After each pass, the
 documents whose sentence s a later sentence reads get its *gold* ids and
 rows pushed through ``decoding.update_context``, the push decoding makes
 of its own outputs (so the base stage, whose documents are one sentence
@@ -79,12 +79,16 @@ def checkpoint_variant(groups) -> str:
 
 
 # Padded rows per side (sentences x the group's longest source, or BOS +
-# target) of one stacked pass: enough to spread each op's interpreter cost
-# over several sentences, few enough that a pass's tape stays small.  On
-# the train-base benchmark (2-core x86-64 host), 64 rows ran 4.2 times as
-# fast as the per-sentence loop at 7 % more peak memory; 96 rows reached
-# the benchmark's 10 % memory bound, whole 320-token batches 41 %.
-MAX_STACK_ROWS = 64
+# target) of one stacked pass, the one cap of every stage: enough to spread
+# each op's interpreter cost over many sentences, few enough that a pass's
+# tape stays small.  On the benchmark (2-core x86-64 host, alternating
+# pairs), 128 rows on the fused ``linear`` and residual ``layer_norm`` ops
+# ran 1.32 times the train-copy and 1.36 times the train-base tokens per
+# second of 64 rows on the unfused chains, at 1.7 % more peak memory on
+# each; the fused ops keep a full base pass's tape at 3.5 MB (5.0 MB on the
+# chains).  Above 128, train-copy's passes are cut by their cache groups,
+# not by the cap.
+MAX_STACK_ROWS = 128
 
 
 @dataclass

@@ -418,7 +418,21 @@ def test_translate_nan_in_a_decoder_weight_exits_3_naming_the_op(
     ckpt = tmp_path / "nan.ckpt"
     save_checkpoint(ckpt, store, cfg, groups)
     assert _translate(tmp_path, workdir, ckpt) == 3
-    assert "non-finite values produced by op 'matmul'" in \
+    assert "non-finite values produced by op 'linear'" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, op", [("dec.0.ffn.b1", "linear"),
+                                      ("out.b", "linear"),
+                                      ("dec.0.ln2.g", "layer_norm")])
+def test_translate_nan_into_a_fused_op_exits_3_naming_it(
+        tmp_path, workdir, base_ckpt, capsys, name, op):
+    store, cfg, groups = load_checkpoint(base_ckpt)
+    store[name].data[0] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(ckpt, store, cfg, groups)
+    assert _translate(tmp_path, workdir, ckpt) == 3
+    assert f"non-finite values produced by op '{op}'" in \
         capsys.readouterr().err
 
 
@@ -440,7 +454,7 @@ def test_train_nan_in_starting_parameters_exits_3(tmp_path, workdir,
                 "--d-model", "16", "--n-layers", "1", "--d-ff", "32"])
     assert code == 3
     assert "epoch 0" in (out / "diverged.note").read_text()
-    assert "op 'matmul'" in (out / "diverged.note").read_text()
+    assert "op 'linear'" in (out / "diverged.note").read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ def test_nan_in_base_parameter_diverges_naming_the_op(monkeypatch):
         self.store["enc.0.ffn.w1"].data[0, 0] = np.nan
 
     monkeypatch.setattr(Adam, "step", step_then_plant)
-    with pytest.raises(TrainingDiverged, match="op 'matmul'") as exc:
+    with pytest.raises(TrainingDiverged, match="op 'linear'") as exc:
         train_base(corpus, cfg, sv, tv,
                    TrainConfig(stage="base", epochs=1, seed=0, max_tokens=64))
     assert all(np.isfinite(a).all() for a in exc.value.snapshot.values())
@@ -256,7 +256,7 @@ def test_nan_in_starting_parameters_diverges_in_epoch_0():
     corpus, _, sv, tv, cfg = small_setup()
     init = build_params(cfg, np.random.default_rng([0, 11]))
     init["enc.0.ffn.w1"].data[0, 0] = np.nan
-    with pytest.raises(TrainingDiverged, match="op 'matmul'") as exc:
+    with pytest.raises(TrainingDiverged, match="op 'linear'") as exc:
         train_base(corpus, cfg, sv, tv,
                    TrainConfig(stage="base", epochs=1, seed=0),
                    init_store=init)
@@ -318,7 +318,8 @@ def stacked_cases():
                                            ([9, 10, 11], [12, 13])],
         "one pair": [([4, 5, 6], [7, 8])],
         "equal lengths": equal,
-        "several groups": random_pairs(rng, 24),
+        # more than twice MAX_STACK_ROWS padded rows a side
+        "several groups": random_pairs(rng, 3 * MAX_STACK_ROWS // 8),
         "out-of-range ids": oov,
     }
 
@@ -351,8 +352,10 @@ def test_stacked_passes_match_per_sentence_loop(case, dropout):
 
 
 def test_stack_groups_respect_the_row_cap():
-    """On both sides: a long source with a short target runs alone too."""
-    long_tgt, long_src = ([4], [5] * 60), ([4] * 60, [5])
+    """On both sides: a long source with a short target runs alone too.
+    The long pairs are over half the cap wide, so no two share a group."""
+    half = MAX_STACK_ROWS // 2
+    long_tgt, long_src = ([4], [5] * half), ([4] * (half + 1), [5])
     pairs = random_pairs(np.random.default_rng(2), 40) + [long_tgt, long_src]
     groups = stack_groups(pairs)
     assert sorted(i for g in groups for i in g) == list(range(len(pairs)))
@@ -421,9 +424,13 @@ def test_base_epoch_runs_one_teacher_force_per_stacked_group(monkeypatch):
     stacked passes of ``stack_groups``: one training pass per group of each
     batch, one validation pass per group of the validation sentences
     (epochs 0 and 1), and no gold pass or cache push."""
-    corpus, _, sv, tv, cfg = small_setup(n_docs=12, doc_len=3)
-    tcfg = TrainConfig(stage="base", epochs=1, seed=0, max_tokens=64,
-                       val_fraction=0.3)
+    # a batch's BOS + target rows outnumber its target tokens, so a batch
+    # filled to MAX_STACK_ROWS tokens runs as two or more passes; the corpus
+    # grows with the cap, so the validation sentences need two or more too
+    corpus, _, sv, tv, cfg = small_setup(n_docs=12 * MAX_STACK_ROWS // 64,
+                                         doc_len=3)
+    tcfg = TrainConfig(stage="base", epochs=1, seed=0,
+                       max_tokens=MAX_STACK_ROWS, val_fraction=0.3)
     batches, passes, pushes, encodes = [], [], [], []
     make_batches, force = training.make_batches, DocModel.teacher_force
 
