@@ -350,7 +350,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x w + b for [n, k] rows x, a [k, d] matrix w and a length-d bias b
     added to every row."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0] \
+    if x.data.ndim != 2 or w.data.ndim != 2 \
+            or x.data.shape[1] != w.data.shape[0] \
             or b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"linear: {x.shape} @ {w.shape} + {b.shape}")
     out = x.data @ w.data
@@ -486,7 +487,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, sub: Tensor | None = None,
         m2 = np.add.reduce(gy * xhat, axis=1, keepdims=True) / n
         dx = (gy - m1 - xhat * m2) * inv
         grads = (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
-        if len(inputs) == 3:
+        if sub is None:
             return grads
         return grads + (dx if scale is None else dx * (keep * scale),)
 
