@@ -1,14 +1,14 @@
 """Command line interface: the complete workflow as one executable.
 
-Every subcommand writes its outputs into ``--out DIR`` together with a
-``run_manifest.json`` recording the resolved configuration, seed, input and
-output paths, checkpoint hashes and metric results — no timestamps, so a
-rerun with the same seed produces byte-identical artifacts.
+Every subcommand writes its outputs into ``--out DIR`` with a
+``run_manifest.json`` of the settings it read, its seed (null if it draws
+no randomness), input and output paths, checkpoint hashes and metrics —
+no timestamps, so a same-seed rerun produces byte-identical artifacts.
 
-Configuration precedence: explicit flags > ``--config`` file (line-oriented
-``key = value``) > the built-in toy profile.  All randomness derives from
-the single ``--seed`` through named sub-seeds (data, per-stage training,
-which internally split into init/shuffle/dropout streams).
+Of the toy profile's keys a command reads only its ``SETTINGS``, each by
+flag > ``--config`` file (``key = value`` lines; other keys are ignored) >
+the profile itself.  All randomness derives from one ``--seed`` through
+named sub-seeds (data, per-stage training split into init/shuffle/dropout).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -76,6 +76,21 @@ PROFILE_TOY: dict[str, object] = {
 
 _KEY_TYPES: dict[str, type] = {k: type(v) for k, v in PROFILE_TOY.items()}
 
+_MODEL_KEYS = ("d_model", "n_layers", "m_heads", "d_ff", "dropout",
+               "label_smoothing", "n_context", "max_len")
+# the TrainConfig fields of the base stage and of the context stages, each
+# led by the profile key of its epoch count
+_BASE_KEYS = ("epochs", "max_tokens", "max_len", "warmup_steps", "lr_scale",
+              "val_fraction")
+_FINETUNE_KEYS = ("ft_epochs", "max_tokens", "max_len", "lr", "val_fraction")
+# The profile keys each command reads: its flags and its manifest's config.
+# finetune and translate take the model settings from the checkpoint.
+SETTINGS: dict[str, tuple[str, ...]] = {
+    "train": tuple(dict.fromkeys(_MODEL_KEYS + _BASE_KEYS)),
+    "finetune": _FINETUNE_KEYS, "translate": ("width", "length_penalty"),
+    "experiment": tuple(PROFILE_TOY)}
+_SEEDED = ("gen-synth", "train", "finetune", "gradcheck", "experiment")
+
 
 class UsageError(DocnmtError):
     pass
@@ -122,6 +137,11 @@ def resolve_config(args: argparse.Namespace) -> dict[str, object]:
     return cfg
 
 
+def _command_config(args: argparse.Namespace) -> dict[str, object]:
+    cfg = resolve_config(args)
+    return {key: cfg[key] for key in SETTINGS[args.command]}
+
+
 def _configured(cls, **values):
     """``cls(**values)``, a value the class rejects being a data error."""
     try:
@@ -131,33 +151,20 @@ def _configured(cls, **values):
 
 
 def _model_config(cfg: dict, vocab_src: int, vocab_tgt: int) -> ModelConfig:
-    return _configured(
-        ModelConfig,
-        vocab_src=vocab_src, vocab_tgt=vocab_tgt,
-        d_model=int(cfg["d_model"]), n_layers=int(cfg["n_layers"]),
-        m_heads=int(cfg["m_heads"]), d_ff=int(cfg["d_ff"]),
-        dropout=float(cfg["dropout"]),
-        label_smoothing=float(cfg["label_smoothing"]),
-        n_context=int(cfg["n_context"]), max_len=int(cfg["max_len"]))
+    return _configured(ModelConfig, vocab_src=vocab_src, vocab_tgt=vocab_tgt,
+                       **{key: cfg[key] for key in _MODEL_KEYS})
 
 
 def _train_config(cfg: dict, stage: str, seed: int) -> TrainConfig:
-    """The base stage trains ``epochs`` epochs, the others ``ft_epochs``."""
-    return _configured(
-        TrainConfig, stage=stage,
-        epochs=int(cfg["epochs" if stage == "base" else "ft_epochs"]),
-        max_tokens=int(cfg["max_tokens"]),
-        max_len=int(cfg["max_len"]), lr=float(cfg["lr"]),
-        warmup_steps=int(cfg["warmup_steps"]),
-        lr_scale=float(cfg["lr_scale"]),
-        val_fraction=float(cfg["val_fraction"]),
-        seed=derive_seed(seed, f"train-{stage}"))
+    epochs, *keys = _BASE_KEYS if stage == "base" else _FINETUNE_KEYS
+    return _configured(TrainConfig, stage=stage, epochs=cfg[epochs],
+                       **{key: cfg[key] for key in keys},
+                       seed=derive_seed(seed, f"train-{stage}"))
 
 
 def _search_config(cfg: dict, collect_traces: bool = False) -> SearchConfig:
-    return _configured(SearchConfig, width=int(cfg["width"]),
-                       length_penalty=float(cfg["length_penalty"]),
-                       collect_traces=collect_traces)
+    return _configured(SearchConfig, collect_traces=collect_traces,
+                       **{key: cfg[key] for key in SETTINGS["translate"]})
 
 
 def _out_dir(args) -> Path:
@@ -166,7 +173,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_run_manifest(out: Path, subcommand: str, seed: int,
+def _write_run_manifest(out: Path, subcommand: str, seed: int | None,
                         config: dict | None = None,
                         inputs: dict | None = None,
                         outputs: dict | None = None,
@@ -231,7 +238,7 @@ def cmd_build_vocab(args) -> int:
     path = out / "vocab.json"
     save_vocab_pair(path, sv, tv)
     _write_run_manifest(
-        out, "build-vocab", args.seed,
+        out, "build-vocab", None,
         config={"max_size": args.max_size, "min_freq": args.min_freq},
         inputs={"src": args.src, "tgt": args.tgt},
         outputs={"vocab": path},
@@ -280,13 +287,8 @@ def _load_model_inputs(args):
 def cmd_train(args) -> int:
     """``train`` (the base stage) and ``finetune`` (``--stage`` from
     ``--checkpoint``)."""
-    right, wrong = ("epochs", "ft-epochs") if args.checkpoint is None \
-        else ("ft-epochs", "epochs")
-    if getattr(args, wrong.replace("-", "_")) is not None:
-        raise UsageError(f"{args.command} sets its epoch count with "
-                         f"--{right}, not --{wrong}")
     out = _out_dir(args)
-    cfg = resolve_config(args)
+    cfg = _command_config(args)
     corpus = load_corpus(args.src, args.tgt)
     inputs = {"src": args.src, "tgt": args.tgt, "vocab": args.vocab}
     checkpoints = {}
@@ -352,11 +354,15 @@ def _check_source_lengths(docs: list[list[list[int]]], max_len: int) -> None:
 
 def cmd_translate(args) -> int:
     out = _out_dir(args)
-    cfg = resolve_config(args)
+    cfg = _command_config(args)
     sv, tv, store, model_cfg, groups = _load_model_inputs(args)
     model = DocModel(model_cfg, store)
     default = checkpoint_variant(groups)   # rejects groups no stage makes
     variant = args.variant or default
+    row = next(s for s in STAGES.values() if s.variant == variant)
+    if missing := sorted((row.trains | row.requires) - set(groups)):
+        raise DataError(f"variant {variant} reads parameter groups {missing} "
+                        f"that the checkpoint lacks")
     docs = load_documents(args.src)
     encoded = [[sv.encode(s) for s in doc] for doc in docs]
     search = _search_config(cfg, collect_traces=args.trace)
@@ -371,7 +377,7 @@ def cmd_translate(args) -> int:
         _write_trace(trace_path, traces, tv)
         outputs["trace"] = trace_path
     _write_run_manifest(
-        out, "translate", args.seed,
+        out, "translate", None,
         config={**cfg, "variant": variant},
         inputs={"src": args.src, "vocab": args.vocab,
                 "checkpoint": args.checkpoint},
@@ -428,7 +434,7 @@ def cmd_evaluate(args) -> int:
     (out / "report.txt").write_text(table, encoding="utf-8")
     (out / "report.kv").write_text(kv, encoding="utf-8")
     _write_run_manifest(
-        out, "evaluate", args.seed,
+        out, "evaluate", None,
         inputs={"candidate": args.candidate, "reference": args.reference,
                 **({"lexicon": args.lexicon} if args.lexicon else {})},
         outputs={"table": out / "report.txt", "records": out / "report.kv"},
@@ -555,8 +561,12 @@ def _metrics_table(results: dict[str, dict[str, object]]) -> str:
 
 
 def cmd_experiment(args) -> int:
+    for option in ("n_train", "n_test"):
+        if getattr(args, option) < 1:
+            raise DataError(f"--{option.replace('_', '-')} must be >= 1, "
+                            f"got {getattr(args, option)}")
     out = _out_dir(args)
-    cfg = resolve_config(args)
+    cfg = _command_config(args)
     run_experiment(out, args.seed, cfg, n_train=args.n_train,
                    n_test=args.n_test, doc_len=args.doc_len,
                    n_concepts=args.n_concepts, quiet=args.quiet)
@@ -567,13 +577,6 @@ def cmd_experiment(args) -> int:
 # parser
 
 
-def _add_config_flags(p: _Parser) -> None:
-    p.add_argument("--config", help="key = value configuration file")
-    for key, typ in _KEY_TYPES.items():
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ,
-                       default=None, help=f"override {key}")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="docnmt",
                      description="document-level NMT with a copy-augmented "
@@ -582,9 +585,16 @@ def build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     def add(name: str, help: str) -> _Parser:
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--seed", type=int, default=0,
-                       help="master seed for all randomness")
+        # no abbreviations: ``train --lr`` must not pass as ``--lr-scale``
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        if name in _SEEDED:
+            p.add_argument("--seed", type=int, default=0,
+                           help="master seed for all randomness")
+        if name in SETTINGS:
+            p.add_argument("--config", help="key = value configuration file")
+            for key in SETTINGS[name]:
+                p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                               type=_KEY_TYPES[key], help=f"override {key}")
         return p
 
     p = add("gen-synth", "generate a synthetic cohesion corpus")
@@ -613,7 +623,6 @@ def build_parser() -> _Parser:
         p.add_argument("--tgt", required=True)
         p.add_argument("--vocab", required=True)
         p.add_argument("--out", required=True)
-        _add_config_flags(p)
         p.set_defaults(func=cmd_train)
 
     p = add("translate", "translate documents")
@@ -624,7 +633,6 @@ def build_parser() -> _Parser:
     p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--trace", action="store_true",
                    help="write per-step distribution dumps")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_translate)
 
     p = add("evaluate", "score a translation against a reference")
@@ -645,7 +653,6 @@ def build_parser() -> _Parser:
     p.add_argument("--doc-len", type=int, default=4)
     p.add_argument("--n-concepts", type=int, default=10)
     p.add_argument("--quiet", action="store_true")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -14,8 +14,9 @@ ids), that is one product per document,
 
     alpha_b = (sum_h S_bh) @ ((sum_h W_bh) @ indicator_b) / m^2,
 
-then renormalized over the ids that may be copied.  The copy gate p_copy
-is a sigmoid over three scalar maps plus a bias; the final distribution is
+then renormalized over the ids that may be copied, which cancels the 1/m^2
+(so it is never applied).  The copy gate p_copy is a sigmoid over three
+scalar maps plus a bias; the final distribution is
 
     P_w = (1 - p_copy) * P_vocab + p_copy * alpha.
 """
@@ -108,11 +109,10 @@ def copy_attention_weights(trace: AttentionTrace, indicator: np.ndarray
 
     ``indicator`` is the ``cache_indicator`` of the trace's cached ids (a
     ``DecoderMemory`` builds it once for all its steps)."""
-    m = trace.m
     word_vocab = ad.attention_mix(trace.word.sum(axis=1, keepdims=True),
                                   Tensor._wrap(indicator))
     alpha_vocab = ad.attention_mix(trace.sent.sum(axis=1, keepdims=True),
-                                   word_vocab) * (1.0 / (m * m))
+                                   word_vocab)
     copyable = bool(indicator.any())
 
     if copyable:

@@ -71,6 +71,34 @@ def test_help_exits_zero(capsys):
     assert "gen-synth" in capsys.readouterr().out
 
 
+def test_a_flag_outside_the_commands_settings_is_usage_error(
+        tmp_path, workdir, base_ckpt, capsys):
+    """A command takes flags only for the settings it reads, and ``--seed``
+    only if it draws randomness; any other flag is rejected by name before
+    anything is written.  ``--lr`` is no abbreviation of ``--lr-scale``."""
+    src, tgt = workdir / "data/synth.src.txt", workdir / "data/synth.tgt.txt"
+    vocab = workdir / "vocab/vocab.json"
+    corpus = ["--src", str(src), "--tgt", str(tgt)]
+    train = ["train", *corpus, "--vocab", str(vocab)]
+    finetune = ["finetune", "--checkpoint", str(base_ckpt),
+                "--stage", "han-encoder", *corpus, "--vocab", str(vocab)]
+    translate = ["translate", "--checkpoint", str(base_ckpt),
+                 "--vocab", str(vocab), "--src", str(src)]
+    for argv, flag in ((train, ["--lr", "1"]), (train, ["--width", "7"]),
+                       (finetune, ["--dropout", "0.5"]),
+                       (finetune, ["--warmup-steps", "1"]),
+                       (translate, ["--d-model", "8"]),
+                       (translate, ["--seed", "1"]),
+                       (["build-vocab", *corpus], ["--seed", "1"]),
+                       (["evaluate", "--candidate", str(tgt), "--reference",
+                         str(tgt)], ["--seed", "1"])):
+        out = tmp_path / "bad"
+        assert run(argv + ["--out", str(out), *flag]) == 1, flag
+        assert f"unrecognized arguments: {' '.join(flag)}" in \
+            capsys.readouterr().err
+        assert not out.exists(), flag
+
+
 def test_missing_input_file_is_data_error(tmp_path):
     assert run(["build-vocab", "--src", "/does/not/exist",
                 "--tgt", "/does/not/exist2",
@@ -210,8 +238,39 @@ def test_train_artifacts(workdir, base_ckpt):
     assert all(line.count("\t") == 4 for line in log)
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert len(manifest["checkpoint_hashes"]["base"]) == 64
-    assert manifest["config"]["epochs"] == 2
+    assert manifest["seed"] == 1
+    # train's settings, and only those: the model's and the base stage's
+    assert manifest["config"] == {
+        "d_model": 16, "n_layers": 1, "m_heads": 2, "d_ff": 32,
+        "dropout": 0.0, "label_smoothing": 0.1, "n_context": 3, "max_len": 64,
+        "epochs": 2, "max_tokens": 320, "warmup_steps": 20, "lr_scale": 1.0,
+        "val_fraction": 0.1}
     assert manifest["metrics"]["best_epoch"] >= 0
+
+
+def test_finetune_neither_uses_nor_records_settings_it_does_not_read(
+        tmp_path, workdir, base_ckpt):
+    """Config file keys finetune does not read (the model's come from the
+    checkpoint) change neither its checkpoint nor its manifest."""
+    config = tmp_path / "c.cfg"
+    config.write_text("dropout = 0.5\nn_context = 1\nlabel_smoothing = 0.5\n"
+                      "warmup_steps = 1\nlr_scale = 1e9\nwidth = 3\n")
+    finetune = ["finetune", "--checkpoint", str(base_ckpt),
+                "--stage", "han-encoder",
+                "--src", str(workdir / "data/synth.src.txt"),
+                "--tgt", str(workdir / "data/synth.tgt.txt"),
+                "--vocab", str(workdir / "vocab/vocab.json"),
+                "--ft-epochs", "1"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(finetune + ["--out", str(a)]) == 0
+    assert run(finetune + ["--out", str(b), "--config", str(config)]) == 0
+    for name in ("han-encoder.ckpt", "train.log", "run_manifest.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    manifest = json.loads((a / "run_manifest.json").read_text())
+    assert manifest["seed"] == 0
+    assert manifest["config"] == {"ft_epochs": 1, "max_tokens": 320,
+                                  "max_len": 64, "lr": 0.001,
+                                  "val_fraction": 0.1}
 
 
 def test_finetune_rejects_wrong_vocab(tmp_path, workdir, base_ckpt):
@@ -234,7 +293,7 @@ def test_epoch_counts_follow_the_precedence_per_command(tmp_path, workdir,
                                                       base_ckpt, capsys):
     """``finetune`` reads ``ft_epochs`` and ``train`` reads ``epochs``, each
     by flags > config file > profile; the other command's flag is a usage
-    error naming the right one."""
+    error naming it."""
     config = tmp_path / "c.cfg"
     config.write_text("epochs = 1\nft_epochs = 2\n")
     finetune = ["finetune", "--checkpoint", str(base_ckpt),
@@ -250,15 +309,13 @@ def test_epoch_counts_follow_the_precedence_per_command(tmp_path, workdir,
         assert len(log) == n_epochs + 1
     assert run(finetune + ["--out", str(tmp_path / "bad"),
                            "--epochs", "1"]) == 1
-    assert "finetune sets its epoch count with --ft-epochs, not --epochs" \
-        in capsys.readouterr().err
+    assert "unrecognized arguments: --epochs 1" in capsys.readouterr().err
     train = ["train", "--src", str(workdir / "data/synth.src.txt"),
              "--tgt", str(workdir / "data/synth.tgt.txt"),
              "--vocab", str(workdir / "vocab/vocab.json"),
              "--out", str(tmp_path / "bad"), "--ft-epochs", "1"]
     assert run(train) == 1
-    assert "train sets its epoch count with --epochs, not --ft-epochs" \
-        in capsys.readouterr().err
+    assert "unrecognized arguments: --ft-epochs 1" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
 
 
@@ -271,6 +328,35 @@ def test_translate_output_aligns_with_input(tmp_path, workdir, base_ckpt):
     docs = load_documents(out / "output.tgt.txt")
     src = load_documents(workdir / "data/synth.src.txt")
     assert [len(d) for d in docs] == [len(d) for d in src]
+    # the search settings and the variant; no seed, as decoding draws none
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["seed"] is None
+    assert manifest["config"] == {"width": 1, "length_penalty": 0.0,
+                                  "variant": "sentence"}
+
+
+def test_translate_variant_needs_the_groups_it_reads(tmp_path, workdir,
+                                                     base_ckpt, capsys):
+    """``--variant V`` needs the groups of V's row in ``STAGES``: a base
+    checkpoint cannot decode as copy, a copy checkpoint can decode as
+    han-joint (its copy gate off)."""
+    corpus = ["--src", str(workdir / "data/synth.src.txt"),
+              "--vocab", str(workdir / "vocab/vocab.json")]
+    translate = ["translate", *corpus, "--out", str(tmp_path / "trans")]
+    assert run(translate + ["--checkpoint", str(base_ckpt),
+                            "--variant", "copy"]) == 2
+    assert ("variant copy reads parameter groups ['copy', 'ctx_dec', "
+            "'ctx_enc'] that the checkpoint lacks") in capsys.readouterr().err
+    ckpt = base_ckpt
+    for stage in ("han-encoder", "copy"):
+        assert run(["finetune", "--checkpoint", str(ckpt), "--stage", stage,
+                    *corpus, "--tgt", str(workdir / "data/synth.tgt.txt"),
+                    "--out", str(tmp_path / stage), "--ft-epochs", "0"]) == 0
+        ckpt = tmp_path / stage / f"{stage}.ckpt"
+    assert run(translate + ["--checkpoint", str(ckpt),
+                            "--variant", "han-joint"]) == 0
+    manifest = json.loads((tmp_path / "trans/run_manifest.json").read_text())
+    assert manifest["config"]["variant"] == "han-joint"
 
 
 def test_translate_trace_file(tmp_path, workdir, base_ckpt):
@@ -487,6 +573,15 @@ def test_gradcheck_fail_wiring(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # experiment plumbing at miniature scale
+
+
+@pytest.mark.parametrize("option", ["--n-train", "--n-test"])
+def test_experiment_rejects_an_empty_split_before_training(tmp_path, capsys,
+                                                           option):
+    out = tmp_path / "exp"
+    assert run(["experiment", "--out", str(out), "--quiet", option, "0"]) == 2
+    assert f"{option} must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_small_end_to_end(tmp_path):

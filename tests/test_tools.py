@@ -6,8 +6,9 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
-# code lines and settable values are marked per line: C for a code line,
-# S<n> for n settable values on it
+# code lines, settable values and command line options are marked per line:
+# C for a code line, S<n> for n settable values on it, O<n> for n (subcommand,
+# option) pairs
 PACKAGE = {
     "a.py": '''"""Module docstring
 over two lines."""
@@ -38,16 +39,31 @@ class D:  #                                                    C
     b: int = 0  #                                              C S1
     c = lambda self, k=1: k  #                                 C S1
 ''',
+    "cli.py": '''import argparse  # C
+
+
+def build_parser():  #                                         C
+    parser = argparse.ArgumentParser()  # -h and a top-level   C
+    parser.add_argument("--top")  # option are no pairs        C
+    sub = parser.add_subparsers()  #                           C
+    one = sub.add_parser("one")  # its -h is no pair           C
+    one.add_argument("--a", "-a")  #                           C O1
+    one.add_argument("--b")  #                                 C O1
+    one.add_argument("name")  # a positional is no option      C
+    sub.add_parser("two").add_argument("--a")  #               C O1
+    return parser  #                                           C
+''',
 }
 
 
 def test_src_size_counts_lines_code_lines_and_settable_values(tmp_path):
+    package = tmp_path / "pkg"
     for name, text in PACKAGE.items():
-        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        (package / name).parent.mkdir(parents=True, exist_ok=True)
+        (package / name).write_text(text, encoding="utf-8")
     out = subprocess.run([sys.executable, str(TOOLS / "src_size.py"),
-                          str(tmp_path)], capture_output=True, text=True,
+                          str(package)], capture_output=True, text=True,
                          check=True).stdout
     counts = dict(line.split("\t") for line in out.splitlines())
-    assert counts == {"src_lines": "27", "code_lines": "14",
-                      "settable_values": "4"}
+    assert counts == {"src_lines": "40", "code_lines": "25",
+                      "settable_values": "4", "cli_options": "3"}

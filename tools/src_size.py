@@ -1,18 +1,22 @@
-"""Print the size of the ``docnmt`` package: source lines, code lines and
-settable values.
+"""Print the size of the ``docnmt`` package: source lines, code lines,
+settable values and command line options.
 
 Code lines are the lines that hold code: not blank, not comment-only and
 not inside a docstring (the first statement of a module, class or function
 when it is a string).  Settable values are the parameters with defaults
 (functions, methods and lambdas, keyword-only ones included) plus the
-dataclass fields with defaults.  Run from anywhere:
+dataclass fields with defaults.  Command line options are the
+(subcommand, option) pairs the parser from the package's
+``cli.build_parser()`` accepts, ``-h`` excluded.  Run from anywhere:
 
     python tools/src_size.py [package_dir]
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import importlib
 import io
 import sys
 import tokenize
@@ -67,6 +71,16 @@ def code_lines(text: str, tree: ast.AST) -> int:
     return len(lines)
 
 
+def cli_options(root: Path) -> int:
+    sys.path.insert(0, str(root.parent))
+    parser = importlib.import_module(f"{root.name}.cli").build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sum(bool(a.option_strings)
+               and not isinstance(a, argparse._HelpAction)
+               for p in sub.choices.values() for a in p._actions)
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else PACKAGE
     lines = code = values = 0
@@ -79,6 +93,7 @@ def main(argv: list[str]) -> int:
     print(f"src_lines\t{lines}")
     print(f"code_lines\t{code}")
     print(f"settable_values\t{values}")
+    print(f"cli_options\t{cli_options(root)}")
     return 0
 
 
