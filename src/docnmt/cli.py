@@ -11,6 +11,8 @@ the profile itself.  All randomness derives from one ``--seed`` through
 named sub-seeds (data, per-stage training split into init/shuffle/dropout).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+A command reads its inputs and checks its settings before it creates
+``--out``, so a usage or data error writes nothing.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from .training import (
     STAGES,
     TrainConfig,
     TrainResult,
+    check_start,
     checkpoint_variant,
-    finetune_copy,
-    finetune_han,
+    run_stage,
     train_base,
 )
 from .util import derive_seed, sha256_file
@@ -205,11 +207,10 @@ def _write_run_manifest(out: Path, subcommand: str, seed: int | None,
 
 
 def cmd_gen_synth(args) -> int:
-    out = _out_dir(args)
-    seed = derive_seed(args.seed, "data")
     corpus, lexicon = generate_synthetic_cohesion_corpus(
         n_docs=args.n_docs, doc_len=args.doc_len,
-        n_concepts=args.n_concepts, seed=seed)
+        n_concepts=args.n_concepts, seed=derive_seed(args.seed, "data"))
+    out = _out_dir(args)
     src = out / "synth.src.txt"
     tgt = out / "synth.tgt.txt"
     save_corpus(corpus, src, tgt)
@@ -229,12 +230,12 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    out = _out_dir(args)
     corpus = load_corpus(args.src, args.tgt)
     sv = build_vocab(corpus, "src", max_size=args.max_size,
                      min_freq=args.min_freq)
     tv = build_vocab(corpus, "tgt", max_size=args.max_size,
                      min_freq=args.min_freq)
+    out = _out_dir(args)
     path = out / "vocab.json"
     save_vocab_pair(path, sv, tv)
     _write_run_manifest(
@@ -254,9 +255,7 @@ def _train_stage(tcfg: TrainConfig, corpus: DocumentCorpus, sv, tv,
     config, groups), or the base stage from initialization if it is None."""
     if parent is None:
         return train_base(corpus, model_cfg, sv, tv, tcfg, log_path=log_path)
-    copies = STAGES[tcfg.stage].variant == "copy"
-    runner = finetune_copy if copies else finetune_han
-    return runner(parent, corpus, sv, tv, tcfg, log_path=log_path)
+    return run_stage(parent, corpus, sv, tv, tcfg, log_path=log_path)
 
 
 def _save_stage(out: Path, name: str, result: TrainResult) -> Path:
@@ -287,7 +286,6 @@ def _load_model_inputs(args):
 def cmd_train(args) -> int:
     """``train`` (the base stage) and ``finetune`` (``--stage`` from
     ``--checkpoint``)."""
-    out = _out_dir(args)
     cfg = _command_config(args)
     corpus = load_corpus(args.src, args.tgt)
     inputs = {"src": args.src, "tgt": args.tgt, "vocab": args.vocab}
@@ -297,10 +295,12 @@ def cmd_train(args) -> int:
         model_cfg, parent = _model_config(cfg, len(sv), len(tv)), None
     else:
         sv, tv, store, model_cfg, groups = _load_model_inputs(args)
+        check_start(args.stage, groups)
         parent = (store, model_cfg, groups)
         inputs["checkpoint"] = args.checkpoint
         checkpoints["input"] = sha256_file(args.checkpoint)
     tcfg = _train_config(cfg, args.stage, args.seed)
+    out = _out_dir(args)
     log = out / "train.log"
     try:
         result = _train_stage(tcfg, corpus, sv, tv, model_cfg, parent, log)
@@ -353,8 +353,8 @@ def _check_source_lengths(docs: list[list[list[int]]], max_len: int) -> None:
 
 
 def cmd_translate(args) -> int:
-    out = _out_dir(args)
     cfg = _command_config(args)
+    search = _search_config(cfg, collect_traces=args.trace)
     sv, tv, store, model_cfg, groups = _load_model_inputs(args)
     model = DocModel(model_cfg, store)
     default = checkpoint_variant(groups)   # rejects groups no stage makes
@@ -365,8 +365,8 @@ def cmd_translate(args) -> int:
                         f"that the checkpoint lacks")
     docs = load_documents(args.src)
     encoded = [[sv.encode(s) for s in doc] for doc in docs]
-    search = _search_config(cfg, collect_traces=args.trace)
     _check_source_lengths(encoded, model_cfg.max_len)
+    out = _out_dir(args)
     outs, traces = translate_corpus(model, encoded, variant, search)
     decoded = [[tv.decode(s) for s in doc] for doc in outs]
     out_path = out / "output.tgt.txt"
@@ -422,7 +422,6 @@ def _format_report(scores: dict[str, object]) -> tuple[str, str]:
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_dir(args)
     cand = load_documents(args.candidate)
     ref = load_documents(args.reference)
     lexicon = None
@@ -431,6 +430,7 @@ def cmd_evaluate(args) -> int:
             Path(args.lexicon).read_text(encoding="utf-8"))
     scores = _evaluate_files(cand, ref, lexicon)
     table, kv = _format_report(scores)
+    out = _out_dir(args)
     (out / "report.txt").write_text(table, encoding="utf-8")
     (out / "report.kv").write_text(kv, encoding="utf-8")
     _write_run_manifest(
@@ -475,17 +475,12 @@ def run_experiment(out: Path, seed: int, cfg: dict, n_train: int = 200,
                    quiet: bool = False) -> dict[str, dict[str, object]]:
     """generate -> train base -> fine-tune stages -> translate -> evaluate.
 
-    Returns {system: scores}; writes all artifacts beneath ``out``.
+    Returns {system: scores}; writes all artifacts beneath ``out``, which
+    it creates only once the data and every configuration are built.
     """
     def say(msg: str):
         if not quiet:
             print(msg, flush=True)
-
-    data_dir = out / "data"
-    ckpt_dir = out / "checkpoints"
-    trans_dir = out / "translations"
-    for d in (data_dir, ckpt_dir, trans_dir):
-        d.mkdir(parents=True, exist_ok=True)
 
     say(f"generating {n_train}+{n_test} synthetic documents")
     corpus, lexicon = generate_synthetic_cohesion_corpus(
@@ -494,26 +489,33 @@ def run_experiment(out: Path, seed: int, cfg: dict, n_train: int = 200,
     train = DocumentCorpus(corpus.documents[:n_train],
                            corpus.doc_ids[:n_train])
     test = DocumentCorpus(corpus.documents[n_train:], corpus.doc_ids[n_train:])
+    sv = build_vocab(train, "src")
+    tv = build_vocab(train, "tgt")
+    model_cfg = _model_config(cfg, len(sv), len(tv))
+    tcfgs = {stage: _train_config(cfg, stage, seed)
+             for stage, _ in _EXPERIMENT_STAGES}
+    search = _search_config(cfg)
+
+    data_dir = out / "data"
+    ckpt_dir = out / "checkpoints"
+    trans_dir = out / "translations"
+    for d in (data_dir, ckpt_dir, trans_dir):
+        d.mkdir(parents=True, exist_ok=True)
     save_corpus(train, data_dir / "train.src.txt", data_dir / "train.tgt.txt")
     save_corpus(test, data_dir / "test.src.txt", data_dir / "test.tgt.txt")
     (data_dir / "lexicon.json").write_text(lexicon.to_json(),
                                            encoding="utf-8")
-
-    sv = build_vocab(train, "src")
-    tv = build_vocab(train, "tgt")
     save_vocab_pair(data_dir / "vocab.json", sv, tv)
-    model_cfg = _model_config(cfg, len(sv), len(tv))
 
     paths: dict[str, Path] = {}
     for stage, parent in _EXPERIMENT_STAGES:
-        tcfg = _train_config(cfg, stage, seed)
+        tcfg = tcfgs[stage]
         say(f"training {stage} ({tcfg.epochs} epochs)")
         start = None if parent is None else load_checkpoint(paths[parent])
         result = _train_stage(tcfg, train, sv, tv, model_cfg, start,
                               out / "train.log")
         paths[stage] = _save_stage(ckpt_dir, stage, result)
     ckpt_for = {STAGES[stage].variant: path for stage, path in paths.items()}
-    search = _search_config(cfg)
     test_src = [[sv.encode(s) for s, _ in doc] for doc in test.documents]
     ref_docs = test.side("tgt")
 
@@ -565,11 +567,10 @@ def cmd_experiment(args) -> int:
         if getattr(args, option) < 1:
             raise DataError(f"--{option.replace('_', '-')} must be >= 1, "
                             f"got {getattr(args, option)}")
-    out = _out_dir(args)
-    cfg = _command_config(args)
-    run_experiment(out, args.seed, cfg, n_train=args.n_train,
-                   n_test=args.n_test, doc_len=args.doc_len,
-                   n_concepts=args.n_concepts, quiet=args.quiet)
+    run_experiment(Path(args.out), args.seed, _command_config(args),
+                   n_train=args.n_train, n_test=args.n_test,
+                   doc_len=args.doc_len, n_concepts=args.n_concepts,
+                   quiet=args.quiet)
     return 0
 
 

@@ -36,6 +36,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..errors import ContractError
+from .params import ParamStore
 
 
 @dataclass
@@ -111,16 +112,12 @@ class AttentionTrace:
         return self.sent.data.shape[-2]
 
 
-def _sub(p: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
-    plen = len(prefix)
-    return {k[plen:]: v for k, v in p.items() if k.startswith(prefix)}
-
-
 class ContextMemory:
     """The cached sentences of one side, prepared once for many queries:
-    their token ids, the word-level, sentence-level and FFN parameters
-    (prefixes stripped), and the word-level keys and values: the stacked
-    states through ``word.wk`` / ``word.wv``.
+    their token ids, the side's parameter views (``params.view(prefix)``
+    and its ``word.``, ``sent.`` and ``ffn.`` groups), the head count, and
+    the word-level keys and values: the stacked states through ``word.wk``
+    / ``word.wv``.
 
     It takes one entry list per document, every document with the same
     number of sentences.  Block b of the [B*K, d] keys and values holds
@@ -131,8 +128,8 @@ class ContextMemory:
     ``len()`` is the number of cached sentences.
     """
 
-    def __init__(self, docs: list[list[CacheEntry]], p: dict[str, Tensor],
-                 m: int):
+    def __init__(self, docs: list[list[CacheEntry]], params: ParamStore,
+                 prefix: str, m: int):
         from .transformer import project_kv
 
         self.n = len(docs[0]) if docs else 0
@@ -148,8 +145,10 @@ class ContextMemory:
             k = sum(lens[b])
             columns[b, :k] = np.repeat(np.arange(self.n), lens[b])
             rows[b, :k] = np.concatenate([e.states.data for e in doc])
-        self.word_p = _sub(p, "word.")
-        self.sent_p, self.ffn_p = _sub(p, "sent."), _sub(p, "ffn.")
+        self.p, self.m = params.view(prefix), m
+        self.word_p = params.view(prefix + "word.")
+        self.sent_p = params.view(prefix + "sent.")
+        self.ffn_p = params.view(prefix + "ffn.")
         states = Tensor._wrap(rows.reshape(-1, rows.shape[-1]))
         self.word_kv = project_kv(states, states, self.word_p, m)
 
@@ -161,7 +160,7 @@ class ContextMemory:
         return self.columns.shape[0]
 
 
-def word_level_context(h: Tensor, memory: ContextMemory, p: dict[str, Tensor]
+def word_level_context(h: Tensor, memory: ContextMemory
                        ) -> tuple[Tensor, Tensor]:
     """Attend the word-level query into every cached sentence at once.
 
@@ -172,7 +171,7 @@ def word_level_context(h: Tensor, memory: ContextMemory, p: dict[str, Tensor]
 
     n, b = len(memory), memory.n_docs
     t = h.data.shape[0] // b
-    queries = (h @ p["f"]) @ memory.word_p["wq"]     # projected once
+    queries = (h @ memory.p["f"]) @ memory.word_p["wq"]     # projected once
     if n > 1:                        # row (b, j, t) is query row b*T + t
         rows = np.arange(b)[:, None, None] * t + np.arange(t)
         queries = ad.embedding_lookup(queries, rows.repeat(n, axis=1).ravel())
@@ -180,8 +179,7 @@ def word_level_context(h: Tensor, memory: ContextMemory, p: dict[str, Tensor]
     return attend(queries, memory.word_kv, memory.word_p, mask=mask)
 
 
-def sentence_level_context(h: Tensor, summaries: Tensor, memory: ContextMemory,
-                           p: dict[str, Tensor], m: int
+def sentence_level_context(h: Tensor, summaries: Tensor, memory: ContextMemory
                            ) -> tuple[Tensor, Tensor]:
     """Attend the sentence-level query over the summaries, then FFN.
 
@@ -194,7 +192,8 @@ def sentence_level_context(h: Tensor, summaries: Tensor, memory: ContextMemory,
     mask = (np.arange(t)[:, None] != np.arange(len(memory) * t) % t)[None]
     mask = mask.repeat(memory.n_docs, axis=0)
     attended, sent_weights = multi_head_attention(
-        h @ p["g"], summaries, summaries, memory.sent_p, m, mask=mask)
+        h @ memory.p["g"], summaries, summaries, memory.sent_p, memory.m,
+        mask=mask)
     return positionwise_ffn(attended, memory.ffn_p), sent_weights
 
 
@@ -205,8 +204,7 @@ def gate_integrate(h: Tensor, d_rows: Tensor, p: dict[str, Tensor]) -> tuple[Ten
     return mixed, lam
 
 
-def hierarchical_context(h: Tensor, memory: ContextMemory,
-                         p: dict[str, Tensor], m: int
+def hierarchical_context(h: Tensor, memory: ContextMemory
                          ) -> tuple[Tensor, Tensor, AttentionTrace]:
     """Full context pass over a prepared, non-empty cache memory.
 
@@ -214,9 +212,9 @@ def hierarchical_context(h: Tensor, memory: ContextMemory,
     context rows d_t; returns (h~, d_t, trace).  Callers must take the skip
     path when the cache is empty.
     """
-    summaries, word_w = word_level_context(h, memory, p)
-    d_rows, sent_w = sentence_level_context(h, summaries, memory, p, m)
-    mixed, _ = gate_integrate(h, d_rows, p)
+    summaries, word_w = word_level_context(h, memory)
+    d_rows, sent_w = sentence_level_context(h, summaries, memory)
+    mixed, _ = gate_integrate(h, d_rows, memory.p)
     trace = AttentionTrace(token_ids=memory.token_ids, sent=sent_w,
                            word=word_w)
     return mixed, d_rows, trace

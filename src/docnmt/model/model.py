@@ -25,11 +25,12 @@ where it is embedded (``autodiff.embedding_lookup``), before it is scored
 or cached.
 
 There is one decoder stack, ``decode_states``.  What a sentence's passes
-share (cross-attention, context and copy keys and values, parameter views)
-is built once into a ``DecoderMemory``.  Teacher forcing runs the stack over
-whole prefixes under the causal mask; search runs it over one new row per
-hypothesis of one source sentence, each row attending over its own
-``DecoderState`` (the key and value rows of the tokens before it).
+share (cross-attention, context and copy keys and values) is built once
+into a ``DecoderMemory``; it holds no parameters, every pass reads its
+parameter groups through ``ParamStore.view``.  Teacher forcing runs the
+stack over whole prefixes under the causal mask; search runs it over one
+new row per hypothesis of one source sentence, each row attending over its
+own ``DecoderState`` (the key and value rows of the tokens before it).
 
 Dropout applies keep masks drawn per pair beforehand (``dropout_masks``)
 and handed to a pass in the order it applies them.
@@ -178,25 +179,14 @@ class StepResult:
     state: DecoderState          # the prefix's rows, its last token included
 
 
-@dataclass
-class _DecoderLayer:
-    self_p: dict[str, Tensor]
-    ln1: dict[str, Tensor]
-    cross_p: dict[str, Tensor]
-    cross_kv: HeadKV             # source encoding through cross wk / wv
-    ln2: dict[str, Tensor]
-    ffn: dict[str, Tensor]
-    ln3: dict[str, Tensor]
-
-
 class DecoderMemory:
     """Everything the decoder passes over one sentence share, built once per
-    sentence: each layer's parameter views and cross-attention K/V of the
-    source encoding, the target-side ``ContextMemory`` (None on the skip
-    path), and, built on first use (after the decoder stack, as the copy
-    mixture needs them), the copy indicator of the cached target ids and
-    the copy attention's K/V of the source encoding.  ``contexts`` holds
-    one cache per sentence of the encoding.
+    sentence: each layer's cross-attention K/V of the source encoding, the
+    target-side ``ContextMemory`` (None on the skip path), and, built on
+    first use (after the decoder stack, as the copy mixture needs them),
+    the copy indicator of the cached target ids and the copy attention's
+    K/V of the source encoding.  ``contexts`` holds one cache per sentence
+    of the encoding.
     """
 
     def __init__(self, model: "DocModel", encoded: EncodedSentence,
@@ -206,43 +196,35 @@ class DecoderMemory:
         p, m = model.params, model.cfg.m_heads
         self.encoded = encoded
         self.variant = variant
-        self.m = m
-        self.layers = []
-        for i in range(model.cfg.n_layers):
-            cross_p = p.view(f"dec.{i}.cross.")
-            self.layers.append(_DecoderLayer(
-                self_p=p.view(f"dec.{i}.self."), ln1=p.view(f"dec.{i}.ln1."),
-                cross_p=cross_p,
-                cross_kv=project_kv(encoded.states, encoded.states, cross_p, m),
-                ln2=p.view(f"dec.{i}.ln2."), ffn=p.view(f"dec.{i}.ffn."),
-                ln3=p.view(f"dec.{i}.ln3.")))
+        states = encoded.states
+        self.cross_kv = [project_kv(states, states, p.view(f"dec.{i}.cross."), m)
+                         for i in range(model.cfg.n_layers)]
         self.context: ContextMemory | None = None
         entries = cached(contexts, "target")
         if variant in DECODER_CTX and entries:
-            self.ctx_p = p.view("ctx.dec.")
-            self.context = ContextMemory(entries, self.ctx_p, m)
-        self._params = p
-        self._vocab = model.cfg.vocab_tgt
+            self.context = ContextMemory(entries, p, "ctx.dec.", m)
+        self._model = model
         self._indicator: np.ndarray | None = None
-        self._copy: tuple[HeadKV, dict[str, Tensor]] | None = None
+        self._copy_kv: HeadKV | None = None
 
     def cache_indicator(self) -> np.ndarray:
         """The ``cache_indicator`` of the target caches, built on the first
         call."""
         if self._indicator is None:
             ctx = self.context
-            self._indicator = cache_indicator(ctx.token_ids, self._vocab,
-                                              ctx.columns.shape[1])
+            self._indicator = cache_indicator(
+                ctx.token_ids, self._model.cfg.vocab_tgt, ctx.columns.shape[1])
         return self._indicator
 
-    def copy(self) -> tuple[HeadKV, dict[str, Tensor]]:
-        """The copy attention's K/V of the source encoding and its parameter
-        views (``copy.att.``, prefix stripped), built on the first call."""
-        if self._copy is None:
-            p = self._params.view("copy.att.")
+    def copy_kv(self) -> HeadKV:
+        """The copy attention's K/V of the source encoding, built on the
+        first call."""
+        if self._copy_kv is None:
             states = self.encoded.states
-            self._copy = project_kv(states, states, p, self.m), p
-        return self._copy
+            self._copy_kv = project_kv(
+                states, states, self._model.params.view("copy.att."),
+                self._model.cfg.m_heads)
+        return self._copy_kv
 
 
 def check_variant(variant: str) -> str:
@@ -340,9 +322,8 @@ class DocModel:
         trace = None
         entries = cached(contexts, "source")
         if variant in ENCODER_CTX and entries:
-            p, m = self.params.view("ctx.enc."), self.cfg.m_heads
-            h, _, trace = hierarchical_context(
-                h, ContextMemory(entries, p, m), p, m)
+            h, _, trace = hierarchical_context(h, ContextMemory(
+                entries, self.params, "ctx.enc.", self.cfg.m_heads))
         return EncodedSentence(token_ids=token_ids, states=h), trace
 
     # -- decoder --------------------------------------------------------------
@@ -386,24 +367,24 @@ class DocModel:
             mask = np.concatenate(
                 [np.repeat(other, n_past, axis=1), other], axis=1)[None]
         x = self._embed("emb.tgt", ids, positions, keep)
+        p, m = self.params, self.cfg.m_heads
         kv_rows = []
-        for i, layer in enumerate(memory.layers):
-            q = x @ layer.self_p["wq"]
-            keys, values = x @ layer.self_p["wk"], x @ layer.self_p["wv"]
+        for i, cross_kv in enumerate(memory.cross_kv):
+            self_p = p.view(f"dec.{i}.self.")
+            q, keys, values = x @ self_p["wq"], x @ self_p["wk"], x @ self_p["wv"]
             kv_rows.append((keys, values))
             if n_past:
                 keys = ad.concat([Tensor._wrap(np.concatenate(
                     [s.keys[i] for s in past])), keys])
                 values = ad.concat([Tensor._wrap(np.concatenate(
                     [s.values[i] for s in past])), values])
-            att, _ = attend(q, HeadKV(keys, values, memory.m), layer.self_p,
-                            mask)
-            x = self._sublayer(x, att, layer.ln1, keep)
-            cross, _ = attend(x @ layer.cross_p["wq"], layer.cross_kv,
-                              layer.cross_p, cross_mask)
-            x = self._sublayer(x, cross, layer.ln2, keep)
-            ffn = positionwise_ffn(x, layer.ffn)
-            x = self._sublayer(x, ffn, layer.ln3, keep)
+            att, _ = attend(q, HeadKV(keys, values, m), self_p, mask)
+            x = self._sublayer(x, att, p.view(f"dec.{i}.ln1."), keep)
+            cross_p = p.view(f"dec.{i}.cross.")
+            cross, _ = attend(x @ cross_p["wq"], cross_kv, cross_p, cross_mask)
+            x = self._sublayer(x, cross, p.view(f"dec.{i}.ln2."), keep)
+            ffn = positionwise_ffn(x, p.view(f"dec.{i}.ffn."))
+            x = self._sublayer(x, ffn, p.view(f"dec.{i}.ln3."), keep)
         return x, kv_rows
 
     def decode(self, ids: Stack | list[int], memory: DecoderMemory,
@@ -413,8 +394,7 @@ class DocModel:
         h, kv = self.decode_states(ids, memory, past, keep)
         if memory.context is None:
             return DecodeOut(h_tilde=h, d_rows=None, trace=None, kv=kv)
-        h_tilde, d_rows, trace = hierarchical_context(
-            h, memory.context, memory.ctx_p, self.cfg.m_heads)
+        h_tilde, d_rows, trace = hierarchical_context(h, memory.context)
         return DecodeOut(h_tilde=h_tilde, d_rows=d_rows, trace=trace, kv=kv)
 
     # -- output ---------------------------------------------------------------
@@ -438,7 +418,7 @@ class DocModel:
         if not weights.copyable:
             return p_vocab, None, None
         # c_t: the integrated rows attend over their own source encoding
-        copy_kv, att_p = memory.copy()
+        copy_kv, att_p = memory.copy_kv(), self.params.view("copy.att.")
         src = memory.encoded.token_ids
         mask = src.key_mask(out.h_tilde.data.shape[0] // len(src.lengths))
         c_rows, _ = attend(out.h_tilde @ att_p["wq"], copy_kv, att_p, mask)

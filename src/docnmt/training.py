@@ -78,6 +78,16 @@ def checkpoint_variant(groups) -> str:
                     f"groups {sorted(groups)}")
 
 
+def check_start(stage: str, groups) -> None:
+    """Raise ``DataError`` unless a checkpoint holding the trained
+    ``groups`` can start ``stage``."""
+    missing = STAGES[stage].requires - set(groups)
+    if missing:
+        raise DataError(
+            f"stage '{stage}' needs a checkpoint with trained groups "
+            f"{sorted(missing)}; got {sorted(groups)}")
+
+
 # Padded rows per side (sentences x the group's longest source, or BOS +
 # target) of one stacked pass, the one cap of every stage: enough to spread
 # each op's interpreter cost over many sentences, few enough that a pass's
@@ -181,8 +191,10 @@ def inverse_sqrt_lr(step: int, d_model: int, warmup: int,
 
 def split_corpus(corpus: DocumentCorpus, val_fraction: float, seed: int
                  ) -> tuple[DocumentCorpus, DocumentCorpus]:
-    """Document-level split that keeps at least one training document; a
-    1-document corpus validates on itself."""
+    """Document-level split that keeps at least one training document.
+    When round(n * val_fraction) < 1 (a 1-document corpus, val_fraction 0,
+    or up to 5 documents at 0.1) the corpus validates on its training
+    documents."""
     n = corpus.n_documents
     n_val = min(int(round(n * val_fraction)), n - 1)
     if n_val < 1:
@@ -386,19 +398,16 @@ def _train_epoch(model: DocModel, optimizer: Adam, corpus: DocumentCorpus,
     return epoch_loss / max(epoch_tokens, 1), step
 
 
-def _run_stage(start: tuple[ParamStore, ModelConfig, set[str]],
-               corpus: DocumentCorpus, src_vocab: Vocabulary,
-               tgt_vocab: Vocabulary, tcfg: TrainConfig,
-               log_path=None) -> TrainResult:
+def run_stage(start: tuple[ParamStore, ModelConfig, set[str]],
+              corpus: DocumentCorpus, src_vocab: Vocabulary,
+              tgt_vocab: Vocabulary, tcfg: TrainConfig,
+              log_path=None) -> TrainResult:
     """Train ``tcfg.stage`` from ``start``: parameters, their config and
-    the groups they hold trained."""
+    the groups they hold trained.  Every stage runs here; ``train_base``
+    and ``finetune_copy`` only check the stage name around it."""
     store, model_cfg, inherited_groups = start
-    stage, (variant, groups, required) = tcfg.stage, STAGES[tcfg.stage]
-    missing = required - set(inherited_groups)
-    if missing:
-        raise DataError(
-            f"stage '{stage}' needs a checkpoint with trained groups "
-            f"{sorted(missing)}; got {sorted(inherited_groups)}")
+    stage, (variant, groups, _) = tcfg.stage, STAGES[tcfg.stage]
+    check_start(stage, inherited_groups)
 
     store.set_trainable(groups)
     model = DocModel(model_cfg, store)
@@ -456,19 +465,8 @@ def train_base(corpus: DocumentCorpus, model_cfg: ModelConfig,
         from .model import build_params
         init_store = build_params(model_cfg,
                                   np.random.default_rng([tcfg.seed, 11]))
-    return _run_stage((init_store, model_cfg, set()), corpus, src_vocab,
-                      tgt_vocab, tcfg, log_path)
-
-
-def finetune_han(checkpoint: tuple[ParamStore, ModelConfig, set[str]],
-                 corpus: DocumentCorpus, src_vocab: Vocabulary,
-                 tgt_vocab: Vocabulary, tcfg: TrainConfig,
-                 log_path=None) -> TrainResult:
-    """Context fine-tuning of a stage that trains a han-* variant."""
-    if not STAGES[tcfg.stage].variant.startswith("han-"):
-        raise ContractError(f"finetune_han got stage {tcfg.stage!r}")
-    return _run_stage(checkpoint, corpus, src_vocab, tgt_vocab, tcfg,
-                      log_path)
+    return run_stage((init_store, model_cfg, set()), corpus, src_vocab,
+                     tgt_vocab, tcfg, log_path)
 
 
 def finetune_copy(checkpoint: tuple[ParamStore, ModelConfig, set[str]],
@@ -478,5 +476,5 @@ def finetune_copy(checkpoint: tuple[ParamStore, ModelConfig, set[str]],
     """Fine-tuning of a stage that trains the copy variant."""
     if STAGES[tcfg.stage].variant != "copy":
         raise ContractError(f"finetune_copy got stage {tcfg.stage!r}")
-    return _run_stage(checkpoint, corpus, src_vocab, tgt_vocab, tcfg,
-                      log_path)
+    return run_stage(checkpoint, corpus, src_vocab, tgt_vocab, tcfg,
+                     log_path)

@@ -20,13 +20,12 @@ from docnmt import autodiff as ad
 from docnmt.autodiff import Tensor
 from docnmt.decoding import _LOG_FLOOR, BeamHypothesis
 from docnmt.model.copy import SPECIAL_IDS, copy_gate, mix_distributions
-from docnmt.model.han import _sub
 from docnmt.model.model import DECODER_CTX, DecoderMemory
 from docnmt.model.transformer import causal_mask, positionwise_ffn
 from docnmt.tokens import BOS_ID, EOS_ID
 
 from attention_reference import multi_head_attention
-from han_reference import copy_weights_loop, hierarchical_loop
+from han_reference import copy_weights_loop, hierarchical_loop, sub
 
 
 def reference_decode_states(model, prefix, encoded):
@@ -74,7 +73,7 @@ def reference_step(model, prefix, encoded, context, variant):
                                            model.cfg.vocab_tgt)
         cp = model.params.view("copy.")
         c_rows, _ = multi_head_attention(h_tilde, encoded.states,
-                                         encoded.states, _sub(cp, "att."), m)
+                                         encoded.states, sub(cp, "att."), m)
         p_copy = copy_gate(h_tilde, c_rows, d_rows, cp)
         p_w = mix_distributions(p_vocab, alpha_vocab, p_copy)
         return p_w.data[0], float(p_copy.data[0, 0])

@@ -21,16 +21,21 @@ from docnmt.autodiff import Tensor
 from docnmt.errors import ContractError
 from docnmt.model.copy import (SPECIAL_IDS, cache_indicator,
                                copy_attention_weights)
-from docnmt.model.han import AttentionTrace, _sub, gate_integrate
+from docnmt.model.han import AttentionTrace, gate_integrate
 from docnmt.model.transformer import positionwise_ffn
 
 from attention_reference import multi_head_attention
 
 
+def sub(p, prefix):
+    """The entries of ``p`` under ``prefix``, with the prefix stripped."""
+    return {k[len(prefix):]: v for k, v in p.items() if k.startswith(prefix)}
+
+
 def word_level_loop(h, entries, p, m):
     """Per cached sentence j: summaries s_j [T, d], weights [j][h] [T, len_j]."""
     qw = h @ p["f"]
-    wp = _sub(p, "word.")
+    wp = sub(p, "word.")
     summaries, weights = [], []
     for entry in entries:
         s_j, heads = multi_head_attention(qw, entry.states, entry.states, wp, m)
@@ -68,7 +73,7 @@ def sentence_level_loop(h, summaries, p, m):
         head_outs.append(out_h)
     merged = head_outs[0] if m == 1 else ad.concat(head_outs, axis=1)
     attended = merged @ p["sent.wo"]
-    return positionwise_ffn(attended, _sub(p, "ffn.")), sent_weights
+    return positionwise_ffn(attended, sub(p, "ffn.")), sent_weights
 
 
 def hierarchical_loop(h, entries, p, m):

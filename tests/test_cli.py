@@ -139,6 +139,46 @@ def test_bad_config_value_is_data_error(tmp_path, workdir, base_ckpt, capsys):
         assert named in capsys.readouterr().err
 
 
+# argv of commands whose settings or inputs are rejected with exit 2;
+# {src}, {tgt}, {vocab} and {ckpt} name the shared corpus, vocabulary and
+# base checkpoint
+REJECTED = {
+    "gen-synth-n-docs": ["gen-synth", "--n-docs", "0"],
+    "gen-synth-doc-len": ["gen-synth", "--doc-len", "0"],
+    "gen-synth-n-concepts": ["gen-synth", "--n-concepts", "0"],
+    "build-vocab-missing-input": ["build-vocab", "--src", "/does/not/exist",
+                                  "--tgt", "{tgt}"],
+    "train-m-heads": ["train", "--src", "{src}", "--tgt", "{tgt}",
+                      "--vocab", "{vocab}", "--m-heads", "3"],
+    "finetune-lineage": ["finetune", "--checkpoint", "{ckpt}",
+                         "--stage", "han-joint", "--src", "{src}",
+                         "--tgt", "{tgt}", "--vocab", "{vocab}"],
+    "translate-width": ["translate", "--checkpoint", "{ckpt}",
+                        "--vocab", "{vocab}", "--src", "{src}",
+                        "--width", "0"],
+    "translate-unreadable-checkpoint": ["translate", "--checkpoint",
+                                        "/does/not/exist.ckpt",
+                                        "--vocab", "{vocab}", "--src", "{src}"],
+    "evaluate-missing-input": ["evaluate", "--candidate", "/does/not/exist",
+                               "--reference", "{tgt}"],
+    "experiment-d-model": ["experiment", "--quiet", "--d-model", "33"],
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+def test_a_rejected_setting_or_input_writes_nothing(tmp_path, workdir,
+                                                    base_ckpt, case):
+    """A command checks its settings and reads its inputs before it creates
+    ``--out``: exit 2 leaves no ``--out`` behind."""
+    paths = {"src": workdir / "data/synth.src.txt",
+             "tgt": workdir / "data/synth.tgt.txt",
+             "vocab": workdir / "vocab/vocab.json", "ckpt": base_ckpt}
+    out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in REJECTED[case]]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, code, stream", [
     (["--help"], 0, "stdout"), ([], 1, "stderr")])
 def test_module_runs_as_a_script(argv, code, stream):

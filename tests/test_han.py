@@ -61,9 +61,8 @@ class TestHierarchicalContext:
         model = tiny_model()
         ctx = make_context(model, [[4, 5, 6], [7, 8], [9, 10, 4, 5]])
         h = model.encode(Stack.of([[5, 6, 7]]))
-        p, m = model.params.view("ctx.enc."), model.cfg.m_heads
-        _, _, trace = hierarchical_context(
-            h, ContextMemory([ctx.source], p, m), p, m)
+        _, _, trace = hierarchical_context(h, ContextMemory(
+            [ctx.source], model.params, "ctx.enc.", model.cfg.m_heads))
         assert_normalized(trace, atol=1e-12)
         assert trace.n_sents == 3
         assert trace.m == model.cfg.m_heads
@@ -73,9 +72,8 @@ class TestHierarchicalContext:
         model = tiny_model()
         ctx = make_context(model, [[4, 5, 6]])
         h = model.encode(Stack.of([[5, 6]]))
-        p, m = model.params.view("ctx.enc."), model.cfg.m_heads
-        _, _, trace = hierarchical_context(
-            h, ContextMemory([ctx.source], p, m), p, m)
+        _, _, trace = hierarchical_context(h, ContextMemory(
+            [ctx.source], model.params, "ctx.enc.", model.cfg.m_heads))
         # row t sees only summary row t; masked weights are exact zeros
         for w in trace.sent.data[0]:
             np.testing.assert_array_equal(w, np.eye(2))
@@ -99,9 +97,8 @@ class TestHierarchicalContext:
         model = tiny_model()
         ctx = make_context(model, [[4, 5, 6], [7, 8]])
         h = model.encode(Stack.of([[5, 6, 7]]))
-        p, m = model.params.view("ctx.enc."), model.cfg.m_heads
-        _, _, trace = hierarchical_context(
-            h, ContextMemory([ctx.source], p, m), p, m)
+        _, _, trace = hierarchical_context(h, ContextMemory(
+            [ctx.source], model.params, "ctx.enc.", model.cfg.m_heads))
         sent, word = per_sentence(trace)
         rebuilt = block_trace(sent, word, trace.token_ids[0])
         np.testing.assert_array_equal(trace.sent.data, rebuilt.sent.data)
@@ -113,8 +110,8 @@ class TestHierarchicalContext:
         model = tiny_model()
         h = model.encode(Stack.of([[5, 6]]))
         with pytest.raises(ContractError):
-            p = model.params.view("ctx.enc.")
-            hierarchical_context(h, ContextMemory([], p, 2), p, 2)
+            hierarchical_context(h, ContextMemory([], model.params,
+                                                  "ctx.enc.", 2))
 
 
 class TestGate:
@@ -250,7 +247,8 @@ class TestBlockPathMatchesLoopReference:
                     k = sum(map(len, ids))
 
                     mixed, d_rows, trace = hierarchical_context(
-                        h, ContextMemory([entries], p, m), p, m)
+                        h, ContextMemory([entries], model.params, "ctx.dec.",
+                                         m))
                     weights = trace_copy_weights(trace, self.VOCAB)
                     # distinct ids: token k's weight is alpha_vocab at 4 + k
                     distinct = with_distinct_ids(trace)
@@ -356,7 +354,6 @@ class TestDocumentAxis:
         model = tiny_model(seed=n)
         model.params.set_trainable({"ctx_dec"})
         d, b, t = model.cfg.d_model, 3, 4
-        p = model.params.view("ctx.dec.")
         docs = self._docs(rng, d, n, b)
         h_rows = rng.standard_normal((b * t, d))
         probes = [rng.standard_normal((b * t, d)),
@@ -364,9 +361,9 @@ class TestDocumentAxis:
                   rng.standard_normal((b * t, self.VOCAB))]
 
         h = Tensor(h_rows, requires_grad=True)
-        memory = ContextMemory(docs, p, m)
+        memory = ContextMemory(docs, model.params, "ctx.dec.", m)
         assert len(memory) == n and memory.n_docs == b
-        mixed, d_rows, trace = hierarchical_context(h, memory, p, m)
+        mixed, d_rows, trace = hierarchical_context(h, memory)
         alpha = trace_copy_weights(trace, self.VOCAB).alpha_vocab
         got = self._grads(model, h, [mixed, d_rows, alpha], probes)
 
@@ -375,7 +372,7 @@ class TestDocumentAxis:
         for i, entries in enumerate(docs):
             rows = ad.narrow(h_doc, 0, i * t, t)
             w_mixed, w_d, w_trace = hierarchical_context(
-                rows, ContextMemory([entries], p, m), p, m)
+                rows, ContextMemory([entries], model.params, "ctx.dec.", m))
             w_alpha = trace_copy_weights(w_trace, self.VOCAB).alpha_vocab
             for out, w in zip(want_rows, (w_mixed, w_d, w_alpha)):
                 out.append(w)
@@ -398,11 +395,11 @@ class TestDocumentAxis:
 
     def test_stacked_copy_weights_need_one_copyability(self):
         model = tiny_model()
-        p = model.params.view("ctx.dec.")
         d = model.cfg.d_model
         docs = [[CacheEntry([5, 6], Tensor._wrap(np.ones((2, d))))],
                 [CacheEntry([1], Tensor._wrap(np.ones((1, d))))]]   # UNK
         _, _, trace = hierarchical_context(
-            Tensor(np.ones((2, d))), ContextMemory(docs, p, 2), p, 2)
+            Tensor(np.ones((2, d))),
+            ContextMemory(docs, model.params, "ctx.dec.", 2))
         with pytest.raises(ContractError, match="copied"):
             trace_copy_weights(trace, 13)
