@@ -28,17 +28,21 @@ None being one sequence with nothing blocked, and ``attention_weights`` is
 the one op that reads it.
 
 Every op checks that its output is finite and raises ``NumericalError``
-naming itself otherwise; training, validation, gradient checks and direct
-model calls all run so.  ``unchecked()`` turns the per-op check off.  Only
-the search enters it (see ``decoding``): it checks each step's distribution
-and state rows instead and replays a failing sentence with the per-op
-checks on, so the error still names the op.  Two checks stay on even
-there: ``attention_weights`` checks its logits before masking (a masked
-non-finite key would vanish), and it and ``softmax_lastdim`` tell a fully
-masked row from non-finite logits.  Apart from masking and row selection
-no op turns a NaN into a finite value (``relu`` keeps it), so a NaN reaches
-the search's checks.  An inf can saturate (a sigmoid of inf is exactly 1); see
-``decoding`` for how the search deals with that.
+naming itself otherwise; gradient checks and direct model calls run so.
+``unchecked()`` turns the per-op check off, and ``replayed`` runs a unit
+of work under it: the search's unit is one translated sentence (see
+``decoding``), training's one epoch (see ``training``).  The unit checks
+a few results of its own instead (the search each step's distribution and
+state rows; training each loss, each gradient before its optimizer step
+and each row it caches), and a ``NumericalError`` replays it with the
+per-op checks on, so the error still names the op.  Two checks stay on
+even there: ``attention_weights`` checks its logits before masking (a
+masked non-finite key would vanish), and it and ``softmax_lastdim`` tell a
+fully masked row from non-finite logits.  Apart from masking and row
+selection no op turns a NaN into a finite value (``relu`` keeps it), so a
+NaN reaches the unit's checks.  An inf can saturate (a sigmoid of inf is
+exactly 1); so a unit runs unchecked only from finite parameters, where an
+inf needs an overflow.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ def no_grad():
 
 @contextmanager
 def unchecked():
-    """Skip the per-op finite check (the search's sentence unit only)."""
+    """Skip the per-op finite check (inside ``replayed`` units)."""
     global _check_finite
     prev = _check_finite
     _check_finite = False
@@ -82,6 +86,26 @@ def unchecked():
         yield
     finally:
         _check_finite = prev
+
+
+def replayed(unit, unchecked_ok: bool, rewind):
+    """``unit()``, under ``unchecked()`` if ``unchecked_ok``.  A
+    ``NumericalError`` of the unchecked run replays the unit with the
+    per-op checks on, after ``rewind()`` (None: nothing to undo) has undone
+    what the failed run changed, and raises the replay's error, which names
+    the op that made the value; should the replay pass, the first error.
+    The replay is exact when the unit is deterministic from what ``rewind``
+    restores."""
+    if not unchecked_ok:
+        return unit()
+    try:
+        with unchecked():
+            return unit()
+    except NumericalError as err:
+        if rewind is not None:
+            rewind()
+        unit()
+        raise err
 
 
 def tape_size() -> int:

@@ -15,21 +15,21 @@ boundaries.  Beam search shares one cache per document: by the time a
 cache entry exists its sentence is finished, so hypotheses never see
 divergent context.
 
-One translated sentence is the unit of numerical checking: its encoding
-under the caches, its ``DecoderMemory`` and its whole search run without a
-tape and with the per-op finite checks off (``autodiff.unchecked``).  Each
-search step checks instead that its distributions and the state rows it
-adds are finite (``DocModel.step_distribution``).  When that check, or any
-other, raises ``NumericalError``, the sentence runs once more from its
-encoding with the per-op checks on.  The replay is exact: decoding is
-deterministic and the caches change only after a sentence finishes.  So
-the error names the op that first made a non-finite value, as a fully
-checked run would; should the replay pass, the first error (which names
-the step) is raised.  A document whose parameters are not all finite is
-decoded with the per-op checks on throughout: a saturating op (a sigmoid
-of inf is 1) could hide such a value from the step check.  With finite
-parameters an inf needs an overflow, which the layer norms bound unless
-weights reach about 1e150.
+One translated sentence is the unit of numerical checking
+(``autodiff.replayed``; training's unit is the epoch): its encoding under
+the caches, its ``DecoderMemory`` and its whole search run without a tape
+and with the per-op finite checks off.  Each search step checks instead
+that its distributions and the state rows it adds are finite
+(``DocModel.step_distribution``).  When that check, or any other, raises
+``NumericalError``, the sentence runs once more from its encoding with the
+per-op checks on.  The replay is exact: decoding is deterministic and the
+caches change only after a sentence finishes.  So the error names the op
+that first made a non-finite value, as a fully checked run would; should
+the replay pass, the first error (which names the step) is raised.  A
+document whose parameters are not all finite is decoded with the per-op
+checks on throughout: a saturating op (a sigmoid of inf is 1) could hide
+such a value from the step check.  With finite parameters an inf needs an
+overflow, which the layer norms bound unless weights reach about 1e150.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, DataError, NumericalError
+from .errors import ContractError, DataError
 from .model.han import CacheEntry, ContextState
 from .model.model import (DECODER_CTX, ENCODER_CTX, DecoderMemory, DocModel,
                           Stack, check_variant)
@@ -226,20 +226,6 @@ def update_context(context: ContextState, variant: str, src_ids: list[int],
                                        states=Tensor._wrap(rows)))
 
 
-def _checked_unit(unit, unchecked: bool):
-    """``unit()``, without the per-op finite checks if ``unchecked``; a
-    ``NumericalError`` then replays it with them on (see the module
-    docstring)."""
-    if not unchecked:
-        return unit()
-    try:
-        with ad.unchecked():
-            return unit()
-    except NumericalError as err:
-        unit()      # raises the error of the op that made the value
-        raise err
-
-
 def translate_document(model: DocModel, src_sentences: list[list[int]],
                        variant: str, config: SearchConfig | None = None
                        ) -> tuple[list[list[int]], list[list[StepTrace]]]:
@@ -262,8 +248,8 @@ def translate_document(model: DocModel, src_sentences: list[list[int]],
         if not src:
             raise DataError("cannot translate an empty source sentence")
         with ad.no_grad():
-            encoded, out_tokens, traces, rows = _checked_unit(
-                lambda: sentence(src), params_finite)
+            encoded, out_tokens, traces, rows = ad.replayed(
+                lambda: sentence(src), params_finite, None)
         update_context(context, variant, src, encoded.states.data,
                        out_tokens, rows)
         outputs.append(out_tokens)

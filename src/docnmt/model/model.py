@@ -275,14 +275,19 @@ class DocModel:
         embedding, then to each layer's attention and FFN; the decoder to
         the embedding (BOS + target rows), then to each layer's
         self-attention, cross-attention and FFN.  Both lists are empty at
-        dropout 0, which draws nothing."""
+        dropout 0, which draws nothing.
+
+        One ``keep_mask`` call draws all of them: the generator yields the
+        same uniforms, in the same order, as one call per mask would."""
         rate, n, d = self.cfg.dropout, self.cfg.n_layers, self.cfg.d_model
         if rate == 0.0:
             return [], []
-        src = [ad.keep_mask((src_len, d), rate, rng) for _ in range(1 + 2 * n)]
-        tgt = [ad.keep_mask((tgt_len + 1, d), rate, rng)
-               for _ in range(1 + 3 * n)]
-        return src, tgt
+        n_src, n_tgt = 1 + 2 * n, 1 + 3 * n
+        keep = ad.keep_mask((n_src * src_len + n_tgt * (tgt_len + 1), d),
+                            rate, rng)
+        src = keep[:n_src * src_len].reshape(n_src, src_len, d)
+        tgt = keep[n_src * src_len:].reshape(n_tgt, tgt_len + 1, d)
+        return list(src), list(tgt)
 
     # -- encoder --------------------------------------------------------------
 

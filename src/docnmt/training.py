@@ -30,6 +30,22 @@ passes serving both the loss and the pushed rows.
 The model with the lowest validation loss across epochs is returned;
 epoch 0 is the pre-training validation pass, so a zero-epoch run returns
 the initialization unchanged.
+
+One epoch, its batches and its validation, is the unit of numerical
+checking (``autodiff.replayed``; the search's unit is the sentence).  From
+finite parameters it runs with the per-op finite checks off and checks
+instead each pass's loss, every trainable gradient before each Adam step
+(naming the parameter), the rows it caches and the validation loss.  A
+``NumericalError`` replays the epoch with the per-op checks on, from its
+start: ``Adam.state`` holds what an epoch changes (the trained groups and
+Adam's t, m and v), batches and dropout streams are seeded from (seed,
+epoch) and caches start fresh each epoch, so the replay is exact and the
+error names the op that made the value.  An epoch that starts from
+non-finite parameters runs checked throughout.  As in the search, an
+overflow to inf that an op saturates to a finite value (a sigmoid of inf
+is 1, a relu of -inf is 0) passes unseen; the per-op checks would raise.
+A divergence raises ``TrainingDiverged`` and leaves the parameters of the
+best epoch so far.
 """
 
 from __future__ import annotations
@@ -180,6 +196,26 @@ class Adam:
             v += (1.0 - b2) * g * g
             p.data -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
+    def state(self, current: dict[str, np.ndarray] | None) -> tuple:
+        """What ``step`` changes: t, and copies of the trainable
+        parameters and of the moments m and v.  Where ``current`` is given,
+        a snapshot of the parameters as they are that nothing writes, the
+        parameters' copies are its arrays."""
+        return (self.t,
+                {n: p.data.copy() if current is None else current[n]
+                 for n, p in self.store.trainable()},
+                {n: a.copy() for n, a in self._m.items()},
+                {n: a.copy() for n, a in self._v.items()})
+
+    def rewind(self, state: tuple) -> None:
+        """Set what ``step`` changes back to a ``state()``, which stays
+        valid for another rewind."""
+        self.t, params, m, v = state
+        for n, p in self.store.trainable():
+            np.copyto(p.data, params[n])
+        self._m = {n: a.copy() for n, a in m.items()}
+        self._v = {n: a.copy() for n, a in v.items()}
+
 
 def inverse_sqrt_lr(step: int, d_model: int, warmup: int,
                     scale: float = 1.0) -> float:
@@ -289,6 +325,9 @@ def _push_gold(docs: list[_Doc], s: int, variant: str, src_rows: np.ndarray,
     the way decoding caches its own output: its ids and its block of the
     rows of a stacked evaluation pass over ``docs`` (encoder rows and, when
     the variant caches targets, the decoder's h~ rows of BOS + target)."""
+    if not (np.isfinite(src_rows).all()
+            and (tgt_rows is None or np.isfinite(tgt_rows).all())):
+        raise NumericalError(f"non-finite rows to cache for sentence {s}")
     src_width = len(src_rows) // len(docs)
     tgt_width = 0 if tgt_rows is None else len(tgt_rows) // len(docs)
     for b, d in enumerate(docs):
@@ -388,9 +427,12 @@ def _train_epoch(model: DocModel, optimizer: Adam, corpus: DocumentCorpus,
             epoch_tokens += n
             batch_tokens += n
         inv = 1.0 / max(batch_tokens, 1)
-        for _, p in store.trainable():
+        for name, p in store.trainable():
             if p.grad is not None:
                 p.grad *= inv
+                if not np.isfinite(p.grad).all():
+                    raise NumericalError(f"non-finite gradient of '{name}' "
+                                         f"at epoch {epoch}")
         step += 1
         lr = tcfg.lr if tcfg.stage != "base" else inverse_sqrt_lr(
             step, model.cfg.d_model, tcfg.warmup_steps, tcfg.lr_scale)
@@ -421,20 +463,34 @@ def run_stage(start: tuple[ParamStore, ModelConfig, set[str]],
     train_corpus, val_corpus = parts
     val_docs = _encode_corpus(val_corpus, src_vocab, tgt_vocab, max_len)
 
+    def run_epoch(epoch: int, step: int):
+        """(training loss, step count, validation loss, mean p_copy) after
+        ``epoch``; epoch 0 validates the starting parameters."""
+        ad.clear_tape()             # a failed run leaves its pass's nodes
+        train_loss = None
+        if epoch:
+            train_loss, step = _train_epoch(
+                model, optimizer, train_corpus, src_vocab, tgt_vocab,
+                variant, tcfg, epoch, step, max_len)
+        val_loss, mean_pc = _evaluate(model, val_docs, variant,
+                                      model_cfg.n_context)
+        if not math.isfinite(val_loss):
+            raise NumericalError(f"non-finite val loss at epoch {epoch}")
+        return train_loss, step, val_loss, mean_pc
+
     history: list[EpochRecord] = []
     best = (math.inf, 0, store.snapshot())
+    current = best[2]           # the parameters as they are, or None
     step = 0
     for epoch in range(tcfg.epochs + 1):
-        train_loss = None       # epoch 0 validates the starting parameters
+        # the epoch is the unit of numerical checking: unchecked from
+        # finite parameters, replayed from its start on an error
+        finite = all(np.isfinite(t.data).all() for _, t in store.items())
+        saved = optimizer.state(current) if finite else None
         try:
-            if epoch:
-                train_loss, step = _train_epoch(
-                    model, optimizer, train_corpus, src_vocab, tgt_vocab,
-                    variant, tcfg, epoch, step, max_len)
-            val_loss, mean_pc = _evaluate(model, val_docs, variant,
-                                          model_cfg.n_context)
-            if not math.isfinite(val_loss):
-                raise NumericalError(f"non-finite val loss at epoch {epoch}")
+            train_loss, step, val_loss, mean_pc = ad.replayed(
+                lambda: run_epoch(epoch, step), finite,
+                lambda: optimizer.rewind(saved))
         except NumericalError as e:
             store.load_snapshot(best[2])
             raise TrainingDiverged(
@@ -445,8 +501,10 @@ def run_stage(start: tuple[ParamStore, ModelConfig, set[str]],
         if log_path is not None:
             with open(log_path, "a", encoding="utf-8") as fh:
                 fh.write(history[-1].line() + "\n")
+        current = None
         if val_loss < best[0]:
             best = (val_loss, epoch, store.snapshot())
+            current = best[2]
 
     store.load_snapshot(best[2])
     return TrainResult(store=store, model_cfg=model_cfg,

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from pathlib import Path
 
@@ -270,16 +271,19 @@ def test_nan_in_starting_parameters_diverges_in_epoch_0():
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
-def fixture_stage_run(stage):
-    """One epoch of ``stage`` from the benchmark's trained copy checkpoint
-    (read from ``perfbench/fixtures``, never written) on a small seeded
-    corpus, dropout on."""
+def fixture_stage_run(stage, epochs=1):
+    """``epochs`` of ``stage`` from the benchmark's trained copy checkpoint
+    (read from ``perfbench/fixtures``, never written; the base stage starts
+    from initialization at its config) on a small seeded corpus, dropout
+    on."""
     sv, tv = load_vocab_pair(FIXTURES / "vocab.json")
     corpus, _ = generate_synthetic_cohesion_corpus(
         n_docs=12, doc_len=4, n_concepts=10, seed=5)
     store, cfg, groups = load_checkpoint(FIXTURES / "copy.ckpt")
+    if stage == "base":
+        store, groups = build_params(cfg, np.random.default_rng([3, 11])), ()
     return run_stage((store, cfg, set(groups)), corpus, sv, tv,
-                     TrainConfig(stage=stage, epochs=1, lr=1e-3, seed=3,
+                     TrainConfig(stage=stage, epochs=epochs, lr=1e-3, seed=3,
                                  val_fraction=0.25))
 
 
@@ -305,27 +309,171 @@ def test_stage_losses_match_pinned_values(stage):
     assert result.history[1].train_loss.hex() == train
 
 
-def test_nan_from_a_context_op_in_training_names_the_op(monkeypatch):
-    """With finite parameters, the first sigmoid of a copy-stage training
-    pass (the HAN gate's; passes over empty caches run none) returns a
-    NaN: the epoch diverges naming the op, with the finite starting
-    parameters (the best of epoch 0) as its snapshot."""
-    out, planted = ad._out, []
+def plant_nan_in_sigmoids(monkeypatch, every_call):
+    """Training-mode sigmoids (the HAN gates'; passes over empty caches run
+    none) return a NaN: every one, or only the first.  Returns the state of
+    the per-op checks at each planted NaN."""
+    out, checks = ad._out, []
 
     def planting(arr, inputs, bwd, op, check=True):
-        if op == "sigmoid" and ad._grad_enabled and not planted:
-            planted.append(True)
+        if op == "sigmoid" and ad._grad_enabled and (every_call or not checks):
+            checks.append(ad._check_finite)
             arr = arr.copy()
             arr.flat[0] = np.nan
         return out(arr, inputs, bwd, op, check)
 
-    start = load_checkpoint(FIXTURES / "copy.ckpt")[0].snapshot()
     monkeypatch.setattr(ad, "_out", planting)
+    return checks
+
+
+def test_nan_from_a_context_op_in_training_names_the_op(monkeypatch):
+    """With finite parameters the epoch runs unchecked, so the first NaN
+    appears with the per-op checks off; the replay names the op.  The
+    snapshot is the finite starting parameters (the best of epoch 0)."""
+    start = load_checkpoint(FIXTURES / "copy.ckpt")[0].snapshot()
+    checks = plant_nan_in_sigmoids(monkeypatch, every_call=True)
     with pytest.raises(TrainingDiverged, match="op 'sigmoid'") as exc:
         fixture_stage_run("copy")
-    assert planted and "copy diverged in epoch 1" in str(exc.value)
+    assert "copy diverged in epoch 1" in str(exc.value)
+    assert checks[0] is False and True in checks   # the replay is checked
     for name, arr in exc.value.snapshot.items():
         np.testing.assert_array_equal(arr, start[name])
+
+
+def test_one_shot_nan_in_training_still_diverges(monkeypatch):
+    """A NaN from only the first training-mode sigmoid, which no
+    deterministic op makes, is gone in the replay; the epoch still
+    diverges, with the finite starting parameters as its snapshot."""
+    start = load_checkpoint(FIXTURES / "copy.ckpt")[0].snapshot()
+    checks = plant_nan_in_sigmoids(monkeypatch, every_call=False)
+    with pytest.raises(TrainingDiverged) as exc:
+        fixture_stage_run("copy")
+    assert checks == [False] and "copy diverged in epoch 1" in str(exc.value)
+    for name, arr in exc.value.snapshot.items():
+        np.testing.assert_array_equal(arr, start[name])
+
+
+def test_nan_made_in_backward_is_stopped_before_adam(monkeypatch):
+    """The backward of the decoder-side HAN gate's sigmoid returns a NaN
+    (the encoder side's is frozen in the copy stage, so off the tape).  The
+    gradient check before the Adam step names the first trainable
+    parameter it reaches; no NaN is written into a weight."""
+    out, step = ad._out, training.Adam.step
+    written = []
+
+    def planting(arr, inputs, bwd, op, check=True):
+        if op == "sigmoid":
+            def poisoned(g):
+                grads = bwd(g)
+                grads[0].flat[0] = np.nan
+                return grads
+            return out(arr, inputs, poisoned, op, check)
+        return out(arr, inputs, bwd, op, check)
+
+    def recording_step(self, lr):
+        step(self, lr)
+        written.extend(n for n, p in self.store.trainable()
+                       if not np.isfinite(p.data).all())
+
+    start = load_checkpoint(FIXTURES / "copy.ckpt")[0].snapshot()
+    monkeypatch.setattr(ad, "_out", planting)
+    monkeypatch.setattr(training.Adam, "step", recording_step)
+    with pytest.raises(TrainingDiverged,
+                       match="non-finite gradient of 'ctx.dec.f'") as exc:
+        fixture_stage_run("copy")
+    assert "copy diverged in epoch 1" in str(exc.value) and not written
+    for name, arr in exc.value.snapshot.items():
+        np.testing.assert_array_equal(arr, start[name])
+
+
+def count_ops_by_check(monkeypatch):
+    """Counts of the autodiff ops run with the per-op checks on (True) and
+    off (False)."""
+    out, counts = ad._out, {True: 0, False: 0}
+
+    def counting(arr, inputs, bwd, op, check=True):
+        counts[ad._check_finite] += 1
+        return out(arr, inputs, bwd, op, check)
+
+    monkeypatch.setattr(ad, "_out", counting)
+    return counts
+
+
+@pytest.mark.parametrize("stage", ["base", "copy"])
+def test_finite_epochs_run_no_checked_op(stage, monkeypatch):
+    """From finite parameters every op of an epoch, its validation and
+    epoch 0's runs with the per-op checks off: a change that turns them
+    back on shows here."""
+    counts = count_ops_by_check(monkeypatch)
+    fixture_stage_run(stage)
+    assert counts[True] == 0 and counts[False] > 0
+
+
+def run_recording_adam(stage, monkeypatch):
+    """Two epochs of ``stage``, and the run's optimizer."""
+    step, optimizers = Adam.step, []
+
+    def recording(self, lr):
+        optimizers.append(self)
+        step(self, lr)
+
+    monkeypatch.setattr(Adam, "step", recording)
+    result = fixture_stage_run(stage, epochs=2)
+    assert len(set(map(id, optimizers))) == 1
+    return result, optimizers[0]
+
+
+@pytest.mark.parametrize("stage", ["base", "han-joint", "copy"])
+def test_guarded_training_equals_checked_training_bitwise(stage,
+                                                          monkeypatch):
+    """Epochs run unchecked (``autodiff.replayed``) give what epochs with
+    every per-op check on give: every parameter, the history and Adam's
+    state, bit for bit."""
+    counts = count_ops_by_check(monkeypatch)
+    guarded, guarded_adam = run_recording_adam(stage, monkeypatch)
+    assert counts[False] > 0 and counts[True] == 0
+    monkeypatch.setattr(ad, "unchecked", contextlib.nullcontext)
+    checked, checked_adam = run_recording_adam(stage, monkeypatch)
+    assert counts[True] == counts[False]
+    assert guarded.history == checked.history
+    assert guarded.best_epoch == checked.best_epoch
+    for name, t in guarded.store.items():
+        np.testing.assert_array_equal(t.data, checked.store[name].data)
+    assert guarded_adam.t == checked_adam.t > 0
+    for got, want in ((guarded_adam._m, checked_adam._m),
+                      (guarded_adam._v, checked_adam._v)):
+        assert got.keys() == want.keys() and got
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
+
+
+def test_adam_rewind_restores_what_steps_change():
+    store = ParamStore()
+    w = store.add("w", np.array([[0.5, -1.0]]), "base")
+    store.add("frozen", np.ones((1, 1)), "copy")
+    store.set_trainable({"base"})
+    opt = Adam(store)
+
+    def steps(n):
+        for _ in range(n):
+            w.grad = w.data.copy()
+            opt.step(0.1)
+        return opt.t, w.data.copy(), opt._m["w"].copy(), opt._v["w"].copy()
+
+    steps(2)
+    current = store.snapshot()
+    for saved in (opt.state(None), opt.state(current)):
+        want = steps(3)
+        for _ in range(2):      # the state stays valid for another rewind
+            opt.rewind(saved)
+            got = steps(3)
+            assert got[0] == want[0]
+            for a, b in zip(got[1:], want[1:]):
+                np.testing.assert_array_equal(a, b)
+        opt.rewind(saved)
+        assert set(saved[1]) == {"w"}
+    assert saved[1]["w"] is current["w"]        # shared, not copied
+    np.testing.assert_array_equal(current["w"], w.data)
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,25 @@ class TestEncodeDecode:
                                              keep=iter(keep))
         assert not np.array_equal(train_a.states.data, eval_a.states.data)
 
+    @pytest.mark.parametrize("src_len, tgt_len", [(3, 1), (1, 7), (9, 4)])
+    def test_dropout_masks_equal_one_draw_per_mask(self, src_len, tgt_len):
+        """The one draw per pair gives the masks of one ``keep_mask`` call
+        per mask, in the pass's order, bit for bit, and leaves the
+        generator where those calls leave it."""
+        model = tiny_model(n_layers=2, dropout=0.3)
+        d = model.cfg.d_model
+        rng_one, rng_each = np.random.default_rng(4), np.random.default_rng(4)
+        src, tgt = model.dropout_masks(src_len, tgt_len, rng_one)
+        want_src = [ad.keep_mask((src_len, d), 0.3, rng_each)
+                    for _ in range(5)]
+        want_tgt = [ad.keep_mask((tgt_len + 1, d), 0.3, rng_each)
+                    for _ in range(7)]
+        assert len(src) == len(want_src) and len(tgt) == len(want_tgt)
+        for got, want in zip(src + tgt, want_src + want_tgt):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        assert rng_one.bit_generator.state == rng_each.bit_generator.state
+
     def test_base_gradients_match_finite_differences(self):
         model = tiny_model(seed=3)
         model.params.set_trainable({"base"})
