@@ -51,7 +51,7 @@ from .training import (
     run_stage,
     train_base,
 )
-from .util import derive_seed, sha256_file
+from .util import derive_seed, read_text, sha256_file
 
 PROFILE_TOY: dict[str, object] = {
     # model
@@ -105,11 +105,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_config_file(path) -> dict[str, object]:
     out: dict[str, object] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read config file {path}: {e}") from e
-    for i, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(read_text(path, "config file").splitlines(),
+                            start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -169,9 +166,12 @@ def _search_config(cfg: dict, collect_traces: bool = False) -> SearchConfig:
                        **{key: cfg[key] for key in SETTINGS["translate"]})
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(path) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot make output directory {out}: {e}") from e
     return out
 
 
@@ -210,7 +210,7 @@ def cmd_gen_synth(args) -> int:
     corpus, lexicon = generate_synthetic_cohesion_corpus(
         n_docs=args.n_docs, doc_len=args.doc_len,
         n_concepts=args.n_concepts, seed=derive_seed(args.seed, "data"))
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     src = out / "synth.src.txt"
     tgt = out / "synth.tgt.txt"
     save_corpus(corpus, src, tgt)
@@ -235,7 +235,7 @@ def cmd_build_vocab(args) -> int:
                      min_freq=args.min_freq)
     tv = build_vocab(corpus, "tgt", max_size=args.max_size,
                      min_freq=args.min_freq)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     path = out / "vocab.json"
     save_vocab_pair(path, sv, tv)
     _write_run_manifest(
@@ -300,7 +300,7 @@ def cmd_train(args) -> int:
         inputs["checkpoint"] = args.checkpoint
         checkpoints["input"] = sha256_file(args.checkpoint)
     tcfg = _train_config(cfg, args.stage, args.seed)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     log = out / "train.log"
     try:
         result = _train_stage(tcfg, corpus, sv, tv, model_cfg, parent, log)
@@ -366,7 +366,7 @@ def cmd_translate(args) -> int:
     docs = load_documents(args.src)
     encoded = [[sv.encode(s) for s in doc] for doc in docs]
     _check_source_lengths(encoded, model_cfg.max_len)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     outs, traces = translate_corpus(model, encoded, variant, search)
     decoded = [[tv.decode(s) for s in doc] for doc in outs]
     out_path = out / "output.tgt.txt"
@@ -427,10 +427,10 @@ def cmd_evaluate(args) -> int:
     lexicon = None
     if args.lexicon:
         lexicon = ConceptLexicon.from_json(
-            Path(args.lexicon).read_text(encoding="utf-8"))
+            read_text(args.lexicon, "lexicon file"))
     scores = _evaluate_files(cand, ref, lexicon)
     table, kv = _format_report(scores)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     (out / "report.txt").write_text(table, encoding="utf-8")
     (out / "report.kv").write_text(kv, encoding="utf-8")
     _write_run_manifest(
@@ -446,7 +446,7 @@ def cmd_evaluate(args) -> int:
 def cmd_gradcheck(args) -> int:
     report = full_copy_gradcheck(seed=args.seed)
     if args.out:
-        out = _out_dir(args)
+        out = _out_dir(args.out)
         (out / "gradcheck.txt").write_text(report.summary() + "\n",
                                            encoding="utf-8")
         _write_run_manifest(out, "gradcheck", args.seed,
@@ -500,7 +500,7 @@ def run_experiment(out: Path, seed: int, cfg: dict, n_train: int = 200,
     ckpt_dir = out / "checkpoints"
     trans_dir = out / "translations"
     for d in (data_dir, ckpt_dir, trans_dir):
-        d.mkdir(parents=True, exist_ok=True)
+        _out_dir(d)
     save_corpus(train, data_dir / "train.src.txt", data_dir / "train.tgt.txt")
     save_corpus(test, data_dir / "test.src.txt", data_dir / "test.tgt.txt")
     (data_dir / "lexicon.json").write_text(lexicon.to_json(),

@@ -1,4 +1,4 @@
-"""Document corpora: parallel text IO, vocabularies, batching, synthetic data.
+"""Document corpora: text IO, vocabularies, encoding, batching, synthetic data.
 
 Corpus file format: one pre-tokenized sentence per line (space separated),
 a blank line between documents; source and target files must align line by
@@ -15,9 +15,11 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .tokens import RESERVED, UNK_ID
+from .util import read_text
 
 Sentence = list[str]
 SentencePair = tuple[Sentence, Sentence]
+IdPair = tuple[list[int], list[int]]        # a sentence pair's token ids
 
 
 @dataclass
@@ -45,21 +47,9 @@ class DocumentCorpus:
         idx = 0 if which == "src" else 1
         return [[pair[idx] for pair in doc] for doc in self.documents]
 
-    def one_sentence_documents(self) -> "DocumentCorpus":
-        """Each sentence pair as a document of its own, in corpus order,
-        keeping the id of the document it came from."""
-        return DocumentCorpus(
-            [[pair] for doc in self.documents for pair in doc],
-            [i for i, doc in zip(self.doc_ids, self.documents) for _ in doc])
-
 
 def _read_lines(path) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise DataError(f"cannot read corpus file {path}: {e}") from e
-    text = text.replace("\r\n", "\n")
+    text = read_text(path, "corpus file").replace("\r\n", "\n")
     if text.endswith("\n"):
         text = text[:-1]
     return text.split("\n") if text else []
@@ -191,12 +181,12 @@ def save_vocab_pair(path, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> None:
 
 
 def load_vocab_pair(path) -> tuple[Vocabulary, Vocabulary]:
+    text = read_text(path, "vocabulary")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(text)
         return (Vocabulary(id_to_token=list(payload["src"])),
                 Vocabulary(id_to_token=list(payload["tgt"])))
-    except (OSError, KeyError, json.JSONDecodeError, ContractError) as e:
+    except (KeyError, TypeError, json.JSONDecodeError, ContractError) as e:
         raise DataError(f"cannot load vocabulary {path}: {e}") from e
 
 
@@ -212,48 +202,53 @@ class BatchItem:
     doc_end: bool                # last sentence of its document
 
 
-def make_batches(corpus: DocumentCorpus, src_vocab: Vocabulary,
-                 tgt_vocab: Vocabulary, max_tokens: int, max_len: int,
-                 seed: int = 0) -> tuple[list[list[BatchItem]], int]:
-    """Token-budgeted batches; returns (batches, truncated sentence count).
+def encode_documents(corpus: DocumentCorpus, src_vocab: Vocabulary,
+                     tgt_vocab: Vocabulary, max_len: int
+                     ) -> tuple[list[list[IdPair]], int]:
+    """Each document as its sentence pairs' id sequences, cut to
+    ``max_len`` tokens; returns (documents, truncated sentence count, each
+    side counted)."""
+    if max_len < 1:
+        raise DataError(f"need max_len >= 1, got {max_len}")
+    documents = [[(src_vocab.encode(src)[:max_len],
+                   tgt_vocab.encode(tgt)[:max_len]) for src, tgt in doc]
+                 for doc in corpus.documents]
+    truncated = sum((len(src) > max_len) + (len(tgt) > max_len)
+                    for src, tgt in corpus.pairs())
+    return documents, truncated
+
+
+def make_batches(documents: list[list[IdPair]], max_tokens: int,
+                 seed: int = 0) -> list[list[BatchItem]]:
+    """Token-budgeted batches of id documents (``encode_documents``).
 
     The documents are shuffled and their sentences kept in order, with
     ``doc_start`` / ``doc_end`` marking boundaries; a batch may end inside
     a document, which the next batch continues.  To batch independent
-    sentences, pass ``corpus.one_sentence_documents()``: every item is then
-    a document of its own.
+    sentences, pass each pair as a document of its own.
 
-    No batch exceeds ``max_tokens`` target tokens; sentences longer than
-    ``max_len`` are truncated (counted in the second return value).
+    No batch exceeds ``max_tokens`` target tokens, so a longer target is a
+    ``DataError``.
     """
-    if max_len < 1 or max_tokens < max_len:
-        raise DataError(
-            f"need max_tokens >= max_len >= 1, got {max_tokens}/{max_len}")
-
-    items: list[BatchItem] = []
-    truncated = 0
-    for d in np.random.default_rng(seed).permutation(corpus.n_documents):
-        doc = corpus.documents[d]
-        for s, (src, tgt) in enumerate(doc):
-            src_ids, tgt_ids = src_vocab.encode(src), tgt_vocab.encode(tgt)
-            truncated += (len(src_ids) > max_len) + (len(tgt_ids) > max_len)
-            items.append(BatchItem(src_ids[:max_len], tgt_ids[:max_len],
-                                   doc_start=(s == 0),
-                                   doc_end=(s == len(doc) - 1)))
-
     batches: list[list[BatchItem]] = []
     cur: list[BatchItem] = []
     budget = 0
-    for item in items:
-        cost = len(item.tgt_ids)
-        if cur and budget + cost > max_tokens:
-            batches.append(cur)
-            cur, budget = [], 0
-        cur.append(item)
-        budget += cost
+    for d in np.random.default_rng(seed).permutation(len(documents)):
+        doc = documents[d]
+        for s, (src_ids, tgt_ids) in enumerate(doc):
+            cost = len(tgt_ids)
+            if cost > max_tokens:
+                raise DataError(f"a target of {cost} tokens does not fit "
+                                f"max_tokens {max_tokens}")
+            if cur and budget + cost > max_tokens:
+                batches.append(cur)
+                cur, budget = [], 0
+            cur.append(BatchItem(src_ids, tgt_ids, doc_start=(s == 0),
+                                 doc_end=(s == len(doc) - 1)))
+            budget += cost
     if cur:
         batches.append(cur)
-    return batches, truncated
+    return batches
 
 
 # ---------------------------------------------------------------------------

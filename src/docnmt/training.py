@@ -4,9 +4,10 @@ The stages are the rows of ``STAGES``: the variant each trains, the
 parameter groups it unfreezes and those its starting checkpoint must hold.
 The base stage starts from initialization and trains on one-sentence
 documents, the others start from a checkpoint and train on documents.
-Everything outside the stage's groups stays frozen.  Each batch from
-``make_batches`` is one Adam step on the gradient of its summed token loss,
-divided by its token count.
+Everything outside the stage's groups stays frozen.  A stage encodes its
+documents once (``encode_documents``) and batches them anew each epoch
+(``make_batches``); a batch is one Adam step on the gradient of its summed
+token loss, divided by its token count.
 
 Every stage runs a batch as a document wavefront, through the one runner
 ``_wavefront_passes`` that validation runs too.  Position s runs sentence s
@@ -27,20 +28,21 @@ only between batches, so the wavefront computes what a sentence-by-sentence
 loop would, up to summation order.  Validation runs without gradients, its
 passes serving both the loss and the pushed rows.
 
-The model with the lowest validation loss across epochs is returned;
-epoch 0 is the pre-training validation pass, so a zero-epoch run returns
-the initialization unchanged.
+``Adam.state`` holds what an epoch changes (the trained groups and Adam's
+t, m and v).  One is saved before epoch 0 and after each epoch: the next
+epoch starts from it, and the run returns the one saved after the epoch
+with the lowest validation loss.  Epoch 0 is the pre-training validation
+pass, so a zero-epoch run returns the initialization unchanged.
 
 One epoch, its batches and its validation, is the unit of numerical
 checking (``autodiff.replayed``; the search's unit is the sentence).  From
 finite parameters it runs with the per-op finite checks off and checks
 instead each pass's loss, every trainable gradient before each Adam step
 (naming the parameter), the rows it caches and the validation loss.  A
-``NumericalError`` replays the epoch with the per-op checks on, from its
-start: ``Adam.state`` holds what an epoch changes (the trained groups and
-Adam's t, m and v), batches and dropout streams are seeded from (seed,
-epoch) and caches start fresh each epoch, so the replay is exact and the
-error names the op that made the value.  An epoch that starts from
+``NumericalError`` replays the epoch with the per-op checks on, from the
+state saved at its start: batches and dropout streams are seeded from
+(seed, epoch) and caches start fresh each epoch, so the replay is exact and
+the error names the op that made the value.  An epoch that starts from
 non-finite parameters runs checked throughout.  As in the search, an
 overflow to inf that an op saturates to a finite value (a sigmoid of inf
 is 1, a relu of -inf is 0) passes unseen; the per-op checks would raise.
@@ -57,7 +59,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import BatchItem, DocumentCorpus, Vocabulary, make_batches
+from .corpus import (BatchItem, DocumentCorpus, IdPair, Vocabulary,
+                     encode_documents, make_batches)
 from .decoding import update_context
 from .errors import ContractError, DataError, NumericalError, TrainingDiverged
 from .model import DocModel, ModelConfig, ParamStore
@@ -138,6 +141,9 @@ class TrainConfig:
                                 f"{self.epochs} and {self.warmup_steps}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ContractError("val_fraction outside [0, 1)")
+        if not 1 <= self.max_len <= self.max_tokens:
+            raise ContractError(f"need 1 <= max_len <= max_tokens, got "
+                                f"{self.max_len} and {self.max_tokens}")
 
 
 @dataclass
@@ -196,14 +202,11 @@ class Adam:
             v += (1.0 - b2) * g * g
             p.data -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
-    def state(self, current: dict[str, np.ndarray] | None) -> tuple:
+    def state(self) -> tuple:
         """What ``step`` changes: t, and copies of the trainable
-        parameters and of the moments m and v.  Where ``current`` is given,
-        a snapshot of the parameters as they are that nothing writes, the
-        parameters' copies are its arrays."""
+        parameters and of the moments m and v."""
         return (self.t,
-                {n: p.data.copy() if current is None else current[n]
-                 for n, p in self.store.trainable()},
+                {n: p.data.copy() for n, p in self.store.trainable()},
                 {n: a.copy() for n, a in self._m.items()},
                 {n: a.copy() for n, a in self._v.items()})
 
@@ -244,15 +247,7 @@ def split_corpus(corpus: DocumentCorpus, val_fraction: float, seed: int
     return (DocumentCorpus(tr_docs, tr_ids), DocumentCorpus(va_docs, va_ids))
 
 
-def _encode_corpus(corpus: DocumentCorpus, src_vocab: Vocabulary,
-                   tgt_vocab: Vocabulary, max_len: int
-                   ) -> list[list[tuple[list[int], list[int]]]]:
-    """Id sequences truncated to ``max_len``, as ``make_batches`` does."""
-    return [[(src_vocab.encode(s)[:max_len], tgt_vocab.encode(t)[:max_len])
-             for s, t in doc] for doc in corpus.documents]
-
-
-def stack_groups(pairs: list[tuple[list[int], list[int]]]) -> list[list[int]]:
+def stack_groups(pairs: list[IdPair]) -> list[list[int]]:
     """Indices of ``pairs`` sorted by target then source length, cut into
     groups whose padded rows stay within ``MAX_STACK_ROWS`` on each side
     (sources, and BOS + targets, padded to the group's longest); a longer
@@ -277,7 +272,7 @@ def stack_groups(pairs: list[tuple[list[int], list[int]]]) -> list[list[int]]:
 class _Doc:
     """Consecutive sentences of one document and the caches they read."""
     context: ContextState
-    pairs: list[tuple[list[int], list[int]]] = field(default_factory=list)
+    pairs: list[IdPair] = field(default_factory=list)
     ends: bool = True            # its last pair is the document's last
 
     def pushes(self, s: int) -> bool:
@@ -398,17 +393,16 @@ def _evaluate(model: DocModel, docs, variant: str,
     return total / max(n_tokens, 1), mean_pc
 
 
-def _train_epoch(model: DocModel, optimizer: Adam, corpus: DocumentCorpus,
-                 src_vocab: Vocabulary, tgt_vocab: Vocabulary, variant: str,
-                 tcfg: TrainConfig, epoch: int, step: int, max_len: int
+def _train_epoch(model: DocModel, optimizer: Adam,
+                 documents: list[list[IdPair]], variant: str,
+                 tcfg: TrainConfig, epoch: int, step: int
                  ) -> tuple[float, int]:
-    """One epoch of Adam steps, one per batch; returns (mean train loss,
-    the step count after it)."""
+    """One epoch of Adam steps, one per batch of the id ``documents``;
+    returns (mean train loss, the step count after it)."""
     store = model.params
-    batches, _ = make_batches(corpus, src_vocab, tgt_vocab,
-                              tcfg.max_tokens, max_len,
-                              seed=int(np.random.default_rng(
-                                  [tcfg.seed, epoch]).integers(2**31)))
+    batches = make_batches(documents, tcfg.max_tokens,
+                           seed=int(np.random.default_rng(
+                               [tcfg.seed, epoch]).integers(2**31)))
     drop_rng = np.random.default_rng([tcfg.seed, 1_000_000 + epoch])
     docs: list[_Doc] = []
     epoch_loss = 0.0
@@ -456,12 +450,12 @@ def run_stage(start: tuple[ParamStore, ModelConfig, set[str]],
     optimizer = Adam(store)
     # the decoder reads BOS + target, one position more than the target
     max_len = min(tcfg.max_len, model_cfg.max_len - 1)
-
-    parts = split_corpus(corpus, tcfg.val_fraction, tcfg.seed)
-    if variant == "sentence":
-        parts = tuple(part.one_sentence_documents() for part in parts)
-    train_corpus, val_corpus = parts
-    val_docs = _encode_corpus(val_corpus, src_vocab, tgt_vocab, max_len)
+    train_docs, val_docs = (
+        encode_documents(part, src_vocab, tgt_vocab, max_len)[0]
+        for part in split_corpus(corpus, tcfg.val_fraction, tcfg.seed))
+    if variant == "sentence":       # independent sentences
+        train_docs, val_docs = ([[pair] for doc in docs for pair in doc]
+                                for docs in (train_docs, val_docs))
 
     def run_epoch(epoch: int, step: int):
         """(training loss, step count, validation loss, mean p_copy) after
@@ -469,9 +463,8 @@ def run_stage(start: tuple[ParamStore, ModelConfig, set[str]],
         ad.clear_tape()             # a failed run leaves its pass's nodes
         train_loss = None
         if epoch:
-            train_loss, step = _train_epoch(
-                model, optimizer, train_corpus, src_vocab, tgt_vocab,
-                variant, tcfg, epoch, step, max_len)
+            train_loss, step = _train_epoch(model, optimizer, train_docs,
+                                            variant, tcfg, epoch, step)
         val_loss, mean_pc = _evaluate(model, val_docs, variant,
                                       model_cfg.n_context)
         if not math.isfinite(val_loss):
@@ -479,34 +472,32 @@ def run_stage(start: tuple[ParamStore, ModelConfig, set[str]],
         return train_loss, step, val_loss, mean_pc
 
     history: list[EpochRecord] = []
-    best = (math.inf, 0, store.snapshot())
-    current = best[2]           # the parameters as they are, or None
+    saved = optimizer.state()       # where the next epoch starts
+    best = (math.inf, 0, saved)     # (val loss, epoch, state after it)
     step = 0
     for epoch in range(tcfg.epochs + 1):
         # the epoch is the unit of numerical checking: unchecked from
         # finite parameters, replayed from its start on an error
         finite = all(np.isfinite(t.data).all() for _, t in store.items())
-        saved = optimizer.state(current) if finite else None
         try:
             train_loss, step, val_loss, mean_pc = ad.replayed(
                 lambda: run_epoch(epoch, step), finite,
                 lambda: optimizer.rewind(saved))
         except NumericalError as e:
-            store.load_snapshot(best[2])
+            optimizer.rewind(best[2])
             raise TrainingDiverged(
                 f"{stage} diverged in epoch {epoch}: {e}",
-                snapshot=best[2]) from e
+                snapshot=store.snapshot()) from e
         history.append(EpochRecord(stage, epoch, train_loss, val_loss,
                                    mean_pc))
         if log_path is not None:
             with open(log_path, "a", encoding="utf-8") as fh:
                 fh.write(history[-1].line() + "\n")
-        current = None
+        saved = optimizer.state()
         if val_loss < best[0]:
-            best = (val_loss, epoch, store.snapshot())
-            current = best[2]
+            best = (val_loss, epoch, saved)
 
-    store.load_snapshot(best[2])
+    optimizer.rewind(best[2])
     return TrainResult(store=store, model_cfg=model_cfg,
                        trained_groups=set(inherited_groups) | groups,
                        history=history, best_epoch=best[1])

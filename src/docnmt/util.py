@@ -1,4 +1,4 @@
-"""Small shared helpers: seed derivation and file hashing."""
+"""Small shared helpers: seed derivation, text input and file hashing."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import hashlib
 import zlib
 
 import numpy as np
+
+from .errors import DataError
 
 
 def derive_seed(master: int, name: str) -> int:
@@ -15,6 +17,17 @@ def derive_seed(master: int, name: str) -> int:
     rng = np.random.default_rng([int(master) & 0xFFFFFFFF,
                                  zlib.crc32(name.encode("utf-8"))])
     return int(rng.integers(2**31))
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file ``path``, newlines as written.  A file
+    that cannot be read or decoded is a ``DataError`` naming it as
+    ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read {what} {path}: {e}") from e
 
 
 def sha256_file(path) -> str:

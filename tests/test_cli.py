@@ -139,9 +139,15 @@ def test_bad_config_value_is_data_error(tmp_path, workdir, base_ckpt, capsys):
         assert named in capsys.readouterr().err
 
 
+# the bad inputs of the REJECTED cases: a file with these bytes, a
+# directory ("dir") or nothing (None)
+BAD_INPUTS = {"not_utf8": b"a \xff b\n", "vocab_list": b"[1, 2]\n",
+              "vocab_types": b'{"src": 5, "tgt": []}\n', "dir": "dir",
+              "missing": None, "file": b"kept\n"}
+
 # argv of commands whose settings or inputs are rejected with exit 2;
 # {src}, {tgt}, {vocab} and {ckpt} name the shared corpus, vocabulary and
-# base checkpoint
+# base checkpoint, the others the BAD_INPUTS; "--out" is added unless given
 REJECTED = {
     "gen-synth-n-docs": ["gen-synth", "--n-docs", "0"],
     "gen-synth-doc-len": ["gen-synth", "--doc-len", "0"],
@@ -162,21 +168,59 @@ REJECTED = {
     "evaluate-missing-input": ["evaluate", "--candidate", "/does/not/exist",
                                "--reference", "{tgt}"],
     "experiment-d-model": ["experiment", "--quiet", "--d-model", "33"],
+    "evaluate-candidate-not-utf8": ["evaluate", "--candidate", "{not_utf8}",
+                                    "--reference", "{tgt}"],
+    "train-config-not-utf8": ["train", "--src", "{src}", "--tgt", "{tgt}",
+                              "--vocab", "{vocab}", "--config", "{not_utf8}"],
+    "train-vocab-list": ["train", "--src", "{src}", "--tgt", "{tgt}",
+                         "--vocab", "{vocab_list}"],
+    "train-vocab-types": ["train", "--src", "{src}", "--tgt", "{tgt}",
+                          "--vocab", "{vocab_types}"],
+    "train-vocab-not-utf8": ["train", "--src", "{src}", "--tgt", "{tgt}",
+                             "--vocab", "{not_utf8}"],
+    "evaluate-lexicon-missing": ["evaluate", "--candidate", "{tgt}",
+                                 "--reference", "{tgt}",
+                                 "--lexicon", "{missing}"],
+    "evaluate-lexicon-directory": ["evaluate", "--candidate", "{tgt}",
+                                   "--reference", "{tgt}",
+                                   "--lexicon", "{dir}"],
+    "evaluate-out-file": ["evaluate", "--candidate", "{tgt}",
+                          "--reference", "{tgt}", "--out", "{file}"],
+    "experiment-out-file": ["experiment", "--quiet", "--out", "{file}"],
+    "train-max-tokens": ["train", "--src", "{src}", "--tgt", "{tgt}",
+                         "--vocab", "{vocab}", "--max-tokens", "10"],
 }
 
 
 @pytest.mark.parametrize("case", list(REJECTED))
 def test_a_rejected_setting_or_input_writes_nothing(tmp_path, workdir,
-                                                    base_ckpt, case):
+                                                    base_ckpt, case, capsys):
     """A command checks its settings and reads its inputs before it creates
-    ``--out``: exit 2 leaves no ``--out`` behind."""
+    ``--out``: exit 2 leaves no ``--out`` behind and writes nothing else.
+    The error is one line, and it names the bad input file."""
+    bad = {name: tmp_path / "inputs" / name for name in BAD_INPUTS}
+    (tmp_path / "inputs").mkdir()
+    for name, content in BAD_INPUTS.items():
+        if content == "dir":
+            bad[name].mkdir()
+        elif content is not None:
+            bad[name].write_bytes(content)
     paths = {"src": workdir / "data/synth.src.txt",
              "tgt": workdir / "data/synth.tgt.txt",
-             "vocab": workdir / "vocab/vocab.json", "ckpt": base_ckpt}
+             "vocab": workdir / "vocab/vocab.json", "ckpt": base_ckpt, **bad}
     out = tmp_path / "out"
     argv = [arg.format(**paths) for arg in REJECTED[case]]
-    assert run(argv + ["--out", str(out)]) == 2
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
+    before = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for path in bad.values():
+        assert str(path) not in argv or str(path) in err, err
     assert not out.exists()
+    assert sorted(tmp_path.rglob("*")) == before
+    assert bad["file"].read_bytes() == BAD_INPUTS["file"]
 
 
 @pytest.mark.parametrize("argv, code, stream", [

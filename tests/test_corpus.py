@@ -6,6 +6,7 @@ from docnmt.corpus import (
     ConceptLexicon,
     DocumentCorpus,
     build_vocab,
+    encode_documents,
     generate_synthetic_cohesion_corpus,
     load_corpus,
     load_documents,
@@ -176,6 +177,18 @@ def test_vocab_pair_save_load(tmp_path):
         load_vocab_pair(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize("content", [
+    b"[1, 2]", b'{"src": 5, "tgt": []}', b'{"src": [{}], "tgt": []}',
+    b'{"src": ["\xff"], "tgt": []}', b"{", b'{"tgt": []}',
+    b'{"src": ["a"], "tgt": ["b"]}'])
+def test_a_malformed_vocabulary_is_a_data_error_naming_the_file(tmp_path,
+                                                                content):
+    path = tmp_path / "vocab.json"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match="vocab.json"):
+        load_vocab_pair(path)
+
+
 # ---------------------------------------------------------------------------
 # batching
 
@@ -189,12 +202,18 @@ def vocabs(corpus):
     return build_vocab(corpus, "src"), build_vocab(corpus, "tgt")
 
 
+def one_pair_documents(docs):
+    return [[pair] for doc in docs for pair in doc]
+
+
+def encoded(corpus, max_len=30):
+    return encode_documents(corpus, *vocabs(corpus), max_len)[0]
+
+
 def test_sentence_batches_respect_token_budget():
     corpus = synth()
-    sv, tv = vocabs(corpus)
-    batches, n_trunc = make_batches(corpus.one_sentence_documents(), sv, tv,
-                                    max_tokens=40, max_len=30, seed=0)
-    assert n_trunc == 0
+    batches = make_batches(one_pair_documents(encoded(corpus)),
+                           max_tokens=40, seed=0)
     assert sum(len(b) for b in batches) == corpus.n_sentences
     for b in batches:
         assert sum(len(it.tgt_ids) for it in b) <= 40
@@ -203,12 +222,10 @@ def test_sentence_batches_respect_token_budget():
 
 
 def test_sentence_batches_shuffle_depends_on_seed_only():
-    corpus = synth()
-    sv, tv = vocabs(corpus)
-    corpus = corpus.one_sentence_documents()
-    a, _ = make_batches(corpus, sv, tv, 64, 30, seed=1)
-    b, _ = make_batches(corpus, sv, tv, 64, 30, seed=1)
-    c, _ = make_batches(corpus, sv, tv, 64, 30, seed=2)
+    docs = one_pair_documents(encoded(synth()))
+    a = make_batches(docs, 64, seed=1)
+    b = make_batches(docs, 64, seed=1)
+    c = make_batches(docs, 64, seed=2)
     flat = lambda bs: [(it.src_ids, it.tgt_ids) for batch in bs for it in batch]
     assert flat(a) == flat(b)
     assert flat(a) != flat(c)
@@ -216,9 +233,8 @@ def test_sentence_batches_shuffle_depends_on_seed_only():
 
 def test_document_mode_preserves_order_and_marks_starts():
     corpus = synth(n_docs=5, doc_len=3)
-    sv, tv = vocabs(corpus)
-    batches, _ = make_batches(corpus, sv, tv, max_tokens=30, max_len=30,
-                              seed=4)
+    sv, _ = vocabs(corpus)
+    batches = make_batches(encoded(corpus), max_tokens=30, seed=4)
     items = [it for b in batches for it in b]
     starts = [it.doc_start for it in items]
     assert sum(starts) == 5
@@ -237,21 +253,23 @@ def test_document_mode_preserves_order_and_marks_starts():
 def test_truncation_is_counted_and_enforced():
     corpus = synth(n_docs=4, doc_len=2)
     sv, tv = vocabs(corpus)
-    batches, n_trunc = make_batches(corpus.one_sentence_documents(), sv, tv,
-                                    max_tokens=8, max_len=4, seed=0)
-    assert n_trunc > 0
-    for b in batches:
-        for it in b:
-            assert len(it.src_ids) <= 4 and len(it.tgt_ids) <= 4
+    docs, n_trunc = encode_documents(corpus, sv, tv, max_len=4)
+    assert n_trunc == sum((len(src) > 4) + (len(tgt) > 4)
+                          for src, tgt in corpus.pairs()) > 0
+    assert [len(doc) for doc in docs] == [2] * 4
+    for doc, words in zip(docs, corpus.documents):
+        for (src, tgt), (src_words, tgt_words) in zip(doc, words):
+            assert src == sv.encode(src_words)[:4]
+            assert tgt == tv.encode(tgt_words)[:4]
+    assert encode_documents(corpus, sv, tv, max_len=30)[1] == 0
 
 
 def test_batch_budget_validation():
     corpus = synth(n_docs=2, doc_len=2)
-    sv, tv = vocabs(corpus)
     with pytest.raises(DataError):
-        make_batches(corpus, sv, tv, max_tokens=3, max_len=10)
+        make_batches(encoded(corpus, max_len=10), max_tokens=3)
     with pytest.raises(DataError):
-        make_batches(corpus, sv, tv, max_tokens=10, max_len=0)
+        encode_documents(corpus, *vocabs(corpus), max_len=0)
 
 
 def sentence_mode_batches(corpus, src_vocab, tgt_vocab, max_tokens, max_len,
@@ -281,18 +299,18 @@ def sentence_mode_batches(corpus, src_vocab, tgt_vocab, max_tokens, max_len,
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-def test_one_sentence_documents_batch_as_the_sentence_mode(seed):
-    """Batching ``one_sentence_documents()`` gives the items, order, flags,
-    batch cuts and truncation count of the independent sentence batching it
-    replaced."""
+def test_one_pair_documents_batch_as_the_sentence_mode(seed):
+    """Encoding, then batching each pair as a document of its own, gives
+    the items, order, flags, batch cuts and truncation count of the
+    independent sentence batching it replaced."""
     corpus = synth(n_docs=9, doc_len=3, seed=seed)
     sv, tv = vocabs(corpus)
     for max_tokens, max_len in ((40, 30), (8, 4)):
         want = sentence_mode_batches(corpus, sv, tv, max_tokens, max_len,
                                      seed)
-        got = make_batches(corpus.one_sentence_documents(), sv, tv,
-                           max_tokens, max_len, seed=seed)
-        assert got == want
+        docs, truncated = encode_documents(corpus, sv, tv, max_len)
+        got = make_batches(one_pair_documents(docs), max_tokens, seed=seed)
+        assert (got, truncated) == want
     assert want[1] > 0 and len(want[0]) > 1
 
 

@@ -9,7 +9,7 @@ from docnmt import autodiff as ad
 from docnmt import training
 from docnmt.autodiff import Tensor
 from docnmt.checkpoint import load_checkpoint
-from docnmt.corpus import (BatchItem, build_vocab,
+from docnmt.corpus import (BatchItem, build_vocab, encode_documents,
                            generate_synthetic_cohesion_corpus, load_vocab_pair,
                            make_batches)
 from docnmt.decoding import update_context
@@ -202,6 +202,33 @@ def test_best_checkpoint_never_beats_itself():
                         TrainConfig(stage="base", epochs=2, seed=2))
     assert result.best_val_loss == min(h.val_loss for h in result.history)
     assert result.history[result.best_epoch].val_loss == result.best_val_loss
+
+
+@pytest.mark.parametrize("stage", ["base", "copy"])
+def test_the_best_epochs_parameters_come_back(stage, monkeypatch):
+    """Validation falls to epoch 2 and then rises: the run returns the
+    trained groups as they were after epoch 2, bit for bit, and the frozen
+    groups as they started."""
+    corpus, _, sv, tv, cfg = small_setup()
+    store = build_params(cfg, np.random.default_rng([0, 11]))
+    start = store.snapshot()
+    losses, after = iter([3.0, 2.0, 1.0, 1.5, 2.5]), []
+
+    def falling_then_rising(model, *args):
+        after.append(model.params.snapshot())
+        return next(losses), None
+
+    monkeypatch.setattr(training, "_evaluate", falling_then_rising)
+    inherited = STAGES[stage].requires
+    result = run_stage((store, cfg, set(inherited)), corpus, sv, tv,
+                       TrainConfig(stage=stage, epochs=4, seed=0))
+    assert result.best_epoch == 2 and len(after) == 5
+    trained = {name for name, _ in store.trainable()}
+    assert trained and trained != set(start)
+    assert any(not np.array_equal(after[2][n], after[4][n]) for n in trained)
+    for name, t in result.store.items():
+        want = after[2] if name in trained else start
+        np.testing.assert_array_equal(t.data, want[name])
 
 
 def test_training_log_lines(tmp_path):
@@ -461,19 +488,15 @@ def test_adam_rewind_restores_what_steps_change():
         return opt.t, w.data.copy(), opt._m["w"].copy(), opt._v["w"].copy()
 
     steps(2)
-    current = store.snapshot()
-    for saved in (opt.state(None), opt.state(current)):
-        want = steps(3)
-        for _ in range(2):      # the state stays valid for another rewind
-            opt.rewind(saved)
-            got = steps(3)
-            assert got[0] == want[0]
-            for a, b in zip(got[1:], want[1:]):
-                np.testing.assert_array_equal(a, b)
+    saved = opt.state()
+    want = steps(3)
+    for _ in range(2):          # the state stays valid for another rewind
         opt.rewind(saved)
-        assert set(saved[1]) == {"w"}
-    assert saved[1]["w"] is current["w"]        # shared, not copied
-    np.testing.assert_array_equal(current["w"], w.data)
+        got = steps(3)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(a, b)
+    assert set(saved[1]) == {"w"}
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +638,9 @@ def test_one_adam_step_per_batch(monkeypatch):
     make_batches, step = training.make_batches, Adam.step
 
     def counted_batches(*args, **kwargs):
-        batches, truncated = make_batches(*args, **kwargs)
+        batches = make_batches(*args, **kwargs)
         n_batches.append(len(batches))
-        return batches, truncated
+        return batches
 
     def counted_step(self, lr):
         n_steps.append(lr)
@@ -648,7 +671,7 @@ def test_base_epoch_runs_one_teacher_force_per_stacked_group(monkeypatch):
 
     def kept_batches(*args, **kwargs):
         out = make_batches(*args, **kwargs)
-        batches.extend(out[0])
+        batches.extend(out)
         return out
 
     def recorded_force(self, pairs, keep=None, *args):
@@ -668,7 +691,7 @@ def test_base_epoch_runs_one_teacher_force_per_stacked_group(monkeypatch):
 
     want_train = [g for batch in batches
                   for g in grouped([(it.src_ids, it.tgt_ids) for it in batch])]
-    val_docs = training._encode_corpus(
+    val_docs, _ = encode_documents(
         split_corpus(corpus, tcfg.val_fraction, tcfg.seed)[1], sv, tv,
         min(tcfg.max_len, cfg.max_len - 1))
     want_val = grouped([pair for doc in val_docs for pair in doc])
@@ -704,7 +727,7 @@ def test_gold_pushes_skip_each_documents_last_sentence(monkeypatch, doc_len):
     corpus, _, sv, tv, cfg = small_setup(n_docs=6, doc_len=doc_len)
     store = build_params(cfg, np.random.default_rng(0))
     model = DocModel(cfg, store)
-    docs = training._encode_corpus(corpus, sv, tv, 40)
+    docs, _ = encode_documents(corpus, sv, tv, 40)
     calls = count_gold_pushes(monkeypatch)
     training._evaluate(model, docs, "han-decoder", cfg.n_context)
     assert len(calls) == corpus.n_sentences - corpus.n_documents
@@ -879,7 +902,8 @@ def test_carried_caches_cross_batch_boundaries(stage, monkeypatch):
     variant = stage
     corpus, _, sv, tv, _ = small_setup(n_docs=8, doc_len=4)
     model = context_model(stage, 0.1, n_context=3)
-    batches, _ = make_batches(corpus, sv, tv, 40, 40, seed=3)
+    batches = make_batches(encode_documents(corpus, sv, tv, 40)[0], 40,
+                           seed=3)
     assert sum(not b[0].doc_start for b in batches) >= 2
     # the synthetic sentences repeat: mark each pair to key its entries
     marks = iter(range(26 * 26))
