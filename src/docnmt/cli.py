@@ -426,8 +426,11 @@ def cmd_evaluate(args) -> int:
     ref = load_documents(args.reference)
     lexicon = None
     if args.lexicon:
-        lexicon = ConceptLexicon.from_json(
-            read_text(args.lexicon, "lexicon file"))
+        text = read_text(args.lexicon, "lexicon file")
+        try:
+            lexicon = ConceptLexicon.from_json(text)
+        except DataError as e:
+            raise DataError(f"{args.lexicon}: {e}") from e
     scores = _evaluate_files(cand, ref, lexicon)
     table, kv = _format_report(scores)
     out = _out_dir(args.out)

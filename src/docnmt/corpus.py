@@ -20,6 +20,7 @@ from .util import read_text
 Sentence = list[str]
 SentencePair = tuple[Sentence, Sentence]
 IdPair = tuple[list[int], list[int]]        # a sentence pair's token ids
+Run = tuple[int, int, int]                  # (d, start, stop): make_batches
 
 
 @dataclass
@@ -194,14 +195,6 @@ def load_vocab_pair(path) -> tuple[Vocabulary, Vocabulary]:
 # batching
 
 
-@dataclass
-class BatchItem:
-    src_ids: list[int]
-    tgt_ids: list[int]
-    doc_start: bool
-    doc_end: bool                # last sentence of its document
-
-
 def encode_documents(corpus: DocumentCorpus, src_vocab: Vocabulary,
                      tgt_vocab: Vocabulary, max_len: int
                      ) -> tuple[list[list[IdPair]], int]:
@@ -219,33 +212,36 @@ def encode_documents(corpus: DocumentCorpus, src_vocab: Vocabulary,
 
 
 def make_batches(documents: list[list[IdPair]], max_tokens: int,
-                 seed: int = 0) -> list[list[BatchItem]]:
-    """Token-budgeted batches of id documents (``encode_documents``).
+                 seed: int = 0) -> list[list[Run]]:
+    """Token-budgeted batches of id documents (``encode_documents``), each
+    a list of runs ``(d, start, stop)``: sentences ``start..stop-1`` of
+    ``documents[d]``.
 
-    The documents are shuffled and their sentences kept in order, with
-    ``doc_start`` / ``doc_end`` marking boundaries; a batch may end inside
-    a document, which the next batch continues.  To batch independent
-    sentences, pass each pair as a document of its own.
+    The documents are shuffled and their sentences kept in order.  A batch
+    may end inside a document; the next batch then opens with a run whose
+    ``start`` is above 0, and only a batch's first run can have one.  To
+    batch independent sentences, pass each pair as a document of its own.
 
     No batch exceeds ``max_tokens`` target tokens, so a longer target is a
     ``DataError``.
     """
-    batches: list[list[BatchItem]] = []
-    cur: list[BatchItem] = []
+    batches: list[list[Run]] = []
+    cur: list[Run] = []
     budget = 0
     for d in np.random.default_rng(seed).permutation(len(documents)):
-        doc = documents[d]
-        for s, (src_ids, tgt_ids) in enumerate(doc):
+        d, start = int(d), 0
+        for s, (_, tgt_ids) in enumerate(documents[d]):
             cost = len(tgt_ids)
             if cost > max_tokens:
                 raise DataError(f"a target of {cost} tokens does not fit "
                                 f"max_tokens {max_tokens}")
-            if cur and budget + cost > max_tokens:
+            if budget + cost > max_tokens:
+                if s > start:
+                    cur.append((d, start, s))
                 batches.append(cur)
-                cur, budget = [], 0
-            cur.append(BatchItem(src_ids, tgt_ids, doc_start=(s == 0),
-                                 doc_end=(s == len(doc) - 1)))
+                cur, budget, start = [], 0, s
             budget += cost
+        cur.append((d, start, len(documents[d])))
     if cur:
         batches.append(cur)
     return batches
@@ -276,6 +272,8 @@ class ConceptLexicon:
                        for c in payload["concepts"]]
         except (KeyError, TypeError, json.JSONDecodeError) as e:
             raise DataError(f"bad lexicon file: {e}") from e
+        if not all(isinstance(w, str) for entry in entries for w in entry):
+            raise DataError("bad lexicon file: concept fields must be strings")
         return cls(entries=entries)
 
 
@@ -322,9 +320,10 @@ def generate_synthetic_cohesion_corpus(n_docs: int, doc_len: int,
                                        ) -> tuple[DocumentCorpus, ConceptLexicon]:
     """Documents about one concept each, realized by one of two synonyms.
 
-    Concept and synonym assignments are balanced before shuffling, so the
-    marginal variant frequency is 50/50 and (for corpora of 200+ documents)
-    every concept's variant ratio lands in [0.4, 0.6] — asserted below.
+    Concepts go to documents in turn, and each concept's documents take
+    its two variants in turn, both before shuffling: each concept's two
+    variant counts differ by at most one (asserted below), so its variant
+    ratio is exactly 1/2 only for an even number of documents.
     Frame fillers translate deterministically; the only translation ambiguity
     is the synonym choice, which sentence 1 reveals through its marker.
     """
@@ -361,16 +360,13 @@ def generate_synthetic_cohesion_corpus(n_docs: int, doc_len: int,
                             t.format(v=variant).split()))
         documents.append(doc)
 
-    if n_docs >= 200:
-        for k, (src_c, _, _) in enumerate(concepts):
-            members = [d for d, c in enumerate(concept_of_doc) if c == k]
-            if not members:
-                continue
-            ratio = sum(variant_of_doc[d] == "a" for d in members) / len(members)
-            if not 0.4 <= ratio <= 0.6:
-                raise DataError(
-                    f"variant balance for concept '{src_c}' is {ratio:.2f}, "
-                    f"outside [0.4, 0.6]")
+    for k, (src_c, _, _) in enumerate(concepts):
+        labels = [variant_of_doc[d] for d, c in enumerate(concept_of_doc)
+                  if c == k]
+        if abs(labels.count("a") - labels.count("b")) > 1:
+            raise DataError(
+                f"concept '{src_c}' has {labels.count('a')} documents of "
+                f"variant a and {labels.count('b')} of variant b")
 
     corpus = DocumentCorpus(documents=documents,
                             doc_ids=[f"synth{d:05d}" for d in range(n_docs)])

@@ -26,8 +26,9 @@ class ModelConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ContractError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ContractError(f"{name} must be >= 1")
+            least = 2 if name == "max_len" else 1   # BOS and one token
+            if value < least:
+                raise ContractError(f"{name} must be >= {least}, got {value}")
         if self.d_model % self.m_heads != 0:
             raise ContractError(
                 f"d_model={self.d_model} not divisible by m_heads={self.m_heads}")

@@ -6,8 +6,9 @@ The base stage starts from initialization and trains on one-sentence
 documents, the others start from a checkpoint and train on documents.
 Everything outside the stage's groups stays frozen.  A stage encodes its
 documents once (``encode_documents``) and batches them anew each epoch
-(``make_batches``); a batch is one Adam step on the gradient of its summed
-token loss, divided by its token count.
+(``make_batches``) into runs of consecutive sentences of one document; a
+batch is one Adam step on the gradient of its summed token loss, divided
+by its token count.
 
 Every stage runs a batch as a document wavefront, through the one runner
 ``_wavefront_passes`` that validation runs too.  Position s runs sentence s
@@ -15,12 +16,14 @@ of every document of the batch that has one, as stacked ``teacher_force``
 passes grouped by the documents' numbers of cached sentences (the block
 layout of the context attention needs one n per pass) and cut by
 ``stack_groups`` into groups of at most ``MAX_STACK_ROWS`` padded rows on
-each side, one cap for every stage.  Each document keeps its own
-``ContextState``; one that continues into the next batch carries it there.  After each pass, the
-documents whose sentence s a later sentence reads get its *gold* ids and
-rows pushed through ``decoding.update_context``, the push decoding makes
-of its own outputs (so the base stage, whose documents are one sentence
-long, pushes nothing).  In training a group is one forward and backward,
+each side, one cap for every stage.  Each run is one document of the
+wavefront with its own ``ContextState``; a run that starts inside its
+document opens its batch and takes over the caches of the previous batch's
+last run, which it continues.  After each pass, the documents whose
+sentence s a later sentence reads get its *gold* ids and rows pushed
+through ``decoding.update_context``, the push decoding makes of its own
+outputs (so the base stage, whose documents are one sentence long, pushes
+nothing).  In training a group is one forward and backward,
 and the rows come from one evaluation pass over the pushing documents.
 The dropout keep masks of every sentence are drawn before the batch runs,
 in batch order, as a per-sentence loop would draw them; parameters change
@@ -59,8 +62,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import (BatchItem, DocumentCorpus, IdPair, Vocabulary,
-                     encode_documents, make_batches)
+from .corpus import (DocumentCorpus, IdPair, Vocabulary, encode_documents,
+                     make_batches)
 from .decoding import update_context
 from .errors import ContractError, DataError, NumericalError, TrainingDiverged
 from .model import DocModel, ModelConfig, ParamStore
@@ -272,28 +275,12 @@ def stack_groups(pairs: list[IdPair]) -> list[list[int]]:
 class _Doc:
     """Consecutive sentences of one document and the caches they read."""
     context: ContextState
-    pairs: list[IdPair] = field(default_factory=list)
-    ends: bool = True            # its last pair is the document's last
+    pairs: list[IdPair]
+    ends: bool                   # its last pair is the document's last
 
     def pushes(self, s: int) -> bool:
         """Whether a later sentence reads sentence s's cache entry."""
         return s + 1 < len(self.pairs) or not self.ends
-
-
-def _batch_documents(batch: list[BatchItem], carried: _Doc | None,
-                     n_context: int) -> list[_Doc]:
-    """A document batch as its documents' runs of sentences, in batch
-    order; a run that continues ``carried`` (the previous batch's last
-    document) reads and extends its caches."""
-    docs: list[_Doc] = []
-    for item in batch:
-        if item.doc_start or not docs:
-            continues = carried is not None and not item.doc_start
-            docs.append(_Doc(carried.context if continues
-                             else ContextState(n_context)))
-        docs[-1].pairs.append((item.src_ids, item.tgt_ids))
-        docs[-1].ends = item.doc_end
-    return docs
 
 
 def _wavefront(docs: list[_Doc]):
@@ -377,7 +364,7 @@ def _wavefront_passes(model: DocModel, docs: list[_Doc], variant: str,
 def _evaluate(model: DocModel, docs, variant: str,
               n_context: int) -> tuple[float, float | None]:
     """Validation loss (and mean p_copy) under teacher-forced context."""
-    wave = [_Doc(ContextState(n_context), list(doc)) for doc in docs]
+    wave = [_Doc(ContextState(n_context), doc, True) for doc in docs]
     total = 0.0
     n_tokens = 0
     pc_sum = 0.0
@@ -410,8 +397,12 @@ def _train_epoch(model: DocModel, optimizer: Adam,
     for batch in batches:
         store.zero_grad()
         batch_tokens = 0
-        docs = _batch_documents(batch, docs[-1] if docs else None,
-                                model.cfg.n_context)
+        # a run from a document's middle opens its batch and continues
+        # the previous batch's last run, with its caches
+        docs = [_Doc(docs[-1].context if start
+                     else ContextState(model.cfg.n_context),
+                     documents[d][start:stop], stop == len(documents[d]))
+                for d, start, stop in batch]
         for loss, n, _ in _wavefront_passes(model, docs, variant, drop_rng):
             value = float(loss.data)
             if not math.isfinite(value):

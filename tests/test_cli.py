@@ -143,7 +143,10 @@ def test_bad_config_value_is_data_error(tmp_path, workdir, base_ckpt, capsys):
 # directory ("dir") or nothing (None)
 BAD_INPUTS = {"not_utf8": b"a \xff b\n", "vocab_list": b"[1, 2]\n",
               "vocab_types": b'{"src": 5, "tgt": []}\n', "dir": "dir",
-              "missing": None, "file": b"kept\n"}
+              "missing": None, "file": b"kept\n",
+              "lexicon_not_json": b"{concepts\n",
+              "lexicon_types":
+                  b'{"concepts": [{"source": 1, "a": 2, "b": 3}]}\n'}
 
 # argv of commands whose settings or inputs are rejected with exit 2;
 # {src}, {tgt}, {vocab} and {ckpt} name the shared corpus, vocabulary and
@@ -189,6 +192,14 @@ REJECTED = {
     "experiment-out-file": ["experiment", "--quiet", "--out", "{file}"],
     "train-max-tokens": ["train", "--src", "{src}", "--tgt", "{tgt}",
                          "--vocab", "{vocab}", "--max-tokens", "10"],
+    "train-max-len": ["train", "--src", "{src}", "--tgt", "{tgt}",
+                      "--vocab", "{vocab}", "--max-len", "1"],
+    "evaluate-lexicon-not-json": ["evaluate", "--candidate", "{tgt}",
+                                  "--reference", "{tgt}",
+                                  "--lexicon", "{lexicon_not_json}"],
+    "evaluate-lexicon-types": ["evaluate", "--candidate", "{tgt}",
+                               "--reference", "{tgt}",
+                               "--lexicon", "{lexicon_types}"],
 }
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from docnmt.corpus import (
-    BatchItem,
     ConceptLexicon,
     DocumentCorpus,
     build_vocab,
@@ -210,15 +209,39 @@ def encoded(corpus, max_len=30):
     return encode_documents(corpus, *vocabs(corpus), max_len)[0]
 
 
+def sentence_items(documents, batches):
+    """Runs expanded into the per-sentence items ``make_batches`` once
+    returned: (src, tgt, doc_start, doc_end), batch by batch."""
+    return [[(*documents[d][s], s == 0, s == len(documents[d]) - 1)
+             for d, start, stop in batch for s in range(start, stop)]
+            for batch in batches]
+
+
+def reference_batches(documents, max_tokens, seed):
+    """The per-sentence batching the runs replace: the documents in the
+    seed's permutation, their sentences in order, each item opening a new
+    batch when its target would overrun the budget."""
+    batches, cur, budget = [], [], 0
+    for d in np.random.default_rng(seed).permutation(len(documents)):
+        doc = documents[d]
+        for s, (src, tgt) in enumerate(doc):
+            if cur and budget + len(tgt) > max_tokens:
+                batches.append(cur)
+                cur, budget = [], 0
+            cur.append((src, tgt, s == 0, s == len(doc) - 1))
+            budget += len(tgt)
+    return batches + [cur]
+
+
 def test_sentence_batches_respect_token_budget():
     corpus = synth()
-    batches = make_batches(one_pair_documents(encoded(corpus)),
-                           max_tokens=40, seed=0)
-    assert sum(len(b) for b in batches) == corpus.n_sentences
-    for b in batches:
-        assert sum(len(it.tgt_ids) for it in b) <= 40
-    # each pair is a one-sentence document
-    assert all(it.doc_start and it.doc_end for b in batches for it in b)
+    docs = one_pair_documents(encoded(corpus))
+    batches = make_batches(docs, max_tokens=40, seed=0)
+    # each pair is a one-sentence document, in a run of its own
+    assert sorted(r for b in batches for r in b) == \
+        [(d, 0, 1) for d in range(corpus.n_sentences)]
+    for b in sentence_items(docs, batches):
+        assert sum(len(tgt) for _, tgt, _, _ in b) <= 40
 
 
 def test_sentence_batches_shuffle_depends_on_seed_only():
@@ -226,28 +249,53 @@ def test_sentence_batches_shuffle_depends_on_seed_only():
     a = make_batches(docs, 64, seed=1)
     b = make_batches(docs, 64, seed=1)
     c = make_batches(docs, 64, seed=2)
-    flat = lambda bs: [(it.src_ids, it.tgt_ids) for batch in bs for it in batch]
-    assert flat(a) == flat(b)
-    assert flat(a) != flat(c)
+    assert a == b
+    assert a != c
 
 
 def test_document_mode_preserves_order_and_marks_starts():
     corpus = synth(n_docs=5, doc_len=3)
-    sv, _ = vocabs(corpus)
     batches = make_batches(encoded(corpus), max_tokens=30, seed=4)
-    items = [it for b in batches for it in b]
-    starts = [it.doc_start for it in items]
-    assert sum(starts) == 5
+    runs = [r for b in batches for r in b]
+    assert sum(start == 0 for _, start, _ in runs) == 5
     # each document's sentences appear contiguously and in order, the
     # documents in the order of the seed's permutation
-    runs: list[list[list[int]]] = []
-    for it in items:
-        if it.doc_start:
-            runs.append([])
-        runs[-1].append(it.src_ids)
     order = np.random.default_rng(4).permutation(corpus.n_documents)
-    assert runs == [[sv.encode(s) for s, _ in corpus.documents[d]]
-                    for d in order]
+    whole = []
+    for d, start, stop in runs:
+        if start:
+            assert whole[-1][0] == d and whole[-1][2] == start
+            whole[-1] = (d, whole[-1][1], stop)
+        else:
+            whole.append((d, start, stop))
+    assert whole == [(d, 0, 3) for d in order]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("doc_len", [1, 4])
+def test_batch_runs_expand_to_the_sentence_items(seed, doc_len):
+    """Runs cover every sentence once, in document order, within the
+    budget; only a batch's first run starts inside its document; and
+    expanded per sentence they give the items, flags and batch cuts of the
+    per-sentence batching.  The budget splits most documents."""
+    corpus = synth(n_docs=12, doc_len=4, seed=seed)
+    docs = encoded(corpus)
+    if doc_len == 1:
+        docs = one_pair_documents(docs)
+    batches = make_batches(docs, max_tokens=15, seed=seed)
+    runs = [r for b in batches for r in b]
+    covered = sorted((d, s) for d, start, stop in runs
+                     for s in range(start, stop))
+    assert covered == [(d, s) for d, doc in enumerate(docs)
+                       for s in range(len(doc))]
+    assert all(start < stop for _, start, stop in runs)
+    for b in batches:
+        assert all(start == 0 for _, start, _ in b[1:])
+        assert sum(len(docs[d][s][1]) for d, start, stop in b
+                   for s in range(start, stop)) <= 15
+    assert sentence_items(docs, batches) == reference_batches(docs, 15, seed)
+    if doc_len > 1:
+        assert len({d for d, start, _ in runs if start}) > len(docs) / 2
 
 
 def test_truncation_is_counted_and_enforced():
@@ -284,17 +332,17 @@ def sentence_mode_batches(corpus, src_vocab, tgt_vocab, max_tokens, max_len,
         truncated += len(ids) > max_len
         return ids[:max_len]
 
-    items = [BatchItem(clip(src_vocab.encode(src)), clip(tgt_vocab.encode(tgt)),
-                       True, True)
+    items = [(clip(src_vocab.encode(src)), clip(tgt_vocab.encode(tgt)),
+              True, True)
              for doc in corpus.documents for src, tgt in doc]
     order = np.random.default_rng(seed).permutation(len(items))
     batches, cur, budget = [], [], 0
     for item in (items[i] for i in order):
-        if cur and budget + len(item.tgt_ids) > max_tokens:
+        if cur and budget + len(item[1]) > max_tokens:
             batches.append(cur)
             cur, budget = [], 0
         cur.append(item)
-        budget += len(item.tgt_ids)
+        budget += len(item[1])
     return batches + [cur], truncated
 
 
@@ -309,7 +357,8 @@ def test_one_pair_documents_batch_as_the_sentence_mode(seed):
         want = sentence_mode_batches(corpus, sv, tv, max_tokens, max_len,
                                      seed)
         docs, truncated = encode_documents(corpus, sv, tv, max_len)
-        got = make_batches(one_pair_documents(docs), max_tokens, seed=seed)
+        docs = one_pair_documents(docs)
+        got = sentence_items(docs, make_batches(docs, max_tokens, seed=seed))
         assert (got, truncated) == want
     assert want[1] > 0 and len(want[0]) > 1
 
@@ -371,6 +420,22 @@ def test_synth_balance_holds_at_acceptance_scale():
     for src_c, flags in per_concept.items():
         ratio = sum(flags) / len(flags)
         assert 0.4 <= ratio <= 0.6
+
+
+@pytest.mark.parametrize("n_docs, doc_len, n_concepts",
+                         [(200, 4, 10), (200, 4, 150), (201, 4, 67)])
+def test_synth_variant_counts_differ_by_at_most_one(n_docs, doc_len,
+                                                    n_concepts):
+    """Every corpus size generates, concepts with one or three documents
+    included, and each concept's two variant counts differ by at most
+    one."""
+    corpus, lex = generate_synthetic_cohesion_corpus(n_docs, doc_len,
+                                                     n_concepts, seed=0)
+    counts = {a: 0 for a, b in lex.pairs} | {b: 0 for a, b in lex.pairs}
+    for doc in corpus.documents:
+        counts[next(t for t in doc[0][1] if t in counts)] += 1
+    assert sum(counts.values()) == n_docs
+    assert all(abs(counts[a] - counts[b]) <= 1 for a, b in lex.pairs)
 
 
 def test_synth_extends_concept_list_beyond_builtins():

@@ -17,11 +17,12 @@ from docnmt import autodiff as ad
 from docnmt import training
 from docnmt.autodiff import Tensor
 from docnmt.checkpoint import load_checkpoint
-from docnmt.corpus import BatchItem, load_vocab_pair
+from docnmt.corpus import load_vocab_pair
 from docnmt.decoding import SearchConfig, translate_document
 from docnmt.errors import ShapeError
 from docnmt.gradcheck import grad_check
 from docnmt.model import DocModel, ModelConfig, build_params
+from docnmt.model.han import ContextState
 from docnmt.training import MAX_STACK_ROWS, stack_groups
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -203,9 +204,8 @@ def test_full_cap_training_pass_tape():
     node per fused op: no ``add_bias``, and dropout and ``add`` only at
     the two embeddings (plus the label-smoothing sum)."""
     model, pairs = base_model(), full_cap_pairs()
-    docs = training._batch_documents([BatchItem(s, t, True, True)
-                                      for s, t in pairs], None,
-                                     model.cfg.n_context)
+    docs = [training._Doc(ContextState(model.cfg.n_context), [pair], True)
+            for pair in pairs]
     passes = training._wavefront_passes(model, docs, "sentence",
                                         np.random.default_rng(6))
     loss, _, _ = next(passes)

@@ -67,3 +67,13 @@ def test_src_size_counts_lines_code_lines_and_settable_values(tmp_path):
     counts = dict(line.split("\t") for line in out.splitlines())
     assert counts == {"src_lines": "40", "code_lines": "25",
                       "settable_values": "4", "cli_options": "3"}
+
+
+def test_pool_check_translates_the_first_pool_document():
+    """The first pool document, greedy and beam 4, equals pool.json."""
+    proc = subprocess.run([sys.executable, str(TOOLS / "pool_check.py"),
+                           "--docs", "1"], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == ("0 of 8 pool sentences differ from pool.json "
+                           "(1 documents, greedy and beam 4)\n")

@@ -9,7 +9,7 @@ from docnmt import autodiff as ad
 from docnmt import training
 from docnmt.autodiff import Tensor
 from docnmt.checkpoint import load_checkpoint
-from docnmt.corpus import (BatchItem, build_vocab, encode_documents,
+from docnmt.corpus import (build_vocab, encode_documents,
                            generate_synthetic_cohesion_corpus, load_vocab_pair,
                            make_batches)
 from docnmt.decoding import update_context
@@ -33,6 +33,7 @@ from docnmt.training import (
     train_base,
 )
 
+from test_corpus import sentence_items
 from test_transformer import encode
 
 
@@ -533,8 +534,8 @@ def loop_reference(model, pairs, rng):
 def stacked_run(model, pairs, rng):
     """A sentence batch through the wavefront, as one-sentence documents."""
     model.params.zero_grad()
-    batch = [BatchItem(s, t, True, True) for s, t in pairs]
-    docs = training._batch_documents(batch, None, model.cfg.n_context)
+    docs = [training._Doc(ContextState(model.cfg.n_context), [pair], True)
+            for pair in pairs]
     total = 0.0
     for loss, _, _ in training._wavefront_passes(model, docs, "sentence",
                                                  rng):
@@ -669,9 +670,11 @@ def test_base_epoch_runs_one_teacher_force_per_stacked_group(monkeypatch):
     batches, passes, pushes, encodes = [], [], [], []
     make_batches, force = training.make_batches, DocModel.teacher_force
 
-    def kept_batches(*args, **kwargs):
-        out = make_batches(*args, **kwargs)
-        batches.extend(out)
+    def kept_batches(documents, *args, **kwargs):
+        out = make_batches(documents, *args, **kwargs)
+        batches.extend([pair for d, start, stop in batch
+                        for pair in documents[d][start:stop]]
+                       for batch in out)
         return out
 
     def recorded_force(self, pairs, keep=None, *args):
@@ -689,8 +692,7 @@ def test_base_epoch_runs_one_teacher_force_per_stacked_group(monkeypatch):
     def grouped(pairs):
         return [[pairs[i] for i in g] for g in stack_groups(pairs)]
 
-    want_train = [g for batch in batches
-                  for g in grouped([(it.src_ids, it.tgt_ids) for it in batch])]
+    want_train = [g for batch in batches for g in grouped(batch)]
     val_docs, _ = encode_documents(
         split_corpus(corpus, tcfg.val_fraction, tcfg.seed)[1], sv, tv,
         min(tcfg.max_len, cfg.max_len - 1))
@@ -784,26 +786,24 @@ def push_gold(push, model, context, src, tgt, variant):
 
 
 def document_loop(model, batches, variant, rng, entries):
-    """The per-sentence loop the wavefront replaces, over document batches:
-    per batch the summed loss and the gradients.  Each gold push is
-    ``push_gold``; the caches carry over batch boundaries."""
+    """The per-sentence loop the wavefront replaces, over batches of
+    ``sentence_items``: per batch the summed loss and the gradients.  Each
+    gold push is ``push_gold``; the caches carry over batch boundaries."""
     push = record_pushes(entries, update_context)
     context = ContextState(model.cfg.n_context)
     results = []
     for batch in batches:
         model.params.zero_grad()
         total = 0.0
-        for item in batch:
-            if item.doc_start:
+        for src, tgt, doc_start, doc_end in batch:
+            if doc_start:
                 context.clear()
-            loss, n, _ = model.sentence_loss(item.src_ids, item.tgt_ids,
-                                             context, variant, train=True,
-                                             rng=rng)
+            loss, n, _ = model.sentence_loss(src, tgt, context, variant,
+                                             train=True, rng=rng)
             ad.backward(loss * float(n))
             total += float(loss.data) * n
-            if not item.doc_end:
-                push_gold(push, model, context, item.src_ids, item.tgt_ids,
-                          variant)
+            if not doc_end:
+                push_gold(push, model, context, src, tgt, variant)
         results.append((total, grads_of(model)))
     return results
 
@@ -812,14 +812,20 @@ def grads_of(model):
     return {k: p.grad for k, p in model.params.items() if p.grad is not None}
 
 
-def wavefront_run(model, batches, variant, rng, entries, monkeypatch):
+def wavefront_run(model, documents, batches, variant, rng, entries,
+                  monkeypatch):
+    """Batches of runs of the id ``documents`` through the wavefront, each
+    run a ``_Doc`` as ``_train_epoch`` builds it."""
     monkeypatch.setattr(training, "update_context",
                         record_pushes(entries, update_context))
     docs, results = [], []
     for batch in batches:
         model.params.zero_grad()
-        docs = training._batch_documents(batch, docs[-1] if docs else None,
-                                         model.cfg.n_context)
+        docs = [training._Doc(docs[-1].context if start
+                              else ContextState(model.cfg.n_context),
+                              documents[d][start:stop],
+                              stop == len(documents[d]))
+                for d, start, stop in batch]
         total = 0.0
         for loss, _, _ in training._wavefront_passes(model, docs, variant,
                                                      rng):
@@ -830,18 +836,25 @@ def wavefront_run(model, batches, variant, rng, entries, monkeypatch):
 
 
 def document_batches(rng, lengths, cut, special_doc=None):
-    """Documents of the given lengths with random, distinct sentences, as
-    two batches split after item ``cut``; document ``special_doc`` has a
-    first target of reserved ids only (nothing in it may be copied)."""
-    items = []
+    """Id documents of the given lengths with random, distinct sentences,
+    and two batches of their runs, in order, the first holding the first
+    ``cut`` sentences; document ``special_doc`` has a first target of
+    reserved ids only (nothing in it may be copied)."""
+    documents, batches = [], [[], []]
     for d, n in enumerate(lengths):
+        documents.append([])
         for s in range(n):
             src = [int(i) for i in rng.integers(4, 30, rng.integers(1, 9))]
             tgt = [int(i) for i in rng.integers(4, 31, rng.integers(1, 9))]
             if d == special_doc and s == 0:
                 tgt = [UNK_ID] * (d + 1)
-            items.append(BatchItem(src, tgt, s == 0, s == n - 1))
-    return [items[:cut], items[cut:]]
+            documents[-1].append((src, tgt))
+            runs = batches[int(sum(lengths[:d]) + s >= cut)]
+            if runs and runs[-1][0] == d:
+                runs[-1] = (d, runs[-1][1], s + 1)
+            else:
+                runs.append((d, s, s + 1))
+    return documents, batches
 
 
 def assert_entries_match(got, want, tol):
@@ -864,14 +877,15 @@ def test_wavefront_matches_per_sentence_loop(stage, dropout, monkeypatch):
     and the generator left where the loop leaves it."""
     variant = stage
     model = context_model(stage, dropout)
-    batches = document_batches(np.random.default_rng(6), [1, 6, 1, 3, 2, 4],
-                               cut=5, special_doc=3)
-    assert not batches[1][0].doc_start            # document 1 is split
+    documents, batches = document_batches(
+        np.random.default_rng(6), [1, 6, 1, 3, 2, 4], cut=5, special_doc=3)
+    assert batches[1][0] == (1, 4, 6)             # document 1 is split
     want_entries, got_entries = {}, {}
     rng_loop, rng_wave = np.random.default_rng(21), np.random.default_rng(21)
-    want = document_loop(model, batches, variant, rng_loop, want_entries)
-    got = wavefront_run(model, batches, variant, rng_wave, got_entries,
-                        monkeypatch)
+    want = document_loop(model, sentence_items(documents, batches), variant,
+                         rng_loop, want_entries)
+    got = wavefront_run(model, documents, batches, variant, rng_wave,
+                        got_entries, monkeypatch)
     for (got_loss, got_g), (want_loss, want_g) in zip(got, want):
         assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
         assert set(got_g) == set(want_g) != set()
@@ -886,7 +900,7 @@ def test_wavefront_matches_per_sentence_loop(stage, dropout, monkeypatch):
 def test_wavefront_groups_by_cache_size_and_copyability():
     """One pass per (position, numbers of cached sentences, copyable)
     group; positions in order, each document once per position."""
-    docs = [training._Doc(ContextState(2), [([4], [5])] * n)
+    docs = [training._Doc(ContextState(2), [([4], [5])] * n, True)
             for n in (3, 1, 2, 3)]
     docs[3].context.push_target(CacheEntry([UNK_ID], Tensor(np.zeros((1, 4)))))
     passes = list(training._wavefront(docs))
@@ -902,18 +916,19 @@ def test_carried_caches_cross_batch_boundaries(stage, monkeypatch):
     variant = stage
     corpus, _, sv, tv, _ = small_setup(n_docs=8, doc_len=4)
     model = context_model(stage, 0.1, n_context=3)
-    batches = make_batches(encode_documents(corpus, sv, tv, 40)[0], 40,
-                           seed=3)
-    assert sum(not b[0].doc_start for b in batches) >= 2
     # the synthetic sentences repeat: mark each pair to key its entries
     marks = iter(range(26 * 26))
-    batches = [[BatchItem(i.src_ids + [4 + k // 26, 4 + k % 26], i.tgt_ids,
-                          i.doc_start, i.doc_end)
-                for i, k in zip(batch, marks)] for batch in batches]
+    documents = [[(src + [4 + k // 26, 4 + k % 26], tgt)
+                  for (src, tgt), k in zip(doc, marks)]
+                 for doc in encode_documents(corpus, sv, tv, 40)[0]]
+    batches = make_batches(documents, 40, seed=3)
+    assert sum(b[0][1] > 0 for b in batches) >= 2
     want_entries, got_entries = {}, {}
     rng_loop, rng_wave = np.random.default_rng(2), np.random.default_rng(2)
-    document_loop(model, batches, variant, rng_loop, want_entries)
-    wavefront_run(model, batches, variant, rng_wave, got_entries, monkeypatch)
+    document_loop(model, sentence_items(documents, batches), variant,
+                  rng_loop, want_entries)
+    wavefront_run(model, documents, batches, variant, rng_wave, got_entries,
+                  monkeypatch)
     # one recorded entry per push, no pair pushed twice
     assert len(got_entries) == len(want_entries) == \
         corpus.n_sentences - corpus.n_documents
@@ -972,7 +987,7 @@ def test_validation_entries_are_the_evaluation_pass_rows(monkeypatch):
     training._evaluate(model, docs, "copy", 2)
     monkeypatch.setattr(training, "update_context",
                         record_pushes(want_entries, update_context))
-    wave = [training._Doc(ContextState(2), list(doc)) for doc in docs]
+    wave = [training._Doc(ContextState(2), list(doc), True) for doc in docs]
     with ad.no_grad():
         for _ in training._wavefront_passes(model, wave, "copy",
                                             np.random.default_rng(0)):
