@@ -135,8 +135,14 @@ class Vocabulary:
     def __post_init__(self):
         if self.id_to_token[:4] != list(RESERVED):
             raise ContractError("vocabulary must start with the reserved tokens")
+        ids: dict[str, int] = {}
+        for i, tok in enumerate(self.id_to_token):
+            if not isinstance(tok, str):
+                raise ContractError(f"token id {i} is {tok!r}, not a string")
+            if ids.setdefault(tok, i) != i:
+                raise ContractError(f"token {tok!r} has ids {ids[tok]} and {i}")
         if not self.token_to_id:
-            self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
+            self.token_to_id = ids
 
     def __len__(self) -> int:
         return len(self.id_to_token)

@@ -34,6 +34,7 @@ overflow, which the layer norms bound unless weights reach about 1e150.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,24 +87,36 @@ class SearchConfig:
     def __post_init__(self):
         if self.width < 1:
             raise ContractError(f"beam width must be >= 1, got {self.width}")
-        if self.length_penalty < 0:
-            raise ContractError(f"length_penalty must be >= 0, got "
-                                f"{self.length_penalty}")
+        if not 0.0 <= self.length_penalty < math.inf:   # nan fails too
+            raise ContractError(f"length_penalty must be finite and >= 0, "
+                                f"got {self.length_penalty}")
 
 
-def _top5(vec: np.ndarray) -> list[tuple[int, float]]:
+def _top5(vec: np.ndarray | None) -> list[tuple[int, float]] | None:
+    if vec is None:
+        return None
     order = np.argsort(-vec, kind="stable")[:5]
     return [(int(i), float(vec[i])) for i in order]
 
 
 def _make_trace(result) -> StepTrace:
-    if result.copy is not None:
-        return StepTrace(p_copy=result.copy.p_copy,
-                         top_vocab=_top5(result.copy.p_vocab),
-                         top_alpha=_top5(result.copy.alpha_vocab),
-                         top_pw=_top5(result.p_w))
-    return StepTrace(p_copy=None, top_vocab=_top5(result.p_w),
-                     top_alpha=None, top_pw=_top5(result.p_w))
+    return StepTrace(p_copy=result.p_copy, top_vocab=_top5(result.p_vocab),
+                     top_alpha=_top5(result.alpha_vocab),
+                     top_pw=_top5(result.p_w))
+
+
+def _extend(hypo: BeamHypothesis, result, tokens: list[int],
+            collect_traces: bool) -> list[BeamHypothesis]:
+    """``hypo`` continued by each of ``tokens``, at the floored
+    log-probabilities of ``result.p_w``, with ``result.state`` and (when
+    collected) its step trace."""
+    logs = np.log(np.maximum(result.p_w, _LOG_FLOOR))
+    traces = hypo.traces + [_make_trace(result)] if collect_traces \
+        else hypo.traces
+    return [BeamHypothesis(tokens=hypo.tokens + [tid],
+                           log_prob=hypo.log_prob + float(logs[tid]),
+                           traces=traces, state=result.state)
+            for tid in tokens]
 
 
 def beam_step(hypotheses: list[BeamHypothesis], step_fn, width: int,
@@ -115,7 +128,8 @@ def beam_step(hypotheses: list[BeamHypothesis], step_fn, width: int,
     the result is deterministic and width 1 reproduces greedy argmax.
 
     ``step_fn`` takes the list of live hypotheses and returns one result
-    (``p_w``, ``copy``, ``state``) per hypothesis, in order.
+    (``p_w``, ``state``, and for traces ``p_vocab``, ``p_copy`` and
+    ``alpha_vocab``) per hypothesis, in order.
     """
     if width < 1:
         raise ContractError("beam width must be >= 1")
@@ -129,16 +143,9 @@ def beam_step(hypotheses: list[BeamHypothesis], step_fn, width: int,
             ranked.append(((-hypo.score(length_penalty), pi, -1), hypo))
             continue
         result = next(results)
-        p_w = result.p_w
-        logs = np.log(np.maximum(p_w, _LOG_FLOOR))
-        traces = hypo.traces + [_make_trace(result)] if collect_traces \
-            else hypo.traces
-        for tid in np.argsort(-p_w, kind="stable")[:width]:
-            tid = int(tid)
-            new = BeamHypothesis(tokens=hypo.tokens + [tid],
-                                 log_prob=hypo.log_prob + float(logs[tid]),
-                                 traces=traces, state=result.state)
-            ranked.append(((-new.score(length_penalty), pi, tid), new))
+        top = np.argsort(-result.p_w, kind="stable")[:width].tolist()
+        ranked += [((-new.score(length_penalty), pi, new.tokens[-1]), new)
+                   for new in _extend(hypo, result, top, collect_traces)]
     ranked.sort(key=lambda kv: kv[0])
     return [h for _, h in ranked[:width]]
 
@@ -151,16 +158,8 @@ def _force_finish(hypotheses: list[BeamHypothesis], step_fn,
     results = iter(step_fn(live) if live else [])
     out = []
     for hypo in hypotheses:
-        if hypo.finished:
-            out.append(hypo)
-            continue
-        result = next(results)
-        logs = np.log(np.maximum(result.p_w, _LOG_FLOOR))
-        traces = hypo.traces + [_make_trace(result)] if collect_traces \
-            else hypo.traces
-        out.append(BeamHypothesis(tokens=hypo.tokens + [EOS_ID],
-                                  log_prob=hypo.log_prob + float(logs[EOS_ID]),
-                                  traces=traces, state=result.state))
+        out += [hypo] if hypo.finished else \
+            _extend(hypo, next(results), [EOS_ID], collect_traces)
     return out
 
 

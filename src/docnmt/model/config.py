@@ -42,8 +42,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """The config ``to_dict`` wrote: every field must be given (a
+        default could differ from the one the parameters were trained
+        under); keys that name no field are ignored."""
         if not isinstance(d, dict):
             raise ContractError(f"config is not an object: {d!r}")
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in names})
+        names = [f.name for f in fields(cls)]
+        if missing := [n for n in names if n not in d]:
+            raise ContractError(f"config lacks {', '.join(missing)}")
+        return cls(**{n: d[n] for n in names})
 

@@ -43,14 +43,6 @@ class CopyWeights:
     copyable: bool             # False when no cached token may be copied
 
 
-@dataclass
-class CopyDistribution:
-    """Everything the mixture produced for one decode step."""
-    p_copy: float
-    p_vocab: np.ndarray
-    alpha_vocab: np.ndarray
-
-
 def copy_gate(h_tilde: Tensor, c_rows: Tensor, d_rows: Tensor,
               p: dict[str, Tensor]) -> Tensor:
     """p_copy in (0, 1), shaped [T, 1]."""

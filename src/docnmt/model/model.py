@@ -49,8 +49,8 @@ from ..autodiff import Tensor
 from ..errors import ContractError, NumericalError
 from ..tokens import BOS_ID, EOS_ID, PAD_ID
 from .config import ModelConfig
-from .copy import (CopyDistribution, CopyWeights, cache_indicator,
-                   copy_attention_weights, copy_gate, mix_distributions)
+from .copy import (cache_indicator, copy_attention_weights, copy_gate,
+                   mix_distributions)
 from .han import (AttentionTrace, CacheEntry, ContextMemory, ContextState,
                   cached, hierarchical_context)
 from .params import ParamStore
@@ -173,10 +173,14 @@ class DecoderState:
 
 @dataclass
 class StepResult:
-    """Output distribution for the last position of one prefix."""
+    """Output distribution for the last position of one prefix, with the
+    pieces of P_w = (1 - p_copy) * P_vocab + p_copy * alpha.  The arrays
+    are rows of the step's own arrays, not copies."""
     p_w: np.ndarray              # [V] final distribution
-    copy: CopyDistribution | None
     state: DecoderState          # the prefix's rows, its last token included
+    p_vocab: np.ndarray          # [V] vocabulary softmax; p_w's row unmixed
+    p_copy: float | None         # None where the copy mixture did not run
+    alpha_vocab: np.ndarray | None   # [V] copy weights; None with p_copy
 
 
 class DecoderMemory:
@@ -411,11 +415,11 @@ class DocModel:
 
     def copy_mixture(self, out: DecodeOut, memory: DecoderMemory,
                      p_vocab: Tensor
-                     ) -> tuple[Tensor, Tensor | None, CopyWeights | None]:
+                     ) -> tuple[Tensor, Tensor | None, Tensor | None]:
         """P_w for the copy variant; falls back to P_vocab (p_copy forced 0)
         when nothing in the cache may be copied.
 
-        Returns (p_w, p_copy or None, CopyWeights or None).
+        Returns (p_w, p_copy or None, alpha_vocab or None).
         """
         if out.trace is None:
             return p_vocab, None, None
@@ -430,7 +434,7 @@ class DocModel:
         p_copy = copy_gate(out.h_tilde, c_rows, out.d_rows,
                            self.params.view("copy."))
         return mix_distributions(p_vocab, weights.alpha_vocab, p_copy), \
-            p_copy, weights
+            p_copy, weights.alpha_vocab
 
     # -- teacher forcing -----------------------------------------------------
 
@@ -498,7 +502,8 @@ class DocModel:
         The prefixes have one length; ``states[i]`` holds the rows of all
         but the last token of ``prefixes[i]`` (None for a bare BOS prefix),
         so one row per prefix is computed.  Each result carries the state
-        grown by that row.  The distributions and the new rows are checked
+        grown by that row, and its P_w, P_vocab, p_copy and alpha rows (see
+        ``StepResult``).  The distributions and the new rows are checked
         to be finite (the search runs its ops unchecked, see ``decoding``);
         a non-finite value raises ``NumericalError`` naming the step.
         """
@@ -511,24 +516,20 @@ class DocModel:
         with ad.no_grad():
             out = self.decode([p[-1] for p in prefixes], memory, past)
             p_vocab = self.output_distribution(out.h_tilde)
-            p_w, p_copy, weights = p_vocab, None, None
+            p_w, p_copy, alpha = p_vocab, None, None
             if memory.variant == "copy":
-                p_w, p_copy, weights = self.copy_mixture(out, memory, p_vocab)
+                p_w, p_copy, alpha = self.copy_mixture(out, memory, p_vocab)
         step = [p_w, out.h_tilde] + [t for kv in out.kv for t in kv]
         if not all(np.isfinite(t.data).all() for t in step):
             raise NumericalError("non-finite values in the distribution or "
                                  f"state rows of decode step {len(past[0])}")
-        results = []
-        for i, state in enumerate(past):
-            dist = None
-            if p_copy is not None:
-                dist = CopyDistribution(
-                    p_copy=float(p_copy.data[i, 0]),
-                    p_vocab=p_vocab.data[i].copy(),
-                    alpha_vocab=weights.alpha_vocab.data[i].copy())
-            results.append(StepResult(p_w=p_w.data[i], copy=dist,
-                                      state=state.grow(out, i)))
-        return results
+        gates = [None] * len(past) if p_copy is None else \
+            p_copy.data[:, 0].tolist()
+        alphas = [None] * len(past) if alpha is None else alpha.data
+        return [StepResult(p_w=p_w.data[i], state=state.grow(out, i),
+                           p_vocab=p_vocab.data[i], p_copy=gates[i],
+                           alpha_vocab=alphas[i])
+                for i, state in enumerate(past)]
 
     # -- per-sentence references ---------------------------------------------
 

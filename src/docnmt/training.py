@@ -144,6 +144,10 @@ class TrainConfig:
                                 f"{self.epochs} and {self.warmup_steps}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ContractError("val_fraction outside [0, 1)")
+        for name in ("lr", "lr_scale"):
+            if not 0.0 < getattr(self, name) < math.inf:   # nan fails too
+                raise ContractError(f"{name} must be positive and finite, "
+                                    f"got {getattr(self, name)}")
         if not 1 <= self.max_len <= self.max_tokens:
             raise ContractError(f"need 1 <= max_len <= max_tokens, got "
                                 f"{self.max_len} and {self.max_tokens}")

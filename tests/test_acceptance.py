@@ -86,7 +86,7 @@ def test_copy_distribution_soundness():
             context, encoded, prefix = _random_state(model, cfg, rng)
             result = incremental_step(model, prefix, encoded, context, "copy")
             p_w = result.p_w
-            assert result.copy is not None, "cache was non-empty"
+            assert result.p_copy is not None, "cache was non-empty"
             assert (p_w >= 0.0).all()
             assert abs(p_w.sum() - 1.0) <= 1e-9
             n_steps += 1
@@ -102,7 +102,7 @@ def test_copy_distribution_soundness():
         for prefix in ([BOS_ID], [BOS_ID, 7], [BOS_ID, 8, 9]):
             stepped = incremental_step(model, prefix, encoded, empty, "copy")
             plain = incremental_step(model, prefix, encoded, empty, "sentence")
-            assert stepped.copy is None
+            assert stepped.p_copy is None
             np.testing.assert_array_equal(stepped.p_w, plain.p_w)
 
     assert time.time() - start <= 60.0
@@ -239,9 +239,9 @@ def test_copy_gate_forced_zero_equals_context_model():
         context, encoded, prefix = _random_state(model, cfg, rng)
         joint = incremental_step(model, prefix, encoded, context, "han-joint")
         copied = incremental_step(model, prefix, encoded, context, "copy")
-        assert copied.copy is not None
-        forced = (1.0 - 0.0) * copied.copy.p_vocab \
-            + 0.0 * copied.copy.alpha_vocab
+        assert copied.p_copy is not None
+        forced = (1.0 - 0.0) * copied.p_vocab \
+            + 0.0 * copied.alpha_vocab
         np.testing.assert_allclose(forced, joint.p_w, rtol=0, atol=1e-12)
 
 
@@ -289,6 +289,15 @@ def test_synthetic_cohesion_experiment(tmp_path):
     assert copy["consistency"] >= sent["consistency"] + 0.15, table
     assert abs(copy["lc_delta"]) <= abs(sent["lc_delta"]), table
     assert copy["bleu4"] >= sent["bleu4"] - 1.0, table
+    # the table is the README's, cell for cell: a change that moves the
+    # seed-0 results updates both
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    first = readme.index("\nsystem ") + 1
+    shown = readme[first:readme.index("```", first)]
+    got = (out / "metrics.tsv").read_text(encoding="utf-8")
+    assert [r.split() for r in got.splitlines()] == \
+        [r.split() for r in shown.splitlines()], got
     assert time.time() - start <= 30 * 60.0
 
 
@@ -358,8 +367,8 @@ class _TableMachine:
         state = None
 
         def __init__(self, p):
-            self.p_w = p
-            self.copy = None
+            self.p_w = self.p_vocab = p
+            self.p_copy = self.alpha_vocab = None
 
     def __init__(self, seed: int, vocab: int):
         self.seed = seed

@@ -139,14 +139,23 @@ def test_bad_config_value_is_data_error(tmp_path, workdir, base_ckpt, capsys):
         assert named in capsys.readouterr().err
 
 
-# the bad inputs of the REJECTED cases: a file with these bytes, a
-# directory ("dir") or nothing (None)
+def _int_token_vocab(shared: dict) -> bytes:
+    """The shared vocabulary with target token 6 an integer."""
+    payload = json.loads(Path(shared["vocab"]).read_text(encoding="utf-8"))
+    payload["tgt"][6] = 7
+    return json.dumps(payload).encode("utf-8")
+
+
+# the bad inputs of the REJECTED cases: a file with these bytes (or with
+# the bytes a function makes of the shared inputs), a directory ("dir") or
+# nothing (None)
 BAD_INPUTS = {"not_utf8": b"a \xff b\n", "vocab_list": b"[1, 2]\n",
               "vocab_types": b'{"src": 5, "tgt": []}\n', "dir": "dir",
               "missing": None, "file": b"kept\n",
               "lexicon_not_json": b"{concepts\n",
               "lexicon_types":
-                  b'{"concepts": [{"source": 1, "a": 2, "b": 3}]}\n'}
+                  b'{"concepts": [{"source": 1, "a": 2, "b": 3}]}\n',
+              "vocab_int_token": _int_token_vocab}
 
 # argv of commands whose settings or inputs are rejected with exit 2;
 # {src}, {tgt}, {vocab} and {ckpt} name the shared corpus, vocabulary and
@@ -200,6 +209,17 @@ REJECTED = {
     "evaluate-lexicon-types": ["evaluate", "--candidate", "{tgt}",
                                "--reference", "{tgt}",
                                "--lexicon", "{lexicon_types}"],
+    "train-lr-scale-nan": ["train", "--src", "{src}", "--tgt", "{tgt}",
+                           "--vocab", "{vocab}", "--lr-scale", "nan"],
+    "train-lr-scale-negative": ["train", "--src", "{src}", "--tgt", "{tgt}",
+                                "--vocab", "{vocab}", "--lr-scale", "-0.001"],
+    "translate-length-penalty-nan": ["translate", "--checkpoint", "{ckpt}",
+                                     "--vocab", "{vocab}", "--src", "{src}",
+                                     "--width", "2",
+                                     "--length-penalty", "nan"],
+    "translate-vocab-int-token": ["translate", "--checkpoint", "{ckpt}",
+                                  "--vocab", "{vocab_int_token}",
+                                  "--src", "{src}"],
 }
 
 
@@ -209,16 +229,19 @@ def test_a_rejected_setting_or_input_writes_nothing(tmp_path, workdir,
     """A command checks its settings and reads its inputs before it creates
     ``--out``: exit 2 leaves no ``--out`` behind and writes nothing else.
     The error is one line, and it names the bad input file."""
+    shared = {"src": workdir / "data/synth.src.txt",
+              "tgt": workdir / "data/synth.tgt.txt",
+              "vocab": workdir / "vocab/vocab.json", "ckpt": base_ckpt}
     bad = {name: tmp_path / "inputs" / name for name in BAD_INPUTS}
     (tmp_path / "inputs").mkdir()
     for name, content in BAD_INPUTS.items():
         if content == "dir":
             bad[name].mkdir()
+        elif callable(content):
+            bad[name].write_bytes(content(shared))
         elif content is not None:
             bad[name].write_bytes(content)
-    paths = {"src": workdir / "data/synth.src.txt",
-             "tgt": workdir / "data/synth.tgt.txt",
-             "vocab": workdir / "vocab/vocab.json", "ckpt": base_ckpt, **bad}
+    paths = {**shared, **bad}
     out = tmp_path / "out"
     argv = [arg.format(**paths) for arg in REJECTED[case]]
     if "--out" not in argv:

@@ -185,7 +185,7 @@ class TestModelCopyPath:
         step = incremental_step(model, [2, 7], enc, empty, "copy")
         ref = model.output_distribution(
             Tensor._wrap(step.state.h_tilde[-1:]))
-        assert step.copy is None
+        assert step.p_copy is None
         np.testing.assert_array_equal(step.p_w, ref.data[0])
 
     def test_copy_step_distribution_is_normalized(self):
@@ -193,14 +193,14 @@ class TestModelCopyPath:
         ctx = make_context(model, [[4, 5, 6]], target_sentences=[[7, 8, 9]])
         enc = encode(model, [4, 5, 6], ctx, "copy")
         step = incremental_step(model, [2, 7], enc, ctx, "copy")
-        assert step.copy is not None
+        assert step.p_copy is not None
         assert abs(step.p_w.sum() - 1.0) <= 1e-9
         assert np.all(step.p_w >= 0.0)
         # mixture identity on the reported pieces
         np.testing.assert_allclose(
             step.p_w,
-            (1 - step.copy.p_copy) * step.copy.p_vocab
-            + step.copy.p_copy * step.copy.alpha_vocab, atol=1e-12)
+            (1 - step.p_copy) * step.p_vocab
+            + step.p_copy * step.alpha_vocab, atol=1e-12)
 
     def test_gradients_reach_copy_and_context_groups_only(self):
         model = tiny_model()

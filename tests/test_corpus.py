@@ -179,7 +179,16 @@ def test_vocab_pair_save_load(tmp_path):
 @pytest.mark.parametrize("content", [
     b"[1, 2]", b'{"src": 5, "tgt": []}', b'{"src": [{}], "tgt": []}',
     b'{"src": ["\xff"], "tgt": []}', b"{", b'{"tgt": []}',
-    b'{"src": ["a"], "tgt": ["b"]}'])
+    b'{"src": ["a"], "tgt": ["b"]}',
+    pytest.param(b'{"src": ["<pad>", "<unk>", "<bos>", "<eos>"], '
+                 b'"tgt": ["<pad>", "<unk>", "<bos>", "<eos>", "is", 7]}',
+                 id="int-token"),
+    pytest.param(b'{"src": ["<pad>", "<unk>", "<bos>", "<eos>"], '
+                 b'"tgt": ["<pad>", "<unk>", "<bos>", "<eos>", ".", "."]}',
+                 id="repeated-token"),
+    pytest.param(b'{"src": ["<pad>", "<unk>", "<bos>", "<eos>", "<pad>"], '
+                 b'"tgt": ["<pad>", "<unk>", "<bos>", "<eos>"]}',
+                 id="repeated-reserved-token")])
 def test_a_malformed_vocabulary_is_a_data_error_naming_the_file(tmp_path,
                                                                 content):
     path = tmp_path / "vocab.json"

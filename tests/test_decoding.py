@@ -33,8 +33,8 @@ class FakeResult:
     state = None
 
     def __init__(self, p_w):
-        self.p_w = np.asarray(p_w, dtype=np.float64)
-        self.copy = None
+        self.p_w = self.p_vocab = np.asarray(p_w, dtype=np.float64)
+        self.p_copy = self.alpha_vocab = None
 
 
 def batched(machine):
@@ -86,6 +86,13 @@ def test_beam_width_validation():
         SearchConfig(width=0)
     with pytest.raises(ContractError):
         beam_step([BeamHypothesis([BOS_ID])], lambda t: None, width=0)
+
+
+@pytest.mark.parametrize("value", [-1e-3, math.nan, math.inf])
+def test_length_penalty_must_be_finite_and_non_negative(value):
+    with pytest.raises(ContractError, match="length_penalty"):
+        SearchConfig(length_penalty=value)
+    assert SearchConfig(length_penalty=0.0).length_penalty == 0.0
 
 
 def test_all_finished_is_a_fixpoint():
@@ -411,14 +418,57 @@ def test_batched_steps_match_full_recompute():
                                                       ctx, variant)
                         np.testing.assert_allclose(result.p_w, want,
                                                    rtol=0, atol=1e-12)
-                        assert (result.copy is None) == (p_copy is None)
+                        assert (result.p_copy is None) == (p_copy is None)
                         if p_copy is not None:
-                            assert abs(result.copy.p_copy - p_copy) <= 1e-12
+                            assert abs(result.p_copy - p_copy) <= 1e-12
                             copied += 1
                         assert len(result.state) == length
                     cases += 1
     assert cases == 2 * len(VARIANTS) * 8 * 4
     assert copied == 8 * (1 + 2 + 3 + 4)
+
+
+def _top5_ids(p: np.ndarray) -> list[int]:
+    return np.argsort(-p, kind="stable")[:5].tolist()
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_copy_traces_match_reference_steps(width):
+    """Each step trace of a copy model's chosen outputs, across a document,
+    against the full-recompute reference along the chosen tokens: p_copy
+    within 1e-12, None exactly where nothing is cached or copyable, with
+    the alpha top 5 present exactly alongside it; the top-5 ids of P_w and
+    of P_vocab (the han-joint step)."""
+    model = tiny_model(seed=9)
+    doc = [[4, 5, 6], [6, 7, 8], [8, 9, 4], [10, 4, 5]]
+    config = SearchConfig(width=width, collect_traces=True)
+    outputs, traces = translate_document(model, doc, "copy", config)
+    ctx = ContextState(model.cfg.n_context)
+    copied = plain = 0
+    for src, out, steps in zip(doc, outputs, traces):
+        encoded = encode(model, src, ctx, "copy")
+        # the search's own rows, which translate_document cached
+        again, _, rows = translate_sentence(model, encoded, ctx, "copy",
+                                            config)
+        assert again == out and len(steps) == len(out) + 1
+        prefix = [BOS_ID] + out
+        for t, trace in enumerate(steps):
+            p_w, p_copy = reference_step(model, prefix[:t + 1], encoded,
+                                         ctx, "copy")
+            p_vocab, _ = reference_step(model, prefix[:t + 1], encoded,
+                                        ctx, "han-joint")
+            assert (trace.p_copy is None) == (p_copy is None)
+            assert (trace.top_alpha is None) == (p_copy is None)
+            if p_copy is None:
+                plain += 1
+            else:
+                assert abs(trace.p_copy - p_copy) <= 1e-12
+                assert len(trace.top_alpha) == 5
+                copied += 1
+            assert [i for i, _ in trace.top_pw] == _top5_ids(p_w)
+            assert [i for i, _ in trace.top_vocab] == _top5_ids(p_vocab)
+        update_context(ctx, "copy", src, encoded.states.data, out, rows)
+    assert copied > 0 and plain > 0
 
 
 def test_empty_cache_copy_step_is_sentence_step_bitwise():
@@ -436,7 +486,7 @@ def test_empty_cache_copy_step_is_sentence_step_bitwise():
                                           states[v])
                for v, mem in memories.items()}
         for a, b in zip(got["copy"], got["sentence"]):
-            assert a.copy is None
+            assert a.p_copy is None
             np.testing.assert_array_equal(a.p_w, b.p_w)
             np.testing.assert_array_equal(a.state.h_tilde, b.state.h_tilde)
         states = {v: [r.state for r in rs] for v, rs in got.items()}

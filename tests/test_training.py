@@ -1075,6 +1075,13 @@ def test_stage_function_guards():
         TrainConfig(warmup_steps=0)
 
 
+@pytest.mark.parametrize("name", ["lr", "lr_scale"])
+@pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
+def test_learning_rates_must_be_positive_and_finite(name, value):
+    with pytest.raises(ContractError, match=name):
+        TrainConfig(**{name: value})
+
+
 def test_checkpoint_variant_reads_each_stage_row():
     """A checkpoint holds its stage's trained plus required groups, and
     those name the stage's variant (stages that end in the same groups

@@ -1,5 +1,6 @@
 """Transformer blocks: attention, FFN, encode/decode, loss, checkpoints."""
 
+import dataclasses
 import json
 import struct
 
@@ -413,6 +414,16 @@ class TestCheckpoint:
         path, _ = self._saved(tmp_path)
         rewrite_header(path, lambda h: h.pop(field))
         with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(ModelConfig)])
+    def test_config_missing_field_is_checkpoint_error(self, tmp_path, name):
+        """No field falls back to its default: one that shapes no
+        parameter (dropout, max_len, ...) would load silently."""
+        path, _ = self._saved(tmp_path)
+        rewrite_header(path, lambda h: h["config"].pop(name))
+        with pytest.raises(CheckpointError, match=f"lacks {name}"):
             load_checkpoint(path)
 
     def test_invalid_config_is_checkpoint_error(self, tmp_path):
