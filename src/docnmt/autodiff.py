@@ -224,8 +224,8 @@ def _finite(arr: Array, tag: str) -> None:
         raise NumericalError(f"non-finite values produced by op '{tag}'")
 
 
-def _out(arr: Array, inputs: tuple, bwd, tag: str, check: bool = True) -> Tensor:
-    if check and _check_finite:
+def _out(arr: Array, inputs: tuple, bwd, tag: str) -> Tensor:
+    if _check_finite:
         _finite(arr, tag)
     t = Tensor._wrap(arr)
     if _grad_enabled and any(i.requires_grad for i in inputs):
@@ -341,10 +341,6 @@ def relu(x: Tensor) -> Tensor:
     """max(x, 0); a NaN stays NaN."""
     mask = x.data > 0
     return _out(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,), "relu")
-
-
-def log(x: Tensor) -> Tensor:
-    return _out(np.log(x.data), (x,), lambda g: (g / x.data,), "log")
 
 
 _LOG_FLOOR = 1e-12
@@ -533,15 +529,6 @@ def dropout(x: Tensor, rate: float, keep: Array | None) -> Tensor:
         return x
     return _out(x.data * (keep * scale), (x,),
                 lambda g: (g * (keep * scale),), "dropout")
-
-
-def masked_fill(x: Tensor, mask: Array, value: float) -> Tensor:
-    """Replace entries where ``mask`` is True by ``value`` (usually -inf)."""
-    if mask.shape != x.data.shape:
-        raise ShapeError(f"masked_fill: mask {mask.shape} vs x {x.shape}")
-    keep = ~mask
-    return _out(np.where(mask, value, x.data), (x,),
-                lambda g: (g * keep,), "masked_fill", check=False)
 
 
 def _heads(x: Array, bs: int, m: int) -> Array:

@@ -4,8 +4,9 @@ Layout: 8-byte magic, uint32 format version, uint32 header length, UTF-8 JSON
 header (config, trained stage groups, parameter manifest with shapes), then
 the raw parameter arrays as little-endian float64 in manifest order.  Loading
 verifies the manifest against a store rebuilt from the config and fails
-loudly on any mismatch; a header that lacks a field or holds an invalid
-config is a CheckpointError too.
+loudly on any mismatch; a header that lacks a field, holds an invalid
+config or trained groups that are not distinct parameter group names is a
+CheckpointError too.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import CheckpointError, ContractError
 from .model.config import ModelConfig
-from .model.params import ParamStore, build_params
+from .model.params import GROUPS, ParamStore, build_params
 
 MAGIC = b"DOCNMT\x00\x01"
 FORMAT_VERSION = 1
@@ -61,11 +62,18 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig, list[str]]:
         cfg = ModelConfig.from_dict(header["config"])
         declared = {p["name"]: (tuple(p["shape"]), p["group"])
                     for p in header["params"]}
-        trained_groups = list(header["trained_groups"])
+        trained_groups = header["trained_groups"]
     except KeyError as e:
         raise CheckpointError(f"{path}: header lacks {e}") from e
     except (ContractError, TypeError) as e:
         raise CheckpointError(f"{path}: invalid header: {e}") from e
+    if not (isinstance(trained_groups, list)
+            and all(g in GROUPS for g in trained_groups)
+            and len(set(trained_groups)) == len(trained_groups)):
+        raise CheckpointError(
+            f"{path}: no training stage produces trained groups "
+            f"{trained_groups!r}: they must be distinct names from "
+            f"{list(GROUPS)}")
     # rebuild the expected parameter layout from the config and verify
     store = build_params(cfg, np.random.default_rng(0))
     expected = {n: (tuple(shape), g) for n, shape, g in store.manifest()}

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -273,9 +274,14 @@ def _report_divergence(out: Path, e: TrainingDiverged) -> None:
 
 
 def _load_model_inputs(args):
-    """Vocabulary pair and checkpoint, checked against each other."""
+    """Vocabulary pair and checkpoint, checked against each other; the
+    checkpoint's trained groups must be those of a training stage."""
     sv, tv = load_vocab_pair(args.vocab)
     store, model_cfg, groups = load_checkpoint(args.checkpoint)
+    try:
+        checkpoint_variant(groups)
+    except DataError as e:
+        raise DataError(f"{args.checkpoint}: {e}") from e
     if (len(sv), len(tv)) != (model_cfg.vocab_src, model_cfg.vocab_tgt):
         raise DataError(
             f"vocab sizes {len(sv)}/{len(tv)} do not match checkpoint "
@@ -357,8 +363,7 @@ def cmd_translate(args) -> int:
     search = _search_config(cfg, collect_traces=args.trace)
     sv, tv, store, model_cfg, groups = _load_model_inputs(args)
     model = DocModel(model_cfg, store)
-    default = checkpoint_variant(groups)   # rejects groups no stage makes
-    variant = args.variant or default
+    variant = args.variant or checkpoint_variant(groups)
     row = next(s for s in STAGES.values() if s.variant == variant)
     if missing := sorted((row.trains | row.requires) - set(groups)):
         raise DataError(f"variant {variant} reads parameter groups {missing} "
@@ -387,14 +392,29 @@ def cmd_translate(args) -> int:
     return 0
 
 
+def _check_aligned(cand_docs, ref_docs) -> None:
+    """Candidate and reference need the same number of documents and the
+    same number of sentences in each: LC-stem counts repeats within a
+    document.  The error names the first document that differs and its
+    first line, which is the same in both files."""
+    line = 1
+    for d, (cand, ref) in enumerate(
+            zip_longest(cand_docs, ref_docs, fillvalue=[]), 1):
+        if len(cand) != len(ref):
+            raise DataError(f"line {line}: document {d} has {len(cand)} "
+                            f"sentences in the candidate, {len(ref)} in the "
+                            f"reference")
+        line += len(cand) + 1
+
+
 def _evaluate_files(cand_docs, ref_docs, lexicon) -> dict[str, object]:
+    _check_aligned(cand_docs, ref_docs)
     scores: dict[str, object] = {}
     scores["bleu4"] = bleu4(cand_docs, ref_docs)
-    scores["lc_stem_reference"] = lc_score(ref_docs).corpus_lc
+    scores["lc_stem_reference"] = ref_lc = lc_score(ref_docs).corpus_lc
     try:
-        report = lc_score(cand_docs, reference_documents=ref_docs)
-        scores["lc_stem"] = report.corpus_lc
-        scores["lc_delta"] = report.delta_vs_reference
+        lc = lc_score(cand_docs).corpus_lc
+        scores["lc_stem"], scores["lc_delta"] = lc, lc - ref_lc
     except DataError:
         # a degenerate system can emit no content words at all; the score
         # is undefined rather than zero
@@ -431,7 +451,11 @@ def cmd_evaluate(args) -> int:
             lexicon = ConceptLexicon.from_json(text)
         except DataError as e:
             raise DataError(f"{args.lexicon}: {e}") from e
-    scores = _evaluate_files(cand, ref, lexicon)
+    try:
+        scores = _evaluate_files(cand, ref, lexicon)
+    except DataError as e:
+        raise DataError(f"{args.candidate} against {args.reference}: "
+                        f"{e}") from e
     table, kv = _format_report(scores)
     out = _out_dir(args.out)
     (out / "report.txt").write_text(table, encoding="utf-8")

@@ -130,7 +130,7 @@ def write_manifest(corpus: DocumentCorpus, path) -> None:
 @dataclass
 class Vocabulary:
     id_to_token: list[str]
-    token_to_id: dict[str, int] = field(default_factory=dict)
+    token_to_id: dict[str, int] = field(init=False)
 
     def __post_init__(self):
         if self.id_to_token[:4] != list(RESERVED):
@@ -141,8 +141,7 @@ class Vocabulary:
                 raise ContractError(f"token id {i} is {tok!r}, not a string")
             if ids.setdefault(tok, i) != i:
                 raise ContractError(f"token {tok!r} has ids {ids[tok]} and {i}")
-        if not self.token_to_id:
-            self.token_to_id = ids
+        self.token_to_id = ids
 
     def __len__(self) -> int:
         return len(self.id_to_token)

@@ -119,43 +119,46 @@ def _extend(hypo: BeamHypothesis, result, tokens: list[int],
             for tid in tokens]
 
 
-def beam_step(hypotheses: list[BeamHypothesis], step_fn, width: int,
+def beam_step(hypotheses: list[BeamHypothesis], results, width: int,
               length_penalty: float = 0.0,
               collect_traces: bool = False) -> list[BeamHypothesis]:
     """One expansion round: top-``width`` continuations per live hypothesis,
     then the global top-``width`` by length-normalized score.  Finished
     hypotheses carry over unexpanded; ties break by (parent, token id), so
-    the result is deterministic and width 1 reproduces greedy argmax.
+    the result is deterministic and width 1 reproduces greedy argmax.  A
+    hypothesis that holds only BOS does not take EOS, so no translation is
+    empty.
 
-    ``step_fn`` takes the list of live hypotheses and returns one result
-    (``p_w``, ``state``, and for traces ``p_vocab``, ``p_copy`` and
-    ``alpha_vocab``) per hypothesis, in order.
+    ``results`` holds one step result (``p_w``, ``state``, and for traces
+    ``p_vocab``, ``p_copy`` and ``alpha_vocab``) per live hypothesis, in
+    order.
     """
     if width < 1:
         raise ContractError("beam width must be >= 1")
-    live = [h for h in hypotheses if not h.finished]
-    if not live:
-        return list(hypotheses)
-    results = iter(step_fn(live))
+    results = iter(results)
     ranked: list[tuple[tuple, BeamHypothesis]] = []
     for pi, hypo in enumerate(hypotheses):
         if hypo.finished:
             ranked.append(((-hypo.score(length_penalty), pi, -1), hypo))
             continue
         result = next(results)
-        top = np.argsort(-result.p_w, kind="stable")[:width].tolist()
+        order = np.argsort(-result.p_w, kind="stable")
+        if len(hypo.tokens) == 1:
+            order = order[order != EOS_ID]
+        top = order[:width].tolist()
         ranked += [((-new.score(length_penalty), pi, new.tokens[-1]), new)
                    for new in _extend(hypo, result, top, collect_traces)]
     ranked.sort(key=lambda kv: kv[0])
     return [h for _, h in ranked[:width]]
 
 
-def _force_finish(hypotheses: list[BeamHypothesis], step_fn,
+def _force_finish(hypotheses: list[BeamHypothesis], results,
                   collect_traces: bool) -> list[BeamHypothesis]:
     """Length cap reached: close every live hypothesis with EOS at its real
-    probability, keeping the score = sum of chosen log-probs invariant."""
-    live = [h for h in hypotheses if not h.finished]
-    results = iter(step_fn(live) if live else [])
+    probability, from its step result in ``results`` (one per live
+    hypothesis, in order), keeping the score = sum of chosen log-probs
+    invariant."""
+    results = iter(results)
     out = []
     for hypo in hypotheses:
         out += [hypo] if hypo.finished else \
@@ -166,14 +169,23 @@ def _force_finish(hypotheses: list[BeamHypothesis], step_fn,
 def search(step_fn, max_steps: int, config: SearchConfig
            ) -> list[BeamHypothesis]:
     """Run beam search from a bare BOS prefix; returns hypotheses sorted
-    best-first by length-normalized score."""
+    best-first by length-normalized score.
+
+    Each round makes one ``step_fn`` call, which takes the list of live
+    hypotheses and returns one step result per hypothesis, in order.
+    Rounds stop when no hypothesis is live; round ``max_steps`` (the
+    length cap) closes the live ones with EOS.
+    """
     hypos = [BeamHypothesis(tokens=[BOS_ID])]
-    for _ in range(max_steps):
-        if all(h.finished for h in hypos):
+    for step in range(max_steps + 1):
+        live = [h for h in hypos if not h.finished]
+        if not live:
             break
-        hypos = beam_step(hypos, step_fn, config.width,
-                          config.length_penalty, config.collect_traces)
-    hypos = _force_finish(hypos, step_fn, config.collect_traces)
+        if step < max_steps:
+            hypos = beam_step(hypos, step_fn(live), config.width,
+                              config.length_penalty, config.collect_traces)
+        else:
+            hypos = _force_finish(hypos, step_fn(live), config.collect_traces)
     order = sorted(range(len(hypos)),
                    key=lambda i: (-hypos[i].score(config.length_penalty), i))
     return [hypos[i] for i in order]
@@ -238,8 +250,7 @@ def translate_document(model: DocModel, src_sentences: list[list[int]],
     all_traces: list[list[StepTrace]] = []
 
     def sentence(src):
-        encoded, _ = model.contextual_encode(Stack.of([src]), [context],
-                                             variant)
+        encoded = model.contextual_encode(Stack.of([src]), [context], variant)
         return (encoded,) + translate_sentence(model, encoded, context,
                                                variant, config)
 

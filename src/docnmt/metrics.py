@@ -93,7 +93,6 @@ class LcReport:
     corpus_lc: float
     n_content: int
     n_devices: int
-    delta_vs_reference: float | None = None
     excluded: list[int] = field(default_factory=list)
     stopwords_sha256: str = ""
 
@@ -116,14 +115,12 @@ def _lc_counts(doc: Document) -> tuple[int, int]:
     return content, devices
 
 
-def lc_score(documents: list[Document],
-             reference_documents: list[Document] | None = None) -> LcReport:
+def lc_score(documents: list[Document]) -> LcReport:
     """LC-stem: 100 × devices / content words, micro-averaged over the corpus.
 
     A device is a content word whose stem already occurred earlier in the
     same document.  Documents with zero content words are excluded (with a
-    warning).  With ``reference_documents``, ``delta_vs_reference`` is
-    LC(documents) − LC(reference_documents).
+    warning); a system's LC delta is its score minus its reference's.
     """
     if not documents:
         raise DataError("lc_score needs at least one document")
@@ -144,14 +141,9 @@ def lc_score(documents: list[Document],
     if total_content == 0:
         raise DataError("no content words in any document")
     corpus = 100.0 * total_devices / total_content
-    delta = None
-    if reference_documents is not None:
-        ref = lc_score(reference_documents)
-        delta = corpus - ref.corpus_lc
     return LcReport(per_document=per_doc, corpus_lc=corpus,
                     n_content=total_content, n_devices=total_devices,
-                    delta_vs_reference=delta, excluded=excluded,
-                    stopwords_sha256=stopword_hash())
+                    excluded=excluded, stopwords_sha256=stopword_hash())
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +205,6 @@ class ConsistencyReport:
     n_consistent: int
     n_eligible: int
     n_dropped: int
-
-    def __float__(self) -> float:
-        return self.rate
 
 
 def consistency_report(candidate_documents: list[Document],

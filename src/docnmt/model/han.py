@@ -55,7 +55,7 @@ class CacheEntry:
 class ContextState:
     """Sliding caches of up to n previous source / target sentences.
 
-    Entries are ordered oldest to newest; document boundaries clear both.
+    Entries are ordered oldest to newest; each document starts a new state.
     """
 
     def __init__(self, n: int):
@@ -72,10 +72,6 @@ class ContextState:
     def push_target(self, entry: CacheEntry) -> None:
         self.target.append(entry)
         del self.target[:-self.n]
-
-    def clear(self) -> None:
-        self.source.clear()
-        self.target.clear()
 
 
 def cached(contexts: list[ContextState] | None, side: str

@@ -323,17 +323,16 @@ class DocModel:
                           contexts: list[ContextState] | None = None,
                           variant: str = "sentence",
                           keep: Iterator[np.ndarray] | None = None
-                          ) -> tuple[EncodedSentence, AttentionTrace | None]:
+                          ) -> EncodedSentence:
         """``encode``, then source-side context integration under one cache
-        per sentence."""
+        per sentence; its attention weights are not kept."""
         check_variant(variant)
         h = self.encode(token_ids, keep)
-        trace = None
         entries = cached(contexts, "source")
         if variant in ENCODER_CTX and entries:
-            h, _, trace = hierarchical_context(h, ContextMemory(
+            h, _, _ = hierarchical_context(h, ContextMemory(
                 entries, self.params, "ctx.enc.", self.cfg.m_heads))
-        return EncodedSentence(token_ids=token_ids, states=h), trace
+        return EncodedSentence(token_ids=token_ids, states=h)
 
     # -- decoder --------------------------------------------------------------
 
@@ -460,7 +459,7 @@ class DocModel:
                              for site in zip(*(s for s, _ in keep))])
             tgt_feed = iter([tgt.pad_rows(list(site))
                              for site in zip(*(t for _, t in keep))])
-        encoded, _ = self.contextual_encode(src, contexts, variant, src_feed)
+        encoded = self.contextual_encode(src, contexts, variant, src_feed)
         memory = DecoderMemory(self, encoded, contexts, variant)
         return Forced(pairs, tgt, memory,
                       self.decode(tgt, memory, None, tgt_feed))

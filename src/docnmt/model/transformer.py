@@ -102,6 +102,5 @@ def cross_entropy(p_rows: Tensor, gold: list[int] | np.ndarray,
     nll = -ad.take_per_row(logs, gold).mean()
     if smoothing == 0.0:
         return nll
-    v = p_rows.data.shape[1]
     uniform = -logs.mean()  # mean over T*V == (1/V) sum_v, averaged over rows
     return (1.0 - smoothing) * nll + smoothing * uniform

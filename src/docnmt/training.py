@@ -359,7 +359,7 @@ def _wavefront_passes(model: DocModel, docs: list[_Doc], variant: str,
                 else:               # nothing reads h~: the encoder only
                     src_rows = model.contextual_encode(
                         Stack.of([src for src, _ in pairs]), contexts,
-                        variant)[0].states
+                        variant).states
                     tgt_rows = None
         _push_gold(group_docs, s, variant, src_rows.data,
                    None if tgt_rows is None else tgt_rows.data)

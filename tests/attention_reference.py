@@ -3,14 +3,19 @@
 This is the chain that ``autodiff.attention_weights`` and
 ``autodiff.attention_mix`` compute in two tape nodes: per head, ``narrow``
 the query, key and value columns, transpose the keys, then ``matmul``,
-scale, ``masked_fill``, ``softmax``, ``matmul``, and ``concat`` the heads.
-It runs one sequence, takes its mask as [a, b] or [1, a, b] and returns
-the per-head weights as a list of [a, b] tensors.
+scale, mask, ``softmax``, ``matmul``, and ``concat`` the heads.  It masks
+by adding -1e300 to the blocked logits: ``exp`` underflows that to the
+same exact zero weight, and zero gradient, as a -inf fill.  It runs one
+sequence, takes its mask as [a, b] or [1, a, b] and returns the per-head
+weights as a list of [a, b] tensors.
 """
 
 import math
 
+import numpy as np
+
 from docnmt import autodiff as ad
+from docnmt.autodiff import Tensor
 from docnmt.errors import ShapeError
 
 
@@ -29,7 +34,7 @@ def scaled_dot_attention(q, k, v, mask=None):
 
 def _mask(mask, q, k):
     """A one-sequence mask as [a, b] for a query and b key rows; None when
-    it blocks nothing (no ``masked_fill`` then)."""
+    it blocks nothing (no mask is added then)."""
     rows = (q.data.shape[0], k.data.shape[0])
     if mask is None:
         return None
@@ -41,7 +46,7 @@ def _mask(mask, q, k):
 def _head_attention(q, k_t, v, mask):
     logits = (q @ k_t) * (1.0 / math.sqrt(q.data.shape[1]))
     if mask is not None:
-        logits = ad.masked_fill(logits, mask, -math.inf)
+        logits = logits + Tensor(np.where(mask, -1e300, 0.0))
     weights = ad.softmax_lastdim(logits)
     return weights @ v, weights
 

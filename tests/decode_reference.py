@@ -92,11 +92,15 @@ def incremental_step(model, prefix, encoded, context, variant):
 
 def greedy_search(step_fn, max_steps: int) -> BeamHypothesis:
     """Plain argmax decoding, written independently of the beam machinery;
-    the last step forces EOS, as the search's length cap does."""
+    the first step does not take EOS (a translation holds at least one
+    token) and the last step forces EOS, as the search's length cap does."""
     hypo = BeamHypothesis(tokens=[BOS_ID])
     for step in range(max_steps + 1):
         result = step_fn([hypo])[0]
-        tid = int(np.argmax(result.p_w)) if step < max_steps else EOS_ID
+        p = result.p_w.copy()
+        if step == 0:
+            p[EOS_ID] = -np.inf
+        tid = int(np.argmax(p)) if step < max_steps else EOS_ID
         hypo = BeamHypothesis(
             tokens=hypo.tokens + [tid],
             log_prob=hypo.log_prob + float(np.log(max(result.p_w[tid],

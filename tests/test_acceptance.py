@@ -385,10 +385,10 @@ class _TableMachine:
 
 def _brute_force_beam(step_fn, width: int, max_steps: int):
     """Independent reimplementation of the pruned search in plain Python:
-    expand each live hypothesis by its ``width`` most probable tokens, keep
-    the global top ``width`` by total log probability with ties broken by
-    (parent index, token id), close leftovers with their real EOS
-    probability, and sort the survivors best-first."""
+    expand each live hypothesis by its ``width`` most probable tokens (EOS
+    not first), keep the global top ``width`` by total log probability
+    with ties broken by (parent index, token id), close leftovers with
+    their real EOS probability, and sort the survivors best-first."""
     floor = 1e-300
     beams = [([], 0.0)]
     for _ in range(max_steps):
@@ -400,7 +400,8 @@ def _brute_force_beam(step_fn, width: int, max_steps: int):
                 ranked.append(((-lp, pi, -1), (toks, lp)))
                 continue
             p = step_fn([BOS_ID] + toks).p_w
-            order = sorted(range(len(p)), key=lambda i: (-p[i], i))[:width]
+            order = sorted((i for i in range(len(p)) if toks or i != EOS_ID),
+                           key=lambda i: (-p[i], i))[:width]
             for tid in order:
                 nlp = lp + math.log(max(p[tid], floor))
                 ranked.append(((-nlp, pi, tid), (toks + [tid], nlp)))
@@ -419,8 +420,9 @@ def _brute_force_beam(step_fn, width: int, max_steps: int):
 
 
 def _exhaustive_best(step_fn, max_steps: int, vocab: int):
-    """Every complete sequence of at most ``max_steps`` generated tokens,
-    with unfinished ones closed by their real EOS probability."""
+    """Every complete sequence of one to ``max_steps`` generated tokens
+    before EOS, with unfinished ones closed by their real EOS
+    probability."""
     floor = 1e-300
     results = []
 
@@ -432,6 +434,8 @@ def _exhaustive_best(step_fn, max_steps: int, vocab: int):
             return
         for tid in range(vocab):
             nlp = lp + math.log(max(p[tid], floor))
+            if tid == EOS_ID and not toks:
+                continue
             if tid == EOS_ID:
                 results.append((toks + [EOS_ID], nlp))
             else:

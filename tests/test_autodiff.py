@@ -58,17 +58,15 @@ class TestForwardValues:
         assert hi < 1.0 and 1.0 - hi < 1e-12
 
     def test_masked_fill_then_softmax_zeroes_masked(self):
-        x = Tensor([[1.0, 2.0, 3.0]])
-        mask = np.array([[False, True, False]])
-        p = ad.softmax_lastdim(ad.masked_fill(x, mask, -np.inf))
+        x = Tensor([[1.0, -np.inf, 3.0]])
+        p = ad.softmax_lastdim(x)
         assert p.data[0, 1] == 0.0
         np.testing.assert_allclose(p.data.sum(), 1.0, atol=1e-12)
 
     def test_fully_masked_row_is_contract_error(self):
-        x = Tensor([[1.0, 2.0]])
-        mask = np.array([[True, True]])
+        x = Tensor([[-np.inf, -np.inf]])
         with pytest.raises(ContractError):
-            ad.softmax_lastdim(ad.masked_fill(x, mask, -np.inf))
+            ad.softmax_lastdim(x)
 
     def test_finite_check_catches_inf(self):
         big = Tensor([[1e308]])
@@ -280,7 +278,6 @@ class TestOpGradients:
         x2.data += np.where(np.abs(x2.data) < 0.1, 0.5, 0.0)  # avoid the kink
         _check(lambda: ad.mul(ad.relu(x2), r).sum(), [("x2", x2)])
         pos = Tensor(np.abs(self.rng.normal(size=(3, 3))) + 0.5, requires_grad=True)
-        _check(lambda: ad.mul(ad.log(pos), r).sum(), [("pos", pos)])
         _check(lambda: ad.mul(ad.clamped_log(pos), r).sum(), [("pos", pos)])
 
     def test_softmax(self):
@@ -322,12 +319,6 @@ class TestOpGradients:
         r2 = self.mixer(6, 6)
         _check(lambda: ad.mul(ad.attention_mix(w2, v2), r2).sum(),
                [("w", w2), ("v", v2)])
-
-    def test_masked_fill(self):
-        x = self.leaf(3, 4)
-        mask = self.rng.random((3, 4)) < 0.3
-        r = self.mixer(3, 4)
-        _check(lambda: ad.mul(ad.masked_fill(x, mask, 0.0), r).sum(), [("x", x)])
 
     def test_dropout_fixed_seed(self):
         x = self.leaf(4, 4)

@@ -19,8 +19,10 @@ from docnmt.corpus import (Vocabulary, load_corpus, load_documents,
                            load_vocab_pair, save_vocab_pair)
 from docnmt.gradcheck import GradCheckReport
 from docnmt.metrics import bleu4
+from docnmt.tokens import EOS_ID
 
-from test_transformer import INVALID_CONFIGS, rewrite_header
+from test_transformer import (BAD_GROUPS, INVALID_CONFIGS, rewrite_header,
+                              with_header)
 
 
 @pytest.fixture(scope="module")
@@ -139,11 +141,25 @@ def test_bad_config_value_is_data_error(tmp_path, workdir, base_ckpt, capsys):
         assert named in capsys.readouterr().err
 
 
+def _merged_documents(shared: dict) -> bytes:
+    """The shared target file with the blank line between its first two
+    documents removed."""
+    text = Path(shared["tgt"]).read_text(encoding="utf-8")
+    return text.replace("\n\n", "\n", 1).encode("utf-8")
+
+
 def _int_token_vocab(shared: dict) -> bytes:
     """The shared vocabulary with target token 6 an integer."""
     payload = json.loads(Path(shared["vocab"]).read_text(encoding="utf-8"))
     payload["tgt"][6] = 7
     return json.dumps(payload).encode("utf-8")
+
+
+def _groups_ckpt(groups):
+    """The shared base checkpoint with trained groups ``groups``."""
+    return lambda shared: with_header(
+        Path(shared["ckpt"]).read_bytes(),
+        lambda h: h.update(trained_groups=groups))
 
 
 # the bad inputs of the REJECTED cases: a file with these bytes (or with
@@ -155,7 +171,12 @@ BAD_INPUTS = {"not_utf8": b"a \xff b\n", "vocab_list": b"[1, 2]\n",
               "lexicon_not_json": b"{concepts\n",
               "lexicon_types":
                   b'{"concepts": [{"source": 1, "a": 2, "b": 3}]}\n',
-              "vocab_int_token": _int_token_vocab}
+              "vocab_int_token": _int_token_vocab,
+              "ckpt_groups_nested": _groups_ckpt(BAD_GROUPS["nested"]),
+              "ckpt_groups_unknown": _groups_ckpt(BAD_GROUPS["unknown"]),
+              "ckpt_groups_no_stage": _groups_ckpt(["base", "ctx_enc",
+                                                    "copy"]),
+              "merged_documents": _merged_documents}
 
 # argv of commands whose settings or inputs are rejected with exit 2;
 # {src}, {tgt}, {vocab} and {ckpt} name the shared corpus, vocabulary and
@@ -220,6 +241,27 @@ REJECTED = {
     "translate-vocab-int-token": ["translate", "--checkpoint", "{ckpt}",
                                   "--vocab", "{vocab_int_token}",
                                   "--src", "{src}"],
+    "translate-groups-nested": ["translate", "--checkpoint",
+                                "{ckpt_groups_nested}", "--vocab", "{vocab}",
+                                "--src", "{src}"],
+    "translate-groups-unknown": ["translate", "--checkpoint",
+                                 "{ckpt_groups_unknown}", "--vocab",
+                                 "{vocab}", "--src", "{src}"],
+    "finetune-groups-nested": ["finetune", "--checkpoint",
+                               "{ckpt_groups_nested}", "--stage", "copy",
+                               "--src", "{src}", "--tgt", "{tgt}",
+                               "--vocab", "{vocab}"],
+    "finetune-groups-unknown": ["finetune", "--checkpoint",
+                                "{ckpt_groups_unknown}", "--stage", "copy",
+                                "--src", "{src}", "--tgt", "{tgt}",
+                                "--vocab", "{vocab}"],
+    "finetune-groups-no-stage": ["finetune", "--checkpoint",
+                                 "{ckpt_groups_no_stage}", "--stage", "copy",
+                                 "--src", "{src}", "--tgt", "{tgt}",
+                                 "--vocab", "{vocab}"],
+    "evaluate-merged-documents": ["evaluate", "--candidate",
+                                  "{merged_documents}",
+                                  "--reference", "{tgt}"],
 }
 
 
@@ -451,6 +493,24 @@ def test_translate_output_aligns_with_input(tmp_path, workdir, base_ckpt):
     assert manifest["seed"] is None
     assert manifest["config"] == {"width": 1, "length_penalty": 0.0,
                                   "variant": "sentence"}
+
+
+def test_translation_of_an_eos_loving_model_evaluates(tmp_path, workdir,
+                                                     base_ckpt):
+    """A model that always prefers EOS writes one token per sentence, so
+    its output keeps the source's documents and ``evaluate`` reads it."""
+    store, cfg, groups = load_checkpoint(base_ckpt)
+    store["out.b"].data[EOS_ID] = 50.0
+    ckpt = tmp_path / "eos.ckpt"
+    save_checkpoint(ckpt, store, cfg, groups)
+    assert _translate(tmp_path, workdir, ckpt) == 0
+    out = tmp_path / "trans" / "output.tgt.txt"
+    src = load_documents(workdir / "data/synth.src.txt")
+    assert [[len(s) for s in d] for d in load_documents(out)] == \
+        [[1] * len(d) for d in src]
+    assert run(["evaluate", "--candidate", str(out),
+                "--reference", str(workdir / "data/synth.tgt.txt"),
+                "--out", str(tmp_path / "eval")]) == 0
 
 
 def test_translate_variant_needs_the_groups_it_reads(tmp_path, workdir,

@@ -43,6 +43,11 @@ def batched(machine):
     return lambda hypos: [machine(h.tokens) for h in hypos]
 
 
+def live(hypos):
+    """The hypotheses a round steps."""
+    return [h for h in hypos if not h.finished]
+
+
 class TableMachine:
     """step_fn driven by a prefix-keyed table with a uniform fallback."""
 
@@ -85,7 +90,7 @@ def test_beam_width_validation():
     with pytest.raises(ContractError):
         SearchConfig(width=0)
     with pytest.raises(ContractError):
-        beam_step([BeamHypothesis([BOS_ID])], lambda t: None, width=0)
+        beam_step([BeamHypothesis([BOS_ID])], [], width=0)
 
 
 @pytest.mark.parametrize("value", [-1e-3, math.nan, math.inf])
@@ -97,11 +102,7 @@ def test_length_penalty_must_be_finite_and_non_negative(value):
 
 def test_all_finished_is_a_fixpoint():
     done = [BeamHypothesis([BOS_ID, 5, EOS_ID], -1.0)]
-
-    def boom(tokens):
-        raise AssertionError("step_fn must not be called")
-
-    out = beam_step(done, boom, width=2)
+    out = beam_step(done, [], width=2)
     assert out == done
 
 
@@ -110,7 +111,7 @@ def test_finished_hypothesis_carries_over_and_competes():
     fin = BeamHypothesis([BOS_ID, 4, EOS_ID], log_prob=math.log(0.9) * 2)
     live = BeamHypothesis([BOS_ID, 5], log_prob=math.log(0.01))
     machine = TableMachine({(BOS_ID, 5): [0.25, 0.25, 0.25, 0.25]}, 4)
-    out = beam_step([fin, live], batched(machine), width=2)
+    out = beam_step([fin, live], batched(machine)([live]), width=2)
     assert out[0] is fin
     assert len(out) == 2
 
@@ -120,7 +121,7 @@ def test_beam_step_invariant_logprob_is_sum_of_steps():
     machine = random_machine(rng, vocab=5)
     hypos = [BeamHypothesis([BOS_ID])]
     for _ in range(4):
-        hypos = beam_step(hypos, batched(machine), width=3)
+        hypos = beam_step(hypos, batched(machine)(live(hypos)), width=3)
     for h in hypos:
         total = 0.0
         for i in range(1, len(h.tokens)):
@@ -161,8 +162,8 @@ def test_beam_matches_pruned_enumeration_two_steps():
         expect = [seq for _, _, _, seq in pairs[:2]]
 
         hypos = [BeamHypothesis([BOS_ID])]
-        hypos = beam_step(hypos, batched(table), width=2)
-        hypos = beam_step(hypos, batched(table), width=2)
+        hypos = beam_step(hypos, batched(table)(live(hypos)), width=2)
+        hypos = beam_step(hypos, batched(table)(live(hypos)), width=2)
         got = [tuple(h.tokens[1:]) for h in hypos]
         assert got == expect, f"trial {trial}"
 
@@ -330,6 +331,19 @@ def test_search_is_capped_within_max_len(variant, width):
     outs, _ = translate_document(model, doc, variant,
                                  SearchConfig(width=width))
     assert [len(o) for o in outs] == [19, 19]
+
+
+@pytest.mark.parametrize("variant", ["sentence", "copy"])
+@pytest.mark.parametrize("width", [1, 4])
+def test_a_translation_holds_at_least_one_token(variant, width):
+    """A model that always prefers EOS still emits one token before it: an
+    empty translation would be a blank line, a document separator."""
+    model = tiny_model(seed=14)
+    model.params["out.b"].data[EOS_ID] = 50.0
+    doc = [[4, 5, 6], [7, 8], [9, 4, 5, 6]]
+    outs, _ = translate_document(model, doc, variant,
+                                 SearchConfig(width=width))
+    assert [len(o) for o in outs] == [1, 1, 1]
 
 
 def test_empty_source_sentence_rejected():

@@ -44,13 +44,6 @@ class TestContextState:
             assert len(ctx.target) == 1
         assert ctx.target[0].token_ids == [2]
 
-    def test_clear_empties_both_sides(self):
-        ctx = ContextState(2)
-        ctx.push_source(CacheEntry([1], Tensor(np.zeros((1, 4)))))
-        ctx.push_target(CacheEntry([2], Tensor(np.zeros((1, 4)))))
-        ctx.clear()
-        assert not ctx.source and not ctx.target
-
     def test_misaligned_entry_rejected(self):
         with pytest.raises(ContractError):
             CacheEntry([1, 2], Tensor(np.zeros((3, 4))))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from docnmt.cli import _evaluate_files
 from docnmt.errors import DataError
 from docnmt.metrics import (
     bleu4,
@@ -124,9 +125,9 @@ def test_lc_requires_nonempty_input():
 def test_lc_delta_vs_reference():
     cand = [doc("watch . watch .")]
     ref = [doc("watch . clock .")]
-    report = lc_score(cand, reference_documents=ref)
-    assert report.corpus_lc == 50.0
-    assert report.delta_vs_reference == pytest.approx(50.0)
+    scores = _evaluate_files(cand, ref, None)
+    assert scores["lc_stem"] == 50.0
+    assert scores["lc_delta"] == pytest.approx(50.0)
 
 
 def test_lc_invariant_under_document_permutation():

@@ -71,7 +71,7 @@ def test_nan_from_an_op_is_named_after_the_replay(pool_docs, monkeypatch,
     out = ad._out
     calls, checks_at_first_nan = [0], []
 
-    def planting(arr, inputs, bwd, op, check=True):
+    def planting(arr, inputs, bwd, op):
         if op == tag:
             calls[0] += 1
             if calls[0] >= 5:
@@ -79,7 +79,7 @@ def test_nan_from_an_op_is_named_after_the_replay(pool_docs, monkeypatch,
                     checks_at_first_nan.append(ad._check_finite)
                 arr = arr.copy()
                 arr.flat[0] = np.nan
-        return out(arr, inputs, bwd, op, check)
+        return out(arr, inputs, bwd, op)
 
     monkeypatch.setattr(ad, "_out", planting)
     with pytest.raises(NumericalError, match=f"op '{tag}'"):

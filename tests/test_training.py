@@ -343,12 +343,12 @@ def plant_nan_in_sigmoids(monkeypatch, every_call):
     the per-op checks at each planted NaN."""
     out, checks = ad._out, []
 
-    def planting(arr, inputs, bwd, op, check=True):
+    def planting(arr, inputs, bwd, op):
         if op == "sigmoid" and ad._grad_enabled and (every_call or not checks):
             checks.append(ad._check_finite)
             arr = arr.copy()
             arr.flat[0] = np.nan
-        return out(arr, inputs, bwd, op, check)
+        return out(arr, inputs, bwd, op)
 
     monkeypatch.setattr(ad, "_out", planting)
     return checks
@@ -389,14 +389,14 @@ def test_nan_made_in_backward_is_stopped_before_adam(monkeypatch):
     out, step = ad._out, training.Adam.step
     written = []
 
-    def planting(arr, inputs, bwd, op, check=True):
+    def planting(arr, inputs, bwd, op):
         if op == "sigmoid":
             def poisoned(g):
                 grads = bwd(g)
                 grads[0].flat[0] = np.nan
                 return grads
-            return out(arr, inputs, poisoned, op, check)
-        return out(arr, inputs, bwd, op, check)
+            return out(arr, inputs, poisoned, op)
+        return out(arr, inputs, bwd, op)
 
     def recording_step(self, lr):
         step(self, lr)
@@ -419,9 +419,9 @@ def count_ops_by_check(monkeypatch):
     off (False)."""
     out, counts = ad._out, {True: 0, False: 0}
 
-    def counting(arr, inputs, bwd, op, check=True):
+    def counting(arr, inputs, bwd, op):
         counts[ad._check_finite] += 1
-        return out(arr, inputs, bwd, op, check)
+        return out(arr, inputs, bwd, op)
 
     monkeypatch.setattr(ad, "_out", counting)
     return counts
@@ -797,7 +797,7 @@ def document_loop(model, batches, variant, rng, entries):
         total = 0.0
         for src, tgt, doc_start, doc_end in batch:
             if doc_start:
-                context.clear()
+                context = ContextState(model.cfg.n_context)
             loss, n, _ = model.sentence_loss(src, tgt, context, variant,
                                              train=True, rng=rng)
             ad.backward(loss * float(n))

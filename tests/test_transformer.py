@@ -37,20 +37,29 @@ def tiny_model(seed=0, **over):
 def encode(model, src, context=None, variant="sentence"):
     """``contextual_encode`` of one source sentence under its document's
     caches."""
-    encoded, _ = model.contextual_encode(
+    return model.contextual_encode(
         Stack.of([src]), None if context is None else [context], variant)
-    return encoded
 
 
-def rewrite_header(path, change) -> None:
-    """Apply ``change`` to the JSON header of a checkpoint file in place."""
-    raw = path.read_bytes()
+def with_header(raw: bytes, change) -> bytes:
+    """Checkpoint bytes ``raw`` with ``change`` applied to their JSON
+    header."""
     hlen = struct.unpack("<II", raw[8:16])[1]
     header = json.loads(raw[16:16 + hlen])
     change(header)
     blob = json.dumps(header, sort_keys=True).encode()
-    path.write_bytes(raw[:8] + struct.pack("<II", 1, len(blob)) + blob
-                     + raw[16 + hlen:])
+    return raw[:8] + struct.pack("<II", 1, len(blob)) + blob + raw[16 + hlen:]
+
+
+def rewrite_header(path, change) -> None:
+    """Apply ``change`` to the JSON header of a checkpoint file in place."""
+    path.write_bytes(with_header(path.read_bytes(), change))
+
+
+# trained groups that no checkpoint may hold
+BAD_GROUPS = {"nested": [["base"], "ctx_enc", "ctx_dec", "copy"],
+              "unknown": ["base", "ctx_enc", "bogus"],
+              "repeated": ["base", "base"], "string": "base"}
 
 
 # header changes that make the config invalid, with what the error names
@@ -308,8 +317,8 @@ class TestEncodeDecode:
         eval_b = encode(model, [4, 5, 6])
         np.testing.assert_array_equal(eval_a.states.data, eval_b.states.data)
         keep, _ = model.dropout_masks(3, 1, np.random.default_rng(1))
-        train_a, _ = model.contextual_encode(Stack.of([[4, 5, 6]]),
-                                             keep=iter(keep))
+        train_a = model.contextual_encode(Stack.of([[4, 5, 6]]),
+                                          keep=iter(keep))
         assert not np.array_equal(train_a.states.data, eval_a.states.data)
 
     @pytest.mark.parametrize("src_len, tgt_len", [(3, 1), (1, 7), (9, 4)])
@@ -424,6 +433,16 @@ class TestCheckpoint:
         path, _ = self._saved(tmp_path)
         rewrite_header(path, lambda h: h["config"].pop(name))
         with pytest.raises(CheckpointError, match=f"lacks {name}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", list(BAD_GROUPS))
+    def test_bad_trained_groups_are_checkpoint_error(self, tmp_path, case):
+        """Trained groups are distinct names from ``GROUPS``; anything else,
+        an unhashable entry included, is a ``CheckpointError``."""
+        path, _ = self._saved(tmp_path)
+        rewrite_header(path, lambda h: h.update(
+            trained_groups=BAD_GROUPS[case]))
+        with pytest.raises(CheckpointError, match="trained groups"):
             load_checkpoint(path)
 
     def test_invalid_config_is_checkpoint_error(self, tmp_path):
