@@ -1,23 +1,39 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Define-by-run: every differentiable op appends one node to a module-level
-tape, so insertion order is already a topological order.  ``backward`` walks
-the tape once in reverse, accumulates gradients additively, writes them into
-the ``grad`` field of leaf tensors and clears the tape.  One forward pass per
-backward call; evaluation code should run under ``no_grad()``.
+tape, so insertion order is already a topological order.  ``backward`` pops
+the tape's nodes in reverse, accumulates gradients additively and writes
+them into the ``grad`` field of leaf tensors; a visited node is released at
+once, and the tape is empty afterwards.  One forward pass per backward
+call; evaluation code should run under ``no_grad()``.
 
 Shapes are explicit.  The only implicit broadcasting is scalar-times-tensor
 (one operand with a single element); everything else must match exactly or go
 through a dedicated op such as ``linear`` (x w + b, the bias added to every
 row) or ``scale_rows``.
 
-Two ops are fused chains, to keep the tape short: ``linear`` is a product
-plus a bias, and ``layer_norm`` with a ``sub`` operand is a Transformer
-sublayer's residual norm, layer_norm(x + dropout(sub)).  Each computes
-the chain's expressions in the chain's order, so outputs and gradients
-equal the chain's bitwise, and holds only what its backward reads: no
-intermediate rows, and dropout's boolean keep mask rather than a float
-copy.
+Four ops are fused chains, to keep the tape short: ``linear`` is a product
+plus a bias; ``linear_relu`` is that and a ReLU, a position-wise FFN's
+first layer; ``embed`` is a Transformer's input rows, dropout(lookup *
+sqrt(d) + positions); and ``layer_norm`` with a ``sub`` operand is a
+sublayer's residual norm, layer_norm(x + dropout(sub)).  Each computes the
+chain's expressions in the chain's order, so outputs and gradients equal
+the chain's bitwise.
+
+A node holds its output, its input tensors and only what its backward
+cannot rebuild bitwise from them; the rest is recomputed in backward by
+the forward's expressions, in the same order, so gradients are those of
+a tape that stores it:
+
+* ``attention_weights`` holds q, k and the weights; backward splits q and
+  k into heads again.  ``attention_mix`` holds the weights and values, and
+  splits the values again.
+* ``layer_norm`` holds its inputs (and the boolean keep mask); backward
+  recomputes the residual sum, the row statistics and the normalized rows.
+* ``linear_relu`` holds its output, whose positive entries are the ReLU's
+  mask.  ``clamped_log`` holds its input and clamps it again.
+* ``embed`` holds the ids and the keep mask; dropout, the scale and the
+  lookup are linear, so backward needs no rows at all.
 
 Activations are 2-d [rows, features].  The one other layout is the
 attention weights [B, m, a, b] of ``attention_weights``: B stacked
@@ -39,8 +55,8 @@ per-op checks on, so the error still names the op.  Two checks stay on
 even there: ``attention_weights`` checks its logits before masking (a
 masked non-finite key would vanish), and it and ``softmax_lastdim`` tell a
 fully masked row from non-finite logits.  Apart from masking and row
-selection no op turns a NaN into a finite value (``relu`` keeps it), so a
-NaN reaches the unit's checks.  An inf can saturate (a sigmoid of inf is
+selection no op turns a NaN into a finite value (``linear_relu`` keeps it),
+so a NaN reaches the unit's checks.  An inf can saturate (a sigmoid of inf is
 exactly 1); so a unit runs unchecked only from finite parameters, where an
 inf needs an overflow.
 """
@@ -237,9 +253,10 @@ def _out(arr: Array, inputs: tuple, bwd, tag: str) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Backpropagate from a scalar loss; accumulates into leaf ``grad``.
 
-    Walks the tape in reverse insertion order (each node visited once),
-    summing contributions where a tensor feeds several ops, then clears the
-    tape so the next forward pass starts a fresh graph.
+    Pops the tape's nodes in reverse insertion order (each node visited
+    once, and released once visited), summing contributions where a tensor
+    feeds several ops; the tape is empty afterwards, also on an error, so
+    the next forward pass starts a fresh graph.
     """
     if loss.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -249,7 +266,8 @@ def backward(loss: Tensor) -> None:
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {id(loss): loss}
     try:
-        for node in reversed(_tape):
+        while _tape:
+            node = _tape.pop()
             g = grads.pop(id(node.out), None)
             leaves.pop(id(node.out), None)
             if g is None:
@@ -337,23 +355,17 @@ def sigmoid(x: Tensor) -> Tensor:
     return _out(out, (x,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0); a NaN stays NaN."""
-    mask = x.data > 0
-    return _out(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,), "relu")
-
-
 _LOG_FLOOR = 1e-12
 
 
 def clamped_log(x: Tensor) -> Tensor:
     """log(max(x, 1e-12)); counts clamp events and caps the gradient at 1e12."""
     global clamp_events
-    clamped = np.maximum(x.data, _LOG_FLOOR)
     n_clamped = int(np.count_nonzero(x.data < _LOG_FLOOR))
     if n_clamped:
         clamp_events += n_clamped
-    return _out(np.log(clamped), (x,), lambda g: (g / clamped,), "clamped_log")
+    return _out(np.log(np.maximum(x.data, _LOG_FLOOR)), (x,),
+                lambda g: (g / np.maximum(x.data, _LOG_FLOOR),), "clamped_log")
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +379,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 lambda g: (g @ b.data.T, a.data.T @ g), "matmul")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def _product(x: Tensor, w: Tensor, b: Tensor) -> Array:
     """x w + b for [n, k] rows x, a [k, d] matrix w and a length-d bias b
     added to every row."""
     if x.data.ndim != 2 or w.data.ndim != 2 \
@@ -376,8 +388,28 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: {x.shape} @ {w.shape} + {b.shape}")
     out = x.data @ w.data
     out += b.data[None, :]
+    return out
+
+
+def _linear_grads(g: Array, x: Tensor, w: Tensor) -> tuple:
+    return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x w + b for [n, k] rows x, a [k, d] matrix w and a length-d bias b
+    added to every row."""
+    return _out(_product(x, w, b), (x, w, b),
+                lambda g: _linear_grads(g, x, w), "linear")
+
+
+def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """max(x w + b, 0), a position-wise FFN's first layer; a NaN stays NaN.
+    Named ``linear`` in errors.  Backward takes the ReLU's mask from the
+    output: out > 0 exactly where x w + b > 0."""
+    out = _product(x, w, b)
+    np.maximum(out, 0.0, out=out)
     return _out(out, (x, w, b),
-                lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)), "linear")
+                lambda g: _linear_grads(g * (out > 0), x, w), "linear")
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -486,22 +518,30 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, sub: Tensor | None = None,
     if x.data.ndim != 2 or gain.data.shape != (x.data.shape[1],) \
             or bias.data.shape != (x.data.shape[1],):
         raise ShapeError(f"layer_norm: x {x.shape}, gain {gain.shape}, bias {bias.shape}")
-    s, inputs, scale = x.data, (x, gain, bias), None
+    inputs, scale, n = (x, gain, bias), None, x.data.shape[1]
     if sub is not None:
         if sub.data.shape != x.data.shape:
             raise ShapeError(f"layer_norm: x {x.shape} + sub {sub.shape}")
         scale = _keep_scale(rate, keep, x.data.shape)
-        s = s + (sub.data if scale is None else sub.data * (keep * scale))
         inputs += (sub,)
-    # add.reduce / n is bitwise what .mean() computes, without its wrapper
-    n = s.shape[1]
-    c = s - np.add.reduce(s, axis=1, keepdims=True) / n
-    var = np.add.reduce(c * c, axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = c * inv
+
+    def normalized() -> tuple[Array, Array]:
+        """The normalized rows and their 1 / std, from the inputs; backward
+        recomputes them bitwise rather than holding them."""
+        s = x.data
+        if sub is not None:
+            s = s + (sub.data if scale is None else sub.data * (keep * scale))
+        # add.reduce / n is bitwise what .mean() computes, without its wrapper
+        c = s - np.add.reduce(s, axis=1, keepdims=True) / n
+        var = np.add.reduce(c * c, axis=1, keepdims=True) / n
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        return c * inv, inv
+
+    xhat, _ = normalized()
     out = xhat * gain.data[None, :] + bias.data[None, :]
 
     def bwd(g):
+        xhat, inv = normalized()
         gy = g * gain.data[None, :]
         m1 = np.add.reduce(gy, axis=1, keepdims=True) / n
         m2 = np.add.reduce(gy * xhat, axis=1, keepdims=True) / n
@@ -517,18 +557,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, sub: Tensor | None = None,
 def keep_mask(shape: tuple, rate: float, rng: np.random.Generator) -> Array:
     """Which entries inverted dropout keeps (boolean), drawn from ``rng``."""
     return rng.random(shape) >= rate
-
-
-def dropout(x: Tensor, rate: float, keep: Array | None) -> Tensor:
-    """Inverted dropout; identity when rate == 0.  Training-path only.
-
-    ``keep`` (a ``keep_mask``) marks the kept entries; they are scaled by
-    1 / (1 - rate), the others multiplied by 0."""
-    scale = _keep_scale(rate, keep, x.data.shape)
-    if scale is None:
-        return x
-    return _out(x.data * (keep * scale), (x,),
-                lambda g: (g * (keep * scale),), "dropout")
 
 
 def _heads(x: Array, bs: int, m: int) -> Array:
@@ -579,10 +607,13 @@ def attention_weights(q: Tensor, k: Tensor, m: int,
                          f"k {k.shape}")
     bs, dh = shape[0], d // m
     scale = 1.0 / math.sqrt(dh)
-    qh = _heads(q.data, bs, m)                        # [B, m, a, dh]
-    kt = np.ascontiguousarray(                        # [B, m, dh, b]
-        k.data.reshape(bs, -1, m, dh).transpose(0, 2, 3, 1))
-    logits = scale * np.matmul(qh, kt)                # [B, m, a, b]
+
+    def split() -> tuple[Array, Array]:
+        """q's heads [B, m, a, dh] and k's transposed [B, m, dh, b]."""
+        return _heads(q.data, bs, m), np.ascontiguousarray(
+            k.data.reshape(bs, -1, m, dh).transpose(0, 2, 3, 1))
+
+    logits = scale * np.matmul(*split())              # [B, m, a, b]
     _finite(logits, "attention_weights")
     if mask is not None:
         np.copyto(logits, -np.inf, where=mask[:, None])
@@ -593,6 +624,7 @@ def attention_weights(q: Tensor, k: Tensor, m: int,
     w = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
+        qh, kt = split()
         gl = scale * (w * (g - np.sum(g * w, axis=-1, keepdims=True)))
         gk = np.matmul(qh.swapaxes(-1, -2), gl)       # [B, m, dh, b]
         return (_merge(np.matmul(gl, kt.swapaxes(-1, -2))),
@@ -610,31 +642,65 @@ def attention_mix(w: Tensor, v: Tensor) -> Tensor:
     bs, m, a, b = w.data.shape
     if v.data.shape[0] != bs * b or v.data.shape[1] % m:
         raise ShapeError(f"attention_mix: weights {w.shape}, values {v.shape}")
-    vh = _heads(v.data, bs, m)                        # [B, m, b, dh]
 
     def bwd(g):
         # per-head column views of g, strided like the parts of a concat
         gh = g.reshape(bs, a, m, -1).swapaxes(-3, -2)
-        return (np.matmul(gh, vh.swapaxes(-1, -2)),
+        return (np.matmul(gh, _heads(v.data, bs, m).swapaxes(-1, -2)),
                 _merge(np.matmul(w.data.swapaxes(-1, -2), gh)))
 
-    return _out(_merge(np.matmul(w.data, vh)), (w, v), bwd, "attention_mix")
+    return _out(_merge(np.matmul(w.data, _heads(v.data, bs, m))), (w, v), bwd,
+                "attention_mix")
+
+
+def _row_ids(table: Tensor, ids, op: str) -> Array:
+    """``ids`` as an index array of rows of the 2-d ``table``, each checked
+    to be in range (errors name ``op``)."""
+    idx = np.asarray(ids, dtype=np.intp)
+    if table.data.ndim != 2:
+        raise ShapeError(f"{op}: table {table.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
+        raise ContractError(f"{op}: id out of range")
+    return idx
+
+
+def _scatter_rows(table: Tensor, idx: Array, g: Array) -> tuple[Array]:
+    full = np.zeros_like(table.data)
+    np.add.at(full, idx, g)
+    return (full,)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of a [vocab, d] table; gradient scatter-adds into the table."""
-    idx = np.asarray(ids, dtype=np.intp)
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding_lookup: table {table.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise ContractError("embedding_lookup: id out of range")
+    idx = _row_ids(table, ids, "embedding_lookup")
+    return _out(table.data[idx].copy(), (table,),
+                lambda g: _scatter_rows(table, idx, g), "embedding")
+
+
+def embed(table: Tensor, ids, positions: Array, rate: float,
+          keep: Array | None) -> Tensor:
+    """dropout(table[ids] * sqrt(d) + positions, rate, keep) for a [vocab, d]
+    table and fixed [n, d] position rows: a Transformer's input rows as one
+    node, the chain of ``embedding_lookup``, ``affine``, ``add`` and inverted
+    dropout (``keep`` as for ``layer_norm``) computed in the chain's order.
+    It holds the ids and the keep mask; the gradient reaches the table
+    only."""
+    idx = _row_ids(table, ids, "embed")
+    d = table.data.shape[1]
+    if positions.shape != (idx.size, d):
+        raise ShapeError(f"embed: {idx.size} ids of width {d}, "
+                         f"positions {positions.shape}")
+    scale, root = _keep_scale(rate, keep, positions.shape), math.sqrt(d)
+    out = root * table.data[idx] + 0.0     # as affine: -0.0 becomes 0.0
+    out += positions
+    if scale is not None:
+        out *= keep * scale
 
     def bwd(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        return (full,)
+        return _scatter_rows(table, idx,
+                             root * (g if scale is None else g * (keep * scale)))
 
-    return _out(table.data[idx].copy(), (table,), bwd, "embedding")
+    return _out(out, (table,), bwd, "embed")
 
 
 def take_per_row(x: Tensor, ids) -> Tensor:

@@ -45,7 +45,7 @@ from .errors import ContractError, DataError
 from .model.han import CacheEntry, ContextState
 from .model.model import (DECODER_CTX, ENCODER_CTX, DecoderMemory, DocModel,
                           Stack, check_variant)
-from .tokens import BOS_ID, EOS_ID
+from .tokens import BOS_ID, EOS_ID, PAD_ID
 
 _LOG_FLOOR = 1e-300
 
@@ -125,7 +125,8 @@ def beam_step(hypotheses: list[BeamHypothesis], results, width: int,
     """One expansion round: top-``width`` continuations per live hypothesis,
     then the global top-``width`` by length-normalized score.  Finished
     hypotheses carry over unexpanded; ties break by (parent, token id), so
-    the result is deterministic and width 1 reproduces greedy argmax.  A
+    the result is deterministic and width 1 reproduces greedy argmax.  No
+    hypothesis takes PAD or BOS, which are not words (UNK is one), and a
     hypothesis that holds only BOS does not take EOS, so no translation is
     empty.
 
@@ -143,9 +144,10 @@ def beam_step(hypotheses: list[BeamHypothesis], results, width: int,
             continue
         result = next(results)
         order = np.argsort(-result.p_w, kind="stable")
+        words = (order != PAD_ID) & (order != BOS_ID)
         if len(hypo.tokens) == 1:
-            order = order[order != EOS_ID]
-        top = order[:width].tolist()
+            words &= order != EOS_ID
+        top = order[words][:width].tolist()
         ranked += [((-new.score(length_penalty), pi, new.tokens[-1]), new)
                    for new in _extend(hypo, result, top, collect_traces)]
     ranked.sort(key=lambda kv: kv[0])

@@ -21,8 +21,7 @@ Every teacher-forced pass is ``teacher_force`` over stacked pairs (losses,
 gold cache rows, and the gradient check at B = 1); decoding is the same
 layout at B = 1.  The one-pair ``sentence_loss`` and ``target_cache_entry``
 are only the tests' references.  An out-of-range id is a ``ContractError``
-where it is embedded (``autodiff.embedding_lookup``), before it is scored
-or cached.
+where it is embedded (``autodiff.embed``), before it is scored or cached.
 
 There is one decoder stack, ``decode_states``.  What a sentence's passes
 share (cross-attention, context and copy keys and values) is built once
@@ -38,7 +37,6 @@ and handed to a pass in the order it applies them.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -260,9 +258,8 @@ class DocModel:
         if length > self.cfg.max_len:
             raise ContractError(
                 f"sequence length {length} exceeds max_len {self.cfg.max_len}")
-        x = ad.embedding_lookup(self.params[table], ids) * math.sqrt(self.cfg.d_model)
-        return ad.dropout(ad.add(x, Tensor._wrap(self._pos[positions])),
-                          *self._next_keep(keep))
+        return ad.embed(self.params[table], ids, self._pos[positions],
+                        *self._next_keep(keep))
 
     def _sublayer(self, x: Tensor, sub_out: Tensor, ln: dict[str, Tensor],
                   keep: Iterator[np.ndarray] | None) -> Tensor:

@@ -65,7 +65,7 @@ def multi_head_attention(q_rows: Tensor, k_rows: Tensor, v_rows: Tensor,
 
 def positionwise_ffn(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Two linear maps with a ReLU between, applied per position."""
-    return ad.linear(ad.relu(ad.linear(x, p["w1"], p["b1"])), p["w2"], p["b2"])
+    return ad.linear(ad.linear_relu(x, p["w1"], p["b1"]), p["w2"], p["b2"])
 
 
 def sinusoidal_positions(n: int, d: int) -> np.ndarray:

@@ -113,14 +113,16 @@ def check_start(stage: str, groups) -> None:
 # Padded rows per side (sentences x the group's longest source, or BOS +
 # target) of one stacked pass, the one cap of every stage: enough to spread
 # each op's interpreter cost over many sentences, few enough that a pass's
-# tape stays small.  On the benchmark (2-core x86-64 host, alternating
-# pairs), 128 rows on the fused ``linear`` and residual ``layer_norm`` ops
-# ran 1.32 times the train-copy and 1.36 times the train-base tokens per
-# second of 64 rows on the unfused chains, at 1.7 % more peak memory on
-# each; the fused ops keep a full base pass's tape at 3.5 MB (5.0 MB on the
-# chains).  Above 128, train-copy's passes are cut by their cache groups,
+# tape stays small.  An autodiff node keeps only what its backward cannot
+# rebuild, so a full base pass holds about 16.2 kB per padded row besides
+# the parameters; nodes that stored their intermediates held 28.2 kB, so a
+# 256-row pass holds about what a 128-row one held.  On the benchmark
+# (2-core x86-64 host, ten alternating pairs), 256 rows ran 1.17 times the
+# train-base tokens per second of 128 rows on the storing ops (26 training
+# and 6 validation passes per op instead of 49 and 10), at 0.7 % less peak
+# memory.  Above 128, train-copy's passes are cut by their cache groups,
 # not by the cap.
-MAX_STACK_ROWS = 128
+MAX_STACK_ROWS = 256
 
 
 @dataclass

@@ -22,7 +22,7 @@ from docnmt.decoding import _LOG_FLOOR, BeamHypothesis
 from docnmt.model.copy import SPECIAL_IDS, copy_gate, mix_distributions
 from docnmt.model.model import DECODER_CTX, DecoderMemory
 from docnmt.model.transformer import causal_mask, positionwise_ffn
-from docnmt.tokens import BOS_ID, EOS_ID
+from docnmt.tokens import BOS_ID, EOS_ID, PAD_ID
 
 from attention_reference import multi_head_attention
 from han_reference import copy_weights_loop, hierarchical_loop, sub
@@ -92,12 +92,14 @@ def incremental_step(model, prefix, encoded, context, variant):
 
 def greedy_search(step_fn, max_steps: int) -> BeamHypothesis:
     """Plain argmax decoding, written independently of the beam machinery;
-    the first step does not take EOS (a translation holds at least one
-    token) and the last step forces EOS, as the search's length cap does."""
+    no step takes PAD or BOS, the first step does not take EOS (a
+    translation holds at least one token) and the last step forces EOS, as
+    the search's length cap does."""
     hypo = BeamHypothesis(tokens=[BOS_ID])
     for step in range(max_steps + 1):
         result = step_fn([hypo])[0]
         p = result.p_w.copy()
+        p[[PAD_ID, BOS_ID]] = -np.inf
         if step == 0:
             p[EOS_ID] = -np.inf
         tid = int(np.argmax(p)) if step < max_steps else EOS_ID

@@ -385,8 +385,8 @@ class _TableMachine:
 
 def _brute_force_beam(step_fn, width: int, max_steps: int):
     """Independent reimplementation of the pruned search in plain Python:
-    expand each live hypothesis by its ``width`` most probable tokens (EOS
-    not first), keep the global top ``width`` by total log probability
+    expand each live hypothesis by its ``width`` most probable tokens (never
+    PAD or BOS, EOS not first), keep the global top ``width`` by total log probability
     with ties broken by (parent index, token id), close leftovers with
     their real EOS probability, and sort the survivors best-first."""
     floor = 1e-300
@@ -400,7 +400,9 @@ def _brute_force_beam(step_fn, width: int, max_steps: int):
                 ranked.append(((-lp, pi, -1), (toks, lp)))
                 continue
             p = step_fn([BOS_ID] + toks).p_w
-            order = sorted((i for i in range(len(p)) if toks or i != EOS_ID),
+            order = sorted((i for i in range(len(p))
+                            if i not in (PAD_ID, BOS_ID)
+                            and (toks or i != EOS_ID)),
                            key=lambda i: (-p[i], i))[:width]
             for tid in order:
                 nlp = lp + math.log(max(p[tid], floor))
@@ -421,8 +423,8 @@ def _brute_force_beam(step_fn, width: int, max_steps: int):
 
 def _exhaustive_best(step_fn, max_steps: int, vocab: int):
     """Every complete sequence of one to ``max_steps`` generated tokens
-    before EOS, with unfinished ones closed by their real EOS
-    probability."""
+    (never PAD or BOS) before EOS, with unfinished ones closed by their
+    real EOS probability."""
     floor = 1e-300
     results = []
 
@@ -434,7 +436,7 @@ def _exhaustive_best(step_fn, max_steps: int, vocab: int):
             return
         for tid in range(vocab):
             nlp = lp + math.log(max(p[tid], floor))
-            if tid == EOS_ID and not toks:
+            if tid in (PAD_ID, BOS_ID) or (tid == EOS_ID and not toks):
                 continue
             if tid == EOS_ID:
                 results.append((toks + [EOS_ID], nlp))
@@ -446,8 +448,9 @@ def _exhaustive_best(step_fn, max_steps: int, vocab: int):
 
 
 def test_beam_matches_pruned_enumeration():
-    # three content tokens plus the end symbol, length cap 2, width 2
-    vocab = EOS_ID + 1
+    # three content tokens (UNK and two words) plus the end symbol, length
+    # cap 2, width 2
+    vocab = EOS_ID + 3
     for seed in range(50):
         machine = _TableMachine(seed, vocab)
         got = search(machine.step, 2, SearchConfig(width=2))
@@ -460,8 +463,9 @@ def test_beam_matches_pruned_enumeration():
 
 def test_wide_beam_matches_global_argmax():
     # a beam wider than the number of complete length<=2 sequences prunes
-    # nothing, so its best hypothesis is the exhaustive optimum
-    vocab = EOS_ID + 1
+    # nothing, so its best hypothesis is the exhaustive optimum (three
+    # content tokens: 12 sequences)
+    vocab = EOS_ID + 3
     for seed in range(30):
         machine = _TableMachine(1000 + seed, vocab)
         got = search(machine.step, 2, SearchConfig(width=16))

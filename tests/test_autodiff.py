@@ -143,10 +143,11 @@ class TestForwardValues:
     def test_dropout_keep_mask_equals_drawn_mask(self):
         x = Tensor(np.arange(12.0).reshape(3, 4) + 1.0)
         keep = ad.keep_mask((3, 4), 0.3, np.random.default_rng(2))
-        np.testing.assert_array_equal(ad.dropout(x, 0.3, keep).data,
-                                      np.where(keep, x.data / 0.7, 0.0))
+        np.testing.assert_array_equal(
+            fused_reference.dropout(x, 0.3, keep).data,
+            np.where(keep, x.data / 0.7, 0.0))
         with pytest.raises(ShapeError):
-            ad.dropout(x, 0.3, keep[:2])
+            fused_reference.dropout(x, 0.3, keep[:2])
 
     def test_no_implicit_broadcasting(self):
         with pytest.raises(ShapeError):
@@ -164,18 +165,18 @@ class TestForwardValues:
 
     def test_dropout_eval_identity_and_train_scaling(self):
         x = Tensor(np.ones((50, 20)))
-        assert ad.dropout(x, 0.0, None) is x
+        assert fused_reference.dropout(x, 0.0, None) is x
         rng = np.random.default_rng(3)
-        y = ad.dropout(x, 0.25, ad.keep_mask((50, 20), 0.25, rng))
+        y = fused_reference.dropout(x, 0.25, ad.keep_mask((50, 20), 0.25, rng))
         kept = y.data != 0.0
         np.testing.assert_allclose(y.data[kept], 1.0 / 0.75)
         assert 0.6 < kept.mean() < 0.9
 
     def test_dropout_is_seed_reproducible(self):
         x = Tensor(np.ones((8, 8)))
-        a = ad.dropout(x, 0.5, ad.keep_mask((8, 8), 0.5,
+        a = fused_reference.dropout(x, 0.5, ad.keep_mask((8, 8), 0.5,
                                             np.random.default_rng(9))).data
-        b = ad.dropout(x, 0.5, ad.keep_mask((8, 8), 0.5,
+        b = fused_reference.dropout(x, 0.5, ad.keep_mask((8, 8), 0.5,
                                             np.random.default_rng(9))).data
         np.testing.assert_array_equal(a, b)
 
@@ -276,7 +277,8 @@ class TestOpGradients:
         _check(lambda: ad.mul(ad.sigmoid(x), r).sum(), [("x", x)])
         x2 = self.leaf(3, 3)
         x2.data += np.where(np.abs(x2.data) < 0.1, 0.5, 0.0)  # avoid the kink
-        _check(lambda: ad.mul(ad.relu(x2), r).sum(), [("x2", x2)])
+        _check(lambda: ad.mul(fused_reference.relu(x2), r).sum(),
+               [("x2", x2)])
         pos = Tensor(np.abs(self.rng.normal(size=(3, 3))) + 0.5, requires_grad=True)
         _check(lambda: ad.mul(ad.clamped_log(pos), r).sum(), [("pos", pos)])
 
@@ -324,7 +326,8 @@ class TestOpGradients:
         x = self.leaf(4, 4)
         r = self.mixer(4, 4)
         keep = ad.keep_mask((4, 4), 0.5, np.random.default_rng(7))
-        _check(lambda: ad.mul(ad.dropout(x, 0.5, keep), r).sum(), [("x", x)])
+        _check(lambda: ad.mul(fused_reference.dropout(x, 0.5, keep), r).sum(),
+               [("x", x)])
 
     def test_reductions(self):
         x = self.leaf(3, 5)
@@ -398,14 +401,16 @@ class TestUncheckedOps:
     non-finite value into a finite one that the search's checks miss."""
 
     def test_relu_keeps_nan_and_its_gradient(self):
-        x = Tensor([[np.nan, -1.0, 2.0]], requires_grad=True)
+        """The FFN's ReLU, fused into ``linear_relu``."""
+        x = Tensor([[np.nan], [-1.0], [2.0]], requires_grad=True)
+        w, b = Tensor([[1.0]]), Tensor([0.0])
         with ad.unchecked():
-            y = ad.relu(x)
+            y = ad.linear_relu(x, w, b)
             ad.backward(y.sum())
-        np.testing.assert_array_equal(y.data, [[np.nan, 0.0, 2.0]])
-        np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
-        with pytest.raises(NumericalError, match="op 'relu'"):
-            ad.relu(Tensor([[np.nan]]))
+        np.testing.assert_array_equal(y.data, [[np.nan], [0.0], [2.0]])
+        np.testing.assert_array_equal(x.grad, [[0.0], [0.0], [1.0]])
+        with pytest.raises(NumericalError, match="op 'linear'"):
+            ad.linear_relu(Tensor([[np.nan]]), w, b)
 
     def test_softmax_of_nan_logits_is_numerical_not_contract(self):
         with ad.unchecked():

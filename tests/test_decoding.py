@@ -22,7 +22,7 @@ from docnmt.errors import ContractError, DataError
 from docnmt.model import DocModel, ModelConfig, build_params
 from docnmt.model.han import ContextState
 from docnmt.model.model import DecoderMemory
-from docnmt.tokens import BOS_ID, EOS_ID
+from docnmt.tokens import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
 from decode_reference import (greedy_search, incremental_step,
                               reference_step)
@@ -133,6 +133,7 @@ def test_beam_step_invariant_logprob_is_sum_of_steps():
 def test_beam_matches_pruned_enumeration_two_steps():
     """Oracle: simulate the keep-rules by brute force over all sequences."""
     vocab = 6  # ids 0..5; EOS_ID==3 gets negligible mass until step 3
+    words = [t for t in range(vocab) if t not in (PAD_ID, BOS_ID)]
     rng = np.random.default_rng(42)
     for trial in range(20):
         machine = random_machine(rng, vocab)
@@ -149,13 +150,14 @@ def test_beam_matches_pruned_enumeration_two_steps():
 
         table = TableMachine({k: v for k, v in frozen.items()}, vocab)
 
-        # pruned enumeration: top-2 first tokens, then top-2 overall
+        # pruned enumeration over words (never PAD or BOS): top-2 first
+        # tokens, then top-2 overall
         p0 = frozen[(BOS_ID,)]
-        first = sorted(range(vocab), key=lambda t: (-p0[t], t))[:2]
+        first = sorted(words, key=lambda t: (-p0[t], t))[:2]
         pairs = []
         for a in first:
             pa = frozen[(BOS_ID, a)]
-            for b in range(vocab):
+            for b in words:
                 lp = math.log(p0[a]) + math.log(pa[b])
                 pairs.append((-lp, first.index(a), b, (a, b)))
         pairs.sort()
@@ -170,10 +172,24 @@ def test_beam_matches_pruned_enumeration_two_steps():
         # when the globally best pair survives pruning, beam finds it
         best_global = max(
             ((math.log(p0[a]) + math.log(frozen[(BOS_ID, a)][b]), (a, b))
-             for a in range(vocab) for b in range(vocab)),
+             for a in words for b in words),
             key=lambda x: x[0])[1]
         if best_global[0] in first:
             assert got[0] == best_global
+
+
+def test_search_never_emits_pad_or_bos():
+    """PAD is the most probable token after BOS, and BOS after the next
+    one: the search takes the best of the others, UNK among them."""
+    table = TableMachine({(BOS_ID,): [0.6, 0.1, 0.05, 0.05, 0.2],
+                          (BOS_ID, 4): [0.05, 0.3, 0.5, 0.05, 0.1],
+                          (BOS_ID, 4, UNK_ID): [0.3, 0.05, 0.05, 0.5, 0.1]},
+                         5)
+    for width in (1, 2):
+        best = search(batched(table), 5, SearchConfig(width=width))[0]
+        assert best.tokens == [BOS_ID, 4, UNK_ID, EOS_ID]
+    assert greedy_search(batched(table), 5).tokens == \
+        [BOS_ID, 4, UNK_ID, EOS_ID]
 
 
 def test_width_one_equals_greedy_on_fake_machines():
