@@ -12,13 +12,19 @@ Shapes are explicit.  The only implicit broadcasting is scalar-times-tensor
 through a dedicated op such as ``linear`` (x w + b, the bias added to every
 row) or ``scale_rows``.
 
-Four ops are fused chains, to keep the tape short: ``linear`` is a product
-plus a bias; ``linear_relu`` is that and a ReLU, a position-wise FFN's
-first layer; ``embed`` is a Transformer's input rows, dropout(lookup *
-sqrt(d) + positions); and ``layer_norm`` with a ``sub`` operand is a
-sublayer's residual norm, layer_norm(x + dropout(sub)).  Each computes the
-chain's expressions in the chain's order, so outputs and gradients equal
-the chain's bitwise.
+Eight ops are fused chains, to keep the tape short: ``linear`` is a
+product plus a bias; ``linear_relu`` is that and a ReLU, a position-wise
+FFN's first layer; ``embed`` is a Transformer's input rows,
+dropout(lookup * sqrt(d) + positions); ``layer_norm`` with a ``sub``
+operand is a sublayer's residual norm, layer_norm(x + dropout(sub));
+``gated_sum`` is a context gate, lam * h + (1 - lam) * d with
+lam = sigmoid(h wh + d wd); ``sigmoid_linear`` is the copy gate,
+sigmoid(x_1 w_1 + ... + b); ``mix_rows`` is the copy mixture,
+(1 - w) * a + w * b row-wise; and ``normalize_rows`` divides rows by their
+sums, as x * (1 / sum).  Each computes the chain's expressions in the
+chain's order, so outputs and gradients equal the chain's bitwise; where
+the chain sums several gradient parts into one input, the node lists that
+input once per part, and ``backward`` sums them in the chain's order.
 
 A node holds its output, its input tensors and only what its backward
 cannot rebuild bitwise from them; the rest is recomputed in backward by
@@ -27,7 +33,8 @@ a tape that stores it:
 
 * ``attention_weights`` holds q, k and the weights; backward splits q and
   k into heads again.  ``attention_mix`` holds the weights and values, and
-  splits the values again.
+  splits the values again.  Their forward can read head blocks split once
+  for many calls (``head_blocks``); the nodes do not hold them.
 * ``layer_norm`` holds its inputs (and the boolean keep mask); backward
   recomputes the residual sum, the row statistics and the normalized rows.
 * ``linear_relu`` holds its output, whose positive entries are the ReLU's
@@ -51,10 +58,13 @@ of work under it: the search's unit is one translated sentence (see
 a few results of its own instead (the search each step's distribution and
 state rows; training each loss, each gradient before its optimizer step
 and each row it caches), and a ``NumericalError`` replays it with the
-per-op checks on, so the error still names the op.  Two checks stay on
-even there: ``attention_weights`` checks its logits before masking (a
-masked non-finite key would vanish), and it and ``softmax_lastdim`` tell a
-fully masked row from non-finite logits.  Apart from masking and row
+per-op checks on, so the error still names the op.  With the checks on,
+the fused ops check what their chains' ops would have: the gates their
+logits (a sigmoid turns an inf into an exact 0 or 1), ``normalize_rows``
+the row sums and their inverses.  Two checks stay on even unchecked:
+``attention_weights`` checks its logits before masking (a masked
+non-finite key would vanish), and it and ``softmax_lastdim`` tell a fully
+masked row from non-finite logits.  Apart from masking and row
 selection no op turns a NaN into a finite value (``linear_relu`` keeps it),
 so a NaN reaches the unit's checks.  An inf can saturate (a sigmoid of inf is
 exactly 1); so a unit runs unchecked only from finite parameters, where an
@@ -345,13 +355,17 @@ def scale_rows(x: Tensor, col: Tensor) -> Tensor:
                 "scale_rows")
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
+def _sigmoid(d: Array) -> Array:
     out = np.empty_like(d)
     pos = d >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     ex = np.exp(d[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = _sigmoid(x.data)
     return _out(out, (x,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
@@ -366,6 +380,117 @@ def clamped_log(x: Tensor) -> Tensor:
         clamp_events += n_clamped
     return _out(np.log(np.maximum(x.data, _LOG_FLOOR)), (x,),
                 lambda g: (g / np.maximum(x.data, _LOG_FLOOR),), "clamped_log")
+
+
+# ---------------------------------------------------------------------------
+# gates and mixtures, each a chain of the ops above as one node
+#
+# Backward returns the chain's gradient parts in the order the chain's nodes
+# would hand them on (its last node first), listing an input once per node
+# of the chain that reads it, so ``backward`` sums them as for the chain.
+
+
+def _check_logits(s: Array, tag: str) -> None:
+    """With the per-op checks on, a gate checks its logits: the sigmoid
+    would turn an inf into an exact 0 or 1, hiding it from the output
+    check."""
+    if _check_finite:
+        _finite(s, tag)
+
+
+def gated_sum(h: Tensor, d: Tensor, wh: Tensor, wd: Tensor
+              ) -> tuple[Tensor, Tensor]:
+    """lam * h + (1 - lam) * d with the gate lam = sigmoid(h wh + d wd), for
+    [n, k] rows h and d and [k, k] maps: the chain of two ``matmul``s,
+    ``add``, ``sigmoid``, ``mul``, ``affine`` (1 - lam), ``mul`` and
+    ``add``.  Returns the rows and lam, a constant (no gradient flows
+    through it apart from the rows)."""
+    if h.data.ndim != 2 or d.data.shape != h.data.shape \
+            or wh.data.shape != (h.data.shape[1],) * 2 \
+            or wd.data.shape != wh.data.shape:
+        raise ShapeError(f"gated_sum: h {h.shape}, d {d.shape}, "
+                         f"wh {wh.shape}, wd {wd.shape}")
+    s = h.data @ wh.data + d.data @ wd.data
+    _check_logits(s, "gated_sum")
+    lam = _sigmoid(s)
+    oml = -1.0 * lam + 1.0
+    out = lam * h.data + oml * d.data
+
+    def bwd(g):
+        g_oml = g * d.data
+        g_lam = -1.0 * g_oml + g * h.data
+        gs = g_lam * lam * (1.0 - lam)
+        return (g * oml, g * lam, gs @ wd.data.T, d.data.T @ gs,
+                gs @ wh.data.T, h.data.T @ gs)
+
+    return _out(out, (d, h, d, wd, h, wh), bwd, "gated_sum"), Tensor._wrap(lam)
+
+
+def sigmoid_linear(parts: list[tuple[Tensor, Tensor]], b: Tensor) -> Tensor:
+    """sigmoid(x_1 w_1 + ... + x_n w_n + b) for pairs of [r, k_i] rows x_i
+    and [k_i, c] maps w_i, summed in order, and a bias b of one element or
+    of the output's shape: the chain of the ``matmul``s, the ``add``s and
+    ``sigmoid``."""
+    s = None
+    for x, w in parts:
+        if x.data.ndim != 2 or w.data.ndim != 2 \
+                or x.data.shape[1] != w.data.shape[0] \
+                or (s is not None and s.shape != (x.data.shape[0],
+                                                  w.data.shape[1])):
+            raise ShapeError(f"sigmoid_linear: {x.shape} @ {w.shape}")
+        s = x.data @ w.data if s is None else s + x.data @ w.data
+    if s is None or (b.data.shape != s.shape and b.size != 1):
+        raise ShapeError(f"sigmoid_linear: bias {b.shape}")
+    s = s + b.data
+    _check_logits(s, "sigmoid_linear")
+    out = _sigmoid(s)
+
+    def bwd(g):
+        gs = g * out * (1.0 - out)
+        grads = [_fit(gs, b.data.shape)]
+        for x, w in reversed(parts):
+            grads += [gs @ w.data.T, x.data.T @ gs]
+        return tuple(grads)
+
+    inputs = (b,) + tuple(t for pair in reversed(parts) for t in pair)
+    return _out(out, inputs, bwd, "sigmoid_linear")
+
+
+def mix_rows(a: Tensor, b: Tensor, w: Tensor) -> Tensor:
+    """Row i of [n, c] ``a`` and ``b`` mixed by w[i] ([n, 1]):
+    (1 - w_i) * a_i + w_i * b_i, the chain of ``affine`` (1 - w), two
+    ``scale_rows`` and ``add``."""
+    if a.data.ndim != 2 or b.data.shape != a.data.shape \
+            or w.data.shape != (a.data.shape[0], 1):
+        raise ShapeError(f"mix_rows: a {a.shape}, b {b.shape}, w {w.shape}")
+    oml = -1.0 * w.data + 1.0
+    out = a.data * oml + b.data * w.data
+
+    def bwd(g):
+        return (g * w.data, (g * b.data).sum(axis=1, keepdims=True),
+                g * oml, -1.0 * (g * a.data).sum(axis=1, keepdims=True))
+
+    return _out(out, (b, w, a, w), bwd, "mix_rows")
+
+
+def normalize_rows(x: Tensor) -> Tensor:
+    """Each row of [n, c] ``x`` times 1 / its sum: the chain of the row sum
+    (``reduce``), ``div`` and ``scale_rows``."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"normalize_rows: need 2-d, got {x.shape}")
+    mass = np.sum(x.data, axis=1, keepdims=True)
+    ones = np.ones_like(mass)
+    inv = ones / mass
+    if _check_finite:
+        _finite(mass, "normalize_rows")
+        _finite(inv, "normalize_rows")
+
+    def bwd(g):
+        g_mass = -(g * x.data).sum(axis=1, keepdims=True) * ones \
+            / (mass * mass)
+        return g * inv, np.broadcast_to(g_mass, x.data.shape) * 1.0
+
+    return _out(x.data * inv, (x, x), bwd, "normalize_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +696,20 @@ def _heads(x: Array, bs: int, m: int) -> Array:
         x.reshape(bs, -1, m, d // m).transpose(0, 2, 1, 3))
 
 
+def _key_heads(k: Array, bs: int, m: int) -> Array:
+    """Key rows [B*b, m*dh] as transposed per-head blocks [B, m, dh, b]."""
+    return np.ascontiguousarray(
+        k.reshape(bs, -1, m, k.shape[1] // m).transpose(0, 2, 3, 1))
+
+
+def head_blocks(k: Array, v: Array, bs: int, m: int) -> tuple[Array, Array]:
+    """The blocks ``attention_weights`` and ``attention_mix`` split B
+    stacked memories' key and value rows [B*b, d] into: the keys'
+    transposed heads [B, m, dh, b] and the values' heads [B, m, b, dh].  A
+    memory that many attention calls read can split once and pass them."""
+    return _key_heads(k, bs, m), _heads(v, bs, m)
+
+
 def _merge(x: Array) -> Array:
     """Per-head blocks [B, m, n, dh] back to C-contiguous rows [B*n, m*dh].
 
@@ -583,7 +722,8 @@ def _merge(x: Array) -> Array:
 
 
 def attention_weights(q: Tensor, k: Tensor, m: int,
-                      mask: Array | None = None) -> Tensor:
+                      mask: Array | None = None,
+                      kt: Array | None = None) -> Tensor:
     """Per-head softmax(q_h k_hᵀ / sqrt(d_h)) of B stacked sequences as one
     [B, m, a, b] tensor.
 
@@ -591,29 +731,30 @@ def attention_weights(q: Tensor, k: Tensor, m: int,
     h is columns h*d_h onwards); sequence i's a queries attend only over its
     own b keys.  ``mask`` [B, a, b] (True = blocked) gives B and applies
     mask[i] to every head of sequence i; blocked weights are exact zeros.
-    None is one sequence with nothing blocked.  The scaled logits are
-    checked before masking, the weights after the softmax; a fully masked
-    row is a ContractError, also under ``unchecked()``.
+    Without a mask nothing is blocked, and B is 1, or that of ``kt``: k's
+    ``head_blocks`` [B, m, dh, b], which the forward then reads instead of
+    splitting k (backward splits k again).  The scaled logits are checked
+    before masking, the weights after the softmax; a fully masked row is a
+    ContractError, also under ``unchecked()``.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or q.data.shape[1] != k.data.shape[1]:
         raise ShapeError(f"attention_weights: q {q.shape}, k {k.shape}")
     (rows_q, d), rows_k = q.data.shape, k.data.shape[0]
     if m < 1 or d % m:
         raise ShapeError(f"attention_weights: width {d} vs {m} heads")
-    shape = (1, rows_q, rows_k) if mask is None else mask.shape
+    bs = 1 if kt is None else kt.shape[0]
+    shape = (bs, rows_q // bs, rows_k // bs) if mask is None else mask.shape
     if len(shape) != 3 or (shape[0] * shape[1], shape[0] * shape[2]) \
             != (rows_q, rows_k):
         raise ShapeError(f"attention_weights: mask {shape} vs q {q.shape}, "
                          f"k {k.shape}")
     bs, dh = shape[0], d // m
+    if kt is not None and kt.shape != (bs, m, dh, shape[2]):
+        raise ShapeError(f"attention_weights: key heads {kt.shape} vs "
+                         f"k {k.shape} in {bs} sequences")
     scale = 1.0 / math.sqrt(dh)
-
-    def split() -> tuple[Array, Array]:
-        """q's heads [B, m, a, dh] and k's transposed [B, m, dh, b]."""
-        return _heads(q.data, bs, m), np.ascontiguousarray(
-            k.data.reshape(bs, -1, m, dh).transpose(0, 2, 3, 1))
-
-    logits = scale * np.matmul(*split())              # [B, m, a, b]
+    logits = scale * np.matmul(_heads(q.data, bs, m),
+                               _key_heads(k.data, bs, m) if kt is None else kt)
     _finite(logits, "attention_weights")
     if mask is not None:
         np.copyto(logits, -np.inf, where=mask[:, None])
@@ -624,7 +765,7 @@ def attention_weights(q: Tensor, k: Tensor, m: int,
     w = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        qh, kt = split()
+        qh, kt = _heads(q.data, bs, m), _key_heads(k.data, bs, m)
         gl = scale * (w * (g - np.sum(g * w, axis=-1, keepdims=True)))
         gk = np.matmul(qh.swapaxes(-1, -2), gl)       # [B, m, dh, b]
         return (_merge(np.matmul(gl, kt.swapaxes(-1, -2))),
@@ -633,14 +774,17 @@ def attention_weights(q: Tensor, k: Tensor, m: int,
     return _out(w, (q, k), bwd, "attention_weights")
 
 
-def attention_mix(w: Tensor, v: Tensor) -> Tensor:
+def attention_mix(w: Tensor, v: Tensor, vh: Array | None = None) -> Tensor:
     """Per-head products w_h v_h of B stacked sequences' weights
     [B, m, a, b] and values [B*b, d], heads merged into [B*a, d] rows (head
-    h fills columns h*d_h onwards)."""
+    h fills columns h*d_h onwards).  ``vh``, v's ``head_blocks``
+    [B, m, b, dh], spares the forward the split (backward splits v
+    again)."""
     if w.data.ndim != 4 or v.data.ndim != 2:
         raise ShapeError(f"attention_mix: weights {w.shape}, values {v.shape}")
     bs, m, a, b = w.data.shape
-    if v.data.shape[0] != bs * b or v.data.shape[1] % m:
+    if v.data.shape[0] != bs * b or v.data.shape[1] % m \
+            or (vh is not None and vh.shape != (bs, m, b, v.data.shape[1] // m)):
         raise ShapeError(f"attention_mix: weights {w.shape}, values {v.shape}")
 
     def bwd(g):
@@ -649,8 +793,9 @@ def attention_mix(w: Tensor, v: Tensor) -> Tensor:
         return (np.matmul(gh, _heads(v.data, bs, m).swapaxes(-1, -2)),
                 _merge(np.matmul(w.data.swapaxes(-1, -2), gh)))
 
-    return _out(_merge(np.matmul(w.data, _heads(v.data, bs, m))), (w, v), bwd,
-                "attention_mix")
+    if vh is None:
+        vh = _heads(v.data, bs, m)
+    return _out(_merge(np.matmul(w.data, vh)), (w, v), bwd, "attention_mix")
 
 
 def _row_ids(table: Tensor, ids, op: str) -> Array:

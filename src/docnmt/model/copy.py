@@ -45,10 +45,10 @@ class CopyWeights:
 
 def copy_gate(h_tilde: Tensor, c_rows: Tensor, d_rows: Tensor,
               p: dict[str, Tensor]) -> Tensor:
-    """p_copy in (0, 1), shaped [T, 1]."""
-    logit = ad.add(ad.add(h_tilde @ p["wh"], c_rows @ p["wc"]),
-                   d_rows @ p["wdy"])
-    return ad.sigmoid(ad.add(logit, p["b"]))
+    """p_copy in (0, 1), shaped [T, 1]: one ``autodiff.sigmoid_linear``
+    node."""
+    return ad.sigmoid_linear([(h_tilde, p["wh"]), (c_rows, p["wc"]),
+                              (d_rows, p["wdy"])], p["b"])
 
 
 def copyable(entries) -> bool:
@@ -94,34 +94,26 @@ def cache_indicator(token_ids: list[list[list[int]]], vocab_size: int,
     return indicator
 
 
-def copy_attention_weights(trace: AttentionTrace, indicator: np.ndarray
-                           ) -> CopyWeights:
-    """Head-averaged copy weights from a context attention trace; the
-    reserved ids lose their mass and the rest is renormalized to sum 1.
+def copy_attention_weights(trace: AttentionTrace, indicator: Tensor,
+                           copyable: bool) -> CopyWeights:
+    """Head-averaged copy weights from a context attention trace; where
+    ``copyable``, the reserved ids lose their mass and the rest is
+    renormalized to sum 1 (one ``autodiff.normalize_rows`` node).
 
-    ``indicator`` is the ``cache_indicator`` of the trace's cached ids (a
-    ``DecoderMemory`` builds it once for all its steps)."""
+    ``indicator`` holds the ``cache_indicator`` of the trace's cached ids
+    and ``copyable`` whether it has a one (a ``DecoderMemory`` builds both
+    once for all its steps)."""
     word_vocab = ad.attention_mix(trace.word.sum(axis=1, keepdims=True),
-                                  Tensor._wrap(indicator))
+                                  indicator)
     alpha_vocab = ad.attention_mix(trace.sent.sum(axis=1, keepdims=True),
                                    word_vocab)
-    copyable = bool(indicator.any())
-
     if copyable:
-        mass = alpha_vocab.sum(axis=1, keepdims=True)
-        ones = Tensor._wrap(np.ones_like(mass.data))
-        alpha_vocab = ad.scale_rows(alpha_vocab, ad.div(ones, mass))
-
+        alpha_vocab = ad.normalize_rows(alpha_vocab)
     return CopyWeights(alpha_vocab=alpha_vocab, copyable=copyable)
 
 
 def mix_distributions(p_vocab: Tensor, alpha_vocab: Tensor,
                       p_copy: Tensor) -> Tensor:
-    """(1 - p_copy) * P_vocab + p_copy * alpha, row-wise."""
-    if p_vocab.data.shape != alpha_vocab.data.shape:
-        raise ContractError(
-            f"mix: P_vocab {p_vocab.shape} vs alpha {alpha_vocab.shape}")
-    if p_copy.data.shape != (p_vocab.data.shape[0], 1):
-        raise ContractError(f"mix: p_copy shaped {p_copy.shape}")
-    return ad.add(ad.scale_rows(p_vocab, 1.0 - p_copy),
-                  ad.scale_rows(alpha_vocab, p_copy))
+    """(1 - p_copy) * P_vocab + p_copy * alpha, row-wise (p_copy [T, 1]):
+    one ``autodiff.mix_rows`` node."""
+    return ad.mix_rows(p_vocab, alpha_vocab, p_copy)

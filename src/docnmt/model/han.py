@@ -111,9 +111,11 @@ class AttentionTrace:
 class ContextMemory:
     """The cached sentences of one side, prepared once for many queries:
     their token ids, the side's parameter views (``params.view(prefix)``
-    and its ``word.``, ``sent.`` and ``ffn.`` groups), the head count, and
-    the word-level keys and values: the stacked states through ``word.wk``
-    / ``word.wv``.
+    and its ``word.``, ``sent.`` and ``ffn.`` groups), the head count, the
+    word-level keys and values (the stacked states through ``word.wk`` /
+    ``word.wv``, a ``HeadKV``, which keeps its head blocks for repeated
+    reads), and, built once per number T of query rows per document, the
+    attention layout of T queries (``layout``).
 
     It takes one entry list per document, every document with the same
     number of sentences.  Block b of the [B*K, d] keys and values holds
@@ -146,7 +148,8 @@ class ContextMemory:
         self.sent_p = params.view(prefix + "sent.")
         self.ffn_p = params.view(prefix + "ffn.")
         states = Tensor._wrap(rows.reshape(-1, rows.shape[-1]))
-        self.word_kv = project_kv(states, states, self.word_p, m)
+        self.word_kv = project_kv(states, states, self.word_p, m, len(docs))
+        self._layouts: dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return self.n
@@ -154,6 +157,24 @@ class ContextMemory:
     @property
     def n_docs(self) -> int:
         return self.columns.shape[0]
+
+    def layout(self, t: int) -> tuple[np.ndarray | None, np.ndarray,
+                                      np.ndarray]:
+        """For T = ``t`` query rows per document: the query row that each
+        word-level row repeats (None for one cached sentence, where no row
+        repeats), the word-level mask [B, n*T, K] and the sentence-level
+        mask [B, T, n*T] (see the module docstring); built on first use."""
+        if t not in self._layouts:
+            n, b = self.n, self.n_docs
+            repeat = None
+            if n > 1:                # row (b, j, t) is query row b*T + t
+                rows = np.arange(b)[:, None, None] * t + np.arange(t)
+                repeat = rows.repeat(n, axis=1).ravel()
+            word = np.repeat(np.arange(n), t)[:, None] \
+                != self.columns[..., None, :]
+            sent = (np.arange(t)[:, None] != np.arange(n * t) % t)[None]
+            self._layouts[t] = (repeat, word, sent.repeat(b, axis=0))
+        return self._layouts[t]
 
 
 def word_level_context(h: Tensor, memory: ContextMemory
@@ -165,13 +186,10 @@ def word_level_context(h: Tensor, memory: ContextMemory
     """
     from .transformer import attend
 
-    n, b = len(memory), memory.n_docs
-    t = h.data.shape[0] // b
+    repeat, mask, _ = memory.layout(h.data.shape[0] // memory.n_docs)
     queries = (h @ memory.p["f"]) @ memory.word_p["wq"]     # projected once
-    if n > 1:                        # row (b, j, t) is query row b*T + t
-        rows = np.arange(b)[:, None, None] * t + np.arange(t)
-        queries = ad.embedding_lookup(queries, rows.repeat(n, axis=1).ravel())
-    mask = np.repeat(np.arange(n), t)[:, None] != memory.columns[..., None, :]
+    if repeat is not None:
+        queries = ad.embedding_lookup(queries, repeat)
     return attend(queries, memory.word_kv, memory.word_p, mask=mask)
 
 
@@ -184,20 +202,18 @@ def sentence_level_context(h: Tensor, summaries: Tensor, memory: ContextMemory
     """
     from .transformer import multi_head_attention, positionwise_ffn
 
-    t = h.data.shape[0] // memory.n_docs
-    mask = (np.arange(t)[:, None] != np.arange(len(memory) * t) % t)[None]
-    mask = mask.repeat(memory.n_docs, axis=0)
+    _, _, mask = memory.layout(h.data.shape[0] // memory.n_docs)
     attended, sent_weights = multi_head_attention(
         h @ memory.p["g"], summaries, summaries, memory.sent_p, memory.m,
         mask=mask)
     return positionwise_ffn(attended, memory.ffn_p), sent_weights
 
 
-def gate_integrate(h: Tensor, d_rows: Tensor, p: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """lam = sigmoid(h Wh + d Wd); returns (lam*h + (1-lam)*d, lam)."""
-    lam = ad.sigmoid(ad.add(h @ p["gate.wh"], d_rows @ p["gate.wd"]))
-    mixed = ad.add(ad.mul(lam, h), ad.mul(1.0 - lam, d_rows))
-    return mixed, lam
+def gate_integrate(h: Tensor, d_rows: Tensor, p: dict[str, Tensor]
+                   ) -> tuple[Tensor, Tensor]:
+    """lam = sigmoid(h Wh + d Wd); returns (lam*h + (1-lam)*d, lam), one
+    ``autodiff.gated_sum`` node (lam carries no gradient)."""
+    return ad.gated_sum(h, d_rows, p["gate.wh"], p["gate.wd"])
 
 
 def hierarchical_context(h: Tensor, memory: ContextMemory

@@ -24,12 +24,20 @@ are only the tests' references.  An out-of-range id is a ``ContractError``
 where it is embedded (``autodiff.embed``), before it is scored or cached.
 
 There is one decoder stack, ``decode_states``.  What a sentence's passes
-share (cross-attention, context and copy keys and values) is built once
-into a ``DecoderMemory``; it holds no parameters, every pass reads its
-parameter groups through ``ParamStore.view``.  Teacher forcing runs the
-stack over whole prefixes under the causal mask; search runs it over one
-new row per hypothesis of one source sentence, each row attending over its
-own ``DecoderState`` (the key and value rows of the tokens before it).
+share is built once into a ``DecoderMemory``: the cross-attention, context
+and copy keys and values, whose head blocks are kept for repeated reads;
+the context attention's masks, once per number of query rows; the copy
+indicator.  It holds no
+parameters, every pass reads its parameter groups through
+``ParamStore.view``.  Teacher forcing runs the stack over whole prefixes
+under the causal mask.  A search step runs it over one new row per
+hypothesis of one source sentence, the k hypotheses being the batch axis
+of the self-attention: row i attends over its own ``DecoderState`` (the
+key and value rows of the tokens before it) and its new row, with no mask.
+The step's grown K/V arrays [k, L+1, d] become the children's states,
+read-only, as siblings share them; the gates and the copy mixture are one
+autodiff node each (``autodiff.gated_sum``, ``sigmoid_linear``,
+``normalize_rows``, ``mix_rows``).
 
 Dropout applies keep masks drawn per pair beforehand (``dropout_masks``)
 and handed to a pass in the order it applies them.
@@ -128,7 +136,8 @@ class DecodeOut:
     h_tilde: Tensor              # integrated rows (the stack's on the skip path)
     d_rows: Tensor | None        # context summary rows, None on skip path
     trace: AttentionTrace | None
-    kv: list[tuple[Tensor, Tensor]]  # per layer: self-attention K, V rows
+    kv: list[tuple[Tensor, Tensor]]  # per layer: the self-attention K, V
+                                     # rows attended over (decode_states)
 
 
 @dataclass
@@ -144,7 +153,9 @@ class Forced:
 class DecoderState:
     """One hypothesis's decoder rows, one per prefix token consumed so far:
     each layer's self-attention key and value rows [L, d] and the integrated
-    rows h~ [L, d].  A step returns a longer copy; a state never changes."""
+    rows h~ [L, d].  A step hands each child hypothesis a longer state; a
+    state never changes.  Its arrays are read-only: a child's K/V rows are
+    its row of the step's [k, L, d] arrays, which its siblings share."""
     keys: tuple[np.ndarray, ...]
     values: tuple[np.ndarray, ...]
     h_tilde: np.ndarray
@@ -154,19 +165,35 @@ class DecoderState:
 
     @classmethod
     def empty(cls, n_layers: int, d: int) -> "DecoderState":
-        rows = np.empty((0, d))
+        rows = _read_only(np.empty((0, d)))
         return cls(keys=(rows,) * n_layers, values=(rows,) * n_layers,
                    h_tilde=rows)
 
-    def grow(self, out: DecodeOut, row: int) -> "DecoderState":
-        """This state plus row ``row`` of a decoder pass."""
-        def add(old: np.ndarray, new: Tensor) -> np.ndarray:
-            return np.concatenate([old, new.data[row:row + 1]])
-        return DecoderState(keys=tuple(add(o, k) for o, (k, _) in
-                                       zip(self.keys, out.kv)),
-                            values=tuple(add(o, v) for o, (_, v) in
-                                         zip(self.values, out.kv)),
-                            h_tilde=add(self.h_tilde, out.h_tilde))
+    def grow(self, kv: list[tuple[np.ndarray, np.ndarray]],
+             h_tilde: np.ndarray, row: int) -> "DecoderState":
+        """Hypothesis ``row``'s state after a step: its rows of the step's
+        per-layer K/V arrays [k, L+1, d] and this state's h~ plus row
+        ``row`` of the step's h~."""
+        return DecoderState(
+            keys=tuple(k[row] for k, _ in kv),
+            values=tuple(v[row] for _, v in kv),
+            h_tilde=_read_only(np.concatenate([self.h_tilde,
+                                               h_tilde[row:row + 1]])))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _grown(past: list[np.ndarray], new: Tensor) -> Tensor:
+    """Each hypothesis's past rows [L, d] followed by its row of ``new``
+    [k, d], as [k*(L+1), d] rows of a read-only [k, L+1, d] array."""
+    rows = np.empty((len(past), past[0].shape[0] + 1, new.data.shape[1]))
+    for grown, old in zip(rows, past):
+        grown[:-1] = old
+    rows[:, -1] = new.data
+    return Tensor._wrap(_read_only(rows).reshape(-1, rows.shape[-1]))
 
 
 @dataclass
@@ -186,9 +213,12 @@ class DecoderMemory:
     sentence: each layer's cross-attention K/V of the source encoding, the
     target-side ``ContextMemory`` (None on the skip path), and, built on
     first use (after the decoder stack, as the copy mixture needs them),
-    the copy indicator of the cached target ids and the copy attention's
-    K/V of the source encoding.  ``contexts`` holds one cache per sentence
-    of the encoding.
+    the copy indicator of the cached target ids with whether it has a one,
+    and the copy attention's K/V of the source encoding.  ``contexts``
+    holds one cache per sentence of the encoding.  The K/V are
+    ``HeadKV``s, which keep their head blocks for repeated reads, and the
+    ``ContextMemory`` builds its masks once per query count, so a search
+    step over the sentence computes only what its new rows change.
     """
 
     def __init__(self, model: "DocModel", encoded: EncodedSentence,
@@ -198,24 +228,26 @@ class DecoderMemory:
         p, m = model.params, model.cfg.m_heads
         self.encoded = encoded
         self.variant = variant
-        states = encoded.states
-        self.cross_kv = [project_kv(states, states, p.view(f"dec.{i}.cross."), m)
+        states, bs = encoded.states, len(encoded.token_ids.lengths)
+        self.cross_kv = [project_kv(states, states, p.view(f"dec.{i}.cross."),
+                                    m, bs)
                          for i in range(model.cfg.n_layers)]
         self.context: ContextMemory | None = None
         entries = cached(contexts, "target")
         if variant in DECODER_CTX and entries:
             self.context = ContextMemory(entries, p, "ctx.dec.", m)
         self._model = model
-        self._indicator: np.ndarray | None = None
+        self._indicator: tuple[Tensor, bool] | None = None
         self._copy_kv: HeadKV | None = None
 
-    def cache_indicator(self) -> np.ndarray:
-        """The ``cache_indicator`` of the target caches, built on the first
-        call."""
+    def cache_indicator(self) -> tuple[Tensor, bool]:
+        """The ``cache_indicator`` of the target caches and whether any of
+        their tokens may be copied, built on the first call."""
         if self._indicator is None:
             ctx = self.context
-            self._indicator = cache_indicator(
+            indicator = cache_indicator(
                 ctx.token_ids, self._model.cfg.vocab_tgt, ctx.columns.shape[1])
+            self._indicator = Tensor._wrap(indicator), bool(indicator.any())
         return self._indicator
 
     def copy_kv(self) -> HeadKV:
@@ -225,7 +257,7 @@ class DecoderMemory:
             states = self.encoded.states
             self._copy_kv = project_kv(
                 states, states, self._model.params.view("copy.att."),
-                self._model.cfg.m_heads)
+                self._model.cfg.m_heads, len(self.encoded.token_ids.lengths))
         return self._copy_kv
 
 
@@ -338,14 +370,17 @@ class DocModel:
                       keep: Iterator[np.ndarray] | None = None
                       ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
         """The decoder stack over new rows -> (final-layer rows, per layer
-        the self-attention K and V of those rows).
+        the self-attention K and V rows that the new rows attended over).
 
         Without ``past``, ``ids`` is a ``Stack`` of prefixes from position
         0, one per sentence that ``memory`` encodes, under the causal mask
-        (teacher forcing).  With ``past`` (search over one encoded
-        sentence), ``ids`` lists the next token of each of len(past)
-        hypotheses whose states have equal lengths; row i attends over
-        hypothesis i's past rows and itself only.
+        (teacher forcing); the K and V are those of the stacked rows.  With
+        ``past`` (search over one encoded sentence, which records no
+        gradient), ``ids`` lists the next token of each of k = len(past)
+        hypotheses whose states have equal lengths L.  The self-attention
+        then runs k sequences of one query each: row i attends over
+        hypothesis i's past rows and its own new row, and the K and V are
+        those grown rows, [k*(L+1), d] in read-only arrays.
         """
         if not ids:
             raise ContractError("decode of an empty prefix")
@@ -354,36 +389,31 @@ class DocModel:
             if len(ids.lengths) != len(src.lengths):
                 raise ContractError("teacher forcing needs one prefix per "
                                     "encoded sentence")
-            n_past = 0
             cross_mask = src.key_mask(ids.width)
             ids, positions, mask = self._layout(ids, causal=True)
+            bs = mask.shape[0]
         else:
             if len(src.lengths) != 1:
                 raise ContractError("search steps decode one sentence")
-            cross_mask = None
-            k = len(past)
-            if len(ids) != k or len({len(s) for s in past}) != 1:
+            bs, mask, cross_mask = len(past), None, None
+            if len(ids) != bs or len({len(s) for s in past}) != 1:
                 raise ContractError(
                     f"{len(ids)} new rows for hypotheses of lengths "
                     f"{[len(s) for s in past]}")
-            n_past = len(past[0])
-            positions = np.full(k, n_past)
-            other = ~np.eye(k, dtype=bool)  # keys: all past rows, then new
-            mask = np.concatenate(
-                [np.repeat(other, n_past, axis=1), other], axis=1)[None]
+            positions = np.full(bs, len(past[0]))
         x = self._embed("emb.tgt", ids, positions, keep)
         p, m = self.params, self.cfg.m_heads
         kv_rows = []
         for i, cross_kv in enumerate(memory.cross_kv):
             self_p = p.view(f"dec.{i}.self.")
             q, keys, values = x @ self_p["wq"], x @ self_p["wk"], x @ self_p["wv"]
+            if past is not None:
+                if keys.requires_grad:
+                    raise ContractError("search steps run without a tape")
+                keys = _grown([s.keys[i] for s in past], keys)
+                values = _grown([s.values[i] for s in past], values)
             kv_rows.append((keys, values))
-            if n_past:
-                keys = ad.concat([Tensor._wrap(np.concatenate(
-                    [s.keys[i] for s in past])), keys])
-                values = ad.concat([Tensor._wrap(np.concatenate(
-                    [s.values[i] for s in past])), values])
-            att, _ = attend(q, HeadKV(keys, values, m), self_p, mask)
+            att, _ = attend(q, HeadKV(keys, values, m, bs), self_p, mask)
             x = self._sublayer(x, att, p.view(f"dec.{i}.ln1."), keep)
             cross_p = p.view(f"dec.{i}.cross.")
             cross, _ = attend(x @ cross_p["wq"], cross_kv, cross_p, cross_mask)
@@ -419,7 +449,7 @@ class DocModel:
         """
         if out.trace is None:
             return p_vocab, None, None
-        weights = copy_attention_weights(out.trace, memory.cache_indicator())
+        weights = copy_attention_weights(out.trace, *memory.cache_indicator())
         if not weights.copyable:
             return p_vocab, None, None
         # c_t: the integrated rows attend over their own source encoding
@@ -515,14 +545,16 @@ class DocModel:
             p_w, p_copy, alpha = p_vocab, None, None
             if memory.variant == "copy":
                 p_w, p_copy, alpha = self.copy_mixture(out, memory, p_vocab)
-        step = [p_w, out.h_tilde] + [t for kv in out.kv for t in kv]
-        if not all(np.isfinite(t.data).all() for t in step):
+        n, h_new = len(past), _read_only(out.h_tilde.data)
+        kv = [(k.data.reshape(n, -1, h_new.shape[1]),
+               v.data.reshape(n, -1, h_new.shape[1])) for k, v in out.kv]
+        new_rows = [p_w.data, h_new] + [a[:, -1] for pair in kv for a in pair]
+        if not all(np.isfinite(a).all() for a in new_rows):
             raise NumericalError("non-finite values in the distribution or "
                                  f"state rows of decode step {len(past[0])}")
-        gates = [None] * len(past) if p_copy is None else \
-            p_copy.data[:, 0].tolist()
-        alphas = [None] * len(past) if alpha is None else alpha.data
-        return [StepResult(p_w=p_w.data[i], state=state.grow(out, i),
+        gates = [None] * n if p_copy is None else p_copy.data[:, 0].tolist()
+        alphas = [None] * n if alpha is None else alpha.data
+        return [StepResult(p_w=p_w.data[i], state=state.grow(kv, h_new, i),
                            p_vocab=p_vocab.data[i], p_copy=gates[i],
                            alpha_vocab=alphas[i])
                 for i, state in enumerate(past)]

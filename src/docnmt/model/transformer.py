@@ -4,13 +4,11 @@ All activations are 2-d [positions, features] tensors.  Multi-head
 attention is two fused autodiff ops over B stacked sequences of a query and
 b key rows each: the per-head weights come as one [B, m, a, b] tensor, and
 a mask is a plain boolean [B, a, b] numpy array (True = blocked), or None
-for one sequence with nothing blocked; only ``autodiff.attention_weights``
-reads and checks it.
+where nothing is blocked; only ``autodiff.attention_weights`` reads and
+checks it.  A memory's keys and values are a ``HeadKV``, which knows its B.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,34 +17,56 @@ from ..autodiff import Tensor
 from ..errors import ContractError
 
 
-@dataclass
 class HeadKV:
-    """Projected keys and values [B*b, d] of B stacked attention memories,
-    split into m heads by the attention ops."""
-    keys: Tensor
-    values: Tensor
-    m: int
+    """Projected keys and values [B*b, d] of B stacked attention memories
+    of b rows each, to be split into m heads by the attention ops.
+
+    ``blocks()`` gives the head blocks the attention ops read
+    (``autodiff.head_blocks``: the keys' [B, m, dh, b] and the values'
+    [B, m, b, dh]).  Once a memory is read a second time it keeps them, so
+    a memory that every step of a search reads (a sentence's
+    cross-attention, context or copy memory) is split twice, not once per
+    step, while one that a teacher-forced pass reads once holds nothing
+    beyond its rows.  The ops' nodes do not hold the blocks; their
+    backward splits the rows again.
+    """
+
+    def __init__(self, keys: Tensor, values: Tensor, m: int, bs: int):
+        self.keys, self.values, self.m, self.bs = keys, values, m, bs
+        self._blocks: tuple[np.ndarray, np.ndarray] | None = None
+        self._read = False
+
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._blocks is not None:
+            return self._blocks
+        blocks = ad.head_blocks(self.keys.data, self.values.data, self.bs,
+                                self.m)
+        if self._read:
+            self._blocks = blocks
+        self._read = True
+        return blocks
 
 
 def project_kv(k_rows: Tensor, v_rows: Tensor, p: dict[str, Tensor],
-               m: int) -> HeadKV:
-    """Project a memory through wk and wv once."""
-    return HeadKV(k_rows @ p["wk"], v_rows @ p["wv"], m)
+               m: int, bs: int) -> HeadKV:
+    """Project B = ``bs`` stacked memories through wk and wv once."""
+    return HeadKV(k_rows @ p["wk"], v_rows @ p["wv"], m, bs)
 
 
 def attend(q: Tensor, kv: HeadKV, p: dict[str, Tensor],
            mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Multi-head attention of the wq-projected query rows ``q`` over a
-    projected memory, re-projected through wo, for B stacked sequences
-    under a [B, a, b] mask (None: one sequence, nothing blocked).
+    projected memory, re-projected through wo, for the memory's B stacked
+    sequences under a [B, a, b] mask (None: nothing blocked).
 
     Returns the output rows and the post-softmax weights [B, m, a, b].  The
     query is projected by the caller so that, where query and memory rows
     are one tensor, the wq product comes first on the tape; backward then
     sums that tensor's gradient parts in one fixed order.
     """
-    weights = ad.attention_weights(q, kv.keys, kv.m, mask)
-    return ad.attention_mix(weights, kv.values) @ p["wo"], weights
+    kt, vh = kv.blocks()
+    weights = ad.attention_weights(q, kv.keys, kv.m, mask, kt)
+    return ad.attention_mix(weights, kv.values, vh) @ p["wo"], weights
 
 
 def multi_head_attention(q_rows: Tensor, k_rows: Tensor, v_rows: Tensor,
@@ -60,7 +80,8 @@ def multi_head_attention(q_rows: Tensor, k_rows: Tensor, v_rows: Tensor,
     [B, m, a, b].
     """
     q = q_rows @ p["wq"]
-    return attend(q, project_kv(k_rows, v_rows, p, m), p, mask)
+    bs = 1 if mask is None else mask.shape[0]
+    return attend(q, project_kv(k_rows, v_rows, p, m, bs), p, mask)
 
 
 def positionwise_ffn(x: Tensor, p: dict[str, Tensor]) -> Tensor:

@@ -10,6 +10,12 @@ per-sentence loops of ``han_reference``, none of the per-sentence memories of
 ``incremental_step`` drives the real path for one prefix, one token at a
 time, the way the search does, and ``greedy_search`` is plain argmax
 decoding, the oracle for beam search at width 1.
+
+``block_mask_step`` is the search step before the hypotheses became the
+batch axis of its self-attention: the k new rows are one sequence that
+attends over every hypothesis's past rows and all new rows, concatenated
+by ``autodiff.concat``, under a block mask that lets row i see only its
+own hypothesis's rows.
 """
 
 import math
@@ -20,8 +26,11 @@ from docnmt import autodiff as ad
 from docnmt.autodiff import Tensor
 from docnmt.decoding import _LOG_FLOOR, BeamHypothesis
 from docnmt.model.copy import SPECIAL_IDS, copy_gate, mix_distributions
-from docnmt.model.model import DECODER_CTX, DecoderMemory
-from docnmt.model.transformer import causal_mask, positionwise_ffn
+from docnmt.model.han import hierarchical_context
+from docnmt.model.model import (DECODER_CTX, DecodeOut, DecoderMemory,
+                                DecoderState, StepResult)
+from docnmt.model.transformer import (HeadKV, attend, causal_mask,
+                                      positionwise_ffn)
 from docnmt.tokens import BOS_ID, EOS_ID, PAD_ID
 
 from attention_reference import multi_head_attention
@@ -111,3 +120,66 @@ def greedy_search(step_fn, max_steps: int) -> BeamHypothesis:
         if tid == EOS_ID:
             break
     return hypo
+
+
+def block_mask_states(model, ids, memory, past):
+    """The decoder stack over one new row per hypothesis in the block
+    layout -> (final-layer rows [k, d], per layer the new K and V rows)."""
+    k, n_past = len(past), len(past[0])
+    other = ~np.eye(k, dtype=bool)     # keys: all past rows, then new
+    mask = np.concatenate([np.repeat(other, n_past, axis=1), other],
+                          axis=1)[None]
+    x = model._embed("emb.tgt", ids, np.full(k, n_past), None)
+    p, m = model.params, model.cfg.m_heads
+    kv_rows = []
+    for i, cross_kv in enumerate(memory.cross_kv):
+        self_p = p.view(f"dec.{i}.self.")
+        q, keys, values = x @ self_p["wq"], x @ self_p["wk"], x @ self_p["wv"]
+        kv_rows.append((keys, values))
+        if n_past:
+            keys = ad.concat([Tensor._wrap(np.concatenate(
+                [s.keys[i] for s in past])), keys])
+            values = ad.concat([Tensor._wrap(np.concatenate(
+                [s.values[i] for s in past])), values])
+        att, _ = attend(q, HeadKV(keys, values, m, 1), self_p, mask)
+        x = model._sublayer(x, att, p.view(f"dec.{i}.ln1."), None)
+        cross_p = p.view(f"dec.{i}.cross.")
+        cross, _ = attend(x @ cross_p["wq"], cross_kv, cross_p)
+        x = model._sublayer(x, cross, p.view(f"dec.{i}.ln2."), None)
+        ffn = positionwise_ffn(x, p.view(f"dec.{i}.ffn."))
+        x = model._sublayer(x, ffn, p.view(f"dec.{i}.ln3."), None)
+    return x, kv_rows
+
+
+def block_mask_step(model, prefixes, memory, states):
+    """``DocModel.step_distribution`` on ``block_mask_states``: one
+    ``StepResult`` per prefix, each state a fresh concatenation of its
+    parent's rows and its new row."""
+    past = [DecoderState.empty(model.cfg.n_layers, model.cfg.d_model)
+            if s is None else s for s in states]
+    with ad.no_grad():
+        h, kv = block_mask_states(model, [p[-1] for p in prefixes], memory,
+                                  past)
+        out = DecodeOut(h_tilde=h, d_rows=None, trace=None, kv=kv)
+        if memory.context is not None:
+            h_tilde, d_rows, trace = hierarchical_context(h, memory.context)
+            out = DecodeOut(h_tilde=h_tilde, d_rows=d_rows, trace=trace,
+                            kv=kv)
+        p_vocab = model.output_distribution(out.h_tilde)
+        p_w, p_copy, alpha = p_vocab, None, None
+        if memory.variant == "copy":
+            p_w, p_copy, alpha = model.copy_mixture(out, memory, p_vocab)
+
+    def grown(old, new, i):
+        return np.concatenate([old, new.data[i:i + 1]])
+
+    return [StepResult(
+        p_w=p_w.data[i],
+        state=DecoderState(
+            keys=tuple(grown(o, k, i) for o, (k, _) in zip(s.keys, kv)),
+            values=tuple(grown(o, v, i) for o, (_, v) in zip(s.values, kv)),
+            h_tilde=grown(s.h_tilde, out.h_tilde, i)),
+        p_vocab=p_vocab.data[i],
+        p_copy=None if p_copy is None else float(p_copy.data[i, 0]),
+        alpha_vocab=None if alpha is None else alpha.data[i])
+        for i, s in enumerate(past)]

@@ -6,12 +6,19 @@ biased product (now ``autodiff.linear``); ``dropout``, ``add`` and
 form of ``autodiff.layer_norm``); ``linear`` then ``relu`` for an FFN's
 first layer (now ``autodiff.linear_relu``); and ``embedding_lookup``,
 ``affine``, ``add`` and ``dropout`` for a Transformer's input rows (now
-``autodiff.embed``).
+``autodiff.embed``); two ``matmul``s, ``add``, ``sigmoid``, ``mul``,
+``affine``, ``mul`` and ``add`` for a HAN gate (now ``autodiff.gated_sum``);
+three ``matmul``s, three ``add``s and ``sigmoid`` for the copy gate (now
+``autodiff.sigmoid_linear``); ``affine``, two ``scale_rows`` and ``add``
+for the copy mixture (now ``autodiff.mix_rows``); and the row sum, ``div``
+and ``scale_rows`` for the copy weights' renormalization (now
+``autodiff.normalize_rows``).
 
 Storing forms, which hold what their backward reads instead of rebuilding
 it: ``attention_weights`` holds the head-split q and k, ``attention_mix``
 the head-split values, ``layer_norm`` the normalized rows, ``relu`` its
-input's mask and ``clamped_log`` the clamped input.
+input's mask and ``clamped_log`` the clamped input.  The attention forms
+split their operands themselves, ignoring head blocks passed in.
 
 ``use_chains`` runs ``DocModel`` on all of them.
 """
@@ -97,16 +104,17 @@ def layer_norm(x, gain, bias, sub=None, rate=0.0, keep=None):
     return ad._out(out, inputs, bwd, "layer_norm")
 
 
-def attention_weights(q, k, m, mask=None):
+def attention_weights(q, k, m, mask=None, kt=None):
     """``autodiff.attention_weights``, holding q's heads and k's transposed
-    heads."""
+    heads; ``kt`` gives only B."""
     if q.data.ndim != 2 or k.data.ndim != 2 \
             or q.data.shape[1] != k.data.shape[1]:
         raise ShapeError(f"attention_weights: q {q.shape}, k {k.shape}")
     (rows_q, d), rows_k = q.data.shape, k.data.shape[0]
     if m < 1 or d % m:
         raise ShapeError(f"attention_weights: width {d} vs {m} heads")
-    shape = (1, rows_q, rows_k) if mask is None else mask.shape
+    bs = 1 if kt is None else kt.shape[0]
+    shape = (bs, rows_q // bs, rows_k // bs) if mask is None else mask.shape
     if len(shape) != 3 or (shape[0] * shape[1], shape[0] * shape[2]) \
             != (rows_q, rows_k):
         raise ShapeError(f"attention_weights: mask {shape} vs q {q.shape}, "
@@ -135,7 +143,7 @@ def attention_weights(q, k, m, mask=None):
     return ad._out(w, (q, k), bwd, "attention_weights")
 
 
-def attention_mix(w, v):
+def attention_mix(w, v, vh=None):
     """``autodiff.attention_mix``, holding the head-split values."""
     if w.data.ndim != 4 or v.data.ndim != 2:
         raise ShapeError(f"attention_mix: weights {w.shape}, values {v.shape}")
@@ -164,6 +172,37 @@ def embed(table, ids, positions, rate, keep):
     return dropout(ad.add(x, ad.Tensor._wrap(positions)), rate, keep)
 
 
+def gated_sum(h, d, wh, wd):
+    """lam * h + (1 - lam) * d, lam = sigmoid(h wh + d wd), as eight nodes,
+    as ``han.gate_integrate`` computed it."""
+    lam = ad.sigmoid(ad.add(h @ wh, d @ wd))
+    return ad.add(ad.mul(lam, h), ad.mul(1.0 - lam, d)), lam
+
+
+def sigmoid_linear(parts, b):
+    """sigmoid(x_1 w_1 + ... + x_n w_n + b), the sum in order, as
+    ``copy.copy_gate`` computed it."""
+    (x, w), *rest = parts
+    s = x @ w
+    for x, w in rest:
+        s = ad.add(s, x @ w)
+    return ad.sigmoid(ad.add(s, b))
+
+
+def mix_rows(a, b, w):
+    """(1 - w) * a + w * b row-wise as four nodes, as
+    ``copy.mix_distributions`` computed it."""
+    return ad.add(ad.scale_rows(a, 1.0 - w), ad.scale_rows(b, w))
+
+
+def normalize_rows(x):
+    """x times 1 / its row sums as three nodes, as
+    ``copy.copy_attention_weights`` renormalized."""
+    mass = x.sum(axis=1, keepdims=True)
+    ones = ad.Tensor._wrap(np.ones_like(mass.data))
+    return ad.scale_rows(x, ad.div(ones, mass))
+
+
 def positionwise_ffn(x, p):
     return linear(relu(linear(x, p["w1"], p["b1"])), p["w2"], p["b2"])
 
@@ -187,7 +226,7 @@ def use_chains(monkeypatch):
                         output_distribution)
     monkeypatch.setattr(model_module.DocModel, "_sublayer", sublayer)
     for op in (attention_weights, attention_mix, layer_norm, clamped_log,
-               embed):
+               embed, gated_sum, sigmoid_linear, mix_rows, normalize_rows):
         monkeypatch.setattr(ad, op.__name__, op)
 
 

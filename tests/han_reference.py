@@ -133,9 +133,10 @@ def copy_indicator_loop(flat_ids, vocab_size, excluded=SPECIAL_IDS):
 def trace_copy_weights(trace, vocab_size):
     """``copy_attention_weights`` of a trace with the cache indicator built
     from the trace's own ids (as ``DecoderMemory.cache_indicator`` does)."""
-    return copy_attention_weights(
-        trace, cache_indicator(trace.token_ids, vocab_size,
-                               trace.word.data.shape[-1]))
+    indicator = cache_indicator(trace.token_ids, vocab_size,
+                                trace.word.data.shape[-1])
+    return copy_attention_weights(trace, Tensor._wrap(indicator),
+                                  bool(indicator.any()))
 
 
 def with_distinct_ids(trace):

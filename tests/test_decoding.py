@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from docnmt import autodiff as ad
 from docnmt.decoding import (
     BeamHypothesis,
     SearchConfig,
@@ -21,11 +22,11 @@ from docnmt.corpus import load_vocab_pair
 from docnmt.errors import ContractError, DataError
 from docnmt.model import DocModel, ModelConfig, build_params
 from docnmt.model.han import ContextState
-from docnmt.model.model import DecoderMemory
+from docnmt.model.model import DecoderMemory, DecoderState
 from docnmt.tokens import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
-from decode_reference import (greedy_search, incremental_step,
-                              reference_step)
+from decode_reference import (block_mask_step, greedy_search,
+                              incremental_step, reference_step)
 from test_transformer import encode
 
 
@@ -522,6 +523,41 @@ def test_empty_cache_copy_step_is_sentence_step_bitwise():
         states = {v: [r.state for r in rs] for v, rs in got.items()}
 
 
+def test_search_state_and_cached_rows_are_read_only():
+    """Sibling hypotheses share views of one step's K/V arrays, and a
+    pushed target entry holds a view of the chosen state's h~ rows: no
+    write can reach them through an alias."""
+    model = tiny_model(seed=9)
+    ctx = ContextState(3)
+    encoded = encode(model, [4, 5, 6], ctx, "copy")
+    memory = DecoderMemory(model, encoded, [ctx], "copy")
+    first = model.step_distribution([[BOS_ID]] * 2, memory, [None] * 2)
+    assert first[0].state.keys[0].base is first[1].state.keys[0].base
+    results = model.step_distribution([[BOS_ID, 5], [BOS_ID, 6]], memory,
+                                      [r.state for r in first])
+    state = results[0].state
+    for rows in (state.keys[0], state.values[-1], state.h_tilde):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1.0
+    out, _, rows = translate_sentence(model, encoded, ctx, "copy",
+                                      SearchConfig(width=2))
+    update_context(ctx, "copy", [4, 5, 6], encoded.states.data, out, rows)
+    with pytest.raises(ValueError, match="read-only"):
+        ctx.target[-1].states.data[0, 0] = 1.0
+
+
+def test_search_step_records_no_gradient():
+    """The grown K/V rows of a step are constants, so a step that a tape
+    would record is refused rather than losing their gradient."""
+    model = tiny_model(seed=17)
+    model.params.set_trainable({"base"})
+    memory = DecoderMemory(model, encode(model, [4, 5]))
+    past = [DecoderState.empty(model.cfg.n_layers, model.cfg.d_model)]
+    with pytest.raises(ContractError, match="without a tape"):
+        model.decode_states([BOS_ID], memory, past)
+    ad.clear_tape()
+
+
 def test_step_rejects_a_state_that_does_not_fit_its_prefix():
     model = tiny_model(seed=17)
     memory = DecoderMemory(model, encode(model, [4, 5]))
@@ -554,3 +590,52 @@ def test_pool_translations_match_stored_outputs(mode, width):
                                      SearchConfig(width=width))
         assert [tv.decode(o) for o in outs] == \
             [s.split() for s in pool[mode][d]]
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_search_steps_equal_the_block_mask_layout(width, monkeypatch):
+    """Every step of a search over pool documents, against the step that
+    ran all hypotheses as one sequence under a block mask
+    (``decode_reference.block_mask_step``) on the same prefixes and
+    states: bitwise at width 1, where the layouts compute the same
+    products; within 1e-12 at widths 2 and 4, where the key rows differ
+    and BLAS and the softmax sums group their terms differently.  A search
+    driven by the reference step gives the same tokens."""
+    sv, _ = load_vocab_pair(FIXTURES / "vocab.json")
+    store, cfg, _ = load_checkpoint(FIXTURES / "copy.ckpt")
+    model = DocModel(cfg, store)
+    pool = json.loads((FIXTURES / "pool.json").read_text(encoding="utf-8"))
+    docs = [[sv.encode(s.split()) for s in doc] for doc in pool["source"][:3]]
+    step = DocModel.step_distribution
+    compared = []
+
+    def same(got, want):
+        if width == 1:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def checking(self, prefixes, memory, states):
+        results = step(self, prefixes, memory, states)
+        for got, want in zip(results, block_mask_step(self, prefixes, memory,
+                                                      states)):
+            for name in ("p_w", "p_vocab", "alpha_vocab", "p_copy"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    same(a, b)
+            for a, b in zip((*got.state.keys, *got.state.values,
+                             got.state.h_tilde),
+                            (*want.state.keys, *want.state.values,
+                             want.state.h_tilde)):
+                same(a, b)
+            compared.append(got.p_copy is not None)
+        return results
+
+    config = SearchConfig(width=width)
+    monkeypatch.setattr(DocModel, "step_distribution", checking)
+    outs = [translate_document(model, doc, "copy", config)[0] for doc in docs]
+    monkeypatch.setattr(DocModel, "step_distribution", block_mask_step)
+    assert outs == [translate_document(model, doc, "copy", config)[0]
+                    for doc in docs]
+    assert any(compared) and len(compared) > 20

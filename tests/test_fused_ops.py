@@ -1,14 +1,17 @@
 """The fused and slimmed ops against what they replace (``fused_reference``).
 
-``linear``, ``linear_relu``, ``embed`` and the residual form of
-``layer_norm`` compute the chains' expressions in the chains' order, and
-``attention_weights``, ``attention_mix``, ``layer_norm`` and
-``clamped_log`` rebuild in backward, from their inputs, what the storing
-forms hold.  So outputs and gradients are equal bitwise: in training and
-under ``no_grad``, where an input feeds several ops and its gradient parts
-are summed, and on non-finite and subnormal entries.  Plus gradient checks,
-a guard on the tape of one full-cap training pass, and the fixture epochs
-at 128 rows a pass, which must not move at all."""
+``linear``, ``linear_relu``, ``embed``, the residual form of
+``layer_norm``, the gates ``gated_sum`` and ``sigmoid_linear``, and the
+copy mixture's ``mix_rows`` and ``normalize_rows`` compute the chains'
+expressions in the chains' order, and ``attention_weights``,
+``attention_mix``, ``layer_norm`` and ``clamped_log`` rebuild in backward,
+from their inputs, what the storing forms hold.  So outputs and gradients
+are equal bitwise: in training and under ``no_grad``, where an input feeds
+several ops and its gradient parts are summed, and on non-finite and
+subnormal entries.  Plus gradient checks, the head blocks and attention
+layouts that a search builds once, guards on the tape of one full-cap
+training pass and on the ops of one copy search step, and the fixture
+epochs at 128 rows a pass, which must not move at all."""
 
 import collections
 import json
@@ -24,11 +27,14 @@ from docnmt import training
 from docnmt.autodiff import Tensor
 from docnmt.checkpoint import load_checkpoint
 from docnmt.corpus import load_vocab_pair
-from docnmt.decoding import SearchConfig, translate_document
+from docnmt.decoding import (SearchConfig, translate_document,
+                             translate_sentence, update_context)
 from docnmt.errors import ContractError, ShapeError
 from docnmt.gradcheck import grad_check
 from docnmt.model import DocModel, ModelConfig, build_params
-from docnmt.model.han import ContextState
+from docnmt.model.han import CacheEntry, ContextMemory, ContextState
+from docnmt.model.model import DecoderMemory, Stack
+from docnmt.model.transformer import HeadKV, attend
 from docnmt.training import MAX_STACK_ROWS, stack_groups
 
 from test_training import PINNED_LOSSES, fixture_stage_run
@@ -161,6 +167,40 @@ def test_slimmed_ops_equal_the_storing_forms(train):
     assert ad.clamp_events > events
 
 
+CONTEXT_OPS = ["gated_sum", "sigmoid_linear", "mix_rows", "normalize_rows"]
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("fused_op", CONTEXT_OPS + ["all"])
+def test_gates_and_mixture_equal_their_chains(fused_op, train):
+    """The gates and the copy mixture wired as the model wires them: the
+    context rows d feed the HAN gate and the copy gate; h~ feeds the
+    output layer, the copy attention (a product here) and the copy gate;
+    p_copy is both weights of the mixture.  One op fused at a time, then
+    all four, against the chains; the gate's lam is equal too."""
+    rng = np.random.default_rng(12)
+    tensors = leaves(rng, (5, 4), (5, 4), (4, 4), (4, 4), (4, 4), (4, 6),
+                     (6,), (5, 3), (3, 6), (4, 1), (4, 1), (4, 1), (1, 1))
+    h, d, wh, wd, wq, w_out, b_out, z, wz, gh, gc, gd, b = tensors
+    r = Tensor(rng.normal(size=(5, 6)))
+    lams = []
+
+    def build(fused):
+        op = {name: getattr(ad if fused and fused_op in (name, "all")
+                            else ref, name) for name in CONTEXT_OPS}
+        h_tilde, lam = op["gated_sum"](h, d, wh, wd)
+        lams.append(lam.data)
+        p_vocab = ad.softmax_lastdim(ad.linear(h_tilde, w_out, b_out))
+        c = h_tilde @ wq
+        p_copy = op["sigmoid_linear"]([(h_tilde, gh), (c, gc), (d, gd)], b)
+        alpha = op["normalize_rows"](ad.sigmoid(z @ wz))
+        return ad.mul(op["mix_rows"](p_vocab, alpha, p_copy), r)
+
+    fused, chain = run_both(build, tensors, train)
+    assert_bitwise(fused, chain)
+    assert_bitwise(lams[:1], lams[1:])
+
+
 def test_fused_ops_check_their_operands():
     x, g = Tensor(np.ones((3, 4))), Tensor(np.ones(4))
     with pytest.raises(ShapeError):
@@ -177,6 +217,22 @@ def test_fused_ops_check_their_operands():
         ad.embed(x, [0, 1], np.zeros((2, 4)), 0.5, np.ones((3, 4), dtype=bool))
     with pytest.raises(ContractError, match="out of range"):
         ad.embed(x, [0, 3], np.zeros((2, 4)), 0.0, None)
+    with pytest.raises(ShapeError):
+        ad.gated_sum(x, x, Tensor(np.ones((4, 3))), Tensor(np.ones((4, 4))))
+    with pytest.raises(ShapeError):
+        ad.sigmoid_linear([(x, Tensor(np.ones((4, 1)))),
+                           (x, Tensor(np.ones((4, 2))))], Tensor(np.ones(1)))
+    with pytest.raises(ShapeError):
+        ad.sigmoid_linear([(x, Tensor(np.ones((4, 1))))], Tensor(np.ones(3)))
+    with pytest.raises(ShapeError):
+        ad.mix_rows(x, x, Tensor(np.ones((3, 4))))
+    with pytest.raises(ShapeError):
+        ad.normalize_rows(Tensor(np.ones(3)))
+    with pytest.raises(ShapeError, match="key heads"):
+        ad.attention_weights(x, x, 2, None, np.zeros((1, 2, 2, 2)))
+    with pytest.raises(ShapeError):
+        ad.attention_mix(Tensor(np.ones((1, 2, 3, 3))), x,
+                         np.zeros((1, 2, 3, 3)))
 
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, 1.5]
@@ -251,6 +307,19 @@ def special_cases(rng):
             [(7, 6)], [-0.0] * 3 + SPECIAL,
             lambda t: ad.embed(t, ids, positions, 0.3, keep),
             lambda t: ref.embed(t, ids, positions, 0.3, keep)),
+        "gated_sum": (
+            [(5, 4), (5, 4), (4, 4), (4, 4)], SPECIAL,
+            lambda *t: ad.gated_sum(*t)[0], lambda *t: ref.gated_sum(*t)[0]),
+        "sigmoid_linear": (
+            [(5, 4), (4, 1), (5, 3), (3, 1), (5, 4), (4, 1), (1, 1)], SPECIAL,
+            lambda h, wh, c, wc, d, wd, b: ad.sigmoid_linear(
+                [(h, wh), (c, wc), (d, wd)], b),
+            lambda h, wh, c, wc, d, wd, b: ref.sigmoid_linear(
+                [(h, wh), (c, wc), (d, wd)], b)),
+        "mix_rows": ([(5, 6), (5, 6), (5, 1)], SPECIAL, ad.mix_rows,
+                     ref.mix_rows),
+        "normalize_rows": ([(5, 6)], SPECIAL, ad.normalize_rows,
+                           ref.normalize_rows),
     }
 
 
@@ -268,7 +337,8 @@ def special_run(op, tensors, upstream):
 
 @pytest.mark.parametrize("name", ["attention_weights", "attention_mix",
                                   "layer_norm", "residual_norm",
-                                  "linear_relu", "clamped_log", "embed"])
+                                  "linear_relu", "clamped_log", "embed",
+                                  *CONTEXT_OPS])
 def test_ops_equal_the_references_on_special_values(name):
     """±inf, NaN, signed zeros, subnormals and overflowing values in the
     inputs and in the incoming gradient."""
@@ -309,6 +379,95 @@ def test_fused_ops_pass_grad_check(rate):
              [("table", table)])):
         report = grad_check(f, params)
         assert report.passed, report.summary()
+    wh, wd, gh, gd, gb, p_copy = leaves(rng, (5, 5), (5, 5), (5, 1), (5, 1),
+                                        (1, 1), (4, 1))
+    positive = Tensor(rng.random((4, 5)) + 0.5, requires_grad=True)
+    r1 = Tensor(rng.normal(size=(4, 1)))
+    for f, params in (
+            (lambda: ad.mul(ad.gated_sum(x, sub, wh, wd)[0], r5).sum(),
+             [("h", x), ("d", sub), ("wh", wh), ("wd", wd)]),
+            (lambda: ad.mul(ad.sigmoid_linear([(x, gh), (sub, gd)], gb),
+                            r1).sum(),
+             [("x", x), ("sub", sub), ("gh", gh), ("gd", gd), ("b", gb)]),
+            (lambda: ad.mul(ad.mix_rows(x, sub, p_copy), r5).sum(),
+             [("a", x), ("b", sub), ("w", p_copy)]),
+            (lambda: ad.mul(ad.normalize_rows(positive), r5).sum(),
+             [("x", positive)])):
+        report = grad_check(f, params)
+        assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("masking", ["none", "block", "random"])
+@pytest.mark.parametrize("bs", [1, 2, 3])
+def test_head_blocks_reused_across_calls_equal_a_fresh_split(bs, masking):
+    """A ``HeadKV`` keeps its head blocks from its second read on (one read
+    keeps nothing); three ``attend`` calls on one memory equal calls on
+    fresh memories, outputs, weights and gradients, bitwise."""
+    rng = np.random.default_rng(13)
+    a, b, d, m = 2, 6, 8, 2
+    k, v, *queries = leaves(rng, (bs * b, d), (bs * b, d),
+                            *[(bs * a, d)] * 3)
+    p = {"wo": Tensor(rng.normal(size=(d, d)))}
+    mask = {"none": None,
+            "block": np.repeat(~np.kron(np.eye(a), np.ones((1, b // a)))
+                               .astype(bool)[None], bs, axis=0),
+            "random": rng.random((bs, a, b)) < 0.4}[masking]
+    if mask is not None:
+        mask[:, :, 0] = False
+    kept = HeadKV(k, v, m, bs)
+
+    def build(reused):
+        total = None
+        for q in queries:
+            kv = kept if reused else HeadKV(k, v, m, bs)
+            out, weights = attend(q, kv, p, mask)
+            part = ad.add(out.sum(), ad.mul(weights, weights).sum())
+            total = part if total is None else ad.add(total, part)
+        return total
+
+    for train in (True, False):
+        reused, fresh = run_both(build, [k, v, *queries], train)
+        assert_bitwise(reused, fresh)
+    blocks = kept.blocks()
+    assert all(x is y for x, y in zip(blocks, kept.blocks()))
+    assert_bitwise(blocks, ad.head_blocks(k.data, v.data, bs, m))
+    once = HeadKV(k, v, m, bs)
+    once.blocks()
+    assert once._blocks is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_context_memory_layouts_equal_a_fresh_build(n):
+    """The repeat rows and masks a ``ContextMemory`` keeps per query count
+    T, read after every other T was built, equal those of a fresh memory,
+    and say what the module docstring says: word-level row j*T+t sees only
+    the columns of cached sentence j, sentence-level row t only the
+    summary rows j*T+t, and row (b, j, t) repeats query row b*T+t."""
+    model = base_model()
+    rng = np.random.default_rng(14)
+    docs = [[CacheEntry([4] * int(length),
+                        Tensor(rng.normal(size=(int(length), 32))))
+             for length in rng.integers(1, 5, size=n)] for _ in range(2)]
+    memory = ContextMemory(docs, model.params, "ctx.dec.", 2)
+    for t in [1, 2, 3, 4, 5, 3, 1]:
+        memory.layout(t)
+    for t in range(1, 6):
+        got = memory.layout(t)
+        fresh = ContextMemory(docs, model.params, "ctx.dec.", 2).layout(t)
+        assert all((x is None and y is None) or np.array_equal(x, y)
+                   for x, y in zip(got, fresh))
+        repeat, word, sent = got
+        rows = np.arange(n * t)
+        for b in range(2):
+            assert np.array_equal(~word[b], memory.columns[b][None, :]
+                                  == (rows // t)[:, None])
+            assert np.array_equal(~sent[b], rows[None, :] % t
+                                  == np.arange(t)[:, None])
+        if n == 1:
+            assert repeat is None
+        else:
+            assert np.array_equal(repeat, (np.arange(2)[:, None] * t
+                                           + np.tile(np.arange(t), n)).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +596,55 @@ def test_full_cap_training_pass_tape():
     assert n_bytes <= TAPE_BYTES_PER_ROW * MAX_STACK_ROWS
 
 
+# The ops of one copy search step over three cached sentences, for every
+# beam width: the decoder stack (an embedding, per layer three projections,
+# self- and cross-attention and the FFN), the target-side HAN, the output
+# softmax and the copy mixture, with no per-step concatenation and each
+# gate and the mixture one node.
+COPY_STEP_OPS = {
+    "embed": 1, "matmul": 22, "attention_weights": 7, "attention_mix": 9,
+    "layer_norm": 6, "linear": 7, "embedding": 1, "gated_sum": 1,
+    "softmax": 1, "reduce": 2, "normalize_rows": 1, "sigmoid_linear": 1,
+    "mix_rows": 1}
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_copy_search_step_ops(k, monkeypatch):
+    """One step of k hypotheses after three translated sentences runs the
+    pinned ops, none of them a ``concat``, ``div``, ``scale_rows``,
+    ``mul``, ``affine`` or ``add``: a change that brings back per-step
+    work shows here."""
+    store, cfg, _ = load_checkpoint(FIXTURES / "copy.ckpt")
+    model = DocModel(cfg, store)
+    sv, _ = load_vocab_pair(FIXTURES / "vocab.json")
+    pool = json.loads((FIXTURES / "pool.json").read_text(encoding="utf-8"))
+    doc = [sv.encode(s.split()) for s in pool["source"][0]]
+    ctx = ContextState(cfg.n_context)
+    with ad.no_grad():
+        for src in doc[:3]:
+            encoded = model.contextual_encode(Stack.of([src]), [ctx], "copy")
+            out, _, rows = translate_sentence(model, encoded, ctx, "copy",
+                                              SearchConfig())
+            update_context(ctx, "copy", src, encoded.states.data, out, rows)
+        encoded = model.contextual_encode(Stack.of([doc[3]]), [ctx], "copy")
+        memory = DecoderMemory(model, encoded, [ctx], "copy")
+    assert len(memory.context) == 3
+    prefixes, states = [[2, 5, 6]] * k, [None] * k
+    for t in (1, 2):
+        states = [r.state for r in model.step_distribution(
+            [p[:t] for p in prefixes], memory, states)]
+    tags, out = collections.Counter(), ad._out
+
+    def counting(arr, inputs, bwd, tag):
+        tags[tag] += 1
+        return out(arr, inputs, bwd, tag)
+
+    monkeypatch.setattr(ad, "_out", counting)
+    results = model.step_distribution(prefixes, memory, states)
+    assert all(r.p_copy is not None for r in results)
+    assert tags == COPY_STEP_OPS
+
+
 # The fixture epochs' (validation losses of epochs 0 and 1, training loss
 # of epoch 1) as float.hex at 128 rows a pass, recorded on the storing ops
 # and the chains.
@@ -460,7 +668,8 @@ def test_epochs_at_128_rows_equal_the_storing_ops(stage, monkeypatch):
 
 def test_search_steps_equal_the_chains_bitwise(monkeypatch):
     """Decoding runs the fused ops unchecked at B = 1: every step's
-    distribution and state rows, greedy and beam 4, match the chains'."""
+    distribution, state rows, p_copy and copy weights, greedy and beam 4,
+    match the chains'."""
     store, cfg, _ = load_checkpoint(FIXTURES / "copy.ckpt")
     model = DocModel(cfg, store)
     sv, _ = load_vocab_pair(FIXTURES / "vocab.json")
@@ -474,7 +683,11 @@ def test_search_steps_equal_the_chains_bitwise(monkeypatch):
 
         def recording(self, prefixes, memory, states):
             results = step(self, prefixes, memory, states)
-            seen.extend([r.p_w, r.state.h_tilde, *r.state.keys]
+            seen.extend([r.p_w, r.state.h_tilde, *r.state.keys,
+                         *r.state.values,
+                         np.array([] if r.p_copy is None else [r.p_copy]),
+                         np.array([]) if r.alpha_vocab is None
+                         else r.alpha_vocab]
                         for r in results)
             return results
 

@@ -55,15 +55,19 @@ def test_translation_leaves_no_tape_nodes(pool_docs):
 @pytest.mark.parametrize("name", ["dec.0.ffn.w1", "copy.wh",
                                   "ctx.dec.gate.wh"])
 def test_non_finite_parameter_names_the_op(pool_docs, name, value, width):
-    """Also where a sigmoid would turn the inf into an exact 0 or 1."""
+    """Also where a sigmoid would turn the inf into an exact 0 or 1: the
+    gates check their logits.  Each parameter feeds a fused op, named in
+    the error: the FFN's first layer, the copy gate and the HAN gate."""
     model = copy_model()
     model.params[name].data[0, 0] = value
-    op = "linear" if ".ffn." in name else "matmul"    # the FFN's is fused
+    op = {"dec.0.ffn.w1": "linear", "copy.wh": "sigmoid_linear",
+          "ctx.dec.gate.wh": "gated_sum"}[name]
     with pytest.raises(NumericalError, match=f"op '{op}'"):
         translate(model, pool_docs[0], width)
 
 
-@pytest.mark.parametrize("tag", ["div", "sigmoid", "layer_norm"])
+@pytest.mark.parametrize("tag", ["normalize_rows", "gated_sum",
+                                 "sigmoid_linear", "mix_rows", "layer_norm"])
 def test_nan_from_an_op_is_named_after_the_replay(pool_docs, monkeypatch,
                                                   tag):
     """From its 5th call on, one op's output holds a NaN; the first one

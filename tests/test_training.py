@@ -339,14 +339,15 @@ def test_stage_losses_match_pinned_values(stage):
     assert result.history[1].train_loss.hex() == train
 
 
-def plant_nan_in_sigmoids(monkeypatch, every_call):
-    """Training-mode sigmoids (the HAN gates'; passes over empty caches run
+def plant_nan_in_gates(monkeypatch, every_call):
+    """Training-mode HAN gates (``gated_sum``; passes over empty caches run
     none) return a NaN: every one, or only the first.  Returns the state of
     the per-op checks at each planted NaN."""
     out, checks = ad._out, []
 
     def planting(arr, inputs, bwd, op):
-        if op == "sigmoid" and ad._grad_enabled and (every_call or not checks):
+        if op == "gated_sum" and ad._grad_enabled \
+                and (every_call or not checks):
             checks.append(ad._check_finite)
             arr = arr.copy()
             arr.flat[0] = np.nan
@@ -361,8 +362,8 @@ def test_nan_from_a_context_op_in_training_names_the_op(monkeypatch):
     appears with the per-op checks off; the replay names the op.  The
     snapshot is the finite starting parameters (the best of epoch 0)."""
     start = load_checkpoint(FIXTURES / "copy.ckpt")[0].snapshot()
-    checks = plant_nan_in_sigmoids(monkeypatch, every_call=True)
-    with pytest.raises(TrainingDiverged, match="op 'sigmoid'") as exc:
+    checks = plant_nan_in_gates(monkeypatch, every_call=True)
+    with pytest.raises(TrainingDiverged, match="op 'gated_sum'") as exc:
         fixture_stage_run("copy")
     assert "copy diverged in epoch 1" in str(exc.value)
     assert checks[0] is False and True in checks   # the replay is checked
@@ -371,11 +372,11 @@ def test_nan_from_a_context_op_in_training_names_the_op(monkeypatch):
 
 
 def test_one_shot_nan_in_training_still_diverges(monkeypatch):
-    """A NaN from only the first training-mode sigmoid, which no
+    """A NaN from only the first training-mode HAN gate, which no
     deterministic op makes, is gone in the replay; the epoch still
     diverges, with the finite starting parameters as its snapshot."""
     start = load_checkpoint(FIXTURES / "copy.ckpt")[0].snapshot()
-    checks = plant_nan_in_sigmoids(monkeypatch, every_call=False)
+    checks = plant_nan_in_gates(monkeypatch, every_call=False)
     with pytest.raises(TrainingDiverged) as exc:
         fixture_stage_run("copy")
     assert checks == [False] and "copy diverged in epoch 1" in str(exc.value)
@@ -384,18 +385,19 @@ def test_one_shot_nan_in_training_still_diverges(monkeypatch):
 
 
 def test_nan_made_in_backward_is_stopped_before_adam(monkeypatch):
-    """The backward of the decoder-side HAN gate's sigmoid returns a NaN
-    (the encoder side's is frozen in the copy stage, so off the tape).  The
-    gradient check before the Adam step names the first trainable
-    parameter it reaches; no NaN is written into a weight."""
+    """The backward of the decoder-side HAN gate returns a NaN in its
+    context rows' gradient (the encoder side's gate is frozen in the copy
+    stage, so off the tape).  The gradient check before the Adam step
+    names the first trainable parameter it reaches; no NaN is written into
+    a weight."""
     out, step = ad._out, training.Adam.step
     written = []
 
     def planting(arr, inputs, bwd, op):
-        if op == "sigmoid":
+        if op == "gated_sum":
             def poisoned(g):
                 grads = bwd(g)
-                grads[0].flat[0] = np.nan
+                grads[0].flat[0] = np.nan        # inputs[0] is d_rows
                 return grads
             return out(arr, inputs, poisoned, op)
         return out(arr, inputs, bwd, op)
