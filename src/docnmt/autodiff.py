@@ -27,16 +27,20 @@ the chain sums several gradient parts into one input, the node lists that
 input once per part, and ``backward`` sums them in the chain's order.
 
 A node holds its output, its input tensors and only what its backward
-cannot rebuild bitwise from them; the rest is recomputed in backward by
-the forward's expressions, in the same order, so gradients are those of
-a tape that stores it:
+cannot rebuild bitwise from them, or a row statistic ([R, 1], one number
+per row) whose rebuilding costs a reduction over the rows; the rest is
+recomputed in backward by the forward's expressions, in the same order,
+so gradients are those of a tape that stores it:
 
 * ``attention_weights`` holds q, k and the weights; backward splits q and
   k into heads again.  ``attention_mix`` holds the weights and values, and
   splits the values again.  Their forward can read head blocks split once
   for many calls (``head_blocks``); the nodes do not hold them.
-* ``layer_norm`` holds its inputs (and the boolean keep mask); backward
-  recomputes the residual sum, the row statistics and the normalized rows.
+* ``layer_norm`` holds its inputs (and the boolean keep mask) and its
+  rows' mean and 1 / std; backward rebuilds the residual sum, the centred
+  rows and the normalized rows from them, with no row reduction or square
+  root.  Forward and backward work in place on a fresh array wherever the
+  value is the same (IEEE a + b = b + a and a * b = b * a).
 * ``linear_relu`` holds its output, whose positive entries are the ReLU's
   mask.  ``clamped_log`` holds its input and clamps it again.
 * ``embed`` holds the ids and the keep mask; dropout, the scale and the
@@ -650,28 +654,37 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, sub: Tensor | None = None,
         scale = _keep_scale(rate, keep, x.data.shape)
         inputs += (sub,)
 
-    def normalized() -> tuple[Array, Array]:
-        """The normalized rows and their 1 / std, from the inputs; backward
-        recomputes them bitwise rather than holding them."""
-        s = x.data
-        if sub is not None:
-            s = s + (sub.data if scale is None else sub.data * (keep * scale))
-        # add.reduce / n is bitwise what .mean() computes, without its wrapper
-        c = s - np.add.reduce(s, axis=1, keepdims=True) / n
-        var = np.add.reduce(c * c, axis=1, keepdims=True) / n
-        inv = 1.0 / np.sqrt(var + 1e-5)
-        return c * inv, inv
+    def residual() -> Array:
+        """x + dropout(sub) in a fresh array (x's copy without sub), which
+        the caller changes in place; backward rebuilds it by the same
+        expression rather than holding it."""
+        if sub is None:
+            return x.data.copy()
+        return x.data + (sub.data if scale is None
+                         else sub.data * (keep * scale))
 
-    xhat, _ = normalized()
-    out = xhat * gain.data[None, :] + bias.data[None, :]
+    out = residual()
+    # add.reduce / n is bitwise what .mean() computes, without its wrapper
+    mu = np.add.reduce(out, axis=1, keepdims=True) / n
+    out -= mu
+    var = np.add.reduce(out * out, axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    out *= inv
+    out *= gain.data
+    out += bias.data
 
     def bwd(g):
-        xhat, inv = normalized()
-        gy = g * gain.data[None, :]
-        m1 = np.add.reduce(gy, axis=1, keepdims=True) / n
-        m2 = np.add.reduce(gy * xhat, axis=1, keepdims=True) / n
-        dx = (gy - m1 - xhat * m2) * inv
-        grads = (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
+        xhat = residual()
+        xhat -= mu
+        xhat *= inv
+        dx = g * gain.data[None, :]
+        m1 = np.add.reduce(dx, axis=1, keepdims=True) / n
+        m2 = np.add.reduce(dx * xhat, axis=1, keepdims=True) / n
+        dx -= m1
+        dx -= xhat * m2
+        dx *= inv
+        xhat *= g
+        grads = (dx, xhat.sum(axis=0), g.sum(axis=0))
         if sub is None:
             return grads
         return grads + (dx if scale is None else dx * (keep * scale),)
@@ -810,9 +823,13 @@ def _row_ids(table: Tensor, ids, op: str) -> Array:
 
 
 def _scatter_rows(table: Tensor, idx: Array, g: Array) -> tuple[Array]:
-    full = np.zeros_like(table.data)
-    np.add.at(full, idx, g)
-    return (full,)
+    """The rows of g summed into a zero table at rows ``idx``: one bincount
+    over the (row, column) slots adds each slot's parts in row order from
+    0.0, as ``np.add.at`` into zeros does."""
+    v, d = table.data.shape
+    slots = (idx[:, None] * d + np.arange(d)).ravel()
+    return (np.bincount(slots, weights=g.ravel(),
+                        minlength=v * d).reshape(v, d),)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:

@@ -39,8 +39,9 @@ read-only, as siblings share them; the gates and the copy mixture are one
 autodiff node each (``autodiff.gated_sum``, ``sigmoid_linear``,
 ``normalize_rows``, ``mix_rows``).
 
-Dropout applies keep masks drawn per pair beforehand (``dropout_masks``)
-and handed to a pass in the order it applies them.
+Dropout applies keep masks drawn for a whole batch beforehand, in one
+draw (``dropout_masks``); a pass pads each side's masks for all its
+dropout sites at once and applies them in order.
 """
 
 from __future__ import annotations
@@ -112,15 +113,6 @@ class Stack:
         """Indices of the non-pad rows, in sequence order."""
         return np.flatnonzero(~self._pads())
 
-    def pad_rows(self, parts: list[np.ndarray]) -> np.ndarray:
-        """Per-sequence [len_i, d] arrays as one [B*L, d] array, pads zero
-        (False)."""
-        out = np.zeros((len(self.lengths), self.width, parts[0].shape[1]),
-                       dtype=parts[0].dtype)
-        for row, part in zip(out, parts):
-            row[:len(part)] = part
-        return out.reshape(len(self.ids), -1)
-
 
 @dataclass
 class EncodedSentence:
@@ -179,6 +171,16 @@ class DecoderState:
             values=tuple(v[row] for _, v in kv),
             h_tilde=_read_only(np.concatenate([self.h_tilde,
                                                h_tilde[row:row + 1]])))
+
+
+def _padded_masks(stack: Stack, masks: list[np.ndarray]) -> np.ndarray:
+    """Each sequence's keep masks [sites, len_i, d] as one [sites, B*L, d]
+    array laid out as ``stack``'s rows, pads False."""
+    sites, _, d = masks[0].shape
+    out = np.zeros((sites, len(stack.lengths), stack.width, d), dtype=bool)
+    for row, part in enumerate(masks):
+        out[:, row, :part.shape[1]] = part
+    return out.reshape(sites, len(stack), d)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -299,28 +301,37 @@ class DocModel:
         return ad.layer_norm(x, ln["g"], ln["b"], sub_out,
                              *self._next_keep(keep))
 
-    def dropout_masks(self, src_len: int, tgt_len: int,
+    def dropout_masks(self, lengths: list[tuple[int, int]],
                       rng: np.random.Generator
-                      ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The dropout keep masks of one pair's teacher-forced pass, drawn
-        from ``rng`` in the order the pass applies them, as (encoder masks,
-        decoder masks).  The encoder applies dropout to the
-        embedding, then to each layer's attention and FFN; the decoder to
-        the embedding (BOS + target rows), then to each layer's
-        self-attention, cross-attention and FFN.  Both lists are empty at
-        dropout 0, which draws nothing.
+                      ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The dropout keep masks of a batch's teacher-forced passes, given
+        the (source, target) lengths of its pairs, drawn from ``rng`` in
+        batch order and each pair's in the order its pass applies them.
+        Per pair, (encoder masks [1 + 2n, source length, d], decoder masks
+        [1 + 3n, target length + 1, d]) for n layers: the encoder applies
+        dropout to the embedding, then to each layer's attention and FFN;
+        the decoder to the embedding (BOS + target rows), then to each
+        layer's self-attention, cross-attention and FFN.  At dropout 0 the
+        masks have no sites and nothing is drawn.
 
         One ``keep_mask`` call draws all of them: the generator yields the
         same uniforms, in the same order, as one call per mask would."""
         rate, n, d = self.cfg.dropout, self.cfg.n_layers, self.cfg.d_model
         if rate == 0.0:
-            return [], []
+            return [(np.zeros((0, s, d), dtype=bool),
+                     np.zeros((0, t + 1, d), dtype=bool)) for s, t in lengths]
         n_src, n_tgt = 1 + 2 * n, 1 + 3 * n
-        keep = ad.keep_mask((n_src * src_len + n_tgt * (tgt_len + 1), d),
-                            rate, rng)
-        src = keep[:n_src * src_len].reshape(n_src, src_len, d)
-        tgt = keep[n_src * src_len:].reshape(n_tgt, tgt_len + 1, d)
-        return list(src), list(tgt)
+        keep = ad.keep_mask(
+            (sum(n_src * s + n_tgt * (t + 1) for s, t in lengths), d),
+            rate, rng)
+        masks, at = [], 0
+        for s, t in lengths:
+            src = keep[at:at + n_src * s].reshape(n_src, s, d)
+            at += n_src * s
+            tgt = keep[at:at + n_tgt * (t + 1)].reshape(n_tgt, t + 1, d)
+            at += n_tgt * (t + 1)
+            masks.append((src, tgt))
+        return masks
 
     # -- encoder --------------------------------------------------------------
 
@@ -465,27 +476,26 @@ class DocModel:
     # -- teacher forcing -----------------------------------------------------
 
     def teacher_force(self, pairs: list[tuple[list[int], list[int]]],
-                      keep: list[tuple[list[np.ndarray], list[np.ndarray]]]
-                      | None = None, contexts: list[ContextState] | None = None,
+                      keep: list[tuple[np.ndarray, np.ndarray]] | None = None,
+                      contexts: list[ContextState] | None = None,
                       variant: str = "sentence") -> Forced:
         """One pass of encoder and decoder over (source, target) pairs, as
         their padded rows.
 
         ``keep`` holds each pair's ``dropout_masks`` and selects training
-        mode; without it the pass runs in evaluation mode.  ``contexts``
-        holds the caches of each pair's document, every one with the same
-        numbers of cached sentences.  No result depends on the ids in pad
-        positions.
+        mode; without it the pass runs in evaluation mode.  Each side's
+        masks are padded for all sites at once, one [sites, B*L, d] array
+        whose pad rows keep nothing, and the pass reads one site after
+        another.  ``contexts`` holds the caches of each pair's document,
+        every one with the same numbers of cached sentences.  No result
+        depends on the ids in pad positions.
         """
         src = Stack.of([s for s, _ in pairs])
         tgt = Stack.of([[BOS_ID] + t for _, t in pairs])
         src_feed = tgt_feed = None
         if keep is not None:
-            # site k of each side: every pair's k-th mask, padded as its rows
-            src_feed = iter([src.pad_rows(list(site))
-                             for site in zip(*(s for s, _ in keep))])
-            tgt_feed = iter([tgt.pad_rows(list(site))
-                             for site in zip(*(t for _, t in keep))])
+            src_feed = iter(_padded_masks(src, [s for s, _ in keep]))
+            tgt_feed = iter(_padded_masks(tgt, [t for _, t in keep]))
         encoded = self.contextual_encode(src, contexts, variant, src_feed)
         memory = DecoderMemory(self, encoded, contexts, variant)
         return Forced(pairs, tgt, memory,
@@ -572,7 +582,7 @@ class DocModel:
 
         No package code calls it: it is the tests' reference for the stacked
         losses, and the benchmark's layer trace hooks it by name."""
-        keep = [self.dropout_masks(len(src_ids), len(tgt_ids), rng)] \
+        keep = self.dropout_masks([(len(src_ids), len(tgt_ids))], rng) \
             if train else None
         forced = self.teacher_force([(src_ids, tgt_ids)], keep,
                                     None if context is None else [context],

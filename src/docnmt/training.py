@@ -25,10 +25,10 @@ through ``decoding.update_context``, the push decoding makes of its own
 outputs (so the base stage, whose documents are one sentence long, pushes
 nothing).  In training a group is one forward and backward,
 and the rows come from one evaluation pass over the pushing documents.
-The dropout keep masks of every sentence are drawn before the batch runs,
-in batch order, as a per-sentence loop would draw them; parameters change
-only between batches, so the wavefront computes what a sentence-by-sentence
-loop would, up to summation order.  Validation runs without gradients, its
+The dropout keep masks of the whole batch are drawn in one call before it
+runs, in batch order, the same bits a per-sentence loop of draws would
+give; parameters change only between batches, so the wavefront computes
+what a sentence-by-sentence loop would, up to summation order.  Validation runs without gradients, its
 passes serving both the loss and the pushed rows.
 
 ``Adam.state`` holds what an epoch changes (the trained groups and Adam's
@@ -114,7 +114,7 @@ def check_start(stage: str, groups) -> None:
 # target) of one stacked pass, the one cap of every stage: enough to spread
 # each op's interpreter cost over many sentences, few enough that a pass's
 # tape stays small.  An autodiff node keeps only what its backward cannot
-# rebuild, so a full base pass holds about 16.2 kB per padded row besides
+# rebuild, so a full base pass holds about 16.4 kB per padded row besides
 # the parameters; nodes that stored their intermediates held 28.2 kB, so a
 # 256-row pass holds about what a 128-row one held.  On the benchmark
 # (2-core x86-64 host, ten alternating pairs), 256 rows ran 1.17 times the
@@ -335,9 +335,11 @@ def _wavefront_passes(model: DocModel, docs: list[_Doc], variant: str,
     and the entries come from an evaluation pass over the pushing
     documents; without it they run under the caller's ``no_grad`` and the
     entries are their own rows."""
-    keep = None if rng is None else [
-        [model.dropout_masks(len(src), len(tgt), rng) for src, tgt in d.pairs]
-        for d in docs]
+    keep = None
+    if rng is not None:
+        masks = iter(model.dropout_masks(
+            [(len(src), len(tgt)) for d in docs for src, tgt in d.pairs], rng))
+        keep = [[next(masks) for _ in d.pairs] for d in docs]
     for s, group in _wavefront(docs):
         group_docs = [docs[i] for i in group]
         forced = model.teacher_force(

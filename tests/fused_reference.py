@@ -221,7 +221,10 @@ def use_chains(monkeypatch):
     """Run ``DocModel`` on the chains and the storing forms instead of the
     fused and slimmed ops."""
     from docnmt.model import model as model_module
-    monkeypatch.setattr(model_module, "positionwise_ffn", positionwise_ffn)
+    from docnmt.model import transformer
+    # the HAN imports the FFN from ``transformer`` when it runs
+    for module in (model_module, transformer):
+        monkeypatch.setattr(module, "positionwise_ffn", positionwise_ffn)
     monkeypatch.setattr(model_module.DocModel, "output_distribution",
                         output_distribution)
     monkeypatch.setattr(model_module.DocModel, "_sublayer", sublayer)

@@ -5,16 +5,20 @@
 copy mixture's ``mix_rows`` and ``normalize_rows`` compute the chains'
 expressions in the chains' order, and ``attention_weights``,
 ``attention_mix``, ``layer_norm`` and ``clamped_log`` rebuild in backward,
-from their inputs, what the storing forms hold.  So outputs and gradients
+from their inputs (``layer_norm`` also from its row statistics), what the
+storing forms hold.  So outputs and gradients
 are equal bitwise: in training and under ``no_grad``, where an input feeds
 several ops and its gradient parts are summed, and on non-finite and
-subnormal entries.  Plus gradient checks, the head blocks and attention
-layouts that a search builds once, guards on the tape of one full-cap
-training pass and on the ops of one copy search step, and the fixture
-epochs at 128 rows a pass, which must not move at all."""
+subnormal entries.  Plus gradient checks, the gathers' row scatter against
+``np.add.at``, the head blocks and attention layouts that a search builds
+once, base and context training passes against the chains, guards on the
+tape of one layer norm, of one full-cap training pass and on the ops of
+one copy search step, and the fixture epochs at 128 rows a pass, which
+must not move at all."""
 
 import collections
 import json
+import math
 import types
 from pathlib import Path
 
@@ -139,6 +143,35 @@ def test_embed_equals_lookup_scale_add_dropout(rate, train):
 
     fused, chain = run_both(build, (table,), train)
     assert_bitwise(fused, chain)
+
+
+@pytest.mark.parametrize("op", ["embed", "embedding_lookup"])
+@pytest.mark.parametrize("ids", [[3, 0, 3, 10, 5, 3, 7], [4], [6] * 7],
+                         ids=["repeated", "single", "all-equal"])
+def test_row_scatter_equals_add_at_into_zeros(ids, op):
+    """The table gradient of both gathers is the incoming rows added into
+    a zero table with ``np.add.at``, bit for bit, where -0.0, +-1e300 (whose
+    sums overflow, and cancel to NaN) and subnormals meet in one slot."""
+    rng = np.random.default_rng(13)
+    table = Tensor(rng.normal(size=(11, 6)), requires_grad=True)
+    g = sprinkled(rng, (len(ids), 6),
+                  [-0.0, 1e300, -1e300, 5e-324, -2.5e-310, 2.2e-308])
+    keep = ad.keep_mask((len(ids), 6), 0.3, rng)
+    ad.clear_tape()
+    try:
+        if op == "embed":
+            ad.embed(table, ids, np.zeros((len(ids), 6)), 0.3, keep)
+            rows = math.sqrt(6) * (g * (keep * (1.0 / (1.0 - 0.3))))
+        else:
+            ad.embedding_lookup(table, ids)
+            rows = g
+        with np.errstate(all="ignore"):
+            (got,) = ad._tape[-1].bwd(g)
+            want = np.zeros_like(table.data)
+            np.add.at(want, np.asarray(ids), rows)
+    finally:
+        ad.clear_tape()
+    assert ref.bits(got) == ref.bits(want)
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -498,7 +531,7 @@ def forced_pass(model, pairs, train):
         with ad.no_grad():
             return [model.forced_loss(model.teacher_force(pairs))[0].data]
     rng = np.random.default_rng(5)
-    keep = [model.dropout_masks(len(s), len(t), rng) for s, t in pairs]
+    keep = model.dropout_masks([(len(s), len(t)) for s, t in pairs], rng)
     loss = model.forced_loss(model.teacher_force(pairs, keep))[0]
     ad.backward(loss)
     return [loss.data] + [p.grad for _, p in model.params.trainable()]
@@ -512,10 +545,55 @@ def test_model_pass_equals_the_chains_bitwise(train, monkeypatch):
     assert_bitwise(fused, forced_pass(model, pairs, train))
 
 
+def context_training_run(model, docs):
+    """Every pass of a copy-variant training wavefront over ``docs`` (lists
+    of id pairs), later sentences reading the gold ones before them from
+    their caches: the losses, then every trainable gradient."""
+    model.params.zero_grad()
+    wave = [training._Doc(ContextState(model.cfg.n_context), pairs, True)
+            for pairs in docs]
+    losses = []
+    for loss, _, _ in training._wavefront_passes(
+            model, wave, "copy", np.random.default_rng(7)):
+        ad.backward(loss)
+        losses.append(loss.data)
+    grads = [p.grad for _, p in model.params.trainable()]
+    assert all(g is not None for g in grads)
+    return losses + grads
+
+
+def test_context_pass_equals_the_chains_bitwise(monkeypatch):
+    """Copy-variant training passes over cached sentences, every group
+    trainable (both context FFNs included): their losses and every
+    gradient equal the chains', and under the chains no fused FFN runs."""
+    store, cfg, _ = load_checkpoint(FIXTURES / "copy.ckpt")
+    store.set_trainable({"base", "ctx_enc", "ctx_dec", "copy"})
+    model = DocModel(cfg, store)
+    sv, tv = load_vocab_pair(FIXTURES / "vocab.json")
+    pool = json.loads((FIXTURES / "pool.json").read_text(encoding="utf-8"))
+    docs = [[(sv.encode(s.split()), tv.encode(t.split()))
+             for s, t in zip(src[:3], tgt[:3])]
+            for src, tgt in zip(pool["source"][:4], pool["reference"][:4])]
+    fused = context_training_run(model, docs)
+    ref.use_chains(monkeypatch)
+    tags, out = collections.Counter(), ad._out
+
+    def counting(arr, inputs, bwd, tag):
+        tags[tag] += 1
+        return out(arr, inputs, bwd, tag)
+
+    monkeypatch.setattr(ad, "_out", counting)
+    chains = context_training_run(model, docs)
+    assert tags["sigmoid"] > 0 and tags["relu"] > 0 \
+        and tags["linear"] == 0
+    assert_bitwise(fused, chains)
+
+
 # Bytes a full-cap base training pass's tape keeps alive besides the
-# parameters (``tape_bytes``), per padded row.  Measured 16,240 at 256 rows
-# (4,157,456 bytes) and at 128; the storing ops and the chains held 28,160
-# at 128 rows.
+# parameters (``tape_bytes``), per padded row.  Measured 16,400 at 256 rows
+# (4,198,416 bytes) and at 128, of which 160 are the row mean and 1 / std
+# of the 10 layer norms; the storing ops and the chains held 28,160 at 128
+# rows.
 TAPE_BYTES_PER_ROW = 16_500
 
 
@@ -569,6 +647,24 @@ def test_tape_bytes_sees_every_held_array():
     try:
         assert tape_bytes({"p": param}) == base.nbytes + other.nbytes \
             + hidden.nbytes
+    finally:
+        ad.clear_tape()
+
+
+def test_layer_norm_holds_two_row_statistics():
+    """A residual ``layer_norm`` node holds its inputs and boolean keep
+    mask, and of its own only its output and its rows' mean and 1 / std,
+    [R, 1] each: no [R, d] array that backward rebuilds."""
+    rng = np.random.default_rng(14)
+    rows, d = 9, 8
+    x, sub, gain, bias = leaves(rng, (rows, d), (rows, d), (d,), (d,))
+    keep = ad.keep_mask((rows, d), 0.3, rng)
+    ad.clear_tape()
+    try:
+        out = ad.layer_norm(x, gain, bias, sub, 0.3, keep)
+        inputs = {"x": x, "sub": sub, "gain": gain, "bias": bias}
+        assert tape_bytes(inputs) == out.data.nbytes + keep.nbytes \
+            + 2 * rows * 8
     finally:
         ad.clear_tape()
 

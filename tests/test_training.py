@@ -621,7 +621,8 @@ def test_stacked_loss_ignores_pad_ids(dropout, monkeypatch):
         keep = None
         if dropout:
             rng = np.random.default_rng(4)
-            keep = [model.dropout_masks(len(s), len(t), rng) for s, t in pairs]
+            keep = model.dropout_masks([(len(s), len(t)) for s, t in pairs],
+                                       rng)
         model.params.zero_grad()
         loss, n, _ = model.forced_loss(model.teacher_force(pairs, keep))
         assert fill in Stack.of([s for s, _ in pairs]).ids

@@ -316,29 +316,42 @@ class TestEncodeDecode:
         eval_a = encode(model, [4, 5, 6])
         eval_b = encode(model, [4, 5, 6])
         np.testing.assert_array_equal(eval_a.states.data, eval_b.states.data)
-        keep, _ = model.dropout_masks(3, 1, np.random.default_rng(1))
+        [(keep, _)] = model.dropout_masks([(3, 1)], np.random.default_rng(1))
         train_a = model.contextual_encode(Stack.of([[4, 5, 6]]),
                                           keep=iter(keep))
         assert not np.array_equal(train_a.states.data, eval_a.states.data)
 
     @pytest.mark.parametrize("src_len, tgt_len", [(3, 1), (1, 7), (9, 4)])
     def test_dropout_masks_equal_one_draw_per_mask(self, src_len, tgt_len):
-        """The one draw per pair gives the masks of one ``keep_mask`` call
-        per mask, in the pass's order, bit for bit, and leaves the
-        generator where those calls leave it."""
+        """The one draw for a batch of 1 and of 3 pairs gives the masks of
+        one ``keep_mask`` call per mask, in batch order and each pair's in
+        its pass's order, bit for bit, and leaves the generator where those
+        calls leave it; at dropout 0 nothing is drawn."""
         model = tiny_model(n_layers=2, dropout=0.3)
         d = model.cfg.d_model
-        rng_one, rng_each = np.random.default_rng(4), np.random.default_rng(4)
-        src, tgt = model.dropout_masks(src_len, tgt_len, rng_one)
-        want_src = [ad.keep_mask((src_len, d), 0.3, rng_each)
-                    for _ in range(5)]
-        want_tgt = [ad.keep_mask((tgt_len + 1, d), 0.3, rng_each)
-                    for _ in range(7)]
-        assert len(src) == len(want_src) and len(tgt) == len(want_tgt)
-        for got, want in zip(src + tgt, want_src + want_tgt):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            np.testing.assert_array_equal(got, want)
-        assert rng_one.bit_generator.state == rng_each.bit_generator.state
+        for lengths in ([(src_len, tgt_len)],
+                        [(src_len, tgt_len), (tgt_len, src_len), (2, 5)]):
+            rng_one = np.random.default_rng(4)
+            rng_each = np.random.default_rng(4)
+            masks = model.dropout_masks(lengths, rng_one)
+            assert len(masks) == len(lengths)
+            for (src, tgt), (s, t) in zip(masks, lengths):
+                want_src = [ad.keep_mask((s, d), 0.3, rng_each)
+                            for _ in range(5)]
+                want_tgt = [ad.keep_mask((t + 1, d), 0.3, rng_each)
+                            for _ in range(7)]
+                for got, want in ((src, want_src), (tgt, want_tgt)):
+                    assert got.dtype == bool \
+                        and got.shape == (len(want),) + want[0].shape
+                    np.testing.assert_array_equal(got, np.stack(want))
+            assert rng_one.bit_generator.state == rng_each.bit_generator.state
+        # at dropout 0 the masks have no sites and the generator is not used
+        rng = np.random.default_rng(4)
+        masks = tiny_model(n_layers=2).dropout_masks(
+            [(src_len, tgt_len)] * 2, rng)
+        assert [(src.shape, tgt.shape) for src, tgt in masks] \
+            == [((0, src_len, d), (0, tgt_len + 1, d))] * 2
+        assert rng.random() == np.random.default_rng(4).random()
 
     def test_base_gradients_match_finite_differences(self):
         model = tiny_model(seed=3)
