@@ -10,7 +10,7 @@ call; evaluation code should run under ``no_grad()``.
 Shapes are explicit.  The only implicit broadcasting is scalar-times-tensor
 (one operand with a single element); everything else must match exactly or go
 through a dedicated op such as ``linear`` (x w + b, the bias added to every
-row) or ``scale_rows``.
+row) or ``mix_rows``.
 
 Eight ops are fused chains, to keep the tape short: ``linear`` is a
 product plus a bias; ``linear_relu`` is that and a ReLU, a position-wise
@@ -25,6 +25,9 @@ sums, as x * (1 / sum).  Each computes the chain's expressions in the
 chain's order, so outputs and gradients equal the chain's bitwise; where
 the chain sums several gradient parts into one input, the node lists that
 input once per part, and ``backward`` sums them in the chain's order.
+The chains' own ops that no fused op replaces in package code (``relu``,
+``dropout``, ``sigmoid``, ``scale_rows`` and ``concat``) live with the
+chains in ``tests/fused_reference.py``.
 
 A node holds its output, its input tensors and only what its backward
 cannot rebuild bitwise from them, or a row statistic ([R, 1], one number
@@ -45,6 +48,13 @@ so gradients are those of a tape that stores it:
   mask.  ``clamped_log`` holds its input and clamps it again.
 * ``embed`` holds the ids and the keep mask; dropout, the scale and the
   lookup are linear, so backward needs no rows at all.
+
+Inverted dropout runs inside ``embed`` and the residual ``layer_norm``,
+from a boolean keep mask (``keep_mask``) drawn beforehand: kept entries
+are scaled by 1 / (1 - rate), the others zeroed.  A mask of r <= R rows
+covers the first r rows of the R and leaves the rest undropped, so one
+call can run a training pass's rows followed by rows in evaluation mode;
+each of those later rows is then exactly what the op gives at rate 0.
 
 Activations are 2-d [rows, features].  The one other layout is the
 attention weights [B, m, a, b] of ``attention_weights``: B stacked
@@ -350,15 +360,6 @@ def affine(x: Tensor, m: float, c: float) -> Tensor:
     return _out(m * x.data + c, (x,), lambda g: (m * g,), "affine")
 
 
-def scale_rows(x: Tensor, col: Tensor) -> Tensor:
-    """Multiply row i of [n, d] ``x`` by ``col[i]`` (col shaped [n, 1])."""
-    if x.data.ndim != 2 or col.data.shape != (x.data.shape[0], 1):
-        raise ShapeError(f"scale_rows: {x.shape} scaled by {col.shape}")
-    return _out(x.data * col.data, (x, col),
-                lambda g: (g * col.data, (g * x.data).sum(axis=1, keepdims=True)),
-                "scale_rows")
-
-
 def _sigmoid(d: Array) -> Array:
     out = np.empty_like(d)
     pos = d >= 0
@@ -366,11 +367,6 @@ def _sigmoid(d: Array) -> Array:
     ex = np.exp(d[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = _sigmoid(x.data)
-    return _out(out, (x,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
 _LOG_FLOOR = 1e-12
@@ -548,19 +544,6 @@ def transpose(x: Tensor) -> Tensor:
                 lambda g: (np.ascontiguousarray(g.T),), "transpose")
 
 
-def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
-    if not parts:
-        raise ShapeError("concat of zero tensors")
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return _out(np.concatenate([p.data for p in parts], axis=axis),
-                tuple(parts), bwd, "concat")
-
-
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice along one axis of a 2-d tensor."""
     if x.data.ndim != 2 or axis not in (0, 1):
@@ -625,15 +608,25 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 
 def _keep_scale(rate: float, keep: Array | None, shape: tuple) -> float | None:
     """1 / (1 - rate), by which inverted dropout scales the entries it
-    keeps, or None at rate 0 (no dropout); checks ``keep`` against
-    ``shape`` otherwise."""
+    keeps, or None at rate 0 (no dropout); otherwise checks that ``keep``
+    has ``shape``'s columns and at most its rows."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate {rate} outside [0, 1)")
     if rate == 0.0:
         return None
-    if keep.shape != shape:
+    if keep.shape[1:] != shape[1:] or len(keep) > shape[0]:
         raise ShapeError(f"dropout: keep mask {keep.shape} vs x {shape}")
     return 1.0 / (1.0 - rate)
+
+
+def _dropped(a: Array, keep: Array, scale: float) -> Array:
+    """``a`` with inverted dropout on its first len(``keep``) rows and the
+    rest as they are, in a fresh array."""
+    if len(keep) == len(a):
+        return a * (keep * scale)
+    out = a.copy()
+    out[:len(keep)] *= keep * scale
+    return out
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, sub: Tensor | None = None,
@@ -643,7 +636,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, sub: Tensor | None = None,
     With ``sub`` it normalizes x + dropout(sub, rate, keep) instead: a
     sublayer's residual connection and norm in one node, whose gradient
     reaches x before sub, as through the chain of ``dropout``, ``add`` and
-    ``layer_norm``."""
+    ``layer_norm``.  ``keep`` may cover only the leading rows (see the
+    module docstring)."""
     if x.data.ndim != 2 or gain.data.shape != (x.data.shape[1],) \
             or bias.data.shape != (x.data.shape[1],):
         raise ShapeError(f"layer_norm: x {x.shape}, gain {gain.shape}, bias {bias.shape}")
@@ -661,7 +655,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, sub: Tensor | None = None,
         if sub is None:
             return x.data.copy()
         return x.data + (sub.data if scale is None
-                         else sub.data * (keep * scale))
+                         else _dropped(sub.data, keep, scale))
 
     out = residual()
     # add.reduce / n is bitwise what .mean() computes, without its wrapper
@@ -687,7 +681,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, sub: Tensor | None = None,
         grads = (dx, xhat.sum(axis=0), g.sum(axis=0))
         if sub is None:
             return grads
-        return grads + (dx if scale is None else dx * (keep * scale),)
+        return grads + (dx if scale is None else _dropped(dx, keep, scale),)
 
     return _out(out, inputs, bwd, "layer_norm")
 
@@ -844,9 +838,9 @@ def embed(table: Tensor, ids, positions: Array, rate: float,
     """dropout(table[ids] * sqrt(d) + positions, rate, keep) for a [vocab, d]
     table and fixed [n, d] position rows: a Transformer's input rows as one
     node, the chain of ``embedding_lookup``, ``affine``, ``add`` and inverted
-    dropout (``keep`` as for ``layer_norm``) computed in the chain's order.
-    It holds the ids and the keep mask; the gradient reaches the table
-    only."""
+    dropout (``keep`` as for ``layer_norm``, possibly of the leading rows
+    only) computed in the chain's order.  It holds the ids and the keep
+    mask; the gradient reaches the table only."""
     idx = _row_ids(table, ids, "embed")
     d = table.data.shape[1]
     if positions.shape != (idx.size, d):
@@ -856,11 +850,11 @@ def embed(table: Tensor, ids, positions: Array, rate: float,
     out = root * table.data[idx] + 0.0     # as affine: -0.0 becomes 0.0
     out += positions
     if scale is not None:
-        out *= keep * scale
+        out[:len(keep)] *= keep * scale
 
     def bwd(g):
-        return _scatter_rows(table, idx,
-                             root * (g if scale is None else g * (keep * scale)))
+        return _scatter_rows(
+            table, idx, root * (g if scale is None else _dropped(g, keep, scale)))
 
     return _out(out, (table,), bwd, "embed")
 

@@ -19,9 +19,14 @@ numbers of cached sentences), and the context and copy layers take the
 same document axis (see ``han``).
 Every teacher-forced pass is ``teacher_force`` over stacked pairs (losses,
 gold cache rows, and the gradient check at B = 1); decoding is the same
-layout at B = 1.  The one-pair ``sentence_loss`` and ``target_cache_entry``
-are only the tests' references.  An out-of-range id is a ``ContractError``
-where it is embedded (``autodiff.embed``), before it is scored or cached.
+layout at B = 1.  One training ``teacher_force`` also gives the
+evaluation-mode rows of the pairs whose gold entries later sentences
+read: stacked again behind the training pairs, they share every layer
+that takes no gradient and leave for a no-grad path at the first that
+does, so they add nothing to the tape.  The one-pair ``sentence_loss``
+and ``target_cache_entry`` are only the tests' references.  An
+out-of-range id is a ``ContractError`` where it is embedded
+(``autodiff.embed``), before it is scored or cached.
 
 There is one decoder stack, ``decode_states``.  What a sentence's passes
 share is built once into a ``DecoderMemory``: the cross-attention, context
@@ -41,12 +46,13 @@ autodiff node each (``autodiff.gated_sum``, ``sigmoid_linear``,
 
 Dropout applies keep masks drawn for a whole batch beforehand, in one
 draw (``dropout_masks``); a pass pads each side's masks for all its
-dropout sites at once and applies them in order.
+dropout sites at once and applies them in order.  The masks cover the
+training rows, which lead; rows stacked behind them stay undropped.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +119,12 @@ class Stack:
         """Indices of the non-pad rows, in sequence order."""
         return np.flatnonzero(~self._pads())
 
+    def split(self, n: int) -> tuple["Stack", "Stack"]:
+        """The first n sequences and the rest, both at this stack's width."""
+        at = n * self.width
+        return (Stack(self.ids[:at], self.lengths[:n]),
+                Stack(self.ids[at:], self.lengths[n:]))
+
 
 @dataclass
 class EncodedSentence:
@@ -128,17 +140,22 @@ class DecodeOut:
     h_tilde: Tensor              # integrated rows (the stack's on the skip path)
     d_rows: Tensor | None        # context summary rows, None on skip path
     trace: AttentionTrace | None
-    kv: list[tuple[Tensor, Tensor]]  # per layer: the self-attention K, V
-                                     # rows attended over (decode_states)
 
 
 @dataclass
 class Forced:
-    """One teacher-forced pass over stacked (source, target) pairs."""
+    """One teacher-forced pass over stacked (source, target) pairs.
+
+    ``pushed`` holds the evaluation-mode rows of the pairs the pass was
+    asked for (``teacher_force``'s ``pushes``, in that order) as [E, L, d]
+    arrays of their padded rows: the final encoder rows, and the integrated
+    decoder rows h~ of BOS + target (None for a variant that caches no
+    targets).  None when no pair was asked for."""
     pairs: list[tuple[list[int], list[int]]]
     tgt: Stack                   # BOS + targets
     memory: DecoderMemory        # its ``encoded`` holds the source Stack
     out: DecodeOut
+    pushed: tuple[np.ndarray, np.ndarray | None] | None = None
 
 
 @dataclass(frozen=True)
@@ -174,13 +191,32 @@ class DecoderState:
 
 
 def _padded_masks(stack: Stack, masks: list[np.ndarray]) -> np.ndarray:
-    """Each sequence's keep masks [sites, len_i, d] as one [sites, B*L, d]
-    array laid out as ``stack``'s rows, pads False."""
+    """The keep masks [sites, len_i, d] of ``stack``'s first len(masks)
+    sequences as one [sites, len(masks)*L, d] array laid out as their
+    rows, pads False."""
     sites, _, d = masks[0].shape
-    out = np.zeros((sites, len(stack.lengths), stack.width, d), dtype=bool)
+    out = np.zeros((sites, len(masks), stack.width, d), dtype=bool)
     for row, part in enumerate(masks):
         out[:, row, :part.shape[1]] = part
-    return out.reshape(sites, len(stack), d)
+    return out.reshape(sites, len(masks) * stack.width, d)
+
+
+def _split_rows(rows: Tensor, at: int) -> tuple[Tensor, Tensor]:
+    """Rows off the tape cut into the first ``at`` and the rest.  The first
+    part is a copy, so a tape that reads it holds none of the rest."""
+    if rows.requires_grad:
+        raise ContractError("only rows off the tape are split")
+    return Tensor._wrap(rows.data[:at].copy()), Tensor._wrap(rows.data[at:])
+
+
+def _pushed_rows(encoded: EncodedSentence, out: DecodeOut | None,
+                 variant: str, pick) -> tuple[np.ndarray, np.ndarray | None]:
+    """``Forced.pushed`` of the pairs ``pick`` of a pass's encoder rows and
+    decoder output."""
+    b, d = len(encoded.token_ids.lengths), encoded.states.data.shape[1]
+    return (encoded.states.data.reshape(b, -1, d)[pick],
+            None if variant not in DECODER_CTX
+            else out.h_tilde.data.reshape(b, -1, d)[pick])
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -212,15 +248,16 @@ class StepResult:
 
 class DecoderMemory:
     """Everything the decoder passes over one sentence share, built once per
-    sentence: each layer's cross-attention K/V of the source encoding, the
-    target-side ``ContextMemory`` (None on the skip path), and, built on
-    first use (after the decoder stack, as the copy mixture needs them),
-    the copy indicator of the cached target ids with whether it has a one,
-    and the copy attention's K/V of the source encoding.  ``contexts``
-    holds one cache per sentence of the encoding.  The K/V are
-    ``HeadKV``s, which keep their head blocks for repeated reads, and the
-    ``ContextMemory`` builds its masks once per query count, so a search
-    step over the sentence computes only what its new rows change.
+    sentence: the target-side ``ContextMemory`` (None on the skip path),
+    and, built on first use, each layer's cross-attention K/V of the source
+    encoding (when the decoder stack first runs), the copy indicator of the
+    cached target ids with whether it has a one, and the copy attention's
+    K/V of the source encoding (both after the decoder stack, as the copy
+    mixture needs them).  ``contexts`` holds one cache per sentence of the
+    encoding.  The K/V are ``HeadKV``s, which keep their head blocks for
+    repeated reads, and the ``ContextMemory`` builds its masks once per
+    query count, so a search step over the sentence computes only what its
+    new rows change.
     """
 
     def __init__(self, model: "DocModel", encoded: EncodedSentence,
@@ -230,17 +267,27 @@ class DecoderMemory:
         p, m = model.params, model.cfg.m_heads
         self.encoded = encoded
         self.variant = variant
-        states, bs = encoded.states, len(encoded.token_ids.lengths)
-        self.cross_kv = [project_kv(states, states, p.view(f"dec.{i}.cross."),
-                                    m, bs)
-                         for i in range(model.cfg.n_layers)]
         self.context: ContextMemory | None = None
         entries = cached(contexts, "target")
         if variant in DECODER_CTX and entries:
             self.context = ContextMemory(entries, p, "ctx.dec.", m)
         self._model = model
+        self._cross_kv: list[HeadKV] | None = None
         self._indicator: tuple[Tensor, bool] | None = None
         self._copy_kv: HeadKV | None = None
+
+    @property
+    def cross_kv(self) -> list[HeadKV]:
+        """Each decoder layer's cross-attention K/V of the source encoding,
+        built on first use."""
+        if self._cross_kv is None:
+            p, states = self._model.params, self.encoded.states
+            self._cross_kv = [
+                project_kv(states, states, p.view(f"dec.{i}.cross."),
+                           self._model.cfg.m_heads,
+                           len(self.encoded.token_ids.lengths))
+                for i in range(self._model.cfg.n_layers)]
+        return self._cross_kv
 
     def cache_indicator(self) -> tuple[Tensor, bool]:
         """The ``cache_indicator`` of the target caches and whether any of
@@ -367,12 +414,24 @@ class DocModel:
         """``encode``, then source-side context integration under one cache
         per sentence; its attention weights are not kept."""
         check_variant(variant)
-        h = self.encode(token_ids, keep)
+        return self._source_context(self.encode(token_ids, keep), token_ids,
+                                    contexts, variant)
+
+    def _source_context(self, h: Tensor, token_ids: Stack,
+                        contexts: list[ContextState] | None, variant: str
+                        ) -> EncodedSentence:
+        """The encoder rows ``h`` of ``token_ids`` integrated with the source
+        caches, where the variant reads them."""
         entries = cached(contexts, "source")
         if variant in ENCODER_CTX and entries:
             h, _, _ = hierarchical_context(h, ContextMemory(
                 entries, self.params, "ctx.enc.", self.cfg.m_heads))
         return EncodedSentence(token_ids=token_ids, states=h)
+
+    def _trains(self, *prefixes: str) -> bool:
+        """Whether a parameter under one of ``prefixes`` takes gradients."""
+        return any(t.requires_grad for prefix in prefixes
+                   for t in self.params.view(prefix).values())
 
     # -- decoder --------------------------------------------------------------
 
@@ -433,15 +492,19 @@ class DocModel:
             x = self._sublayer(x, ffn, p.view(f"dec.{i}.ln3."), keep)
         return x, kv_rows
 
-    def decode(self, ids: Stack | list[int], memory: DecoderMemory,
-               past: list[DecoderState] | None = None,
+    def decode(self, ids: Stack, memory: DecoderMemory,
                keep: Iterator[np.ndarray] | None = None) -> DecodeOut:
-        """``decode_states``, then target-side context integration."""
-        h, kv = self.decode_states(ids, memory, past, keep)
+        """``decode_states`` over whole prefixes, then ``integrate``."""
+        return self.integrate(self.decode_states(ids, memory, None, keep)[0],
+                              memory)
+
+    def integrate(self, h: Tensor, memory: DecoderMemory) -> DecodeOut:
+        """Target-side context integration of decoder rows ``h`` under the
+        caches of ``memory`` (none on the skip path)."""
         if memory.context is None:
-            return DecodeOut(h_tilde=h, d_rows=None, trace=None, kv=kv)
+            return DecodeOut(h_tilde=h, d_rows=None, trace=None)
         h_tilde, d_rows, trace = hierarchical_context(h, memory.context)
-        return DecodeOut(h_tilde=h_tilde, d_rows=d_rows, trace=trace, kv=kv)
+        return DecodeOut(h_tilde=h_tilde, d_rows=d_rows, trace=trace)
 
     # -- output ---------------------------------------------------------------
 
@@ -478,7 +541,8 @@ class DocModel:
     def teacher_force(self, pairs: list[tuple[list[int], list[int]]],
                       keep: list[tuple[np.ndarray, np.ndarray]] | None = None,
                       contexts: list[ContextState] | None = None,
-                      variant: str = "sentence") -> Forced:
+                      variant: str = "sentence",
+                      pushes: Iterable[int] = ()) -> Forced:
         """One pass of encoder and decoder over (source, target) pairs, as
         their padded rows.
 
@@ -489,17 +553,88 @@ class DocModel:
         another.  ``contexts`` holds the caches of each pair's document,
         every one with the same numbers of cached sentences.  No result
         depends on the ids in pad positions.
+
+        ``pushes`` lists the pairs whose evaluation-mode rows a later
+        sentence reads; they come back as ``Forced.pushed``.  In evaluation
+        mode they are the pass's own rows.  In training with a frozen base,
+        the pairs are stacked again behind the training pairs, and every
+        layer before the first that reads a trainable parameter runs once
+        over both (the keep masks cover the leading, training rows only);
+        there the training rows go on to the tape and the evaluation rows
+        run the rest of their pass under ``no_grad``.  A training base
+        shares nothing: the evaluation rows take a pass of their own.
         """
-        src = Stack.of([s for s, _ in pairs])
-        tgt = Stack.of([[BOS_ID] + t for _, t in pairs])
+        check_variant(variant)
+        pushes = list(pushes)
+        evals = [pairs[i] for i in pushes]
+        eval_contexts = None if contexts is None \
+            else [contexts[i] for i in pushes]
+        shared = bool(keep is not None and pushes
+                      and not self._trains("emb.", "enc.", "dec."))
+        both = pairs + evals if shared else pairs
+        src = Stack.of([s for s, _ in both])
+        tgt = Stack.of([[BOS_ID] + t for _, t in both])
         src_feed = tgt_feed = None
         if keep is not None:
             src_feed = iter(_padded_masks(src, [s for s, _ in keep]))
             tgt_feed = iter(_padded_masks(tgt, [t for _, t in keep]))
+        if shared:
+            return self._shared_pass(len(pairs), both, contexts, eval_contexts,
+                                     variant, (src, tgt), (src_feed, tgt_feed))
         encoded = self.contextual_encode(src, contexts, variant, src_feed)
         memory = DecoderMemory(self, encoded, contexts, variant)
-        return Forced(pairs, tgt, memory,
-                      self.decode(tgt, memory, None, tgt_feed))
+        forced = Forced(pairs, tgt, memory, self.decode(tgt, memory, tgt_feed))
+        if pushes and keep is None:
+            forced.pushed = _pushed_rows(encoded, forced.out, variant, pushes)
+        elif pushes:
+            with ad.no_grad():
+                forced.pushed = self.teacher_force(
+                    evals, None, eval_contexts, variant, range(len(evals))
+                ).pushed
+        return forced
+
+    def _shared_pass(self, n: int, pairs, contexts, eval_contexts, variant,
+                     stacks: tuple[Stack, Stack], feeds) -> Forced:
+        """``teacher_force``'s training pass over the first ``n`` of
+        ``pairs`` with a frozen base, the rest being evaluation pairs to
+        push; ``stacks`` and ``feeds`` are those of all of ``pairs``."""
+        (src, tgt), (src_feed, tgt_feed) = stacks, feeds
+        (src_t, src_e), (tgt_t, tgt_e) = src.split(n), tgt.split(n)
+        h = self.encode(src, src_feed)
+        targets = variant in DECODER_CTX      # the pushes need h~ rows
+        eval_out = None
+        if variant in ENCODER_CTX and cached(contexts, "source") \
+                and self._trains("ctx.enc."):
+            h_t, h_e = _split_rows(h, len(src_t))
+            encoded = self._source_context(h_t, src_t, contexts, variant)
+            with ad.no_grad():
+                eval_enc = self._source_context(h_e, src_e, eval_contexts,
+                                                variant)
+                if targets:
+                    eval_out = self.decode(tgt_e, DecoderMemory(
+                        self, eval_enc, eval_contexts, variant))
+            memory = DecoderMemory(self, encoded, contexts, variant)
+            out = self.decode(tgt_t, memory, tgt_feed)
+        else:
+            both = self._source_context(
+                h, src, None if contexts is None else contexts + eval_contexts,
+                variant)
+            states_t, states_e = _split_rows(both.states, len(src_t))
+            encoded = EncodedSentence(src_t, states_t)
+            eval_enc = EncodedSentence(src_e, states_e)
+            memory = DecoderMemory(self, encoded, contexts, variant)
+            if targets:             # the decoder stack once, K/V built once
+                y, _ = self.decode_states(tgt, DecoderMemory(self, both),
+                                          None, tgt_feed)
+                y_t, y_e = _split_rows(y, len(tgt_t))
+                out = self.integrate(y_t, memory)
+                with ad.no_grad():
+                    eval_out = self.integrate(y_e, DecoderMemory(
+                        self, eval_enc, eval_contexts, variant))
+            else:
+                out = self.decode(tgt_t, memory, tgt_feed)
+        return Forced(pairs[:n], tgt_t, memory, out,
+                      _pushed_rows(eval_enc, eval_out, variant, slice(None)))
 
     def forced_loss(self, forced: Forced
                     ) -> tuple[Tensor, int, np.ndarray | None]:
@@ -550,14 +685,15 @@ class DocModel:
             raise ContractError("each state must cover its prefix but the "
                                 "last token")
         with ad.no_grad():
-            out = self.decode([p[-1] for p in prefixes], memory, past)
+            h, kv = self.decode_states([p[-1] for p in prefixes], memory, past)
+            out = self.integrate(h, memory)
             p_vocab = self.output_distribution(out.h_tilde)
             p_w, p_copy, alpha = p_vocab, None, None
             if memory.variant == "copy":
                 p_w, p_copy, alpha = self.copy_mixture(out, memory, p_vocab)
         n, h_new = len(past), _read_only(out.h_tilde.data)
         kv = [(k.data.reshape(n, -1, h_new.shape[1]),
-               v.data.reshape(n, -1, h_new.shape[1])) for k, v in out.kv]
+               v.data.reshape(n, -1, h_new.shape[1])) for k, v in kv]
         new_rows = [p_w.data, h_new] + [a[:, -1] for pair in kv for a in pair]
         if not all(np.isfinite(a).all() for a in new_rows):
             raise NumericalError("non-finite values in the distribution or "

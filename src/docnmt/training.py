@@ -23,13 +23,17 @@ last run, which it continues.  After each pass, the documents whose
 sentence s a later sentence reads get its *gold* ids and rows pushed
 through ``decoding.update_context``, the push decoding makes of its own
 outputs (so the base stage, whose documents are one sentence long, pushes
-nothing).  In training a group is one forward and backward,
-and the rows come from one evaluation pass over the pushing documents.
+nothing).  Each group is one ``teacher_force`` call, which returns both
+its loss and the evaluation-mode rows of the pushing documents.  In
+training it is one forward and backward; the pushing documents ride along
+as extra rows through the layers that take no gradient, and leave for a
+no-grad path at the first layer that does (see ``DocModel.teacher_force``).
 The dropout keep masks of the whole batch are drawn in one call before it
 runs, in batch order, the same bits a per-sentence loop of draws would
 give; parameters change only between batches, so the wavefront computes
-what a sentence-by-sentence loop would, up to summation order.  Validation runs without gradients, its
-passes serving both the loss and the pushed rows.
+what a sentence-by-sentence loop would, up to summation order.
+Validation runs without gradients, its passes serving both the loss and
+the pushed rows.
 
 ``Adam.state`` holds what an epoch changes (the trained groups and Adam's
 t, m and v).  One is saved before epoch 0 and after each epoch: the next
@@ -69,7 +73,6 @@ from .errors import ContractError, DataError, NumericalError, TrainingDiverged
 from .model import DocModel, ModelConfig, ParamStore
 from .model.copy import copyable
 from .model.han import ContextState
-from .model.model import DECODER_CTX, Stack
 
 
 class Stage(NamedTuple):
@@ -121,7 +124,9 @@ def check_start(stage: str, groups) -> None:
 # train-base tokens per second of 128 rows on the storing ops (26 training
 # and 6 validation passes per op instead of 49 and 10), at 0.7 % less peak
 # memory.  Above 128, train-copy's passes are cut by their cache groups,
-# not by the cap.
+# not by the cap.  The cap counts training rows: the evaluation rows of a
+# group's pushing documents ride along in its frozen layers, which keep no
+# tape, so groups, batches and dropout draws do not depend on them.
 MAX_STACK_ROWS = 256
 
 
@@ -309,32 +314,27 @@ def _wavefront(docs: list[_Doc]):
 
 def _push_gold(docs: list[_Doc], s: int, variant: str, src_rows: np.ndarray,
                tgt_rows: np.ndarray | None) -> None:
-    """Cache gold sentence s of each document that a later sentence reads,
-    the way decoding caches its own output: its ids and its block of the
-    rows of a stacked evaluation pass over ``docs`` (encoder rows and, when
-    the variant caches targets, the decoder's h~ rows of BOS + target)."""
+    """Cache gold sentence s of each of ``docs``, the way decoding caches
+    its own output: its ids and its evaluation-mode rows (``Forced.pushed``:
+    [len(docs), L, d] encoder rows and, when the variant caches targets,
+    the decoder's h~ rows of BOS + target)."""
     if not (np.isfinite(src_rows).all()
             and (tgt_rows is None or np.isfinite(tgt_rows).all())):
         raise NumericalError(f"non-finite rows to cache for sentence {s}")
-    src_width = len(src_rows) // len(docs)
-    tgt_width = 0 if tgt_rows is None else len(tgt_rows) // len(docs)
     for b, d in enumerate(docs):
-        if d.pushes(s):
-            src, tgt = d.pairs[s]
-            at, at_tgt = b * src_width, b * tgt_width + 1   # BOS dropped
-            update_context(d.context, variant, src, src_rows[at:at + len(src)],
-                           tgt, None if tgt_rows is None
-                           else tgt_rows[at_tgt:at_tgt + len(tgt)])
+        src, tgt = d.pairs[s]
+        update_context(d.context, variant, src, src_rows[b, :len(src)], tgt,
+                       None if tgt_rows is None
+                       else tgt_rows[b, 1:len(tgt) + 1])   # BOS dropped
 
 
 def _wavefront_passes(model: DocModel, docs: list[_Doc], variant: str,
                       rng: np.random.Generator | None):
     """Yield ``forced_loss`` of each stacked pass of the wavefront over
-    ``docs``, then push its group's gold entries.  With ``rng`` the passes
-    train, on dropout masks drawn first for every sentence in batch order,
-    and the entries come from an evaluation pass over the pushing
-    documents; without it they run under the caller's ``no_grad`` and the
-    entries are their own rows."""
+    ``docs``, then push its group's gold entries, the evaluation-mode rows
+    that the same ``teacher_force`` call returns.  With ``rng`` the passes
+    train, on dropout masks drawn first for every sentence in batch order;
+    without it they run under the caller's ``no_grad``."""
     keep = None
     if rng is not None:
         masks = iter(model.dropout_masks(
@@ -342,31 +342,15 @@ def _wavefront_passes(model: DocModel, docs: list[_Doc], variant: str,
         keep = [[next(masks) for _ in d.pairs] for d in docs]
     for s, group in _wavefront(docs):
         group_docs = [docs[i] for i in group]
+        pushing = [b for b, d in enumerate(group_docs) if d.pushes(s)]
         forced = model.teacher_force(
             [d.pairs[s] for d in group_docs],
             None if keep is None else [keep[i][s] for i in group],
-            [d.context for d in group_docs], variant)
+            [d.context for d in group_docs], variant, pushing)
         yield model.forced_loss(forced)
-        src_rows, tgt_rows = forced.memory.encoded.states, forced.out.h_tilde
-        if keep is not None:
-            group_docs = [d for d in group_docs if d.pushes(s)]
-            if not group_docs:
-                continue
-            pairs = [d.pairs[s] for d in group_docs]
-            contexts = [d.context for d in group_docs]
-            with ad.no_grad():
-                if variant in DECODER_CTX:
-                    forced = model.teacher_force(pairs, None, contexts,
-                                                 variant)
-                    src_rows = forced.memory.encoded.states
-                    tgt_rows = forced.out.h_tilde
-                else:               # nothing reads h~: the encoder only
-                    src_rows = model.contextual_encode(
-                        Stack.of([src for src, _ in pairs]), contexts,
-                        variant).states
-                    tgt_rows = None
-        _push_gold(group_docs, s, variant, src_rows.data,
-                   None if tgt_rows is None else tgt_rows.data)
+        if pushing:
+            _push_gold([group_docs[b] for b in pushing], s, variant,
+                       *forced.pushed)
 
 
 def _evaluate(model: DocModel, docs, variant: str,

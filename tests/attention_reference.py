@@ -18,6 +18,8 @@ from docnmt import autodiff as ad
 from docnmt.autodiff import Tensor
 from docnmt.errors import ShapeError
 
+from fused_reference import concat
+
 
 def scaled_dot_attention(q, k, v, mask=None):
     """softmax(q kᵀ / sqrt(r)) v for q [a, r], k [b, r], v [b, w].
@@ -70,7 +72,7 @@ def attend(q, k, v, p, m, mask=None):
                                      keys_t[h], values[h], mask)
         outs.append(out_h)
         head_weights.append(w_h)
-    merged = outs[0] if m == 1 else ad.concat(outs, axis=1)
+    merged = outs[0] if m == 1 else concat(outs, axis=1)
     return merged @ p["wo"], head_weights
 
 

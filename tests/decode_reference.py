@@ -14,7 +14,7 @@ decoding, the oracle for beam search at width 1.
 ``block_mask_step`` is the search step before the hypotheses became the
 batch axis of its self-attention: the k new rows are one sequence that
 attends over every hypothesis's past rows and all new rows, concatenated
-by ``autodiff.concat``, under a block mask that lets row i see only its
+by ``fused_reference.concat``, under a block mask that lets row i see only its
 own hypothesis's rows.
 """
 
@@ -34,6 +34,7 @@ from docnmt.model.transformer import (HeadKV, attend, causal_mask,
 from docnmt.tokens import BOS_ID, EOS_ID, PAD_ID
 
 from attention_reference import multi_head_attention
+from fused_reference import concat
 from han_reference import copy_weights_loop, hierarchical_loop, sub
 
 
@@ -137,9 +138,9 @@ def block_mask_states(model, ids, memory, past):
         q, keys, values = x @ self_p["wq"], x @ self_p["wk"], x @ self_p["wv"]
         kv_rows.append((keys, values))
         if n_past:
-            keys = ad.concat([Tensor._wrap(np.concatenate(
+            keys = concat([Tensor._wrap(np.concatenate(
                 [s.keys[i] for s in past])), keys])
-            values = ad.concat([Tensor._wrap(np.concatenate(
+            values = concat([Tensor._wrap(np.concatenate(
                 [s.values[i] for s in past])), values])
         att, _ = attend(q, HeadKV(keys, values, m, 1), self_p, mask)
         x = model._sublayer(x, att, p.view(f"dec.{i}.ln1."), None)
@@ -160,11 +161,10 @@ def block_mask_step(model, prefixes, memory, states):
     with ad.no_grad():
         h, kv = block_mask_states(model, [p[-1] for p in prefixes], memory,
                                   past)
-        out = DecodeOut(h_tilde=h, d_rows=None, trace=None, kv=kv)
+        out = DecodeOut(h_tilde=h, d_rows=None, trace=None)
         if memory.context is not None:
             h_tilde, d_rows, trace = hierarchical_context(h, memory.context)
-            out = DecodeOut(h_tilde=h_tilde, d_rows=d_rows, trace=trace,
-                            kv=kv)
+            out = DecodeOut(h_tilde=h_tilde, d_rows=d_rows, trace=trace)
         p_vocab = model.output_distribution(out.h_tilde)
         p_w, p_copy, alpha = p_vocab, None, None
         if memory.variant == "copy":

@@ -12,7 +12,8 @@ three ``matmul``s, three ``add``s and ``sigmoid`` for the copy gate (now
 ``autodiff.sigmoid_linear``); ``affine``, two ``scale_rows`` and ``add``
 for the copy mixture (now ``autodiff.mix_rows``); and the row sum, ``div``
 and ``scale_rows`` for the copy weights' renormalization (now
-``autodiff.normalize_rows``).
+``autodiff.normalize_rows``).  ``sigmoid``, ``scale_rows`` and ``concat``,
+which only these chains and the tests' references run, live here too.
 
 Storing forms, which hold what their backward reads instead of rebuilding
 it: ``attention_weights`` holds the head-split q and k, ``attention_mix``
@@ -52,13 +53,39 @@ def relu(x):
 
 def dropout(x, rate, keep):
     """Inverted dropout; identity when rate == 0.  ``keep`` (a
-    ``keep_mask``) marks the kept entries; they are scaled by
-    1 / (1 - rate), the others multiplied by 0."""
+    ``keep_mask``) marks the kept entries of x's first len(keep) rows; they
+    are scaled by 1 / (1 - rate), the others multiplied by 0, and the rows
+    after them by 1."""
     scale = ad._keep_scale(rate, keep, x.data.shape)
     if scale is None:
         return x
-    return ad._out(x.data * (keep * scale), (x,),
-                   lambda g: (g * (keep * scale),), "dropout")
+    factor = np.ones_like(x.data)
+    factor[:len(keep)] = keep * scale
+    return ad._out(x.data * factor, (x,), lambda g: (g * factor,), "dropout")
+
+
+def sigmoid(x):
+    out = ad._sigmoid(x.data)
+    return ad._out(out, (x,), lambda g: (g * out * (1.0 - out),), "sigmoid")
+
+
+def scale_rows(x, col):
+    """Multiply row i of [n, d] ``x`` by ``col[i]`` (col shaped [n, 1])."""
+    if x.data.ndim != 2 or col.data.shape != (x.data.shape[0], 1):
+        raise ShapeError(f"scale_rows: {x.shape} scaled by {col.shape}")
+    return ad._out(x.data * col.data, (x, col),
+                   lambda g: (g * col.data,
+                              (g * x.data).sum(axis=1, keepdims=True)),
+                   "scale_rows")
+
+
+def concat(parts, axis=0):
+    if not parts:
+        raise ShapeError("concat of zero tensors")
+    offsets = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+    return ad._out(np.concatenate([p.data for p in parts], axis=axis),
+                   tuple(parts), lambda g: tuple(np.split(g, offsets, axis=axis)),
+                   "concat")
 
 
 def clamped_log(x):
@@ -175,7 +202,7 @@ def embed(table, ids, positions, rate, keep):
 def gated_sum(h, d, wh, wd):
     """lam * h + (1 - lam) * d, lam = sigmoid(h wh + d wd), as eight nodes,
     as ``han.gate_integrate`` computed it."""
-    lam = ad.sigmoid(ad.add(h @ wh, d @ wd))
+    lam = sigmoid(ad.add(h @ wh, d @ wd))
     return ad.add(ad.mul(lam, h), ad.mul(1.0 - lam, d)), lam
 
 
@@ -186,13 +213,13 @@ def sigmoid_linear(parts, b):
     s = x @ w
     for x, w in rest:
         s = ad.add(s, x @ w)
-    return ad.sigmoid(ad.add(s, b))
+    return sigmoid(ad.add(s, b))
 
 
 def mix_rows(a, b, w):
     """(1 - w) * a + w * b row-wise as four nodes, as
     ``copy.mix_distributions`` computed it."""
-    return ad.add(ad.scale_rows(a, 1.0 - w), ad.scale_rows(b, w))
+    return ad.add(scale_rows(a, 1.0 - w), scale_rows(b, w))
 
 
 def normalize_rows(x):
@@ -200,7 +227,7 @@ def normalize_rows(x):
     ``copy.copy_attention_weights`` renormalized."""
     mass = x.sum(axis=1, keepdims=True)
     ones = ad.Tensor._wrap(np.ones_like(mass.data))
-    return ad.scale_rows(x, ad.div(ones, mass))
+    return scale_rows(x, ad.div(ones, mass))
 
 
 def positionwise_ffn(x, p):

@@ -25,6 +25,7 @@ from docnmt.model.han import AttentionTrace, gate_integrate
 from docnmt.model.transformer import positionwise_ffn
 
 from attention_reference import multi_head_attention
+from fused_reference import concat, scale_rows
 
 
 def sub(p, prefix):
@@ -63,15 +64,15 @@ def sentence_level_loop(h, summaries, p, m):
         for j in range(n):
             k_h = ad.narrow(ks[j], 1, head * dh, dh)
             cols.append(ad.mul(q_h, k_h).sum(axis=1, keepdims=True) * inv)
-        w = ad.softmax_lastdim(ad.concat(cols, axis=1) if n > 1 else cols[0])
+        w = ad.softmax_lastdim(concat(cols, axis=1) if n > 1 else cols[0])
         sent_weights.append(w)
         out_h = None
         for j in range(n):
             v_h = ad.narrow(vs[j], 1, head * dh, dh)
-            term = ad.scale_rows(v_h, ad.narrow(w, 1, j, 1))
+            term = scale_rows(v_h, ad.narrow(w, 1, j, 1))
             out_h = term if out_h is None else ad.add(out_h, term)
         head_outs.append(out_h)
-    merged = head_outs[0] if m == 1 else ad.concat(head_outs, axis=1)
+    merged = head_outs[0] if m == 1 else concat(head_outs, axis=1)
     attended = merged @ p["sent.wo"]
     return positionwise_ffn(attended, sub(p, "ffn.")), sent_weights
 
@@ -104,8 +105,8 @@ def copy_weights_loop(token_ids, sent, word, vocab_size, exclude_special=True):
     parts = []
     for j in range(len(token_ids)):
         sent_col = ad.narrow(_head_sum(sent), 1, j, 1)
-        parts.append(ad.scale_rows(_head_sum(word[j]), sent_col) * scale)
-    alpha_tokens = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
+        parts.append(scale_rows(_head_sum(word[j]), sent_col) * scale)
+    alpha_tokens = parts[0] if len(parts) == 1 else concat(parts, axis=1)
 
     flat = [i for ids in token_ids for i in ids]
     indicator = copy_indicator_loop(flat, vocab_size,
@@ -114,7 +115,7 @@ def copy_weights_loop(token_ids, sent, word, vocab_size, exclude_special=True):
     if exclude_special and indicator.any():
         mass = alpha_vocab.sum(axis=1, keepdims=True)
         ones = Tensor._wrap(np.ones_like(mass.data))
-        alpha_vocab = ad.scale_rows(alpha_vocab, ad.div(ones, mass))
+        alpha_vocab = scale_rows(alpha_vocab, ad.div(ones, mass))
     return alpha_tokens, alpha_vocab
 
 

@@ -39,9 +39,9 @@ from docnmt.model import DocModel, ModelConfig, build_params
 from docnmt.model.han import CacheEntry, ContextMemory, ContextState
 from docnmt.model.model import DecoderMemory, Stack
 from docnmt.model.transformer import HeadKV, attend
-from docnmt.training import MAX_STACK_ROWS, stack_groups
+from docnmt.training import MAX_STACK_ROWS, STAGES, stack_groups
 
-from test_training import PINNED_LOSSES, fixture_stage_run
+from test_training import PINNED_LOSSES, fixture_stage_run, pushed_group
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
@@ -226,7 +226,7 @@ def test_gates_and_mixture_equal_their_chains(fused_op, train):
         p_vocab = ad.softmax_lastdim(ad.linear(h_tilde, w_out, b_out))
         c = h_tilde @ wq
         p_copy = op["sigmoid_linear"]([(h_tilde, gh), (c, gc), (d, gd)], b)
-        alpha = op["normalize_rows"](ad.sigmoid(z @ wz))
+        alpha = op["normalize_rows"](ref.sigmoid(z @ wz))
         return ad.mul(op["mix_rows"](p_vocab, alpha, p_copy), r)
 
     fused, chain = run_both(build, tensors, train)
@@ -239,7 +239,7 @@ def test_fused_ops_check_their_operands():
     with pytest.raises(ShapeError):
         ad.layer_norm(x, g, g, Tensor(np.ones((3, 3))))
     with pytest.raises(ShapeError):
-        ad.layer_norm(x, g, g, x, 0.5, np.ones((2, 4), dtype=bool))
+        ad.layer_norm(x, g, g, x, 0.5, np.ones((4, 4), dtype=bool))
     with pytest.raises(ShapeError):
         ad.linear(x, Tensor(np.ones((4, 2))), g)
     with pytest.raises(ShapeError):
@@ -266,6 +266,54 @@ def test_fused_ops_check_their_operands():
     with pytest.raises(ShapeError):
         ad.attention_mix(Tensor(np.ones((1, 2, 3, 3))), x,
                          np.zeros((1, 2, 3, 3)))
+
+
+def partial_mask_case(op, rng, rows=7, d=8):
+    """``op`` ("layer_norm" with ``sub``, or "embed") on random leaves:
+    (a function of the rate and keep mask, its leaves)."""
+    if op == "layer_norm":
+        x, sub, gain, bias = leaves(rng, (rows, d), (rows, d), (d,), (d,))
+        return (lambda rate, keep: ad.layer_norm(x, gain, bias, sub, rate,
+                                                 keep)), [x, sub, gain, bias]
+    (table,), ids = leaves(rng, (5, d)), rng.integers(0, 5, rows)
+    positions = rng.normal(size=(rows, d))
+    return (lambda rate, keep: ad.embed(table, ids, positions, rate,
+                                        keep)), [table]
+
+
+def output_and_grads(run, tensors, probe):
+    """The op's output and every leaf's gradient of sum(out * probe)."""
+    for t in tensors:
+        t.zero_grad()
+    out = run()
+    ad.backward(ad.mul(out, Tensor(probe)).sum())
+    return [out.data] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("op", ["layer_norm", "embed"])
+def test_a_partial_keep_mask_drops_only_its_leading_rows(op):
+    """A keep mask over the first r of R rows: a loss on rows below r sees
+    the full-mask op's output rows and every gradient, bitwise; a loss on
+    rows from r on sees the undropped op's.  A mask with another column
+    count, or more rows than x, is a ShapeError."""
+    rng = np.random.default_rng(15)
+    build, tensors = partial_mask_case(op, rng)
+    rows, d, r = 7, 8, 4
+    full = ad.keep_mask((rows, d), 0.3, rng)
+    probe = rng.normal(size=(rows, d))
+    for seen, want_rate, want_keep in ((slice(None, r), 0.3, full),
+                                       (slice(r, None), 0.0, None)):
+        part = np.zeros_like(probe)
+        part[seen] = probe[seen]
+        got = output_and_grads(lambda: build(0.3, full[:r]), tensors, part)
+        want = output_and_grads(lambda: build(want_rate, want_keep), tensors,
+                                part)
+        assert ref.bits(got[0][seen]) == ref.bits(want[0][seen])
+        for g, w in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(g, w)
+    for bad in (full[:r, :d - 1], np.ones((rows + 1, d), dtype=bool)):
+        with pytest.raises(ShapeError):
+            build(0.3, bad)
 
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, 1.5]
@@ -562,12 +610,12 @@ def context_training_run(model, docs):
     return losses + grads
 
 
-def test_context_pass_equals_the_chains_bitwise(monkeypatch):
-    """Copy-variant training passes over cached sentences, every group
-    trainable (both context FFNs included): their losses and every
-    gradient equal the chains', and under the chains no fused FFN runs."""
+def chains_context_run(groups, monkeypatch):
+    """``context_training_run`` of the fixture copy model with ``groups``
+    trainable, fused and on the chains; under the chains no fused FFN
+    runs."""
     store, cfg, _ = load_checkpoint(FIXTURES / "copy.ckpt")
-    store.set_trainable({"base", "ctx_enc", "ctx_dec", "copy"})
+    store.set_trainable(groups)
     model = DocModel(cfg, store)
     sv, tv = load_vocab_pair(FIXTURES / "vocab.json")
     pool = json.loads((FIXTURES / "pool.json").read_text(encoding="utf-8"))
@@ -586,7 +634,22 @@ def test_context_pass_equals_the_chains_bitwise(monkeypatch):
     chains = context_training_run(model, docs)
     assert tags["sigmoid"] > 0 and tags["relu"] > 0 \
         and tags["linear"] == 0
-    assert_bitwise(fused, chains)
+    return fused, chains
+
+
+def test_context_pass_equals_the_chains_bitwise(monkeypatch):
+    """Copy-variant training passes over cached sentences, every group
+    trainable (both context FFNs included): their losses and every
+    gradient equal the chains', and under the chains no fused FFN runs."""
+    assert_bitwise(*chains_context_run(
+        {"base", "ctx_enc", "ctx_dec", "copy"}, monkeypatch))
+
+
+def test_shared_context_pass_equals_the_chains_bitwise(monkeypatch):
+    """The same for the copy stage's groups: the frozen layers run the
+    training rows and the pushed pairs' evaluation rows together, under
+    keep masks of the leading rows only."""
+    assert_bitwise(*chains_context_run(STAGES["copy"].trains, monkeypatch))
 
 
 # Bytes a full-cap base training pass's tape keeps alive besides the
@@ -690,6 +753,23 @@ def test_full_cap_training_pass_tape():
         "attention_mix": 6, "layer_norm": 10, "softmax": 1,
         "clamped_log": 1, "take_per_row": 1, "reduce": 2}
     assert n_bytes <= TAPE_BYTES_PER_ROW * MAX_STACK_ROWS
+
+
+def test_pushed_pairs_add_nothing_to_the_tape():
+    """A copy-stage training ``teacher_force`` that also returns the
+    evaluation rows of pushed pairs leaves the tape of the same call
+    without them: the same nodes, tag for tag, holding the same bytes."""
+    model, pairs, keep, contexts = pushed_group("copy")
+    tapes = []
+    for pushes in ((), (0, 2), range(len(pairs))):
+        ad.clear_tape()
+        forced = model.teacher_force(pairs, keep, contexts, "copy", pushes)
+        model.forced_loss(forced)
+        tapes.append(([node.tag for node in ad._tape],
+                      tape_bytes(model.params)))
+        ad.clear_tape()
+    assert tapes[0][0] and "gated_sum" in tapes[0][0]
+    assert tapes[1] == tapes[0] and tapes[2] == tapes[0]
 
 
 # The ops of one copy search step over three cached sentences, for every

@@ -77,3 +77,20 @@ def test_pool_check_translates_the_first_pool_document():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == ("0 of 8 pool sentences differ from pool.json "
                            "(1 documents, greedy and beam 4)\n")
+
+
+def test_stage_check_prints_one_line_per_stage_and_repeats_itself():
+    """Two runs on 4 documents print the same line for each stage: its
+    three losses as float.hex and the sha256 of its parameters."""
+    runs = [subprocess.run([sys.executable, str(TOOLS / "stage_check.py"),
+                            "--docs", "4"], capture_output=True, text=True,
+                           timeout=300, check=True).stdout
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    lines = [line.split("\t") for line in runs[0].splitlines()]
+    assert [line[0] for line in lines] == ["base", "han-encoder",
+                                           "han-decoder", "han-joint", "copy"]
+    for _, val, train, params in lines:
+        assert len(val.split()) == 3 and len(train.split()) == 2
+        assert all(float.fromhex(v) > 0 for v in val.split()[1:])
+        assert len(params.split()[1]) == 64

@@ -1,4 +1,5 @@
 import contextlib
+import json
 import math
 from pathlib import Path
 
@@ -321,6 +322,10 @@ def fixture_stage_run(stage, epochs=1):
 PINNED_LOSSES = {
     "base": (("0x1.04d12a133f79ap+2", "0x1.025fb7349554cp+2"),
              "0x1.05d019a351de5p+2"),
+    "han-encoder": (("0x1.76a648202f553p-1", "0x1.7685db1ed2eb3p-1"),
+                    "0x1.7b9897a5568e6p-1"),
+    "han-decoder": (("0x1.7b2fa39b32c5cp-1", "0x1.7a12ab493eacbp-1"),
+                    "0x1.8b254438883b5p-1"),
     "han-joint": (("0x1.6ea32c7016adfp-1", "0x1.6e93f6721457ap-1"),
                   "0x1.7600289809df3p-1"),
     "copy": (("0x1.6e10e134b99c4p-1", "0x1.6e02884d51d97p-1"),
@@ -979,8 +984,8 @@ def test_validation_wavefront_matches_loop(stage, monkeypatch):
 
 def test_validation_entries_are_the_evaluation_pass_rows(monkeypatch):
     """Validation caches the rows of the pass that gave its loss; the
-    separate evaluation passes that training runs over the same documents
-    for its gold entries give the same entries, bitwise."""
+    evaluation rows that training's passes return for their gold entries,
+    over the same documents, give the same entries, bitwise."""
     model = context_model("copy", 0.1, n_context=2)
     rng = np.random.default_rng(10)
     docs = [[([int(i) for i in rng.integers(4, 30, 5)],
@@ -999,6 +1004,91 @@ def test_validation_entries_are_the_evaluation_pass_rows(monkeypatch):
             pass
     assert len(got_entries) == 9
     assert_entries_match(got_entries, want_entries, 0.0)
+
+
+def pushed_group(stage, n_docs=4):
+    """The fixture copy checkpoint set to train ``stage``, and a wavefront
+    group: sentence 3 of the first ``n_docs`` pool documents with their
+    keep masks, their caches holding their gold sentences 1 and 2."""
+    store, cfg, _ = load_checkpoint(FIXTURES / "copy.ckpt")
+    store.set_trainable(STAGES[stage].trains)
+    model = DocModel(cfg, store)
+    sv, tv = load_vocab_pair(FIXTURES / "vocab.json")
+    pool = json.loads((FIXTURES / "pool.json").read_text(encoding="utf-8"))
+    docs = [[(sv.encode(s.split()), tv.encode(t.split()))
+             for s, t in zip(src[:3], tgt[:3])]
+            for src, tgt in zip(pool["source"][:n_docs],
+                                pool["reference"][:n_docs])]
+    wave = [training._Doc(ContextState(cfg.n_context), doc[:2], False)
+            for doc in docs]
+    with ad.no_grad():
+        for _ in training._wavefront_passes(model, wave, stage, None):
+            pass
+    pairs = [doc[2] for doc in docs]
+    keep = model.dropout_masks([(len(s), len(t)) for s, t in pairs],
+                               np.random.default_rng(12))
+    return model, pairs, keep, [d.context for d in wave]
+
+
+@pytest.mark.parametrize("stage", CONTEXT_STAGES)
+def test_pushed_rows_are_those_of_an_evaluation_pass(stage):
+    """A training pass's evaluation rows of its pushed pairs equal those of
+    a separate evaluation pass over those pairs, bitwise, when the widths
+    match (all pairs pushed); its loss is the loss without pushes."""
+    model, pairs, keep, contexts = pushed_group(stage)
+    cached = [len(side) for c in contexts for side in (c.source, c.target)
+              if side]
+    assert cached and set(cached) == {2}
+    everything = range(len(pairs))
+    forced = model.teacher_force(pairs, keep, contexts, stage, everything)
+    with ad.no_grad():
+        want = model.teacher_force(pairs, None, contexts, stage, everything)
+    plain = model.teacher_force(pairs, keep, contexts, stage)
+    assert model.forced_loss(forced)[0].data == \
+        model.forced_loss(plain)[0].data
+    ad.clear_tape()
+    assert (forced.pushed[1] is None) == (stage == "han-encoder")
+    for got, rows in zip(forced.pushed, want.pushed):
+        if rows is not None:
+            assert got.shape == rows.shape
+            assert got.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("stage", CONTEXT_STAGES)
+def test_context_epoch_runs_one_teacher_force_per_wavefront_group(
+        stage, monkeypatch):
+    """Every pass of a context-stage epoch (training and validation) is one
+    ``teacher_force`` call, its gold entries included: no second pass and
+    no ``contextual_encode`` outside it."""
+    groups, forces, outside, depth = [], [], [], [0]
+    wavefront, force = training._wavefront, DocModel.teacher_force
+    encode = DocModel.contextual_encode
+
+    def counted_wavefront(docs):
+        for item in wavefront(docs):
+            groups.append(item)
+            yield item
+
+    def recorded_force(self, *args, **kwargs):
+        forces.append(depth[0])
+        depth[0] += 1
+        try:
+            return force(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def recorded_encode(self, *args, **kwargs):
+        if not depth[0]:
+            outside.append(args)
+        return encode(self, *args, **kwargs)
+
+    monkeypatch.setattr(training, "_wavefront", counted_wavefront)
+    monkeypatch.setattr(DocModel, "teacher_force", recorded_force)
+    monkeypatch.setattr(DocModel, "contextual_encode", recorded_encode)
+    pushes = count_gold_pushes(monkeypatch)
+    fixture_stage_run(stage)
+    assert len(groups) > 3 and len(pushes) > 0
+    assert forces == [0] * len(groups) and outside == []
 
 
 # ---------------------------------------------------------------------------
