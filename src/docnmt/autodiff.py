@@ -12,22 +12,32 @@ Shapes are explicit.  The only implicit broadcasting is scalar-times-tensor
 through a dedicated op such as ``linear`` (x w + b, the bias added to every
 row) or ``mix_rows``.
 
-Eight ops are fused chains, to keep the tape short: ``linear`` is a
-product plus a bias; ``linear_relu`` is that and a ReLU, a position-wise
-FFN's first layer; ``embed`` is a Transformer's input rows,
-dropout(lookup * sqrt(d) + positions); ``layer_norm`` with a ``sub``
-operand is a sublayer's residual norm, layer_norm(x + dropout(sub));
-``gated_sum`` is a context gate, lam * h + (1 - lam) * d with
-lam = sigmoid(h wh + d wd); ``sigmoid_linear`` is the copy gate,
-sigmoid(x_1 w_1 + ... + b); ``mix_rows`` is the copy mixture,
-(1 - w) * a + w * b row-wise; and ``normalize_rows`` divides rows by their
-sums, as x * (1 / sum).  Each computes the chain's expressions in the
-chain's order, so outputs and gradients equal the chain's bitwise; where
-the chain sums several gradient parts into one input, the node lists that
-input once per part, and ``backward`` sums them in the chain's order.
-The chains' own ops that no fused op replaces in package code (``relu``,
-``dropout``, ``sigmoid``, ``scale_rows`` and ``concat``) live with the
-chains in ``tests/fused_reference.py``.
+Nine ops are fused chains, to keep the tape short: ``linear`` is a
+product plus a bias; ``ffn`` is a position-wise FFN, ``linear``, a ReLU
+and ``linear``; ``attention`` is multi-head attention, the weights
+(``attention_weights``: logits, mask, softmax), the heads' mix
+(``attention_mix``) and the product by the output projection; ``embed``
+is a Transformer's input rows, dropout(lookup * sqrt(d) + positions);
+``layer_norm`` with a ``sub`` operand is a sublayer's residual norm,
+layer_norm(x + dropout(sub)); ``gated_sum`` is a context gate,
+lam * h + (1 - lam) * d with lam = sigmoid(h wh + d wd);
+``sigmoid_linear`` is the copy gate, sigmoid(x_1 w_1 + ... + b);
+``mix_rows`` is the copy mixture, (1 - w) * a + w * b row-wise; and
+``normalize_rows`` divides rows by their sums, as x * (1 / sum).  Each
+computes the chain's expressions in the chain's order, so outputs and
+gradients equal the chain's bitwise; where the chain sums several
+gradient parts into one input, the node lists that input once per part,
+and ``backward`` sums them in the chain's order.  The chains' own ops
+that no fused op replaces in package code (``attention_weights``,
+``relu``, ``dropout``, ``sigmoid``, ``scale_rows`` and ``concat``) live
+with the chains in ``tests/fused_reference.py``; ``attention_mix`` stays,
+as the copy weights mix with it.
+
+A node has one output, or a tuple of them: ``attention`` returns its rows
+and its weights, which the copy weights read.  ``backward`` hands such a
+node one gradient per output (None for an output nothing read); the
+weights' gradient from later readers comes first, and the node adds its
+mix's part to it, as ``backward`` summed the chain's parts.
 
 A node holds its output, its input tensors and only what its backward
 cannot rebuild bitwise from them, or a row statistic ([R, 1], one number
@@ -35,16 +45,17 @@ per row) whose rebuilding costs a reduction over the rows; the rest is
 recomputed in backward by the forward's expressions, in the same order,
 so gradients are those of a tape that stores it:
 
-* ``attention_weights`` holds q, k and the weights; backward splits q and
-  k into heads again.  ``attention_mix`` holds the weights and values, and
-  splits the values again.  Their forward can read head blocks split once
-  for many calls (``head_blocks``); the nodes do not hold them.
+* ``attention`` holds q, k, v and wo, the weights and the merged rows
+  of the heads' mix (the input of the wo product); backward splits q, k
+  and v into heads again.  Its forward can read head blocks split once
+  for many calls (``head_blocks``); the node does not hold them.
+  ``attention_mix`` holds the weights and values.
 * ``layer_norm`` holds its inputs (and the boolean keep mask) and its
   rows' mean and 1 / std; backward rebuilds the residual sum, the centred
   rows and the normalized rows from them, with no row reduction or square
   root.  Forward and backward work in place on a fresh array wherever the
   value is the same (IEEE a + b = b + a and a * b = b * a).
-* ``linear_relu`` holds its output, whose positive entries are the ReLU's
+* ``ffn`` holds its hidden rows, whose positive entries are the ReLU's
   mask.  ``clamped_log`` holds its input and clamps it again.
 * ``embed`` holds the ids and the keep mask; dropout, the scale and the
   lookup are linear, so backward needs no rows at all.
@@ -57,12 +68,12 @@ call can run a training pass's rows followed by rows in evaluation mode;
 each of those later rows is then exactly what the op gives at rate 0.
 
 Activations are 2-d [rows, features].  The one other layout is the
-attention weights [B, m, a, b] of ``attention_weights``: B stacked
-sequences of a query and b key rows each (B*a and B*b rows), with head h's
-[a, b] post-softmax matrix of sequence i at entry (i, h); ``attention_mix``
-merges the heads back into [B*a, d] rows.  An attention mask is [B, a, b],
-None being one sequence with nothing blocked, and ``attention_weights`` is
-the one op that reads it.
+attention weights [B, m, a, b] of ``attention``: B stacked sequences of
+a query and b key rows each (B*a and B*b rows), with head h's [a, b]
+post-softmax matrix of sequence i at entry (i, h); ``attention_mix``
+merges the heads back into [B*a, d] rows.  An attention mask is
+[B, a, b], None being one sequence with nothing blocked, and
+``attention`` is the one op that reads it.
 
 Every op checks that its output is finite and raises ``NumericalError``
 naming itself otherwise; gradient checks and direct model calls run so.
@@ -73,14 +84,17 @@ a few results of its own instead (the search each step's distribution and
 state rows; training each loss, each gradient before its optimizer step
 and each row it caches), and a ``NumericalError`` replays it with the
 per-op checks on, so the error still names the op.  With the checks on,
-the fused ops check what their chains' ops would have: the gates their
-logits (a sigmoid turns an inf into an exact 0 or 1), ``normalize_rows``
-the row sums and their inverses.  Two checks stay on even unchecked:
-``attention_weights`` checks its logits before masking (a masked
+the fused ops check what their chains' ops would have, each value named
+after the chain step that made it (``ffn``'s hidden and output rows are
+``linear``'s; ``attention``'s weights, mixed rows and output are
+``attention_weights``', ``attention_mix``'s and ``matmul``'s); the gates
+check their logits (a sigmoid turns an inf into an exact 0 or 1),
+``normalize_rows`` the row sums and their inverses.  Two checks stay on
+even unchecked: ``attention`` checks its logits before masking (a masked
 non-finite key would vanish), and it and ``softmax_lastdim`` tell a fully
 masked row from non-finite logits.  Apart from masking and row
-selection no op turns a NaN into a finite value (``linear_relu`` keeps it),
-so a NaN reaches the unit's checks.  An inf can saturate (a sigmoid of inf is
+selection no op turns a NaN into a finite value (``ffn`` keeps it), so a
+NaN reaches the unit's checks.  An inf can saturate (a sigmoid of inf is
 exactly 1); so a unit runs unchecked only from finite parameters, where an
 inf needs an overflow.
 """
@@ -259,17 +273,28 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})\n{self.data!r}"
 
 
+# the chain step that made a fused node's (first) output, named in errors
+_MADE_BY = {"attention": "matmul", "ffn": "linear"}
+
+
 def _finite(arr: Array, tag: str) -> None:
     if not np.isfinite(arr).all():
-        raise NumericalError(f"non-finite values produced by op '{tag}'")
+        raise NumericalError(
+            f"non-finite values produced by op '{_MADE_BY.get(tag, tag)}'")
 
 
-def _out(arr: Array, inputs: tuple, bwd, tag: str) -> Tensor:
+def _out(arr, inputs: tuple, bwd, tag: str):
+    """Wrap an op's output and, where an input takes gradients, record its
+    node.  ``arr`` may be a tuple of arrays, a node of several outputs:
+    then it returns one Tensor per array, checks the first (the op checks
+    the others) and ``bwd`` takes one gradient per output."""
+    multi = type(arr) is tuple
     if _check_finite:
-        _finite(arr, tag)
-    t = Tensor._wrap(arr)
+        _finite(arr[0] if multi else arr, tag)
+    t = tuple(map(Tensor._wrap, arr)) if multi else Tensor._wrap(arr)
     if _grad_enabled and any(i.requires_grad for i in inputs):
-        t.requires_grad = True
+        for o in t if multi else (t,):
+            o.requires_grad = True
         _tape.append(_Node(t, inputs, bwd, tag))
     return t
 
@@ -280,7 +305,9 @@ def backward(loss: Tensor) -> None:
     Pops the tape's nodes in reverse insertion order (each node visited
     once, and released once visited), summing contributions where a tensor
     feeds several ops; the tape is empty afterwards, also on an error, so
-    the next forward pass starts a fresh graph.
+    the next forward pass starts a fresh graph.  A node of several outputs
+    gets one gradient per output, None for an output that nothing read,
+    and is skipped when no output was read.
     """
     if loss.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -292,10 +319,17 @@ def backward(loss: Tensor) -> None:
     try:
         while _tape:
             node = _tape.pop()
-            g = grads.pop(id(node.out), None)
-            leaves.pop(id(node.out), None)
-            if g is None:
-                continue
+            if type(node.out) is tuple:
+                g = [grads.pop(id(o), None) for o in node.out]
+                for o in node.out:
+                    leaves.pop(id(o), None)
+                if all(x is None for x in g):
+                    continue
+            else:
+                g = grads.pop(id(node.out), None)
+                leaves.pop(id(node.out), None)
+                if g is None:
+                    continue
             for inp, ig in zip(node.inputs, node.bwd(g)):
                 if ig is None or not inp.requires_grad:
                     continue
@@ -361,12 +395,11 @@ def affine(x: Tensor, m: float, c: float) -> Tensor:
 
 
 def _sigmoid(d: Array) -> Array:
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-d)) where d >= 0, else exp(d) / (1 + exp(d)), with
+    e = exp(-|d|) for both: the exponent is min(d, -d), which keeps a
+    NaN's sign."""
+    e = np.exp(np.minimum(d, -d))
+    return np.where(d >= 0, 1.0, e) / (1.0 + e)
 
 
 _LOG_FLOOR = 1e-12
@@ -504,37 +537,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 lambda g: (g @ b.data.T, a.data.T @ g), "matmul")
 
 
-def _product(x: Tensor, w: Tensor, b: Tensor) -> Array:
+def _product(x: Array, w: Array, b: Array) -> Array:
     """x w + b for [n, k] rows x, a [k, d] matrix w and a length-d bias b
     added to every row."""
-    if x.data.ndim != 2 or w.data.ndim != 2 \
-            or x.data.shape[1] != w.data.shape[0] \
-            or b.data.shape != (w.data.shape[1],):
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] \
+            or b.shape != (w.shape[1],):
         raise ShapeError(f"linear: {x.shape} @ {w.shape} + {b.shape}")
-    out = x.data @ w.data
-    out += b.data[None, :]
+    out = x @ w
+    out += b[None, :]
     return out
 
 
-def _linear_grads(g: Array, x: Tensor, w: Tensor) -> tuple:
-    return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+def _linear_grads(g: Array, x: Array, w: Array) -> tuple:
+    return g @ w.T, x.T @ g, g.sum(axis=0)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x w + b for [n, k] rows x, a [k, d] matrix w and a length-d bias b
     added to every row."""
-    return _out(_product(x, w, b), (x, w, b),
-                lambda g: _linear_grads(g, x, w), "linear")
+    return _out(_product(x.data, w.data, b.data), (x, w, b),
+                lambda g: _linear_grads(g, x.data, w.data), "linear")
 
 
-def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """max(x w + b, 0), a position-wise FFN's first layer; a NaN stays NaN.
-    Named ``linear`` in errors.  Backward takes the ReLU's mask from the
-    output: out > 0 exactly where x w + b > 0."""
-    out = _product(x, w, b)
-    np.maximum(out, 0.0, out=out)
-    return _out(out, (x, w, b),
-                lambda g: _linear_grads(g * (out > 0), x, w), "linear")
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """max(x w1 + b1, 0) w2 + b2, a position-wise FFN: the chain of
+    ``linear``, ``relu`` and ``linear`` (a NaN stays NaN), named ``linear``
+    in errors.  It holds the hidden rows, whose positive entries are the
+    ReLU's mask: h > 0 exactly where x w1 + b1 > 0."""
+    h = _product(x.data, w1.data, b1.data)
+    np.maximum(h, 0.0, out=h)
+    if _check_finite:
+        _finite(h, "linear")
+
+    def bwd(g):
+        gh, gw2, gb2 = _linear_grads(g, h, w2.data)
+        return (gw2, gb2) + _linear_grads(gh * (h > 0), x.data, w1.data)
+
+    return _out(_product(h, w2.data, b2.data), (w2, b2, x, w1, b1), bwd,
+                "ffn")
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -710,10 +750,10 @@ def _key_heads(k: Array, bs: int, m: int) -> Array:
 
 
 def head_blocks(k: Array, v: Array, bs: int, m: int) -> tuple[Array, Array]:
-    """The blocks ``attention_weights`` and ``attention_mix`` split B
-    stacked memories' key and value rows [B*b, d] into: the keys'
-    transposed heads [B, m, dh, b] and the values' heads [B, m, b, dh].  A
-    memory that many attention calls read can split once and pass them."""
+    """The blocks ``attention`` splits B stacked memories' key and value
+    rows [B*b, d] into: the keys' transposed heads [B, m, dh, b] and the
+    values' heads [B, m, b, dh].  A memory that many attention calls read
+    can split once and pass them."""
     return _key_heads(k, bs, m), _heads(v, bs, m)
 
 
@@ -728,25 +768,31 @@ def _merge(x: Array) -> Array:
         bs * n, m * dh)
 
 
-def attention_weights(q: Tensor, k: Tensor, m: int,
-                      mask: Array | None = None,
-                      kt: Array | None = None) -> Tensor:
-    """Per-head softmax(q_h k_hᵀ / sqrt(d_h)) of B stacked sequences as one
-    [B, m, a, b] tensor.
+def attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, m: int,
+              mask: Array | None = None, kt: Array | None = None,
+              vh: Array | None = None) -> tuple[Tensor, Tensor]:
+    """Multi-head attention of B stacked sequences as one node: the per-head
+    weights w_h = softmax(q_h k_hᵀ / sqrt(d_h)), the heads' products
+    w_h v_h merged into rows, and those rows times ``wo``.  Returns the
+    output rows [B*a, d'] and the weights [B, m, a, b]; gradients flow
+    through both.
 
-    q [B*a, d] and k [B*b, d] hold m heads of d_h = d / m columns each (head
-    h is columns h*d_h onwards); sequence i's a queries attend only over its
-    own b keys.  ``mask`` [B, a, b] (True = blocked) gives B and applies
+    q [B*a, d], k [B*b, d] and v [B*b, d_v] hold m heads each (head h is
+    columns h*d/m onwards); sequence i's a queries attend only over its own
+    b keys.  ``mask`` [B, a, b] (True = blocked) gives B and applies
     mask[i] to every head of sequence i; blocked weights are exact zeros.
-    Without a mask nothing is blocked, and B is 1, or that of ``kt``: k's
-    ``head_blocks`` [B, m, dh, b], which the forward then reads instead of
-    splitting k (backward splits k again).  The scaled logits are checked
-    before masking, the weights after the softmax; a fully masked row is a
-    ContractError, also under ``unchecked()``.
+    Without a mask nothing is blocked, and B is 1, or that of ``kt``.
+    ``kt`` and ``vh``, the ``head_blocks`` of k and v, spare the forward
+    the splits (backward splits again).  The chain it computes, in its
+    order, is ``attention_weights``, ``attention_mix`` and a ``matmul`` by
+    wo, and errors name those steps.  The scaled logits are checked before
+    masking, also under ``unchecked()``, and a fully masked row is a
+    ContractError.
     """
-    if q.data.ndim != 2 or k.data.ndim != 2 or q.data.shape[1] != k.data.shape[1]:
+    qd, kd, vd, wod = q.data, k.data, v.data, wo.data
+    if qd.ndim != 2 or kd.ndim != 2 or qd.shape[1] != kd.shape[1]:
         raise ShapeError(f"attention_weights: q {q.shape}, k {k.shape}")
-    (rows_q, d), rows_k = q.data.shape, k.data.shape[0]
+    (rows_q, d), rows_k = qd.shape, kd.shape[0]
     if m < 1 or d % m:
         raise ShapeError(f"attention_weights: width {d} vs {m} heads")
     bs = 1 if kt is None else kt.shape[0]
@@ -755,30 +801,56 @@ def attention_weights(q: Tensor, k: Tensor, m: int,
             != (rows_q, rows_k):
         raise ShapeError(f"attention_weights: mask {shape} vs q {q.shape}, "
                          f"k {k.shape}")
-    bs, dh = shape[0], d // m
-    if kt is not None and kt.shape != (bs, m, dh, shape[2]):
+    bs, a, b = shape
+    dh = d // m
+    if kt is not None and kt.shape != (bs, m, dh, b):
         raise ShapeError(f"attention_weights: key heads {kt.shape} vs "
                          f"k {k.shape} in {bs} sequences")
+    if vd.ndim != 2 or vd.shape[0] != rows_k or vd.shape[1] % m \
+            or (vh is not None and vh.shape != (bs, m, b, vd.shape[1] // m)):
+        raise ShapeError(f"attention_mix: weights {(bs, m, a, b)}, "
+                         f"values {v.shape}")
+    if wod.ndim != 2 or wod.shape[0] != vd.shape[1]:
+        raise ShapeError(f"matmul: {(rows_q, vd.shape[1])} @ {wo.shape}")
     scale = 1.0 / math.sqrt(dh)
-    logits = scale * np.matmul(_heads(q.data, bs, m),
-                               _key_heads(k.data, bs, m) if kt is None else kt)
-    _finite(logits, "attention_weights")
+    # the softmax works in place on the fresh logits, reducing by the
+    # ufuncs that ``max`` and ``sum`` call
+    w = np.matmul(_heads(qd, bs, m),
+                  _key_heads(kd, bs, m) if kt is None else kt)
+    w *= scale
+    _finite(w, "attention_weights")
     if mask is not None:
-        np.copyto(logits, -np.inf, where=mask[:, None])
-    top = logits.max(axis=-1, keepdims=True)
+        np.copyto(w, -np.inf, where=mask[:, None])
+    top = np.maximum.reduce(w, axis=-1, keepdims=True)
     if mask is not None and top.min() == -np.inf:     # finite logits: masked
         raise ContractError("attention_weights: a row is fully masked")
-    e = np.exp(logits - top)
-    w = e / e.sum(axis=-1, keepdims=True)
+    w -= top
+    np.exp(w, out=w)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
+    if _check_finite:
+        _finite(w, "attention_weights")
+    mixed = _merge(np.matmul(w, _heads(vd, bs, m) if vh is None else vh))
+    if _check_finite:
+        _finite(mixed, "attention_mix")
 
-    def bwd(g):
-        qh, kt = _heads(q.data, bs, m), _key_heads(k.data, bs, m)
-        gl = scale * (w * (g - np.sum(g * w, axis=-1, keepdims=True)))
-        gk = np.matmul(qh.swapaxes(-1, -2), gl)       # [B, m, dh, b]
-        return (_merge(np.matmul(gl, kt.swapaxes(-1, -2))),
+    def bwd(gs):
+        g, gw = gs
+        g_wo = g_v = None
+        if g is not None:
+            # the product by wo, then the mix: per-head column views of the
+            # mixed rows' gradient, strided like the parts of a concat
+            gm, g_wo = g @ wod.T, mixed.T @ g
+            gh = gm.reshape(bs, a, m, -1).swapaxes(-3, -2)
+            g_mix = np.matmul(gh, _heads(vd, bs, m).swapaxes(-1, -2))
+            g_v = _merge(np.matmul(w.swapaxes(-1, -2), gh))
+            gw = g_mix if gw is None else gw + g_mix
+        gl = scale * (w * (gw - np.sum(gw * w, axis=-1, keepdims=True)))
+        gk = np.matmul(_heads(qd, bs, m).swapaxes(-1, -2), gl)  # [B,m,dh,b]
+        return (g_wo, g_v,
+                _merge(np.matmul(gl, _key_heads(kd, bs, m).swapaxes(-1, -2))),
                 _merge(gk.swapaxes(-1, -2)))
 
-    return _out(w, (q, k), bwd, "attention_weights")
+    return _out((mixed @ wod, w), (wo, v, q, k), bwd, "attention")
 
 
 def attention_mix(w: Tensor, v: Tensor, vh: Array | None = None) -> Tensor:

@@ -1,11 +1,14 @@
 """Transformer building blocks on the autodiff core.
 
 All activations are 2-d [positions, features] tensors.  Multi-head
-attention is two fused autodiff ops over B stacked sequences of a query and
-b key rows each: the per-head weights come as one [B, m, a, b] tensor, and
-a mask is a plain boolean [B, a, b] numpy array (True = blocked), or None
-where nothing is blocked; only ``autodiff.attention_weights`` reads and
-checks it.  A memory's keys and values are a ``HeadKV``, which knows its B.
+attention over B stacked sequences of a query and b key rows each is one
+autodiff node, ``autodiff.attention``, from the projected queries, keys and
+values to the rows re-projected through wo; its second output is the
+per-head weights as one [B, m, a, b] tensor.  A mask is a plain boolean
+[B, a, b] numpy array (True = blocked), or None where nothing is blocked;
+only ``autodiff.attention`` reads and checks it.  A memory's keys and
+values are a ``HeadKV``, which knows its B.  The position-wise FFN is one
+node too, ``autodiff.ffn``.
 """
 
 from __future__ import annotations
@@ -19,16 +22,16 @@ from ..errors import ContractError
 
 class HeadKV:
     """Projected keys and values [B*b, d] of B stacked attention memories
-    of b rows each, to be split into m heads by the attention ops.
+    of b rows each, to be split into m heads by the attention node.
 
-    ``blocks()`` gives the head blocks the attention ops read
+    ``blocks()`` gives the head blocks the attention node reads
     (``autodiff.head_blocks``: the keys' [B, m, dh, b] and the values'
     [B, m, b, dh]).  Once a memory is read a second time it keeps them, so
     a memory that every step of a search reads (a sentence's
     cross-attention, context or copy memory) is split twice, not once per
     step, while one that a teacher-forced pass reads once holds nothing
-    beyond its rows.  The ops' nodes do not hold the blocks; their
-    backward splits the rows again.
+    beyond its rows.  The node does not hold the blocks; its backward
+    splits the rows again.
     """
 
     def __init__(self, keys: Tensor, values: Tensor, m: int, bs: int):
@@ -65,8 +68,7 @@ def attend(q: Tensor, kv: HeadKV, p: dict[str, Tensor],
     sums that tensor's gradient parts in one fixed order.
     """
     kt, vh = kv.blocks()
-    weights = ad.attention_weights(q, kv.keys, kv.m, mask, kt)
-    return ad.attention_mix(weights, kv.values, vh) @ p["wo"], weights
+    return ad.attention(q, kv.keys, kv.values, p["wo"], kv.m, mask, kt, vh)
 
 
 def multi_head_attention(q_rows: Tensor, k_rows: Tensor, v_rows: Tensor,
@@ -85,8 +87,9 @@ def multi_head_attention(q_rows: Tensor, k_rows: Tensor, v_rows: Tensor,
 
 
 def positionwise_ffn(x: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """Two linear maps with a ReLU between, applied per position."""
-    return ad.linear(ad.linear_relu(x, p["w1"], p["b1"]), p["w2"], p["b2"])
+    """Two linear maps with a ReLU between, applied per position: one
+    ``autodiff.ffn`` node."""
+    return ad.ffn(x, p["w1"], p["b1"], p["w2"], p["b2"])
 
 
 def sinusoidal_positions(n: int, d: int) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Per-head reference for multi-head attention.
 
-This is the chain that ``autodiff.attention_weights`` and
-``autodiff.attention_mix`` compute in two tape nodes: per head, ``narrow``
-the query, key and value columns, transpose the keys, then ``matmul``,
-scale, mask, ``softmax``, ``matmul``, and ``concat`` the heads.  It masks
-by adding -1e300 to the blocked logits: ``exp`` underflows that to the
-same exact zero weight, and zero gradient, as a -inf fill.  It runs one
-sequence, takes its mask as [a, b] or [1, a, b] and returns the per-head
-weights as a list of [a, b] tensors.
+This is the chain that ``autodiff.attention`` computes in one tape node:
+per head, ``narrow`` the query, key and value columns, transpose the keys,
+then ``matmul``, scale, mask, ``softmax``, ``matmul``, and ``concat`` the
+heads, then the product by wo.  It masks by adding -1e300 to the blocked
+logits: ``exp`` underflows that to the same exact zero weight, and zero
+gradient, as a -inf fill.  It runs one sequence, takes its mask as [a, b]
+or [1, a, b] and returns the per-head weights as a list of [a, b]
+tensors.
 """
 
 import math

@@ -1,19 +1,23 @@
 """The autodiff ops as the model ran them before they were fused or slimmed.
 
 Chains, one tape node per step: a ``matmul`` then ``add_bias`` for every
-biased product (now ``autodiff.linear``); ``dropout``, ``add`` and
-``layer_norm`` for every sublayer's residual connection (now the residual
-form of ``autodiff.layer_norm``); ``linear`` then ``relu`` for an FFN's
-first layer (now ``autodiff.linear_relu``); and ``embedding_lookup``,
-``affine``, ``add`` and ``dropout`` for a Transformer's input rows (now
-``autodiff.embed``); two ``matmul``s, ``add``, ``sigmoid``, ``mul``,
-``affine``, ``mul`` and ``add`` for a HAN gate (now ``autodiff.gated_sum``);
-three ``matmul``s, three ``add``s and ``sigmoid`` for the copy gate (now
+biased product (now ``autodiff.linear``); ``linear``, ``relu`` and
+``linear`` for a position-wise FFN (now ``autodiff.ffn``);
+``attention_weights``, ``attention_mix`` and a ``matmul`` by wo for
+multi-head attention (now ``autodiff.attention``, whose second output is
+the weights); ``dropout``, ``add`` and ``layer_norm`` for every
+sublayer's residual connection (now the residual form of
+``autodiff.layer_norm``); ``embedding_lookup``, ``affine``, ``add`` and
+``dropout`` for a Transformer's input rows (now ``autodiff.embed``); two
+``matmul``s, ``add``, ``sigmoid``, ``mul``, ``affine``, ``mul`` and ``add``
+for a HAN gate (now ``autodiff.gated_sum``); three ``matmul``s, three
+``add``s and ``sigmoid`` for the copy gate (now
 ``autodiff.sigmoid_linear``); ``affine``, two ``scale_rows`` and ``add``
 for the copy mixture (now ``autodiff.mix_rows``); and the row sum, ``div``
 and ``scale_rows`` for the copy weights' renormalization (now
-``autodiff.normalize_rows``).  ``sigmoid``, ``scale_rows`` and ``concat``,
-which only these chains and the tests' references run, live here too.
+``autodiff.normalize_rows``).  ``attention_weights``, ``relu``,
+``sigmoid``, ``scale_rows`` and ``concat``, which only these chains and
+the tests' references run, live here too.
 
 Storing forms, which hold what their backward reads instead of rebuilding
 it: ``attention_weights`` holds the head-split q and k, ``attention_mix``
@@ -230,8 +234,16 @@ def normalize_rows(x):
     return scale_rows(x, ad.div(ones, mass))
 
 
-def positionwise_ffn(x, p):
-    return linear(relu(linear(x, p["w1"], p["b1"])), p["w2"], p["b2"])
+def attention(q, k, v, wo, m, mask=None, kt=None, vh=None):
+    """The weights, the heads' mix and the product by wo as three nodes;
+    returns the rows and the weights."""
+    w = attention_weights(q, k, m, mask, kt)
+    return attention_mix(w, v, vh) @ wo, w
+
+
+def ffn(x, w1, b1, w2, b2):
+    """``linear``, ``relu`` and ``linear`` as five nodes."""
+    return linear(relu(linear(x, w1, b1)), w2, b2)
 
 
 def output_distribution(model, rows):
@@ -247,15 +259,10 @@ def sublayer(model, x, sub_out, ln, keep):
 def use_chains(monkeypatch):
     """Run ``DocModel`` on the chains and the storing forms instead of the
     fused and slimmed ops."""
-    from docnmt.model import model as model_module
-    from docnmt.model import transformer
-    # the HAN imports the FFN from ``transformer`` when it runs
-    for module in (model_module, transformer):
-        monkeypatch.setattr(module, "positionwise_ffn", positionwise_ffn)
-    monkeypatch.setattr(model_module.DocModel, "output_distribution",
-                        output_distribution)
-    monkeypatch.setattr(model_module.DocModel, "_sublayer", sublayer)
-    for op in (attention_weights, attention_mix, layer_norm, clamped_log,
+    from docnmt.model.model import DocModel
+    monkeypatch.setattr(DocModel, "output_distribution", output_distribution)
+    monkeypatch.setattr(DocModel, "_sublayer", sublayer)
+    for op in (attention, ffn, attention_mix, layer_norm, clamped_log,
                embed, gated_sum, sigmoid_linear, mix_rows, normalize_rows):
         monkeypatch.setattr(ad, op.__name__, op)
 

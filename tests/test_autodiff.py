@@ -77,19 +77,22 @@ class TestForwardValues:
     def test_attention_names_itself_on_non_finite_keys(self):
         q = Tensor(np.ones((2, 4)))
         k = Tensor(np.ones((3, 4)))
+        v, wo = Tensor(np.ones((3, 4))), Tensor(np.eye(4))
         k.data[1, 2] = np.nan
         with pytest.raises(NumericalError, match="attention_weights"):
-            ad.attention_weights(q, k, 2)
+            ad.attention(q, k, v, wo, 2)
         k.data[1, 2] = 1e308  # overflows to inf in the logits
         with np.errstate(over="ignore"), \
                 pytest.raises(NumericalError, match="attention_weights"):
-            ad.attention_weights(Tensor(np.full((2, 4), 1e308)), k, 2)
+            ad.attention(Tensor(np.full((2, 4), 1e308)), k, v, wo, 2)
 
     def test_attention_weights_masked_entries_are_exact_zeros(self):
         rng = np.random.default_rng(3)
         mask = np.array([[[False, True, False], [True, False, False]]])
-        w = ad.attention_weights(Tensor(rng.normal(size=(2, 4))),
-                                 Tensor(rng.normal(size=(3, 4))), 2, mask)
+        _, w = ad.attention(Tensor(rng.normal(size=(2, 4))),
+                            Tensor(rng.normal(size=(3, 4))),
+                            Tensor(rng.normal(size=(3, 4))),
+                            Tensor(np.eye(4)), 2, mask)
         assert w.shape == (1, 2, 2, 3)
         assert np.all(w.data[0][:, mask[0]] == 0.0)
         np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
@@ -97,12 +100,13 @@ class TestForwardValues:
     def test_attention_mask_has_one_layout(self):
         """A mask is [B, a, b]; a 2-d one is a ShapeError, not a second
         layout, and so is a stack that does not fit the rows."""
-        q, k = Tensor(np.ones((2, 4))), Tensor(np.ones((6, 4)))
+        q, k, wo = Tensor(np.ones((2, 4))), Tensor(np.ones((6, 4))), \
+            Tensor(np.eye(4))
         for shape in ((2, 6), (1, 2, 3), (2, 2, 3), (1, 1, 2, 6)):
             with pytest.raises(ShapeError, match="mask"):
-                ad.attention_weights(q, k, 2, np.zeros(shape, dtype=bool))
-        assert ad.attention_weights(q, k, 2, np.zeros((2, 1, 3), dtype=bool)
-                                    ).shape == (2, 2, 1, 3)
+                ad.attention(q, k, k, wo, 2, np.zeros(shape, dtype=bool))
+        assert ad.attention(q, k, k, wo, 2, np.zeros((2, 1, 3), dtype=bool)
+                            )[1].shape == (2, 2, 1, 3)
 
     @pytest.mark.parametrize("checked", [True, False])
     def test_attention_fully_masked_row_is_contract_error(self, checked):
@@ -112,7 +116,7 @@ class TestForwardValues:
         mask = np.array([[[False, True, False]], [[True, True, True]]])
         guard = contextlib.nullcontext() if checked else ad.unchecked()
         with guard, pytest.raises(ContractError, match="fully masked"):
-            ad.attention_weights(q, k, 2, mask)
+            ad.attention(q, k, k, Tensor(np.eye(4)), 2, mask)
 
     def test_stacked_attention_matches_per_sequence_calls(self):
         """A [B, a, b] mask runs B sequences through one call; each block
@@ -121,21 +125,21 @@ class TestForwardValues:
         n_seq, a, b, d, m = 3, 4, 5, 32, 2
         q, k, v = (Tensor(rng.normal(size=(n_seq * n, d)), requires_grad=True)
                    for n in (a, b, b))
+        wo = Tensor(np.eye(d))
         mask = rng.random((n_seq, a, b)) < 0.4
         mask[:, :, 0] = False
         r = rng.normal(size=(n_seq * a, d))
 
-        w = ad.attention_weights(q, k, m, mask)
+        out, w = ad.attention(q, k, v, wo, m, mask)
         assert w.shape == (n_seq, m, a, b)
-        ad.backward(ad.mul(ad.attention_mix(w, v), Tensor(r)).sum())
+        ad.backward(ad.mul(out, Tensor(r)).sum())
         stacked = [t.grad for t in (q, k, v)]
         for t in (q, k, v):
             t.zero_grad()
         for i in range(n_seq):
             rows = [ad.narrow(t, 0, i * n, n) for t, n in ((q, a), (k, b), (v, b))]
-            wi = ad.attention_weights(rows[0], rows[1], m, mask[i:i + 1])
+            out, wi = ad.attention(*rows, wo, m, mask[i:i + 1])
             np.testing.assert_array_equal(wi.data[0], w.data[i])
-            out = ad.attention_mix(wi, rows[2])
             ad.backward(ad.mul(out, Tensor(r[i * a:(i + 1) * a])).sum())
         for got, t in zip(stacked, (q, k, v)):
             np.testing.assert_array_equal(got, t.grad)
@@ -297,19 +301,24 @@ class TestOpGradients:
                [("x", x), ("g", g), ("b", b)])
 
     def test_attention_weights(self):
+        """The weights output of ``attention`` alone, its rows unread."""
         q, k = self.leaf(3, 4), self.leaf(5, 4)
+        v, wo = self.mixer(5, 4), self.mixer(4, 4)
         mask = np.zeros((3, 5), dtype=bool)
         mask[0, 2:] = True
         mask[2, :3] = True
         for m, msk in ((1, None), (2, None), (2, mask[None]), (4, mask[None])):
             r = self.mixer(1, m, 3, 5)
-            _check(lambda: ad.mul(ad.attention_weights(q, k, m, msk), r).sum(),
+            _check(lambda: ad.mul(ad.attention(q, k, v, wo, m, msk)[1],
+                                  r).sum(),
                    [("q", q), ("k", k)])
 
         q2, k2 = self.leaf(6, 4), self.leaf(10, 4)  # two stacked sequences
+        v2 = self.mixer(10, 4)
         stacked = np.stack([mask, mask[::-1]])
         r = self.mixer(2, 2, 3, 5)
-        _check(lambda: ad.mul(ad.attention_weights(q2, k2, 2, stacked), r).sum(),
+        _check(lambda: ad.mul(ad.attention(q2, k2, v2, wo, 2, stacked)[1],
+                              r).sum(),
                [("q", q2), ("k", k2)])
 
     def test_attention_mix(self):
@@ -403,16 +412,17 @@ class TestUncheckedOps:
     non-finite value into a finite one that the search's checks miss."""
 
     def test_relu_keeps_nan_and_its_gradient(self):
-        """The FFN's ReLU, fused into ``linear_relu``."""
+        """The FFN's ReLU, fused into ``ffn`` (its second layer the
+        identity here)."""
         x = Tensor([[np.nan], [-1.0], [2.0]], requires_grad=True)
         w, b = Tensor([[1.0]]), Tensor([0.0])
         with ad.unchecked():
-            y = ad.linear_relu(x, w, b)
+            y = ad.ffn(x, w, b, w, b)
             ad.backward(y.sum())
         np.testing.assert_array_equal(y.data, [[np.nan], [0.0], [2.0]])
         np.testing.assert_array_equal(x.grad, [[0.0], [0.0], [1.0]])
         with pytest.raises(NumericalError, match="op 'linear'"):
-            ad.linear_relu(Tensor([[np.nan]]), w, b)
+            ad.ffn(Tensor([[np.nan]]), w, b, w, b)
 
     def test_softmax_of_nan_logits_is_numerical_not_contract(self):
         with ad.unchecked():
@@ -427,7 +437,8 @@ class TestUncheckedOps:
         mask = np.array([[[False, True, False], [False, True, False]]])
         with ad.unchecked(), \
                 pytest.raises(NumericalError, match="attention_weights"):
-            ad.attention_weights(Tensor(np.ones((2, 4))), k, 2, mask)
+            ad.attention(Tensor(np.ones((2, 4))), k, Tensor(np.ones((3, 4))),
+                         Tensor(np.eye(4)), 2, mask)
 
 
 def _layer_norm_by_mean(x, gain, bias, g):
@@ -458,3 +469,28 @@ def test_layer_norm_equals_the_mean_formula_bitwise():
         want = _layer_norm_by_mean(x.data, gain.data, bias.data, g)
         for got, ref in zip((out.data, x.grad, gain.grad, bias.grad), want):
             np.testing.assert_array_equal(got, ref)
+
+
+def _sigmoid_by_fancy_index(d):
+    """The sigmoid as it was computed with boolean fancy indexing."""
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ex = np.exp(d[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_the_fancy_index_form_bitwise():
+    """Signed zeros, infinities, NaNs of either sign and with a payload,
+    subnormals, and values where exp underflows or overflows."""
+    payload = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                        payload[0], -payload[0], 1e308, -1e308, 5e-324,
+                        -5e-324, 36.0, -36.0, 745.0, -745.0, 710.0, -710.0])
+    rng = np.random.default_rng(22)
+    d = np.concatenate([special, rng.normal(scale=20.0, size=4000),
+                        rng.choice(special, size=2000)]).reshape(-1, 6)
+    with np.errstate(all="ignore"):
+        got, want = ad._sigmoid(d), _sigmoid_by_fancy_index(d)
+    assert fused_reference.bits(got) == fused_reference.bits(want)

@@ -1,14 +1,15 @@
 """The fused and slimmed ops against what they replace (``fused_reference``).
 
-``linear``, ``linear_relu``, ``embed``, the residual form of
+``linear``, ``ffn``, ``attention``, ``embed``, the residual form of
 ``layer_norm``, the gates ``gated_sum`` and ``sigmoid_linear``, and the
 copy mixture's ``mix_rows`` and ``normalize_rows`` compute the chains'
-expressions in the chains' order, and ``attention_weights``,
-``attention_mix``, ``layer_norm`` and ``clamped_log`` rebuild in backward,
-from their inputs (``layer_norm`` also from its row statistics), what the
-storing forms hold.  So outputs and gradients
+expressions in the chains' order, and ``attention``, ``attention_mix``,
+``layer_norm`` and ``clamped_log`` rebuild in backward, from their inputs
+(``layer_norm`` also from its row statistics), what the storing forms
+hold.  So outputs and gradients
 are equal bitwise: in training and under ``no_grad``, where an input feeds
-several ops and its gradient parts are summed, and on non-finite and
+several ops and its gradient parts are summed, whichever of the two
+outputs of ``attention`` is read, and on non-finite and
 subnormal entries.  Plus gradient checks, the gathers' row scatter against
 ``np.add.at``, the head blocks and attention layouts that a search builds
 once, base and context training passes against the chains, guards on the
@@ -17,6 +18,7 @@ one copy search step, and the fixture epochs at 128 rows a pass, which
 must not move at all."""
 
 import collections
+import contextlib
 import json
 import math
 import types
@@ -112,17 +114,82 @@ def test_residual_norm_equals_dropout_add_layer_norm(rate, train):
 
 
 @pytest.mark.parametrize("train", [True, False])
-def test_linear_relu_equals_linear_then_relu(train):
+def test_ffn_equals_linear_relu_linear(train):
+    """x also feeds the sublayer's residual, as in the model."""
     rng = np.random.default_rng(7)
-    x, w, b = leaves(rng, (7, 5), (5, 6), (6,))
-    r = Tensor(rng.normal(size=(7, 6)))
+    x, w1, b1, w2, b2 = leaves(rng, (7, 5), (5, 6), (6,), (6, 5), (5,))
+    r = Tensor(rng.normal(size=(7, 5)))
 
     def build(fused):
-        h = ad.linear_relu(x, w, b) if fused else ref.relu(ref.linear(x, w, b))
-        return ad.add(ad.mul(h, r), ad.linear(x, w, b))
+        y = (ad.ffn if fused else ref.ffn)(x, w1, b1, w2, b2)
+        return ad.add(ad.mul(y, r), x)
 
-    fused, chain = run_both(build, (x, w, b), train)
+    fused, chain = run_both(build, (x, w1, b1, w2, b2), train)
     assert_bitwise(fused, chain)
+
+
+def attention_case(rng):
+    """Rows x of two stacked sequences of 6, four [8, 8] projections, a
+    random [2, 6, 6] mask with no row fully blocked, and a probe."""
+    x, wq, wk, wv, wo = leaves(rng, (12, 8), *[(8, 8)] * 4)
+    mask = rng.random((2, 6, 6)) < 0.4
+    mask[:, :, 0] = False
+    return [x, wq, wk, wv, wo], mask, Tensor(rng.normal(size=(12, 8)))
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("reads", ["rows", "weights", "both", "neither"])
+def test_attention_equals_the_chain_bitwise(reads, train):
+    """One tensor x gives the queries, keys and values, and the weights
+    feed a later node as the copy weights read them (their head sum mixes
+    rows of x).  Whichever outputs the loss reads, the rows, the weights
+    and every gradient equal the chain's (``attention_weights``,
+    ``attention_mix``, a ``matmul`` by wo): the weights' two gradient parts
+    are summed in the chain's order, an output nothing reads hands on no
+    gradient, and a node neither of whose outputs is read is skipped."""
+    tensors, mask, r = attention_case(np.random.default_rng(16))
+    x, wq, wk, wv, wo = tensors
+    results = []
+    for op in (ad, ref):
+        for t in tensors:
+            t.zero_grad()
+        with contextlib.nullcontext() if train else ad.no_grad():
+            rows, w = op.attention(x @ wq, x @ wk, x @ wv, wo, 2, mask)
+            copied = ad.attention_mix(w.sum(axis=1, keepdims=True), x)
+            loss = {"rows": ad.mul(rows, r), "weights": ad.mul(copied, r),
+                    "both": ad.add(ad.mul(copied, r), ad.mul(rows, r)),
+                    "neither": ad.mul(x, r)}[reads].sum()
+            if train:
+                ad.backward(loss)
+        assert ad.tape_size() == 0
+        results.append([rows.data, w.data, loss.data]
+                       + [np.array([]) if t.grad is None else t.grad
+                          for t in tensors])
+    assert_bitwise(*results)
+    if train and reads == "neither":
+        assert all(t.grad is None for t in tensors[1:])
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_passes_grad_check(masked):
+    """Its rows and its head-summed weights in the loss: two stacked
+    sequences under a mask, or one with nothing blocked."""
+    rng = np.random.default_rng(17)
+    _, mask, _ = attention_case(rng)
+    q, k, v, wo = leaves(rng, (12, 8), (12, 8), (12, 8), (8, 6))
+    if not masked:
+        mask = None
+    bs = 1 if mask is None else 2
+    r_rows = Tensor(rng.normal(size=(12, 6)))
+    r_w = Tensor(rng.normal(size=(bs, 1, 12 // bs, 12 // bs)))
+
+    def f():
+        rows, w = ad.attention(q, k, v, wo, 2, mask)
+        return ad.add(ad.mul(rows, r_rows).sum(),
+                      ad.mul(w.sum(axis=1, keepdims=True), r_w).sum())
+
+    report = grad_check(f, [("q", q), ("k", k), ("v", v), ("wo", wo)])
+    assert report.passed, report.summary()
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -180,8 +247,8 @@ def test_slimmed_ops_equal_the_storing_forms(train):
     clamped log of near-zero probabilities; x feeds four ops, and y and
     gain two each."""
     rng = np.random.default_rng(9)
-    x, wq, wk, wv, gain, bias = leaves(rng, (12, 8), (8, 8), (8, 8), (8, 8),
-                                       (8,), (8,))
+    x, wq, wk, wv, wo, gain, bias = leaves(rng, (12, 8), (8, 8), (8, 8),
+                                           (8, 8), (8, 8), (8,), (8,))
     gain.data += 1.5
     mask = rng.random((2, 6, 6)) < 0.4
     mask[:, :, 0] = False
@@ -189,13 +256,13 @@ def test_slimmed_ops_equal_the_storing_forms(train):
 
     def build(fused):
         op = ad if fused else ref
-        w = op.attention_weights(x @ wq, x @ wk, 2, mask)
-        y = op.layer_norm(ad.add(op.attention_mix(w, x @ wv), x), gain, bias)
+        rows, _ = op.attention(x @ wq, x @ wk, x @ wv, wo, 2, mask)
+        y = op.layer_norm(ad.add(rows, x), gain, bias)
         p = ad.softmax_lastdim(ad.mul(y, r))
         return ad.add(op.clamped_log(p), op.layer_norm(y, gain, bias))
 
     events = ad.clamp_events
-    fused, chain = run_both(build, (x, wq, wk, wv, gain, bias), train)
+    fused, chain = run_both(build, (x, wq, wk, wv, wo, gain, bias), train)
     assert_bitwise(fused, chain)
     assert ad.clamp_events > events
 
@@ -243,7 +310,10 @@ def test_fused_ops_check_their_operands():
     with pytest.raises(ShapeError):
         ad.linear(x, Tensor(np.ones((4, 2))), g)
     with pytest.raises(ShapeError):
-        ad.linear_relu(x, Tensor(np.ones((4, 2))), g)
+        ad.ffn(x, Tensor(np.ones((4, 2))), g, Tensor(np.ones((2, 4))), g)
+    with pytest.raises(ShapeError):
+        ad.ffn(x, Tensor(np.ones((4, 2))), Tensor(np.ones(2)),
+               Tensor(np.ones((3, 4))), g)
     with pytest.raises(ShapeError):
         ad.embed(x, [0, 1], np.zeros((3, 4)), 0.0, None)
     with pytest.raises(ShapeError):
@@ -262,7 +332,14 @@ def test_fused_ops_check_their_operands():
     with pytest.raises(ShapeError):
         ad.normalize_rows(Tensor(np.ones(3)))
     with pytest.raises(ShapeError, match="key heads"):
-        ad.attention_weights(x, x, 2, None, np.zeros((1, 2, 2, 2)))
+        ad.attention(x, x, x, g, 2, None, np.zeros((1, 2, 2, 2)))
+    eye = Tensor(np.eye(4))
+    with pytest.raises(ShapeError, match="values"):
+        ad.attention(x, x, Tensor(np.ones((2, 4))), eye, 2)
+    with pytest.raises(ShapeError, match="values"):
+        ad.attention(x, x, x, eye, 2, None, None, np.zeros((1, 2, 2, 2)))
+    with pytest.raises(ShapeError, match="matmul"):
+        ad.attention(x, x, x, Tensor(np.ones((3, 4))), 2)
     with pytest.raises(ShapeError):
         ad.attention_mix(Tensor(np.ones((1, 2, 3, 3))), x,
                          np.zeros((1, 2, 3, 3)))
@@ -365,11 +442,19 @@ def special_cases(rng):
     # 0.0) before the positions
     positions = np.where(rng.random((5, 6)) < 0.5, -0.0,
                          sprinkled(rng, (5, 6), SPECIAL))
+    # the values and wo behind the weights, from a generator of their own
+    # so that the other cases draw what they drew before
+    own = np.random.default_rng(23)
+    v, wo = Tensor(own.normal(size=(6, 4))), Tensor(own.normal(size=(4, 4)))
     return {
         "attention_weights": (
             [(6, 4), (6, 4)], FINITE,
-            lambda q, k: ad.attention_weights(q, k, 2, mask),
+            lambda q, k: ad.attention(q, k, v, wo, 2, mask)[1],
             lambda q, k: ref.attention_weights(q, k, 2, mask)),
+        "attention": (
+            [(6, 4), (6, 4), (6, 4), (4, 4)], FINITE,
+            lambda *t: ad.attention(*t, 2, mask)[0],
+            lambda *t: ref.attention(*t, 2, mask)[0]),
         "attention_mix": (
             [(2, 2, 3, 3), (6, 4)], SPECIAL, ad.attention_mix,
             ref.attention_mix),
@@ -379,9 +464,8 @@ def special_cases(rng):
             [(5, 6), (5, 6), (6,), (6,)], SPECIAL,
             lambda x, sub, g, b: ad.layer_norm(x, g, b, sub, 0.3, keep),
             lambda x, sub, g, b: ref.residual_norm(x, sub, g, b, 0.3, keep)),
-        "linear_relu": (
-            [(5, 4), (4, 6), (6,)], SPECIAL, ad.linear_relu,
-            lambda x, w, b: ref.relu(ref.linear(x, w, b))),
+        "ffn": ([(5, 4), (4, 6), (6,), (6, 4), (4,)], SPECIAL, ad.ffn,
+                ref.ffn),
         "clamped_log": ([(5, 6)], SPECIAL + [-1.0, 1e-13],
                         ad.clamped_log, ref.clamped_log),
         "embed": (
@@ -416,10 +500,10 @@ def special_run(op, tensors, upstream):
     return [out.data] + [t.grad for t in tensors], ad.clamp_events - events
 
 
-@pytest.mark.parametrize("name", ["attention_weights", "attention_mix",
-                                  "layer_norm", "residual_norm",
-                                  "linear_relu", "clamped_log", "embed",
-                                  *CONTEXT_OPS])
+@pytest.mark.parametrize("name", ["attention_weights", "attention",
+                                  "attention_mix", "layer_norm",
+                                  "residual_norm", "ffn", "clamped_log",
+                                  "embed", *CONTEXT_OPS])
 def test_ops_equal_the_references_on_special_values(name):
     """±inf, NaN, signed zeros, subnormals and overflowing values in the
     inputs and in the incoming gradient."""
@@ -447,11 +531,12 @@ def test_fused_ops_pass_grad_check(rate):
     r6, r5 = (Tensor(rng.normal(size=s)) for s in ((4, 6), (4, 5)))
     keep = ad.keep_mask((4, 5), rate, rng) if rate else None
     positions = rng.normal(size=(4, 5))
+    w2, b2 = leaves(rng, (6, 5), (5,))
     for f, params in (
             (lambda: ad.mul(ad.linear(x, w, b), r6).sum(),
              [("x", x), ("w", w), ("b", b)]),
-            (lambda: ad.mul(ad.linear_relu(x, w, b), r6).sum(),
-             [("x", x), ("w", w), ("b", b)]),
+            (lambda: ad.mul(ad.ffn(x, w, b, w2, b2), r5).sum(),
+             [("x", x), ("w1", w), ("b1", b), ("w2", w2), ("b2", b2)]),
             (lambda: ad.mul(ad.layer_norm(x, gain, bias, sub, rate, keep),
                             r5).sum(),
              [("x", x), ("sub", sub), ("gain", gain), ("bias", bias)]),
@@ -749,9 +834,9 @@ def test_full_cap_training_pass_tape():
     assert next(passes, None) is None
     assert tags == {
         "embed": 2, "embedding": 1, "add": 1, "affine": 5,
-        "matmul": 24, "linear": 9, "attention_weights": 6,
-        "attention_mix": 6, "layer_norm": 10, "softmax": 1,
-        "clamped_log": 1, "take_per_row": 1, "reduce": 2}
+        "matmul": 18, "linear": 1, "ffn": 4, "attention": 6,
+        "layer_norm": 10, "softmax": 1, "clamped_log": 1,
+        "take_per_row": 1, "reduce": 2}
     assert n_bytes <= TAPE_BYTES_PER_ROW * MAX_STACK_ROWS
 
 
@@ -778,8 +863,8 @@ def test_pushed_pairs_add_nothing_to_the_tape():
 # softmax and the copy mixture, with no per-step concatenation and each
 # gate and the mixture one node.
 COPY_STEP_OPS = {
-    "embed": 1, "matmul": 22, "attention_weights": 7, "attention_mix": 9,
-    "layer_norm": 6, "linear": 7, "embedding": 1, "gated_sum": 1,
+    "embed": 1, "matmul": 15, "attention": 7, "attention_mix": 2,
+    "layer_norm": 6, "ffn": 3, "linear": 1, "embedding": 1, "gated_sum": 1,
     "softmax": 1, "reduce": 2, "normalize_rows": 1, "sigmoid_linear": 1,
     "mix_rows": 1}
 

@@ -125,8 +125,8 @@ class TestAttention:
         for w in heads.data[0]:
             np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_one_attention_records_six_tape_nodes(self):
-        # the wq, wk, wv products, the two fused attention ops and wo; a
+    def test_one_attention_records_four_tape_nodes(self):
+        # the wq, wk, wv products and one attention node, wo included; a
         # per-head chain of narrow / matmul / softmax nodes would add more
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
@@ -135,8 +135,7 @@ class TestAttention:
         multi_head_attention(x, x, x, p, m=4, mask=causal_mask(5)[None])
         tags = [node.tag for node in ad._tape]
         ad.clear_tape()
-        assert tags == ["matmul"] * 3 + ["attention_weights", "attention_mix",
-                                         "matmul"]
+        assert tags == ["matmul"] * 3 + ["attention"]
 
 
 def _masks(rng, a, b):
@@ -153,7 +152,7 @@ def _masks(rng, a, b):
 
 
 class TestFusedAttentionMatchesPerHeadChain:
-    """The two fused attention ops against the per-head chain they replaced
+    """The fused attention node against the per-head chain it replaced
     (``attention_reference``): the products run on contiguous per-head
     blocks and the merged gradients are C-contiguous like the chain's, so
     values, weights and every gradient are bitwise equal.  d = 32 as in the
