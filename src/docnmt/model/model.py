@@ -18,27 +18,29 @@ document, with its own caches (one ``ContextState`` each, with equal
 numbers of cached sentences), and the context and copy layers take the
 same document axis (see ``han``).
 Every teacher-forced pass is ``teacher_force`` over stacked pairs (losses,
-gold cache rows, and the gradient check at B = 1); decoding is the same
-layout at B = 1.  One training ``teacher_force`` also gives the
-evaluation-mode rows of the pairs whose gold entries later sentences
-read: stacked again behind the training pairs, they share every layer
-that takes no gradient and leave for a no-grad path at the first that
-does, so they add nothing to the tape.  The one-pair ``sentence_loss``
-and ``target_cache_entry`` are only the tests' references.  An
-out-of-range id is a ``ContractError`` where it is embedded
-(``autodiff.embed``), before it is scored or cached.
+gold cache rows, and the gradient check at B = 1): encoder, source HAN,
+decoder stack, target HAN.  Decoding is the same layout at B = 1.  One
+training ``teacher_force`` also gives the evaluation-mode rows of the
+pairs whose gold entries later sentences read.  Stacked again behind the
+training pairs, they leave at one split, the first layer that reads a
+trainable parameter (the embedding when the base trains, the source HAN
+when it trains over filled caches, else the target HAN), and add nothing
+to the tape.  The one-pair ``sentence_loss`` and ``target_cache_entry``
+are only the tests' references.  An out-of-range id is a
+``ContractError`` where it is embedded (``autodiff.embed``), before it is
+scored or cached.
 
 There is one decoder stack, ``decode_states``.  What a sentence's passes
 share is built once into a ``DecoderMemory``: the cross-attention, context
 and copy keys and values, whose head blocks are kept for repeated reads;
 the context attention's masks, once per number of query rows; the copy
-indicator.  It holds no
-parameters, every pass reads its parameter groups through
-``ParamStore.view``.  Teacher forcing runs the stack over whole prefixes
-under the causal mask.  A search step runs it over one new row per
-hypothesis of one source sentence, the k hypotheses being the batch axis
-of the self-attention: row i attends over its own ``DecoderState`` (the
-key and value rows of the tokens before it) and its new row, with no mask.
+indicator.  It holds no parameters, every pass reads its parameter groups
+through ``ParamStore.view``.  Teacher forcing runs the stack over whole
+prefixes under the causal mask.  A search step runs it over one new row
+per hypothesis of one source sentence, the k hypotheses being the batch
+axis of the self-attention: row i attends over its own ``DecoderState``
+(the key and value rows of the tokens before it) and its new row, with
+no mask.
 The step's grown K/V arrays [k, L+1, d] become the children's states,
 read-only, as siblings share them; the gates and the copy mixture are one
 autodiff node each (``autodiff.gated_sum``, ``sigmoid_linear``,
@@ -150,7 +152,8 @@ class Forced:
     asked for (``teacher_force``'s ``pushes``, in that order) as [E, L, d]
     arrays of their padded rows: the final encoder rows, and the integrated
     decoder rows h~ of BOS + target (None for a variant that caches no
-    targets).  None when no pair was asked for."""
+    targets).  In training they leave the stacked rows at one split
+    (``DocModel._split_layer``).  None when no pair was asked for."""
     pairs: list[tuple[list[int], list[int]]]
     tgt: Stack                   # BOS + targets
     memory: DecoderMemory        # its ``encoded`` holds the source Stack
@@ -209,12 +212,17 @@ def _split_rows(rows: Tensor, at: int) -> tuple[Tensor, Tensor]:
     return Tensor._wrap(rows.data[:at].copy()), Tensor._wrap(rows.data[at:])
 
 
-def _pushed_rows(encoded: EncodedSentence, out: DecodeOut | None,
-                 variant: str, pick) -> tuple[np.ndarray, np.ndarray | None]:
-    """``Forced.pushed`` of the pairs ``pick`` of a pass's encoder rows and
-    decoder output."""
-    b, d = len(encoded.token_ids.lengths), encoded.states.data.shape[1]
-    return (encoded.states.data.reshape(b, -1, d)[pick],
+def _stacks(pairs: list[tuple[list[int], list[int]]]) -> tuple[Stack, Stack]:
+    """The sources and the BOS + targets of ``pairs``, stacked."""
+    return (Stack.of([s for s, _ in pairs]),
+            Stack.of([[BOS_ID] + t for _, t in pairs]))
+
+
+def _pushed_rows(src: Stack, h: Tensor, out: DecodeOut | None, variant: str,
+                 pick) -> tuple[np.ndarray, np.ndarray | None]:
+    """``Forced.pushed`` of the pairs ``pick`` of a pass's rows."""
+    b, d = len(src.lengths), h.data.shape[1]
+    return (h.data.reshape(b, -1, d)[pick],
             None if variant not in DECODER_CTX
             else out.h_tilde.data.reshape(b, -1, d)[pick])
 
@@ -408,25 +416,13 @@ class DocModel:
 
     def contextual_encode(self, token_ids: Stack,
                           contexts: list[ContextState] | None = None,
-                          variant: str = "sentence",
-                          keep: Iterator[np.ndarray] | None = None
-                          ) -> EncodedSentence:
+                          variant: str = "sentence") -> EncodedSentence:
         """``encode``, then source-side context integration under one cache
-        per sentence; its attention weights are not kept."""
+        per sentence (layers 0 and 1 of ``_layers``) in evaluation mode."""
         check_variant(variant)
-        return self._source_context(self.encode(token_ids, keep), token_ids,
-                                    contexts, variant)
-
-    def _source_context(self, h: Tensor, token_ids: Stack,
-                        contexts: list[ContextState] | None, variant: str
-                        ) -> EncodedSentence:
-        """The encoder rows ``h`` of ``token_ids`` integrated with the source
-        caches, where the variant reads them."""
-        entries = cached(contexts, "source")
-        if variant in ENCODER_CTX and entries:
-            h, _, _ = hierarchical_context(h, ContextMemory(
-                entries, self.params, "ctx.enc.", self.cfg.m_heads))
-        return EncodedSentence(token_ids=token_ids, states=h)
+        return EncodedSentence(token_ids, self._layers(
+            range(2), token_ids, None, contexts, variant, (None, None),
+            None, None)[0])
 
     def _trains(self, *prefixes: str) -> bool:
         """Whether a parameter under one of ``prefixes`` takes gradients."""
@@ -492,12 +488,6 @@ class DocModel:
             x = self._sublayer(x, ffn, p.view(f"dec.{i}.ln3."), keep)
         return x, kv_rows
 
-    def decode(self, ids: Stack, memory: DecoderMemory,
-               keep: Iterator[np.ndarray] | None = None) -> DecodeOut:
-        """``decode_states`` over whole prefixes, then ``integrate``."""
-        return self.integrate(self.decode_states(ids, memory, None, keep)[0],
-                              memory)
-
     def integrate(self, h: Tensor, memory: DecoderMemory) -> DecodeOut:
         """Target-side context integration of decoder rows ``h`` under the
         caches of ``memory`` (none on the skip path)."""
@@ -556,85 +546,86 @@ class DocModel:
 
         ``pushes`` lists the pairs whose evaluation-mode rows a later
         sentence reads; they come back as ``Forced.pushed``.  In evaluation
-        mode they are the pass's own rows.  In training with a frozen base,
-        the pairs are stacked again behind the training pairs, and every
-        layer before the first that reads a trainable parameter runs once
-        over both (the keep masks cover the leading, training rows only);
-        there the training rows go on to the tape and the evaluation rows
-        run the rest of their pass under ``no_grad``.  A training base
-        shares nothing: the evaluation rows take a pass of their own.
+        mode they are the pass's own rows.  In training the layers before
+        ``_split_layer`` run once over the training pairs and the pushed
+        pairs stacked again behind them (the keep masks cover the leading,
+        training rows).  From the split on, the training rows run on the
+        tape, and the evaluation rows the same layers under ``no_grad``,
+        as far as ``pushed`` needs.  A split at the embedding shares
+        nothing: the evaluation rows are stacked on their own.
         """
         check_variant(variant)
-        pushes = list(pushes)
+        pushes, n = list(pushes), len(pairs)
+        at = 4 if keep is None or not pushes \
+            else self._split_layer(contexts, variant)
         evals = [pairs[i] for i in pushes]
         eval_contexts = None if contexts is None \
             else [contexts[i] for i in pushes]
-        shared = bool(keep is not None and pushes
-                      and not self._trains("emb.", "enc.", "dec."))
-        both = pairs + evals if shared else pairs
-        src = Stack.of([s for s, _ in both])
-        tgt = Stack.of([[BOS_ID] + t for _, t in both])
-        src_feed = tgt_feed = None
-        if keep is not None:
-            src_feed = iter(_padded_masks(src, [s for s, _ in keep]))
-            tgt_feed = iter(_padded_masks(tgt, [t for _, t in keep]))
-        if shared:
-            return self._shared_pass(len(pairs), both, contexts, eval_contexts,
-                                     variant, (src, tgt), (src_feed, tgt_feed))
-        encoded = self.contextual_encode(src, contexts, variant, src_feed)
-        memory = DecoderMemory(self, encoded, contexts, variant)
-        forced = Forced(pairs, tgt, memory, self.decode(tgt, memory, tgt_feed))
-        if pushes and keep is None:
-            forced.pushed = _pushed_rows(encoded, forced.out, variant, pushes)
-        elif pushes:
-            with ad.no_grad():
-                forced.pushed = self.teacher_force(
-                    evals, None, eval_contexts, variant, range(len(evals))
-                ).pushed
-        return forced
+        joint = 0 < at < 4          # the pushed pairs ride behind
+        src, tgt = _stacks(pairs + evals if joint else pairs)
+        feeds = (None, None) if keep is None else tuple(
+            iter(_padded_masks(stack, [masks[side] for masks in keep]))
+            for side, stack in enumerate((src, tgt)))
+        h, y, memory, out = self._layers(
+            range(at), src, tgt, contexts + eval_contexts
+            if joint and contexts else contexts, variant, feeds, None, None)
+        if at == 4:
+            return Forced(pairs, tgt, memory, out, _pushed_rows(
+                src, h, out, variant, pushes) if pushes else None)
+        if joint:
+            (src, src_e), (tgt, tgt_e) = src.split(n), tgt.split(n)
+            h, h_e = _split_rows(h, len(src))
+            y, y_e = (None, None) if y is None else _split_rows(y, len(tgt))
+        else:
+            (src_e, tgt_e), h_e, y_e = _stacks(evals), None, None
+        _, _, memory, out = self._layers(range(at, 4), src, tgt, contexts,
+                                         variant, feeds, h, y)
+        with ad.no_grad():
+            h_e, _, _, out_e = self._layers(
+                range(at, 4 if variant in DECODER_CTX else 2), src_e, tgt_e,
+                eval_contexts, variant, (None, None), h_e, y_e)
+        return Forced(pairs, tgt, memory, out,
+                      _pushed_rows(src_e, h_e, out_e, variant, slice(None)))
 
-    def _shared_pass(self, n: int, pairs, contexts, eval_contexts, variant,
-                     stacks: tuple[Stack, Stack], feeds) -> Forced:
-        """``teacher_force``'s training pass over the first ``n`` of
-        ``pairs`` with a frozen base, the rest being evaluation pairs to
-        push; ``stacks`` and ``feeds`` are those of all of ``pairs``."""
-        (src, tgt), (src_feed, tgt_feed) = stacks, feeds
-        (src_t, src_e), (tgt_t, tgt_e) = src.split(n), tgt.split(n)
-        h = self.encode(src, src_feed)
-        targets = variant in DECODER_CTX      # the pushes need h~ rows
-        eval_out = None
+    def _split_layer(self, contexts: list[ContextState] | None,
+                     variant: str) -> int:
+        """The layer of ``_layers`` where a training pass's pushed pairs leave
+        its stacked rows: the first that reads a trainable parameter (the
+        base from the embedding on) or that they do not need (with no target
+        cache, none after the source HAN)."""
+        if self._trains("emb.", "enc.", "dec."):
+            return 0
         if variant in ENCODER_CTX and cached(contexts, "source") \
                 and self._trains("ctx.enc."):
-            h_t, h_e = _split_rows(h, len(src_t))
-            encoded = self._source_context(h_t, src_t, contexts, variant)
-            with ad.no_grad():
-                eval_enc = self._source_context(h_e, src_e, eval_contexts,
-                                                variant)
-                if targets:
-                    eval_out = self.decode(tgt_e, DecoderMemory(
-                        self, eval_enc, eval_contexts, variant))
-            memory = DecoderMemory(self, encoded, contexts, variant)
-            out = self.decode(tgt_t, memory, tgt_feed)
-        else:
-            both = self._source_context(
-                h, src, None if contexts is None else contexts + eval_contexts,
-                variant)
-            states_t, states_e = _split_rows(both.states, len(src_t))
-            encoded = EncodedSentence(src_t, states_t)
-            eval_enc = EncodedSentence(src_e, states_e)
-            memory = DecoderMemory(self, encoded, contexts, variant)
-            if targets:             # the decoder stack once, K/V built once
-                y, _ = self.decode_states(tgt, DecoderMemory(self, both),
+            return 1
+        return 3 if variant in DECODER_CTX else 2
+
+    def _layers(self, layers: range, src: Stack, tgt: Stack,
+                contexts: list[ContextState] | None, variant: str, feeds,
+                h: Tensor | None, y: Tensor | None):
+        """``layers`` of a teacher-forced pass over stacked pairs, each
+        taking the rows of the one before: 0 the encoder (-> h), 1 the
+        source HAN (-> h), 2 the decoder stack (-> y), 3 the target HAN
+        (-> the ``DecoderMemory`` the output layers read, and the output),
+        under each side's keep masks ``feeds`` (Nones in evaluation mode).
+        Returns (h, y, memory, out), None for what no layer made."""
+        (src_feed, tgt_feed), memory, out = feeds, None, None
+        for k in layers:
+            encoded = EncodedSentence(src, h)
+            if k == 0:
+                h = self.encode(src, src_feed)
+            elif k == 1:
+                entries = cached(contexts, "source")
+                if variant in ENCODER_CTX and entries:
+                    h, _, _ = hierarchical_context(h, ContextMemory(
+                        entries, self.params, "ctx.enc.", self.cfg.m_heads))
+            elif k == 2:
+                y, _ = self.decode_states(tgt, DecoderMemory(self, encoded),
                                           None, tgt_feed)
-                y_t, y_e = _split_rows(y, len(tgt_t))
-                out = self.integrate(y_t, memory)
-                with ad.no_grad():
-                    eval_out = self.integrate(y_e, DecoderMemory(
-                        self, eval_enc, eval_contexts, variant))
             else:
-                out = self.decode(tgt_t, memory, tgt_feed)
-        return Forced(pairs[:n], tgt_t, memory, out,
-                      _pushed_rows(eval_enc, eval_out, variant, slice(None)))
+                memory = DecoderMemory(self, encoded, contexts, variant)
+                out = self.integrate(y, memory)
+        return h, y, memory, out
 
     def forced_loss(self, forced: Forced
                     ) -> tuple[Tensor, int, np.ndarray | None]:
@@ -695,7 +686,7 @@ class DocModel:
         kv = [(k.data.reshape(n, -1, h_new.shape[1]),
                v.data.reshape(n, -1, h_new.shape[1])) for k, v in kv]
         new_rows = [p_w.data, h_new] + [a[:, -1] for pair in kv for a in pair]
-        if not all(np.isfinite(a).all() for a in new_rows):
+        if not np.isfinite(np.concatenate(new_rows, axis=1)).all():
             raise NumericalError("non-finite values in the distribution or "
                                  f"state rows of decode step {len(past[0])}")
         gates = [None] * n if p_copy is None else p_copy.data[:, 0].tolist()
@@ -744,6 +735,8 @@ class DocModel:
         with ad.no_grad():
             memory = DecoderMemory(
                 self, encoded, None if context is None else [context], variant)
-            out = self.decode(Stack.of([[BOS_ID] + out_tokens]), memory)
-            states = ad.narrow(out.h_tilde, 0, 1, len(out_tokens))
+            h, _ = self.decode_states(Stack.of([[BOS_ID] + out_tokens]),
+                                      memory)
+            states = ad.narrow(self.integrate(h, memory).h_tilde, 0, 1,
+                               len(out_tokens))
         return CacheEntry(token_ids=list(out_tokens), states=states.detach())

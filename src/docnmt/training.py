@@ -26,8 +26,10 @@ outputs (so the base stage, whose documents are one sentence long, pushes
 nothing).  Each group is one ``teacher_force`` call, which returns both
 its loss and the evaluation-mode rows of the pushing documents.  In
 training it is one forward and backward; the pushing documents ride along
-as extra rows through the layers that take no gradient, and leave for a
-no-grad path at the first layer that does (see ``DocModel.teacher_force``).
+as extra rows up to one split, the first layer that reads a trainable
+parameter (the source HAN in han-encoder, the target HAN in the other
+context stages), and run the rest under ``no_grad`` (see
+``DocModel.teacher_force``).
 The dropout keep masks of the whole batch are drawn in one call before it
 runs, in batch order, the same bits a per-sentence loop of draws would
 give; parameters change only between batches, so the wavefront computes

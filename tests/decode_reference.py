@@ -38,6 +38,12 @@ from fused_reference import concat
 from han_reference import copy_weights_loop, hierarchical_loop, sub
 
 
+def decode(model, ids, memory):
+    """The model's decoder stack over whole prefixes (``Stack`` ``ids``),
+    then its target-side context integration -> ``DecodeOut``."""
+    return model.integrate(model.decode_states(ids, memory)[0], memory)
+
+
 def reference_decode_states(model, prefix, encoded):
     """Causally masked decoder stack over the whole prefix -> rows [L, d]."""
     p, m, cfg = model.params, model.cfg.m_heads, model.cfg

@@ -43,7 +43,8 @@ from docnmt.model.model import DecoderMemory, Stack
 from docnmt.model.transformer import HeadKV, attend
 from docnmt.training import MAX_STACK_ROWS, STAGES, stack_groups
 
-from test_training import PINNED_LOSSES, fixture_stage_run, pushed_group
+from test_training import (CONTEXT_STAGES, PINNED_LOSSES, fixture_stage_run,
+                           pushed_group)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
@@ -841,20 +842,21 @@ def test_full_cap_training_pass_tape():
 
 
 def test_pushed_pairs_add_nothing_to_the_tape():
-    """A copy-stage training ``teacher_force`` that also returns the
+    """A context stage's training ``teacher_force`` that also returns the
     evaluation rows of pushed pairs leaves the tape of the same call
     without them: the same nodes, tag for tag, holding the same bytes."""
-    model, pairs, keep, contexts = pushed_group("copy")
-    tapes = []
-    for pushes in ((), (0, 2), range(len(pairs))):
-        ad.clear_tape()
-        forced = model.teacher_force(pairs, keep, contexts, "copy", pushes)
-        model.forced_loss(forced)
-        tapes.append(([node.tag for node in ad._tape],
-                      tape_bytes(model.params)))
-        ad.clear_tape()
-    assert tapes[0][0] and "gated_sum" in tapes[0][0]
-    assert tapes[1] == tapes[0] and tapes[2] == tapes[0]
+    for stage in CONTEXT_STAGES:
+        model, pairs, keep, contexts = pushed_group(stage)
+        tapes = []
+        for pushes in ((), (0, 2), range(len(pairs))):
+            ad.clear_tape()
+            forced = model.teacher_force(pairs, keep, contexts, stage, pushes)
+            model.forced_loss(forced)
+            tapes.append(([node.tag for node in ad._tape],
+                          tape_bytes(model.params)))
+            ad.clear_tape()
+        assert tapes[0][0] and "gated_sum" in tapes[0][0]
+        assert tapes[1] == tapes[0] and tapes[2] == tapes[0]
 
 
 # The ops of one copy search step over three cached sentences, for every

@@ -12,6 +12,7 @@ from docnmt import autodiff as ad
 from docnmt.model.han import (CacheEntry, ContextMemory, ContextState,
                               gate_integrate, hierarchical_context)
 
+from decode_reference import decode
 from fused_reference import concat
 from han_reference import (assert_normalized, block_trace, copy_weights_loop,
                            hierarchical_loop, per_sentence,
@@ -140,9 +141,9 @@ class TestSkipPaths:
         for variant in ("han-encoder", "han-decoder", "han-joint", "copy"):
             enc = encode(model, [4, 5, 6], empty, variant)
             np.testing.assert_array_equal(enc.states.data, enc_gold)
-            out = model.decode(prefix,
-                               DecoderMemory(model, enc, [empty], variant))
-            ref = model.decode(prefix, DecoderMemory(model, base))
+            out = decode(model, prefix,
+                         DecoderMemory(model, enc, [empty], variant))
+            ref = decode(model, prefix, DecoderMemory(model, base))
             np.testing.assert_array_equal(out.h_tilde.data, ref.h_tilde.data)
             assert out.trace is None
 
@@ -168,7 +169,8 @@ class TestCachedStates:
         tokens = [7, 8, 9]
         entry = model.target_cache_entry(tokens, enc, None, "sentence")
         assert entry.token_ids == tokens
-        out = model.decode(Stack.of([[2] + tokens]), DecoderMemory(model, enc))
+        out = decode(model, Stack.of([[2] + tokens]),
+                     DecoderMemory(model, enc))
         np.testing.assert_array_equal(entry.states.data, out.h_tilde.data[1:])
 
     def test_empty_translation_yields_no_entry(self):

@@ -18,9 +18,13 @@ import pytest
 from docnmt import autodiff as ad
 from docnmt.checkpoint import load_checkpoint
 from docnmt.corpus import load_vocab_pair
-from docnmt.decoding import SearchConfig, translate_document
+from docnmt.decoding import (SearchConfig, translate_document,
+                             translate_sentence, update_context)
 from docnmt.errors import NumericalError
 from docnmt.model import DocModel
+from docnmt.model.han import ContextState
+from docnmt.model.model import DecoderMemory, Stack
+from docnmt.tokens import BOS_ID
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
@@ -111,6 +115,26 @@ def test_step_names_itself_when_the_replay_passes(pool_docs, monkeypatch):
     with pytest.raises(NumericalError, match="decode step 2"):
         translate(model, pool_docs[0])
     assert unchecked == [True]
+
+
+def test_step_check_finds_a_non_finite_distribution(pool_docs):
+    """With the ops unchecked, a NaN in the copy gate's weights reaches the
+    step's own finite check, which names the step.  (A NaN output bias
+    would not: the softmax always checks its row maxima.)"""
+    model, doc = copy_model(), pool_docs[0]
+    ctx = ContextState(model.cfg.n_context)
+    with ad.no_grad():
+        encoded = model.contextual_encode(Stack.of([doc[0]]), [ctx], "copy")
+        out, _, rows = translate_sentence(model, encoded, ctx, "copy",
+                                          SearchConfig())
+        update_context(ctx, "copy", doc[0], encoded.states.data, out, rows)
+        memory = DecoderMemory(model, model.contextual_encode(
+            Stack.of([doc[1]]), [ctx], "copy"), [ctx], "copy")
+    [clean] = model.step_distribution([[BOS_ID]], memory, [None])
+    assert clean.p_copy is not None
+    model.params["copy.wh"].data[0, 0] = np.nan
+    with ad.unchecked(), pytest.raises(NumericalError, match="decode step 0"):
+        model.step_distribution([[BOS_ID]], memory, [None])
 
 
 def test_unchecked_nests_and_restores_on_exception():

@@ -695,8 +695,7 @@ def test_base_epoch_runs_one_teacher_force_per_stacked_group(monkeypatch):
     monkeypatch.setattr(DocModel, "teacher_force", recorded_force)
     monkeypatch.setattr(training, "update_context",
                         lambda *args: pushes.append(args))
-    monkeypatch.setattr(DocModel, "contextual_encode",
-                        counted(encodes, DocModel.contextual_encode))
+    monkeypatch.setattr(DocModel, "encode", counted(encodes, DocModel.encode))
     train_base(corpus, cfg, sv, tv, tcfg)
 
     def grouped(pairs):
@@ -1006,12 +1005,13 @@ def test_validation_entries_are_the_evaluation_pass_rows(monkeypatch):
     assert_entries_match(got_entries, want_entries, 0.0)
 
 
-def pushed_group(stage, n_docs=4):
-    """The fixture copy checkpoint set to train ``stage``, and a wavefront
-    group: sentence 3 of the first ``n_docs`` pool documents with their
-    keep masks, their caches holding their gold sentences 1 and 2."""
+def pushed_group(stage, trains=None, n_docs=4):
+    """The fixture copy checkpoint set to train the groups ``trains`` (by
+    default those of ``stage``), and a wavefront group: sentence 3 of the
+    first ``n_docs`` pool documents with their keep masks, their caches
+    holding their gold sentences 1 and 2."""
     store, cfg, _ = load_checkpoint(FIXTURES / "copy.ckpt")
-    store.set_trainable(STAGES[stage].trains)
+    store.set_trainable(STAGES[stage].trains if trains is None else trains)
     model = DocModel(cfg, store)
     sv, tv = load_vocab_pair(FIXTURES / "vocab.json")
     pool = json.loads((FIXTURES / "pool.json").read_text(encoding="utf-8"))
@@ -1030,12 +1030,18 @@ def pushed_group(stage, n_docs=4):
     return model, pairs, keep, [d.context for d in wave]
 
 
-@pytest.mark.parametrize("stage", CONTEXT_STAGES)
-def test_pushed_rows_are_those_of_an_evaluation_pass(stage):
+EVERY_GROUP = frozenset({"base", "ctx_enc", "ctx_dec", "copy"})
+
+
+@pytest.mark.parametrize(
+    "stage, trains", [(stage, None) for stage in CONTEXT_STAGES]
+    + [("copy", EVERY_GROUP)], ids=[*CONTEXT_STAGES, "every-group"])
+def test_pushed_rows_are_those_of_an_evaluation_pass(stage, trains):
     """A training pass's evaluation rows of its pushed pairs equal those of
     a separate evaluation pass over those pairs, bitwise, when the widths
-    match (all pairs pushed); its loss is the loss without pushes."""
-    model, pairs, keep, contexts = pushed_group(stage)
+    match (all pairs pushed); its loss is the loss without pushes.  With
+    every group trainable the pushed pairs share no layer."""
+    model, pairs, keep, contexts = pushed_group(stage, trains)
     cached = [len(side) for c in contexts for side in (c.source, c.target)
               if side]
     assert cached and set(cached) == {2}
@@ -1054,15 +1060,45 @@ def test_pushed_rows_are_those_of_an_evaluation_pass(stage):
             assert got.tobytes() == rows.tobytes()
 
 
+@pytest.mark.parametrize("stage, trains, train, calls", [
+    ("han-encoder", None, True, (1, 1)),
+    ("han-decoder", None, True, (1, 1)),
+    ("han-joint", None, True, (1, 1)),
+    ("copy", None, True, (1, 1)),
+    ("copy", EVERY_GROUP, True, (2, 2)),
+    ("copy", None, False, (1, 1)),
+], ids=[*CONTEXT_STAGES, "every-group", "evaluation"])
+def test_pushed_pairs_leave_at_the_first_trained_layer(
+        stage, trains, train, calls, monkeypatch):
+    """One ``teacher_force`` with pushes runs the encoder and the decoder
+    stack once over the training rows and the pushed pairs' rows: those
+    layers are frozen in every context stage (han-encoder splits at its
+    source HAN, whose caches are filled, and its pushed pairs need no
+    decoder rows).  A trainable base splits at the embedding, so each row
+    set runs both; in evaluation mode nothing splits."""
+    model, pairs, keep, contexts = pushed_group(stage, trains)
+    assert stage != "han-encoder" or all(c.source for c in contexts)
+    encodes, decodes = [], []
+    monkeypatch.setattr(DocModel, "encode", counted(encodes, DocModel.encode))
+    monkeypatch.setattr(DocModel, "decode_states",
+                        counted(decodes, DocModel.decode_states))
+    with contextlib.nullcontext() if train else ad.no_grad():
+        forced = model.teacher_force(pairs, keep if train else None,
+                                     contexts, stage, (0, 2))
+    ad.clear_tape()
+    assert len(forced.pushed[0]) == 2
+    assert (len(encodes), len(decodes)) == calls
+
+
 @pytest.mark.parametrize("stage", CONTEXT_STAGES)
 def test_context_epoch_runs_one_teacher_force_per_wavefront_group(
         stage, monkeypatch):
     """Every pass of a context-stage epoch (training and validation) is one
     ``teacher_force`` call, its gold entries included: no second pass and
-    no ``contextual_encode`` outside it."""
+    no ``encode`` outside it."""
     groups, forces, outside, depth = [], [], [], [0]
     wavefront, force = training._wavefront, DocModel.teacher_force
-    encode = DocModel.contextual_encode
+    encode = DocModel.encode
 
     def counted_wavefront(docs):
         for item in wavefront(docs):
@@ -1084,7 +1120,7 @@ def test_context_epoch_runs_one_teacher_force_per_wavefront_group(
 
     monkeypatch.setattr(training, "_wavefront", counted_wavefront)
     monkeypatch.setattr(DocModel, "teacher_force", recorded_force)
-    monkeypatch.setattr(DocModel, "contextual_encode", recorded_encode)
+    monkeypatch.setattr(DocModel, "encode", recorded_encode)
     pushes = count_gold_pushes(monkeypatch)
     fixture_stage_run(stage)
     assert len(groups) > 3 and len(pushes) > 0
