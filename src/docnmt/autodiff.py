@@ -45,11 +45,12 @@ per row) whose rebuilding costs a reduction over the rows; the rest is
 recomputed in backward by the forward's expressions, in the same order,
 so gradients are those of a tape that stores it:
 
-* ``attention`` holds q, k, v and wo, the weights and the merged rows
-  of the heads' mix (the input of the wo product); backward splits q, k
-  and v into heads again.  Its forward can read head blocks split once
-  for many calls (``head_blocks``); the node does not hold them.
-  ``attention_mix`` holds the weights and values.
+* ``attention`` holds q, its memory's key and value rows and wo, the
+  weights and the merged rows of the heads' mix (the input of the wo
+  product); backward splits q, k and v into heads again.  Its forward
+  reads the head blocks of its memory, split once where the memory was
+  built; the node does not hold them.  ``attention_mix`` holds the
+  weights and values.
 * ``layer_norm`` holds its inputs (and the boolean keep mask) and its
   rows' mean and 1 / std; backward rebuilds the residual sum, the centred
   rows and the normalized rows from them, with no row reduction or square
@@ -67,13 +68,16 @@ covers the first r rows of the R and leaves the rest undropped, so one
 call can run a training pass's rows followed by rows in evaluation mode;
 each of those later rows is then exactly what the op gives at rate 0.
 
-Activations are 2-d [rows, features].  The one other layout is the
-attention weights [B, m, a, b] of ``attention``: B stacked sequences of
-a query and b key rows each (B*a and B*b rows), with head h's [a, b]
-post-softmax matrix of sequence i at entry (i, h); ``attention_mix``
-merges the heads back into [B*a, d] rows.  An attention mask is
-[B, a, b], None being one sequence with nothing blocked, and
-``attention`` is the one op that reads it.
+Activations are 2-d [rows, features].  The other layouts are those of
+attention over B stacked sequences of a query and b key rows each (B*a
+and B*b rows).  An attention memory (``AttentionMemory``, built by
+``head_kv`` and by nothing else) holds the key and value rows and their
+head blocks, split once when it is built, and gives the attention its
+B, m and d_h; every read of it reads the same blocks.  The weights
+[B, m, a, b] of ``attention`` hold head h's [a, b] post-softmax matrix
+of sequence i at entry (i, h); ``attention_mix`` merges the heads back
+into [B*a, d] rows.  An attention mask is [B, a, b], None blocking
+nothing, and ``attention`` is the one op that reads it.
 
 Every op checks that its output is finite and raises ``NumericalError``
 naming itself otherwise; gradient checks and direct model calls run so.
@@ -103,6 +107,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -749,12 +754,31 @@ def _key_heads(k: Array, bs: int, m: int) -> Array:
         k.reshape(bs, -1, m, k.shape[1] // m).transpose(0, 2, 3, 1))
 
 
-def head_blocks(k: Array, v: Array, bs: int, m: int) -> tuple[Array, Array]:
-    """The blocks ``attention`` splits B stacked memories' key and value
-    rows [B*b, d] into: the keys' transposed heads [B, m, dh, b] and the
-    values' heads [B, m, b, dh].  A memory that many attention calls read
-    can split once and pass them."""
-    return _key_heads(k, bs, m), _heads(v, bs, m)
+@dataclass(frozen=True)
+class AttentionMemory:
+    """B stacked attention memories of b rows each, as ``attention`` reads
+    them: the key and value rows [B*b, d] and [B*b, d_v] and their head
+    blocks, the keys' transposed heads ``kt`` [B, m, dh, b] and the values'
+    heads ``vh`` [B, m, b, d_v/m].  ``head_kv`` splits the rows once, where
+    the memory is built, and every attention over it reads the same
+    blocks."""
+    keys: Tensor
+    values: Tensor
+    kt: Array
+    vh: Array
+
+
+def head_kv(keys: Tensor, values: Tensor, bs: int, m: int) -> AttentionMemory:
+    """The ``AttentionMemory`` of B = ``bs`` stacked sequences' key and value
+    rows, split into m heads.  The rows must be a multiple of B, as many
+    keys as values, and each width a multiple of m."""
+    k, v = keys.data, values.data
+    if k.ndim != 2 or v.ndim != 2 or bs < 1 or m < 1 or len(k) % bs \
+            or len(v) != len(k) or k.shape[1] % m or v.shape[1] % m:
+        raise ShapeError(f"head_kv: keys {keys.shape}, values {values.shape}"
+                         f" in {bs} sequences of {m} heads")
+    return AttentionMemory(keys, values, _key_heads(k, bs, m),
+                           _heads(v, bs, m))
 
 
 def _merge(x: Array) -> Array:
@@ -768,55 +792,41 @@ def _merge(x: Array) -> Array:
         bs * n, m * dh)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, m: int,
-              mask: Array | None = None, kt: Array | None = None,
-              vh: Array | None = None) -> tuple[Tensor, Tensor]:
-    """Multi-head attention of B stacked sequences as one node: the per-head
-    weights w_h = softmax(q_h k_hᵀ / sqrt(d_h)), the heads' products
-    w_h v_h merged into rows, and those rows times ``wo``.  Returns the
-    output rows [B*a, d'] and the weights [B, m, a, b]; gradients flow
-    through both.
+def attention(q: Tensor, kv: AttentionMemory, wo: Tensor,
+              mask: Array | None = None) -> tuple[Tensor, Tensor]:
+    """Multi-head attention of B stacked sequences over their memory ``kv``
+    as one node: the per-head weights w_h = softmax(q_h k_hᵀ / sqrt(d_h)),
+    the heads' products w_h v_h merged into rows, and those rows times
+    ``wo``.  Returns the output rows [B*a, d'] and the weights
+    [B, m, a, b]; gradients flow through both.
 
-    q [B*a, d], k [B*b, d] and v [B*b, d_v] hold m heads each (head h is
-    columns h*d/m onwards); sequence i's a queries attend only over its own
-    b keys.  ``mask`` [B, a, b] (True = blocked) gives B and applies
-    mask[i] to every head of sequence i; blocked weights are exact zeros.
-    Without a mask nothing is blocked, and B is 1, or that of ``kt``.
-    ``kt`` and ``vh``, the ``head_blocks`` of k and v, spare the forward
-    the splits (backward splits again).  The chain it computes, in its
-    order, is ``attention_weights``, ``attention_mix`` and a ``matmul`` by
-    wo, and errors name those steps.  The scaled logits are checked before
-    masking, also under ``unchecked()``, and a fully masked row is a
-    ContractError.
+    B, m and d_h are those of the memory's head blocks: q [B*a, m*d_h]
+    holds m heads as the keys do (head h is columns h*d_h onwards), and
+    sequence i's a queries attend only over its own b keys.  ``mask``
+    [B, a, b] (True = blocked) applies mask[i] to every head of sequence
+    i; blocked weights are exact zeros.  None blocks nothing.  The forward
+    reads the memory's blocks; the node holds its key and value rows, not
+    the blocks, and backward splits the rows again.  The chain it
+    computes, in its order, is ``attention_weights``, ``attention_mix``
+    and a ``matmul`` by wo, and errors name those steps.  The scaled
+    logits are checked before masking, also under ``unchecked()``, and a
+    fully masked row is a ContractError.
     """
-    qd, kd, vd, wod = q.data, k.data, v.data, wo.data
-    if qd.ndim != 2 or kd.ndim != 2 or qd.shape[1] != kd.shape[1]:
-        raise ShapeError(f"attention_weights: q {q.shape}, k {k.shape}")
-    (rows_q, d), rows_k = qd.shape, kd.shape[0]
-    if m < 1 or d % m:
-        raise ShapeError(f"attention_weights: width {d} vs {m} heads")
-    bs = 1 if kt is None else kt.shape[0]
-    shape = (bs, rows_q // bs, rows_k // bs) if mask is None else mask.shape
-    if len(shape) != 3 or (shape[0] * shape[1], shape[0] * shape[2]) \
-            != (rows_q, rows_k):
-        raise ShapeError(f"attention_weights: mask {shape} vs q {q.shape}, "
-                         f"k {k.shape}")
-    bs, a, b = shape
-    dh = d // m
-    if kt is not None and kt.shape != (bs, m, dh, b):
-        raise ShapeError(f"attention_weights: key heads {kt.shape} vs "
-                         f"k {k.shape} in {bs} sequences")
-    if vd.ndim != 2 or vd.shape[0] != rows_k or vd.shape[1] % m \
-            or (vh is not None and vh.shape != (bs, m, b, vd.shape[1] // m)):
-        raise ShapeError(f"attention_mix: weights {(bs, m, a, b)}, "
-                         f"values {v.shape}")
+    qd, kd, vd, wod = q.data, kv.keys.data, kv.values.data, wo.data
+    bs, m, dh, b = kv.kt.shape
+    if qd.ndim != 2 or qd.shape[1] != m * dh or len(qd) % bs:
+        raise ShapeError(f"attention_weights: q {q.shape}, k {kv.keys.shape}"
+                         f" in {bs} sequences")
+    a = len(qd) // bs
+    if mask is not None and mask.shape != (bs, a, b):
+        raise ShapeError(f"attention_weights: mask {mask.shape} vs "
+                         f"q {q.shape}, k {kv.keys.shape}")
     if wod.ndim != 2 or wod.shape[0] != vd.shape[1]:
-        raise ShapeError(f"matmul: {(rows_q, vd.shape[1])} @ {wo.shape}")
+        raise ShapeError(f"matmul: {(len(qd), vd.shape[1])} @ {wo.shape}")
     scale = 1.0 / math.sqrt(dh)
     # the softmax works in place on the fresh logits, reducing by the
     # ufuncs that ``max`` and ``sum`` call
-    w = np.matmul(_heads(qd, bs, m),
-                  _key_heads(kd, bs, m) if kt is None else kt)
+    w = np.matmul(_heads(qd, bs, m), kv.kt)
     w *= scale
     _finite(w, "attention_weights")
     if mask is not None:
@@ -829,7 +839,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, m: int,
     w /= np.add.reduce(w, axis=-1, keepdims=True)
     if _check_finite:
         _finite(w, "attention_weights")
-    mixed = _merge(np.matmul(w, _heads(vd, bs, m) if vh is None else vh))
+    mixed = _merge(np.matmul(w, kv.vh))
     if _check_finite:
         _finite(mixed, "attention_mix")
 
@@ -850,20 +860,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, m: int,
                 _merge(np.matmul(gl, _key_heads(kd, bs, m).swapaxes(-1, -2))),
                 _merge(gk.swapaxes(-1, -2)))
 
-    return _out((mixed @ wod, w), (wo, v, q, k), bwd, "attention")
+    return _out((mixed @ wod, w), (wo, kv.values, q, kv.keys), bwd,
+                "attention")
 
 
-def attention_mix(w: Tensor, v: Tensor, vh: Array | None = None) -> Tensor:
+def attention_mix(w: Tensor, v: Tensor) -> Tensor:
     """Per-head products w_h v_h of B stacked sequences' weights
     [B, m, a, b] and values [B*b, d], heads merged into [B*a, d] rows (head
-    h fills columns h*d_h onwards).  ``vh``, v's ``head_blocks``
-    [B, m, b, dh], spares the forward the split (backward splits v
-    again)."""
+    h fills columns h*d_h onwards)."""
     if w.data.ndim != 4 or v.data.ndim != 2:
         raise ShapeError(f"attention_mix: weights {w.shape}, values {v.shape}")
     bs, m, a, b = w.data.shape
-    if v.data.shape[0] != bs * b or v.data.shape[1] % m \
-            or (vh is not None and vh.shape != (bs, m, b, v.data.shape[1] // m)):
+    if v.data.shape[0] != bs * b or v.data.shape[1] % m:
         raise ShapeError(f"attention_mix: weights {w.shape}, values {v.shape}")
 
     def bwd(g):
@@ -872,9 +880,8 @@ def attention_mix(w: Tensor, v: Tensor, vh: Array | None = None) -> Tensor:
         return (np.matmul(gh, _heads(v.data, bs, m).swapaxes(-1, -2)),
                 _merge(np.matmul(w.data.swapaxes(-1, -2), gh)))
 
-    if vh is None:
-        vh = _heads(v.data, bs, m)
-    return _out(_merge(np.matmul(w.data, vh)), (w, v), bwd, "attention_mix")
+    return _out(_merge(np.matmul(w.data, _heads(v.data, bs, m))), (w, v), bwd,
+                "attention_mix")
 
 
 def _row_ids(table: Tensor, ids, op: str) -> Array:

@@ -2,13 +2,14 @@
 
 Decoding is incremental and beam-batched.  Per sentence the model builds
 one ``DecoderMemory``: the projections of the source encoding and of the
-cached context, whose attention head blocks are kept across the steps,
-the context attention's masks and the copy indicator, so that a step computes only what its new
-rows change.  Each hypothesis carries a ``DecoderState`` of its rows so
-far, and one ``step_distribution`` call per search round computes one new
-row for every live hypothesis at once, the hypotheses being the batch axis
-of the decoder's self-attention.  States are read-only: the children of
-one step share views of its key and value arrays.
+cached context, each split into attention heads once for all the steps,
+the context attention's masks and the copy indicator, so that a step
+computes only what its new rows change.  Each hypothesis carries a
+``DecoderState`` of its rows so far, and one ``step_distribution`` call
+per search round computes one new row for every live hypothesis at once,
+the hypotheses being the batch axis of the decoder's self-attention.
+States are read-only: the children of one step share views of its key
+and value arrays.
 
 Sentences are decoded in order; after each one the source encoding and the
 decoder rows of the *model's own output* are pushed into the context
@@ -250,8 +251,7 @@ def translate_document(model: DocModel, src_sentences: list[list[int]],
     check_variant(variant)
     config = config or SearchConfig()
     context = ContextState(model.cfg.n_context)
-    params_finite = all(np.isfinite(t.data).all()
-                        for _, t in model.params.items())
+    params_finite = model.params.finite()
     outputs: list[list[int]] = []
     all_traces: list[list[StepTrace]] = []
 

@@ -112,9 +112,9 @@ class ContextMemory:
     """The cached sentences of one side, prepared once for many queries:
     their token ids, the side's parameter views (``params.view(prefix)``
     and its ``word.``, ``sent.`` and ``ffn.`` groups), the head count, the
-    word-level keys and values (the stacked states through ``word.wk`` /
-    ``word.wv``, a ``HeadKV``, which keeps its head blocks for repeated
-    reads), and, built once per number T of query rows per document, the
+    word-level memory (the stacked states through ``word.wk`` /
+    ``word.wv``, split into heads once, an ``autodiff.AttentionMemory``),
+    and, built once per number T of query rows per document, the
     attention layout of T queries (``layout``).
 
     It takes one entry list per document, every document with the same
@@ -184,13 +184,11 @@ def word_level_context(h: Tensor, memory: ContextMemory
     Returns the summaries [B*n*T, d] (row j*T+t of block b is document b's
     s_j[t]) and the weights [B, m, n*T, K].
     """
-    from .transformer import attend
-
     repeat, mask, _ = memory.layout(h.data.shape[0] // memory.n_docs)
     queries = (h @ memory.p["f"]) @ memory.word_p["wq"]     # projected once
     if repeat is not None:
         queries = ad.embedding_lookup(queries, repeat)
-    return attend(queries, memory.word_kv, memory.word_p, mask=mask)
+    return ad.attention(queries, memory.word_kv, memory.word_p["wo"], mask)
 
 
 def sentence_level_context(h: Tensor, summaries: Tensor, memory: ContextMemory

@@ -32,8 +32,8 @@ scored or cached.
 
 There is one decoder stack, ``decode_states``.  What a sentence's passes
 share is built once into a ``DecoderMemory``: the cross-attention, context
-and copy keys and values, whose head blocks are kept for repeated reads;
-the context attention's masks, once per number of query rows; the copy
+and copy memories, their keys and values split into heads once; the
+context attention's masks, once per number of query rows; the copy
 indicator.  It holds no parameters, every pass reads its parameter groups
 through ``ParamStore.view``.  Teacher forcing runs the stack over whole
 prefixes under the causal mask.  A search step runs it over one new row
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,9 +70,8 @@ from .copy import (cache_indicator, copy_attention_weights, copy_gate,
 from .han import (AttentionTrace, CacheEntry, ContextMemory, ContextState,
                   cached, hierarchical_context)
 from .params import ParamStore
-from .transformer import (HeadKV, attend, causal_mask, cross_entropy,
-                          multi_head_attention, positionwise_ffn, project_kv,
-                          sinusoidal_positions)
+from .transformer import (causal_mask, cross_entropy, multi_head_attention,
+                          positionwise_ffn, project_kv, sinusoidal_positions)
 
 VARIANTS = ("sentence", "han-encoder", "han-decoder", "han-joint", "copy")
 ENCODER_CTX = frozenset({"han-encoder", "han-joint", "copy"})
@@ -257,65 +257,55 @@ class StepResult:
 class DecoderMemory:
     """Everything the decoder passes over one sentence share, built once per
     sentence: the target-side ``ContextMemory`` (None on the skip path),
-    and, built on first use, each layer's cross-attention K/V of the source
-    encoding (when the decoder stack first runs), the copy indicator of the
-    cached target ids with whether it has a one, and the copy attention's
-    K/V of the source encoding (both after the decoder stack, as the copy
-    mixture needs them).  ``contexts`` holds one cache per sentence of the
-    encoding.  The K/V are ``HeadKV``s, which keep their head blocks for
-    repeated reads, and the ``ContextMemory`` builds its masks once per
-    query count, so a search step over the sentence computes only what its
-    new rows change.
+    and, built on first use, each layer's cross-attention memory of the
+    source encoding (when the decoder stack first runs), the copy indicator
+    of the cached target ids with whether it has a one, and the copy
+    attention's memory of the source encoding (both after the decoder
+    stack, as the copy mixture needs them).  ``contexts`` holds one cache
+    per sentence of the encoding.  Each memory splits its keys and values
+    into heads once (``autodiff.head_kv``), and the ``ContextMemory``
+    builds its masks once per query count, so a search step over the
+    sentence computes only what its new rows change.
     """
 
     def __init__(self, model: "DocModel", encoded: EncodedSentence,
                  contexts: list[ContextState] | None = None,
                  variant: str = "sentence"):
         check_variant(variant)
-        p, m = model.params, model.cfg.m_heads
-        self.encoded = encoded
-        self.variant = variant
+        self.encoded, self.variant, self._model = encoded, variant, model
         self.context: ContextMemory | None = None
         entries = cached(contexts, "target")
         if variant in DECODER_CTX and entries:
-            self.context = ContextMemory(entries, p, "ctx.dec.", m)
-        self._model = model
-        self._cross_kv: list[HeadKV] | None = None
-        self._indicator: tuple[Tensor, bool] | None = None
-        self._copy_kv: HeadKV | None = None
+            self.context = ContextMemory(entries, model.params, "ctx.dec.",
+                                         model.cfg.m_heads)
 
-    @property
-    def cross_kv(self) -> list[HeadKV]:
-        """Each decoder layer's cross-attention K/V of the source encoding,
-        built on first use."""
-        if self._cross_kv is None:
-            p, states = self._model.params, self.encoded.states
-            self._cross_kv = [
-                project_kv(states, states, p.view(f"dec.{i}.cross."),
-                           self._model.cfg.m_heads,
-                           len(self.encoded.token_ids.lengths))
+    def _source_kv(self, prefix: str) -> ad.AttentionMemory:
+        """The source encoding through the wk and wv under ``prefix``."""
+        states = self.encoded.states
+        return project_kv(states, states, self._model.params.view(prefix),
+                          self._model.cfg.m_heads,
+                          len(self.encoded.token_ids.lengths))
+
+    @cached_property
+    def cross_kv(self) -> list[ad.AttentionMemory]:
+        """Each decoder layer's cross-attention memory of the source
+        encoding."""
+        return [self._source_kv(f"dec.{i}.cross.")
                 for i in range(self._model.cfg.n_layers)]
-        return self._cross_kv
 
+    @cached_property
     def cache_indicator(self) -> tuple[Tensor, bool]:
         """The ``cache_indicator`` of the target caches and whether any of
-        their tokens may be copied, built on the first call."""
-        if self._indicator is None:
-            ctx = self.context
-            indicator = cache_indicator(
-                ctx.token_ids, self._model.cfg.vocab_tgt, ctx.columns.shape[1])
-            self._indicator = Tensor._wrap(indicator), bool(indicator.any())
-        return self._indicator
+        their tokens may be copied."""
+        ctx = self.context
+        indicator = cache_indicator(ctx.token_ids, self._model.cfg.vocab_tgt,
+                                    ctx.columns.shape[1])
+        return Tensor._wrap(indicator), bool(indicator.any())
 
-    def copy_kv(self) -> HeadKV:
-        """The copy attention's K/V of the source encoding, built on the
-        first call."""
-        if self._copy_kv is None:
-            states = self.encoded.states
-            self._copy_kv = project_kv(
-                states, states, self._model.params.view("copy.att."),
-                self._model.cfg.m_heads, len(self.encoded.token_ids.lengths))
-        return self._copy_kv
+    @cached_property
+    def copy_kv(self) -> ad.AttentionMemory:
+        """The copy attention's memory of the source encoding."""
+        return self._source_kv("copy.att.")
 
 
 def check_variant(variant: str) -> str:
@@ -479,10 +469,12 @@ class DocModel:
                 keys = _grown([s.keys[i] for s in past], keys)
                 values = _grown([s.values[i] for s in past], values)
             kv_rows.append((keys, values))
-            att, _ = attend(q, HeadKV(keys, values, m, bs), self_p, mask)
+            att, _ = ad.attention(q, ad.head_kv(keys, values, bs, m),
+                                  self_p["wo"], mask)
             x = self._sublayer(x, att, p.view(f"dec.{i}.ln1."), keep)
             cross_p = p.view(f"dec.{i}.cross.")
-            cross, _ = attend(x @ cross_p["wq"], cross_kv, cross_p, cross_mask)
+            cross, _ = ad.attention(x @ cross_p["wq"], cross_kv,
+                                    cross_p["wo"], cross_mask)
             x = self._sublayer(x, cross, p.view(f"dec.{i}.ln2."), keep)
             ffn = positionwise_ffn(x, p.view(f"dec.{i}.ffn."))
             x = self._sublayer(x, ffn, p.view(f"dec.{i}.ln3."), keep)
@@ -513,14 +505,15 @@ class DocModel:
         """
         if out.trace is None:
             return p_vocab, None, None
-        weights = copy_attention_weights(out.trace, *memory.cache_indicator())
+        weights = copy_attention_weights(out.trace, *memory.cache_indicator)
         if not weights.copyable:
             return p_vocab, None, None
         # c_t: the integrated rows attend over their own source encoding
-        copy_kv, att_p = memory.copy_kv(), self.params.view("copy.att.")
+        copy_kv, att_p = memory.copy_kv, self.params.view("copy.att.")
         src = memory.encoded.token_ids
         mask = src.key_mask(out.h_tilde.data.shape[0] // len(src.lengths))
-        c_rows, _ = attend(out.h_tilde @ att_p["wq"], copy_kv, att_p, mask)
+        c_rows, _ = ad.attention(out.h_tilde @ att_p["wq"], copy_kv,
+                                 att_p["wo"], mask)
         p_copy = copy_gate(out.h_tilde, c_rows, out.d_rows,
                            self.params.view("copy."))
         return mix_distributions(p_vocab, weights.alpha_vocab, p_copy), \

@@ -73,6 +73,13 @@ class ParamStore:
         for name, t in self._params.items():
             t.requires_grad = self._groups[name] in groups
 
+    def finite(self) -> bool:
+        """Whether every parameter is finite, the condition under which a
+        unit of work may run with the per-op checks off
+        (``autodiff.replayed``): from finite parameters an inf needs an
+        overflow."""
+        return all(np.isfinite(t.data).all() for t in self._params.values())
+
     def trainable(self) -> list[tuple[str, Tensor]]:
         return [(n, t) for n, t in self._params.items() if t.requires_grad]
 

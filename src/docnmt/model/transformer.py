@@ -6,8 +6,10 @@ autodiff node, ``autodiff.attention``, from the projected queries, keys and
 values to the rows re-projected through wo; its second output is the
 per-head weights as one [B, m, a, b] tensor.  A mask is a plain boolean
 [B, a, b] numpy array (True = blocked), or None where nothing is blocked;
-only ``autodiff.attention`` reads and checks it.  A memory's keys and
-values are a ``HeadKV``, which knows its B.  The position-wise FFN is one
+only ``autodiff.attention`` reads and checks it.  A projected memory
+(``project_kv``) is an ``autodiff.AttentionMemory``: its keys and values
+split into heads once, where it is built, which every attention over it
+reads and which give the attention its B.  The position-wise FFN is one
 node too, ``autodiff.ffn``.
 """
 
@@ -20,55 +22,14 @@ from ..autodiff import Tensor
 from ..errors import ContractError
 
 
-class HeadKV:
-    """Projected keys and values [B*b, d] of B stacked attention memories
-    of b rows each, to be split into m heads by the attention node.
-
-    ``blocks()`` gives the head blocks the attention node reads
-    (``autodiff.head_blocks``: the keys' [B, m, dh, b] and the values'
-    [B, m, b, dh]).  Once a memory is read a second time it keeps them, so
-    a memory that every step of a search reads (a sentence's
-    cross-attention, context or copy memory) is split twice, not once per
-    step, while one that a teacher-forced pass reads once holds nothing
-    beyond its rows.  The node does not hold the blocks; its backward
-    splits the rows again.
-    """
-
-    def __init__(self, keys: Tensor, values: Tensor, m: int, bs: int):
-        self.keys, self.values, self.m, self.bs = keys, values, m, bs
-        self._blocks: tuple[np.ndarray, np.ndarray] | None = None
-        self._read = False
-
-    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._blocks is not None:
-            return self._blocks
-        blocks = ad.head_blocks(self.keys.data, self.values.data, self.bs,
-                                self.m)
-        if self._read:
-            self._blocks = blocks
-        self._read = True
-        return blocks
-
-
 def project_kv(k_rows: Tensor, v_rows: Tensor, p: dict[str, Tensor],
-               m: int, bs: int) -> HeadKV:
-    """Project B = ``bs`` stacked memories through wk and wv once."""
-    return HeadKV(k_rows @ p["wk"], v_rows @ p["wv"], m, bs)
-
-
-def attend(q: Tensor, kv: HeadKV, p: dict[str, Tensor],
-           mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Multi-head attention of the wq-projected query rows ``q`` over a
-    projected memory, re-projected through wo, for the memory's B stacked
-    sequences under a [B, a, b] mask (None: nothing blocked).
-
-    Returns the output rows and the post-softmax weights [B, m, a, b].  The
-    query is projected by the caller so that, where query and memory rows
-    are one tensor, the wq product comes first on the tape; backward then
-    sums that tensor's gradient parts in one fixed order.
-    """
-    kt, vh = kv.blocks()
-    return ad.attention(q, kv.keys, kv.values, p["wo"], kv.m, mask, kt, vh)
+               m: int, bs: int) -> ad.AttentionMemory:
+    """Project B = ``bs`` stacked memories through wk and wv once, split
+    into m heads (``autodiff.head_kv``).  The caller projects the query
+    itself, so that, where query and memory rows are one tensor, the wq
+    product comes first on the tape; backward then sums that tensor's
+    gradient parts in one fixed order."""
+    return ad.head_kv(k_rows @ p["wk"], v_rows @ p["wv"], bs, m)
 
 
 def multi_head_attention(q_rows: Tensor, k_rows: Tensor, v_rows: Tensor,
@@ -77,13 +38,14 @@ def multi_head_attention(q_rows: Tensor, k_rows: Tensor, v_rows: Tensor,
                          ) -> tuple[Tensor, Tensor]:
     """m parallel projected attentions, merged and re-projected.
 
-    ``p`` holds the square projections wq, wk, wv, wo; ``mask`` is as for
-    ``attend``.  Returns the output rows and the post-softmax weights
-    [B, m, a, b].
+    ``p`` holds the square projections wq, wk, wv, wo; ``mask`` [B, a, b]
+    gives the B stacked sequences (None: one, nothing blocked).  Returns
+    the output rows and the post-softmax weights [B, m, a, b].
     """
     q = q_rows @ p["wq"]
     bs = 1 if mask is None else mask.shape[0]
-    return attend(q, project_kv(k_rows, v_rows, p, m, bs), p, mask)
+    return ad.attention(q, project_kv(k_rows, v_rows, p, m, bs), p["wo"],
+                        mask)
 
 
 def positionwise_ffn(x: Tensor, p: dict[str, Tensor]) -> Tensor:

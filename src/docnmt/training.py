@@ -463,10 +463,9 @@ def run_stage(start: tuple[ParamStore, ModelConfig, set[str]],
     for epoch in range(tcfg.epochs + 1):
         # the epoch is the unit of numerical checking: unchecked from
         # finite parameters, replayed from its start on an error
-        finite = all(np.isfinite(t.data).all() for _, t in store.items())
         try:
             train_loss, step, val_loss, mean_pc = ad.replayed(
-                lambda: run_epoch(epoch, step), finite,
+                lambda: run_epoch(epoch, step), store.finite(),
                 lambda: optimizer.rewind(saved))
         except NumericalError as e:
             optimizer.rewind(best[2])

@@ -29,8 +29,7 @@ from docnmt.model.copy import SPECIAL_IDS, copy_gate, mix_distributions
 from docnmt.model.han import hierarchical_context
 from docnmt.model.model import (DECODER_CTX, DecodeOut, DecoderMemory,
                                 DecoderState, StepResult)
-from docnmt.model.transformer import (HeadKV, attend, causal_mask,
-                                      positionwise_ffn)
+from docnmt.model.transformer import causal_mask, positionwise_ffn
 from docnmt.tokens import BOS_ID, EOS_ID, PAD_ID
 
 from attention_reference import multi_head_attention
@@ -148,10 +147,11 @@ def block_mask_states(model, ids, memory, past):
                 [s.keys[i] for s in past])), keys])
             values = concat([Tensor._wrap(np.concatenate(
                 [s.values[i] for s in past])), values])
-        att, _ = attend(q, HeadKV(keys, values, m, 1), self_p, mask)
+        att, _ = ad.attention(q, ad.head_kv(keys, values, 1, m), self_p["wo"],
+                              mask)
         x = model._sublayer(x, att, p.view(f"dec.{i}.ln1."), None)
         cross_p = p.view(f"dec.{i}.cross.")
-        cross, _ = attend(x @ cross_p["wq"], cross_kv, cross_p)
+        cross, _ = ad.attention(x @ cross_p["wq"], cross_kv, cross_p["wo"])
         x = model._sublayer(x, cross, p.view(f"dec.{i}.ln2."), None)
         ffn = positionwise_ffn(x, p.view(f"dec.{i}.ffn."))
         x = model._sublayer(x, ffn, p.view(f"dec.{i}.ln3."), None)

@@ -23,7 +23,8 @@ Storing forms, which hold what their backward reads instead of rebuilding
 it: ``attention_weights`` holds the head-split q and k, ``attention_mix``
 the head-split values, ``layer_norm`` the normalized rows, ``relu`` its
 input's mask and ``clamped_log`` the clamped input.  The attention forms
-split their operands themselves, ignoring head blocks passed in.
+split their operands themselves, reading only B and m from a memory's
+head blocks.
 
 ``use_chains`` runs ``DocModel`` on all of them.
 """
@@ -135,16 +136,15 @@ def layer_norm(x, gain, bias, sub=None, rate=0.0, keep=None):
     return ad._out(out, inputs, bwd, "layer_norm")
 
 
-def attention_weights(q, k, m, mask=None, kt=None):
+def attention_weights(q, k, m, mask=None, bs=1):
     """``autodiff.attention_weights``, holding q's heads and k's transposed
-    heads; ``kt`` gives only B."""
+    heads, for B = ``bs`` stacked sequences."""
     if q.data.ndim != 2 or k.data.ndim != 2 \
             or q.data.shape[1] != k.data.shape[1]:
         raise ShapeError(f"attention_weights: q {q.shape}, k {k.shape}")
     (rows_q, d), rows_k = q.data.shape, k.data.shape[0]
     if m < 1 or d % m:
         raise ShapeError(f"attention_weights: width {d} vs {m} heads")
-    bs = 1 if kt is None else kt.shape[0]
     shape = (bs, rows_q // bs, rows_k // bs) if mask is None else mask.shape
     if len(shape) != 3 or (shape[0] * shape[1], shape[0] * shape[2]) \
             != (rows_q, rows_k):
@@ -174,7 +174,7 @@ def attention_weights(q, k, m, mask=None, kt=None):
     return ad._out(w, (q, k), bwd, "attention_weights")
 
 
-def attention_mix(w, v, vh=None):
+def attention_mix(w, v):
     """``autodiff.attention_mix``, holding the head-split values."""
     if w.data.ndim != 4 or v.data.ndim != 2:
         raise ShapeError(f"attention_mix: weights {w.shape}, values {v.shape}")
@@ -234,11 +234,13 @@ def normalize_rows(x):
     return scale_rows(x, ad.div(ones, mass))
 
 
-def attention(q, k, v, wo, m, mask=None, kt=None, vh=None):
-    """The weights, the heads' mix and the product by wo as three nodes;
-    returns the rows and the weights."""
-    w = attention_weights(q, k, m, mask, kt)
-    return attention_mix(w, v, vh) @ wo, w
+def attention(q, kv, wo, mask=None):
+    """The weights, the heads' mix and the product by wo as three nodes
+    over the key and value rows of ``kv``, split again; returns the rows
+    and the weights."""
+    bs, m = kv.kt.shape[:2]
+    w = attention_weights(q, kv.keys, m, mask, bs)
+    return attention_mix(w, kv.values) @ wo, w
 
 
 def ffn(x, w1, b1, w2, b2):

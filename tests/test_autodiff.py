@@ -80,32 +80,42 @@ class TestForwardValues:
         v, wo = Tensor(np.ones((3, 4))), Tensor(np.eye(4))
         k.data[1, 2] = np.nan
         with pytest.raises(NumericalError, match="attention_weights"):
-            ad.attention(q, k, v, wo, 2)
+            ad.attention(q, ad.head_kv(k, v, 1, 2), wo)
         k.data[1, 2] = 1e308  # overflows to inf in the logits
         with np.errstate(over="ignore"), \
                 pytest.raises(NumericalError, match="attention_weights"):
-            ad.attention(Tensor(np.full((2, 4), 1e308)), k, v, wo, 2)
+            ad.attention(Tensor(np.full((2, 4), 1e308)),
+                         ad.head_kv(k, v, 1, 2), wo)
 
     def test_attention_weights_masked_entries_are_exact_zeros(self):
         rng = np.random.default_rng(3)
         mask = np.array([[[False, True, False], [True, False, False]]])
         _, w = ad.attention(Tensor(rng.normal(size=(2, 4))),
-                            Tensor(rng.normal(size=(3, 4))),
-                            Tensor(rng.normal(size=(3, 4))),
-                            Tensor(np.eye(4)), 2, mask)
+                            ad.head_kv(Tensor(rng.normal(size=(3, 4))),
+                                       Tensor(rng.normal(size=(3, 4))), 1, 2),
+                            Tensor(np.eye(4)), mask)
         assert w.shape == (1, 2, 2, 3)
         assert np.all(w.data[0][:, mask[0]] == 0.0)
         np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
     def test_attention_mask_has_one_layout(self):
-        """A mask is [B, a, b]; a 2-d one is a ShapeError, not a second
-        layout, and so is a stack that does not fit the rows."""
+        """A mask is [B, a, b] for the B of the memory; a 2-d one is a
+        ShapeError, not a second layout, and so is a stack that does not
+        fit the rows.  So is a memory whose rows are not a multiple of B,
+        whose width is not a multiple of m, or whose keys and values differ
+        in rows."""
         q, k, wo = Tensor(np.ones((2, 4))), Tensor(np.ones((6, 4))), \
             Tensor(np.eye(4))
+        kv = ad.head_kv(k, k, 2, 2)
         for shape in ((2, 6), (1, 2, 3), (2, 2, 3), (1, 1, 2, 6)):
             with pytest.raises(ShapeError, match="mask"):
-                ad.attention(q, k, k, wo, 2, np.zeros(shape, dtype=bool))
-        assert ad.attention(q, k, k, wo, 2, np.zeros((2, 1, 3), dtype=bool)
+                ad.attention(q, kv, wo, np.zeros(shape, dtype=bool))
+        for keys, values, bs, m in ((k, k, 4, 2), (Tensor(np.ones((6, 3))),
+                                                   k, 2, 2),
+                                    (k, Tensor(np.ones((4, 4))), 2, 2)):
+            with pytest.raises(ShapeError, match="head_kv"):
+                ad.head_kv(keys, values, bs, m)
+        assert ad.attention(q, kv, wo, np.zeros((2, 1, 3), dtype=bool)
                             )[1].shape == (2, 2, 1, 3)
 
     @pytest.mark.parametrize("checked", [True, False])
@@ -116,7 +126,7 @@ class TestForwardValues:
         mask = np.array([[[False, True, False]], [[True, True, True]]])
         guard = contextlib.nullcontext() if checked else ad.unchecked()
         with guard, pytest.raises(ContractError, match="fully masked"):
-            ad.attention(q, k, k, Tensor(np.eye(4)), 2, mask)
+            ad.attention(q, ad.head_kv(k, k, 2, 2), Tensor(np.eye(4)), mask)
 
     def test_stacked_attention_matches_per_sequence_calls(self):
         """A [B, a, b] mask runs B sequences through one call; each block
@@ -130,15 +140,17 @@ class TestForwardValues:
         mask[:, :, 0] = False
         r = rng.normal(size=(n_seq * a, d))
 
-        out, w = ad.attention(q, k, v, wo, m, mask)
+        out, w = ad.attention(q, ad.head_kv(k, v, n_seq, m), wo, mask)
         assert w.shape == (n_seq, m, a, b)
         ad.backward(ad.mul(out, Tensor(r)).sum())
         stacked = [t.grad for t in (q, k, v)]
         for t in (q, k, v):
             t.zero_grad()
         for i in range(n_seq):
-            rows = [ad.narrow(t, 0, i * n, n) for t, n in ((q, a), (k, b), (v, b))]
-            out, wi = ad.attention(*rows, wo, m, mask[i:i + 1])
+            qi, ki, vi = (ad.narrow(t, 0, i * n, n)
+                          for t, n in ((q, a), (k, b), (v, b)))
+            out, wi = ad.attention(qi, ad.head_kv(ki, vi, 1, m), wo,
+                                   mask[i:i + 1])
             np.testing.assert_array_equal(wi.data[0], w.data[i])
             ad.backward(ad.mul(out, Tensor(r[i * a:(i + 1) * a])).sum())
         for got, t in zip(stacked, (q, k, v)):
@@ -309,16 +321,16 @@ class TestOpGradients:
         mask[2, :3] = True
         for m, msk in ((1, None), (2, None), (2, mask[None]), (4, mask[None])):
             r = self.mixer(1, m, 3, 5)
-            _check(lambda: ad.mul(ad.attention(q, k, v, wo, m, msk)[1],
-                                  r).sum(),
+            _check(lambda: ad.mul(ad.attention(q, ad.head_kv(k, v, 1, m), wo,
+                                               msk)[1], r).sum(),
                    [("q", q), ("k", k)])
 
         q2, k2 = self.leaf(6, 4), self.leaf(10, 4)  # two stacked sequences
         v2 = self.mixer(10, 4)
         stacked = np.stack([mask, mask[::-1]])
         r = self.mixer(2, 2, 3, 5)
-        _check(lambda: ad.mul(ad.attention(q2, k2, v2, wo, 2, stacked)[1],
-                              r).sum(),
+        _check(lambda: ad.mul(ad.attention(q2, ad.head_kv(k2, v2, 2, 2), wo,
+                                           stacked)[1], r).sum(),
                [("q", q2), ("k", k2)])
 
     def test_attention_mix(self):
@@ -437,8 +449,9 @@ class TestUncheckedOps:
         mask = np.array([[[False, True, False], [False, True, False]]])
         with ad.unchecked(), \
                 pytest.raises(NumericalError, match="attention_weights"):
-            ad.attention(Tensor(np.ones((2, 4))), k, Tensor(np.ones((3, 4))),
-                         Tensor(np.eye(4)), 2, mask)
+            ad.attention(Tensor(np.ones((2, 4))),
+                         ad.head_kv(k, Tensor(np.ones((3, 4))), 1, 2),
+                         Tensor(np.eye(4)), mask)
 
 
 def _layer_norm_by_mean(x, gain, bias, g):

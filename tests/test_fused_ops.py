@@ -11,8 +11,10 @@ are equal bitwise: in training and under ``no_grad``, where an input feeds
 several ops and its gradient parts are summed, whichever of the two
 outputs of ``attention`` is read, and on non-finite and
 subnormal entries.  Plus gradient checks, the gathers' row scatter against
-``np.add.at``, the head blocks and attention layouts that a search builds
-once, base and context training passes against the chains, guards on the
+``np.add.at``, an attention memory's head blocks (split once, where the
+memory is built, and once per memory of a translated sentence however
+long its search) and the attention layouts that a search builds once,
+base and context training passes against the chains, guards on the
 tape of one layer norm, of one full-cap training pass and on the ops of
 one copy search step, and the fixture epochs at 128 rows a pass, which
 must not move at all."""
@@ -40,7 +42,6 @@ from docnmt.gradcheck import grad_check
 from docnmt.model import DocModel, ModelConfig, build_params
 from docnmt.model.han import CacheEntry, ContextMemory, ContextState
 from docnmt.model.model import DecoderMemory, Stack
-from docnmt.model.transformer import HeadKV, attend
 from docnmt.training import MAX_STACK_ROWS, STAGES, stack_groups
 
 from test_training import (CONTEXT_STAGES, PINNED_LOSSES, fixture_stage_run,
@@ -155,7 +156,8 @@ def test_attention_equals_the_chain_bitwise(reads, train):
         for t in tensors:
             t.zero_grad()
         with contextlib.nullcontext() if train else ad.no_grad():
-            rows, w = op.attention(x @ wq, x @ wk, x @ wv, wo, 2, mask)
+            rows, w = op.attention(x @ wq, ad.head_kv(x @ wk, x @ wv, 2, 2),
+                                   wo, mask)
             copied = ad.attention_mix(w.sum(axis=1, keepdims=True), x)
             loss = {"rows": ad.mul(rows, r), "weights": ad.mul(copied, r),
                     "both": ad.add(ad.mul(copied, r), ad.mul(rows, r)),
@@ -185,7 +187,7 @@ def test_attention_passes_grad_check(masked):
     r_w = Tensor(rng.normal(size=(bs, 1, 12 // bs, 12 // bs)))
 
     def f():
-        rows, w = ad.attention(q, k, v, wo, 2, mask)
+        rows, w = ad.attention(q, ad.head_kv(k, v, bs, 2), wo, mask)
         return ad.add(ad.mul(rows, r_rows).sum(),
                       ad.mul(w.sum(axis=1, keepdims=True), r_w).sum())
 
@@ -257,7 +259,8 @@ def test_slimmed_ops_equal_the_storing_forms(train):
 
     def build(fused):
         op = ad if fused else ref
-        rows, _ = op.attention(x @ wq, x @ wk, x @ wv, wo, 2, mask)
+        rows, _ = op.attention(x @ wq, ad.head_kv(x @ wk, x @ wv, 2, 2), wo,
+                               mask)
         y = op.layer_norm(ad.add(rows, x), gain, bias)
         p = ad.softmax_lastdim(ad.mul(y, r))
         return ad.add(op.clamped_log(p), op.layer_norm(y, gain, bias))
@@ -332,18 +335,18 @@ def test_fused_ops_check_their_operands():
         ad.mix_rows(x, x, Tensor(np.ones((3, 4))))
     with pytest.raises(ShapeError):
         ad.normalize_rows(Tensor(np.ones(3)))
-    with pytest.raises(ShapeError, match="key heads"):
-        ad.attention(x, x, x, g, 2, None, np.zeros((1, 2, 2, 2)))
-    eye = Tensor(np.eye(4))
+    kv = ad.head_kv(x, x, 1, 2)
+    with pytest.raises(ShapeError, match="attention_weights"):
+        ad.attention(Tensor(np.ones((3, 2))), kv, g)
     with pytest.raises(ShapeError, match="values"):
-        ad.attention(x, x, Tensor(np.ones((2, 4))), eye, 2)
+        ad.head_kv(x, Tensor(np.ones((2, 4))), 1, 2)
     with pytest.raises(ShapeError, match="values"):
-        ad.attention(x, x, x, eye, 2, None, None, np.zeros((1, 2, 2, 2)))
+        ad.head_kv(x, Tensor(np.ones((3, 3))), 1, 2)
     with pytest.raises(ShapeError, match="matmul"):
-        ad.attention(x, x, x, Tensor(np.ones((3, 4))), 2)
+        ad.attention(x, kv, Tensor(np.ones((3, 4))))
     with pytest.raises(ShapeError):
-        ad.attention_mix(Tensor(np.ones((1, 2, 3, 3))), x,
-                         np.zeros((1, 2, 3, 3)))
+        ad.attention_mix(Tensor(np.ones((1, 2, 3, 3))),
+                         Tensor(np.ones((3, 3))))
 
 
 def partial_mask_case(op, rng, rows=7, d=8):
@@ -450,12 +453,14 @@ def special_cases(rng):
     return {
         "attention_weights": (
             [(6, 4), (6, 4)], FINITE,
-            lambda q, k: ad.attention(q, k, v, wo, 2, mask)[1],
+            lambda q, k: ad.attention(q, ad.head_kv(k, v, 2, 2), wo, mask)[1],
             lambda q, k: ref.attention_weights(q, k, 2, mask)),
         "attention": (
             [(6, 4), (6, 4), (6, 4), (4, 4)], FINITE,
-            lambda *t: ad.attention(*t, 2, mask)[0],
-            lambda *t: ref.attention(*t, 2, mask)[0]),
+            lambda q, k, v, wo: ad.attention(
+                q, ad.head_kv(k, v, 2, 2), wo, mask)[0],
+            lambda q, k, v, wo: ref.attention(
+                q, ad.head_kv(k, v, 2, 2), wo, mask)[0]),
         "attention_mix": (
             [(2, 2, 3, 3), (6, 4)], SPECIAL, ad.attention_mix,
             ref.attention_mix),
@@ -567,27 +572,28 @@ def test_fused_ops_pass_grad_check(rate):
 @pytest.mark.parametrize("masking", ["none", "block", "random"])
 @pytest.mark.parametrize("bs", [1, 2, 3])
 def test_head_blocks_reused_across_calls_equal_a_fresh_split(bs, masking):
-    """A ``HeadKV`` keeps its head blocks from its second read on (one read
-    keeps nothing); three ``attend`` calls on one memory equal calls on
-    fresh memories, outputs, weights and gradients, bitwise."""
+    """Three ``attention`` calls on one memory, which splits its keys and
+    values into heads once, equal calls on fresh memories, outputs, weights
+    and gradients, bitwise; the blocks are the per-head layouts of the
+    rows."""
     rng = np.random.default_rng(13)
     a, b, d, m = 2, 6, 8, 2
     k, v, *queries = leaves(rng, (bs * b, d), (bs * b, d),
                             *[(bs * a, d)] * 3)
-    p = {"wo": Tensor(rng.normal(size=(d, d)))}
+    wo = Tensor(rng.normal(size=(d, d)))
     mask = {"none": None,
             "block": np.repeat(~np.kron(np.eye(a), np.ones((1, b // a)))
                                .astype(bool)[None], bs, axis=0),
             "random": rng.random((bs, a, b)) < 0.4}[masking]
     if mask is not None:
         mask[:, :, 0] = False
-    kept = HeadKV(k, v, m, bs)
+    kept = ad.head_kv(k, v, bs, m)
 
     def build(reused):
         total = None
         for q in queries:
-            kv = kept if reused else HeadKV(k, v, m, bs)
-            out, weights = attend(q, kv, p, mask)
+            kv = kept if reused else ad.head_kv(k, v, bs, m)
+            out, weights = ad.attention(q, kv, wo, mask)
             part = ad.add(out.sum(), ad.mul(weights, weights).sum())
             total = part if total is None else ad.add(total, part)
         return total
@@ -595,12 +601,45 @@ def test_head_blocks_reused_across_calls_equal_a_fresh_split(bs, masking):
     for train in (True, False):
         reused, fresh = run_both(build, [k, v, *queries], train)
         assert_bitwise(reused, fresh)
-    blocks = kept.blocks()
-    assert all(x is y for x, y in zip(blocks, kept.blocks()))
-    assert_bitwise(blocks, ad.head_blocks(k.data, v.data, bs, m))
-    once = HeadKV(k, v, m, bs)
-    once.blocks()
-    assert once._blocks is None
+    heads = (bs, b, m, d // m)
+    assert_bitwise((kept.kt, kept.vh),
+                   (k.data.reshape(heads).transpose(0, 2, 3, 1),
+                    v.data.reshape(heads).transpose(0, 2, 1, 3)))
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_a_translated_sentence_splits_each_memory_once(width, monkeypatch):
+    """Translating a two-sentence document with the copy fixture, the
+    second sentence's cross-attention memories (one per layer), its
+    target-side word-level context memory and its copy memory are each
+    split into heads once, however many steps its search takes."""
+    store, cfg, _ = load_checkpoint(FIXTURES / "copy.ckpt")
+    model = DocModel(cfg, store)
+    sv, _ = load_vocab_pair(FIXTURES / "vocab.json")
+    pool = json.loads((FIXTURES / "pool.json").read_text(encoding="utf-8"))
+    doc = [sv.encode(s.split()) for s in pool["source"][0][:2]]
+    memories, split, build, key_heads = [], [], DecoderMemory.__init__, \
+        ad._key_heads
+
+    def recording(self, *args):
+        build(self, *args)
+        memories.append(self)
+
+    def counting(k, bs, m):
+        split.append(k)             # held, so no two keys share an id
+        return key_heads(k, bs, m)
+
+    monkeypatch.setattr(DecoderMemory, "__init__", recording)
+    monkeypatch.setattr(ad, "_key_heads", counting)
+    outputs, _ = translate_document(model, doc, "copy",
+                                    SearchConfig(width=width))
+    memory = memories[-1]
+    assert len(memories) == 2 and len(memory.context) == 1
+    assert len(outputs[1]) >= 2 and "copy_kv" in vars(memory)
+    kvs = memory.cross_kv + [memory.context.word_kv, memory.copy_kv]
+    assert len(kvs) == cfg.n_layers + 2
+    assert [sum(k is kv.keys.data for k in split) for kv in kvs] \
+        == [1] * len(kvs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -137,6 +137,25 @@ def test_step_check_finds_a_non_finite_distribution(pool_docs):
         model.step_distribution([[BOS_ID]], memory, [None])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_one_non_finite_entry_makes_the_store_non_finite(pool_docs, value,
+                                                          monkeypatch):
+    """``ParamStore.finite``, which decides whether a translated sentence
+    (and a training epoch) may run unchecked, sees every entry of every
+    parameter; with it False the search never enters ``unchecked``."""
+    model = copy_model()
+    assert model.params.finite()
+    for name, t in (next(iter(model.params.items())),
+                    list(model.params.items())[-1]):
+        old, t.data.flat[-1] = t.data.flat[-1], value
+        assert not model.params.finite(), name
+        t.data.flat[-1] = old
+    assert model.params.finite()
+    monkeypatch.setattr(type(model.params), "finite", lambda self: False)
+    monkeypatch.setattr(ad, "unchecked", None)     # entering it would fail
+    translate(model, pool_docs[0][:1])
+
+
 def test_unchecked_nests_and_restores_on_exception():
     big = ad.Tensor([[1e308]])
 

@@ -69,6 +69,22 @@ def test_src_size_counts_lines_code_lines_and_settable_values(tmp_path):
                       "settable_values": "4", "cli_options": "3"}
 
 
+def test_src_size_refuses_a_directory_without_cli(tmp_path):
+    """``--help`` prints the usage; a directory without ``cli.py`` exits 2
+    with a message naming it, before any count and with no traceback."""
+    def run(*args):
+        return subprocess.run([sys.executable, str(TOOLS / "src_size.py"),
+                               *args], capture_output=True, text=True)
+
+    shown = run("--help")
+    assert shown.returncode == 0 and shown.stdout.startswith("usage:")
+    (tmp_path / "a.py").write_text("x = 1\n", encoding="utf-8")
+    refused = run(str(tmp_path))
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert str(tmp_path) in refused.stderr
+    assert "Traceback" not in refused.stderr
+
+
 def test_pool_check_translates_the_first_pool_document():
     """The first pool document, greedy and beam 4, equals pool.json."""
     proc = subprocess.run([sys.executable, str(TOOLS / "pool_check.py"),

@@ -14,9 +14,9 @@ from docnmt.errors import CheckpointError, ContractError
 from docnmt.gradcheck import grad_check
 from docnmt.model import DocModel, ModelConfig, ParamStore, build_params
 from docnmt.model.model import DecoderMemory, Stack
-from docnmt.model.transformer import (HeadKV, attend, causal_mask,
-                                      cross_entropy, multi_head_attention,
-                                      positionwise_ffn, sinusoidal_positions)
+from docnmt.model.transformer import (causal_mask, cross_entropy,
+                                      multi_head_attention, positionwise_ffn,
+                                      sinusoidal_positions)
 
 import attention_reference
 from attention_reference import scaled_dot_attention
@@ -93,14 +93,14 @@ class TestAttention:
         k = Tensor(np.zeros((2, 4)))
         mask = np.array([[[True, True], [False, False]]])
         with pytest.raises(ContractError, match="fully masked"):
-            attend(q, HeadKV(k, k, 2, 1), {"wo": Tensor(np.eye(4))}, mask)
+            ad.attention(q, ad.head_kv(k, k, 1, 2), Tensor(np.eye(4)), mask)
 
     def test_all_false_mask_is_no_op(self):
         rng = np.random.default_rng(8)
         q, k, v = (Tensor(rng.normal(size=(3, 4)), requires_grad=True)
                    for _ in range(3))
-        p = {"wo": Tensor(rng.normal(size=(4, 4)))}
-        outs = [attend(q, HeadKV(k, v, 2, 1), p, mask)
+        wo = Tensor(rng.normal(size=(4, 4)))
+        outs = [ad.attention(q, ad.head_kv(k, v, 1, 2), wo, mask)
                 for mask in (None, np.zeros((1, 3, 3), dtype=bool))]
         ad.clear_tape()
         np.testing.assert_array_equal(outs[1][0].data, outs[0][0].data)

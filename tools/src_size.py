@@ -10,6 +10,9 @@ dataclass fields with defaults.  Command line options are the
 ``cli.build_parser()`` accepts, ``-h`` excluded.  Run from anywhere:
 
     python tools/src_size.py [package_dir]
+
+A directory without a ``cli.py`` is refused (exit 2) before anything is
+counted.
 """
 
 from __future__ import annotations
@@ -82,7 +85,13 @@ def cli_options(root: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else PACKAGE
+    parser = argparse.ArgumentParser(
+        description="Print the size of a package like docnmt.")
+    parser.add_argument("package_dir", nargs="?", type=Path, default=PACKAGE,
+                        help=f"the package directory (default: {PACKAGE})")
+    root = parser.parse_args(argv).package_dir
+    if not (root / "cli.py").is_file():
+        parser.error(f"{root} has no cli.py: not a package directory")
     lines = code = values = 0
     for path in sorted(root.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
