@@ -1,13 +1,15 @@
 """End-to-end gradient check of one copy-model decode step.
 
 Builds a toy copy model (all four parameter groups trainable) and fills
-its caches with two sentences: one-pair evaluation ``teacher_force`` rows
-pushed through ``decoding.update_context``, the push training and decoding
-share.  It then checks the autodiff gradient of a label-smoothed step loss
-on a one-pair ``teacher_force`` against central finite differences for
-every trainable parameter entry.  Cache states are built once and held
-fixed: they are detached constants in the forward pass, and the
-finite-difference oracle must see the same constants the tape saw.
+its caches with two sentences: the ``Forced.pushed`` rows of one-pair
+evaluation ``teacher_force`` passes, pushed through
+``decoding.update_context``, the push training and decoding share.  It
+then checks the autodiff gradient of a label-smoothed step loss on the
+``Forced.p_w`` rows of a one-pair ``teacher_force`` against central
+finite differences for every trainable parameter entry.  Cache states are
+built once and held fixed: they are detached constants in the forward
+pass, and the finite-difference oracle must see the same constants the
+tape saw.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ def full_copy_gradcheck(seed: int = 0) -> GradCheckReport:
         for _ in range(2):
             src = [int(t) for t in rng.integers(4, cfg.vocab_src, size=4)]
             tgt = [int(t) for t in rng.integers(4, cfg.vocab_tgt, size=4)]
-            forced = model.teacher_force([(src, tgt)], None, [context],
-                                         "copy")
-            update_context(context, "copy", src,
-                           forced.memory.encoded.states.data, tgt,
-                           forced.out.h_tilde.data[1:])
+            src_rows, tgt_rows = model.teacher_force(
+                [(src, tgt)], None, [context], "copy", pushes=[0]).pushed
+            update_context(context, "copy", src, src_rows[0], tgt,
+                           tgt_rows[0, 1:])
 
     src = [int(t) for t in rng.integers(4, cfg.vocab_src, size=5)]
     prefix = [int(t) for t in rng.integers(4, cfg.vocab_tgt, size=2)]
@@ -47,8 +48,8 @@ def full_copy_gradcheck(seed: int = 0) -> GradCheckReport:
 
     def f():
         # teacher-forced rows after BOS + prefix; the last is the decode step
-        p_rows, _ = model.forced_distributions(
-            model.teacher_force([(src, prefix)], None, [context], "copy"))
+        p_rows = model.teacher_force([(src, prefix)], None, [context],
+                                     "copy").p_w
         p_w = ad.narrow(p_rows, 0, len(prefix), 1)
         return cross_entropy(p_w, [gold], cfg.label_smoothing)
 

@@ -19,16 +19,18 @@ numbers of cached sentences), and the context and copy layers take the
 same document axis (see ``han``).
 Every teacher-forced pass is ``teacher_force`` over stacked pairs (losses,
 gold cache rows, and the gradient check at B = 1): encoder, source HAN,
-decoder stack, target HAN.  Decoding is the same layout at B = 1.  One
-training ``teacher_force`` also gives the evaluation-mode rows of the
-pairs whose gold entries later sentences read.  Stacked again behind the
-training pairs, they leave at one split, the first layer that reads a
-trainable parameter (the embedding when the base trains, the source HAN
-when it trains over filled caches, else the target HAN), and add nothing
-to the tape.  The one-pair ``sentence_loss`` and ``target_cache_entry``
-are only the tests' references.  An out-of-range id is a
-``ContractError`` where it is embedded (``autodiff.embed``), before it is
-scored or cached.
+decoder stack, target HAN, output layer.  It returns values, a ``Forced``
+(the P_w rows of the real target positions, their copy gates and gold
+ids, and the pushed rows), and none of its memories.  Decoding is the
+same layout at B = 1.  One training ``teacher_force`` also gives the
+evaluation-mode rows of the pairs whose gold entries later sentences
+read.  Stacked again behind the training pairs, they leave at one split,
+the first layer that reads a trainable parameter (the embedding when the
+base trains, the source HAN when it trains over filled caches, else the
+target HAN), and add nothing to the tape.  The one-pair ``sentence_loss``
+and ``target_cache_entry`` are only the tests' references.  An
+out-of-range id is a ``ContractError`` where it is embedded
+(``autodiff.embed``), before it is scored or cached.
 
 There is one decoder stack, ``decode_states``.  What a sentence's passes
 share is built once into a ``DecoderMemory``: the cross-attention, context
@@ -146,19 +148,23 @@ class DecodeOut:
 
 @dataclass
 class Forced:
-    """One teacher-forced pass over stacked (source, target) pairs.
+    """What one teacher-forced pass over stacked (source, target) pairs
+    computed, as values: none of its memories outlive it.
 
-    ``pushed`` holds the evaluation-mode rows of the pairs the pass was
-    asked for (``teacher_force``'s ``pushes``, in that order) as [E, L, d]
-    arrays of their padded rows: the final encoder rows, and the integrated
-    decoder rows h~ of BOS + target (None for a variant that caches no
-    targets).  In training they leave the stacked rows at one split
+    ``p_w`` holds the P_w rows of the real (non-pad) target positions in
+    pair order, each pair's BOS + target rows predicting target + EOS, and
+    ``gold`` those ids.  ``p_copy`` holds the copy gate of each of those
+    rows, None where the copy mixture did not run.  ``pushed`` holds the
+    evaluation-mode rows of the pairs the pass was asked for
+    (``teacher_force``'s ``pushes``, in that order) as [E, L, d] arrays of
+    their padded rows: the final encoder rows, and the integrated decoder
+    rows h~ of BOS + target (None for a variant that caches no targets).
+    In training they leave the stacked rows at one split
     (``DocModel._split_layer``).  None when no pair was asked for."""
-    pairs: list[tuple[list[int], list[int]]]
-    tgt: Stack                   # BOS + targets
-    memory: DecoderMemory        # its ``encoded`` holds the source Stack
-    out: DecodeOut
-    pushed: tuple[np.ndarray, np.ndarray | None] | None = None
+    p_w: Tensor                  # [N, V]
+    p_copy: np.ndarray | None    # [N]
+    gold: list[int]              # N ids
+    pushed: tuple[np.ndarray, np.ndarray | None] | None
 
 
 @dataclass(frozen=True)
@@ -205,11 +211,13 @@ def _padded_masks(stack: Stack, masks: list[np.ndarray]) -> np.ndarray:
 
 
 def _split_rows(rows: Tensor, at: int) -> tuple[Tensor, Tensor]:
-    """Rows off the tape cut into the first ``at`` and the rest.  The first
-    part is a copy, so a tape that reads it holds none of the rest."""
+    """Rows off the tape cut into the first ``at`` and the rest.  Both parts
+    are copies, so a tape that reads the first holds none of the rest, and
+    rows kept from the rest (``Forced.pushed``) hold none of the first."""
     if rows.requires_grad:
         raise ContractError("only rows off the tape are split")
-    return Tensor._wrap(rows.data[:at].copy()), Tensor._wrap(rows.data[at:])
+    return (Tensor._wrap(rows.data[:at].copy()),
+            Tensor._wrap(rows.data[at:].copy()))
 
 
 def _stacks(pairs: list[tuple[list[int], list[int]]]) -> tuple[Stack, Stack]:
@@ -526,8 +534,8 @@ class DocModel:
                       contexts: list[ContextState] | None = None,
                       variant: str = "sentence",
                       pushes: Iterable[int] = ()) -> Forced:
-        """One pass of encoder and decoder over (source, target) pairs, as
-        their padded rows.
+        """One pass of encoder, decoder and output layer over (source,
+        target) pairs, as their padded rows -> ``Forced``.
 
         ``keep`` holds each pair's ``dropout_masks`` and selects training
         mode; without it the pass runs in evaluation mode.  Each side's
@@ -546,6 +554,11 @@ class DocModel:
         tape, and the evaluation rows the same layers under ``no_grad``,
         as far as ``pushed`` needs.  A split at the embedding shares
         nothing: the evaluation rows are stacked on their own.
+
+        The output layer runs last, over the training rows: the real rows
+        are gathered before the softmax, except in the copy variant, whose
+        mixture reads every row.  The pass's ``DecoderMemory`` and decoder
+        rows die when it returns.
         """
         check_variant(variant)
         pushes, n = list(pushes), len(pairs)
@@ -563,22 +576,34 @@ class DocModel:
             range(at), src, tgt, contexts + eval_contexts
             if joint and contexts else contexts, variant, feeds, None, None)
         if at == 4:
-            return Forced(pairs, tgt, memory, out, _pushed_rows(
-                src, h, out, variant, pushes) if pushes else None)
-        if joint:
-            (src, src_e), (tgt, tgt_e) = src.split(n), tgt.split(n)
-            h, h_e = _split_rows(h, len(src))
-            y, y_e = (None, None) if y is None else _split_rows(y, len(tgt))
+            pushed = _pushed_rows(src, h, out, variant, pushes) \
+                if pushes else None
         else:
-            (src_e, tgt_e), h_e, y_e = _stacks(evals), None, None
-        _, _, memory, out = self._layers(range(at, 4), src, tgt, contexts,
-                                         variant, feeds, h, y)
-        with ad.no_grad():
-            h_e, _, _, out_e = self._layers(
-                range(at, 4 if variant in DECODER_CTX else 2), src_e, tgt_e,
-                eval_contexts, variant, (None, None), h_e, y_e)
-        return Forced(pairs, tgt, memory, out,
-                      _pushed_rows(src_e, h_e, out_e, variant, slice(None)))
+            if joint:
+                (src, src_e), (tgt, tgt_e) = src.split(n), tgt.split(n)
+                h, h_e = _split_rows(h, len(src))
+                y, y_e = (None, None) if y is None \
+                    else _split_rows(y, len(tgt))
+            else:
+                (src_e, tgt_e), h_e, y_e = _stacks(evals), None, None
+            _, _, memory, out = self._layers(range(at, 4), src, tgt,
+                                             contexts, variant, feeds, h, y)
+            with ad.no_grad():
+                h_e, _, _, out_e = self._layers(
+                    range(at, 4 if variant in DECODER_CTX else 2), src_e,
+                    tgt_e, eval_contexts, variant, (None, None), h_e, y_e)
+            pushed = _pushed_rows(src_e, h_e, out_e, variant, slice(None))
+        rows, p_copy = tgt.rows(), None
+        if variant != "copy":
+            # the real rows only; the embedding gather serves for any rows
+            p_w = self.output_distribution(
+                ad.embedding_lookup(out.h_tilde, rows))
+        else:
+            p_w, p_copy, _ = self.copy_mixture(
+                out, memory, self.output_distribution(out.h_tilde))
+            p_w = ad.embedding_lookup(p_w, rows)
+        return Forced(p_w, None if p_copy is None else p_copy.data[rows, 0],
+                      [g for _, t in pairs for g in t + [EOS_ID]], pushed)
 
     def _split_layer(self, contexts: list[ContextState] | None,
                      variant: str) -> int:
@@ -622,30 +647,16 @@ class DocModel:
 
     def forced_loss(self, forced: Forced
                     ) -> tuple[Tensor, int, np.ndarray | None]:
-        """Summed label-smoothed cross-entropy of a teacher-forced pass over
-        the real rows: (loss, n_positions, each row's p_copy or None).
+        """Summed label-smoothed cross-entropy of a teacher-forced pass's
+        P_w rows against its gold ids: (loss, n_positions, each row's
+        p_copy or None).
 
         The loss equals the sum over the pairs of ``sentence_loss`` times
         its n_positions, up to summation order.
         """
-        p_rows, p_copy = self.forced_distributions(forced)
-        gold = [g for _, t in forced.pairs for g in t + [EOS_ID]]
-        loss = cross_entropy(p_rows, gold, self.cfg.label_smoothing)
-        return loss * float(len(gold)), len(gold), \
-            None if p_copy is None else p_copy.data[forced.tgt.rows(), 0]
-
-    def forced_distributions(self, forced: Forced
-                             ) -> tuple[Tensor, Tensor | None]:
-        """P rows of a teacher-forced pass's real (non-pad) rows, and the
-        p_copy column of all its rows (None unless the copy mixture ran)."""
-        rows, out = forced.tgt.rows(), forced.out
-        if forced.memory.variant != "copy":
-            # the real rows only; the embedding gather serves for any rows
-            return self.output_distribution(
-                ad.embedding_lookup(out.h_tilde, rows)), None
-        p_w, p_copy, _ = self.copy_mixture(
-            out, forced.memory, self.output_distribution(out.h_tilde))
-        return ad.embedding_lookup(p_w, rows), p_copy
+        n = len(forced.gold)
+        loss = cross_entropy(forced.p_w, forced.gold, self.cfg.label_smoothing)
+        return loss * float(n), n, forced.p_copy
 
     def step_distribution(self, prefixes: list[list[int]],
                           memory: DecoderMemory,
@@ -707,11 +718,10 @@ class DocModel:
         forced = self.teacher_force([(src_ids, tgt_ids)], keep,
                                     None if context is None else [context],
                                     variant)
-        p_rows, p_copy = self.forced_distributions(forced)
-        gold = tgt_ids + [EOS_ID]
-        loss = cross_entropy(p_rows, gold, self.cfg.label_smoothing)
-        mean_pc = float(p_copy.data.mean()) if p_copy is not None else None
-        return loss, len(gold), mean_pc
+        loss = cross_entropy(forced.p_w, forced.gold, self.cfg.label_smoothing)
+        mean_pc = None if forced.p_copy is None \
+            else float(forced.p_copy.mean())
+        return loss, len(forced.gold), mean_pc
 
     def target_cache_entry(self, out_tokens: list[int], encoded: EncodedSentence,
                            context: ContextState | None,

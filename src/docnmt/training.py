@@ -334,9 +334,11 @@ def _wavefront_passes(model: DocModel, docs: list[_Doc], variant: str,
                       rng: np.random.Generator | None):
     """Yield ``forced_loss`` of each stacked pass of the wavefront over
     ``docs``, then push its group's gold entries, the evaluation-mode rows
-    that the same ``teacher_force`` call returns.  With ``rng`` the passes
-    train, on dropout masks drawn first for every sentence in batch order;
-    without it they run under the caller's ``no_grad``."""
+    that the same ``teacher_force`` call returns (``Forced.pushed``).
+    While the caller runs a pass's backward, the generator holds only that
+    ``Forced``: its values, none of the pass's memories.  With ``rng`` the
+    passes train, on dropout masks drawn first for every sentence in batch
+    order; without it they run under the caller's ``no_grad``."""
     keep = None
     if rng is not None:
         masks = iter(model.dropout_masks(

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from docnmt import autodiff as ad
 from docnmt.autodiff import Tensor
 from docnmt.cli import run
 from docnmt.corpus import (
@@ -261,6 +262,57 @@ def test_empty_cache_variants_equal_sentence_model():
                                           base_enc.states.data)
             got = incremental_step(model, prefix, enc, empty, variant)
             np.testing.assert_array_equal(got.p_w, want.p_w)
+
+
+def _padded_pairs(rng, cfg):
+    """Three (source, target) pairs whose lengths differ on both sides, so
+    a stack of them pads."""
+    return [([int(i) for i in rng.integers(4, cfg.vocab_src, size=2 + k)],
+             [int(i) for i in rng.integers(4, cfg.vocab_tgt, size=3 - k)])
+            for k in range(3)]
+
+
+def test_empty_cache_stacked_pass_equals_sentence_model():
+    """The reduction on a teacher-forced pass over padded stacked pairs:
+    with every cache empty, each context variant's P_w rows are the
+    sentence model's, bitwise, and no copy gate runs."""
+    rng = np.random.default_rng(4024)
+    for trial in range(5):
+        model, cfg = _tiny_model(200 + trial)
+        pairs = _padded_pairs(rng, cfg)
+        with ad.no_grad():
+            want = model.teacher_force(pairs).p_w.data
+            for variant in ("han-encoder", "han-decoder", "han-joint",
+                            "copy"):
+                forced = model.teacher_force(
+                    pairs, None, [ContextState(cfg.n_context) for _ in pairs],
+                    variant)
+                assert forced.p_copy is None
+                np.testing.assert_array_equal(forced.p_w.data, want)
+
+
+def test_closed_copy_gate_stacked_pass_equals_context_model():
+    """With filled caches and the copy gate's bias at -1e4, p_copy is
+    exactly 0 at every real row of a stacked teacher-forced pass, and the
+    copy variant's P_w rows are han-joint's, bitwise."""
+    rng = np.random.default_rng(4034)
+    for trial in range(5):
+        model, cfg = _tiny_model(300 + trial)
+        model.params["copy.b"].data[...] = -1e4
+        pairs = _padded_pairs(rng, cfg)
+        contexts = [ContextState(cfg.n_context) for _ in pairs]
+        for context in contexts:
+            for _ in range(2):
+                context.push_source(
+                    _random_cache_entry(rng, cfg.d_model, cfg.vocab_src))
+                context.push_target(
+                    _random_cache_entry(rng, cfg.d_model, cfg.vocab_tgt))
+        with ad.no_grad():
+            copied = model.teacher_force(pairs, None, contexts, "copy")
+            joint = model.teacher_force(pairs, None, contexts, "han-joint")
+        assert copied.p_copy.shape == (len(copied.gold),)
+        assert not copied.p_copy.any()
+        np.testing.assert_array_equal(copied.p_w.data, joint.p_w.data)
 
 
 # ---------------------------------------------------------------------------

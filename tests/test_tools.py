@@ -110,3 +110,23 @@ def test_stage_check_prints_one_line_per_stage_and_repeats_itself():
         assert len(val.split()) == 3 and len(train.split()) == 2
         assert all(float.fromhex(v) > 0 for v in val.split()[1:])
         assert len(params.split()[1]) == 64
+
+
+def test_peak_memory_prints_one_line_per_stage_and_repeats_itself():
+    """Two runs on 2 documents print one line per stage, in order, each
+    with the epoch's traced peak in kB, and the same peaks to within 1 kB:
+    the traced peak varies by up to a few hundred bytes between runs,
+    which can carry it across a kB boundary."""
+    runs = []
+    for _ in range(2):
+        out = subprocess.run([sys.executable, str(TOOLS / "peak_memory.py"),
+                              "--docs", "2"], capture_output=True, text=True,
+                             timeout=300, check=True).stdout
+        runs.append([line.split("\t") for line in out.splitlines()])
+    stages = ["base", "han-encoder", "han-decoder", "han-joint", "copy"]
+    for lines in runs:
+        assert [stage for stage, _ in lines] == stages
+        assert all(peak.startswith("peak ") and peak.endswith(" kB")
+                   for _, peak in lines)
+    peaks = [[int(peak.split()[1]) for _, peak in lines] for lines in runs]
+    assert all(a > 0 and abs(a - b) <= 1 for a, b in zip(*peaks))

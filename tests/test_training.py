@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1125,6 +1126,33 @@ def test_context_epoch_runs_one_teacher_force_per_wavefront_group(
     fixture_stage_run(stage)
     assert len(groups) > 3 and len(pushes) > 0
     assert forces == [0] * len(groups) and outside == []
+
+
+def test_no_decoder_memory_outlives_its_pass(monkeypatch):
+    """Each ``DecoderMemory`` that a copy-stage epoch's passes build is
+    gone when a backward starts: a ``Forced`` holds values, and none of
+    the memories of the pass whose loss the training loop differentiates
+    is alive while the wavefront waits at its ``yield``."""
+    built, backwards = [], []
+    init, backward = model_module.DecoderMemory.__init__, ad.backward
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    def checked_backward(*args, **kwargs):
+        alive = sum(ref() is not None for ref in built)
+        assert alive == 0, f"{alive} of {len(built)} decoder memories alive"
+        backwards.append(len(built))
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(model_module.DecoderMemory, "__init__", recorded_init)
+    monkeypatch.setattr(ad, "backward", checked_backward)
+    corpus, _, sv, tv, cfg = small_setup(n_docs=6, doc_len=3)
+    store = build_params(cfg, np.random.default_rng(0))
+    finetune_copy((store, cfg, {"base", "ctx_enc"}), corpus, sv, tv,
+                  TrainConfig(stage="copy", epochs=1))
+    assert len(backwards) > 1 and backwards[0] > 0
 
 
 # ---------------------------------------------------------------------------
